@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .harness import RunResult, build_clients, partition_report, run
 from .metrics import (
-    RoundMetrics,
     accuracy,
     mean_alignment,
     operator_spectrum,
@@ -86,7 +85,6 @@ __all__ = [
     "PartitionSpec",
     "ProxyVector",
     "RegulationReport",
-    "RoundMetrics",
     "RunConfig",
     "RunResult",
     "UnsupportedModelError",

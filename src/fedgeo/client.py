@@ -28,12 +28,26 @@ from .model import (
     ParameterSet,
     flatten,
     gradient,
+    layout_group,
     unflatten,
 )
 
-__all__ = ["ClientState", "LocalUpdate", "local_train", "TRAINERS"]
+__all__ = ["ClientState", "LocalUpdate", "local_train", "TRAINERS", "check_training"]
 
 TRAINERS = ("fedavg", "fedsgd", "fedprox")
+
+
+def check_training(trainer: str, lr: float, epochs: int, mu: float) -> None:
+    """Local training settings: a known trainer, lr >= 0, epochs >= 1, and
+    mu >= 0 (for every trainer, though only fedprox reads it)."""
+    if trainer not in TRAINERS:
+        raise InputError(f"unknown trainer {trainer!r}")
+    if epochs < 1:
+        raise InputError("epochs must be >= 1")
+    if lr < 0.0:
+        raise InputError("learning rate must be nonnegative")
+    if mu < 0.0:
+        raise InputError("mu must be nonnegative")
 
 
 @dataclass
@@ -43,9 +57,9 @@ class ClientState:
     ``params`` holds the full parameter set including any local head;
     ``local_train`` refreshes its shared slice from the broadcast vector
     each round and persists the trained values back. ``objective``, when
-    set, replaces the node-classification loss with a custom
+    set, replaces the whole training objective with a custom
     ``params -> (loss, grad ParameterSet)`` callable (surrogate losses
-    in tests); the fedprox proximal term still applies on top.
+    in tests); no fedprox proximal term is added to it.
     """
 
     client_id: int
@@ -62,14 +76,7 @@ class ClientState:
     )
 
     def __post_init__(self):
-        if self.trainer not in TRAINERS:
-            raise InputError(f"unknown trainer {self.trainer!r}")
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
-        if self.lr < 0.0:
-            raise InputError("learning rate must be nonnegative")
-        if self.trainer == "fedprox" and self.mu < 0.0:
-            raise InputError("fedprox mu must be nonnegative")
+        check_training(self.trainer, self.lr, self.epochs, self.mu)
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,6 @@ def _step(params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
     return ParameterSet(layers=tuple(layers))
 
 
-def _shared_group(layout) -> str:
-    groups = {s.group for s in layout}
-    return groups.pop() if len(groups) == 1 else "all"
-
-
 def local_train(state: ClientState, global_shared: FlatVector, round_index: int = 0) -> LocalUpdate:
     """Run one round of local training and return the shared delta.
 
@@ -109,7 +111,8 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
     toward the broadcast point), persists the trained parameters in the
     state, and returns theta_shared_after - theta_shared_broadcast.
     """
-    own_shared = flatten(state.params, group=_shared_group(global_shared.layout))
+    group = layout_group(global_shared.layout)
+    own_shared = flatten(state.params, group=group)
     if own_shared.layout != global_shared.layout:
         raise InputError("broadcast layout does not match the client model")
     n_train = int(state.graph.train_mask.sum())
@@ -118,21 +121,11 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
 
     params = unflatten(global_shared, state.params)
     n_steps = 1 if state.trainer == "fedsgd" else state.epochs
-    group = _shared_group(global_shared.layout)
     prox_mu = state.mu if state.trainer == "fedprox" else 0.0
 
     for _ in range(n_steps):
         if state.objective is not None:
             loss, grads = state.objective(params)
-            if prox_mu > 0.0:
-                cur = flatten(params, group=group)
-                off = cur.values - global_shared.values
-                loss += 0.5 * prox_mu * float(np.dot(off, off))
-                gflat = flatten(grads, group=group)
-                grads = unflatten(
-                    FlatVector(values=gflat.values + prox_mu * off, layout=gflat.layout),
-                    grads,
-                )
         else:
             loss, grads = gradient(
                 params,

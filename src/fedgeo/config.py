@@ -1,38 +1,33 @@
 """Run configuration: a flat, sectioned text format.
 
 Grammar: one ``section.key = value`` assignment per line; ``#`` starts
-a comment; blank lines are ignored. Sections:
-
-  run        name, rounds, seeds (comma list), out, regime
-             (intra_domain | cross_domain)
-  data       one graph source ("data"), or several ("data1".."dataN"):
-             kind = path | complete | planted | csv, plus per-kind
-             parameters and ``clients`` (how many clients split this
-             source)
-  partition  alpha (Dirichlet concentration), seed (offset)
-  model      layers, hidden, activation, bias
-  client     trainer (fedavg | fedsgd | fedprox), lr, epochs, mu
-  server     regulation (plain | ggrs), alpha, beta, epsilon (number or
-             'adaptive'), subspace_dim, window, proxy_dim (number, 0, or
-             'auto'), weights, fallback, reference
-
-Every key has a default except data.kind; unknown sections or keys are
-errors that name the offending line. CSV paths are resolved relative to
-the config file's directory.
+a comment; blank lines are ignored. ``KEYS`` lists every key with the
+``RunConfig`` or ``DataSource`` field it sets, whose default applies
+when the key is absent (only data.kind has none). A graph source is one
+``data`` section or numbered ``data1``..``dataN`` sections. Unknown
+sections and keys, duplicates, and values of the wrong type or outside
+a key's options are errors that name the file and line. Ranges are
+checked afterwards by the code that owns each setting, and those errors
+name the file and section. CSV paths are relative to the config file.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .client import TRAINERS, check_training
+from .errors import ConfigError, InputError
 from .graphs import PartitionSpec
+from .model import check_architecture
+from .server import AggregatorConfig
 
-__all__ = ["DataSource", "RunConfig", "parse_config", "load_config"]
+__all__ = ["DataSource", "RunConfig", "KEYS", "aggregator_config", "parse_config", "load_config"]
 
 _LINE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\.([A-Za-z_]+)\s*=\s*(.*)$")
+_NUMBERED = re.compile(r"data[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -103,48 +98,116 @@ class RunConfig:
         )
 
 
-def _fail(path: str, line: int, reason: str):
-    raise ConfigError(f"{path}:{line}: {reason}")
+def aggregator_config(cfg: RunConfig) -> AggregatorConfig:
+    return AggregatorConfig(
+        mode=cfg.regulation,
+        alpha=cfg.server_alpha,
+        beta=cfg.server_beta,
+        epsilon=cfg.epsilon,
+        subspace_dim=cfg.subspace_dim,
+        window=cfg.window,
+        proxy_dim=cfg.proxy_dim,
+        weights=cfg.weights,
+        fallback=cfg.fallback,
+        reference=cfg.reference,
+    )
 
 
-def _to_int(raw, where):
+# Converters read one value's text and raise ValueError with the reason.
+
+def _int(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        _fail(*where, f"expected an integer, got {raw!r}")
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _to_float(raw, where):
+def _float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        _fail(*where, f"expected a number, got {raw!r}")
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def _to_bool(raw, where):
+def _bool(raw: str) -> bool:
     if raw in ("true", "false"):
         return raw == "true"
-    _fail(*where, f"expected true or false, got {raw!r}")
+    raise ValueError(f"expected true or false, got {raw!r}")
 
 
-def _to_choice(raw, choices, where):
-    if raw in choices:
-        return raw
-    _fail(*where, f"expected one of {', '.join(choices)}, got {raw!r}")
+def _choice(*options: str):
+    def convert(raw: str) -> str:
+        if raw in options:
+            return raw
+        raise ValueError(f"expected one of {', '.join(options)}, got {raw!r}")
+    return convert
 
 
-_RUN_KEYS = {"name", "rounds", "seeds", "out", "regime"}
-_DATA_KEYS = {
-    "kind", "clients", "n", "blocks", "block_size", "p_in", "p_out",
-    "classes", "features", "class_sep", "edges", "labels", "splits",
+def _word_or(word: str, value, convert):
+    """``word`` reads as ``value``; any other text goes through ``convert``."""
+    return lambda raw: value if raw == word else convert(raw)
+
+
+def _seeds(raw: str) -> tuple[int, ...]:
+    return tuple(_int(p.strip()) for p in raw.split(",") if p.strip())
+
+
+def _path(raw: str) -> str:
+    """A file name; ``parse_config`` resolves it against the config's directory."""
+    return raw
+
+
+# (section, key) -> (target field, converter). "data" stands for every
+# data section; its fields are DataSource's, all others RunConfig's.
+KEYS = {
+    ("run", "name"): ("name", str),
+    ("run", "rounds"): ("rounds", _int),
+    ("run", "seeds"): ("seeds", _seeds),
+    ("run", "out"): ("out", str),
+    ("run", "regime"): ("regime", _choice("intra_domain", "cross_domain")),
+    ("data", "kind"): ("kind", _choice("path", "complete", "planted", "csv")),
+    ("data", "clients"): ("clients", _int),
+    ("data", "n"): ("n", _int),
+    ("data", "blocks"): ("blocks", _int),
+    ("data", "block_size"): ("block_size", _int),
+    ("data", "p_in"): ("p_in", _float),
+    ("data", "p_out"): ("p_out", _float),
+    ("data", "classes"): ("classes", _int),
+    ("data", "features"): ("feature_dim", _int),  # a path for csv sources
+    ("data", "class_sep"): ("class_sep", _float),
+    ("data", "edges"): ("edges", _path),
+    ("data", "labels"): ("labels", _path),
+    ("data", "splits"): ("splits", _path),
+    ("partition", "alpha"): ("alpha", _float),
+    ("partition", "seed"): ("partition_seed", _int),
+    ("model", "layers"): ("layers", _int),
+    ("model", "hidden"): ("hidden", _int),
+    ("model", "activation"): ("activation", _choice("relu", "identity")),
+    ("model", "bias"): ("bias", _bool),
+    ("client", "trainer"): ("trainer", _choice(*TRAINERS)),
+    ("client", "lr"): ("lr", _float),
+    ("client", "epochs"): ("epochs", _int),
+    ("client", "mu"): ("mu", _float),
+    ("server", "regulation"): ("regulation", _choice("plain", "ggrs")),
+    ("server", "alpha"): ("server_alpha", _float),
+    ("server", "beta"): ("server_beta", _float),
+    ("server", "epsilon"): ("epsilon", _word_or("adaptive", "adaptive", _float)),
+    ("server", "subspace_dim"): ("subspace_dim", _int),
+    ("server", "window"): ("window", _int),
+    ("server", "proxy_dim"): ("proxy_dim", _word_or("auto", None, _int)),
+    ("server", "weights"): ("weights", _choice("uniform", "by_train_count")),
+    ("server", "fallback"): ("fallback", _choice("largest", "none")),
+    ("server", "reference"): ("reference", _choice("raw", "regulated")),
 }
-_PARTITION_KEYS = {"alpha", "seed"}
-_MODEL_KEYS = {"layers", "hidden", "activation", "bias"}
-_CLIENT_KEYS = {"trainer", "lr", "epochs", "mu"}
-_SERVER_KEYS = {
-    "regulation", "alpha", "beta", "epsilon", "subspace_dim", "window",
-    "proxy_dim", "weights", "fallback", "reference",
-}
+_SECTIONS = {section for section, _ in KEYS}
+_CSV_FILES = ("edges", "features", "labels", "splits")
+
+
+def _fail(path: str, line: int, reason: str):
+    raise ConfigError(f"{path}:{line}: {reason}")
 
 
 def _parse_lines(text: str, path: str) -> dict[tuple[str, str], tuple[str, int]]:
@@ -165,213 +228,88 @@ def _parse_lines(text: str, path: str) -> dict[tuple[str, str], tuple[str, int]]
 
 def _source_sections(entries, path) -> list[str]:
     names = sorted(
-        {s for s, _ in entries if s == "data" or re.fullmatch(r"data[1-9][0-9]*", s)}
+        {s for s, _ in entries if s == "data" or _NUMBERED.fullmatch(s)},
+        key=lambda s: int(s[4:] or 0),
     )
     if not names:
         _fail(path, 1, "at least one data section is required")
     if "data" in names and len(names) > 1:
         _fail(path, 1, "use either a single [data] section or numbered data1..dataN")
-    if "data" in names:
-        return ["data"]
-    expected = [f"data{i}" for i in range(1, len(names) + 1)]
-    if names != expected:
+    if names != ["data"] and names != [f"data{i}" for i in range(1, len(names) + 1)]:
         _fail(path, 1, f"data sections must be numbered consecutively, got {names}")
     return names
 
 
-def _build_source(section, entries, path, base_dir: Path) -> DataSource:
-    def get(key):
-        return entries.get((section, key))
+def _fields(entries, source_names, path: str, base_dir: Path) -> dict[str, dict]:
+    """Section name -> {field: value} for every entry, read through KEYS."""
+    fields: dict[str, dict] = {name: {} for name in ["run", *source_names]}
+    for (section, key), (raw, ln) in entries.items():
+        table_section = "data" if section in source_names else section
+        if table_section not in _SECTIONS:
+            _fail(path, ln, f"unknown section {section!r}")
+        if (table_section, key) not in KEYS:
+            _fail(path, ln, f"unknown key {section}.{key}")
+        target, convert = KEYS[table_section, key]
+        if target == "feature_dim" and entries.get((section, "kind"), ("",))[0] == "csv":
+            target, convert = "features_path", _path
+        try:
+            value = convert(raw)
+        except ValueError as exc:
+            _fail(path, ln, str(exc))
+        if convert is _path:
+            value = str(base_dir / value)
+        # every non-data section sets RunConfig fields
+        fields[section if section in source_names else "run"][target] = value
+    return fields
 
-    for (s, k), (_, ln) in entries.items():
-        if s == section and k not in _DATA_KEYS:
-            _fail(path, ln, f"unknown key {s}.{k}")
 
-    kind_entry = get("kind")
-    if kind_entry is None:
-        _fail(path, 1, f"{section}.kind is required")
-    kind = _to_choice(kind_entry[0], ("path", "complete", "planted", "csv"),
-                      (path, kind_entry[1]))
-
-    kw: dict = {"kind": kind}
-    if get("clients"):
-        v, ln = get("clients")
-        kw["clients"] = _to_int(v, (path, ln))
-        if kw["clients"] < 1:
-            _fail(path, ln, "clients must be >= 1")
-    for key, conv in (
-        ("n", _to_int), ("blocks", _to_int), ("block_size", _to_int),
-        ("p_in", _to_float), ("p_out", _to_float), ("classes", _to_int),
-        ("class_sep", _to_float),
-    ):
-        if get(key):
-            v, ln = get(key)
-            kw[key] = conv(v, (path, ln))
-    if get("features"):
-        v, ln = get("features")
-        if kind == "csv":
-            kw["features_path"] = str(base_dir / v)
-        else:
-            kw["feature_dim"] = _to_int(v, (path, ln))
-    if kind == "csv":
-        for key, attr in (("edges", "edges"), ("labels", "labels"), ("splits", "splits")):
-            if get(key) is None:
-                _fail(path, 1, f"{section}.{key} is required for csv sources")
-            v, _ = get(key)
-            kw[attr] = str(base_dir / v)
-        if "features_path" not in kw:
-            _fail(path, 1, f"{section}.features is required for csv sources")
-    return DataSource(**kw)
+def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
+    """Run each range and cross-field rule in the code that owns it."""
+    checks = [
+        ("server", lambda: aggregator_config(cfg)),
+        ("model", lambda: check_architecture(cfg.layers, cfg.hidden, cfg.activation)),
+        ("client", lambda: check_training(cfg.trainer, cfg.lr, cfg.epochs, cfg.mu)),
+    ] + [
+        (f"partition of {name}", lambda j=j: cfg.partition_spec(j, cfg.seeds[0]))
+        for j, name in enumerate(source_names)
+    ]
+    for section, check in checks:
+        try:
+            check()
+        except InputError as exc:
+            raise ConfigError(f"{path}: {section}: {exc}") from None
 
 
 def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None) -> RunConfig:
     base_dir = base_dir or Path(".")
     entries = _parse_lines(text, path)
     source_names = _source_sections(entries, path)
+    fields = _fields(entries, source_names, path, base_dir)
 
-    known = {"run": _RUN_KEYS, "partition": _PARTITION_KEYS, "model": _MODEL_KEYS,
-             "client": _CLIENT_KEYS, "server": _SERVER_KEYS}
-    for (s, k), (_, ln) in entries.items():
-        if s in known and k not in known[s]:
-            _fail(path, ln, f"unknown key {s}.{k}")
-        if s not in known and s not in source_names:
-            _fail(path, ln, f"unknown section {s!r}")
+    for name in source_names:
+        if "kind" not in fields[name]:
+            _fail(path, 1, f"{name}.kind is required")
+        if fields[name]["kind"] == "csv":
+            for key in _CSV_FILES:
+                if (name, key) not in entries:
+                    _fail(path, 1, f"{name}.{key} is required for csv sources")
 
-    def get(section, key):
-        return entries.get((section, key))
-
-    kw: dict = {"raw_text": text}
-
-    if get("run", "name"):
-        kw["name"] = get("run", "name")[0]
-    if get("run", "rounds"):
-        v, ln = get("run", "rounds")
-        kw["rounds"] = _to_int(v, (path, ln))
-        if kw["rounds"] < 1:
-            _fail(path, ln, "rounds must be >= 1")
-    if get("run", "seeds"):
-        v, ln = get("run", "seeds")
-        try:
-            seeds = tuple(int(p.strip()) for p in v.split(",") if p.strip())
-        except ValueError:
-            _fail(path, ln, f"seeds must be a comma list of integers, got {v!r}")
-        if not seeds:
-            _fail(path, ln, "at least one seed is required")
-        if len(set(seeds)) != len(seeds):
-            _fail(path, ln, "seeds must be distinct")
-        kw["seeds"] = seeds
-    if get("run", "out"):
-        kw["out"] = get("run", "out")[0]
-    if get("run", "regime"):
-        v, ln = get("run", "regime")
-        kw["regime"] = _to_choice(v, ("intra_domain", "cross_domain"), (path, ln))
-
-    kw["sources"] = tuple(
-        _build_source(name, entries, path, base_dir) for name in source_names
+    cfg = RunConfig(
+        sources=tuple(DataSource(**fields[name]) for name in source_names),
+        raw_text=text,
+        **fields["run"],
     )
-
-    if get("partition", "alpha"):
-        v, ln = get("partition", "alpha")
-        kw["alpha"] = _to_float(v, (path, ln))
-        if kw["alpha"] <= 0.0:
-            _fail(path, ln, "partition alpha must be positive")
-    if get("partition", "seed"):
-        v, ln = get("partition", "seed")
-        kw["partition_seed"] = _to_int(v, (path, ln))
-
-    if get("model", "layers"):
-        v, ln = get("model", "layers")
-        kw["layers"] = _to_int(v, (path, ln))
-        if kw["layers"] not in (1, 2):
-            _fail(path, ln, "layers must be 1 or 2")
-    if get("model", "hidden"):
-        v, ln = get("model", "hidden")
-        kw["hidden"] = _to_int(v, (path, ln))
-        if kw["hidden"] < 1:
-            _fail(path, ln, "hidden must be >= 1")
-    if get("model", "activation"):
-        v, ln = get("model", "activation")
-        kw["activation"] = _to_choice(v, ("relu", "identity"), (path, ln))
-    if get("model", "bias"):
-        v, ln = get("model", "bias")
-        kw["bias"] = _to_bool(v, (path, ln))
-
-    if get("client", "trainer"):
-        v, ln = get("client", "trainer")
-        kw["trainer"] = _to_choice(v, ("fedavg", "fedsgd", "fedprox"), (path, ln))
-    if get("client", "lr"):
-        v, ln = get("client", "lr")
-        kw["lr"] = _to_float(v, (path, ln))
-        if kw["lr"] < 0.0:
-            _fail(path, ln, "lr must be nonnegative")
-    if get("client", "epochs"):
-        v, ln = get("client", "epochs")
-        kw["epochs"] = _to_int(v, (path, ln))
-        if kw["epochs"] < 1:
-            _fail(path, ln, "epochs must be >= 1")
-    if get("client", "mu"):
-        v, ln = get("client", "mu")
-        kw["mu"] = _to_float(v, (path, ln))
-        if kw["mu"] < 0.0:
-            _fail(path, ln, "mu must be nonnegative")
-
-    if get("server", "regulation"):
-        v, ln = get("server", "regulation")
-        kw["regulation"] = _to_choice(v, ("plain", "ggrs"), (path, ln))
-    if get("server", "alpha"):
-        v, ln = get("server", "alpha")
-        kw["server_alpha"] = _to_float(v, (path, ln))
-        if not (0.0 <= kw["server_alpha"] < 1.0):
-            _fail(path, ln, "server alpha must be in [0, 1)")
-    if get("server", "beta"):
-        v, ln = get("server", "beta")
-        kw["server_beta"] = _to_float(v, (path, ln))
-        if not (0.0 <= kw["server_beta"] < 1.0):
-            _fail(path, ln, "server beta must be in [0, 1)")
-    if get("server", "epsilon"):
-        v, ln = get("server", "epsilon")
-        if v == "adaptive":
-            kw["epsilon"] = "adaptive"
-        else:
-            kw["epsilon"] = _to_float(v, (path, ln))
-            if kw["epsilon"] <= 0.0:
-                _fail(path, ln, "epsilon must be positive or 'adaptive'")
-    if get("server", "subspace_dim"):
-        v, ln = get("server", "subspace_dim")
-        kw["subspace_dim"] = _to_int(v, (path, ln))
-        if kw["subspace_dim"] < 0:
-            _fail(path, ln, "subspace_dim must be >= 0")
-    if get("server", "window"):
-        v, ln = get("server", "window")
-        kw["window"] = _to_int(v, (path, ln))
-        if kw["window"] < 1:
-            _fail(path, ln, "window must be >= 1")
-    if get("server", "proxy_dim"):
-        v, ln = get("server", "proxy_dim")
-        if v == "auto":
-            kw["proxy_dim"] = None
-        else:
-            kw["proxy_dim"] = _to_int(v, (path, ln))
-            if kw["proxy_dim"] < 0:
-                _fail(path, ln, "proxy_dim must be 'auto', 0, or positive")
-    if get("server", "weights"):
-        v, ln = get("server", "weights")
-        kw["weights"] = _to_choice(v, ("uniform", "by_train_count"), (path, ln))
-    if get("server", "fallback"):
-        v, ln = get("server", "fallback")
-        kw["fallback"] = _to_choice(v, ("largest", "none"), (path, ln))
-    if get("server", "reference"):
-        v, ln = get("server", "reference")
-        kw["reference"] = _to_choice(v, ("raw", "regulated"), (path, ln))
-
-    cfg = RunConfig(**kw)
-    if cfg.subspace_dim > cfg.window:
-        _fail(path, 1, "server.subspace_dim must not exceed server.window")
-    if cfg.regime == "cross_domain":
-        if len(cfg.sources) < 2:
-            _fail(path, 1, "cross_domain requires at least 2 data sections")
-        if cfg.layers < 2:
-            _fail(path, 1, "cross_domain requires layers = 2 (the head stays local)")
+    cross = cfg.regime == "cross_domain"
+    for key, broken, reason in (  # rules of the run section, which only it owns
+        ("rounds", cfg.rounds < 1, "rounds must be >= 1"),
+        ("seeds", not cfg.seeds, "at least one seed is required"),
+        ("seeds", len(set(cfg.seeds)) != len(cfg.seeds), "seeds must be distinct"),
+        ("regime", cross and len(cfg.sources) < 2, "cross_domain requires at least 2 data sections"),
+        ("regime", cross and cfg.layers < 2, "cross_domain requires layers = 2 (the head stays local)"),
+    ):
+        if broken:
+            _fail(path, entries["run", key][1], reason)
+    _check_ranges(cfg, source_names, path)
     return cfg
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .client import ClientState, LocalUpdate, local_train
-from .config import DataSource, RunConfig
+from .config import DataSource, RunConfig, aggregator_config
 from .errors import ConfigError, InputError
 from .graph_io import load_graph_csv
 from .graphs import (
@@ -45,16 +45,10 @@ from .graphs import (
     path_graph,
     planted_partition_graph,
 )
-from .metrics import accuracy, mean_alignment, pairwise_coherence, sensitivity_norm
+from .metrics import accuracy, pairwise_coherence, sensitivity_norm
 from .model import SHARED, ModelConfig, ParameterSet, flatten, forward, init_params, unflatten
 from .partition import dirichlet_label_partition
-from .server import (
-    AggregatorConfig,
-    RegulationReport,
-    initial_reference,
-    proxy_map,
-    regulate_and_aggregate,
-)
+from .server import RegulationReport, initial_reference, proxy_map, regulate_and_aggregate
 
 __all__ = ["RunResult", "run", "partition_report", "build_clients", "aggregator_config"]
 
@@ -90,21 +84,6 @@ def _source_graph(src: DataSource, seed: int) -> Graph:
     if src.kind == "csv":
         return load_graph_csv(src.edges, src.features_path, src.labels, src.splits)
     raise ConfigError(f"unknown data kind {src.kind!r}")
-
-
-def aggregator_config(cfg: RunConfig) -> AggregatorConfig:
-    return AggregatorConfig(
-        mode=cfg.regulation,
-        alpha=cfg.server_alpha,
-        beta=cfg.server_beta,
-        epsilon=cfg.epsilon,
-        subspace_dim=cfg.subspace_dim,
-        window=cfg.window,
-        proxy_dim=cfg.proxy_dim,
-        weights=cfg.weights,
-        fallback=cfg.fallback,
-        reference=cfg.reference,
-    )
 
 
 def _client_graphs(cfg: RunConfig, run_seed: int) -> list[tuple[int, Graph]]:
@@ -171,7 +150,7 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
     return clients, global_params
 
 
-def _evaluate(clients: list[ClientState], shared, activation: str) -> tuple[float, list[float]]:
+def _evaluate(clients: list[ClientState], shared, activation: str) -> float:
     """Micro-averaged test accuracy of the current global model.
 
     Each client evaluates the broadcast shared parameters combined with
@@ -180,20 +159,16 @@ def _evaluate(clients: list[ClientState], shared, activation: str) -> tuple[floa
     """
     correct = 0
     total = 0
-    per_client = []
     for c in clients:
         params = unflatten(shared, c.params)
         n_test = int(c.graph.test_mask.sum())
         if n_test == 0:
-            per_client.append(float("nan"))
             continue
         logits = forward(params, c.adj, c.graph.features, activation)[0][-1]
         acc = accuracy(logits, c.graph.labels, c.graph.test_mask)
-        per_client.append(acc)
         correct += round(acc * n_test)  # accuracy is matches / n_test
         total += n_test
-    overall = correct / total if total else float("nan")
-    return float(overall), per_client
+    return float(correct / total) if total else float("nan")
 
 
 def _fmt(x: float) -> str:
@@ -246,9 +221,8 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
         global_delta, ref, report = regulate_and_aggregate(updates, ref, agg)
         new_values = shared.values + global_delta.values
         shared = type(shared)(values=new_values, layout=shared.layout)
-        global_params = unflatten(shared, global_params)
 
-        test_acc, _ = _evaluate(clients, shared, cfg.activation)
+        test_acc = _evaluate(clients, shared, cfg.activation)
 
         if len(updates) >= 2:
             gamma, _ = pairwise_coherence(np.stack([u.delta.values for u in updates]))

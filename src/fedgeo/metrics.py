@@ -13,50 +13,17 @@ convention and flagged where the API allows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
 
 __all__ = [
-    "RoundMetrics",
     "pairwise_coherence",
     "mean_alignment",
     "sensitivity_norm",
     "operator_spectrum",
     "accuracy",
 ]
-
-
-@dataclass(frozen=True)
-class RoundMetrics:
-    """One aggregation round's diagnostics, as emitted per round.
-
-    ``gamma`` is the K x K cosine matrix between raw client updates with
-    ``zero_updates`` marking norm-zero rows; ``mean_alignment`` averages
-    cos(proxy, reference) over clients with a nonzero proxy;
-    ``sensitivity`` is the Euclidean norm of the applied global delta.
-    """
-
-    round: int
-    test_accuracy: float
-    client_accuracies: tuple[float, ...]
-    gamma: np.ndarray
-    zero_updates: np.ndarray
-    mean_alignment: float
-    sensitivity: float
-    client_factors: tuple[float, ...]
-    spectrum: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        k = self.gamma.shape[0]
-        if self.gamma.shape != (k, k) or self.zero_updates.shape != (k,):
-            raise InputError("gamma must be K x K with a K-length zero flag")
-        if not (-1.0 - 1e-12 <= self.mean_alignment <= 1.0 + 1e-12):
-            raise InputError("mean alignment out of [-1, 1]")
-        if self.sensitivity < 0.0:
-            raise InputError("sensitivity norm must be nonnegative")
 
 
 def pairwise_coherence(updates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

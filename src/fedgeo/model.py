@@ -33,10 +33,22 @@ __all__ = [
     "unflatten",
     "layer_slices",
     "induced_operator",
+    "check_architecture",
 ]
 
 SHARED = "shared"
 LOCAL = "local"
+
+
+def check_architecture(n_layers: int, hidden: int, activation: str) -> None:
+    """The GCN shapes this module trains: 1 or 2 layers, a positive hidden
+    width (also for 1 layer, where it goes unused), relu or identity."""
+    if n_layers not in (1, 2):
+        raise InputError("layers must be 1 or 2")
+    if hidden < 1:
+        raise InputError("hidden width must be >= 1")
+    if activation not in ("relu", "identity"):
+        raise InputError("activation must be 'relu' or 'identity'")
 
 
 @dataclass(frozen=True)
@@ -49,13 +61,8 @@ class ModelConfig:
     bias: bool = True
 
     def __post_init__(self):
-        if self.n_layers not in (1, 2):
-            raise InputError("n_layers must be 1 or 2")
-        if self.activation not in ("relu", "identity"):
-            raise InputError("activation must be 'relu' or 'identity'")
-        if min(self.in_dim, self.out_dim) < 1 or (
-            self.n_layers == 2 and self.hidden_dim < 1
-        ):
+        check_architecture(self.n_layers, self.hidden_dim, self.activation)
+        if min(self.in_dim, self.out_dim) < 1:
             raise InputError("model dimensions must be positive")
 
 
@@ -250,7 +257,7 @@ def gradient(
 
     grad_set = ParameterSet(layers=tuple(grads))
     if prox_center is not None and mu > 0.0:
-        current = flatten(params, group=_layout_group(prox_center.layout))
+        current = flatten(params, group=layout_group(prox_center.layout))
         if current.layout != prox_center.layout:
             raise InputError("prox center layout does not match parameters")
         offset = current.values - prox_center.values
@@ -259,7 +266,8 @@ def gradient(
     return loss, grad_set
 
 
-def _layout_group(layout: tuple[LayerSpec, ...]) -> str:
+def layout_group(layout: tuple[LayerSpec, ...]) -> str:
+    """The group a layout covers: its one group, or "all" when mixed."""
     groups = {s.group for s in layout}
     return groups.pop() if len(groups) == 1 else "all"
 
@@ -326,7 +334,7 @@ def unflatten(flat: FlatVector, template: ParameterSet) -> ParameterSet:
 
 def _add_flat(params: ParameterSet, layout: tuple[LayerSpec, ...], delta: np.ndarray) -> ParameterSet:
     """params + delta over the layers named by layout (used for prox)."""
-    base = flatten(params, group=_layout_group(layout))
+    base = flatten(params, group=layout_group(layout))
     if base.layout != layout:
         raise InputError("layout mismatch in flat addition")
     return unflatten(FlatVector(values=base.values + delta, layout=layout), params)

@@ -1,7 +1,13 @@
+import math
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgeo import ConfigError, load_config
-from fedgeo.config import parse_config
+from fedgeo.config import KEYS, parse_config
 
 
 def _load(tmp_path, text, name="run.conf"):
@@ -298,3 +304,73 @@ def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(tmp_path / "absent.conf"))
     assert "absent.conf" in str(err.value)
+
+
+def test_range_error_names_file_and_section(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, MINIMAL + "server.alpha = 1.0\n")
+    assert str(err.value).endswith("run.conf: server: alpha must be in [0, 1)")
+
+
+def test_ten_or_more_numbered_sources_keep_their_order(tmp_path):
+    text = "".join(f"data{i}.kind = complete\ndata{i}.n = {i + 2}\n" for i in range(1, 12))
+    cfg = _load(tmp_path, text)
+    assert [s.n for s in cfg.sources] == [i + 2 for i in range(1, 12)]
+
+
+def _field(cfg, section, key):
+    owner = cfg.sources[0] if section == "data" else cfg
+    return getattr(owner, KEYS[section, key][0])
+
+
+def test_float_keys_reject_non_finite_values(tmp_path):
+    float_keys = []
+    for section, key in KEYS:
+        if (section, key) == ("data", "kind"):
+            continue
+        try:
+            cfg = parse_config(f"data.kind = complete\n{section}.{key} = 0.25\n")
+        except ConfigError:
+            continue
+        if isinstance(_field(cfg, section, key), float):
+            float_keys.append(f"{section}.{key}")
+    assert sorted(float_keys) == [
+        "client.lr", "client.mu", "data.class_sep", "data.p_in", "data.p_out",
+        "partition.alpha", "server.alpha", "server.beta", "server.epsilon",
+    ]
+    for name in float_keys:
+        for bad in ("nan", "inf", "-inf", "NaN", "1e999"):
+            with pytest.raises(ConfigError) as err:
+                _load(tmp_path, f"data.kind = complete\n{name} = {bad}\n")
+            assert "run.conf:2: expected a finite number" in str(err.value)
+
+
+_VALUES = st.one_of(
+    st.text(max_size=10),
+    st.sampled_from(["nan", "-inf", "1e999", "0", "-1", "0.5", "1", "40", "csv",
+                     "planted", "auto", "adaptive", "true", "1, 1", "fedprox"]),
+    st.integers(min_value=-5, max_value=10**6).map(str),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry=st.sampled_from(sorted(KEYS)), value=_VALUES)
+def test_any_value_parses_to_finite_config_or_raises_config_error(entry, value):
+    section, key = entry
+    base = "" if entry == ("data", "kind") else "data.kind = complete\n"
+    try:
+        cfg = parse_config(f"{base}{section}.{key} = {value}\n", path="prop.conf")
+    except ConfigError:
+        return
+    floats = [v for obj in (cfg, *cfg.sources) for v in vars(obj).values()
+              if isinstance(v, float)]
+    assert all(math.isfinite(v) for v in floats)
+
+
+def test_readme_config_block_parses_and_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config(block, path="README.md")
+    missing = [f"{s}.{k}" for s, k in KEYS if not re.search(rf"\b{s}\.{k}\b", block)]
+    assert missing == []

@@ -246,6 +246,8 @@ def test_model_config_validation():
         ModelConfig(n_layers=1, in_dim=4, out_dim=2, activation="tanh")
     with pytest.raises(InputError):
         ModelConfig(n_layers=1, in_dim=0, out_dim=2)
+    with pytest.raises(InputError):
+        ModelConfig(n_layers=1, in_dim=4, out_dim=2, hidden_dim=0)
 
 
 def test_induced_operator_scalar_scales_adjacency():
