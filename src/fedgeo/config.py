@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .client import TRAINERS, check_training
 from .errors import ConfigError, InputError
-from .graphs import PartitionSpec
+from .graphs import PartitionSpec, check_generator
 from .model import check_architecture
 from .server import AggregatorConfig
 
@@ -263,12 +263,24 @@ def _fields(entries, source_names, path: str, base_dir: Path) -> dict[str, dict]
     return fields
 
 
+def _check_source(src: DataSource) -> None:
+    """The generator range rules for the keys this source's kind reads."""
+    if src.kind in ("path", "complete"):
+        check_generator(n_nodes=src.n)
+    elif src.kind == "planted":
+        check_generator(n_blocks=src.blocks, block_size=src.block_size, p_in=src.p_in,
+                        p_out=src.p_out, n_classes=src.classes, feature_dim=src.feature_dim)
+
+
 def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
     """Run each range and cross-field rule in the code that owns it."""
     checks = [
         ("server", lambda: aggregator_config(cfg)),
         ("model", lambda: check_architecture(cfg.layers, cfg.hidden, cfg.activation)),
         ("client", lambda: check_training(cfg.trainer, cfg.lr, cfg.epochs, cfg.mu)),
+    ] + [
+        (name, lambda src=src: _check_source(src))
+        for name, src in zip(source_names, cfg.sources)
     ] + [
         (f"partition of {name}", lambda j=j: cfg.partition_spec(j, cfg.seeds[0]))
         for j, name in enumerate(source_names)

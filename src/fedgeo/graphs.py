@@ -24,6 +24,7 @@ __all__ = [
     "NormalizedAdjacency",
     "PartitionSpec",
     "make_graph",
+    "check_generator",
     "path_graph",
     "complete_graph",
     "planted_partition_graph",
@@ -226,18 +227,33 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(n_nodes=n, storage=mat)
 
 
+def check_generator(n_nodes: int = 1, n_blocks: int = 1, block_size: int = 1,
+                    p_in: float = 0.0, p_out: float = 0.0,
+                    n_classes: int = 1, feature_dim: int = 1) -> None:
+    """Range rules of the graph generators, shared with the config parser.
+
+    Every argument defaults to a value that passes, so each caller
+    names only the settings it uses."""
+    if n_nodes < 1:
+        raise InputError("need n >= 1")
+    if n_blocks < 1 or block_size < 1:
+        raise InputError("need blocks >= 1 and block_size >= 1")
+    if not (0.0 <= p_out <= p_in <= 1.0):
+        raise InputError("need 0 <= p_out <= p_in <= 1")
+    if n_classes < 1 or feature_dim < 1:
+        raise InputError("need classes >= 1 and features >= 1")
+
+
 def path_graph(n: int) -> Graph:
     """Path on n nodes (0-1-2-...); identity features, zero labels."""
-    if n < 1:
-        raise InputError("path_graph needs n >= 1")
+    check_generator(n_nodes=n)
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     return make_graph(n, edges)
 
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on n nodes; identity features, zero labels."""
-    if n < 1:
-        raise InputError("complete_graph needs n >= 1")
+    check_generator(n_nodes=n)
     iu = np.triu_indices(n, k=1)
     edges = np.stack(iu, axis=1)
     return make_graph(n, edges)
@@ -267,12 +283,8 @@ def planted_partition_graph(
     uniform draw for the edge coin flips (strict upper triangle used),
     then an (n, feature_dim) standard-normal draw for feature noise.
     """
-    if n_blocks < 1 or block_size < 1:
-        raise InputError("planted_partition_graph needs non-empty blocks")
-    if not (0.0 <= p_out <= p_in <= 1.0):
-        raise InputError("need 0 <= p_out <= p_in <= 1")
-    if n_classes < 1 or feature_dim < 1:
-        raise InputError("n_classes and feature_dim must be positive")
+    check_generator(n_blocks=n_blocks, block_size=block_size, p_in=p_in, p_out=p_out,
+                    n_classes=n_classes, feature_dim=feature_dim)
 
     n = n_blocks * block_size
     block = np.repeat(np.arange(n_blocks), block_size)

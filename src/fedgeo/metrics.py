@@ -131,15 +131,26 @@ def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     return w[order], v[:, order]
 
 
+# the Jacobi solve is an O(n^3) Python loop per sweep: a random symmetric
+# 128 x 128 input takes about 2.4 s on one Xeon core, 64 x 64 about 0.5 s
+_MAX_SPECTRUM_N = 128
+
+
 def operator_spectrum(t: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric operator, descending.
 
-    The input must be square and symmetric to within 1e-9 (max absolute
-    entry of T - T^T); it is symmetrized by averaging before the solve.
+    The input must be square with at most 128 rows, and symmetric to
+    within 1e-9 (max absolute entry of T - T^T); it is symmetrized by
+    averaging before the solve. Larger inputs raise InputError.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise InputError(f"operator must be square, got shape {t.shape}")
+    if t.shape[0] > _MAX_SPECTRUM_N:
+        raise InputError(
+            f"operator has {t.shape[0]} rows; the Jacobi eigensolver takes "
+            f"at most {_MAX_SPECTRUM_N}"
+        )
     skew = np.max(np.abs(t - t.T)) if t.size else 0.0
     if skew > 1e-9:
         raise InputError(f"operator asymmetric by {skew:.3g} (limit 1e-9)")

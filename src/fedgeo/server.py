@@ -25,6 +25,7 @@ round is bitwise deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class AggregatorConfig:
     weights: str = "uniform"            # "uniform" | "by_train_count"
     fallback: str = "largest"           # zero-reference rule; "none" disables
     reference: str = "raw"              # EMA source: "raw" | "regulated"
-    proxy_seed: int = 97                # seeds sign projection + basis starts
+    proxy_seed: int = 97                # seeds the sign projection
 
     def __post_init__(self):
         if self.mode not in ("plain", "ggrs"):
@@ -182,16 +183,12 @@ def _resolve_proxy_dim(cfg: AggregatorConfig, full_len: int) -> int | None:
     return cfg.proxy_dim if full_len > cfg.proxy_dim else None
 
 
-_projection_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=1)
 def _sign_projection(seed: int, d_in: int, d_out: int) -> np.ndarray:
-    """Run-constant random +-1 matrix (d_in x d_out), cached."""
-    key = (seed, d_in, d_out)
-    if key not in _projection_cache:
-        rng = np.random.default_rng(seed)
-        _projection_cache[key] = 2.0 * rng.integers(0, 2, size=(d_in, d_out)) - 1.0
-    return _projection_cache[key]
+    """Run-constant random +-1 matrix (d_in x d_out); a run uses one
+    (seed, d_in, d_out), so only the latest matrix is kept."""
+    rng = np.random.default_rng(seed)
+    return 2.0 * rng.integers(0, 2, size=(d_in, d_out)) - 1.0
 
 
 def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
@@ -227,71 +224,28 @@ def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
     return ProxyVector(values=values, layer_norms=tuple(float(n) for n in norms), blocks=blocks)
 
 
-def _top_directions(window: np.ndarray, m: int, seed: int,
-                    tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
+def _top_directions(window: np.ndarray, m: int) -> np.ndarray:
     """Top-m left singular directions of the (d x n) window matrix.
 
-    Deflated power iteration with seeded deterministic starts, run on
-    the small n x n Gram matrix (the left directions live in the window
-    column span, so each converged right vector maps back through the
-    window). Stops early when the residual spectrum is numerically rank
-    deficient, so the basis never pads with noise directions.
+    One symmetric eigendecomposition of the small n x n Gram matrix: the
+    left directions live in the window column span, so each right
+    eigenvector v maps back as window @ v. Directions come in descending
+    eigenvalue order, and none whose eigenvalue is at most 1e-10 of the
+    trace (the total squared singular mass) is kept, so the basis never
+    pads with noise directions; a zero window gives a (d, 0) basis. One
+    QR pass orthonormalizes the columns, and each column's
+    largest-magnitude entry is made positive.
     """
     d, n = window.shape
     gram = window.T @ window
-    lead = float(np.trace(gram))  # = sum of squared singular values
-    if lead <= 0.0:
+    lam, v = np.linalg.eigh(gram)
+    lam, v = lam[::-1], v[:, ::-1]
+    k = min(m, d, n, np.count_nonzero(lam > 1e-10 * np.trace(gram)))
+    if k == 0:
         return np.zeros((d, 0))
-    rank_tol = 1e-10 * lead
-    rng = np.random.default_rng(seed)
-    rights: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for _ in range(min(m, d, n)):
-        v = rng.standard_normal(n)
-        for u in rights:
-            v -= u * (u @ v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            break
-        v /= nv
-        lam = 0.0
-        for _ in range(max_iter):
-            w = gram @ v
-            for u in rights:
-                w -= u * (u @ w)
-            nw = np.linalg.norm(w)
-            if nw <= rank_tol:
-                lam = 0.0
-                break
-            w /= nw
-            converged = np.linalg.norm(w - np.sign(w @ v + 1e-300) * v) < tol
-            v = w
-            if converged:
-                lam = float(v @ (gram @ v))
-                break
-        else:
-            lam = float(v @ (gram @ v))
-        if lam <= rank_tol:
-            break
-        rights.append(v)
-        left = window @ v
-        left /= np.linalg.norm(left)
-        # deterministic sign: largest-magnitude entry positive
-        j = int(np.argmax(np.abs(left)))
-        if left[j] < 0.0:
-            left = -left
-        cols.append(left)
-    if not cols:
-        return np.zeros((d, 0))
-    basis = np.stack(cols, axis=1)
-    # one re-orthonormalization pass guards the 1e-10 invariant
-    q, _ = np.linalg.qr(basis)
-    # qr may flip signs; restore the convention
-    for k in range(q.shape[1]):
-        j = int(np.argmax(np.abs(q[:, k])))
-        if q[j, k] < 0.0:
-            q[:, k] = -q[:, k]
-    return q
+    q, _ = np.linalg.qr(window @ v[:, :k])
+    j = np.argmax(np.abs(q), axis=0)
+    return q * np.sign(q[j, np.arange(k)])
 
 
 def update_reference(
@@ -325,9 +279,7 @@ def update_reference(
     if m == 0 or len(window) < m:
         basis = np.zeros((ref.r.shape[0], 0))
     else:
-        basis = _top_directions(
-            np.stack(window, axis=1), m, seed=cfg.proxy_seed + 1
-        )
+        basis = _top_directions(np.stack(window, axis=1), m)
     return GeometricReference(r=r_new, window=tuple(window), basis=basis)
 
 

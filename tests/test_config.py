@@ -241,6 +241,19 @@ def test_range_validation(tmp_path):
     ):
         with pytest.raises(ConfigError):
             _load(tmp_path, MINIMAL + bad + "\n")
+    for bad in (  # data-section ranges, checked before any graph is built
+        "kind = path\ndata.n = 0",
+        "kind = complete\ndata.n = -3",
+        "kind = planted\ndata.p_in = 2",
+        "kind = planted\ndata.p_out = -0.1",
+        "kind = planted\ndata.p_in = 0.1\ndata.p_out = 0.2",
+        "kind = planted\ndata.blocks = 0",
+        "kind = planted\ndata.block_size = 0",
+        "kind = planted\ndata.classes = 0",
+        "kind = planted\ndata.features = 0",
+    ):
+        with pytest.raises(ConfigError):
+            _load(tmp_path, "data." + bad + "\n")
 
 
 def test_subspace_dim_cannot_exceed_window(tmp_path):
@@ -310,6 +323,9 @@ def test_range_error_names_file_and_section(tmp_path):
     with pytest.raises(ConfigError) as err:
         _load(tmp_path, MINIMAL + "server.alpha = 1.0\n")
     assert str(err.value).endswith("run.conf: server: alpha must be in [0, 1)")
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, "data1.kind = planted\ndata1.p_in = 2\n")
+    assert str(err.value).endswith("run.conf: data1: need 0 <= p_out <= p_in <= 1")
 
 
 def test_ten_or_more_numbered_sources_keep_their_order(tmp_path):

@@ -131,6 +131,13 @@ def test_operator_spectrum_rejects_bad_input():
         operator_spectrum(np.ones((2, 3)))  # not square
 
 
+def test_operator_spectrum_size_limit():
+    # the limit itself is accepted (an identity needs no Jacobi rotation)
+    np.testing.assert_array_equal(operator_spectrum(np.eye(128)), np.ones(128))
+    with pytest.raises(InputError, match="at most 128"):
+        operator_spectrum(np.eye(129))
+
+
 def test_accuracy_counting_oracle():
     rng = np.random.default_rng(3)
     for _ in range(10):

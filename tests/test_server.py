@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgeo import (
     AggregatorConfig,
@@ -200,13 +202,14 @@ def test_subspace_disabled_when_m_zero():
 
 
 def test_top_directions_match_svd_oracle():
-    # dual implementation: the deflated power method against numpy's SVD,
-    # compared as projectors (individual vectors may differ by sign)
+    # dual implementation: the Gram-matrix eigendecomposition against
+    # numpy's SVD, compared as projectors (individual vectors may differ
+    # by sign)
     rng = np.random.default_rng(7)
     for trial in range(10):
         d, n, m = 12, 8, 3
         w = rng.normal(size=(d, n))
-        basis = _top_directions(w, m, seed=trial)
+        basis = _top_directions(w, m)
         u, s, _ = np.linalg.svd(w, full_matrices=False)
         oracle = u[:, :m]
         p_ours = basis @ basis.T
@@ -214,6 +217,38 @@ def test_top_directions_match_svd_oracle():
         assert np.linalg.norm(p_ours - p_svd) < 1e-5
         gram = basis.T @ basis
         assert np.max(np.abs(gram - np.eye(basis.shape[1]))) < 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    s=st.lists(st.sampled_from([0.0, 1e-6, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=8),
+    repeats=st.lists(st.integers(0, 7), max_size=4),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_top_directions_properties(d, s, repeats, m, seed):
+    # window = U diag(s) V^T with random orthonormal factors, then some of
+    # its columns repeated; s mixes zeros, ties and a 1e-6 tail that the
+    # 1e-10 * trace rank cut must drop next to order-one values
+    rng = np.random.default_rng(seed)
+    r = min(d, len(s))
+    u = np.linalg.qr(rng.standard_normal((d, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((len(s), r)))[0]
+    w = u @ np.diag(s[:r]) @ v.T
+    w = np.concatenate([w, w[:, [i % len(s) for i in repeats]]], axis=1)
+
+    basis = _top_directions(w, m)
+    k = basis.shape[1]
+    assert np.max(np.abs(basis.T @ basis - np.eye(k)), initial=0.0) < 1e-10
+    lead = np.argmax(np.abs(basis), axis=0)
+    assert np.all(basis[lead, np.arange(k)] > 0.0)
+    u_svd, sv, _ = np.linalg.svd(w, full_matrices=False)
+    assert k == min(m, int(np.sum(sv**2 > 1e-10 * np.sum(sv**2))))
+    if 0 < k < sv.size and sv[k - 1] ** 2 - sv[k] ** 2 <= 1e-3 * sv[0] ** 2:
+        return  # no spectral gap after k: the top-k subspace is not unique
+    oracle = u_svd[:, :k]
+    assert np.max(np.abs(basis @ basis.T - oracle @ oracle.T)) < 1e-6
 
 
 def test_align_regulate_examples():
