@@ -57,9 +57,10 @@ class ClientState:
     ``params`` holds the full parameter set including any local head;
     ``local_train`` refreshes its shared slice from the broadcast vector
     each round and persists the trained values back. ``objective``, when
-    set, replaces the whole training objective with a custom
+    set, replaces the cross-entropy objective with a custom
     ``params -> (loss, grad ParameterSet)`` callable (surrogate losses
-    in tests); no fedprox proximal term is added to it.
+    in tests). The fedprox pull belongs to the descent step, so fedprox
+    adds it to a custom objective's gradient too.
     """
 
     client_id: int
@@ -93,11 +94,18 @@ class LocalUpdate:
             raise InputError("n_train must be >= 1")
 
 
-def _step(params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
+def _step(params: ParameterSet, grads: ParameterSet, lr: float,
+          anchor: ParameterSet, pulls: list[float]) -> ParameterSet:
+    """theta <- theta - lr * (g + mu * (theta - anchor)) with mu =
+    pulls[layer]; a layer with mu = 0 takes a plain step."""
     layers = []
-    for p, g in zip(params.layers, grads.layers):
-        w = p.weight - lr * g.weight
-        b = p.bias - lr * g.bias if p.bias is not None else None
+    for p, g, p0, mu in zip(params.layers, grads.layers, anchor.layers, pulls):
+        gw, gb = g.weight, g.bias
+        if mu > 0.0:
+            gw = gw + mu * (p.weight - p0.weight)
+            gb = gb + mu * (p.bias - p0.bias) if p.bias is not None else None
+        w = p.weight - lr * gw
+        b = p.bias - lr * gb if p.bias is not None else None
         layers.append(Layer(weight=w, bias=b, group=p.group))
     return ParameterSet(layers=tuple(layers))
 
@@ -119,9 +127,11 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
     if n_train < 1 and state.objective is None:
         raise InputError(f"client {state.client_id} has no train nodes")
 
-    params = unflatten(global_shared, state.params)
+    anchor = params = unflatten(global_shared, state.params)
     n_steps = 1 if state.trainer == "fedsgd" else state.epochs
-    prox_mu = state.mu if state.trainer == "fedprox" else 0.0
+    # fedprox pulls the broadcast layers, not a local head, toward anchor
+    mu = state.mu if state.trainer == "fedprox" else 0.0
+    pulls = [mu if group in ("all", l.group) else 0.0 for l in anchor.layers]
 
     for _ in range(n_steps):
         if state.objective is not None:
@@ -134,12 +144,10 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
                 state.graph.labels,
                 state.graph.train_mask,
                 activation=state.activation,
-                prox_center=global_shared if prox_mu > 0.0 else None,
-                mu=prox_mu,
             )
         if not np.isfinite(loss):
             raise DivergenceError(round_index, state.client_id)
-        params = _step(params, grads, state.lr)
+        params = _step(params, grads, state.lr, anchor, pulls)
 
     state.params = params
     new_shared = flatten(params, group=group)

@@ -266,10 +266,11 @@ def _fields(entries, source_names, path: str, base_dir: Path) -> dict[str, dict]
 def _check_source(src: DataSource) -> None:
     """The generator range rules for the keys this source's kind reads."""
     if src.kind in ("path", "complete"):
-        check_generator(n_nodes=src.n)
+        check_generator(n_nodes=src.n, dense=src.kind == "complete")
     elif src.kind == "planted":
         check_generator(n_blocks=src.blocks, block_size=src.block_size, p_in=src.p_in,
-                        p_out=src.p_out, n_classes=src.classes, feature_dim=src.feature_dim)
+                        p_out=src.p_out, n_classes=src.classes, feature_dim=src.feature_dim,
+                        dense=True)
 
 
 def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:

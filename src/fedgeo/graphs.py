@@ -227,13 +227,19 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(n_nodes=n, storage=mat)
 
 
+# the complete and planted generators are dense in n: the planted draw
+# holds about 19 bytes x n^2 of temporaries (0.3 GB at this limit)
+MAX_DENSE_NODES = 4096
+
+
 def check_generator(n_nodes: int = 1, n_blocks: int = 1, block_size: int = 1,
                     p_in: float = 0.0, p_out: float = 0.0,
-                    n_classes: int = 1, feature_dim: int = 1) -> None:
+                    n_classes: int = 1, feature_dim: int = 1, dense: bool = False) -> None:
     """Range rules of the graph generators, shared with the config parser.
 
     Every argument defaults to a value that passes, so each caller
-    names only the settings it uses."""
+    names only the settings it uses; a ``dense`` generator's n_nodes or
+    n_blocks * block_size may not exceed MAX_DENSE_NODES."""
     if n_nodes < 1:
         raise InputError("need n >= 1")
     if n_blocks < 1 or block_size < 1:
@@ -242,6 +248,8 @@ def check_generator(n_nodes: int = 1, n_blocks: int = 1, block_size: int = 1,
         raise InputError("need 0 <= p_out <= p_in <= 1")
     if n_classes < 1 or feature_dim < 1:
         raise InputError("need classes >= 1 and features >= 1")
+    if dense and max(n_nodes, n_blocks * block_size) > MAX_DENSE_NODES:
+        raise InputError(f"need at most {MAX_DENSE_NODES} nodes for a dense graph generator")
 
 
 def path_graph(n: int) -> Graph:
@@ -253,7 +261,7 @@ def path_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on n nodes; identity features, zero labels."""
-    check_generator(n_nodes=n)
+    check_generator(n_nodes=n, dense=True)
     iu = np.triu_indices(n, k=1)
     edges = np.stack(iu, axis=1)
     return make_graph(n, edges)
@@ -284,7 +292,7 @@ def planted_partition_graph(
     then an (n, feature_dim) standard-normal draw for feature noise.
     """
     check_generator(n_blocks=n_blocks, block_size=block_size, p_in=p_in, p_out=p_out,
-                    n_classes=n_classes, feature_dim=feature_dim)
+                    n_classes=n_classes, feature_dim=feature_dim, dense=True)
 
     n = n_blocks * block_size
     block = np.repeat(np.arange(n_blocks), block_size)

@@ -268,22 +268,24 @@ def run(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunR
     tails = {"test_acc": [], "alignment": [], "sensitivity": []}
     acc_curves, ali_curves, sen_curves = [], [], []
 
-    for s in seeds:
-        csv_rows, jsonl_rows, acc_tr, ali_tr, sen_tr = _run_one_seed(cfg, s)
-        all_csv.extend(csv_rows)
-        p = out_dir / f"regulation_seed{s}.jsonl"
-        p.write_text("\n".join(jsonl_rows) + "\n")
-        jsonl_paths.append(p)
-        tail = slice(-min(_SUMMARY_TAIL, cfg.rounds), None)
-        tails["test_acc"].append(float(acc_tr[tail].mean()))
-        tails["alignment"].append(float(ali_tr[tail].mean()))
-        tails["sensitivity"].append(float(sen_tr[tail].mean()))
-        acc_curves.append(acc_tr)
-        ali_curves.append(ali_tr)
-        sen_curves.append(sen_tr)
-
     csv_path = out_dir / "metrics.csv"
-    csv_path.write_text("\n".join(all_csv) + "\n")
+    try:
+        for s in seeds:
+            csv_rows, jsonl_rows, acc_tr, ali_tr, sen_tr = _run_one_seed(cfg, s)
+            all_csv.extend(csv_rows)
+            p = out_dir / f"regulation_seed{s}.jsonl"
+            p.write_text("\n".join(jsonl_rows) + "\n")
+            jsonl_paths.append(p)
+            tail = slice(-min(_SUMMARY_TAIL, cfg.rounds), None)
+            tails["test_acc"].append(float(acc_tr[tail].mean()))
+            tails["alignment"].append(float(ali_tr[tail].mean()))
+            tails["sensitivity"].append(float(sen_tr[tail].mean()))
+            acc_curves.append(acc_tr)
+            ali_curves.append(ali_tr)
+            sen_curves.append(sen_tr)
+    finally:
+        # a seed that diverges does not lose the rows of the seeds before it
+        csv_path.write_text("\n".join(all_csv) + "\n")
 
     summary = {
         "name": cfg.name,

@@ -206,15 +206,9 @@ def gradient(
     labels: np.ndarray,
     mask: np.ndarray,
     activation: str = "relu",
-    prox_center: FlatVector | None = None,
-    mu: float = 0.0,
 ) -> tuple[float, ParameterSet]:
-    """Loss and analytic gradients of masked cross-entropy.
-
-    With ``prox_center`` and ``mu > 0`` the objective gains
-    (mu/2) * ||theta - center||^2 over the layers named by the center's
-    layout. Gradients come back ParameterSet-shaped, same groups.
-    """
+    """Loss and analytic gradients of masked cross-entropy; the gradients
+    come back ParameterSet-shaped, with the same groups."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise InputError("empty mask")
@@ -255,15 +249,7 @@ def gradient(
         if li > 0:
             upstream = adj @ (dp @ layer.weight.T)
 
-    grad_set = ParameterSet(layers=tuple(grads))
-    if prox_center is not None and mu > 0.0:
-        current = flatten(params, group=layout_group(prox_center.layout))
-        if current.layout != prox_center.layout:
-            raise InputError("prox center layout does not match parameters")
-        offset = current.values - prox_center.values
-        loss += 0.5 * mu * float(np.dot(offset, offset))
-        grad_set = _add_flat(grad_set, prox_center.layout, mu * offset)
-    return loss, grad_set
+    return loss, ParameterSet(layers=tuple(grads))
 
 
 def layout_group(layout: tuple[LayerSpec, ...]) -> str:
@@ -330,14 +316,6 @@ def unflatten(flat: FlatVector, template: ParameterSet) -> ParameterSet:
             b = old.bias.copy()
         layers[spec.index] = Layer(weight=w, bias=b, group=old.group)
     return ParameterSet(layers=tuple(layers))
-
-
-def _add_flat(params: ParameterSet, layout: tuple[LayerSpec, ...], delta: np.ndarray) -> ParameterSet:
-    """params + delta over the layers named by layout (used for prox)."""
-    base = flatten(params, group=layout_group(layout))
-    if base.layout != layout:
-        raise InputError("layout mismatch in flat addition")
-    return unflatten(FlatVector(values=base.values + delta, layout=layout), params)
 
 
 def induced_operator(params: ParameterSet, adj: NormalizedAdjacency) -> np.ndarray:

@@ -18,14 +18,15 @@ from fedgeo import (
 from fedgeo.model import SHARED, FlatVector, Layer, ParameterSet
 
 
-def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="relu"):
+def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="relu",
+             cross_domain=False):
     g = planted_partition_graph(
         n_blocks=2, block_size=8, p_in=0.6, p_out=0.2,
         n_classes=2, feature_dim=4, class_sep=1.0, seed=seed,
     )
     cfg = ModelConfig(n_layers=2, in_dim=4, out_dim=2, hidden_dim=5,
                       activation=activation)
-    params = init_params(cfg, seed=seed + 100)
+    params = init_params(cfg, seed=seed + 100, cross_domain=cross_domain)
     state = ClientState(
         client_id=0,
         graph=g,
@@ -83,27 +84,41 @@ def test_fedsgd_takes_exactly_one_step():
 
 
 def test_fedavg_multi_epoch_matches_manual_descent():
-    state, shared = _fixture(epochs=3, lr=0.07)
-    update = local_train(state, shared)
+    # fedavg, fedprox, and fedprox with a local head that the pull skips
+    for trainer, mu, cross_domain in (
+        ("fedavg", 0.01, False), ("fedprox", 0.5, False), ("fedprox", 0.5, True),
+    ):
+        state, shared = _fixture(trainer=trainer, epochs=3, lr=0.07, mu=mu,
+                                 cross_domain=cross_domain)
+        update = local_train(state, shared)
 
-    # oracle: run the descent loop by hand through the public gradient
-    params = unflatten(shared, init_params(
-        ModelConfig(n_layers=2, in_dim=4, out_dim=2, hidden_dim=5), seed=100))
-    for _ in range(3):
-        _, grads = gradient(
-            params, state.adj, state.graph.features, state.graph.labels,
-            state.graph.train_mask, activation="relu",
-        )
-        layers = []
-        for p, gr in zip(params.layers, grads.layers):
-            layers.append(Layer(
-                weight=p.weight - 0.07 * gr.weight,
-                bias=p.bias - 0.07 * gr.bias,
-                group=p.group,
-            ))
-        params = ParameterSet(layers=tuple(layers))
-    expected = flatten(params, group=SHARED).values - shared.values
-    np.testing.assert_allclose(update.delta.values, expected, atol=0)
+        # oracle: run the descent loop by hand through the public gradient,
+        # adding fedprox's mu * (theta - theta_0) on the shared layers
+        start = unflatten(shared, init_params(
+            ModelConfig(n_layers=2, in_dim=4, out_dim=2, hidden_dim=5), seed=100,
+            cross_domain=cross_domain))
+        params = start
+        for _ in range(3):
+            _, grads = gradient(
+                params, state.adj, state.graph.features, state.graph.labels,
+                state.graph.train_mask, activation="relu",
+            )
+            layers = []
+            for p, p0, gr in zip(params.layers, start.layers, grads.layers):
+                gw, gb = gr.weight, gr.bias
+                if trainer == "fedprox" and p.group == SHARED:
+                    gw = gw + mu * (p.weight - p0.weight)
+                    gb = gb + mu * (p.bias - p0.bias)
+                layers.append(Layer(
+                    weight=p.weight - 0.07 * gw,
+                    bias=p.bias - 0.07 * gb,
+                    group=p.group,
+                ))
+            params = ParameterSet(layers=tuple(layers))
+        expected = flatten(params, group=SHARED).values - shared.values
+        np.testing.assert_allclose(update.delta.values, expected, rtol=0, atol=0)
+        np.testing.assert_allclose(flatten(state.params).values,
+                                   flatten(params).values, rtol=0, atol=0)
 
 
 def test_fedprox_large_mu_contracts_delta():

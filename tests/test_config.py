@@ -251,6 +251,9 @@ def test_range_validation(tmp_path):
         "kind = planted\ndata.block_size = 0",
         "kind = planted\ndata.classes = 0",
         "kind = planted\ndata.features = 0",
+        "kind = complete\ndata.n = 4097",  # dense generators: at most 4096 nodes
+        "kind = planted\ndata.blocks = 17\ndata.block_size = 241",
+        "kind = planted\ndata.blocks = 1\ndata.block_size = 5000",
     ):
         with pytest.raises(ConfigError):
             _load(tmp_path, "data." + bad + "\n")
@@ -326,6 +329,10 @@ def test_range_error_names_file_and_section(tmp_path):
     with pytest.raises(ConfigError) as err:
         _load(tmp_path, "data1.kind = planted\ndata1.p_in = 2\n")
     assert str(err.value).endswith("run.conf: data1: need 0 <= p_out <= p_in <= 1")
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, "data1.kind = complete\ndata1.n = 4097\n")
+    assert str(err.value).endswith(
+        "run.conf: data1: need at most 4096 nodes for a dense graph generator")
 
 
 def test_ten_or_more_numbered_sources_keep_their_order(tmp_path):

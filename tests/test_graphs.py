@@ -175,3 +175,13 @@ def test_planted_partition_rejects_bad_probabilities():
     with pytest.raises(InputError):
         planted_partition_graph(2, 10, p_in=1.5, p_out=0.1,
                                 n_classes=2, feature_dim=3, class_sep=1.0, seed=0)
+
+
+def test_dense_generators_reject_more_than_4096_nodes():
+    # the planted draw holds ~19 bytes x n^2 of temporaries; fail before it
+    with pytest.raises(InputError, match="at most 4096 nodes"):
+        planted_partition_graph(17, 241, p_in=0.1, p_out=0.01,
+                                n_classes=2, feature_dim=3, class_sep=1.0, seed=0)
+    with pytest.raises(InputError, match="at most 4096 nodes"):
+        complete_graph(4097)
+    assert path_graph(5000).n_nodes == 5000  # sparse: not limited

@@ -6,6 +6,7 @@ import pytest
 from fedgeo import (
     AggregatorConfig,
     ConfigError,
+    DivergenceError,
     InputError,
     build_clients,
     flatten,
@@ -18,6 +19,7 @@ from fedgeo import (
     run,
     unflatten,
 )
+import fedgeo.harness as harness
 from fedgeo.cli import main
 from fedgeo.config import parse_config
 from fedgeo.harness import CSV_HEADER, _client_graphs
@@ -149,6 +151,24 @@ def test_rerun_is_byte_identical(tmp_path):
     for p1, p2 in zip(r1.jsonl_paths, r2.jsonl_paths):
         assert p1.read_bytes() == p2.read_bytes()
     assert r1.summary_path.read_bytes() == r2.summary_path.read_bytes()
+
+
+def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
+    cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
+    full = run(cfg, out=str(tmp_path / "full")).csv_path.read_text().splitlines()
+    one_seed = harness._run_one_seed
+
+    def second_seed_diverges(cfg, s):
+        if s == 2:
+            raise DivergenceError(2, 0)
+        return one_seed(cfg, s)
+
+    monkeypatch.setattr(harness, "_run_one_seed", second_seed_diverges)
+    with pytest.raises(DivergenceError):
+        run(cfg, out=str(tmp_path / "o"))
+    kept = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
+    assert kept == [l for l in full if l == CSV_HEADER or l.split(",")[1] == "1"]
+    assert len(kept) == 1 + 3
 
 
 def test_seed_override_runs_single_seed(tmp_path):

@@ -108,13 +108,13 @@ def test_masked_cross_entropy_empty_mask():
         masked_cross_entropy(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2, bool))
 
 
-def _fd_gradient(params, adj, x, labels, mask, activation, step=1e-4, **kw):
+def _fd_gradient(params, adj, x, labels, mask, activation, step=1e-4):
     template = params
     flat = flatten(params)
 
     def loss_at(values):
         p = unflatten(FlatVector(values=values, layout=flat.layout), template)
-        return gradient(p, adj, x, labels, mask, activation=activation, **kw)[0]
+        return gradient(p, adj, x, labels, mask, activation=activation)[0]
 
     fd = np.zeros_like(flat.values)
     for i in range(flat.values.size):
@@ -154,32 +154,6 @@ def test_gradient_matches_finite_differences_identity_1layer():
         gf = _fd_gradient(params, adj, g.features, g.labels, g.train_mask, "identity")
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         assert rel < 1e-6
-
-
-def test_gradient_prox_term_matches_finite_differences():
-    g, adj, cfg, params = _random_case(4)
-    center = flatten(params)
-    rng = np.random.default_rng(9)
-    center = FlatVector(values=center.values + rng.normal(size=center.values.size) * 0.1,
-                        layout=center.layout)
-    mu = 0.7
-    loss, grads = gradient(
-        params, adj, g.features, g.labels, g.train_mask,
-        activation=cfg.activation, prox_center=center, mu=mu,
-    )
-    base_loss, _ = gradient(
-        params, adj, g.features, g.labels, g.train_mask, activation=cfg.activation
-    )
-    off = flatten(params).values - center.values
-    assert loss == pytest.approx(base_loss + 0.5 * mu * off @ off, rel=1e-12)
-
-    ga = flatten(grads).values
-    gf = _fd_gradient(
-        params, adj, g.features, g.labels, g.train_mask, cfg.activation,
-        prox_center=center, mu=mu,
-    )
-    rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
-    assert rel < 1e-4
 
 
 def test_flatten_unflatten_round_trip_bitwise():

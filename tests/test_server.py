@@ -460,3 +460,75 @@ def test_reference_norm_bounded_by_history():
         peak = max(peak, np.linalg.norm(mean))
         _, ref, _ = regulate_and_aggregate(updates, ref, cfg)
         assert np.linalg.norm(ref.r) <= peak + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4), st.booleans()),
+                    min_size=1, max_size=3),
+    k=st.integers(1, 6),
+    rounds=st.integers(1, 4),
+    mode=st.sampled_from(["plain", "ggrs"]),
+    weights=st.sampled_from(["uniform", "by_train_count"]),
+    epsilon=st.sampled_from(["adaptive", 0.05, 1.0, 10.0]),
+    window=st.integers(1, 6),
+    subspace_dim=st.integers(0, 6),
+    proxy_dim=st.sampled_from([None, 0, 3]),
+    reference=st.sampled_from(["raw", "regulated"]),
+    fallback=st.sampled_from(["largest", "none"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gate_pipeline_properties(shapes, k, rounds, mode, weights, epsilon, window,
+                                  subspace_dim, proxy_dim, reference, fallback, seed):
+    # random layouts and updates over several rounds that thread ref
+    # through: coefficients in [0, 1], order independence, plain = the
+    # weighted mean, and an orthonormal basis of rank <= subspace_dim
+    rng = np.random.default_rng(seed)
+    layout = tuple(
+        LayerSpec(index=i, group=SHARED, w_shape=(a, b), b_size=b if bias else 0)
+        for i, (a, b, bias) in enumerate(shapes)
+    )
+    size = sum(s.size for s in layout)
+    cfg = AggregatorConfig(
+        mode=mode, weights=weights, epsilon=epsilon, window=window,
+        subspace_dim=min(subspace_dim, window), proxy_dim=proxy_dim,
+        reference=reference, fallback=fallback,
+    )
+    ref = initial_reference(size if not proxy_dim or size <= proxy_dim else proxy_dim)
+    for r in range(rounds):
+        ids = rng.choice(20, size=k, replace=False)
+        updates = [
+            LocalUpdate(client_id=int(c), round=r, n_train=int(rng.integers(1, 50)),
+                        delta=FlatVector(values=rng.standard_normal(size)
+                                         * rng.choice([0.0, 1e-3, 1.0, 100.0]),
+                                         layout=layout))
+            for c in ids
+        ]
+        got, new_ref, report = regulate_and_aggregate(updates, ref, cfg)
+        perm = [updates[i] for i in rng.permutation(k)]
+        got_p, new_ref_p, report_p = regulate_and_aggregate(perm, ref, cfg)
+        assert got.values.tobytes() == got_p.values.tobytes()
+        assert new_ref.r.tobytes() == new_ref_p.r.tobytes()
+        assert new_ref.basis.tobytes() == new_ref_p.basis.tobytes()
+        assert repr(report) == repr(report_p)
+
+        for row in report.clients:
+            for f in (row.align_factor, row.clip_factor, *row.retention, *row.coefficients):
+                assert 0.0 <= f <= 1.0
+        if mode == "plain":
+            ordered = sorted(updates, key=lambda u: u.client_id)
+            if weights == "uniform":
+                w = np.full(k, 1.0 / k)
+            else:
+                counts = np.array([u.n_train for u in ordered], dtype=np.float64)
+                w = counts / counts.sum()
+            mean = np.zeros(size)
+            for wk, u in zip(w, ordered):
+                mean += wk * u.delta.values
+            assert got.values.tobytes() == mean.tobytes()
+            assert all(c == 1.0 for row in report.clients for c in row.coefficients)
+
+        basis = new_ref.basis
+        assert basis.shape[1] <= cfg.subspace_dim
+        assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])), initial=0.0) < 1e-10
+        ref = new_ref
