@@ -28,6 +28,7 @@ from .model import (
     ParameterSet,
     flatten,
     gradient,
+    layer_layout,
     layout_group,
     unflatten,
 )
@@ -120,8 +121,7 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
     state, and returns theta_shared_after - theta_shared_broadcast.
     """
     group = layout_group(global_shared.layout)
-    own_shared = flatten(state.params, group=group)
-    if own_shared.layout != global_shared.layout:
+    if layer_layout(state.params, group) != global_shared.layout:
         raise InputError("broadcast layout does not match the client model")
     n_train = int(state.graph.train_mask.sum())
     if n_train < 1 and state.objective is None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .client import ClientState, LocalUpdate, local_train
 from .config import DataSource, RunConfig, aggregator_config
-from .errors import ConfigError, InputError
+from .errors import ConfigError, DivergenceError, InputError
 from .graph_io import load_graph_csv
 from .graphs import (
     Graph,
@@ -254,56 +254,68 @@ def _mean_std(per_seed: list[float]) -> dict:
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
-def run(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunResult:
-    """Run the configured federation for every seed and emit the files.
-
-    ``seed``/``out`` override the config's seed list / output directory.
-    """
-    seeds = (seed,) if seed is not None else cfg.seeds
-    out_dir = Path(out if out is not None else cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    all_csv: list[str] = [CSV_HEADER]
-    jsonl_paths: list[Path] = []
-    tails = {"test_acc": [], "alignment": [], "sensitivity": []}
-    acc_curves, ali_curves, sen_curves = [], [], []
-
-    csv_path = out_dir / "metrics.csv"
-    try:
-        for s in seeds:
-            csv_rows, jsonl_rows, acc_tr, ali_tr, sen_tr = _run_one_seed(cfg, s)
-            all_csv.extend(csv_rows)
-            p = out_dir / f"regulation_seed{s}.jsonl"
-            p.write_text("\n".join(jsonl_rows) + "\n")
-            jsonl_paths.append(p)
-            tail = slice(-min(_SUMMARY_TAIL, cfg.rounds), None)
-            tails["test_acc"].append(float(acc_tr[tail].mean()))
-            tails["alignment"].append(float(ali_tr[tail].mean()))
-            tails["sensitivity"].append(float(sen_tr[tail].mean()))
-            acc_curves.append(acc_tr)
-            ali_curves.append(ali_tr)
-            sen_curves.append(sen_tr)
-    finally:
-        # a seed that diverges does not lose the rows of the seeds before it
-        csv_path.write_text("\n".join(all_csv) + "\n")
-
+def _summary(cfg: RunConfig, seeds: tuple[int, ...], curves: list[list[np.ndarray]]) -> dict:
+    """summary.json over the seeds that finished, the first len(curves);
+    ``curves`` holds each one's per-round accuracy, alignment and
+    sensitivity."""
     summary = {
         "name": cfg.name,
         "regulation": cfg.regulation,
         "trainer": cfg.trainer,
         "rounds": cfg.rounds,
-        "seeds": list(seeds),
+        "seeds": list(seeds[:len(curves)]),
         "clients": cfg.n_clients,
-        "last10": {k: _mean_std(v) for k, v in tails.items()},
-        "trajectory": {
-            "test_acc": [float(x) for x in np.mean(acc_curves, axis=0)],
-            "alignment": [float(x) for x in np.mean(ali_curves, axis=0)],
-            "sensitivity": [float(x) for x in np.mean(sen_curves, axis=0)],
-        },
     }
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    if curves:
+        tail = slice(-min(_SUMMARY_TAIL, cfg.rounds), None)
+        by_metric = dict(zip(("test_acc", "alignment", "sensitivity"), zip(*curves)))
+        summary["last10"] = {
+            k: _mean_std([float(c[tail].mean()) for c in v]) for k, v in by_metric.items()
+        }
+        summary["trajectory"] = {
+            k: [float(x) for x in np.mean(v, axis=0)] for k, v in by_metric.items()
+        }
+    return summary
+
+
+def run(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunResult:
+    """Run the configured federation for every seed and emit the files.
+
+    ``seed``/``out`` override the config's seed list / output directory.
+    When a seed diverges, the finished seeds' rows and a summary of them
+    naming the failed seed, round and client are written before the
+    ``DivergenceError`` propagates.
+    """
+    seeds = (seed,) if seed is not None else cfg.seeds
+    out_dir = Path(out if out is not None else cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.raw_text)
+
+    all_csv: list[str] = [CSV_HEADER]
+    jsonl_paths: list[Path] = []
+    curves: list[list[np.ndarray]] = []
+
+    csv_path = out_dir / "metrics.csv"
+    summary_path = out_dir / "summary.json"
+    try:
+        for s in seeds:
+            csv_rows, jsonl_rows, *trajectories = _run_one_seed(cfg, s)
+            all_csv.extend(csv_rows)
+            p = out_dir / f"regulation_seed{s}.jsonl"
+            p.write_text("\n".join(jsonl_rows) + "\n")
+            jsonl_paths.append(p)
+            curves.append(trajectories)
+    except DivergenceError as e:
+        summary = _summary(cfg, seeds, curves)
+        summary["failed"] = {"seed": s, "round": e.round_index, "client": e.client_id}
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        raise
+    finally:
+        # a seed that diverges does not lose the rows of the seeds before it
+        csv_path.write_text("\n".join(all_csv) + "\n")
+
+    summary = _summary(cfg, seeds, curves)
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     return RunResult(
         out_dir=out_dir,

@@ -258,25 +258,30 @@ def layout_group(layout: tuple[LayerSpec, ...]) -> str:
     return groups.pop() if len(groups) == 1 else "all"
 
 
-def flatten(params: ParameterSet, group: str = "all") -> FlatVector:
-    """Concatenate the selected layers into one vector (see FlatVector)."""
+def layer_layout(params: ParameterSet, group: str = "all") -> tuple[LayerSpec, ...]:
+    """The layout ``flatten(params, group)`` gives, read from the layer
+    shapes alone."""
     if group not in ("all", SHARED, LOCAL):
         raise InputError(f"unknown group {group!r}")
+    return tuple(
+        LayerSpec(index=li, group=layer.group, w_shape=layer.weight.shape,
+                  b_size=layer.bias.size if layer.bias is not None else 0)
+        for li, layer in enumerate(params.layers)
+        if group in ("all", layer.group)
+    )
+
+
+def flatten(params: ParameterSet, group: str = "all") -> FlatVector:
+    """Concatenate the selected layers into one vector (see FlatVector)."""
+    layout = layer_layout(params, group)
     chunks = []
-    layout = []
-    for li, layer in enumerate(params.layers):
-        if group != "all" and layer.group != group:
-            continue
+    for spec in layout:
+        layer = params.layers[spec.index]
         chunks.append(layer.weight.ravel())
-        b_size = 0
         if layer.bias is not None:
             chunks.append(layer.bias)
-            b_size = layer.bias.size
-        layout.append(
-            LayerSpec(index=li, group=layer.group, w_shape=layer.weight.shape, b_size=b_size)
-        )
     values = np.concatenate(chunks) if chunks else np.zeros(0)
-    return FlatVector(values=values, layout=tuple(layout))
+    return FlatVector(values=values, layout=layout)
 
 
 def layer_slices(layout: tuple[LayerSpec, ...]) -> list[tuple[int, int]]:

@@ -18,7 +18,9 @@ weighted sum. The reference follows the raw proxies by exponential
 smoothing, and both modes (plain and regulated) maintain it, so the
 alignment diagnostics are comparable across modes.
 
-All reductions run in ascending client order; given the same inputs the
+A round's projected proxies come from one stacked (K x L) @ (L x d_z)
+product with the run-constant sign matrix, rows in ascending client
+order. All reductions run in that order; given the same inputs the
 round is bitwise deterministic.
 """
 
@@ -191,6 +193,39 @@ def _sign_projection(seed: int, d_in: int, d_out: int) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, size=(d_in, d_out)) - 1.0
 
 
+def _proxies(deltas: list[FlatVector], cfg: AggregatorConfig) -> list[ProxyVector]:
+    """``proxy_map`` of each delta, in order; the deltas share one layout.
+
+    A projected batch is one (K x L) @ (L x d_z) product, so the
+    run-constant matrix is read once per round, not once per client.
+    """
+    slices = layer_slices(deltas[0].layout)
+    rows, layer_norms = [], []
+    for delta in deltas:
+        if not np.all(np.isfinite(delta.values)):
+            raise InputError("update contains non-finite entries")
+        norms = np.array([np.linalg.norm(delta.values[a:b]) for a, b in slices])
+        total = float(norms.sum())
+        if total == 0.0:
+            rows.append(np.zeros(delta.values.shape[0]))
+        else:
+            rows.append(np.concatenate([
+                delta.values[a:b] * (nl / total / (nl + 1e-12))
+                for (a, b), nl in zip(slices, norms)
+            ]))
+        layer_norms.append(tuple(float(n) for n in norms))
+
+    d_z = _resolve_proxy_dim(cfg, rows[0].shape[0])
+    if d_z is None:
+        blocks = tuple(slices)
+    else:
+        p = _sign_projection(cfg.proxy_seed, rows[0].shape[0], d_z)
+        rows = list((np.stack(rows) @ p) / np.sqrt(d_z))
+        blocks = ((0, d_z),)
+    return [ProxyVector(values=v, layer_norms=n, blocks=blocks)
+            for v, n in zip(rows, layer_norms)]
+
+
 def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
     """Direction-and-mass summary of one shared-parameter displacement.
 
@@ -199,29 +234,10 @@ def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
     concatenated in layer order. When the result is longer than the
     configured proxy dimension it is pushed through a fixed seeded
     sign-projection and rescaled by 1/sqrt(d_z). A zero displacement
-    maps to the zero proxy.
+    maps to the zero proxy. This is the batch of one of the stacked
+    product ``regulate_and_aggregate`` uses for a round's proxies.
     """
-    if not np.all(np.isfinite(delta.values)):
-        raise InputError("update contains non-finite entries")
-    slices = layer_slices(delta.layout)
-    norms = np.array([np.linalg.norm(delta.values[a:b]) for a, b in slices])
-    total = float(norms.sum())
-    if total == 0.0:
-        values = np.zeros(delta.values.shape[0])
-    else:
-        parts = []
-        for (a, b), nl in zip(slices, norms):
-            parts.append(delta.values[a:b] * (nl / total / (nl + 1e-12)))
-        values = np.concatenate(parts)
-
-    d_z = _resolve_proxy_dim(cfg, values.shape[0])
-    if d_z is None:
-        blocks = tuple((a, b) for a, b in slices)
-    else:
-        p = _sign_projection(cfg.proxy_seed, values.shape[0], d_z)
-        values = (values @ p) / np.sqrt(d_z)
-        blocks = ((0, d_z),)
-    return ProxyVector(values=values, layer_norms=tuple(float(n) for n in norms), blocks=blocks)
+    return _proxies([delta], cfg)[0]
 
 
 def _top_directions(window: np.ndarray, m: int) -> np.ndarray:
@@ -360,7 +376,7 @@ def regulate_and_aggregate(
             raise InputError("inconsistent update layouts")
     weights = _normalized_weights(updates, cfg)
 
-    proxies = [proxy_map(u.delta, cfg) for u in updates]
+    proxies = _proxies([u.delta for u in updates], cfg)
     if proxies[0].values.shape != ref.r.shape:
         raise InputError(
             f"reference length {ref.r.shape[0]} does not match proxies "

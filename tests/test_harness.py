@@ -24,6 +24,7 @@ from fedgeo.cli import main
 from fedgeo.config import parse_config
 from fedgeo.harness import CSV_HEADER, _client_graphs
 from fedgeo.model import LOCAL, SHARED, FlatVector
+from fedgeo.server import _sign_projection
 
 
 SMALL = """
@@ -153,6 +154,21 @@ def test_rerun_is_byte_identical(tmp_path):
     assert r1.summary_path.read_bytes() == r2.summary_path.read_bytes()
 
 
+def test_rerun_is_byte_identical_with_projected_proxies(tmp_path):
+    # 30 shared values projected to 8: each round's proxies come from
+    # one stacked product with the sign matrix
+    cfg = parse_config(SMALL + "server.proxy_dim = 8\n", path="inline.conf")
+    r1 = run(cfg, out=str(tmp_path / "a"))
+    _sign_projection.cache_clear()  # a rerun in a fresh process draws it anew
+    r2 = run(cfg, out=str(tmp_path / "b"))
+    row = json.loads(r1.jsonl_paths[0].read_text().splitlines()[0])
+    assert len(row["retention"]) == 1  # one block: the proxy was projected
+    assert r1.csv_path.read_bytes() == r2.csv_path.read_bytes()
+    assert len(r1.jsonl_paths) == 2
+    for p1, p2 in zip(r1.jsonl_paths, r2.jsonl_paths):
+        assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
     cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
     full = run(cfg, out=str(tmp_path / "full")).csv_path.read_text().splitlines()
@@ -169,6 +185,25 @@ def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
     kept = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
     assert kept == [l for l in full if l == CSV_HEADER or l.split(",")[1] == "1"]
     assert len(kept) == 1 + 3
+    assert (tmp_path / "o" / "config.txt").read_text() == cfg.raw_text
+    # the summary covers the finished seed and names the failure
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["seeds"] == [1]
+    assert summary["failed"] == {"seed": 2, "round": 2, "client": 0}
+    seed1 = [float(l.split(",")[2]) for l in kept[1:]]
+    assert summary["trajectory"]["test_acc"] == seed1
+    assert summary["last10"]["test_acc"] == {"mean": float(np.mean(seed1)), "std": 0.0}
+
+    def first_seed_diverges(cfg, s):
+        raise DivergenceError(1, 3)
+
+    monkeypatch.setattr(harness, "_run_one_seed", first_seed_diverges)
+    with pytest.raises(DivergenceError):
+        run(cfg, out=str(tmp_path / "none"))
+    summary = json.loads((tmp_path / "none" / "summary.json").read_text())
+    assert summary["seeds"] == []
+    assert summary["failed"] == {"seed": 1, "round": 1, "client": 3}
+    assert "last10" not in summary and "trajectory" not in summary
 
 
 def test_seed_override_runs_single_seed(tmp_path):
