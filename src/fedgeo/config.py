@@ -2,13 +2,15 @@
 
 Grammar: one ``section.key = value`` assignment per line; ``#`` starts
 a comment; blank lines are ignored. ``KEYS`` lists every key with the
-``RunConfig`` or ``DataSource`` field it sets, whose default applies
-when the key is absent (only data.kind has none). A graph source is one
-``data`` section or numbered ``data1``..``dataN`` sections. Unknown
-sections and keys, duplicates, and values of the wrong type or outside
-a key's options are errors that name the file and line. Ranges are
-checked afterwards by the code that owns each setting, and those errors
-name the file and section. CSV paths are relative to the config file.
+``RunConfig``, ``DataSource`` or ``AggregatorConfig`` field it sets,
+whose default applies when the key is absent (only data.kind has none).
+A graph source is one ``data`` section or numbered ``data1``..``dataN``
+sections; the ``server`` section builds the ``AggregatorConfig`` that
+``RunConfig.server`` holds. Unknown sections and keys, duplicates, and
+values of the wrong type or outside a key's options are errors that
+name the file and line. Ranges are checked afterwards by the code that
+owns each setting, and those errors name the file and section. CSV
+paths are relative to the config file.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from pathlib import Path
 from .client import TRAINERS, check_training
 from .errors import ConfigError, InputError
 from .graphs import PartitionSpec, check_generator
-from .model import check_architecture
-from .server import AggregatorConfig
+from .model import ACTIVATIONS, check_architecture
+from .server import FALLBACKS, MODES, REFERENCES, WEIGHTINGS, AggregatorConfig
 
-__all__ = ["DataSource", "RunConfig", "KEYS", "aggregator_config", "parse_config", "load_config"]
+__all__ = ["DataSource", "RunConfig", "KEYS", "parse_config", "load_config"]
 
 _LINE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\.([A-Za-z_]+)\s*=\s*(.*)$")
 _NUMBERED = re.compile(r"data[1-9][0-9]*")
@@ -71,16 +73,7 @@ class RunConfig:
     lr: float = 0.05
     epochs: int = 1
     mu: float = 0.01
-    regulation: str = "plain"
-    server_alpha: float = 0.9
-    server_beta: float = 0.5
-    epsilon: float | str = "adaptive"
-    subspace_dim: int = 8
-    window: int = 32
-    proxy_dim: int | None = None     # None = auto
-    weights: str = "uniform"
-    fallback: str = "largest"
-    reference: str = "raw"
+    server: AggregatorConfig = AggregatorConfig()
     raw_text: str = field(default="", repr=False)
 
     @property
@@ -96,21 +89,6 @@ class RunConfig:
             dirichlet_alpha=self.alpha,
             seed=self.partition_seed + 1000 * run_seed + 500 + source_index,
         )
-
-
-def aggregator_config(cfg: RunConfig) -> AggregatorConfig:
-    return AggregatorConfig(
-        mode=cfg.regulation,
-        alpha=cfg.server_alpha,
-        beta=cfg.server_beta,
-        epsilon=cfg.epsilon,
-        subspace_dim=cfg.subspace_dim,
-        window=cfg.window,
-        proxy_dim=cfg.proxy_dim,
-        weights=cfg.weights,
-        fallback=cfg.fallback,
-        reference=cfg.reference,
-    )
 
 
 # Converters read one value's text and raise ValueError with the reason.
@@ -161,7 +139,8 @@ def _path(raw: str) -> str:
 
 
 # (section, key) -> (target field, converter). "data" stands for every
-# data section; its fields are DataSource's, all others RunConfig's.
+# data section; its fields are DataSource's, the server section's are
+# AggregatorConfig's, and all others RunConfig's.
 KEYS = {
     ("run", "name"): ("name", str),
     ("run", "rounds"): ("rounds", _int),
@@ -185,22 +164,22 @@ KEYS = {
     ("partition", "seed"): ("partition_seed", _int),
     ("model", "layers"): ("layers", _int),
     ("model", "hidden"): ("hidden", _int),
-    ("model", "activation"): ("activation", _choice("relu", "identity")),
+    ("model", "activation"): ("activation", _choice(*ACTIVATIONS)),
     ("model", "bias"): ("bias", _bool),
     ("client", "trainer"): ("trainer", _choice(*TRAINERS)),
     ("client", "lr"): ("lr", _float),
     ("client", "epochs"): ("epochs", _int),
     ("client", "mu"): ("mu", _float),
-    ("server", "regulation"): ("regulation", _choice("plain", "ggrs")),
-    ("server", "alpha"): ("server_alpha", _float),
-    ("server", "beta"): ("server_beta", _float),
+    ("server", "regulation"): ("mode", _choice(*MODES)),
+    ("server", "alpha"): ("alpha", _float),
+    ("server", "beta"): ("beta", _float),
     ("server", "epsilon"): ("epsilon", _word_or("adaptive", "adaptive", _float)),
     ("server", "subspace_dim"): ("subspace_dim", _int),
     ("server", "window"): ("window", _int),
     ("server", "proxy_dim"): ("proxy_dim", _word_or("auto", None, _int)),
-    ("server", "weights"): ("weights", _choice("uniform", "by_train_count")),
-    ("server", "fallback"): ("fallback", _choice("largest", "none")),
-    ("server", "reference"): ("reference", _choice("raw", "regulated")),
+    ("server", "weights"): ("weights", _choice(*WEIGHTINGS)),
+    ("server", "fallback"): ("fallback", _choice(*FALLBACKS)),
+    ("server", "reference"): ("reference", _choice(*REFERENCES)),
 }
 _SECTIONS = {section for section, _ in KEYS}
 _CSV_FILES = ("edges", "features", "labels", "splits")
@@ -242,7 +221,7 @@ def _source_sections(entries, path) -> list[str]:
 
 def _fields(entries, source_names, path: str, base_dir: Path) -> dict[str, dict]:
     """Section name -> {field: value} for every entry, read through KEYS."""
-    fields: dict[str, dict] = {name: {} for name in ["run", *source_names]}
+    fields: dict[str, dict] = {name: {} for name in ["run", "server", *source_names]}
     for (section, key), (raw, ln) in entries.items():
         table_section = "data" if section in source_names else section
         if table_section not in _SECTIONS:
@@ -258,8 +237,8 @@ def _fields(entries, source_names, path: str, base_dir: Path) -> dict[str, dict]
             _fail(path, ln, str(exc))
         if convert is _path:
             value = str(base_dir / value)
-        # every non-data section sets RunConfig fields
-        fields[section if section in source_names else "run"][target] = value
+        # data and server sections fill their own objects, the rest RunConfig
+        fields[section if section in fields else "run"][target] = value
     return fields
 
 
@@ -273,10 +252,17 @@ def _check_source(src: DataSource) -> None:
                         dense=True)
 
 
+def _in_section(path: str, section: str, check):
+    """``check()``, with its InputError reported as naming the file and section."""
+    try:
+        return check()
+    except InputError as exc:
+        raise ConfigError(f"{path}: {section}: {exc}") from None
+
+
 def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
     """Run each range and cross-field rule in the code that owns it."""
     checks = [
-        ("server", lambda: aggregator_config(cfg)),
         ("model", lambda: check_architecture(cfg.layers, cfg.hidden, cfg.activation)),
         ("client", lambda: check_training(cfg.trainer, cfg.lr, cfg.epochs, cfg.mu)),
     ] + [
@@ -287,10 +273,7 @@ def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
         for j, name in enumerate(source_names)
     ]
     for section, check in checks:
-        try:
-            check()
-        except InputError as exc:
-            raise ConfigError(f"{path}: {section}: {exc}") from None
+        _in_section(path, section, check)
 
 
 def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None) -> RunConfig:
@@ -309,6 +292,7 @@ def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None
 
     cfg = RunConfig(
         sources=tuple(DataSource(**fields[name]) for name in source_names),
+        server=_in_section(path, "server", lambda: AggregatorConfig(**fields["server"])),
         raw_text=text,
         **fields["run"],
     )

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .client import ClientState, LocalUpdate, local_train
-from .config import DataSource, RunConfig, aggregator_config
+from .config import DataSource, RunConfig
 from .errors import ConfigError, DivergenceError, InputError
 from .graph_io import load_graph_csv
 from .graphs import (
@@ -50,7 +50,7 @@ from .model import SHARED, ModelConfig, ParameterSet, flatten, forward, init_par
 from .partition import dirichlet_label_partition
 from .server import RegulationReport, initial_reference, proxy_map, regulate_and_aggregate
 
-__all__ = ["RunResult", "run", "partition_report", "build_clients", "aggregator_config"]
+__all__ = ["RunResult", "run", "partition_report", "build_clients"]
 
 CSV_HEADER = "round,seed,test_acc,gamma_mean,alignment,sensitivity,clip_rate,atten_rate"
 _SUMMARY_TAIL = 10  # Table-style summaries average the final 10 rounds
@@ -194,10 +194,9 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
     """Execute T rounds for one seed; returns (csv rows, jsonl rows,
     per-round accuracy/alignment/sensitivity arrays)."""
     clients, global_params = build_clients(cfg, run_seed)
-    agg = aggregator_config(cfg)
     shared = flatten(global_params, group=SHARED)
     shared_len = shared.values.shape[0]
-    probe = proxy_map(shared, agg)  # fixes the proxy length for this layout
+    probe = proxy_map(shared, cfg.server)  # fixes the proxy length for this layout
     ref = initial_reference(probe.values.shape[0])
 
     csv_rows: list[str] = []
@@ -218,7 +217,7 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
                 )
             updates.append(u)
 
-        global_delta, ref, report = regulate_and_aggregate(updates, ref, agg)
+        global_delta, ref, report = regulate_and_aggregate(updates, ref, cfg.server)
         new_values = shared.values + global_delta.values
         shared = type(shared)(values=new_values, layout=shared.layout)
 
@@ -260,7 +259,7 @@ def _summary(cfg: RunConfig, seeds: tuple[int, ...], curves: list[list[np.ndarra
     sensitivity."""
     summary = {
         "name": cfg.name,
-        "regulation": cfg.regulation,
+        "regulation": cfg.server.mode,
         "trainer": cfg.trainer,
         "rounds": cfg.rounds,
         "seeds": list(seeds[:len(curves)]),

@@ -34,21 +34,27 @@ __all__ = [
     "layer_slices",
     "induced_operator",
     "check_architecture",
+    "ACTIVATIONS",
 ]
 
 SHARED = "shared"
 LOCAL = "local"
+ACTIVATIONS = ("relu", "identity")
+
+
+def _check_activation(activation: str) -> None:
+    if activation not in ACTIVATIONS:
+        raise InputError(f"activation must be {' or '.join(map(repr, ACTIVATIONS))}")
 
 
 def check_architecture(n_layers: int, hidden: int, activation: str) -> None:
     """The GCN shapes this module trains: 1 or 2 layers, a positive hidden
-    width (also for 1 layer, where it goes unused), relu or identity."""
+    width (also for 1 layer, where it goes unused), and one of ACTIVATIONS."""
     if n_layers not in (1, 2):
         raise InputError("layers must be 1 or 2")
     if hidden < 1:
         raise InputError("hidden width must be >= 1")
-    if activation not in ("relu", "identity"):
-        raise InputError("activation must be 'relu' or 'identity'")
+    _check_activation(activation)
 
 
 @dataclass(frozen=True)
@@ -156,8 +162,10 @@ def forward(
     Returns ``(activations, messages, preacts)``: activations[0] is the
     input and activations[-1] the logits; messages[l] = A_hat @
     activations[l] and preacts[l] the pre-activation of layer l (both as
-    needed by the backward pass).
+    needed by the backward pass). An activation outside ACTIVATIONS is an
+    InputError.
     """
+    _check_activation(activation)
     if x.shape[0] != adj.n_nodes:
         raise InputError(f"feature rows {x.shape[0]} != adjacency size {adj.n_nodes}")
     h = np.asarray(x, dtype=np.float64)
@@ -181,22 +189,26 @@ def forward(
     return activations, messages, preacts
 
 
-def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Mean softmax cross-entropy over masked nodes (log-sum-exp form)."""
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
+                   mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the masked rows (log-sum-exp form),
+    and those rows' softmax probabilities."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise InputError("empty mask")
     z = logits[mask]
     y = labels[mask]
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(z.shape[0]), y]))
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1)
+    lse = zmax[:, 0] + np.log(total)
+    loss = float(np.mean(lse - z[np.arange(z.shape[0]), y]))
+    return loss, e / total[:, None]
+
+
+def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
+    """Mean softmax cross-entropy over masked nodes (log-sum-exp form)."""
+    return _cross_entropy(logits, labels, mask)[0]
 
 
 def gradient(
@@ -206,32 +218,22 @@ def gradient(
     labels: np.ndarray,
     mask: np.ndarray,
     activation: str = "relu",
-) -> tuple[float, ParameterSet]:
+) -> tuple[float, ParameterSet | None]:
     """Loss and analytic gradients of masked cross-entropy; the gradients
-    come back ParameterSet-shaped, with the same groups."""
+    come back ParameterSet-shaped, with the same groups. When the logits
+    are not all finite, training has diverged: the result is
+    ``(inf, None)`` and the caller decides what to do."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise InputError("empty mask")
     activations, messages, preacts = forward(params, adj, x, activation)
     logits = activations[-1]
-    n_masked = int(mask.sum())
-
     if not np.all(np.isfinite(logits)):
-        # training has diverged; report an infinite loss (the caller
-        # decides what to do) without tripping overflow warnings below
-        zeros = ParameterSet(layers=tuple(
-            Layer(weight=np.zeros_like(l.weight),
-                  bias=None if l.bias is None else np.zeros_like(l.bias),
-                  group=l.group)
-            for l in params.layers
-        ))
-        return float("inf"), zeros
+        return float("inf"), None
 
-    loss = masked_cross_entropy(logits, labels, mask)
-
-    g = _softmax(logits)
-    g[np.arange(logits.shape[0]), labels] -= 1.0
-    g *= mask[:, None] / n_masked
+    loss, p = _cross_entropy(logits, labels, mask)
+    p[np.arange(p.shape[0]), labels[mask]] -= 1.0
+    p *= 1.0 / p.shape[0]
+    g = np.zeros_like(logits)  # rows outside the mask carry no loss
+    g[mask] = p
 
     grads: list[Layer] = [None] * params.n_layers  # type: ignore[list-item]
     upstream = g  # d loss / d activations[-1]

@@ -36,6 +36,10 @@ from .errors import InputError
 from .model import FlatVector, layer_slices
 
 __all__ = [
+    "MODES",
+    "WEIGHTINGS",
+    "FALLBACKS",
+    "REFERENCES",
     "AggregatorConfig",
     "ProxyVector",
     "GeometricReference",
@@ -53,24 +57,29 @@ __all__ = [
 # full-length proxies above this size are sign-projected down
 _REDUCE_ABOVE = 4096
 _REDUCED_DIM = 1024
+_PROXY_SEED = 97  # seeds the sign projection
+
+MODES = ("plain", "ggrs")
+WEIGHTINGS = ("uniform", "by_train_count")
+FALLBACKS = ("largest", "none")
+REFERENCES = ("raw", "regulated")
 
 
 @dataclass(frozen=True)
 class AggregatorConfig:
-    mode: str = "plain"                 # "plain" | "ggrs"
+    mode: str = "plain"                 # one of MODES
     alpha: float = 0.9                  # reference smoothing
     beta: float = 0.5                   # misaligned-update attenuation
     epsilon: float | str = "adaptive"   # norm cap, or per-round median
     subspace_dim: int = 8               # m; 0 disables the subspace gate
     window: int = 32                    # proxy history length W
     proxy_dim: int | None = None        # None = auto, 0 = never reduce
-    weights: str = "uniform"            # "uniform" | "by_train_count"
-    fallback: str = "largest"           # zero-reference rule; "none" disables
-    reference: str = "raw"              # EMA source: "raw" | "regulated"
-    proxy_seed: int = 97                # seeds the sign projection
+    weights: str = "uniform"            # one of WEIGHTINGS
+    fallback: str = "largest"           # zero-reference rule, one of FALLBACKS
+    reference: str = "raw"              # EMA source, one of REFERENCES
 
     def __post_init__(self):
-        if self.mode not in ("plain", "ggrs"):
+        if self.mode not in MODES:
             raise InputError(f"unknown aggregation mode {self.mode!r}")
         if not (0.0 <= self.alpha < 1.0):
             raise InputError("alpha must be in [0, 1)")
@@ -87,11 +96,11 @@ class AggregatorConfig:
             raise InputError("subspace_dim must not exceed window")
         if self.proxy_dim is not None and self.proxy_dim < 0:
             raise InputError("proxy_dim must be None, 0, or positive")
-        if self.weights not in ("uniform", "by_train_count"):
+        if self.weights not in WEIGHTINGS:
             raise InputError(f"unknown weighting {self.weights!r}")
-        if self.fallback not in ("largest", "none"):
+        if self.fallback not in FALLBACKS:
             raise InputError(f"unknown fallback {self.fallback!r}")
-        if self.reference not in ("raw", "regulated"):
+        if self.reference not in REFERENCES:
             raise InputError(f"unknown reference source {self.reference!r}")
 
 
@@ -219,7 +228,7 @@ def _proxies(deltas: list[FlatVector], cfg: AggregatorConfig) -> list[ProxyVecto
     if d_z is None:
         blocks = tuple(slices)
     else:
-        p = _sign_projection(cfg.proxy_seed, rows[0].shape[0], d_z)
+        p = _sign_projection(_PROXY_SEED, rows[0].shape[0], d_z)
         rows = list((np.stack(rows) @ p) / np.sqrt(d_z))
         blocks = ((0, d_z),)
     return [ProxyVector(values=v, layer_norms=n, blocks=blocks)
@@ -419,9 +428,10 @@ def regulate_and_aggregate(
             z3 = z.values
             align_factor, clip_factor = 1.0, 1.0
             retention = tuple(1.0 for _ in z.blocks)
-        regulated_proxies.append(
-            ProxyVector(values=z3, layer_norms=z.layer_norms, blocks=z.blocks)
-        )
+        if cfg.reference == "regulated":
+            regulated_proxies.append(
+                ProxyVector(values=z3, layer_norms=z.layer_norms, blocks=z.blocks)
+            )
 
         if len(z.blocks) == n_layers:
             per_layer = tuple(align_factor * retention[i] * clip_factor

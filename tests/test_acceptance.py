@@ -42,7 +42,6 @@ from fedgeo import (
     toy_appendix,
     unflatten,
 )
-from fedgeo.harness import aggregator_config
 from fedgeo.metrics import _jacobi_eigh
 from fedgeo.model import SHARED, LayerSpec, layer_slices
 
@@ -242,7 +241,7 @@ def test_3b_identical_aligned_updates_reduce_to_plain_mean():
 def test_3c_regulated_client_updates_never_exceed_raw_norm():
     cfg = load_config(str(CONFIG_DIR / "alignment_margin_ggrs.conf"))
     clients, params = build_clients(cfg, run_seed=1)
-    agg = aggregator_config(cfg)
+    agg = cfg.server
     shared = flatten(params, group=SHARED)
     ref = initial_reference(proxy_map(shared, agg).values.shape[0])
     checked = 0

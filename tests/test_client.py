@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,12 @@ def test_layout_mismatch_rejected():
     other = init_params(ModelConfig(n_layers=2, in_dim=4, out_dim=2, hidden_dim=9), seed=0)
     with pytest.raises(InputError):
         local_train(state, flatten(other, group=SHARED))
+
+
+def test_unknown_activation_is_an_error_not_identity():
+    state, shared = _fixture()
+    with pytest.raises(InputError):
+        local_train(dataclasses.replace(state, activation="tanh"), shared)
 
 
 def test_client_state_validation():

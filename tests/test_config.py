@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgeo import ConfigError, load_config
+from fedgeo import AggregatorConfig, ConfigError, load_config
 from fedgeo.config import KEYS, parse_config
 
 
@@ -30,19 +31,26 @@ def test_defaults(tmp_path):
     assert cfg.trainer == "fedavg"
     assert cfg.lr == 0.05
     assert cfg.epochs == 1
-    assert cfg.regulation == "plain"
-    assert cfg.server_alpha == 0.9
-    assert cfg.server_beta == 0.5
-    assert cfg.epsilon == "adaptive"
-    assert cfg.subspace_dim == 8
-    assert cfg.window == 32
-    assert cfg.proxy_dim is None
-    assert cfg.weights == "uniform"
-    assert cfg.fallback == "largest"
-    assert cfg.reference == "raw"
+    assert cfg.server.mode == "plain"
+    assert cfg.server.alpha == 0.9
+    assert cfg.server.beta == 0.5
+    assert cfg.server.epsilon == "adaptive"
+    assert cfg.server.subspace_dim == 8
+    assert cfg.server.window == 32
+    assert cfg.server.proxy_dim is None
+    assert cfg.server.weights == "uniform"
+    assert cfg.server.fallback == "largest"
+    assert cfg.server.reference == "raw"
     assert cfg.n_clients == 1
     assert cfg.sources[0].kind == "complete"
     assert cfg.sources[0].n == 6
+
+
+def test_server_keys_set_every_aggregator_field_once():
+    targets = [KEYS[section, key][0] for section, key in KEYS if section == "server"]
+    assert len(set(targets)) == len(targets)
+    assert sorted(targets) == sorted(f.name for f in dataclasses.fields(AggregatorConfig))
+    assert parse_config(MINIMAL).server == AggregatorConfig()
 
 
 def test_full_parse(tmp_path):
@@ -99,10 +107,11 @@ server.reference = regulated
     assert (cfg.alpha, cfg.partition_seed) == (0.1, 9)
     assert (cfg.layers, cfg.hidden, cfg.activation, cfg.bias) == (1, 8, "identity", False)
     assert (cfg.trainer, cfg.lr, cfg.epochs, cfg.mu) == ("fedprox", 0.2, 3, 0.5)
-    assert cfg.regulation == "ggrs"
-    assert (cfg.server_alpha, cfg.server_beta, cfg.epsilon) == (0.8, 0.25, 1.5)
-    assert (cfg.subspace_dim, cfg.window, cfg.proxy_dim) == (4, 16, 64)
-    assert (cfg.weights, cfg.fallback, cfg.reference) == ("by_train_count", "none", "regulated")
+    srv = cfg.server
+    assert srv.mode == "ggrs"
+    assert (srv.alpha, srv.beta, srv.epsilon) == (0.8, 0.25, 1.5)
+    assert (srv.subspace_dim, srv.window, srv.proxy_dim) == (4, 16, 64)
+    assert (srv.weights, srv.fallback, srv.reference) == ("by_train_count", "none", "regulated")
     assert cfg.n_clients == 4
 
 
@@ -266,10 +275,10 @@ def test_subspace_dim_cannot_exceed_window(tmp_path):
 
 def test_epsilon_adaptive_and_proxy_dim_auto(tmp_path):
     cfg = _load(tmp_path, MINIMAL + "server.epsilon = adaptive\nserver.proxy_dim = auto\n")
-    assert cfg.epsilon == "adaptive"
-    assert cfg.proxy_dim is None
+    assert cfg.server.epsilon == "adaptive"
+    assert cfg.server.proxy_dim is None
     cfg2 = _load(tmp_path, MINIMAL + "server.proxy_dim = 0\n")
-    assert cfg2.proxy_dim == 0
+    assert cfg2.server.proxy_dim == 0
 
 
 def test_csv_source_requires_paths(tmp_path):
@@ -342,7 +351,7 @@ def test_ten_or_more_numbered_sources_keep_their_order(tmp_path):
 
 
 def _field(cfg, section, key):
-    owner = cfg.sources[0] if section == "data" else cfg
+    owner = {"data": cfg.sources[0], "server": cfg.server}.get(section, cfg)
     return getattr(owner, KEYS[section, key][0])
 
 
@@ -386,7 +395,7 @@ def test_any_value_parses_to_finite_config_or_raises_config_error(entry, value):
         cfg = parse_config(f"{base}{section}.{key} = {value}\n", path="prop.conf")
     except ConfigError:
         return
-    floats = [v for obj in (cfg, *cfg.sources) for v in vars(obj).values()
+    floats = [v for obj in (cfg, cfg.server, *cfg.sources) for v in vars(obj).values()
               if isinstance(v, float)]
     assert all(math.isfinite(v) for v in floats)
 

@@ -82,6 +82,8 @@ def test_forward_shape_errors():
         forward(params, adj, g.features[:, :-1], cfg.activation)
     with pytest.raises(InputError):
         forward(params, adj, g.features[:-1], cfg.activation)
+    with pytest.raises(InputError):
+        forward(params, adj, g.features, "tanh")
 
 
 def test_masked_cross_entropy_against_manual():

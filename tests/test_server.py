@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -18,8 +19,15 @@ from fedgeo import (
     subspace_project,
     update_reference,
 )
-from fedgeo.model import SHARED, FlatVector, LayerSpec
-from fedgeo.server import ProxyVector, _sign_projection, _top_directions
+from fedgeo.model import SHARED, FlatVector, LayerSpec, layer_slices
+from fedgeo.server import (
+    FALLBACKS,
+    REFERENCES,
+    WEIGHTINGS,
+    ProxyVector,
+    _sign_projection,
+    _top_directions,
+)
 
 
 def _scalar_update(client_id, w, n_train=1):
@@ -580,6 +588,10 @@ def test_gate_pipeline_properties(shapes, k, rounds, mode, weights, epsilon, win
         for row in report.clients:
             for f in (row.align_factor, row.clip_factor, *row.retention, *row.coefficients):
                 assert 0.0 <= f <= 1.0
+        for u, row in zip(sorted(updates, key=lambda u: u.client_id), report.clients):
+            applied = np.concatenate([u.delta.values[a:b] * c for (a, b), c
+                                      in zip(layer_slices(layout), row.coefficients)])
+            assert np.linalg.norm(applied) <= np.linalg.norm(u.delta.values) * (1 + 1e-12)
         if mode == "plain":
             ordered = sorted(updates, key=lambda u: u.client_id)
             if weights == "uniform":
@@ -597,3 +609,75 @@ def test_gate_pipeline_properties(shapes, k, rounds, mode, weights, epsilon, win
         assert basis.shape[1] <= cfg.subspace_dim
         assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])), initial=0.0) < 1e-10
         ref = new_ref
+
+
+
+_SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4), st.booleans()),
+                   min_size=1, max_size=3)
+# every ggrs setting but epsilon, which stays adaptive
+_GGRS = st.builds(
+    lambda weights, window, m, proxy_dim, reference, fallback: AggregatorConfig(
+        mode="ggrs", weights=weights, window=window, subspace_dim=min(m, window),
+        proxy_dim=proxy_dim, reference=reference, fallback=fallback),
+    st.sampled_from(WEIGHTINGS), st.integers(1, 6), st.integers(0, 6),
+    st.sampled_from([None, 0, 3]), st.sampled_from(REFERENCES), st.sampled_from(FALLBACKS),
+)
+
+
+def _layout_of(shapes, proxy_dim):
+    """A layout from (rows, cols, bias) triples, its length and its proxy length."""
+    layout = tuple(
+        LayerSpec(index=i, group=SHARED, w_shape=(a, b), b_size=b if bias else 0)
+        for i, (a, b, bias) in enumerate(shapes)
+    )
+    size = sum(s.size for s in layout)
+    return layout, size, size if not proxy_dim or size <= proxy_dim else proxy_dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes=_SHAPES, k=st.integers(1, 6), rounds=st.integers(1, 4), cfg=_GGRS,
+       scale=st.floats(1e-2, 1e2), seed=st.integers(0, 2**32 - 1))
+def test_adaptive_epsilon_decisions_are_scale_free(shapes, k, rounds, cfg, scale, seed):
+    # proxies keep direction and mass only and the adaptive cap is their
+    # median, so scaling every update by one c > 0 moves no decision; the
+    # coefficients differ only by the proxy map's 1e-12 norm guard
+    rng = np.random.default_rng(seed)
+    layout, size, dim = _layout_of(shapes, cfg.proxy_dim)
+    ref = ref_c = initial_reference(dim)
+    for r in range(rounds):
+        ids = rng.choice(20, size=k, replace=False)
+        n_train = rng.integers(1, 50, size=k)
+        values = [rng.standard_normal(size) * rng.choice([0.0, 1e-3, 1.0, 100.0]) for _ in ids]
+
+        def round_of(c):
+            return [LocalUpdate(client_id=int(i), round=r, n_train=int(n),
+                                delta=FlatVector(values=c * v, layout=layout))
+                    for i, n, v in zip(ids, n_train, values)]
+
+        _, ref, report = regulate_and_aggregate(round_of(1.0), ref, cfg)
+        _, ref_c, report_c = regulate_and_aggregate(round_of(scale), ref_c, cfg)
+        for row, row_c in zip(report.clients, report_c.clients):
+            assert row.attenuated == row_c.attenuated
+            np.testing.assert_allclose(row_c.coefficients, row.coefficients, rtol=0, atol=1e-5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes=_SHAPES, k=st.integers(1, 6), rounds=st.integers(1, 6), cfg=_GGRS,
+       seed=st.integers(0, 2**32 - 1))
+def test_identical_updates_make_ggrs_equal_plain(shapes, k, rounds, cfg, seed):
+    # K copies of one direction, round after round, under adaptive epsilon:
+    # each proxy agrees with the reference, lies in the window's span and
+    # sits at the median norm, so every gate passes it whole
+    rng = np.random.default_rng(seed)
+    layout, size, dim = _layout_of(shapes, cfg.proxy_dim)
+    plain_cfg = dataclasses.replace(cfg, mode="plain")
+    direction = rng.standard_normal(size)
+    ref = ref_plain = initial_reference(dim)
+    for r in range(rounds):
+        delta = direction * rng.choice([1e-3, 1.0, 100.0])
+        updates = [LocalUpdate(client_id=i, round=r, n_train=int(rng.integers(1, 50)),
+                               delta=FlatVector(values=delta.copy(), layout=layout))
+                   for i in range(k)]
+        got, ref, _ = regulate_and_aggregate(updates, ref, cfg)
+        plain, ref_plain, _ = regulate_and_aggregate(updates, ref_plain, plain_cfg)
+        assert np.linalg.norm(got.values - plain.values) <= 1e-8 * np.linalg.norm(delta)
