@@ -26,6 +26,7 @@ from .model import (
     FlatVector,
     Layer,
     ParameterSet,
+    _check_activation,
     flatten,
     gradient,
     layer_layout,
@@ -78,6 +79,7 @@ class ClientState:
     )
 
     def __post_init__(self):
+        _check_activation(self.activation)
         check_training(self.trainer, self.lr, self.epochs, self.mu)
 
 

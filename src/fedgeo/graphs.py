@@ -68,9 +68,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Graph:
     """An undirected node-classification graph.
 
-    Invariants (checked at construction): every edge endpoint < n_nodes,
-    edges canonical (u < v, unique), feature rows == label length ==
-    n_nodes, masks boolean and pairwise disjoint.
+    Edges are canonicalized at construction (u < v, unique, sorted);
+    out-of-range endpoints and self-loops raise. Also checked: feature
+    rows == label length == n_nodes, masks boolean and pairwise disjoint.
     """
 
     n_nodes: int
@@ -82,6 +82,7 @@ class Graph:
     test_mask: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", canonical_edges(self.edges, self.n_nodes))
         if self.n_nodes < 1:
             raise InputError("graph must have at least one node")
         if self.features.shape[0] != self.n_nodes:
@@ -103,9 +104,6 @@ class Graph:
         )
         if overlap.any():
             raise InputError("train/val/test masks overlap")
-        canon = canonical_edges(self.edges, self.n_nodes)
-        if canon.shape != self.edges.shape or not np.array_equal(canon, self.edges):
-            raise InputError("edges are not canonical (u < v, unique, sorted)")
         for name in ("edges", "features", "labels", "train_mask", "val_mask", "test_mask"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
@@ -131,12 +129,11 @@ def make_graph(
     val_mask=None,
     test_mask=None,
 ) -> Graph:
-    """Build a :class:`Graph`, canonicalizing edges and filling defaults.
+    """Build a :class:`Graph`, filling defaults.
 
     Defaults: identity features, all-zero labels, all nodes in the train
     split.
     """
-    edges = canonical_edges(np.asarray(edges, dtype=np.int64), n_nodes)
     if features is None:
         features = np.eye(n_nodes, dtype=np.float64)
     else:

@@ -12,11 +12,13 @@ proxy through three gates against the server's running geometric state:
   3. magnitude gate    — proxy norms are capped at epsilon (fixed, or
      the median of the round's raw proxy norms).
 
-Each gate contributes a scalar gain per layer; the product c_{k,l}
-rescales the client's raw parameter update layer by layer before the
-weighted sum. The reference follows the raw proxies by exponential
-smoothing, and both modes (plain and regulated) maintain it, so the
-alignment diagnostics are comparable across modes.
+Each gate contributes a scalar gain, and client k's update is rescaled
+layer by layer with c_{k,l} = align_k · retention_{k,b(l)} · clip_k
+before the weighted sum, where b(l) is the proxy block holding layer l:
+l itself, or the single block of a sign-projected proxy. The reference
+follows the raw proxies by exponential smoothing, and both modes (plain
+and regulated) maintain it, so the alignment diagnostics are comparable
+across modes.
 
 A round's projected proxies come from one stacked (K x L) @ (L x d_z)
 product with the run-constant sign matrix, rows in ascending client
@@ -195,10 +197,11 @@ def _resolve_proxy_dim(cfg: AggregatorConfig, full_len: int) -> int | None:
 
 
 @lru_cache(maxsize=1)
-def _sign_projection(seed: int, d_in: int, d_out: int) -> np.ndarray:
-    """Run-constant random +-1 matrix (d_in x d_out); a run uses one
-    (seed, d_in, d_out), so only the latest matrix is kept."""
-    rng = np.random.default_rng(seed)
+def _sign_projection(d_in: int, d_out: int) -> np.ndarray:
+    """Run-constant random +-1 matrix (d_in x d_out) drawn from
+    _PROXY_SEED; a run uses one (d_in, d_out), so only the latest matrix
+    is kept."""
+    rng = np.random.default_rng(_PROXY_SEED)
     return 2.0 * rng.integers(0, 2, size=(d_in, d_out)) - 1.0
 
 
@@ -209,6 +212,7 @@ def _proxies(deltas: list[FlatVector], cfg: AggregatorConfig) -> list[ProxyVecto
     run-constant matrix is read once per round, not once per client.
     """
     slices = layer_slices(deltas[0].layout)
+    sizes = [b - a for a, b in slices]
     rows, layer_norms = [], []
     for delta in deltas:
         if not np.all(np.isfinite(delta.values)):
@@ -218,17 +222,14 @@ def _proxies(deltas: list[FlatVector], cfg: AggregatorConfig) -> list[ProxyVecto
         if total == 0.0:
             rows.append(np.zeros(delta.values.shape[0]))
         else:
-            rows.append(np.concatenate([
-                delta.values[a:b] * (nl / total / (nl + 1e-12))
-                for (a, b), nl in zip(slices, norms)
-            ]))
+            rows.append(delta.values * np.repeat(norms / total / (norms + 1e-12), sizes))
         layer_norms.append(tuple(float(n) for n in norms))
 
     d_z = _resolve_proxy_dim(cfg, rows[0].shape[0])
     if d_z is None:
         blocks = tuple(slices)
     else:
-        p = _sign_projection(_PROXY_SEED, rows[0].shape[0], d_z)
+        p = _sign_projection(rows[0].shape[0], d_z)
         rows = list((np.stack(rows) @ p) / np.sqrt(d_z))
         blocks = ((0, d_z),)
     return [ProxyVector(values=v, layer_norms=n, blocks=blocks)
@@ -366,12 +367,13 @@ def regulate_and_aggregate(
 ) -> tuple[FlatVector, GeometricReference, RegulationReport]:
     """One server aggregation step.
 
-    Plain mode is the exact weighted mean of the raw updates (every
-    coefficient 1); regulated mode rescales each client's update layer
-    by layer with c_{k,l} = align_factor * retention_l * clip_factor
-    before the weighted sum. Either way the reference state advances on
-    the round's proxies (raw by default, regulated under the ablation
-    flag) and the report records the realized geometry.
+    Client k's update is rescaled layer by layer with
+    c_{k,l} = align_k · retention_{k,b(l)} · clip_k before the weighted
+    sum, where b(l) = l, or the single block of a projected proxy. Plain
+    mode sets every factor to 1, so it is the exact weighted mean of the
+    raw updates. Either way the reference state advances on the round's
+    proxies (raw by default, regulated under the ablation flag) and the
+    report records the realized geometry.
     """
     if not updates:
         raise InputError("need at least one client update")
@@ -407,11 +409,12 @@ def regulate_and_aggregate(
         eps = float(cfg.epsilon)
 
     slices = layer_slices(layout)
+    sizes = [b - a for a, b in slices]
     n_layers = len(slices)
+    blocks = proxies[0].blocks
+    block_of = range(n_layers) if len(blocks) == n_layers else [0] * n_layers
     global_delta = np.zeros_like(updates[0].delta.values)
-    rows = []
-    regulated_proxies = []
-    layer_coeff = np.zeros(n_layers)
+    rows, source = [], []
     r_norm = float(np.linalg.norm(r_eff))
 
     for u, z, w in zip(updates, proxies, weights):
@@ -420,51 +423,36 @@ def regulate_and_aggregate(
         if zn > 0.0 and r_norm > 0.0:
             cos_ref = float(np.clip(z.values @ r_eff / (zn * r_norm), -1.0, 1.0))
 
+        z_out, align, retention, clip = z.values, 1.0, (1.0,) * len(blocks), 1.0
         if cfg.mode == "ggrs":
-            z1, align_factor = align_regulate(z.values, r_eff, cfg.beta)
-            z2, retention = subspace_project(z1, ref.basis, z.blocks)
-            z3, clip_factor = sensitivity_normalize(z2, eps)
-        else:
-            z3 = z.values
-            align_factor, clip_factor = 1.0, 1.0
-            retention = tuple(1.0 for _ in z.blocks)
-        if cfg.reference == "regulated":
-            regulated_proxies.append(
-                ProxyVector(values=z3, layer_norms=z.layer_norms, blocks=z.blocks)
-            )
+            z_out, align = align_regulate(z.values, r_eff, cfg.beta)
+            z_out, retention = subspace_project(z_out, ref.basis, blocks)
+            z_out, clip = sensitivity_normalize(z_out, eps)
+        source.append(z if cfg.reference == "raw" else
+                      ProxyVector(values=z_out, layer_norms=z.layer_norms, blocks=blocks))
 
-        if len(z.blocks) == n_layers:
-            per_layer = tuple(align_factor * retention[i] * clip_factor
-                              for i in range(n_layers))
-        else:  # reduced proxy: one block, one shared gain for all layers
-            c = align_factor * retention[0] * clip_factor
-            per_layer = tuple(c for _ in range(n_layers))
-
-        regulated = u.delta.values.copy()
-        for (a, b), c in zip(slices, per_layer):
-            regulated[a:b] *= c
-        global_delta += w * regulated
-        layer_coeff += w * np.array(per_layer)
+        coefficients = tuple(align * retention[b] * clip for b in block_of)
+        global_delta += w * (u.delta.values * np.repeat(coefficients, sizes))
 
         rows.append(
             ClientRegulation(
                 client_id=u.client_id,
                 proxy_norm=zn,
                 cos_ref=cos_ref,
-                align_factor=align_factor,
-                attenuated=align_factor < 1.0,
+                align_factor=align,
+                attenuated=align < 1.0,
                 retention=retention,
-                clip_factor=clip_factor,
-                coefficients=per_layer,
+                clip_factor=clip,
+                coefficients=coefficients,
             )
         )
 
-    source = proxies if cfg.reference == "raw" else regulated_proxies
     new_ref = update_reference(ref, source, weights, cfg)
+    layer_coefficients = weights @ np.array([row.coefficients for row in rows])
 
     report = RegulationReport(
         clients=tuple(rows),
-        layer_coefficients=tuple(float(c) for c in layer_coeff),
+        layer_coefficients=tuple(float(c) for c in layer_coefficients),
         epsilon=eps if cfg.mode == "ggrs" else 0.0,
         fallback_used=fallback_used,
     )

@@ -237,3 +237,5 @@ def test_client_state_validation():
         ClientState(client_id=0, graph=g, adj=adj, params=params, lr=-0.1)
     with pytest.raises(InputError):
         ClientState(client_id=0, graph=g, adj=adj, params=params, trainer="fedavg", mu=-1.0)
+    with pytest.raises(InputError):
+        ClientState(client_id=0, graph=g, adj=adj, params=params, activation="tanh")

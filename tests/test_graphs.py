@@ -22,6 +22,15 @@ def test_canonical_edges_dedup_and_order():
     assert canon.tolist() == [[0, 3], [1, 2]]
 
 
+def test_direct_graph_construction_canonicalizes_edges():
+    z = np.zeros(4, dtype=bool)
+    g = Graph(n_nodes=4, edges=np.array([[2, 1], [1, 2], [3, 0], [0, 3], [2, 1]]),
+              features=np.eye(4), labels=np.zeros(4, dtype=np.int64),
+              train_mask=~z, val_mask=z, test_mask=z)
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == [[0, 3], [1, 2]]
+
+
 def test_graph_rejects_self_loops_and_bad_endpoints():
     with pytest.raises(InputError):
         make_graph(3, np.array([[1, 1]]))

@@ -144,7 +144,7 @@ def test_sign_projection_draw_is_pinned():
     # the run-constant matrix of a 4680-long proxy under the default
     # seed: a rewrite that changes its draw, dtype or order moves every
     # projected proxy
-    p = _sign_projection(97, 4680, 1024)
+    p = _sign_projection(4680, 1024)
     assert p.dtype == np.float64 and p.shape == (4680, 1024)
     assert hashlib.sha256(p.tobytes()).hexdigest() == (
         "ee3545c7a074e73131a642f2e2b0d570479b7b1ac731478dd5fd8dd703fdd44a"
@@ -588,17 +588,31 @@ def test_gate_pipeline_properties(shapes, k, rounds, mode, weights, epsilon, win
         for row in report.clients:
             for f in (row.align_factor, row.clip_factor, *row.retention, *row.coefficients):
                 assert 0.0 <= f <= 1.0
-        for u, row in zip(sorted(updates, key=lambda u: u.client_id), report.clients):
+        ordered = sorted(updates, key=lambda u: u.client_id)
+        if weights == "uniform":
+            w = np.full(k, 1.0 / k)
+        else:
+            counts = np.array([u.n_train for u in ordered], dtype=np.float64)
+            w = counts / counts.sum()
+        # c_{k,l} = align_k * retention_{k,b(l)} * clip_k, where b(l) = l
+        # or the single block of a projected proxy
+        projected = bool(proxy_dim) and size > proxy_dim
+        block_of = [0] * len(layout) if projected else range(len(layout))
+        # the report's coefficients are exactly what was applied:
+        # sum_k w_k (delta_k * c_{k,l}) in ascending client order
+        applied_sum = np.zeros(size)
+        for wk, u, row in zip(w, ordered, report.clients):
+            assert len(row.retention) == (1 if projected else len(layout))
+            assert row.coefficients == tuple(
+                row.align_factor * row.retention[b] * row.clip_factor for b in block_of)
             applied = np.concatenate([u.delta.values[a:b] * c for (a, b), c
                                       in zip(layer_slices(layout), row.coefficients)])
             assert np.linalg.norm(applied) <= np.linalg.norm(u.delta.values) * (1 + 1e-12)
+            applied_sum += wk * applied
+        assert got.values.tobytes() == applied_sum.tobytes()
+        expected_c = sum(wk * np.array(row.coefficients) for wk, row in zip(w, report.clients))
+        assert np.max(np.abs(np.array(report.layer_coefficients) - expected_c)) <= 1e-15
         if mode == "plain":
-            ordered = sorted(updates, key=lambda u: u.client_id)
-            if weights == "uniform":
-                w = np.full(k, 1.0 / k)
-            else:
-                counts = np.array([u.n_train for u in ordered], dtype=np.float64)
-                w = counts / counts.sum()
             mean = np.zeros(size)
             for wk, u in zip(w, ordered):
                 mean += wk * u.delta.values
