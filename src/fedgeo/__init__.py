@@ -7,7 +7,7 @@ subspace projection, norm capping), plus the coherence diagnostics that
 make the difference measurable.
 """
 
-from .client import ClientState, LocalUpdate, local_train
+from .client import ClientState, LocalUpdate, TrainingConfig, local_train
 from .config import DataSource, RunConfig, load_config, parse_config
 from .errors import (
     ConfigError,
@@ -87,6 +87,7 @@ __all__ = [
     "RegulationReport",
     "RunConfig",
     "RunResult",
+    "TrainingConfig",
     "UnsupportedModelError",
     "accuracy",
     "align_regulate",

@@ -25,8 +25,8 @@ from .graphs import Graph, NormalizedAdjacency
 from .model import (
     FlatVector,
     Layer,
+    ModelConfig,
     ParameterSet,
-    _check_activation,
     flatten,
     gradient,
     layer_layout,
@@ -34,22 +34,30 @@ from .model import (
     unflatten,
 )
 
-__all__ = ["ClientState", "LocalUpdate", "local_train", "TRAINERS", "check_training"]
+__all__ = ["ClientState", "LocalUpdate", "TrainingConfig", "local_train", "TRAINERS"]
 
 TRAINERS = ("fedavg", "fedsgd", "fedprox")
 
 
-def check_training(trainer: str, lr: float, epochs: int, mu: float) -> None:
+@dataclass(frozen=True)
+class TrainingConfig:
     """Local training settings: a known trainer, lr >= 0, epochs >= 1, and
     mu >= 0 (for every trainer, though only fedprox reads it)."""
-    if trainer not in TRAINERS:
-        raise InputError(f"unknown trainer {trainer!r}")
-    if epochs < 1:
-        raise InputError("epochs must be >= 1")
-    if lr < 0.0:
-        raise InputError("learning rate must be nonnegative")
-    if mu < 0.0:
-        raise InputError("mu must be nonnegative")
+
+    trainer: str = "fedavg"
+    lr: float = 0.05
+    epochs: int = 1
+    mu: float = 0.01
+
+    def __post_init__(self):
+        if self.trainer not in TRAINERS:
+            raise InputError(f"unknown trainer {self.trainer!r}")
+        if self.epochs < 1:
+            raise InputError("epochs must be >= 1")
+        if self.lr < 0.0:
+            raise InputError("learning rate must be nonnegative")
+        if self.mu < 0.0:
+            raise InputError("mu must be nonnegative")
 
 
 @dataclass
@@ -69,18 +77,11 @@ class ClientState:
     graph: Graph
     adj: NormalizedAdjacency
     params: ParameterSet
-    activation: str = "relu"
-    trainer: str = "fedavg"
-    lr: float = 0.05
-    epochs: int = 1
-    mu: float = 0.01
+    model: ModelConfig = ModelConfig()
+    training: TrainingConfig = TrainingConfig()
     objective: Callable[[ParameterSet], tuple[float, ParameterSet]] | None = field(
         default=None, repr=False
     )
-
-    def __post_init__(self):
-        _check_activation(self.activation)
-        check_training(self.trainer, self.lr, self.epochs, self.mu)
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,9 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
         raise InputError(f"client {state.client_id} has no train nodes")
 
     anchor = params = unflatten(global_shared, state.params)
-    n_steps = 1 if state.trainer == "fedsgd" else state.epochs
+    n_steps = 1 if state.training.trainer == "fedsgd" else state.training.epochs
     # fedprox pulls the broadcast layers, not a local head, toward anchor
-    mu = state.mu if state.trainer == "fedprox" else 0.0
+    mu = state.training.mu if state.training.trainer == "fedprox" else 0.0
     pulls = [mu if group in ("all", l.group) else 0.0 for l in anchor.layers]
 
     for _ in range(n_steps):
@@ -145,11 +146,11 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
                 state.graph.features,
                 state.graph.labels,
                 state.graph.train_mask,
-                activation=state.activation,
+                activation=state.model.activation,
             )
         if not np.isfinite(loss):
             raise DivergenceError(round_index, state.client_id)
-        params = _step(params, grads, state.lr, anchor, pulls)
+        params = _step(params, grads, state.training.lr, anchor, pulls)
 
     state.params = params
     new_shared = flatten(params, group=group)

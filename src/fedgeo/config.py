@@ -2,15 +2,17 @@
 
 Grammar: one ``section.key = value`` assignment per line; ``#`` starts
 a comment; blank lines are ignored. ``KEYS`` lists every key with the
-``RunConfig``, ``DataSource`` or ``AggregatorConfig`` field it sets,
-whose default applies when the key is absent (only data.kind has none).
-A graph source is one ``data`` section or numbered ``data1``..``dataN``
-sections; the ``server`` section builds the ``AggregatorConfig`` that
-``RunConfig.server`` holds. Unknown sections and keys, duplicates, and
-values of the wrong type or outside a key's options are errors that
-name the file and line. Ranges are checked afterwards by the code that
-owns each setting, and those errors name the file and section. CSV
-paths are relative to the config file.
+``RunConfig``, ``DataSource``, ``ModelConfig``, ``TrainingConfig`` or
+``AggregatorConfig`` field it sets, whose default applies when the key
+is absent (only data.kind has none). A graph source is one ``data``
+section or numbered ``data1``..``dataN`` sections; the ``model``,
+``client`` and ``server`` sections build the ``ModelConfig``,
+``TrainingConfig`` and ``AggregatorConfig`` that ``RunConfig.model``,
+``RunConfig.client`` and ``RunConfig.server`` hold. Unknown sections
+and keys, duplicates, and values of the wrong type or outside a key's
+options are errors that name the file and line. Ranges are checked
+afterwards by the code that owns each setting, and those errors name
+the file and section. CSV paths are relative to the config file.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .client import TRAINERS, check_training
+from .client import TRAINERS, TrainingConfig
 from .errors import ConfigError, InputError
 from .graphs import PartitionSpec, check_generator
-from .model import ACTIVATIONS, check_architecture
+from .model import ACTIVATIONS, ModelConfig
 from .server import FALLBACKS, MODES, REFERENCES, WEIGHTINGS, AggregatorConfig
 
 __all__ = ["DataSource", "RunConfig", "KEYS", "parse_config", "load_config"]
@@ -65,14 +67,8 @@ class RunConfig:
     sources: tuple[DataSource, ...] = ()
     alpha: float = 0.3               # partition concentration
     partition_seed: int = 0
-    layers: int = 2
-    hidden: int = 16
-    activation: str = "relu"
-    bias: bool = True
-    trainer: str = "fedavg"
-    lr: float = 0.05
-    epochs: int = 1
-    mu: float = 0.01
+    model: ModelConfig = ModelConfig()
+    client: TrainingConfig = TrainingConfig()
     server: AggregatorConfig = AggregatorConfig()
     raw_text: str = field(default="", repr=False)
 
@@ -139,8 +135,9 @@ def _path(raw: str) -> str:
 
 
 # (section, key) -> (target field, converter). "data" stands for every
-# data section; its fields are DataSource's, the server section's are
-# AggregatorConfig's, and all others RunConfig's.
+# data section; its fields are DataSource's, the model, client and server
+# sections' are ModelConfig's, TrainingConfig's and AggregatorConfig's,
+# and all others RunConfig's.
 KEYS = {
     ("run", "name"): ("name", str),
     ("run", "rounds"): ("rounds", _int),
@@ -162,8 +159,8 @@ KEYS = {
     ("data", "splits"): ("splits", _path),
     ("partition", "alpha"): ("alpha", _float),
     ("partition", "seed"): ("partition_seed", _int),
-    ("model", "layers"): ("layers", _int),
-    ("model", "hidden"): ("hidden", _int),
+    ("model", "layers"): ("n_layers", _int),
+    ("model", "hidden"): ("hidden_dim", _int),
     ("model", "activation"): ("activation", _choice(*ACTIVATIONS)),
     ("model", "bias"): ("bias", _bool),
     ("client", "trainer"): ("trainer", _choice(*TRAINERS)),
@@ -221,7 +218,9 @@ def _source_sections(entries, path) -> list[str]:
 
 def _fields(entries, source_names, path: str, base_dir: Path) -> dict[str, dict]:
     """Section name -> {field: value} for every entry, read through KEYS."""
-    fields: dict[str, dict] = {name: {} for name in ["run", "server", *source_names]}
+    fields: dict[str, dict] = {
+        name: {} for name in ["run", "model", "client", "server", *source_names]
+    }
     for (section, key), (raw, ln) in entries.items():
         table_section = "data" if section in source_names else section
         if table_section not in _SECTIONS:
@@ -237,7 +236,7 @@ def _fields(entries, source_names, path: str, base_dir: Path) -> dict[str, dict]
             _fail(path, ln, str(exc))
         if convert is _path:
             value = str(base_dir / value)
-        # data and server sections fill their own objects, the rest RunConfig
+        # data, model, client and server fill their own objects, the rest RunConfig
         fields[section if section in fields else "run"][target] = value
     return fields
 
@@ -261,11 +260,9 @@ def _in_section(path: str, section: str, check):
 
 
 def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
-    """Run each range and cross-field rule in the code that owns it."""
+    """Run each data source's and partition's range rules in the code
+    that owns them."""
     checks = [
-        ("model", lambda: check_architecture(cfg.layers, cfg.hidden, cfg.activation)),
-        ("client", lambda: check_training(cfg.trainer, cfg.lr, cfg.epochs, cfg.mu)),
-    ] + [
         (name, lambda src=src: _check_source(src))
         for name, src in zip(source_names, cfg.sources)
     ] + [
@@ -292,6 +289,8 @@ def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None
 
     cfg = RunConfig(
         sources=tuple(DataSource(**fields[name]) for name in source_names),
+        model=_in_section(path, "model", lambda: ModelConfig(**fields["model"])),
+        client=_in_section(path, "client", lambda: TrainingConfig(**fields["client"])),
         server=_in_section(path, "server", lambda: AggregatorConfig(**fields["server"])),
         raw_text=text,
         **fields["run"],
@@ -302,7 +301,7 @@ def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None
         ("seeds", not cfg.seeds, "at least one seed is required"),
         ("seeds", len(set(cfg.seeds)) != len(cfg.seeds), "seeds must be distinct"),
         ("regime", cross and len(cfg.sources) < 2, "cross_domain requires at least 2 data sections"),
-        ("regime", cross and cfg.layers < 2, "cross_domain requires layers = 2 (the head stays local)"),
+        ("regime", cross and cfg.model.n_layers < 2, "cross_domain requires layers = 2 (the head stays local)"),
     ):
         if broken:
             _fail(path, entries["run", key][1], reason)

@@ -3,7 +3,7 @@
 Formats (all UTF-8, LF, no headers):
 
 * edges:    one ``src,dst`` pair per line, 0-based node indices
-* features: one row per node, comma-separated decimals
+* features: one row per node, comma-separated finite decimals
 * labels:   one integer per line
 * splits:   one token per line, each in {train, val, test}
 
@@ -54,6 +54,8 @@ def load_graph_csv(edge_path, feature_path, label_path, split_path) -> Graph:
             rows.append([float(p) for p in parts])
         except ValueError:
             raise CsvFormatError(str(feature_path), i, f"non-numeric value in {line!r}")
+        if not np.all(np.isfinite(rows[-1])):
+            raise CsvFormatError(str(feature_path), i, f"non-finite value in {line!r}")
     features = np.asarray(rows, dtype=np.float64)
     n = features.shape[0]
 

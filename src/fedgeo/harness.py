@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .client import ClientState, LocalUpdate, local_train
+from .client import ClientState, local_train
 from .config import DataSource, RunConfig
 from .errors import ConfigError, DivergenceError, InputError
 from .graph_io import load_graph_csv
@@ -46,7 +46,7 @@ from .graphs import (
     planted_partition_graph,
 )
 from .metrics import accuracy, pairwise_coherence, sensitivity_norm
-from .model import SHARED, ModelConfig, ParameterSet, flatten, forward, init_params, unflatten
+from .model import SHARED, ParameterSet, flatten, forward, init_params, unflatten
 from .partition import dirichlet_label_partition
 from .server import RegulationReport, initial_reference, proxy_map, regulate_and_aggregate
 
@@ -113,16 +113,9 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
         raise InputError(f"sources disagree on feature width: {sorted(dims)}")
     n_classes = max(g.n_classes for _, g in pairs)
 
-    model_cfg = ModelConfig(
-        n_layers=cfg.layers,
-        in_dim=dims.pop(),
-        out_dim=n_classes,
-        hidden_dim=cfg.hidden,
-        activation=cfg.activation,
-        bias=cfg.bias,
-    )
     global_params = init_params(
-        model_cfg, seed=run_seed, cross_domain=cfg.regime == "cross_domain"
+        cfg.model, dims.pop(), n_classes, seed=run_seed,
+        cross_domain=cfg.regime == "cross_domain",
     )
 
     clients = []
@@ -137,11 +130,8 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
                 graph=g,
                 adj=normalized_adjacency(g),
                 params=global_params,
-                activation=cfg.activation,
-                trainer=cfg.trainer,
-                lr=cfg.lr,
-                epochs=cfg.epochs,
-                mu=cfg.mu,
+                model=cfg.model,
+                training=cfg.client,
             )
         )
         cid += 1
@@ -150,7 +140,7 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
     return clients, global_params
 
 
-def _evaluate(clients: list[ClientState], shared, activation: str) -> float:
+def _evaluate(clients: list[ClientState], shared) -> float:
     """Micro-averaged test accuracy of the current global model.
 
     Each client evaluates the broadcast shared parameters combined with
@@ -164,7 +154,7 @@ def _evaluate(clients: list[ClientState], shared, activation: str) -> float:
         n_test = int(c.graph.test_mask.sum())
         if n_test == 0:
             continue
-        logits = forward(params, c.adj, c.graph.features, activation)[0][-1]
+        logits = forward(params, c.adj, c.graph.features, c.model.activation)[0][-1]
         acc = accuracy(logits, c.graph.labels, c.graph.test_mask)
         correct += round(acc * n_test)  # accuracy is matches / n_test
         total += n_test
@@ -195,7 +185,6 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
     per-round accuracy/alignment/sensitivity arrays)."""
     clients, global_params = build_clients(cfg, run_seed)
     shared = flatten(global_params, group=SHARED)
-    shared_len = shared.values.shape[0]
     probe = proxy_map(shared, cfg.server)  # fixes the proxy length for this layout
     ref = initial_reference(probe.values.shape[0])
 
@@ -206,22 +195,13 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
     sen_tr = np.zeros(cfg.rounds)
 
     for t in range(1, cfg.rounds + 1):
-        updates: list[LocalUpdate] = []
-        for c in clients:
-            u = local_train(c, shared, round_index=t)
-            # shared-group displacements only ever leave a client
-            if u.delta.values.shape[0] != shared_len:
-                raise InputError(
-                    f"client {c.client_id} transmitted {u.delta.values.shape[0]} "
-                    f"values; shared group has {shared_len}"
-                )
-            updates.append(u)
+        updates = [local_train(c, shared, round_index=t) for c in clients]
 
         global_delta, ref, report = regulate_and_aggregate(updates, ref, cfg.server)
         new_values = shared.values + global_delta.values
         shared = type(shared)(values=new_values, layout=shared.layout)
 
-        test_acc = _evaluate(clients, shared, cfg.activation)
+        test_acc = _evaluate(clients, shared)
 
         if len(updates) >= 2:
             gamma, _ = pairwise_coherence(np.stack([u.delta.values for u in updates]))
@@ -260,7 +240,7 @@ def _summary(cfg: RunConfig, seeds: tuple[int, ...], curves: list[list[np.ndarra
     summary = {
         "name": cfg.name,
         "regulation": cfg.server.mode,
-        "trainer": cfg.trainer,
+        "trainer": cfg.client.trainer,
         "rounds": cfg.rounds,
         "seeds": list(seeds[:len(curves)]),
         "clients": cfg.n_clients,

@@ -33,7 +33,6 @@ __all__ = [
     "unflatten",
     "layer_slices",
     "induced_operator",
-    "check_architecture",
     "ACTIVATIONS",
 ]
 
@@ -47,29 +46,23 @@ def _check_activation(activation: str) -> None:
         raise InputError(f"activation must be {' or '.join(map(repr, ACTIVATIONS))}")
 
 
-def check_architecture(n_layers: int, hidden: int, activation: str) -> None:
-    """The GCN shapes this module trains: 1 or 2 layers, a positive hidden
-    width (also for 1 layer, where it goes unused), and one of ACTIVATIONS."""
-    if n_layers not in (1, 2):
-        raise InputError("layers must be 1 or 2")
-    if hidden < 1:
-        raise InputError("hidden width must be >= 1")
-    _check_activation(activation)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
-    n_layers: int
-    in_dim: int
-    out_dim: int
+    """The GCN shapes this module trains: 1 or 2 layers, a positive hidden
+    width (also for 1 layer, where it goes unused), and one of ACTIVATIONS.
+    The data decides the input and output widths (see ``init_params``)."""
+
+    n_layers: int = 2
     hidden_dim: int = 16
     activation: str = "relu"
     bias: bool = True
 
     def __post_init__(self):
-        check_architecture(self.n_layers, self.hidden_dim, self.activation)
-        if min(self.in_dim, self.out_dim) < 1:
-            raise InputError("model dimensions must be positive")
+        if self.n_layers not in (1, 2):
+            raise InputError("layers must be 1 or 2")
+        if self.hidden_dim < 1:
+            raise InputError("hidden width must be >= 1")
+        _check_activation(self.activation)
 
 
 @dataclass(frozen=True)
@@ -121,18 +114,22 @@ class FlatVector:
             )
 
 
-def init_params(config: ModelConfig, seed: int, cross_domain: bool = False) -> ParameterSet:
-    """Seeded uniform initialization, scale sqrt(6 / (fan_in + fan_out)).
+def init_params(config: ModelConfig, in_dim: int, out_dim: int, seed: int,
+                cross_domain: bool = False) -> ParameterSet:
+    """Seeded uniform initialization, scale sqrt(6 / (fan_in + fan_out)),
+    of an ``in_dim -> out_dim`` model of ``config``'s shape.
 
     In cross-domain mode the final layer is tagged as the client-local
     head; everything else is the shared encoder. Biases start at zero.
     RNG order: one uniform draw per layer, ascending.
     """
+    if min(in_dim, out_dim) < 1:
+        raise InputError("model dimensions must be positive")
     rng = np.random.default_rng(seed)
-    dims = [config.in_dim]
+    dims = [in_dim]
     if config.n_layers == 2:
         dims.append(config.hidden_dim)
-    dims.append(config.out_dim)
+    dims.append(out_dim)
     layers = []
     for li in range(config.n_layers):
         fan_in, fan_out = dims[li], dims[li + 1]

@@ -119,13 +119,12 @@ def _random_case(seed):
     )
     cfg = ModelConfig(
         n_layers=2,
-        in_dim=g.feature_dim,
-        out_dim=g.n_classes,
         hidden_dim=int(rng.integers(4, 9)),
         activation="relu",
         bias=True,
     )
-    return g, normalized_adjacency(g), init_params(cfg, seed=seed + 1)
+    return g, normalized_adjacency(g), init_params(
+        cfg, g.feature_dim, g.n_classes, seed=seed + 1)
 
 
 def test_2_analytic_gradients_match_central_differences():
@@ -197,9 +196,9 @@ def test_3a_single_client_federation_is_centralized_descent():
         p = unflatten(FlatVector(values=oracle, layout=shared.layout), params)
         _, grads = gradient(
             p, c.adj, c.graph.features, c.graph.labels, c.graph.train_mask,
-            activation=c.activation,
+            activation=c.model.activation,
         )
-        oracle = oracle - c.lr * flatten(grads, group=SHARED).values
+        oracle = oracle - c.training.lr * flatten(grads, group=SHARED).values
         worst = max(worst, float(np.max(np.abs(shared.values - oracle))))
     _gate(
         "criterion 3a (K=1 equals centralized descent)",

@@ -8,6 +8,7 @@ from fedgeo import (
     DivergenceError,
     InputError,
     ModelConfig,
+    TrainingConfig,
     flatten,
     gradient,
     init_params,
@@ -26,19 +27,15 @@ def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="re
         n_blocks=2, block_size=8, p_in=0.6, p_out=0.2,
         n_classes=2, feature_dim=4, class_sep=1.0, seed=seed,
     )
-    cfg = ModelConfig(n_layers=2, in_dim=4, out_dim=2, hidden_dim=5,
-                      activation=activation)
-    params = init_params(cfg, seed=seed + 100, cross_domain=cross_domain)
+    cfg = ModelConfig(n_layers=2, hidden_dim=5, activation=activation)
+    params = init_params(cfg, 4, 2, seed=seed + 100, cross_domain=cross_domain)
     state = ClientState(
         client_id=0,
         graph=g,
         adj=normalized_adjacency(g),
         params=params,
-        activation=activation,
-        trainer=trainer,
-        lr=lr,
-        epochs=epochs,
-        mu=mu,
+        model=cfg,
+        training=TrainingConfig(trainer=trainer, lr=lr, epochs=epochs, mu=mu),
     )
     return state, flatten(params, group=SHARED)
 
@@ -70,7 +67,7 @@ def test_one_step_quadratic_surrogate_closed_form():
 
     state = ClientState(
         client_id=0, graph=g, adj=normalized_adjacency(g), params=params,
-        trainer="fedavg", lr=lr, epochs=1, objective=surrogate,
+        training=TrainingConfig(trainer="fedavg", lr=lr, epochs=1), objective=surrogate,
     )
     update = local_train(state, flatten(params, group=SHARED))
     expected = -lr * (w0 - a)
@@ -97,7 +94,7 @@ def test_fedavg_multi_epoch_matches_manual_descent():
         # oracle: run the descent loop by hand through the public gradient,
         # adding fedprox's mu * (theta - theta_0) on the shared layers
         start = unflatten(shared, init_params(
-            ModelConfig(n_layers=2, in_dim=4, out_dim=2, hidden_dim=5), seed=100,
+            ModelConfig(n_layers=2, hidden_dim=5), 4, 2, seed=100,
             cross_domain=cross_domain))
         params = start
         for _ in range(3):
@@ -170,10 +167,11 @@ def test_local_head_persists_across_rounds():
         n_blocks=2, block_size=8, p_in=0.6, p_out=0.2,
         n_classes=2, feature_dim=4, class_sep=1.0, seed=1,
     )
-    cfg = ModelConfig(n_layers=2, in_dim=4, out_dim=2, hidden_dim=5)
-    params = init_params(cfg, seed=0, cross_domain=True)
+    cfg = ModelConfig(n_layers=2, hidden_dim=5)
+    params = init_params(cfg, 4, 2, seed=0, cross_domain=True)
     state = ClientState(
-        client_id=0, graph=g, adj=normalized_adjacency(g), params=params, lr=0.1
+        client_id=0, graph=g, adj=normalized_adjacency(g), params=params,
+        training=TrainingConfig(lr=0.1),
     )
     shared = flatten(params, group=SHARED)
     head_before = params.layers[1].weight.copy()
@@ -193,8 +191,8 @@ def test_no_train_nodes_errors():
         val_mask=np.zeros(3, bool),
         test_mask=np.ones(3, bool),
     )
-    cfg = ModelConfig(n_layers=1, in_dim=3, out_dim=1)
-    params = init_params(cfg, seed=0)
+    cfg = ModelConfig(n_layers=1)
+    params = init_params(cfg, 3, 1, seed=0)
     state = ClientState(client_id=2, graph=g, adj=normalized_adjacency(g), params=params)
     with pytest.raises(InputError):
         local_train(state, flatten(params, group=SHARED))
@@ -214,7 +212,7 @@ def test_divergence_carries_round_and_client():
 
 def test_layout_mismatch_rejected():
     state, _ = _fixture()
-    other = init_params(ModelConfig(n_layers=2, in_dim=4, out_dim=2, hidden_dim=9), seed=0)
+    other = init_params(ModelConfig(n_layers=2, hidden_dim=9), 4, 2, seed=0)
     with pytest.raises(InputError):
         local_train(state, flatten(other, group=SHARED))
 
@@ -222,20 +220,26 @@ def test_layout_mismatch_rejected():
 def test_unknown_activation_is_an_error_not_identity():
     state, shared = _fixture()
     with pytest.raises(InputError):
-        local_train(dataclasses.replace(state, activation="tanh"), shared)
+        local_train(dataclasses.replace(
+            state, model=dataclasses.replace(state.model, activation="tanh")), shared)
 
 
 def test_client_state_validation():
     g = make_graph(2, np.array([[0, 1]]))
-    params = init_params(ModelConfig(n_layers=1, in_dim=2, out_dim=1), seed=0)
+    params = init_params(ModelConfig(n_layers=1), 2, 1, seed=0)
     adj = normalized_adjacency(g)
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params, trainer="adam")
+        ClientState(client_id=0, graph=g, adj=adj, params=params,
+                    training=TrainingConfig(trainer="adam"))
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params, epochs=0)
+        ClientState(client_id=0, graph=g, adj=adj, params=params,
+                    training=TrainingConfig(epochs=0))
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params, lr=-0.1)
+        ClientState(client_id=0, graph=g, adj=adj, params=params,
+                    training=TrainingConfig(lr=-0.1))
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params, trainer="fedavg", mu=-1.0)
+        ClientState(client_id=0, graph=g, adj=adj, params=params,
+                    training=TrainingConfig(trainer="fedavg", mu=-1.0))
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params, activation="tanh")
+        ClientState(client_id=0, graph=g, adj=adj, params=params,
+                    model=ModelConfig(activation="tanh"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgeo import AggregatorConfig, ConfigError, load_config
+from fedgeo import AggregatorConfig, ConfigError, ModelConfig, TrainingConfig, load_config
 from fedgeo.config import KEYS, parse_config
 
 
@@ -26,11 +26,11 @@ def test_defaults(tmp_path):
     assert cfg.seeds == (1, 2, 3)
     assert cfg.regime == "intra_domain"
     assert cfg.alpha == 0.3
-    assert cfg.layers == 2
-    assert cfg.hidden == 16
-    assert cfg.trainer == "fedavg"
-    assert cfg.lr == 0.05
-    assert cfg.epochs == 1
+    assert cfg.model.n_layers == 2
+    assert cfg.model.hidden_dim == 16
+    assert cfg.client.trainer == "fedavg"
+    assert cfg.client.lr == 0.05
+    assert cfg.client.epochs == 1
     assert cfg.server.mode == "plain"
     assert cfg.server.alpha == 0.9
     assert cfg.server.beta == 0.5
@@ -47,10 +47,13 @@ def test_defaults(tmp_path):
 
 
 def test_server_keys_set_every_aggregator_field_once():
-    targets = [KEYS[section, key][0] for section, key in KEYS if section == "server"]
-    assert len(set(targets)) == len(targets)
-    assert sorted(targets) == sorted(f.name for f in dataclasses.fields(AggregatorConfig))
-    assert parse_config(MINIMAL).server == AggregatorConfig()
+    # and likewise the model and client sections for their owners
+    for name, owner in (("server", AggregatorConfig), ("model", ModelConfig),
+                        ("client", TrainingConfig)):
+        targets = [KEYS[section, key][0] for section, key in KEYS if section == name]
+        assert len(set(targets)) == len(targets)
+        assert sorted(targets) == sorted(f.name for f in dataclasses.fields(owner))
+        assert getattr(parse_config(MINIMAL), name) == owner()
 
 
 def test_full_parse(tmp_path):
@@ -105,8 +108,8 @@ server.reference = regulated
     assert (src.p_in, src.p_out, src.classes) == (0.6, 0.02, 3)
     assert (src.feature_dim, src.class_sep, src.clients) == (5, 2.0, 4)
     assert (cfg.alpha, cfg.partition_seed) == (0.1, 9)
-    assert (cfg.layers, cfg.hidden, cfg.activation, cfg.bias) == (1, 8, "identity", False)
-    assert (cfg.trainer, cfg.lr, cfg.epochs, cfg.mu) == ("fedprox", 0.2, 3, 0.5)
+    assert cfg.model == ModelConfig(n_layers=1, hidden_dim=8, activation="identity", bias=False)
+    assert cfg.client == TrainingConfig(trainer="fedprox", lr=0.2, epochs=3, mu=0.5)
     srv = cfg.server
     assert srv.mode == "ggrs"
     assert (srv.alpha, srv.beta, srv.epsilon) == (0.8, 0.25, 1.5)
@@ -351,7 +354,8 @@ def test_ten_or_more_numbered_sources_keep_their_order(tmp_path):
 
 
 def _field(cfg, section, key):
-    owner = {"data": cfg.sources[0], "server": cfg.server}.get(section, cfg)
+    owner = {"data": cfg.sources[0], "model": cfg.model, "client": cfg.client,
+             "server": cfg.server}.get(section, cfg)
     return getattr(owner, KEYS[section, key][0])
 
 
@@ -395,8 +399,8 @@ def test_any_value_parses_to_finite_config_or_raises_config_error(entry, value):
         cfg = parse_config(f"{base}{section}.{key} = {value}\n", path="prop.conf")
     except ConfigError:
         return
-    floats = [v for obj in (cfg, cfg.server, *cfg.sources) for v in vars(obj).values()
-              if isinstance(v, float)]
+    floats = [v for obj in (cfg, cfg.model, cfg.client, cfg.server, *cfg.sources)
+              for v in vars(obj).values() if isinstance(v, float)]
     assert all(math.isfinite(v) for v in floats)
 
 

@@ -63,10 +63,13 @@ def test_feature_column_mismatch_names_line(tmp_path):
 
 
 def test_non_numeric_feature_names_line(tmp_path):
-    paths = _write(tmp_path, "0,1\n", "1.0,2.0\nx,4.0\n", "0\n0\n", "train\ntrain\n")
-    with pytest.raises(CsvFormatError) as err:
-        load_graph_csv(*paths)
-    assert "features.csv:2" in str(err.value)
+    # a non-finite value is no feature either: it would only surface
+    # later as a training divergence blamed on a client
+    for bad in ("x", "nan", "inf", "1e999"):
+        paths = _write(tmp_path, "0,1\n", f"1.0,2.0\n{bad},4.0\n", "0\n0\n", "train\ntrain\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_graph_csv(*paths)
+        assert "features.csv:2" in str(err.value)
 
 
 def test_label_count_mismatch(tmp_path):

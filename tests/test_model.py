@@ -35,13 +35,11 @@ def _random_case(seed, n_layers=2, activation="relu", bias=True):
     )
     cfg = ModelConfig(
         n_layers=n_layers,
-        in_dim=g.feature_dim,
-        out_dim=g.n_classes,
         hidden_dim=int(rng.integers(4, 9)),
         activation=activation,
         bias=bias,
     )
-    params = init_params(cfg, seed=seed + 1)
+    params = init_params(cfg, g.feature_dim, g.n_classes, seed=seed + 1)
     return g, normalized_adjacency(g), cfg, params
 
 
@@ -170,8 +168,8 @@ def test_flatten_unflatten_round_trip_bitwise():
 
 
 def test_flatten_group_selection_cross_domain():
-    cfg = ModelConfig(n_layers=2, in_dim=4, out_dim=3, hidden_dim=5)
-    params = init_params(cfg, seed=0, cross_domain=True)
+    cfg = ModelConfig(n_layers=2, hidden_dim=5)
+    params = init_params(cfg, 4, 3, seed=0, cross_domain=True)
     assert params.layers[0].group == SHARED
     assert params.layers[1].group == LOCAL
     shared = flatten(params, group=SHARED)
@@ -182,8 +180,8 @@ def test_flatten_group_selection_cross_domain():
 
 
 def test_unflatten_replaces_only_named_layers():
-    cfg = ModelConfig(n_layers=2, in_dim=4, out_dim=3, hidden_dim=5)
-    params = init_params(cfg, seed=0, cross_domain=True)
+    cfg = ModelConfig(n_layers=2, hidden_dim=5)
+    params = init_params(cfg, 4, 3, seed=0, cross_domain=True)
     shared = flatten(params, group=SHARED)
     new = unflatten(
         FlatVector(values=np.zeros_like(shared.values), layout=shared.layout), params
@@ -193,37 +191,37 @@ def test_unflatten_replaces_only_named_layers():
 
 
 def test_unflatten_layout_mismatch_errors():
-    cfg = ModelConfig(n_layers=2, in_dim=4, out_dim=3, hidden_dim=5)
-    params = init_params(cfg, seed=0)
-    other = init_params(ModelConfig(n_layers=2, in_dim=4, out_dim=3, hidden_dim=6), seed=0)
+    cfg = ModelConfig(n_layers=2, hidden_dim=5)
+    params = init_params(cfg, 4, 3, seed=0)
+    other = init_params(ModelConfig(n_layers=2, hidden_dim=6), 4, 3, seed=0)
     flat = flatten(params)
     with pytest.raises(InputError):
         unflatten(flat, other)
 
 
 def test_init_params_deterministic_and_bounded():
-    cfg = ModelConfig(n_layers=2, in_dim=10, out_dim=4, hidden_dim=8)
-    a = init_params(cfg, seed=5)
-    b = init_params(cfg, seed=5)
+    cfg = ModelConfig(n_layers=2, hidden_dim=8)
+    a = init_params(cfg, 10, 4, seed=5)
+    b = init_params(cfg, 10, 4, seed=5)
     for la, lb in zip(a.layers, b.layers):
         np.testing.assert_array_equal(la.weight, lb.weight)
         np.testing.assert_array_equal(la.bias, lb.bias)
         assert np.all(la.bias == 0.0)
     s0 = np.sqrt(6.0 / (10 + 8))
     assert np.max(np.abs(a.layers[0].weight)) <= s0
-    c = init_params(cfg, seed=6)
+    c = init_params(cfg, 10, 4, seed=6)
     assert np.any(c.layers[0].weight != a.layers[0].weight)
 
 
 def test_model_config_validation():
     with pytest.raises(InputError):
-        ModelConfig(n_layers=3, in_dim=4, out_dim=2)
+        ModelConfig(n_layers=3)
     with pytest.raises(InputError):
-        ModelConfig(n_layers=1, in_dim=4, out_dim=2, activation="tanh")
+        ModelConfig(n_layers=1, activation="tanh")
     with pytest.raises(InputError):
-        ModelConfig(n_layers=1, in_dim=0, out_dim=2)
+        init_params(ModelConfig(n_layers=1), 0, 2, seed=0)
     with pytest.raises(InputError):
-        ModelConfig(n_layers=1, in_dim=4, out_dim=2, hidden_dim=0)
+        ModelConfig(n_layers=1, hidden_dim=0)
 
 
 def test_induced_operator_scalar_scales_adjacency():
@@ -245,7 +243,7 @@ def test_induced_operator_square_weight():
 
 def test_induced_operator_rejects_unsupported_models():
     adj = normalized_adjacency(path_graph(3))
-    two = init_params(ModelConfig(n_layers=2, in_dim=3, out_dim=2, hidden_dim=4), seed=0)
+    two = init_params(ModelConfig(n_layers=2, hidden_dim=4), 3, 2, seed=0)
     with pytest.raises(UnsupportedModelError):
         induced_operator(two, adj)
     with_bias = ParameterSet(
