@@ -11,6 +11,11 @@ Trainers: "fedavg" (E steps), "fedsgd" (forced single step), "fedprox"
 (E steps, gradient augmented with mu * (theta - global) over the shared
 group). Plain gradient descent throughout — no momentum, no batching —
 so a round is bitwise deterministic in its inputs.
+
+A client's graph never changes, so the client computes what depends on
+it alone once, when it is built: the first-layer message ``A_hat @ X``
+and the indices of its train and test rows. Each step then builds the
+last layer for the train rows only.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .model import (
     Layer,
     ModelConfig,
     ParameterSet,
+    feature_message,
     flatten,
     gradient,
     layer_layout,
@@ -71,6 +77,13 @@ class ClientState:
     ``params -> (loss, grad ParameterSet)`` callable (surrogate losses
     in tests). The fedprox pull belongs to the descent step, so fedprox
     adds it to a custom objective's gradient too.
+
+    Built from ``graph`` and ``adj`` and held for the client's life:
+    ``message`` = ``A_hat @ X`` (the first layer's message), and
+    ``train_rows`` and ``test_rows`` (node indices). So ``graph`` and
+    ``adj`` cannot be reassigned; ``dataclasses.replace`` builds a state
+    for a new graph, with these values built anew. Features whose row
+    count is not the adjacency size are an InputError.
     """
 
     client_id: int
@@ -82,6 +95,21 @@ class ClientState:
     objective: Callable[[ParameterSet], tuple[float, ParameterSet]] | None = field(
         default=None, repr=False
     )
+    message: np.ndarray = field(init=False, repr=False)
+    train_rows: np.ndarray = field(init=False, repr=False)
+    test_rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.message = feature_message(self.adj, self.graph.features)
+        self.message.flags.writeable = False  # forward hands it out as messages[0]
+        self.train_rows = np.flatnonzero(self.graph.train_mask)
+        self.test_rows = np.flatnonzero(self.graph.test_mask)
+
+    def __setattr__(self, name, value):
+        # the message and rows would go stale under a new graph
+        if name in ("graph", "adj") and hasattr(self, "message"):
+            raise AttributeError(f"{name} is fixed once built; use dataclasses.replace")
+        super().__setattr__(name, value)
 
 
 @dataclass(frozen=True)
@@ -126,7 +154,7 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
     group = layout_group(global_shared.layout)
     if layer_layout(state.params, group) != global_shared.layout:
         raise InputError("broadcast layout does not match the client model")
-    n_train = int(state.graph.train_mask.sum())
+    n_train = state.train_rows.size
     if n_train < 1 and state.objective is None:
         raise InputError(f"client {state.client_id} has no train nodes")
 
@@ -145,8 +173,9 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
                 state.adj,
                 state.graph.features,
                 state.graph.labels,
-                state.graph.train_mask,
+                state.train_rows,
                 activation=state.model.activation,
+                message=state.message,
             )
         if not np.isfinite(loss):
             raise DivergenceError(round_index, state.client_id)

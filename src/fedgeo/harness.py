@@ -151,11 +151,12 @@ def _evaluate(clients: list[ClientState], shared) -> float:
     total = 0
     for c in clients:
         params = unflatten(shared, c.params)
-        n_test = int(c.graph.test_mask.sum())
+        n_test = c.test_rows.size
         if n_test == 0:
             continue
-        logits = forward(params, c.adj, c.graph.features, c.model.activation)[0][-1]
-        acc = accuracy(logits, c.graph.labels, c.graph.test_mask)
+        logits = forward(params, c.adj, c.graph.features, c.model.activation,
+                         c.test_rows, c.message)[0][-1]
+        acc = accuracy(logits, c.graph.labels[c.test_rows])
         correct += round(acc * n_test)  # accuracy is matches / n_test
         total += n_test
     return float(correct / total) if total else float("nan")

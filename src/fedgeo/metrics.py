@@ -159,13 +159,17 @@ def operator_spectrum(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Fraction of masked nodes whose argmax logit matches the label.
+def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray | None = None) -> float:
+    """Fraction of masked nodes (every row when ``mask`` is None) whose
+    argmax logit matches the label.
 
     Ties go to the lowest class index.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    labels = np.asarray(labels)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        logits, labels = logits[mask], labels[mask]
+    if labels.size == 0:
         raise InputError("empty mask")
-    pred = np.argmax(logits[mask], axis=1)  # argmax takes the first maximum
-    return float(np.mean(pred == np.asarray(labels)[mask]))
+    pred = np.argmax(logits, axis=1)  # argmax takes the first maximum
+    return float(np.mean(pred == labels))

@@ -2,10 +2,14 @@
 
 The model is one or two graph-convolution layers. Each layer computes
 ``P_l = A_hat @ H_l @ W_l (+ b_l)``; hidden layers apply the configured
-activation, the final layer emits raw logits. Parameters are grouped into
-a shared encoder and an optional client-local head (the final layer, in
-cross-domain federations) and travel between client and server as flat
-vectors with a canonical layer-ordered, row-major layout.
+activation, the final layer emits raw logits. The first layer's message
+``A_hat @ X`` depends on the graph alone, so a caller that holds it (a
+client does) passes it in. The last layer is built only for the rows the
+caller reads: the train rows for the loss, the test rows for accuracy.
+Parameters are grouped into a shared encoder and an optional client-local
+head (the final layer, in cross-domain federations) and travel between
+client and server as flat vectors with a canonical layer-ordered,
+row-major layout.
 
 Everything here is pure and double-precision; parameter values returned
 from one call are never aliased into another.
@@ -26,6 +30,7 @@ __all__ = [
     "ParameterSet",
     "FlatVector",
     "init_params",
+    "feature_message",
     "forward",
     "masked_cross_entropy",
     "gradient",
@@ -148,53 +153,68 @@ def _activate(x: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(x, 0.0) if kind == "relu" else x
 
 
+def feature_message(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
+    """The first layer's message ``A_hat @ x``; ``x`` needs one row per
+    node (InputError otherwise). It depends on the graph alone, so a
+    client computes it once (``ClientState.message``)."""
+    if x.shape[0] != adj.n_nodes:
+        raise InputError(f"feature rows {x.shape[0]} != adjacency size {adj.n_nodes}")
+    return adj @ np.asarray(x, dtype=np.float64)
+
+
 def forward(
     params: ParameterSet,
     adj: NormalizedAdjacency,
     x: np.ndarray,
     activation: str = "relu",
+    rows: np.ndarray | None = None,
+    message: np.ndarray | None = None,
 ):
     """Run the propagation stack; the last layer output is raw logits.
 
+    ``message`` is ``feature_message(adj, x)`` when the caller holds it;
+    otherwise it is computed here. ``rows`` (node indices or a boolean
+    node mask) selects the nodes the last layer is built for; None
+    builds it for every node.
+
     Returns ``(activations, messages, preacts)``: activations[0] is the
-    input and activations[-1] the logits; messages[l] = A_hat @
-    activations[l] and preacts[l] the pre-activation of layer l (both as
-    needed by the backward pass). An activation outside ACTIVATIONS is an
+    input and activations[-1] the logits of ``rows``; messages[l] =
+    A_hat @ activations[l] and preacts[l] the pre-activation of layer l
+    (both as needed by the backward pass). Hidden layers span every
+    node; the last layer's message, pre-activation and logits hold the
+    selected rows only. An activation outside ACTIVATIONS is an
     InputError.
     """
     _check_activation(activation)
-    if x.shape[0] != adj.n_nodes:
-        raise InputError(f"feature rows {x.shape[0]} != adjacency size {adj.n_nodes}")
-    h = np.asarray(x, dtype=np.float64)
-    activations = [h]
+    m = feature_message(adj, x) if message is None else message
+    activations = [x]
     messages = []
     preacts = []
-    n_layers = params.n_layers
+    last = params.n_layers - 1
     for li, layer in enumerate(params.layers):
-        if h.shape[1] != layer.weight.shape[0]:
+        if m.shape[1] != layer.weight.shape[0]:
             raise InputError(
-                f"layer {li}: input width {h.shape[1]} != fan_in {layer.weight.shape[0]}"
+                f"layer {li}: input width {m.shape[1]} != fan_in {layer.weight.shape[0]}"
             )
-        m = adj @ h
+        if li == last and rows is not None:
+            m = m[rows]
         p = m @ layer.weight
         if layer.bias is not None:
             p = p + layer.bias
-        h = p if li == n_layers - 1 else _activate(p, activation)
+        h = p if li == last else _activate(p, activation)
         messages.append(m)
         preacts.append(p)
         activations.append(h)
+        if li < last:
+            m = adj @ h
     return activations, messages, preacts
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
-                   mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the masked rows (log-sum-exp form),
-    and those rows' softmax probabilities."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of logit rows ``z`` with labels ``y``
+    (log-sum-exp form), and those rows' softmax probabilities."""
+    if y.size == 0:
         raise InputError("empty mask")
-    z = logits[mask]
-    y = labels[mask]
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
     total = e.sum(axis=1)
@@ -205,7 +225,8 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
 
 def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     """Mean softmax cross-entropy over masked nodes (log-sum-exp form)."""
-    return _cross_entropy(logits, labels, mask)[0]
+    mask = np.asarray(mask, dtype=bool)
+    return _cross_entropy(logits[mask], labels[mask])[0]
 
 
 def gradient(
@@ -213,40 +234,44 @@ def gradient(
     adj: NormalizedAdjacency,
     x: np.ndarray,
     labels: np.ndarray,
-    mask: np.ndarray,
+    rows: np.ndarray,
     activation: str = "relu",
+    message: np.ndarray | None = None,
 ) -> tuple[float, ParameterSet | None]:
-    """Loss and analytic gradients of masked cross-entropy; the gradients
-    come back ParameterSet-shaped, with the same groups. When the logits
-    are not all finite, training has diverged: the result is
-    ``(inf, None)`` and the caller decides what to do."""
-    mask = np.asarray(mask, dtype=bool)
-    activations, messages, preacts = forward(params, adj, x, activation)
+    """Loss and analytic gradients of the mean cross-entropy over
+    ``rows`` (node indices or a boolean node mask; ``labels`` covers
+    every node). The gradients come back ParameterSet-shaped, with the
+    same groups. ``message`` is as in ``forward``.
+
+    The last layer is built for ``rows`` only, so divergence is decided
+    on the logits the loss reads: when those are not all finite,
+    training has diverged, the result is ``(inf, None)`` and the caller
+    decides what to do.
+    """
+    activations, messages, preacts = forward(params, adj, x, activation, rows, message)
     logits = activations[-1]
     if not np.all(np.isfinite(logits)):
         return float("inf"), None
 
-    loss, p = _cross_entropy(logits, labels, mask)
-    p[np.arange(p.shape[0]), labels[mask]] -= 1.0
-    p *= 1.0 / p.shape[0]
-    g = np.zeros_like(logits)  # rows outside the mask carry no loss
-    g[mask] = p
+    y = labels[rows]
+    loss, dp = _cross_entropy(logits, y)
+    dp[np.arange(dp.shape[0]), y] -= 1.0
+    dp *= 1.0 / dp.shape[0]  # d loss / d logits of the rows
 
     grads: list[Layer] = [None] * params.n_layers  # type: ignore[list-item]
-    upstream = g  # d loss / d activations[-1]
     for li in range(params.n_layers - 1, -1, -1):
         layer = params.layers[li]
-        if li == params.n_layers - 1:
-            dp = upstream
-        elif activation == "relu":
-            dp = upstream * (preacts[li] > 0.0)
-        else:
-            dp = upstream
         gw = messages[li].T @ dp
         gb = dp.sum(axis=0) if layer.bias is not None else None
         grads[li] = Layer(weight=gw, bias=gb, group=layer.group)
         if li > 0:
-            upstream = adj @ (dp @ layer.weight.T)
+            # only the last layer sits above another (at most 2 layers):
+            # its rows' gradient scatters into zeros for the other nodes
+            up = np.zeros((adj.n_nodes, layer.weight.shape[0]))
+            up[rows] = dp @ layer.weight.T
+            dp = adj @ up
+            if activation == "relu":
+                dp = dp * (preacts[li - 1] > 0.0)
 
     return loss, ParameterSet(layers=tuple(grads))
 

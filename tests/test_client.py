@@ -15,6 +15,7 @@ from fedgeo import (
     local_train,
     make_graph,
     normalized_adjacency,
+    path_graph,
     planted_partition_graph,
     unflatten,
 )
@@ -210,6 +211,49 @@ def test_divergence_carries_round_and_client():
     assert "round 17" in str(err.value)
 
 
+def test_divergence_of_a_one_layer_identity_model():
+    # a linear model's gradient stays bounded, so it blows up through its
+    # inputs: huge features overflow the train-row logits of the second step
+    g = planted_partition_graph(
+        n_blocks=2, block_size=8, p_in=0.6, p_out=0.2,
+        n_classes=2, feature_dim=4, class_sep=1.0, seed=2,
+    )
+    big = make_graph(g.n_nodes, g.edges, features=1e160 * g.features, labels=g.labels,
+                     train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask)
+    cfg = ModelConfig(n_layers=1, activation="identity")
+    params = init_params(cfg, 4, 2, seed=102)
+    state = ClientState(client_id=5, graph=big, adj=normalized_adjacency(big),
+                        params=params, model=cfg, training=TrainingConfig(lr=1.0, epochs=3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            local_train(state, flatten(params, group=SHARED), round_index=4)
+    assert err.value.round_index == 4
+    assert err.value.client_id == 5
+    assert "round 4" in str(err.value)
+
+
+def test_replaced_graph_trains_like_a_fresh_state():
+    # the cached message and rows follow the graph through
+    # dataclasses.replace, never the state they were copied from
+    state, shared = _fixture(seed=0, epochs=3)
+    g2 = planted_partition_graph(
+        n_blocks=2, block_size=8, p_in=0.6, p_out=0.2,
+        n_classes=2, feature_dim=4, class_sep=1.0, seed=4,
+    )
+    replaced = dataclasses.replace(state, graph=g2, adj=normalized_adjacency(g2))
+    fresh = ClientState(client_id=0, graph=g2, adj=normalized_adjacency(g2),
+                        params=state.params, model=state.model, training=state.training)
+    assert not np.array_equal(replaced.message, state.message)
+    np.testing.assert_array_equal(replaced.train_rows, np.flatnonzero(g2.train_mask))
+    u_replaced = local_train(replaced, shared)
+    u_fresh = local_train(fresh, shared)
+    np.testing.assert_array_equal(u_replaced.delta.values, u_fresh.delta.values)
+    assert u_replaced.n_train == u_fresh.n_train
+    assert not np.array_equal(local_train(state, shared).delta.values, u_fresh.delta.values)
+    with pytest.raises(AttributeError):
+        state.graph = g2  # would leave the message of the old graph
+
+
 def test_layout_mismatch_rejected():
     state, _ = _fixture()
     other = init_params(ModelConfig(n_layers=2, hidden_dim=9), 4, 2, seed=0)
@@ -243,3 +287,8 @@ def test_client_state_validation():
     with pytest.raises(InputError):
         ClientState(client_id=0, graph=g, adj=adj, params=params,
                     model=ModelConfig(activation="tanh"))
+    # features and adjacency of different graphs: caught when the state
+    # is built, before the first-layer message is computed
+    with pytest.raises(InputError, match="feature rows 2 != adjacency size 3"):
+        ClientState(client_id=0, graph=g, adj=normalized_adjacency(path_graph(3)),
+                    params=params)

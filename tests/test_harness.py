@@ -169,6 +169,20 @@ def test_rerun_is_byte_identical_with_projected_proxies(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_two_seed_run_matches_one_seed_runs(tmp_path):
+    # each seed's clients compute their own cached messages: nothing of
+    # seed 1 leaks into seed 2, and the order of the seeds changes nothing
+    cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
+    both = run(cfg, out=str(tmp_path / "both"))
+    rows = both.csv_path.read_text().splitlines()[1:]
+    for s in (2, 1):
+        one = run(cfg, seed=s, out=str(tmp_path / f"seed{s}"))
+        assert one.csv_path.read_text().splitlines()[1:] == [
+            l for l in rows if l.split(",")[1] == str(s)]
+        name = f"regulation_seed{s}.jsonl"
+        assert (tmp_path / f"seed{s}" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+
+
 def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
     cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
     full = run(cfg, out=str(tmp_path / "full")).csv_path.read_text().splitlines()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgeo import (
+    ClientState,
     FlatVector,
     InputError,
     ModelConfig,
@@ -18,7 +21,7 @@ from fedgeo import (
     planted_partition_graph,
     unflatten,
 )
-from fedgeo.model import LOCAL, SHARED, Layer, ParameterSet
+from fedgeo.model import ACTIVATIONS, LOCAL, SHARED, Layer, ParameterSet
 
 
 def _random_case(seed, n_layers=2, activation="relu", bias=True):
@@ -154,6 +157,99 @@ def test_gradient_matches_finite_differences_identity_1layer():
         gf = _fd_gradient(params, adj, g.features, g.labels, g.train_mask, "identity")
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         assert rel < 1e-6
+
+
+def _full_row_gradient(params, a, x, labels, mask, activation):
+    # reference: dense A_hat, logits for every node, and a gradient that
+    # is zero on the rows outside the mask
+    hs, ms, ps = [x], [], []
+    last = len(params.layers) - 1
+    for li, layer in enumerate(params.layers):
+        m = a @ hs[-1]
+        p = m @ layer.weight
+        if layer.bias is not None:
+            p = p + layer.bias
+        ms.append(m)
+        ps.append(p)
+        hs.append(np.maximum(p, 0.0) if li < last and activation == "relu" else p)
+    z = hs[-1]
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    prob = e / e.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(prob[mask, labels[mask]]))
+    g = prob.copy()
+    g[np.arange(len(z)), labels] -= 1.0
+    g[~mask] = 0.0
+    g /= mask.sum()
+    chunks = []
+    for li in range(last, -1, -1):
+        layer = params.layers[li]
+        chunks[:0] = [(ms[li].T @ g).ravel()] + ([g.sum(axis=0)] if layer.bias is not None else [])
+        if li > 0:
+            g = a @ (g @ layer.weight.T)
+            if activation == "relu":
+                g = g * (ps[li - 1] > 0.0)
+    return loss, np.concatenate(chunks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    dims=st.tuples(st.integers(1, 4), st.integers(2, 3), st.integers(1, 4)),
+    n_layers=st.sampled_from((1, 2)),
+    activation=st.sampled_from(ACTIVATIONS),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_gradient_on_train_rows_matches_full_row_reference(n, dims, n_layers, activation,
+                                                           bias, seed, data):
+    # the last layer is built for the train rows only; loss and gradients
+    # match logits built for every node, and the cached message changes
+    # no bit of the forward pass
+    train = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="train")
+    mask = np.isin(np.arange(n), sorted(train))
+    d, c, hidden = dims
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    g = make_graph(n, np.array(edges, dtype=int).reshape(-1, 2),
+                   features=rng.normal(size=(n, d)), labels=rng.integers(0, c, size=n),
+                   train_mask=mask)
+    cfg = ModelConfig(n_layers=n_layers, hidden_dim=hidden, activation=activation, bias=bias)
+    params = init_params(cfg, d, c, seed=seed % 1000)
+    state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params,
+                        model=cfg)
+
+    want_loss, want = _full_row_gradient(params, state.adj.dense(), g.features, g.labels,
+                                         mask, activation)
+    for rows, message in ((state.train_rows, state.message), (mask, None)):
+        loss, grads = gradient(params, state.adj, g.features, g.labels, rows, activation,
+                               message)
+        got = flatten(grads).values
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    for rows in (None, state.train_rows):
+        cached = forward(params, state.adj, g.features, activation, rows, state.message)
+        fresh = forward(params, state.adj, g.features, activation, rows)
+        for ours, theirs in zip(cached, fresh):
+            assert len(ours) == len(theirs)
+            for a, b in zip(ours, theirs):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_divergence_is_decided_on_the_train_rows():
+    # node 2 is isolated, so only its own logits overflow: outside the
+    # train rows they are never built; inside, the step diverges
+    g = make_graph(3, np.array([[0, 1]]), features=np.array([[1.0], [-1.0], [1e308]]),
+                   labels=np.array([0, 1, 0]), train_mask=np.array([True, True, False]))
+    params = ParameterSet(layers=(Layer(weight=np.array([[4.0, -4.0]]), bias=None,
+                                        group=SHARED),))
+    adj = normalized_adjacency(g)
+    loss, grads = gradient(params, adj, g.features, g.labels, np.array([0, 1]), "identity")
+    assert np.isfinite(loss) and grads is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert gradient(params, adj, g.features, g.labels, np.array([0, 2]),
+                        "identity") == (float("inf"), None)
 
 
 def test_flatten_unflatten_round_trip_bitwise():
