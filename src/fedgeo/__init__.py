@@ -46,7 +46,6 @@ from .model import (
     gradient,
     induced_operator,
     init_params,
-    masked_cross_entropy,
     unflatten,
 )
 from .partition import dirichlet_assignments, dirichlet_label_partition, induced_subgraph
@@ -107,7 +106,6 @@ __all__ = [
     "load_graph_csv",
     "local_train",
     "make_graph",
-    "masked_cross_entropy",
     "mean_alignment",
     "mean_degree",
     "normalized_adjacency",

@@ -80,7 +80,9 @@ class ClientState:
 
     Built from ``graph`` and ``adj`` and held for the client's life:
     ``message`` = ``A_hat @ X`` (the first layer's message), and
-    ``train_rows`` and ``test_rows`` (node indices). So ``graph`` and
+    ``train_rows`` and ``test_rows`` (node indices): the message and
+    rows that ``model.gradient`` (training) and ``model.forward``
+    (evaluation) take. So ``graph`` and
     ``adj`` cannot be reassigned; ``dataclasses.replace`` builds a state
     for a new graph, with these values built anew. Features whose row
     count is not the adjacency size are an InputError.
@@ -168,15 +170,8 @@ def local_train(state: ClientState, global_shared: FlatVector, round_index: int 
         if state.objective is not None:
             loss, grads = state.objective(params)
         else:
-            loss, grads = gradient(
-                params,
-                state.adj,
-                state.graph.features,
-                state.graph.labels,
-                state.train_rows,
-                activation=state.model.activation,
-                message=state.message,
-            )
+            loss, grads = gradient(params, state.adj, state.message, state.graph.labels,
+                                   state.train_rows, state.model.activation)
         if not np.isfinite(loss):
             raise DivergenceError(round_index, state.client_id)
         params = _step(params, grads, state.training.lr, anchor, pulls)

@@ -150,12 +150,11 @@ def _evaluate(clients: list[ClientState], shared) -> float:
     correct = 0
     total = 0
     for c in clients:
-        params = unflatten(shared, c.params)
         n_test = c.test_rows.size
         if n_test == 0:
             continue
-        logits = forward(params, c.adj, c.graph.features, c.model.activation,
-                         c.test_rows, c.message)[0][-1]
+        params = unflatten(shared, c.params)
+        logits = forward(params, c.adj, c.message, c.test_rows, c.model.activation)[1][-1]
         acc = accuracy(logits, c.graph.labels[c.test_rows])
         correct += round(acc * n_test)  # accuracy is matches / n_test
         total += n_test

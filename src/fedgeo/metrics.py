@@ -159,17 +159,12 @@ def operator_spectrum(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Fraction of masked nodes (every row when ``mask`` is None) whose
-    argmax logit matches the label.
-
-    Ties go to the lowest class index.
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows whose argmax logit matches the row's label; the
+    caller selects the rows. Ties go to the lowest class index.
     """
     labels = np.asarray(labels)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        logits, labels = logits[mask], labels[mask]
     if labels.size == 0:
-        raise InputError("empty mask")
+        raise InputError("no rows selected")
     pred = np.argmax(logits, axis=1)  # argmax takes the first maximum
     return float(np.mean(pred == labels))

@@ -1,11 +1,13 @@
-"""Small dense GCN: forward pass, masked cross-entropy, analytic gradients.
+"""Small dense GCN: forward pass, row-wise cross-entropy, analytic gradients.
 
 The model is one or two graph-convolution layers. Each layer computes
 ``P_l = A_hat @ H_l @ W_l (+ b_l)``; hidden layers apply the configured
-activation, the final layer emits raw logits. The first layer's message
-``A_hat @ X`` depends on the graph alone, so a caller that holds it (a
-client does) passes it in. The last layer is built only for the rows the
-caller reads: the train rows for the loss, the test rows for accuracy.
+activation, the final layer emits raw logits. ``forward`` and
+``gradient`` take one calling convention: the first layer's message
+``A_hat @ X`` (``feature_message``; it depends on the graph alone, so a
+client holds it) and the node indices whose logits the caller reads
+(the train rows for the loss, the test rows for accuracy). The last
+layer is built for those rows only.
 Parameters are grouped into a shared encoder and an optional client-local
 head (the final layer, in cross-domain federations) and travel between
 client and server as flat vectors with a canonical layer-ordered,
@@ -32,7 +34,6 @@ __all__ = [
     "init_params",
     "feature_message",
     "forward",
-    "masked_cross_entropy",
     "gradient",
     "flatten",
     "unflatten",
@@ -165,29 +166,22 @@ def feature_message(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
 def forward(
     params: ParameterSet,
     adj: NormalizedAdjacency,
-    x: np.ndarray,
+    message: np.ndarray,
+    rows: np.ndarray,
     activation: str = "relu",
-    rows: np.ndarray | None = None,
-    message: np.ndarray | None = None,
 ):
-    """Run the propagation stack; the last layer output is raw logits.
+    """Run the propagation stack from the first layer's ``message``
+    (``feature_message(adj, X)``, which a client holds) and build the
+    last layer for the node indices ``rows`` only.
 
-    ``message`` is ``feature_message(adj, x)`` when the caller holds it;
-    otherwise it is computed here. ``rows`` (node indices or a boolean
-    node mask) selects the nodes the last layer is built for; None
-    builds it for every node.
-
-    Returns ``(activations, messages, preacts)``: activations[0] is the
-    input and activations[-1] the logits of ``rows``; messages[l] =
-    A_hat @ activations[l] and preacts[l] the pre-activation of layer l
-    (both as needed by the backward pass). Hidden layers span every
-    node; the last layer's message, pre-activation and logits hold the
-    selected rows only. An activation outside ACTIVATIONS is an
-    InputError.
+    Returns ``(messages, preacts)``: messages[l] is layer l's input
+    A_hat @ H_l and preacts[l] its pre-activation; the logits of ``rows``
+    are preacts[-1]. Hidden layers span every node; the last layer's
+    message and pre-activation hold the rows only. An activation outside
+    ACTIVATIONS is an InputError.
     """
     _check_activation(activation)
-    m = feature_message(adj, x) if message is None else message
-    activations = [x]
+    m = message
     messages = []
     preacts = []
     last = params.n_layers - 1
@@ -196,61 +190,52 @@ def forward(
             raise InputError(
                 f"layer {li}: input width {m.shape[1]} != fan_in {layer.weight.shape[0]}"
             )
-        if li == last and rows is not None:
+        if li == last:
             m = m[rows]
         p = m @ layer.weight
         if layer.bias is not None:
             p = p + layer.bias
-        h = p if li == last else _activate(p, activation)
         messages.append(m)
         preacts.append(p)
-        activations.append(h)
         if li < last:
-            m = adj @ h
-    return activations, messages, preacts
+            m = adj @ _activate(p, activation)
+    return messages, preacts
 
 
 def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of logit rows ``z`` with labels ``y``
     (log-sum-exp form), and those rows' softmax probabilities."""
     if y.size == 0:
-        raise InputError("empty mask")
+        raise InputError("no rows selected")
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
     total = e.sum(axis=1)
     lse = zmax[:, 0] + np.log(total)
-    loss = float(np.mean(lse - z[np.arange(z.shape[0]), y]))
-    return loss, e / total[:, None]
-
-
-def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Mean softmax cross-entropy over masked nodes (log-sum-exp form)."""
-    mask = np.asarray(mask, dtype=bool)
-    return _cross_entropy(logits[mask], labels[mask])[0]
+    nll = lse - z[np.arange(z.shape[0]), y]
+    return float(nll.sum() / nll.size), e / total[:, None]
 
 
 def gradient(
     params: ParameterSet,
     adj: NormalizedAdjacency,
-    x: np.ndarray,
+    message: np.ndarray,
     labels: np.ndarray,
     rows: np.ndarray,
     activation: str = "relu",
-    message: np.ndarray | None = None,
 ) -> tuple[float, ParameterSet | None]:
-    """Loss and analytic gradients of the mean cross-entropy over
-    ``rows`` (node indices or a boolean node mask; ``labels`` covers
-    every node). The gradients come back ParameterSet-shaped, with the
-    same groups. ``message`` is as in ``forward``.
+    """Loss and analytic gradients of the mean cross-entropy over the
+    node indices ``rows`` (``labels`` covers every node; ``message`` is
+    as in ``forward``). The gradients come back ParameterSet-shaped, with
+    the same groups.
 
     The last layer is built for ``rows`` only, so divergence is decided
     on the logits the loss reads: when those are not all finite,
     training has diverged, the result is ``(inf, None)`` and the caller
     decides what to do.
     """
-    activations, messages, preacts = forward(params, adj, x, activation, rows, message)
-    logits = activations[-1]
-    if not np.all(np.isfinite(logits)):
+    messages, preacts = forward(params, adj, message, rows, activation)
+    logits = preacts[-1]
+    if not np.isfinite(logits).all():
         return float("inf"), None
 
     y = labels[rows]

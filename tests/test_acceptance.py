@@ -43,6 +43,7 @@ from fedgeo import (
     unflatten,
 )
 from fedgeo.metrics import _jacobi_eigh
+from fedgeo.model import feature_message
 from fedgeo.model import SHARED, LayerSpec, layer_slices
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -134,13 +135,14 @@ def test_2_analytic_gradients_match_central_differences():
     for seed in range(20):
         g, adj, params = _random_case(seed)
         assert g.n_nodes <= 20
-        _, grads = gradient(params, adj, g.features, g.labels, g.train_mask, activation="relu")
+        message, rows = feature_message(adj, g.features), np.flatnonzero(g.train_mask)
+        _, grads = gradient(params, adj, message, g.labels, rows, activation="relu")
         flat = flatten(params)
         ga = flatten(grads).values
 
         def loss_at(values):
             p = unflatten(FlatVector(values=values, layout=flat.layout), params)
-            return gradient(p, adj, g.features, g.labels, g.train_mask, activation="relu")[0]
+            return gradient(p, adj, message, g.labels, rows, activation="relu")[0]
 
         fd = np.zeros_like(flat.values)
         for i in range(flat.values.size):
@@ -195,8 +197,8 @@ def test_3a_single_client_federation_is_centralized_descent():
 
         p = unflatten(FlatVector(values=oracle, layout=shared.layout), params)
         _, grads = gradient(
-            p, c.adj, c.graph.features, c.graph.labels, c.graph.train_mask,
-            activation=c.model.activation,
+            p, c.adj, feature_message(c.adj, c.graph.features), c.graph.labels,
+            np.flatnonzero(c.graph.train_mask), activation=c.model.activation,
         )
         oracle = oracle - c.training.lr * flatten(grads, group=SHARED).values
         worst = max(worst, float(np.max(np.abs(shared.values - oracle))))

@@ -19,7 +19,7 @@ from fedgeo import (
     planted_partition_graph,
     unflatten,
 )
-from fedgeo.model import SHARED, FlatVector, Layer, ParameterSet
+from fedgeo.model import SHARED, FlatVector, Layer, ParameterSet, feature_message
 
 
 def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="relu",
@@ -100,8 +100,8 @@ def test_fedavg_multi_epoch_matches_manual_descent():
         params = start
         for _ in range(3):
             _, grads = gradient(
-                params, state.adj, state.graph.features, state.graph.labels,
-                state.graph.train_mask, activation="relu",
+                params, state.adj, feature_message(state.adj, state.graph.features),
+                state.graph.labels, np.flatnonzero(state.graph.train_mask), activation="relu",
             )
             layers = []
             for p, p0, gr in zip(params.layers, start.layers, grads.layers):

@@ -23,7 +23,7 @@ import fedgeo.harness as harness
 from fedgeo.cli import main
 from fedgeo.config import parse_config
 from fedgeo.harness import CSV_HEADER, _client_graphs
-from fedgeo.model import LOCAL, SHARED, FlatVector
+from fedgeo.model import LOCAL, SHARED, FlatVector, feature_message
 from fedgeo.server import _sign_projection
 
 
@@ -84,8 +84,8 @@ client.lr = 0.1
         shared = FlatVector(values=shared.values + delta.values,
                             layout=shared.layout)
 
-        _, g = gradient(oracle, c.adj, c.graph.features, c.graph.labels,
-                        c.graph.train_mask, activation="relu")
+        _, g = gradient(oracle, c.adj, feature_message(c.adj, c.graph.features),
+                        c.graph.labels, np.flatnonzero(c.graph.train_mask), activation="relu")
         flat = flatten(oracle)
         step = flatten(g)
         oracle = unflatten(

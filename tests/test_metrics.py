@@ -152,16 +152,15 @@ def test_accuracy_counting_oracle():
             if mask[i] and int(np.argmax(logits[i])) == labels[i]
         )
         want = hits / int(mask.sum())
-        assert accuracy(logits, labels, mask) == pytest.approx(want, abs=1e-12)
+        assert accuracy(logits[mask], labels[mask]) == pytest.approx(want, abs=1e-12)
 
 
 def test_accuracy_tie_breaks_to_lowest_class():
     logits = np.array([[1.0, 1.0, 0.0]])
-    mask = np.array([True])
-    assert accuracy(logits, np.array([0]), mask) == 1.0
-    assert accuracy(logits, np.array([1]), mask) == 0.0
+    assert accuracy(logits, np.array([0])) == 1.0
+    assert accuracy(logits, np.array([1])) == 0.0
 
 
 def test_accuracy_empty_mask_rejected():
     with pytest.raises(InputError):
-        accuracy(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))
+        accuracy(np.zeros((0, 2)), np.zeros(0, dtype=int))

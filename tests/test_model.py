@@ -15,13 +15,20 @@ from fedgeo import (
     induced_operator,
     init_params,
     make_graph,
-    masked_cross_entropy,
     normalized_adjacency,
     path_graph,
     planted_partition_graph,
     unflatten,
 )
-from fedgeo.model import ACTIVATIONS, LOCAL, SHARED, Layer, ParameterSet
+from fedgeo.model import (
+    ACTIVATIONS,
+    LOCAL,
+    SHARED,
+    Layer,
+    ParameterSet,
+    _cross_entropy,
+    feature_message,
+)
 
 
 def _random_case(seed, n_layers=2, activation="relu", bias=True):
@@ -63,7 +70,8 @@ def _naive_forward(params, a_dense, x, activation):
 def test_forward_matches_naive_reimplementation():
     for seed in range(8):
         g, adj, cfg, params = _random_case(seed)
-        ours = forward(params, adj, g.features, cfg.activation)[0][-1]
+        every = np.arange(g.n_nodes)
+        ours = forward(params, adj, feature_message(adj, g.features), every, cfg.activation)[1][-1]
         theirs = _naive_forward(params, adj.dense(), g.features, cfg.activation)
         np.testing.assert_allclose(ours, theirs, atol=1e-12)
 
@@ -73,18 +81,19 @@ def test_forward_identity_single_layer_is_linear_map():
     w = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     params = ParameterSet(layers=(Layer(weight=w, bias=None, group=SHARED),))
     adj = normalized_adjacency(g)
-    out = forward(params, adj, g.features, "identity")[0][-1]
+    out = forward(params, adj, feature_message(adj, g.features), np.arange(3), "identity")[1][-1]
     np.testing.assert_allclose(out, adj.dense() @ np.eye(3) @ w, atol=1e-15)
 
 
 def test_forward_shape_errors():
     g, adj, cfg, params = _random_case(1)
+    rows = np.flatnonzero(g.train_mask)
     with pytest.raises(InputError):
-        forward(params, adj, g.features[:, :-1], cfg.activation)
+        forward(params, adj, feature_message(adj, g.features[:, :-1]), rows, cfg.activation)
     with pytest.raises(InputError):
-        forward(params, adj, g.features[:-1], cfg.activation)
+        feature_message(adj, g.features[:-1])
     with pytest.raises(InputError):
-        forward(params, adj, g.features, "tanh")
+        forward(params, adj, feature_message(adj, g.features), rows, "tanh")
 
 
 def test_masked_cross_entropy_against_manual():
@@ -96,28 +105,28 @@ def test_masked_cross_entropy_against_manual():
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     manual = -np.mean(np.log(p[mask, labels[mask]]))
-    assert abs(masked_cross_entropy(logits, labels, mask) - manual) < 1e-12
+    assert abs(_cross_entropy(logits[mask], labels[mask])[0] - manual) < 1e-12
 
 
 def test_masked_cross_entropy_handles_huge_logits():
     logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
     labels = np.array([0, 1])
-    loss = masked_cross_entropy(logits, labels, np.array([True, True]))
+    loss = _cross_entropy(logits, labels)[0]
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_masked_cross_entropy_empty_mask():
     with pytest.raises(InputError):
-        masked_cross_entropy(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2, bool))
+        _cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
-def _fd_gradient(params, adj, x, labels, mask, activation, step=1e-4):
+def _fd_gradient(params, adj, message, labels, rows, activation, step=1e-4):
     template = params
     flat = flatten(params)
 
     def loss_at(values):
         p = unflatten(FlatVector(values=values, layout=flat.layout), template)
-        return gradient(p, adj, x, labels, mask, activation=activation)[0]
+        return gradient(p, adj, message, labels, rows, activation=activation)[0]
 
     fd = np.zeros_like(flat.values)
     for i in range(flat.values.size):
@@ -136,11 +145,10 @@ def test_gradient_matches_finite_differences_relu():
     for seed in range(20):
         g, adj, cfg, params = _random_case(seed)
         assert g.n_nodes <= 20
-        _, grads = gradient(
-            params, adj, g.features, g.labels, g.train_mask, activation=cfg.activation
-        )
+        message, rows = feature_message(adj, g.features), np.flatnonzero(g.train_mask)
+        _, grads = gradient(params, adj, message, g.labels, rows, activation=cfg.activation)
         ga = flatten(grads).values
-        gf = _fd_gradient(params, adj, g.features, g.labels, g.train_mask, cfg.activation)
+        gf = _fd_gradient(params, adj, message, g.labels, rows, cfg.activation)
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         worst = max(worst, rel)
         assert rel < 1e-4, f"seed {seed}: relative error {rel:.3e}"
@@ -150,18 +158,17 @@ def test_gradient_matches_finite_differences_relu():
 def test_gradient_matches_finite_differences_identity_1layer():
     for seed in (3, 5):
         g, adj, cfg, params = _random_case(seed, n_layers=1, activation="identity")
-        _, grads = gradient(
-            params, adj, g.features, g.labels, g.train_mask, activation="identity"
-        )
+        message, rows = feature_message(adj, g.features), np.flatnonzero(g.train_mask)
+        _, grads = gradient(params, adj, message, g.labels, rows, activation="identity")
         ga = flatten(grads).values
-        gf = _fd_gradient(params, adj, g.features, g.labels, g.train_mask, "identity")
+        gf = _fd_gradient(params, adj, message, g.labels, rows, "identity")
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         assert rel < 1e-6
 
 
 def _full_row_gradient(params, a, x, labels, mask, activation):
     # reference: dense A_hat, logits for every node, and a gradient that
-    # is zero on the rows outside the mask
+    # is zero on the rows outside the mask; returns the logits too
     hs, ms, ps = [x], [], []
     last = len(params.layers) - 1
     for li, layer in enumerate(params.layers):
@@ -188,7 +195,7 @@ def _full_row_gradient(params, a, x, labels, mask, activation):
             g = a @ (g @ layer.weight.T)
             if activation == "relu":
                 g = g * (ps[li - 1] > 0.0)
-    return loss, np.concatenate(chunks)
+    return loss, np.concatenate(chunks), z
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,9 +210,8 @@ def _full_row_gradient(params, a, x, labels, mask, activation):
 )
 def test_gradient_on_train_rows_matches_full_row_reference(n, dims, n_layers, activation,
                                                            bias, seed, data):
-    # the last layer is built for the train rows only; loss and gradients
-    # match logits built for every node, and the cached message changes
-    # no bit of the forward pass
+    # the last layer is built for the train rows only; its logits, the
+    # loss and the gradients match those built for every node
     train = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="train")
     mask = np.isin(np.arange(n), sorted(train))
     d, c, hidden = dims
@@ -219,22 +225,18 @@ def test_gradient_on_train_rows_matches_full_row_reference(n, dims, n_layers, ac
     state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params,
                         model=cfg)
 
-    want_loss, want = _full_row_gradient(params, state.adj.dense(), g.features, g.labels,
-                                         mask, activation)
-    for rows, message in ((state.train_rows, state.message), (mask, None)):
-        loss, grads = gradient(params, state.adj, g.features, g.labels, rows, activation,
-                               message)
-        got = flatten(grads).values
-        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    want_loss, want, want_logits = _full_row_gradient(params, state.adj.dense(), g.features,
+                                                      g.labels, mask, activation)
+    logits = forward(params, state.adj, state.message, state.train_rows, activation)[1][-1]
+    want_logits = want_logits[state.train_rows]
+    assert logits.shape == want_logits.shape
+    assert np.linalg.norm(logits - want_logits) <= 1e-12 * np.linalg.norm(want_logits)
 
-    for rows in (None, state.train_rows):
-        cached = forward(params, state.adj, g.features, activation, rows, state.message)
-        fresh = forward(params, state.adj, g.features, activation, rows)
-        for ours, theirs in zip(cached, fresh):
-            assert len(ours) == len(theirs)
-            for a, b in zip(ours, theirs):
-                np.testing.assert_array_equal(a, b)
+    loss, grads = gradient(params, state.adj, state.message, g.labels, state.train_rows,
+                           activation)
+    got = flatten(grads).values
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_divergence_is_decided_on_the_train_rows():
@@ -245,10 +247,11 @@ def test_divergence_is_decided_on_the_train_rows():
     params = ParameterSet(layers=(Layer(weight=np.array([[4.0, -4.0]]), bias=None,
                                         group=SHARED),))
     adj = normalized_adjacency(g)
-    loss, grads = gradient(params, adj, g.features, g.labels, np.array([0, 1]), "identity")
+    message = feature_message(adj, g.features)
+    loss, grads = gradient(params, adj, message, g.labels, np.array([0, 1]), "identity")
     assert np.isfinite(loss) and grads is not None
     with np.errstate(over="ignore", invalid="ignore"):
-        assert gradient(params, adj, g.features, g.labels, np.array([0, 2]),
+        assert gradient(params, adj, message, g.labels, np.array([0, 2]),
                         "identity") == (float("inf"), None)
 
 
