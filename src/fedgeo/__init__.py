@@ -7,7 +7,7 @@ subspace projection, norm capping), plus the coherence diagnostics that
 make the difference measurable.
 """
 
-from .client import ClientState, LocalUpdate, TrainingConfig, local_train
+from .client import ClientState, Federation, LocalUpdate, TrainingConfig, local_train
 from .config import DataSource, RunConfig, load_config, parse_config
 from .errors import (
     ConfigError,
@@ -73,6 +73,7 @@ __all__ = [
     "CsvFormatError",
     "DataSource",
     "DivergenceError",
+    "Federation",
     "FlatVector",
     "GeometricReference",
     "Graph",

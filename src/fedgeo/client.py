@@ -9,19 +9,22 @@ the client state across rounds, and never leaves the client.
 
 Trainers: "fedavg" (E steps), "fedsgd" (forced single step), "fedprox"
 (E steps, gradient augmented with mu * (theta - global) over the shared
-group). Plain gradient descent throughout — no momentum, no batching —
+group). Plain gradient descent throughout — no momentum, no minibatches —
 so a round is bitwise deterministic in its inputs.
 
 A client's graph never changes, so the client computes what depends on
 it alone once, when it is built: the first-layer message ``A_hat @ X``
-and the indices of its train and test rows. Each step then builds the
-last layer for the train rows only.
+and the indices of its train and test rows. A ``Federation`` holds the
+clients' graphs as one batch, built once, and ``local_train`` trains
+all of them together: each step is one ``model.gradient`` call over the
+stacked parameters of every client, which builds the last layer for the
+train rows only. A one-client federation is the K = 1 case of the same
+code, and each client's values are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -29,18 +32,21 @@ from .errors import DivergenceError, InputError
 from .graphs import Graph, NormalizedAdjacency
 from .model import (
     FlatVector,
-    Layer,
     ModelConfig,
     ParameterSet,
     feature_message,
-    flatten,
+    # flatten: no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
+    flatten,  # noqa: F401
     gradient,
+    graph_batch,
     layer_layout,
     layout_group,
+    stack_params,
     unflatten,
+    unstack_params,
 )
 
-__all__ = ["ClientState", "LocalUpdate", "TrainingConfig", "local_train", "TRAINERS"]
+__all__ = ["ClientState", "Federation", "LocalUpdate", "TrainingConfig", "local_train", "TRAINERS"]
 
 TRAINERS = ("fedavg", "fedsgd", "fedprox")
 
@@ -72,20 +78,16 @@ class ClientState:
 
     ``params`` holds the full parameter set including any local head;
     ``local_train`` refreshes its shared slice from the broadcast vector
-    each round and persists the trained values back. ``objective``, when
-    set, replaces the cross-entropy objective with a custom
-    ``params -> (loss, grad ParameterSet)`` callable (surrogate losses
-    in tests). The fedprox pull belongs to the descent step, so fedprox
-    adds it to a custom objective's gradient too.
+    each round and persists the trained values back.
 
     Built from ``graph`` and ``adj`` and held for the client's life:
     ``message`` = ``A_hat @ X`` (the first layer's message), and
     ``train_rows`` and ``test_rows`` (node indices): the message and
-    rows that ``model.gradient`` (training) and ``model.forward``
-    (evaluation) take. So ``graph`` and
-    ``adj`` cannot be reassigned; ``dataclasses.replace`` builds a state
-    for a new graph, with these values built anew. Features whose row
-    count is not the adjacency size are an InputError.
+    rows a ``Federation`` batches for ``model.gradient`` (training) and
+    ``model.forward`` (evaluation). So ``graph`` and ``adj`` cannot be
+    reassigned; ``dataclasses.replace`` builds a state for a new graph,
+    with these values built anew. Features whose row count is not the
+    adjacency size are an InputError.
     """
 
     client_id: int
@@ -94,16 +96,13 @@ class ClientState:
     params: ParameterSet
     model: ModelConfig = ModelConfig()
     training: TrainingConfig = TrainingConfig()
-    objective: Callable[[ParameterSet], tuple[float, ParameterSet]] | None = field(
-        default=None, repr=False
-    )
     message: np.ndarray = field(init=False, repr=False)
     train_rows: np.ndarray = field(init=False, repr=False)
     test_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.message = feature_message(self.adj, self.graph.features)
-        self.message.flags.writeable = False  # forward hands it out as messages[0]
+        self.message.flags.writeable = False
         self.train_rows = np.flatnonzero(self.graph.train_mask)
         self.test_rows = np.flatnonzero(self.graph.test_mask)
 
@@ -114,12 +113,62 @@ class ClientState:
         super().__setattr__(name, value)
 
 
+class Federation:
+    """K clients trained and evaluated as one batch.
+
+    The clients share one ``model`` and one ``training`` config and
+    same-shaped parameters (InputError otherwise). ``batch`` holds their
+    graphs as one (``model.GraphBatch``, built once), and ``train`` and
+    ``test`` their train and test rows in it. The stacked first-layer
+    message is held once: each client's ``message`` becomes a read-only
+    view of its rows.
+    """
+
+    def __init__(self, clients: list[ClientState]):
+        if not clients:
+            raise InputError("a federation needs at least one client")
+        first = clients[0]
+        layout = layer_layout(first.params)
+        for c in clients[1:]:
+            if (c.model, c.training) != (first.model, first.training):
+                raise InputError("the clients of a federation share one model and training config")
+            if layer_layout(c.params) != layout:
+                raise InputError(f"client {c.client_id}'s parameters differ in shape from "
+                                 f"client {first.client_id}'s")
+        self.clients = tuple(clients)
+        self.model = first.model
+        self.training = first.training
+        self.batch = graph_batch([c.adj for c in clients], [c.message for c in clients],
+                                 [c.graph.labels for c in clients])
+        nodes = self.batch.nodes.tolist()
+        for c, a, b in zip(clients, nodes[:-1], nodes[1:]):
+            c.message = self.batch.message[a:b]
+        self.train = self.batch.rows([c.train_rows for c in clients])
+        self.test = self.batch.rows([c.test_rows for c in clients])
+
+    def params(self, shared: FlatVector) -> ParameterSet:
+        """Every client's parameters, stacked in client order: the layers
+        ``shared`` covers from it, the others (a local head) from the
+        client's own ``params``."""
+        return _stack(self, unflatten(shared, self.clients[0].params),
+                      layout_group(shared.layout))
+
+
+def _stack(fed: Federation, broadcast: ParameterSet, group: str) -> ParameterSet:
+    """``Federation.params`` from the broadcast layers of ``group``."""
+    return stack_params([
+        ParameterSet(layers=tuple(
+            b if group in ("all", b.group) else own
+            for b, own in zip(broadcast.layers, c.params.layers)))
+        for c in fed.clients
+    ])
+
+
 @dataclass(frozen=True)
 class LocalUpdate:
     """Shared-group displacement a client sends to the server."""
 
     client_id: int
-    round: int
     delta: FlatVector
     n_train: int
 
@@ -129,68 +178,75 @@ class LocalUpdate:
 
 
 def _step(params: ParameterSet, grads: ParameterSet, lr: float,
-          anchor: ParameterSet, pulls: list[float]) -> ParameterSet:
-    """theta <- theta - lr * (g + mu * (theta - anchor)) with mu =
-    pulls[layer]; a layer with mu = 0 takes a plain step."""
-    layers = []
+          anchor: ParameterSet, pulls: list[float]) -> None:
+    """theta <- theta - lr * (g + mu * (theta - anchor)) in place, with
+    mu = pulls[layer]; a layer with mu = 0 takes a plain step."""
     for p, g, p0, mu in zip(params.layers, grads.layers, anchor.layers, pulls):
-        gw, gb = g.weight, g.bias
-        if mu > 0.0:
-            gw = gw + mu * (p.weight - p0.weight)
-            gb = gb + mu * (p.bias - p0.bias) if p.bias is not None else None
-        w = p.weight - lr * gw
-        b = p.bias - lr * gb if p.bias is not None else None
-        layers.append(Layer(weight=w, bias=b, group=p.group))
-    return ParameterSet(layers=tuple(layers))
+        for theta, grad, start in ((p.weight, g.weight, p0.weight), (p.bias, g.bias, p0.bias)):
+            if theta is None:
+                continue
+            if mu > 0.0:
+                grad = grad + mu * (theta - start)
+            theta -= lr * grad
 
 
-def local_train(state: ClientState, global_shared: FlatVector, round_index: int = 0) -> LocalUpdate:
-    """Run one round of local training and return the shared delta.
+def local_train(fed: Federation, global_shared: FlatVector,
+                round_index: int = 0) -> list[LocalUpdate]:
+    """Run one round of local training of every client; their shared
+    deltas, in client order.
 
-    Loads the broadcast shared parameters into the client model (the
-    local head, if any, keeps its previous values), runs E full-batch
-    gradient steps (fedsgd: exactly one; fedprox: mu-proximal gradient
-    toward the broadcast point), persists the trained parameters in the
-    state, and returns theta_shared_after - theta_shared_broadcast.
+    Loads the broadcast shared parameters into every client model (a
+    local head keeps its previous values), runs E full-batch gradient
+    steps (fedsgd: exactly one; fedprox: mu-proximal gradient toward the
+    broadcast point), persists the trained parameters in the states, and
+    returns theta_shared_after - theta_shared_broadcast of each client.
+    Each step is one ``gradient`` call and one in-place update over the
+    stacked parameters of all clients; each client's values are those
+    its own one-client federation gives, bit for bit.
+
+    A client whose loss is not finite at some step, or whose delta is
+    not finite, has diverged: the DivergenceError names the first such
+    client in federation order, and no client's parameters persist.
     """
     group = layout_group(global_shared.layout)
-    if layer_layout(state.params, group) != global_shared.layout:
+    if layer_layout(fed.clients[0].params, group) != global_shared.layout:
         raise InputError("broadcast layout does not match the client model")
-    n_train = state.train_rows.size
-    if n_train < 1 and state.objective is None:
-        raise InputError(f"client {state.client_id} has no train nodes")
+    n_train = np.diff(fed.train.bounds)
+    if not n_train.all():
+        raise InputError(f"client {fed.clients[int(np.argmin(n_train))].client_id} "
+                         "has no train nodes")
 
-    anchor = params = unflatten(global_shared, state.params)
-    n_steps = 1 if state.training.trainer == "fedsgd" else state.training.epochs
+    anchor = unflatten(global_shared, fed.clients[0].params)
+    params = _stack(fed, anchor, group)
+    training = fed.training
+    n_steps = 1 if training.trainer == "fedsgd" else training.epochs
     # fedprox pulls the broadcast layers, not a local head, toward anchor
-    mu = state.training.mu if state.training.trainer == "fedprox" else 0.0
+    mu = training.mu if training.trainer == "fedprox" else 0.0
     pulls = [mu if group in ("all", l.group) else 0.0 for l in anchor.layers]
 
+    diverged = np.zeros(len(fed.clients), dtype=bool)
     for _ in range(n_steps):
-        if state.objective is not None:
-            loss, grads = state.objective(params)
-        else:
-            loss, grads = gradient(params, state.adj, state.message, state.graph.labels,
-                                   state.train_rows, state.model.activation)
-        if not np.isfinite(loss):
-            raise DivergenceError(round_index, state.client_id)
-        params = _step(params, grads, state.training.lr, anchor, pulls)
+        # a diverged client's values are not finite from here on: no warnings
+        with np.errstate(all="ignore" if diverged.any() else None):
+            losses, grads = gradient(params, fed.batch, fed.train, fed.model.activation)
+            diverged |= ~np.isfinite(losses)
+            _step(params, grads, training.lr, anchor, pulls)
 
-    state.params = params
-    new_shared = flatten(params, group=group)
-    delta = FlatVector(
-        values=new_shared.values - global_shared.values,
-        layout=global_shared.layout,
-    )
+    stacked = [a.reshape(len(fed.clients), -1) for spec in global_shared.layout
+               for a in (params.layers[spec.index].weight, params.layers[spec.index].bias)
+               if a is not None]
+    deltas = np.concatenate(stacked, axis=1) - global_shared.values
     # a displacement whose entries or norm are unrepresentable can never
     # be aggregated; surface it as divergence, not as a malformed input
-    if not np.all(np.isfinite(delta.values)) or not np.isfinite(
-        float(np.linalg.norm(delta.values))
-    ):
-        raise DivergenceError(round_index, state.client_id)
-    return LocalUpdate(
-        client_id=state.client_id,
-        round=round_index,
-        delta=delta,
-        n_train=max(n_train, 1),
-    )
+    # (d . d is finite exactly when d's entries and norm are)
+    diverged |= ~np.isfinite([d.dot(d) for d in deltas])
+    if diverged.any():
+        raise DivergenceError(round_index, fed.clients[int(np.argmax(diverged))].client_id)
+
+    for c, p in zip(fed.clients, unstack_params(params)):
+        c.params = p
+    return [
+        LocalUpdate(client_id=c.client_id,
+                    delta=FlatVector(values=d, layout=global_shared.layout), n_train=n)
+        for c, d, n in zip(fed.clients, deltas, n_train.tolist())
+    ]

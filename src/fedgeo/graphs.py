@@ -29,6 +29,7 @@ __all__ = [
     "complete_graph",
     "planted_partition_graph",
     "normalized_adjacency",
+    "block_diagonal",
     "graph_density",
     "mean_degree",
 ]
@@ -222,6 +223,21 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
         shape=(n, n),
     ).tocsr()
     return NormalizedAdjacency(n_nodes=n, storage=mat)
+
+
+def block_diagonal(adjs: list[NormalizedAdjacency]) -> NormalizedAdjacency:
+    """The adjacencies side by side, as one block-diagonal operator over
+    their concatenated nodes. Each row keeps its entries in its graph's
+    order, so a product with it computes every graph's rows exactly as
+    the graph's own product does."""
+    offsets = np.cumsum([0] + [a.n_nodes for a in adjs])
+    nnz = np.cumsum([0] + [a.storage.nnz for a in adjs])
+    indptr = np.concatenate(
+        [[0]] + [a.storage.indptr[1:] + z for a, z in zip(adjs, nnz[:-1])])
+    indices = np.concatenate([a.storage.indices + o for a, o in zip(adjs, offsets[:-1])])
+    data = np.concatenate([a.storage.data for a in adjs])
+    n = int(offsets[-1])
+    return NormalizedAdjacency(n_nodes=n, storage=sp.csr_array((data, indices, indptr), shape=(n, n)))
 
 
 # the complete and planted generators are dense in n: the planted draw

@@ -1,12 +1,14 @@
 """End-to-end federated training runs: build, loop, measure, emit.
 
 Per seed the harness builds the configured graph sources, Dirichlet-
-partitions each among its clients, initializes one global model, and
-runs T synchronous rounds: broadcast the shared parameters, train every
-client locally, aggregate on the server (plain weighted mean or the
-regulated pipeline), apply the global delta, evaluate. Clients are
-trained and reduced in ascending id order, so given (config, seed)
-every emitted byte is reproducible.
+partitions each among its clients, initializes one global model, batches
+the clients into one ``Federation``, and runs T synchronous rounds:
+broadcast the shared parameters, train every client locally (one
+``local_train`` call for the whole federation), aggregate on the server
+(plain weighted mean or the regulated pipeline), apply the global
+delta, evaluate (one forward over every client's test rows). Clients
+sit in the batch and are reduced in ascending id order, so given
+(config, seed) every emitted byte is reproducible.
 
 Outputs in the run directory:
   metrics.csv               one row per (seed, round), fixed header
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .client import ClientState, local_train
+from .client import ClientState, Federation, local_train
 from .config import DataSource, RunConfig
 from .errors import ConfigError, DivergenceError, InputError
 from .graph_io import load_graph_csv
@@ -46,7 +48,9 @@ from .graphs import (
     planted_partition_graph,
 )
 from .metrics import accuracy, pairwise_coherence, sensitivity_norm
-from .model import SHARED, ParameterSet, flatten, forward, init_params, unflatten
+from .model import SHARED, ParameterSet, flatten, forward, init_params
+# no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
+from .model import unflatten  # noqa: F401
 from .partition import dirichlet_label_partition
 from .server import RegulationReport, initial_reference, proxy_map, regulate_and_aggregate
 
@@ -140,25 +144,17 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
     return clients, global_params
 
 
-def _evaluate(clients: list[ClientState], shared) -> float:
-    """Micro-averaged test accuracy of the current global model.
-
-    Each client evaluates the broadcast shared parameters combined with
-    its own persistent layers (the local head in cross-domain mode).
-    Clients without test nodes are skipped.
+def _evaluate(fed: Federation, shared) -> float:
+    """Micro-averaged test accuracy of the current global model: one
+    forward over every client's test rows, each client with the broadcast
+    shared parameters and its own persistent layers (the local head in
+    cross-domain mode), and one ``accuracy`` over all of them. NaN when
+    no client has test nodes.
     """
-    correct = 0
-    total = 0
-    for c in clients:
-        n_test = c.test_rows.size
-        if n_test == 0:
-            continue
-        params = unflatten(shared, c.params)
-        logits = forward(params, c.adj, c.message, c.test_rows, c.model.activation)[1][-1]
-        acc = accuracy(logits, c.graph.labels[c.test_rows])
-        correct += round(acc * n_test)  # accuracy is matches / n_test
-        total += n_test
-    return float(correct / total) if total else float("nan")
+    if fed.test.index.size == 0:
+        return float("nan")
+    logits = forward(fed.params(shared), fed.batch, fed.test, fed.model.activation)[1][-1]
+    return accuracy(logits, fed.batch.labels[fed.test.index])
 
 
 def _fmt(x: float) -> str:
@@ -187,6 +183,9 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
     shared = flatten(global_params, group=SHARED)
     probe = proxy_map(shared, cfg.server)  # fixes the proxy length for this layout
     ref = initial_reference(probe.values.shape[0])
+    # batched after the probe: its one-time sign-matrix draw is a run's
+    # memory peak, and the batch's stacking would briefly add to it
+    fed = Federation(clients)
 
     csv_rows: list[str] = []
     jsonl_rows: list[str] = []
@@ -195,13 +194,13 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
     sen_tr = np.zeros(cfg.rounds)
 
     for t in range(1, cfg.rounds + 1):
-        updates = [local_train(c, shared, round_index=t) for c in clients]
+        updates = local_train(fed, shared, round_index=t)
 
         global_delta, ref, report = regulate_and_aggregate(updates, ref, cfg.server)
         new_values = shared.values + global_delta.values
         shared = type(shared)(values=new_values, layout=shared.layout)
 
-        test_acc = _evaluate(clients, shared)
+        test_acc = _evaluate(fed, shared)
 
         if len(updates) >= 2:
             gamma, _ = pairwise_coherence(np.stack([u.delta.values for u in updates]))

@@ -3,18 +3,24 @@
 The model is one or two graph-convolution layers. Each layer computes
 ``P_l = A_hat @ H_l @ W_l (+ b_l)``; hidden layers apply the configured
 activation, the final layer emits raw logits. ``forward`` and
-``gradient`` take one calling convention: the first layer's message
-``A_hat @ X`` (``feature_message``; it depends on the graph alone, so a
-client holds it) and the node indices whose logits the caller reads
-(the train rows for the loss, the test rows for accuracy). The last
-layer is built for those rows only.
+``gradient`` act on a batch of K graphs at once (one per client): a
+``GraphBatch`` holds their node rows concatenated, with a block-diagonal
+A_hat and the stacked first-layer messages ``A_hat @ X``
+(``feature_message``; it depends on the graph alone, so a client holds
+it), and ``Rows`` name the node rows whose logits the caller reads (the
+train rows for the loss, the test rows for accuracy). The last layer is
+built for those rows only. Their parameters come stacked, one slice per
+graph (``stack_params``); products with the weights run graph by graph,
+everything else over all rows at once, so each graph's values are bit
+for bit those of a batch of that graph alone.
 Parameters are grouped into a shared encoder and an optional client-local
 head (the final layer, in cross-domain federations) and travel between
 client and server as flat vectors with a canonical layer-ordered,
 row-major layout.
 
 Everything here is pure and double-precision; parameter values returned
-from one call are never aliased into another.
+from one call are never aliased into another (``unstack_params`` alone
+returns views, of the stack it is given).
 """
 
 from __future__ import annotations
@@ -24,15 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedModelError
-from .graphs import NormalizedAdjacency
+from .graphs import NormalizedAdjacency, block_diagonal
 
 __all__ = [
     "ModelConfig",
     "Layer",
     "ParameterSet",
     "FlatVector",
+    "GraphBatch",
+    "Rows",
     "init_params",
     "feature_message",
+    "graph_batch",
+    "stack_params",
+    "unstack_params",
     "forward",
     "gradient",
     "flatten",
@@ -163,48 +174,142 @@ def feature_message(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
     return adj @ np.asarray(x, dtype=np.float64)
 
 
+def _segments(bounds: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each graph's rows, from K + 1 offsets."""
+    b = bounds.tolist()
+    return list(zip(b[:-1], b[1:]))
+
+
+@dataclass(frozen=True)
+class Rows:
+    """Node rows of a GraphBatch, graph by graph: graph k's rows are
+    ``index[bounds[k]:bounds[k + 1]]``, ascending, and lie in its node
+    range."""
+
+    index: np.ndarray   # (R,)
+    bounds: np.ndarray  # (K + 1,) offsets into index
+
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """K graphs held as one, their node rows concatenated in order: graph
+    k's nodes are rows ``nodes[k]:nodes[k + 1]``. ``adj`` is the
+    block-diagonal A_hat, so no graph's values enter another's products;
+    ``message`` stacks the graphs' first-layer messages (read-only) and
+    ``labels`` their labels."""
+
+    adj: NormalizedAdjacency
+    message: np.ndarray  # (N, f)
+    labels: np.ndarray   # (N,)
+    nodes: np.ndarray    # (K + 1,) node offsets
+
+    def rows(self, per_graph: list[np.ndarray]) -> Rows:
+        """The Rows of node indices given per graph, each local to its graph."""
+        if len(per_graph) != self.nodes.size - 1:
+            raise InputError(f"{len(per_graph)} row sets for {self.nodes.size - 1} graphs")
+        index = np.concatenate([np.asarray(r, dtype=np.int64) + start
+                                for r, start in zip(per_graph, self.nodes[:-1].tolist())])
+        bounds = np.cumsum([0] + [len(r) for r in per_graph])
+        return Rows(index=index, bounds=bounds)
+
+
+def graph_batch(adjs: list[NormalizedAdjacency], messages: list[np.ndarray],
+                labels: list[np.ndarray]) -> GraphBatch:
+    """The GraphBatch of K graphs, given each one's A_hat, first-layer
+    message (``feature_message``) and labels."""
+    if not adjs:
+        raise InputError("a graph batch needs at least one graph")
+    for adj, m, y in zip(adjs, messages, labels, strict=True):
+        if not m.shape[0] == y.shape[0] == adj.n_nodes:
+            raise InputError(f"message rows {m.shape[0]} and labels {y.shape[0]} "
+                             f"!= adjacency size {adj.n_nodes}")
+    message = np.concatenate(messages)
+    message.flags.writeable = False  # forward hands it out as messages[0]
+    return GraphBatch(adj=block_diagonal(adjs), message=message, labels=np.concatenate(labels),
+                      nodes=np.cumsum([0] + [a.n_nodes for a in adjs]))
+
+
+def stack_params(sets: list[ParameterSet]) -> ParameterSet:
+    """K same-shaped parameter sets as one, the form ``forward`` and
+    ``gradient`` take: each layer's weight stacked to (K, fan_in,
+    fan_out) and its bias to (K, fan_out). The arrays are new."""
+    return ParameterSet(layers=tuple(
+        Layer(weight=np.stack([s.layers[li].weight for s in sets]),
+              bias=None if layer.bias is None else np.stack([s.layers[li].bias for s in sets]),
+              group=layer.group)
+        for li, layer in enumerate(sets[0].layers)
+    ))
+
+
+def unstack_params(params: ParameterSet) -> list[ParameterSet]:
+    """The K parameter sets of a stacked one, as views of its arrays."""
+    return [
+        ParameterSet(layers=tuple(
+            Layer(weight=l.weight[k], bias=None if l.bias is None else l.bias[k], group=l.group)
+            for l in params.layers
+        ))
+        for k in range(params.layers[0].weight.shape[0])
+    ]
+
+
+def _per_graph(x: np.ndarray, weight: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``x[a:b] @ weight[k]`` for each graph k's rows a:b, stacked."""
+    out = np.empty((x.shape[0], weight.shape[2]))
+    for k, (a, b) in enumerate(_segments(bounds)):
+        np.matmul(x[a:b], weight[k], out=out[a:b])
+    return out
+
+
 def forward(
     params: ParameterSet,
-    adj: NormalizedAdjacency,
-    message: np.ndarray,
-    rows: np.ndarray,
+    batch: GraphBatch,
+    rows: Rows,
     activation: str = "relu",
 ):
-    """Run the propagation stack from the first layer's ``message``
-    (``feature_message(adj, X)``, which a client holds) and build the
-    last layer for the node indices ``rows`` only.
+    """Run the propagation stack of K graphs from their first-layer
+    ``batch.message``, with graph k's parameters ``params`` slice k
+    (stacked, see ``stack_params``), and build the last layer for
+    ``rows`` only.
 
     Returns ``(messages, preacts)``: messages[l] is layer l's input
     A_hat @ H_l and preacts[l] its pre-activation; the logits of ``rows``
     are preacts[-1]. Hidden layers span every node; the last layer's
-    message and pre-activation hold the rows only. An activation outside
-    ACTIVATIONS is an InputError.
+    message and pre-activation hold the rows only. Products with the
+    weights run graph by graph; the rest acts on all rows at once, and
+    each row's value is the one a single graph's forward gives. An
+    activation outside ACTIVATIONS is an InputError.
     """
     _check_activation(activation)
-    m = message
+    n_graphs = batch.nodes.size - 1
+    m = batch.message
+    bounds = batch.nodes
     messages = []
     preacts = []
     last = params.n_layers - 1
     for li, layer in enumerate(params.layers):
-        if m.shape[1] != layer.weight.shape[0]:
+        if layer.weight.shape[0] != n_graphs:
+            raise InputError(f"layer {li}: {layer.weight.shape[0]} parameter sets for "
+                             f"{n_graphs} graphs")
+        if m.shape[1] != layer.weight.shape[1]:
             raise InputError(
-                f"layer {li}: input width {m.shape[1]} != fan_in {layer.weight.shape[0]}"
+                f"layer {li}: input width {m.shape[1]} != fan_in {layer.weight.shape[1]}"
             )
         if li == last:
-            m = m[rows]
-        p = m @ layer.weight
+            m = m[rows.index]
+            bounds = rows.bounds
+        p = _per_graph(m, layer.weight, bounds)
         if layer.bias is not None:
-            p = p + layer.bias
+            p += np.repeat(layer.bias, np.diff(bounds), axis=0)
         messages.append(m)
         preacts.append(p)
         if li < last:
-            m = adj @ _activate(p, activation)
+            m = batch.adj @ _activate(p, activation)
     return messages, preacts
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy of logit rows ``z`` with labels ``y``
-    (log-sum-exp form), and those rows' softmax probabilities."""
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax cross-entropy of each logit row of ``z`` with its label in
+    ``y`` (log-sum-exp form), and the rows' softmax probabilities."""
     if y.size == 0:
         raise InputError("no rows selected")
     zmax = z.max(axis=1, keepdims=True)
@@ -212,53 +317,62 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     total = e.sum(axis=1)
     lse = zmax[:, 0] + np.log(total)
     nll = lse - z[np.arange(z.shape[0]), y]
-    return float(nll.sum() / nll.size), e / total[:, None]
+    return nll, e / total[:, None]
 
 
 def gradient(
     params: ParameterSet,
-    adj: NormalizedAdjacency,
-    message: np.ndarray,
-    labels: np.ndarray,
-    rows: np.ndarray,
+    batch: GraphBatch,
+    rows: Rows,
     activation: str = "relu",
-) -> tuple[float, ParameterSet | None]:
-    """Loss and analytic gradients of the mean cross-entropy over the
-    node indices ``rows`` (``labels`` covers every node; ``message`` is
-    as in ``forward``). The gradients come back ParameterSet-shaped, with
-    the same groups.
+) -> tuple[np.ndarray, ParameterSet]:
+    """Each graph's mean cross-entropy over its ``rows`` (labels from
+    ``batch.labels``), and its analytic gradients, stacked and grouped as
+    ``params`` (see ``forward``). A graph without rows is an InputError.
 
     The last layer is built for ``rows`` only, so divergence is decided
-    on the logits the loss reads: when those are not all finite,
-    training has diverged, the result is ``(inf, None)`` and the caller
-    decides what to do.
+    on the logits the loss reads: a graph whose logits are not all
+    finite has diverged, its loss is inf, its gradients are not
+    meaningful, and the caller decides what to do. The other graphs'
+    values are unaffected.
     """
-    messages, preacts = forward(params, adj, message, rows, activation)
+    messages, preacts = forward(params, batch, rows, activation)
     logits = preacts[-1]
-    if not np.isfinite(logits).all():
-        return float("inf"), None
+    counts = np.diff(rows.bounds)
+    if not counts.all():
+        raise InputError(f"graph {int(np.argmin(counts))}: no rows selected")
+    finite = np.logical_and.reduceat(np.isfinite(logits).all(axis=1), rows.bounds[:-1])
+    # a diverged graph's arithmetic is not finite by design: no warnings
+    with np.errstate(all=None if finite.all() else "ignore"):
+        y = batch.labels[rows.index]
+        nll, dp = _cross_entropy(logits, y)
+        losses = np.array([nll[a:b].sum() / (b - a) for a, b in _segments(rows.bounds)])
+        losses[~finite] = np.inf
+        dp[np.arange(dp.shape[0]), y] -= 1.0
+        dp *= np.repeat(1.0 / counts, counts)[:, None]  # d loss / d logits of each graph's rows
 
-    y = labels[rows]
-    loss, dp = _cross_entropy(logits, y)
-    dp[np.arange(dp.shape[0]), y] -= 1.0
-    dp *= 1.0 / dp.shape[0]  # d loss / d logits of the rows
+        last = params.n_layers - 1
+        grads: list[Layer] = [None] * params.n_layers  # type: ignore[list-item]
+        for li in range(last, -1, -1):
+            layer = params.layers[li]
+            m = messages[li]
+            gw = np.empty(layer.weight.shape)
+            gb = None if layer.bias is None else np.empty(layer.bias.shape)
+            for k, (a, b) in enumerate(_segments(rows.bounds if li == last else batch.nodes)):
+                np.matmul(m[a:b].T, dp[a:b], out=gw[k])
+                if gb is not None:
+                    gb[k] = dp[a:b].sum(axis=0)
+            grads[li] = Layer(weight=gw, bias=gb, group=layer.group)
+            if li > 0:
+                # only the last layer sits above another (at most 2 layers):
+                # its rows' gradient scatters into zeros for the other nodes
+                up = np.zeros((batch.message.shape[0], layer.weight.shape[1]))
+                up[rows.index] = _per_graph(dp, layer.weight.transpose(0, 2, 1), rows.bounds)
+                dp = batch.adj @ up
+                if activation == "relu":
+                    dp = dp * (preacts[li - 1] > 0.0)
 
-    grads: list[Layer] = [None] * params.n_layers  # type: ignore[list-item]
-    for li in range(params.n_layers - 1, -1, -1):
-        layer = params.layers[li]
-        gw = messages[li].T @ dp
-        gb = dp.sum(axis=0) if layer.bias is not None else None
-        grads[li] = Layer(weight=gw, bias=gb, group=layer.group)
-        if li > 0:
-            # only the last layer sits above another (at most 2 layers):
-            # its rows' gradient scatters into zeros for the other nodes
-            up = np.zeros((adj.n_nodes, layer.weight.shape[0]))
-            up[rows] = dp @ layer.weight.T
-            dp = adj @ up
-            if activation == "relu":
-                dp = dp * (preacts[li - 1] > 0.0)
-
-    return loss, ParameterSet(layers=tuple(grads))
+    return losses, ParameterSet(layers=tuple(grads))
 
 
 def layout_group(layout: tuple[LayerSpec, ...]) -> str:

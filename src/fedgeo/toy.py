@@ -53,7 +53,6 @@ def _scalar_update(client_id: int, w: float) -> LocalUpdate:
     layout = (LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),)
     return LocalUpdate(
         client_id=client_id,
-        round=1,
         delta=FlatVector(values=np.array([w]), layout=layout),
         n_train=1,
     )

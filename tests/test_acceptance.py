@@ -19,6 +19,7 @@ import numpy as np
 
 from fedgeo import (
     AggregatorConfig,
+    Federation,
     FlatVector,
     LocalUpdate,
     ModelConfig,
@@ -43,7 +44,7 @@ from fedgeo import (
     unflatten,
 )
 from fedgeo.metrics import _jacobi_eigh
-from fedgeo.model import feature_message
+from fedgeo.model import feature_message, graph_batch, stack_params, unstack_params
 from fedgeo.model import SHARED, LayerSpec, layer_slices
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -61,7 +62,6 @@ def _scalar_update(client_id, w):
     layout = (LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),)
     return LocalUpdate(
         client_id=client_id,
-        round=1,
         delta=FlatVector(values=np.array([w]), layout=layout),
         n_train=1,
     )
@@ -135,14 +135,15 @@ def test_2_analytic_gradients_match_central_differences():
     for seed in range(20):
         g, adj, params = _random_case(seed)
         assert g.n_nodes <= 20
-        message, rows = feature_message(adj, g.features), np.flatnonzero(g.train_mask)
-        _, grads = gradient(params, adj, message, g.labels, rows, activation="relu")
+        batch = graph_batch([adj], [feature_message(adj, g.features)], [g.labels])
+        rows = batch.rows([np.flatnonzero(g.train_mask)])
+        _, grads = gradient(stack_params([params]), batch, rows, activation="relu")
         flat = flatten(params)
-        ga = flatten(grads).values
+        ga = flatten(unstack_params(grads)[0]).values
 
         def loss_at(values):
             p = unflatten(FlatVector(values=values, layout=flat.layout), params)
-            return gradient(p, adj, message, g.labels, rows, activation="relu")[0]
+            return gradient(stack_params([p]), batch, rows, activation="relu")[0][0]
 
         fd = np.zeros_like(flat.values)
         for i in range(flat.values.size):
@@ -189,18 +190,18 @@ def test_3a_single_client_federation_is_centralized_descent():
     oracle = shared.values.copy()
     agg = AggregatorConfig(mode="plain")
     ref = initial_reference(proxy_map(shared, agg).values.shape[0])
+    fed = Federation(clients)
+    batch = graph_batch([c.adj], [feature_message(c.adj, c.graph.features)], [c.graph.labels])
+    rows = batch.rows([np.flatnonzero(c.graph.train_mask)])
     worst = 0.0
     for t in range(1, 21):
-        u = local_train(c, shared, round_index=t)
+        u = local_train(fed, shared, round_index=t)[0]
         delta, ref, _ = regulate_and_aggregate([u], ref, agg)
         shared = FlatVector(values=shared.values + delta.values, layout=shared.layout)
 
         p = unflatten(FlatVector(values=oracle, layout=shared.layout), params)
-        _, grads = gradient(
-            p, c.adj, feature_message(c.adj, c.graph.features), c.graph.labels,
-            np.flatnonzero(c.graph.train_mask), activation=c.model.activation,
-        )
-        oracle = oracle - c.training.lr * flatten(grads, group=SHARED).values
+        _, grads = gradient(stack_params([p]), batch, rows, activation=c.model.activation)
+        oracle = oracle - c.training.lr * flatten(unstack_params(grads)[0], group=SHARED).values
         worst = max(worst, float(np.max(np.abs(shared.values - oracle))))
     _gate(
         "criterion 3a (K=1 equals centralized descent)",
@@ -217,7 +218,7 @@ def test_3b_identical_aligned_updates_reduce_to_plain_mean():
     )
     vals = rng.normal(size=4 * 3 + 3 + 3 * 2 + 2)
     ups = [
-        LocalUpdate(client_id=k, round=1, delta=FlatVector(values=vals.copy(), layout=layout), n_train=5)
+        LocalUpdate(client_id=k, delta=FlatVector(values=vals.copy(), layout=layout), n_train=5)
         for k in range(3)
     ]
     agg = AggregatorConfig(mode="ggrs", beta=0.5)
@@ -247,8 +248,9 @@ def test_3c_regulated_client_updates_never_exceed_raw_norm():
     ref = initial_reference(proxy_map(shared, agg).values.shape[0])
     checked = 0
     worst_excess = -np.inf
+    fed = Federation(clients)
     for t in range(1, 9):
-        ups = [local_train(c, shared, round_index=t) for c in clients]
+        ups = local_train(fed, shared, round_index=t)
         delta, ref, report = regulate_and_aggregate(ups, ref, agg)
         by_id = {u.client_id: u for u in ups}
         for creg in report.clients:

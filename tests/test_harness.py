@@ -7,6 +7,7 @@ from fedgeo import (
     AggregatorConfig,
     ConfigError,
     DivergenceError,
+    Federation,
     InputError,
     build_clients,
     flatten,
@@ -23,7 +24,15 @@ import fedgeo.harness as harness
 from fedgeo.cli import main
 from fedgeo.config import parse_config
 from fedgeo.harness import CSV_HEADER, _client_graphs
-from fedgeo.model import LOCAL, SHARED, FlatVector, feature_message
+from fedgeo.model import (
+    LOCAL,
+    SHARED,
+    FlatVector,
+    feature_message,
+    graph_batch,
+    stack_params,
+    unstack_params,
+)
 from fedgeo.server import _sign_projection
 
 
@@ -75,19 +84,21 @@ client.lr = 0.1
 
     oracle = params0
     shared = flatten(params0, group=SHARED)
+    fed = Federation(clients)
+    batch = graph_batch([c.adj], [feature_message(c.adj, c.graph.features)], [c.graph.labels])
+    rows = batch.rows([np.flatnonzero(c.graph.train_mask)])
     ref = initial_reference(proxy_map(shared, AggregatorConfig()).values.shape[0])
     agg = AggregatorConfig(mode="plain")
 
     for t in range(1, 21):
-        u = local_train(c, shared, round_index=t)
+        u = local_train(fed, shared, round_index=t)[0]
         delta, ref, _ = regulate_and_aggregate([u], ref, agg)
         shared = FlatVector(values=shared.values + delta.values,
                             layout=shared.layout)
 
-        _, g = gradient(oracle, c.adj, feature_message(c.adj, c.graph.features),
-                        c.graph.labels, np.flatnonzero(c.graph.train_mask), activation="relu")
+        _, g = gradient(stack_params([oracle]), batch, rows, activation="relu")
         flat = flatten(oracle)
-        step = flatten(g)
+        step = flatten(unstack_params(g)[0])
         oracle = unflatten(
             FlatVector(values=flat.values - 0.1 * step.values, layout=flat.layout),
             oracle,
@@ -261,8 +272,9 @@ client.lr = 0.1
 
     ref = initial_reference(proxy_map(shared, AggregatorConfig()).values.shape[0])
     agg = AggregatorConfig(mode="plain")
+    fed = Federation(clients)
     for t in range(1, 4):
-        updates = [local_train(c, shared, round_index=t) for c in clients]
+        updates = local_train(fed, shared, round_index=t)
         for u in updates:  # only the shared group ever leaves a client
             assert u.delta.values.shape[0] == shared.values.shape[0]
         delta, ref, _ = regulate_and_aggregate(updates, ref, agg)

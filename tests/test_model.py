@@ -28,7 +28,16 @@ from fedgeo.model import (
     ParameterSet,
     _cross_entropy,
     feature_message,
+    graph_batch,
+    stack_params,
+    unstack_params,
 )
+
+
+def _one_graph(adj, message, labels, rows):
+    """A batch of one graph, and its rows."""
+    batch = graph_batch([adj], [message], [labels])
+    return batch, batch.rows([rows])
 
 
 def _random_case(seed, n_layers=2, activation="relu", bias=True):
@@ -71,7 +80,9 @@ def test_forward_matches_naive_reimplementation():
     for seed in range(8):
         g, adj, cfg, params = _random_case(seed)
         every = np.arange(g.n_nodes)
-        ours = forward(params, adj, feature_message(adj, g.features), every, cfg.activation)[1][-1]
+        ours = forward(stack_params([params]),
+                       *_one_graph(adj, feature_message(adj, g.features), g.labels, every),
+                       cfg.activation)[1][-1]
         theirs = _naive_forward(params, adj.dense(), g.features, cfg.activation)
         np.testing.assert_allclose(ours, theirs, atol=1e-12)
 
@@ -81,7 +92,9 @@ def test_forward_identity_single_layer_is_linear_map():
     w = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     params = ParameterSet(layers=(Layer(weight=w, bias=None, group=SHARED),))
     adj = normalized_adjacency(g)
-    out = forward(params, adj, feature_message(adj, g.features), np.arange(3), "identity")[1][-1]
+    out = forward(stack_params([params]),
+                  *_one_graph(adj, feature_message(adj, g.features), g.labels, np.arange(3)),
+                  "identity")[1][-1]
     np.testing.assert_allclose(out, adj.dense() @ np.eye(3) @ w, atol=1e-15)
 
 
@@ -89,11 +102,14 @@ def test_forward_shape_errors():
     g, adj, cfg, params = _random_case(1)
     rows = np.flatnonzero(g.train_mask)
     with pytest.raises(InputError):
-        forward(params, adj, feature_message(adj, g.features[:, :-1]), rows, cfg.activation)
+        forward(stack_params([params]),
+                *_one_graph(adj, feature_message(adj, g.features[:, :-1]), g.labels, rows),
+                cfg.activation)
     with pytest.raises(InputError):
         feature_message(adj, g.features[:-1])
     with pytest.raises(InputError):
-        forward(params, adj, feature_message(adj, g.features), rows, "tanh")
+        forward(stack_params([params]),
+                *_one_graph(adj, feature_message(adj, g.features), g.labels, rows), "tanh")
 
 
 def test_masked_cross_entropy_against_manual():
@@ -105,13 +121,13 @@ def test_masked_cross_entropy_against_manual():
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     manual = -np.mean(np.log(p[mask, labels[mask]]))
-    assert abs(_cross_entropy(logits[mask], labels[mask])[0] - manual) < 1e-12
+    assert abs(_cross_entropy(logits[mask], labels[mask])[0].mean() - manual) < 1e-12
 
 
 def test_masked_cross_entropy_handles_huge_logits():
     logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
     labels = np.array([0, 1])
-    loss = _cross_entropy(logits, labels)[0]
+    loss = _cross_entropy(logits, labels)[0].mean()
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -126,7 +142,8 @@ def _fd_gradient(params, adj, message, labels, rows, activation, step=1e-4):
 
     def loss_at(values):
         p = unflatten(FlatVector(values=values, layout=flat.layout), template)
-        return gradient(p, adj, message, labels, rows, activation=activation)[0]
+        return gradient(stack_params([p]), *_one_graph(adj, message, labels, rows),
+                        activation=activation)[0][0]
 
     fd = np.zeros_like(flat.values)
     for i in range(flat.values.size):
@@ -146,8 +163,9 @@ def test_gradient_matches_finite_differences_relu():
         g, adj, cfg, params = _random_case(seed)
         assert g.n_nodes <= 20
         message, rows = feature_message(adj, g.features), np.flatnonzero(g.train_mask)
-        _, grads = gradient(params, adj, message, g.labels, rows, activation=cfg.activation)
-        ga = flatten(grads).values
+        _, grads = gradient(stack_params([params]), *_one_graph(adj, message, g.labels, rows),
+                            activation=cfg.activation)
+        ga = flatten(unstack_params(grads)[0]).values
         gf = _fd_gradient(params, adj, message, g.labels, rows, cfg.activation)
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         worst = max(worst, rel)
@@ -159,8 +177,9 @@ def test_gradient_matches_finite_differences_identity_1layer():
     for seed in (3, 5):
         g, adj, cfg, params = _random_case(seed, n_layers=1, activation="identity")
         message, rows = feature_message(adj, g.features), np.flatnonzero(g.train_mask)
-        _, grads = gradient(params, adj, message, g.labels, rows, activation="identity")
-        ga = flatten(grads).values
+        _, grads = gradient(stack_params([params]), *_one_graph(adj, message, g.labels, rows),
+                            activation="identity")
+        ga = flatten(unstack_params(grads)[0]).values
         gf = _fd_gradient(params, adj, message, g.labels, rows, "identity")
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         assert rel < 1e-6
@@ -227,14 +246,15 @@ def test_gradient_on_train_rows_matches_full_row_reference(n, dims, n_layers, ac
 
     want_loss, want, want_logits = _full_row_gradient(params, state.adj.dense(), g.features,
                                                       g.labels, mask, activation)
-    logits = forward(params, state.adj, state.message, state.train_rows, activation)[1][-1]
+    batch, rows = _one_graph(state.adj, state.message, g.labels, state.train_rows)
+    logits = forward(stack_params([params]), batch, rows, activation)[1][-1]
     want_logits = want_logits[state.train_rows]
     assert logits.shape == want_logits.shape
     assert np.linalg.norm(logits - want_logits) <= 1e-12 * np.linalg.norm(want_logits)
 
-    loss, grads = gradient(params, state.adj, state.message, g.labels, state.train_rows,
-                           activation)
-    got = flatten(grads).values
+    losses, grads = gradient(stack_params([params]), batch, rows, activation)
+    loss = losses[0]
+    got = flatten(unstack_params(grads)[0]).values
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -248,11 +268,13 @@ def test_divergence_is_decided_on_the_train_rows():
                                         group=SHARED),))
     adj = normalized_adjacency(g)
     message = feature_message(adj, g.features)
-    loss, grads = gradient(params, adj, message, g.labels, np.array([0, 1]), "identity")
-    assert np.isfinite(loss) and grads is not None
+    losses, _ = gradient(stack_params([params]),
+                         *_one_graph(adj, message, g.labels, np.array([0, 1])), "identity")
+    assert np.isfinite(losses[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert gradient(params, adj, message, g.labels, np.array([0, 2]),
-                        "identity") == (float("inf"), None)
+        losses, _ = gradient(stack_params([params]),
+                             *_one_graph(adj, message, g.labels, np.array([0, 2])), "identity")
+    assert losses[0] == float("inf")
 
 
 def test_flatten_unflatten_round_trip_bitwise():

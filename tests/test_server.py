@@ -33,7 +33,7 @@ from fedgeo.server import (
 def _scalar_update(client_id, w, n_train=1):
     layout = (LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),)
     return LocalUpdate(
-        client_id=client_id, round=1,
+        client_id=client_id,
         delta=FlatVector(values=np.array([float(w)]), layout=layout),
         n_train=n_train,
     )
@@ -50,7 +50,7 @@ def _layout_two(d1=3, d2=2):
 def _update_two(client_id, values, n_train=1):
     layout = _layout_two()
     return LocalUpdate(
-        client_id=client_id, round=1,
+        client_id=client_id,
         delta=FlatVector(values=np.asarray(values, dtype=float), layout=layout),
         n_train=n_train,
     )
@@ -176,7 +176,7 @@ def test_round_proxies_match_proxy_map(shapes, k, proxy_dim, zero_ref, seed):
     r = np.zeros(d) if zero_ref else rng.standard_normal(d)
     ref = GeometricReference(r=r, window=(), basis=np.zeros((d, 0)))
     updates = [
-        LocalUpdate(client_id=int(c), round=1, n_train=1,
+        LocalUpdate(client_id=int(c), n_train=1,
                     delta=FlatVector(values=rng.standard_normal(size)
                                      * rng.choice([0.0, 1e-3, 1.0, 100.0]),
                                      layout=layout))
@@ -571,7 +571,7 @@ def test_gate_pipeline_properties(shapes, k, rounds, mode, weights, epsilon, win
     for r in range(rounds):
         ids = rng.choice(20, size=k, replace=False)
         updates = [
-            LocalUpdate(client_id=int(c), round=r, n_train=int(rng.integers(1, 50)),
+            LocalUpdate(client_id=int(c), n_train=int(rng.integers(1, 50)),
                         delta=FlatVector(values=rng.standard_normal(size)
                                          * rng.choice([0.0, 1e-3, 1.0, 100.0]),
                                          layout=layout))
@@ -664,7 +664,7 @@ def test_adaptive_epsilon_decisions_are_scale_free(shapes, k, rounds, cfg, scale
         values = [rng.standard_normal(size) * rng.choice([0.0, 1e-3, 1.0, 100.0]) for _ in ids]
 
         def round_of(c):
-            return [LocalUpdate(client_id=int(i), round=r, n_train=int(n),
+            return [LocalUpdate(client_id=int(i), n_train=int(n),
                                 delta=FlatVector(values=c * v, layout=layout))
                     for i, n, v in zip(ids, n_train, values)]
 
@@ -689,7 +689,7 @@ def test_identical_updates_make_ggrs_equal_plain(shapes, k, rounds, cfg, seed):
     ref = ref_plain = initial_reference(dim)
     for r in range(rounds):
         delta = direction * rng.choice([1e-3, 1.0, 100.0])
-        updates = [LocalUpdate(client_id=i, round=r, n_train=int(rng.integers(1, 50)),
+        updates = [LocalUpdate(client_id=i, n_train=int(rng.integers(1, 50)),
                                delta=FlatVector(values=delta.copy(), layout=layout))
                    for i in range(k)]
         got, ref, _ = regulate_and_aggregate(updates, ref, cfg)
