@@ -12,19 +12,17 @@ Trainers: "fedavg" (E steps), "fedsgd" (forced single step), "fedprox"
 group). Plain gradient descent throughout — no momentum, no minibatches —
 so a round is bitwise deterministic in its inputs.
 
-A client's graph never changes, so the client computes what depends on
-it alone once, when it is built: the first-layer message ``A_hat @ X``
-and the indices of its train and test rows. A ``Federation`` holds the
-clients' graphs as one batch, built once, and ``local_train`` trains
-all of them together: each step is one ``model.gradient`` call over the
-stacked parameters of every client, which builds the last layer for the
-train rows only. A one-client federation is the K = 1 case of the same
-code, and each client's values are bit for bit those it gets alone.
+A ``Federation`` holds its clients' graphs as one batch, built once
+with their train and test rows, and ``local_train`` trains all of them
+together: each step is one ``model.gradient`` call over the stacked
+parameters of every client, which builds the last layer for the train
+rows only. A one-client federation is the K = 1 case of the same code,
+and each client's values are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from .model import (
     FlatVector,
     ModelConfig,
     ParameterSet,
-    feature_message,
     # flatten: no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
     flatten,  # noqa: F401
     gradient,
@@ -78,73 +75,48 @@ class ClientState:
 
     ``params`` holds the full parameter set including any local head;
     ``local_train`` refreshes its shared slice from the broadcast vector
-    each round and persists the trained values back.
-
-    Built from ``graph`` and ``adj`` and held for the client's life:
-    ``message`` = ``A_hat @ X`` (the first layer's message), and
-    ``train_rows`` and ``test_rows`` (node indices): the message and
-    rows a ``Federation`` batches for ``model.gradient`` (training) and
-    ``model.forward`` (evaluation). So ``graph`` and ``adj`` cannot be
-    reassigned; ``dataclasses.replace`` builds a state for a new graph,
-    with these values built anew. Features whose row count is not the
-    adjacency size are an InputError.
+    each round and persists the trained values back. A graph whose node
+    count is not the adjacency size is an InputError.
     """
 
     client_id: int
     graph: Graph
     adj: NormalizedAdjacency
     params: ParameterSet
-    model: ModelConfig = ModelConfig()
-    training: TrainingConfig = TrainingConfig()
-    message: np.ndarray = field(init=False, repr=False)
-    train_rows: np.ndarray = field(init=False, repr=False)
-    test_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.message = feature_message(self.adj, self.graph.features)
-        self.message.flags.writeable = False
-        self.train_rows = np.flatnonzero(self.graph.train_mask)
-        self.test_rows = np.flatnonzero(self.graph.test_mask)
-
-    def __setattr__(self, name, value):
-        # the message and rows would go stale under a new graph
-        if name in ("graph", "adj") and hasattr(self, "message"):
-            raise AttributeError(f"{name} is fixed once built; use dataclasses.replace")
-        super().__setattr__(name, value)
+        if self.graph.n_nodes != self.adj.n_nodes:
+            raise InputError(f"feature rows {self.graph.n_nodes} "
+                             f"!= adjacency size {self.adj.n_nodes}")
 
 
 class Federation:
-    """K clients trained and evaluated as one batch.
+    """K clients trained and evaluated as one batch, under one ``model``
+    and one ``training`` config.
 
-    The clients share one ``model`` and one ``training`` config and
-    same-shaped parameters (InputError otherwise). ``batch`` holds their
-    graphs as one (``model.GraphBatch``, built once), and ``train`` and
-    ``test`` their train and test rows in it. The stacked first-layer
-    message is held once: each client's ``message`` becomes a read-only
-    view of its rows.
+    The clients' parameters must share one shape (InputError otherwise).
+    ``batch`` holds their graphs as one (``model.GraphBatch``, built
+    once, so a client given a new graph needs a new federation), and
+    ``train`` and ``test`` their train and test rows in it. Building it
+    changes no client.
     """
 
-    def __init__(self, clients: list[ClientState]):
+    def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig):
         if not clients:
             raise InputError("a federation needs at least one client")
         first = clients[0]
         layout = layer_layout(first.params)
         for c in clients[1:]:
-            if (c.model, c.training) != (first.model, first.training):
-                raise InputError("the clients of a federation share one model and training config")
             if layer_layout(c.params) != layout:
                 raise InputError(f"client {c.client_id}'s parameters differ in shape from "
                                  f"client {first.client_id}'s")
         self.clients = tuple(clients)
-        self.model = first.model
-        self.training = first.training
-        self.batch = graph_batch([c.adj for c in clients], [c.message for c in clients],
+        self.model = model
+        self.training = training
+        self.batch = graph_batch([c.adj for c in clients], [c.graph.features for c in clients],
                                  [c.graph.labels for c in clients])
-        nodes = self.batch.nodes.tolist()
-        for c, a, b in zip(clients, nodes[:-1], nodes[1:]):
-            c.message = self.batch.message[a:b]
-        self.train = self.batch.rows([c.train_rows for c in clients])
-        self.test = self.batch.rows([c.test_rows for c in clients])
+        self.train = self.batch.rows([np.flatnonzero(c.graph.train_mask) for c in clients])
+        self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask) for c in clients])
 
     def params(self, shared: FlatVector) -> ParameterSet:
         """Every client's parameters, stacked in client order: the layers

@@ -128,16 +128,8 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
         if int(g.train_mask.sum()) < 1:
             cid += 1
             continue
-        clients.append(
-            ClientState(
-                client_id=cid,
-                graph=g,
-                adj=normalized_adjacency(g),
-                params=global_params,
-                model=cfg.model,
-                training=cfg.client,
-            )
-        )
+        clients.append(ClientState(client_id=cid, graph=g, adj=normalized_adjacency(g),
+                                   params=global_params))
         cid += 1
     if not clients:
         raise InputError("no client has any train nodes")
@@ -185,7 +177,7 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
     ref = initial_reference(probe.values.shape[0])
     # batched after the probe: its one-time sign-matrix draw is a run's
     # memory peak, and the batch's stacking would briefly add to it
-    fed = Federation(clients)
+    fed = Federation(clients, cfg.model, cfg.client)
 
     csv_rows: list[str] = []
     jsonl_rows: list[str] = []

@@ -6,13 +6,14 @@ activation, the final layer emits raw logits. ``forward`` and
 ``gradient`` act on a batch of K graphs at once (one per client): a
 ``GraphBatch`` holds their node rows concatenated, with a block-diagonal
 A_hat and the stacked first-layer messages ``A_hat @ X``
-(``feature_message``; it depends on the graph alone, so a client holds
-it), and ``Rows`` name the node rows whose logits the caller reads (the
-train rows for the loss, the test rows for accuracy). The last layer is
-built for those rows only. Their parameters come stacked, one slice per
-graph (``stack_params``); products with the weights run graph by graph,
-everything else over all rows at once, so each graph's values are bit
-for bit those of a batch of that graph alone.
+(``feature_message``; it depends on the graph alone, so the batch
+computes it once), and ``Rows`` name the node rows whose logits the
+caller reads (the train rows for the loss, the test rows for accuracy).
+The last layer is built for those rows only. Their parameters come
+stacked, one slice per graph (``stack_params``); products with the
+weights run graph by graph, everything else over all rows at once, so
+each graph's values are bit for bit those of a batch of that graph
+alone.
 Parameters are grouped into a shared encoder and an optional client-local
 head (the final layer, in cross-domain federations) and travel between
 client and server as flat vectors with a canonical layer-ordered,
@@ -87,9 +88,6 @@ class Layer:
     weight: np.ndarray          # (fan_in, fan_out)
     bias: np.ndarray | None     # (fan_out,) or None
     group: str                  # SHARED or LOCAL
-
-    def size(self) -> int:
-        return self.weight.size + (self.bias.size if self.bias is not None else 0)
 
 
 @dataclass(frozen=True)
@@ -167,8 +165,8 @@ def _activate(x: np.ndarray, kind: str) -> np.ndarray:
 
 def feature_message(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
     """The first layer's message ``A_hat @ x``; ``x`` needs one row per
-    node (InputError otherwise). It depends on the graph alone, so a
-    client computes it once (``ClientState.message``)."""
+    node (InputError otherwise). It depends on the graph alone, so
+    ``graph_batch`` computes it once per graph."""
     if x.shape[0] != adj.n_nodes:
         raise InputError(f"feature rows {x.shape[0]} != adjacency size {adj.n_nodes}")
     return adj @ np.asarray(x, dtype=np.float64)
@@ -213,17 +211,16 @@ class GraphBatch:
         return Rows(index=index, bounds=bounds)
 
 
-def graph_batch(adjs: list[NormalizedAdjacency], messages: list[np.ndarray],
+def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
                 labels: list[np.ndarray]) -> GraphBatch:
-    """The GraphBatch of K graphs, given each one's A_hat, first-layer
-    message (``feature_message``) and labels."""
+    """The GraphBatch of K graphs, given each one's A_hat, node features
+    and labels; each graph's message is its ``feature_message``."""
     if not adjs:
         raise InputError("a graph batch needs at least one graph")
-    for adj, m, y in zip(adjs, messages, labels, strict=True):
-        if not m.shape[0] == y.shape[0] == adj.n_nodes:
-            raise InputError(f"message rows {m.shape[0]} and labels {y.shape[0]} "
-                             f"!= adjacency size {adj.n_nodes}")
-    message = np.concatenate(messages)
+    for adj, y in zip(adjs, labels, strict=True):
+        if y.shape[0] != adj.n_nodes:
+            raise InputError(f"labels {y.shape[0]} != adjacency size {adj.n_nodes}")
+    message = np.concatenate([feature_message(a, x) for a, x in zip(adjs, features, strict=True)])
     message.flags.writeable = False  # forward hands it out as messages[0]
     return GraphBatch(adj=block_diagonal(adjs), message=message, labels=np.concatenate(labels),
                       nodes=np.cumsum([0] + [a.n_nodes for a in adjs]))

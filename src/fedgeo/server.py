@@ -403,10 +403,10 @@ def regulate_and_aggregate(
         r_eff = proxies[lead].values
         fallback_used = True
 
-    if cfg.epsilon == "adaptive":
-        eps = float(np.median([z.norm for z in proxies]))
-    else:
-        eps = float(cfg.epsilon)
+    norms = [z.norm for z in proxies]
+    eps = 0.0  # a plain server has no cap
+    if cfg.mode == "ggrs":
+        eps = float(np.median(norms)) if cfg.epsilon == "adaptive" else float(cfg.epsilon)
 
     slices = layer_slices(layout)
     sizes = [b - a for a, b in slices]
@@ -417,8 +417,7 @@ def regulate_and_aggregate(
     rows, source = [], []
     r_norm = float(np.linalg.norm(r_eff))
 
-    for u, z, w in zip(updates, proxies, weights):
-        zn = z.norm
+    for u, z, zn, w in zip(updates, proxies, norms, weights):
         cos_ref = 0.0
         if zn > 0.0 and r_norm > 0.0:
             cos_ref = float(np.clip(z.values @ r_eff / (zn * r_norm), -1.0, 1.0))
@@ -453,7 +452,7 @@ def regulate_and_aggregate(
     report = RegulationReport(
         clients=tuple(rows),
         layer_coefficients=tuple(float(c) for c in layer_coefficients),
-        epsilon=eps if cfg.mode == "ggrs" else 0.0,
+        epsilon=eps,
         fallback_used=fallback_used,
     )
     return FlatVector(values=global_delta, layout=layout), new_ref, report

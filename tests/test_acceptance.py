@@ -44,7 +44,7 @@ from fedgeo import (
     unflatten,
 )
 from fedgeo.metrics import _jacobi_eigh
-from fedgeo.model import feature_message, graph_batch, stack_params, unstack_params
+from fedgeo.model import graph_batch, stack_params, unstack_params
 from fedgeo.model import SHARED, LayerSpec, layer_slices
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -135,7 +135,7 @@ def test_2_analytic_gradients_match_central_differences():
     for seed in range(20):
         g, adj, params = _random_case(seed)
         assert g.n_nodes <= 20
-        batch = graph_batch([adj], [feature_message(adj, g.features)], [g.labels])
+        batch = graph_batch([adj], [g.features], [g.labels])
         rows = batch.rows([np.flatnonzero(g.train_mask)])
         _, grads = gradient(stack_params([params]), batch, rows, activation="relu")
         flat = flatten(params)
@@ -190,8 +190,8 @@ def test_3a_single_client_federation_is_centralized_descent():
     oracle = shared.values.copy()
     agg = AggregatorConfig(mode="plain")
     ref = initial_reference(proxy_map(shared, agg).values.shape[0])
-    fed = Federation(clients)
-    batch = graph_batch([c.adj], [feature_message(c.adj, c.graph.features)], [c.graph.labels])
+    fed = Federation(clients, cfg.model, cfg.client)
+    batch = graph_batch([c.adj], [c.graph.features], [c.graph.labels])
     rows = batch.rows([np.flatnonzero(c.graph.train_mask)])
     worst = 0.0
     for t in range(1, 21):
@@ -200,8 +200,8 @@ def test_3a_single_client_federation_is_centralized_descent():
         shared = FlatVector(values=shared.values + delta.values, layout=shared.layout)
 
         p = unflatten(FlatVector(values=oracle, layout=shared.layout), params)
-        _, grads = gradient(stack_params([p]), batch, rows, activation=c.model.activation)
-        oracle = oracle - c.training.lr * flatten(unstack_params(grads)[0], group=SHARED).values
+        _, grads = gradient(stack_params([p]), batch, rows, activation=fed.model.activation)
+        oracle = oracle - fed.training.lr * flatten(unstack_params(grads)[0], group=SHARED).values
         worst = max(worst, float(np.max(np.abs(shared.values - oracle))))
     _gate(
         "criterion 3a (K=1 equals centralized descent)",
@@ -248,7 +248,7 @@ def test_3c_regulated_client_updates_never_exceed_raw_norm():
     ref = initial_reference(proxy_map(shared, agg).values.shape[0])
     checked = 0
     worst_excess = -np.inf
-    fed = Federation(clients)
+    fed = Federation(clients, cfg.model, cfg.client)
     for t in range(1, 9):
         ups = local_train(fed, shared, round_index=t)
         delta, ref, report = regulate_and_aggregate(ups, ref, agg)

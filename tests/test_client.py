@@ -42,22 +42,16 @@ def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="re
     )
     cfg = ModelConfig(n_layers=2, hidden_dim=5, activation=activation)
     params = init_params(cfg, 4, 2, seed=seed + 100, cross_domain=cross_domain)
-    state = ClientState(
-        client_id=0,
-        graph=g,
-        adj=normalized_adjacency(g),
-        params=params,
-        model=cfg,
-        training=TrainingConfig(trainer=trainer, lr=lr, epochs=epochs, mu=mu),
-    )
-    return state, flatten(params, group=SHARED)
+    state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params)
+    training = TrainingConfig(trainer=trainer, lr=lr, epochs=epochs, mu=mu)
+    return Federation([state], cfg, training), flatten(params, group=SHARED)
 
 
 def test_zero_lr_gives_zero_delta():
-    state, shared = _fixture(lr=0.0)
-    update = local_train(Federation([state]), shared)[0]
+    fed, shared = _fixture(lr=0.0)
+    update = local_train(fed, shared)[0]
     assert np.all(update.delta.values == 0.0)
-    assert update.n_train == int(state.graph.train_mask.sum())
+    assert update.n_train == int(fed.clients[0].graph.train_mask.sum())
 
 
 def test_one_step_quadratic_surrogate_closed_form():
@@ -70,12 +64,10 @@ def test_one_step_quadratic_surrogate_closed_form():
     lr = 0.2
     g = make_graph(1, np.zeros((0, 2), dtype=int), features=x, labels=[y])
     params = ParameterSet(layers=(Layer(weight=w0, bias=None, group=SHARED),))
-    state = ClientState(
-        client_id=0, graph=g, adj=normalized_adjacency(g), params=params,
-        model=ModelConfig(n_layers=1, activation="identity", bias=False),
-        training=TrainingConfig(trainer="fedavg", lr=lr, epochs=1),
-    )
-    update = local_train(Federation([state]), flatten(params, group=SHARED))[0]
+    state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params)
+    fed = Federation([state], ModelConfig(n_layers=1, activation="identity", bias=False),
+                     TrainingConfig(trainer="fedavg", lr=lr, epochs=1))
+    update = local_train(fed, flatten(params, group=SHARED))[0]
     z = x @ w0
     p = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
     expected = -lr * x.T @ (p - np.eye(2)[y])
@@ -83,10 +75,10 @@ def test_one_step_quadratic_surrogate_closed_form():
 
 
 def test_fedsgd_takes_exactly_one_step():
-    s1, shared = _fixture(trainer="fedsgd", epochs=7, lr=0.05)
-    s2, _ = _fixture(trainer="fedavg", epochs=1, lr=0.05)
-    u1 = local_train(Federation([s1]), shared)[0]
-    u2 = local_train(Federation([s2]), shared)[0]
+    f1, shared = _fixture(trainer="fedsgd", epochs=7, lr=0.05)
+    f2, _ = _fixture(trainer="fedavg", epochs=1, lr=0.05)
+    u1 = local_train(f1, shared)[0]
+    u2 = local_train(f2, shared)[0]
     np.testing.assert_array_equal(u1.delta.values, u2.delta.values)
 
 
@@ -95,9 +87,10 @@ def test_fedavg_multi_epoch_matches_manual_descent():
     for trainer, mu, cross_domain in (
         ("fedavg", 0.01, False), ("fedprox", 0.5, False), ("fedprox", 0.5, True),
     ):
-        state, shared = _fixture(trainer=trainer, epochs=3, lr=0.07, mu=mu,
-                                 cross_domain=cross_domain)
-        update = local_train(Federation([state]), shared)[0]
+        fed, shared = _fixture(trainer=trainer, epochs=3, lr=0.07, mu=mu,
+                               cross_domain=cross_domain)
+        state = fed.clients[0]
+        update = local_train(fed, shared)[0]
 
         # oracle: run the descent loop by hand through the public gradient,
         # adding fedprox's mu * (theta - theta_0) on the shared layers
@@ -105,8 +98,7 @@ def test_fedavg_multi_epoch_matches_manual_descent():
             ModelConfig(n_layers=2, hidden_dim=5), 4, 2, seed=100,
             cross_domain=cross_domain))
         params = start
-        batch = graph_batch([state.adj], [feature_message(state.adj, state.graph.features)],
-                            [state.graph.labels])
+        batch = graph_batch([state.adj], [state.graph.features], [state.graph.labels])
         for _ in range(3):
             _, grads = gradient(stack_params([params]), batch,
                                 batch.rows([np.flatnonzero(state.graph.train_mask)]),
@@ -136,8 +128,8 @@ def test_fedprox_large_mu_contracts_delta():
     # fedavg drift ~E times farther
     base, shared = _fixture(trainer="fedavg", lr=1e-6, epochs=1500)
     prox, _ = _fixture(trainer="fedprox", lr=1e-6, epochs=1500, mu=1e6)
-    u_avg = local_train(Federation([base]), shared)[0]
-    u_prox = local_train(Federation([prox]), shared)[0]
+    u_avg = local_train(base, shared)[0]
+    u_prox = local_train(prox, shared)[0]
     n_avg = np.linalg.norm(u_avg.delta.values)
     n_prox = np.linalg.norm(u_prox.delta.values)
     assert n_prox < 1e-3 * n_avg
@@ -145,12 +137,12 @@ def test_fedprox_large_mu_contracts_delta():
 
 def test_fedprox_mu_monotonically_shrinks_delta():
     for trial in range(10):
-        state_small, shared = _fixture(seed=trial, trainer="fedprox", mu=0.1,
-                                       epochs=5, lr=0.05)
-        state_large, _ = _fixture(seed=trial, trainer="fedprox", mu=10.0,
-                                  epochs=5, lr=0.05)
-        n_small = np.linalg.norm(local_train(Federation([state_small]), shared)[0].delta.values)
-        n_large = np.linalg.norm(local_train(Federation([state_large]), shared)[0].delta.values)
+        fed_small, shared = _fixture(seed=trial, trainer="fedprox", mu=0.1,
+                                     epochs=5, lr=0.05)
+        fed_large, _ = _fixture(seed=trial, trainer="fedprox", mu=10.0,
+                                epochs=5, lr=0.05)
+        n_small = np.linalg.norm(local_train(fed_small, shared)[0].delta.values)
+        n_large = np.linalg.norm(local_train(fed_large, shared)[0].delta.values)
         assert n_large <= n_small + 1e-15
 
 
@@ -159,16 +151,16 @@ def test_fedprox_first_step_equals_fedavg():
     # cannot distinguish the trainers
     avg, shared = _fixture(trainer="fedavg", epochs=1, lr=0.05)
     prox, _ = _fixture(trainer="fedprox", epochs=1, lr=0.05, mu=5.0)
-    u_avg = local_train(Federation([avg]), shared)[0]
-    u_prox = local_train(Federation([prox]), shared)[0]
+    u_avg = local_train(avg, shared)[0]
+    u_prox = local_train(prox, shared)[0]
     np.testing.assert_allclose(u_avg.delta.values, u_prox.delta.values, atol=1e-12)
 
 
 def test_local_train_deterministic_bitwise():
-    s1, shared = _fixture(seed=3, epochs=4)
-    s2, _ = _fixture(seed=3, epochs=4)
-    u1 = local_train(Federation([s1]), shared)[0]
-    u2 = local_train(Federation([s2]), shared)[0]
+    f1, shared = _fixture(seed=3, epochs=4)
+    f2, _ = _fixture(seed=3, epochs=4)
+    u1 = local_train(f1, shared)[0]
+    u2 = local_train(f2, shared)[0]
     np.testing.assert_array_equal(u1.delta.values, u2.delta.values)
 
 
@@ -179,17 +171,15 @@ def test_local_head_persists_across_rounds():
     )
     cfg = ModelConfig(n_layers=2, hidden_dim=5)
     params = init_params(cfg, 4, 2, seed=0, cross_domain=True)
-    state = ClientState(
-        client_id=0, graph=g, adj=normalized_adjacency(g), params=params,
-        training=TrainingConfig(lr=0.1),
-    )
+    state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params)
+    training = TrainingConfig(lr=0.1)
     shared = flatten(params, group=SHARED)
     head_before = params.layers[1].weight.copy()
-    local_train(Federation([state]), shared, round_index=1)
+    local_train(Federation([state], cfg, training), shared, round_index=1)
     head_r1 = state.params.layers[1].weight.copy()
     assert np.any(head_r1 != head_before)  # head trains locally
     # round 2: broadcast does not touch the head
-    u2 = local_train(Federation([state]), shared, round_index=2)[0]
+    u2 = local_train(Federation([state], cfg, training), shared, round_index=2)[0]
     assert u2.delta.values.size == shared.values.size
     assert np.any(state.params.layers[1].weight != head_r1)
 
@@ -205,16 +195,16 @@ def test_no_train_nodes_errors():
     params = init_params(cfg, 3, 1, seed=0)
     state = ClientState(client_id=2, graph=g, adj=normalized_adjacency(g), params=params)
     with pytest.raises(InputError):
-        local_train(Federation([state]), flatten(params, group=SHARED))
+        local_train(Federation([state], cfg, TrainingConfig()), flatten(params, group=SHARED))
 
 
 def test_divergence_carries_round_and_client():
     # identity activation keeps the bilinear blow-up alive (relu would
     # die instead of overflowing)
-    state, shared = _fixture(seed=2, lr=1e6, epochs=30, activation="identity")
+    fed, shared = _fixture(seed=2, lr=1e6, epochs=30, activation="identity")
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError) as err:
-            local_train(Federation([state]), shared, round_index=17)
+            local_train(fed, shared, round_index=17)
     assert err.value.round_index == 17
     assert err.value.client_id == 0
     assert "round 17" in str(err.value)
@@ -231,51 +221,48 @@ def test_divergence_of_a_one_layer_identity_model():
                      train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask)
     cfg = ModelConfig(n_layers=1, activation="identity")
     params = init_params(cfg, 4, 2, seed=102)
-    state = ClientState(client_id=5, graph=big, adj=normalized_adjacency(big),
-                        params=params, model=cfg, training=TrainingConfig(lr=1.0, epochs=3))
+    state = ClientState(client_id=5, graph=big, adj=normalized_adjacency(big), params=params)
+    fed = Federation([state], cfg, TrainingConfig(lr=1.0, epochs=3))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
-            local_train(Federation([state]), flatten(params, group=SHARED), round_index=4)
+            local_train(fed, flatten(params, group=SHARED), round_index=4)
     assert err.value.round_index == 4
     assert err.value.client_id == 5
     assert "round 4" in str(err.value)
 
 
 def test_replaced_graph_trains_like_a_fresh_state():
-    # the cached message and rows follow the graph through
-    # dataclasses.replace, never the state they were copied from
-    state, shared = _fixture(seed=0, epochs=3)
+    # a federation batches the graph of the state it is given, never
+    # that of the state it was copied from
+    fed, shared = _fixture(seed=0, epochs=3)
+    state = fed.clients[0]
     g2 = planted_partition_graph(
         n_blocks=2, block_size=8, p_in=0.6, p_out=0.2,
         n_classes=2, feature_dim=4, class_sep=1.0, seed=4,
     )
     replaced = dataclasses.replace(state, graph=g2, adj=normalized_adjacency(g2))
     fresh = ClientState(client_id=0, graph=g2, adj=normalized_adjacency(g2),
-                        params=state.params, model=state.model, training=state.training)
-    assert not np.array_equal(replaced.message, state.message)
-    np.testing.assert_array_equal(replaced.train_rows, np.flatnonzero(g2.train_mask))
-    u_replaced = local_train(Federation([replaced]), shared)[0]
-    u_fresh = local_train(Federation([fresh]), shared)[0]
+                        params=state.params)
+    u_replaced = local_train(Federation([replaced], fed.model, fed.training), shared)[0]
+    u_fresh = local_train(Federation([fresh], fed.model, fed.training), shared)[0]
     np.testing.assert_array_equal(u_replaced.delta.values, u_fresh.delta.values)
     assert u_replaced.n_train == u_fresh.n_train
-    assert not np.array_equal(local_train(Federation([state]), shared)[0].delta.values,
+    assert not np.array_equal(local_train(fed, shared)[0].delta.values,
                               u_fresh.delta.values)
-    with pytest.raises(AttributeError):
-        state.graph = g2  # would leave the message of the old graph
 
 
 def test_layout_mismatch_rejected():
-    state, _ = _fixture()
+    fed, _ = _fixture()
     other = init_params(ModelConfig(n_layers=2, hidden_dim=9), 4, 2, seed=0)
     with pytest.raises(InputError):
-        local_train(Federation([state]), flatten(other, group=SHARED))
+        local_train(fed, flatten(other, group=SHARED))
 
 
 def test_unknown_activation_is_an_error_not_identity():
-    state, shared = _fixture()
+    fed, shared = _fixture()
     with pytest.raises(InputError):
-        local_train(Federation([dataclasses.replace(
-            state, model=dataclasses.replace(state.model, activation="tanh"))]), shared)
+        local_train(Federation(list(fed.clients), dataclasses.replace(
+            fed.model, activation="tanh"), fed.training), shared)
 
 
 def test_client_state_validation():
@@ -283,22 +270,18 @@ def test_client_state_validation():
     params = init_params(ModelConfig(n_layers=1), 2, 1, seed=0)
     adj = normalized_adjacency(g)
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params,
-                    training=TrainingConfig(trainer="adam"))
+        TrainingConfig(trainer="adam")
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params,
-                    training=TrainingConfig(epochs=0))
+        TrainingConfig(epochs=0)
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params,
-                    training=TrainingConfig(lr=-0.1))
+        TrainingConfig(lr=-0.1)
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params,
-                    training=TrainingConfig(trainer="fedavg", mu=-1.0))
+        TrainingConfig(trainer="fedavg", mu=-1.0)
     with pytest.raises(InputError):
-        ClientState(client_id=0, graph=g, adj=adj, params=params,
-                    model=ModelConfig(activation="tanh"))
+        ModelConfig(activation="tanh")
+    ClientState(client_id=0, graph=g, adj=adj, params=params)
     # features and adjacency of different graphs: caught when the state
-    # is built, before the first-layer message is computed
+    # is built, before a federation computes the first-layer message
     with pytest.raises(InputError, match="feature rows 2 != adjacency size 3"):
         ClientState(client_id=0, graph=g, adj=normalized_adjacency(path_graph(3)),
                     params=params)
@@ -315,9 +298,8 @@ def test_divergence_names_the_first_client_whatever_the_step():
     for cid, x, y in ((0, [1e160, 0.0], 1), (1, [1e308, 1e308], 0)):
         g = make_graph(1, np.zeros((0, 2), dtype=int), features=[x], labels=[y])
         states.append(ClientState(client_id=cid, graph=g, adj=normalized_adjacency(g),
-                                  params=params, model=cfg,
-                                  training=TrainingConfig(lr=1.0, epochs=2)))
-    fed = Federation(states)
+                                  params=params))
+    fed = Federation(states, cfg, TrainingConfig(lr=1.0, epochs=2))
     with np.errstate(over="ignore", invalid="ignore"):
         losses, _ = gradient(stack_params([params, params]), fed.batch, fed.train, "identity")
         assert np.isfinite(losses[0]) and losses[1] == np.inf
@@ -326,7 +308,7 @@ def test_divergence_names_the_first_client_whatever_the_step():
     assert (err.value.round_index, err.value.client_id) == (3, 0)
 
 
-def _random_client(cid, rng, n_classes, feature_dim, params, model, training):
+def _random_client(cid, rng, n_classes, feature_dim, params):
     n = int(rng.integers(1, 9))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
     split = rng.integers(0, 3, size=n)  # 0 train, 1 test, 2 neither
@@ -335,8 +317,7 @@ def _random_client(cid, rng, n_classes, feature_dim, params, model, training):
                    features=rng.normal(size=(n, feature_dim)),
                    labels=rng.integers(0, n_classes, size=n),
                    train_mask=split == 0, test_mask=split == 1)
-    return ClientState(client_id=cid, graph=g, adj=normalized_adjacency(g), params=params,
-                       model=model, training=training)
+    return ClientState(client_id=cid, graph=g, adj=normalized_adjacency(g), params=params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,12 +348,12 @@ def test_batch_trains_each_client_as_its_own_federation(n_clients, n_layers, act
         for k in range(n_clients)]
 
     def clients():
-        return [_random_client(k, np.random.default_rng(d), 2, 3, h, model, training)
+        return [_random_client(k, np.random.default_rng(d), 2, 3, h)
                 for k, (d, h) in enumerate(zip(draws, heads))]
 
     batched, alone = clients(), clients()
-    fed = Federation(batched)
-    singles = [Federation([c]) for c in alone]
+    fed = Federation(batched, model, training)
+    singles = [Federation([c], model, training) for c in alone]
     for t in (1, 2):
         together = local_train(fed, shared, round_index=t)
         apart = [local_train(f, shared, round_index=t)[0] for f in singles]
@@ -385,16 +366,29 @@ def test_batch_trains_each_client_as_its_own_federation(n_clients, n_layers, act
 
 
 def test_federation_validation():
-    state, _ = _fixture()
+    fed, _ = _fixture()
+    state = fed.clients[0]
     with pytest.raises(InputError):
-        Federation([])
-    with pytest.raises(InputError):  # one step loop needs one training config
-        Federation([state, dataclasses.replace(
-            state, client_id=1, training=TrainingConfig(lr=0.2))])
+        Federation([], fed.model, fed.training)
     other = init_params(ModelConfig(n_layers=2, hidden_dim=9), 4, 2, seed=0)
     with pytest.raises(InputError):
-        Federation([state, dataclasses.replace(state, client_id=1, params=other)])
-    # each client's message becomes a read-only view of the batch's rows
-    fed = Federation([state, dataclasses.replace(state, client_id=1)])
-    assert state.message.base is fed.batch.message
-    assert not state.message.flags.writeable
+        Federation([state, dataclasses.replace(state, client_id=1, params=other)],
+                   fed.model, fed.training)
+
+
+def test_building_a_federation_leaves_its_clients_untouched():
+    rng = np.random.default_rng(7)
+    params = init_params(ModelConfig(n_layers=2, hidden_dim=3), 3, 2, seed=0)
+    clients = [_random_client(k, rng, 2, 3, params) for k in range(4)]
+    before = [dict(vars(c)) for c in clients]
+    fed = Federation(clients, ModelConfig(n_layers=2, hidden_dim=3), TrainingConfig())
+    for c, attrs in zip(clients, before):
+        assert vars(c).keys() == attrs.keys()
+        assert all(getattr(c, name) is value for name, value in attrs.items())
+    # the batch's message rows of client k are its own A_hat @ X, bit for bit
+    nodes = fed.batch.nodes.tolist()
+    for c, a, b in zip(clients, nodes[:-1], nodes[1:]):
+        want = feature_message(c.adj, c.graph.features)
+        assert fed.batch.message[a:b].shape == want.shape
+        assert fed.batch.message[a:b].tobytes() == want.tobytes()
+    assert not fed.batch.message.flags.writeable

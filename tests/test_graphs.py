@@ -13,7 +13,7 @@ from fedgeo import (
     path_graph,
     planted_partition_graph,
 )
-from fedgeo.graphs import canonical_edges
+from fedgeo.graphs import block_diagonal, canonical_edges
 
 
 def test_canonical_edges_dedup_and_order():
@@ -114,6 +114,25 @@ def test_normalized_adjacency_matmul_is_csr():
     assert isinstance(adj.storage, sp.csr_array)
     x = np.eye(5)
     np.testing.assert_allclose(adj @ x, adj.dense(), atol=0)
+
+
+def test_block_diagonal_matches_scipy_block_diag():
+    # random graph lists, each with a one-node and an edgeless graph
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        graphs = [make_graph(1, np.zeros((0, 2), dtype=int)),
+                  make_graph(int(rng.integers(2, 6)), np.zeros((0, 2), dtype=int))]
+        for _ in range(int(rng.integers(0, 5))):
+            n = int(rng.integers(1, 10))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+            graphs.append(make_graph(n, np.array(edges, dtype=int).reshape(-1, 2)))
+        adjs = [normalized_adjacency(graphs[i]) for i in rng.permutation(len(graphs))]
+        ours = block_diagonal(adjs)
+        want = sp.block_diag([a.storage for a in adjs], format="csr")
+        assert ours.n_nodes == want.shape[0] == sum(a.n_nodes for a in adjs)
+        assert ours.storage.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(ours.storage, name), getattr(want, name))
 
 
 def test_density_and_mean_degree():

@@ -28,7 +28,6 @@ from fedgeo.model import (
     LOCAL,
     SHARED,
     FlatVector,
-    feature_message,
     graph_batch,
     stack_params,
     unstack_params,
@@ -84,8 +83,8 @@ client.lr = 0.1
 
     oracle = params0
     shared = flatten(params0, group=SHARED)
-    fed = Federation(clients)
-    batch = graph_batch([c.adj], [feature_message(c.adj, c.graph.features)], [c.graph.labels])
+    fed = Federation(clients, cfg.model, cfg.client)
+    batch = graph_batch([c.adj], [c.graph.features], [c.graph.labels])
     rows = batch.rows([np.flatnonzero(c.graph.train_mask)])
     ref = initial_reference(proxy_map(shared, AggregatorConfig()).values.shape[0])
     agg = AggregatorConfig(mode="plain")
@@ -272,7 +271,7 @@ client.lr = 0.1
 
     ref = initial_reference(proxy_map(shared, AggregatorConfig()).values.shape[0])
     agg = AggregatorConfig(mode="plain")
-    fed = Federation(clients)
+    fed = Federation(clients, cfg.model, cfg.client)
     for t in range(1, 4):
         updates = local_train(fed, shared, round_index=t)
         for u in updates:  # only the shared group ever leaves a client

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgeo import (
-    ClientState,
     FlatVector,
     InputError,
     ModelConfig,
@@ -34,9 +33,9 @@ from fedgeo.model import (
 )
 
 
-def _one_graph(adj, message, labels, rows):
+def _one_graph(adj, features, labels, rows):
     """A batch of one graph, and its rows."""
-    batch = graph_batch([adj], [message], [labels])
+    batch = graph_batch([adj], [features], [labels])
     return batch, batch.rows([rows])
 
 
@@ -81,7 +80,7 @@ def test_forward_matches_naive_reimplementation():
         g, adj, cfg, params = _random_case(seed)
         every = np.arange(g.n_nodes)
         ours = forward(stack_params([params]),
-                       *_one_graph(adj, feature_message(adj, g.features), g.labels, every),
+                       *_one_graph(adj, g.features, g.labels, every),
                        cfg.activation)[1][-1]
         theirs = _naive_forward(params, adj.dense(), g.features, cfg.activation)
         np.testing.assert_allclose(ours, theirs, atol=1e-12)
@@ -93,7 +92,7 @@ def test_forward_identity_single_layer_is_linear_map():
     params = ParameterSet(layers=(Layer(weight=w, bias=None, group=SHARED),))
     adj = normalized_adjacency(g)
     out = forward(stack_params([params]),
-                  *_one_graph(adj, feature_message(adj, g.features), g.labels, np.arange(3)),
+                  *_one_graph(adj, g.features, g.labels, np.arange(3)),
                   "identity")[1][-1]
     np.testing.assert_allclose(out, adj.dense() @ np.eye(3) @ w, atol=1e-15)
 
@@ -103,13 +102,13 @@ def test_forward_shape_errors():
     rows = np.flatnonzero(g.train_mask)
     with pytest.raises(InputError):
         forward(stack_params([params]),
-                *_one_graph(adj, feature_message(adj, g.features[:, :-1]), g.labels, rows),
+                *_one_graph(adj, g.features[:, :-1], g.labels, rows),
                 cfg.activation)
     with pytest.raises(InputError):
         feature_message(adj, g.features[:-1])
     with pytest.raises(InputError):
         forward(stack_params([params]),
-                *_one_graph(adj, feature_message(adj, g.features), g.labels, rows), "tanh")
+                *_one_graph(adj, g.features, g.labels, rows), "tanh")
 
 
 def test_masked_cross_entropy_against_manual():
@@ -136,13 +135,13 @@ def test_masked_cross_entropy_empty_mask():
         _cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
-def _fd_gradient(params, adj, message, labels, rows, activation, step=1e-4):
+def _fd_gradient(params, adj, features, labels, rows, activation, step=1e-4):
     template = params
     flat = flatten(params)
 
     def loss_at(values):
         p = unflatten(FlatVector(values=values, layout=flat.layout), template)
-        return gradient(stack_params([p]), *_one_graph(adj, message, labels, rows),
+        return gradient(stack_params([p]), *_one_graph(adj, features, labels, rows),
                         activation=activation)[0][0]
 
     fd = np.zeros_like(flat.values)
@@ -162,11 +161,11 @@ def test_gradient_matches_finite_differences_relu():
     for seed in range(20):
         g, adj, cfg, params = _random_case(seed)
         assert g.n_nodes <= 20
-        message, rows = feature_message(adj, g.features), np.flatnonzero(g.train_mask)
-        _, grads = gradient(stack_params([params]), *_one_graph(adj, message, g.labels, rows),
+        rows = np.flatnonzero(g.train_mask)
+        _, grads = gradient(stack_params([params]), *_one_graph(adj, g.features, g.labels, rows),
                             activation=cfg.activation)
         ga = flatten(unstack_params(grads)[0]).values
-        gf = _fd_gradient(params, adj, message, g.labels, rows, cfg.activation)
+        gf = _fd_gradient(params, adj, g.features, g.labels, rows, cfg.activation)
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         worst = max(worst, rel)
         assert rel < 1e-4, f"seed {seed}: relative error {rel:.3e}"
@@ -176,11 +175,11 @@ def test_gradient_matches_finite_differences_relu():
 def test_gradient_matches_finite_differences_identity_1layer():
     for seed in (3, 5):
         g, adj, cfg, params = _random_case(seed, n_layers=1, activation="identity")
-        message, rows = feature_message(adj, g.features), np.flatnonzero(g.train_mask)
-        _, grads = gradient(stack_params([params]), *_one_graph(adj, message, g.labels, rows),
+        rows = np.flatnonzero(g.train_mask)
+        _, grads = gradient(stack_params([params]), *_one_graph(adj, g.features, g.labels, rows),
                             activation="identity")
         ga = flatten(unstack_params(grads)[0]).values
-        gf = _fd_gradient(params, adj, message, g.labels, rows, "identity")
+        gf = _fd_gradient(params, adj, g.features, g.labels, rows, "identity")
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         assert rel < 1e-6
 
@@ -241,14 +240,13 @@ def test_gradient_on_train_rows_matches_full_row_reference(n, dims, n_layers, ac
                    train_mask=mask)
     cfg = ModelConfig(n_layers=n_layers, hidden_dim=hidden, activation=activation, bias=bias)
     params = init_params(cfg, d, c, seed=seed % 1000)
-    state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params,
-                        model=cfg)
+    adj, train_rows = normalized_adjacency(g), np.flatnonzero(mask)
 
-    want_loss, want, want_logits = _full_row_gradient(params, state.adj.dense(), g.features,
+    want_loss, want, want_logits = _full_row_gradient(params, adj.dense(), g.features,
                                                       g.labels, mask, activation)
-    batch, rows = _one_graph(state.adj, state.message, g.labels, state.train_rows)
+    batch, rows = _one_graph(adj, g.features, g.labels, train_rows)
     logits = forward(stack_params([params]), batch, rows, activation)[1][-1]
-    want_logits = want_logits[state.train_rows]
+    want_logits = want_logits[train_rows]
     assert logits.shape == want_logits.shape
     assert np.linalg.norm(logits - want_logits) <= 1e-12 * np.linalg.norm(want_logits)
 
@@ -267,13 +265,12 @@ def test_divergence_is_decided_on_the_train_rows():
     params = ParameterSet(layers=(Layer(weight=np.array([[4.0, -4.0]]), bias=None,
                                         group=SHARED),))
     adj = normalized_adjacency(g)
-    message = feature_message(adj, g.features)
     losses, _ = gradient(stack_params([params]),
-                         *_one_graph(adj, message, g.labels, np.array([0, 1])), "identity")
+                         *_one_graph(adj, g.features, g.labels, np.array([0, 1])), "identity")
     assert np.isfinite(losses[0])
     with np.errstate(over="ignore", invalid="ignore"):
         losses, _ = gradient(stack_params([params]),
-                             *_one_graph(adj, message, g.labels, np.array([0, 2])), "identity")
+                             *_one_graph(adj, g.features, g.labels, np.array([0, 2])), "identity")
     assert losses[0] == float("inf")
 
 
