@@ -7,7 +7,7 @@ subspace projection, norm capping), plus the coherence diagnostics that
 make the difference measurable.
 """
 
-from .client import ClientState, Federation, LocalUpdate, TrainingConfig, local_train
+from .client import ClientState, Federation, RoundUpdates, TrainingConfig, local_train
 from .config import DataSource, RunConfig, load_config, parse_config
 from .errors import (
     ConfigError,
@@ -78,7 +78,6 @@ __all__ = [
     "GeometricReference",
     "Graph",
     "InputError",
-    "LocalUpdate",
     "ModelConfig",
     "NormalizedAdjacency",
     "ParameterSet",
@@ -86,6 +85,7 @@ __all__ = [
     "ProxyVector",
     "RegulationReport",
     "RunConfig",
+    "RoundUpdates",
     "RunResult",
     "TrainingConfig",
     "UnsupportedModelError",

@@ -12,12 +12,13 @@ Trainers: "fedavg" (E steps), "fedsgd" (forced single step), "fedprox"
 group). Plain gradient descent throughout — no momentum, no minibatches —
 so a round is bitwise deterministic in its inputs.
 
-A ``Federation`` holds its clients' graphs as one batch, built once
-with their train and test rows, and ``local_train`` trains all of them
-together: each step is one ``model.gradient`` call over the stacked
-parameters of every client, which builds the last layer for the train
-rows only. A one-client federation is the K = 1 case of the same code,
-and each client's values are bit for bit those it gets alone.
+A ``Federation`` holds its clients' graphs as one batch, with their
+train and test rows, and their parameters as one stack. ``local_train``
+trains all of them together, one ``model.gradient`` call over the stack
+per step (the last layer built for the train rows only), and hands the
+server one ``RoundUpdates``: the (K x L) matrix of the clients' deltas.
+A one-client federation is the K = 1 case of the same code, and each
+client's values are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import DivergenceError, InputError
 from .graphs import Graph, NormalizedAdjacency
 from .model import (
     FlatVector,
+    Layer,
+    LayerSpec,
     ModelConfig,
     ParameterSet,
     # flatten: no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
@@ -43,7 +46,7 @@ from .model import (
     unstack_params,
 )
 
-__all__ = ["ClientState", "Federation", "LocalUpdate", "TrainingConfig", "local_train", "TRAINERS"]
+__all__ = ["ClientState", "Federation", "RoundUpdates", "TrainingConfig", "local_train", "TRAINERS"]
 
 TRAINERS = ("fedavg", "fedsgd", "fedprox")
 
@@ -73,10 +76,13 @@ class TrainingConfig:
 class ClientState:
     """One client's private state; owned exclusively by that client.
 
-    ``params`` holds the full parameter set including any local head;
-    ``local_train`` refreshes its shared slice from the broadcast vector
-    each round and persists the trained values back. A graph whose node
-    count is not the adjacency size is an InputError.
+    ``params`` holds the full parameter set including any local head.
+    A ``Federation`` over the client copies it and owns it from then on:
+    after each of its rounds ``params`` is a view into the federation's
+    stack that the next round overwrites in place (copy it to keep a
+    round's values), and a ``params`` assigned between rounds is not
+    read. A graph whose node count is not the adjacency size is an
+    InputError.
     """
 
     client_id: int
@@ -97,8 +103,9 @@ class Federation:
     The clients' parameters must share one shape (InputError otherwise).
     ``batch`` holds their graphs as one (``model.GraphBatch``, built
     once, so a client given a new graph needs a new federation), and
-    ``train`` and ``test`` their train and test rows in it. Building it
-    changes no client.
+    ``train`` and ``test`` their train and test rows in it. It owns the
+    clients' parameters, stacked, local heads included (see
+    ``ClientState``). Building it changes no client.
     """
 
     def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig):
@@ -111,42 +118,69 @@ class Federation:
                 raise InputError(f"client {c.client_id}'s parameters differ in shape from "
                                  f"client {first.client_id}'s")
         self.clients = tuple(clients)
+        self.client_ids = tuple(c.client_id for c in clients)
         self.model = model
         self.training = training
         self.batch = graph_batch([c.adj for c in clients], [c.graph.features for c in clients],
                                  [c.graph.labels for c in clients])
         self.train = self.batch.rows([np.flatnonzero(c.graph.train_mask) for c in clients])
         self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask) for c in clients])
+        self._stack = stack_params([c.params for c in clients])
+        self._views = unstack_params(self._stack)
 
     def params(self, shared: FlatVector) -> ParameterSet:
         """Every client's parameters, stacked in client order: the layers
-        ``shared`` covers from it, the others (a local head) from the
-        client's own ``params``."""
-        return _stack(self, unflatten(shared, self.clients[0].params),
-                      layout_group(shared.layout))
+        ``shared`` covers repeated from it, the others (a local head)
+        copies of the held ones."""
+        return self._stacked(unflatten(shared, self.clients[0].params),
+                             layout_group(shared.layout))
 
+    def _stacked(self, anchor: ParameterSet, group: str) -> ParameterSet:
+        """What ``params`` returns, given the broadcast unflattened over
+        the first client's parameters (``anchor``) and the group it covers."""
+        k = len(self.clients)
+        return ParameterSet(layers=tuple(
+            Layer(weight=np.repeat(a.weight[None], k, axis=0),
+                  bias=None if a.bias is None else np.repeat(a.bias[None], k, axis=0),
+                  group=a.group)
+            if group in ("all", a.group) else
+            Layer(weight=h.weight.copy(), bias=None if h.bias is None else h.bias.copy(),
+                  group=h.group)
+            for a, h in zip(anchor.layers, self._stack.layers)
+        ))
 
-def _stack(fed: Federation, broadcast: ParameterSet, group: str) -> ParameterSet:
-    """``Federation.params`` from the broadcast layers of ``group``."""
-    return stack_params([
-        ParameterSet(layers=tuple(
-            b if group in ("all", b.group) else own
-            for b, own in zip(broadcast.layers, c.params.layers)))
-        for c in fed.clients
-    ])
+    def _commit(self, params: ParameterSet) -> None:
+        """Hold ``params``; each client's ``params`` becomes its slice."""
+        for held, new in zip(self._stack.layers, params.layers):
+            np.copyto(held.weight, new.weight)
+            if held.bias is not None:
+                np.copyto(held.bias, new.bias)
+        for c, view in zip(self.clients, self._views):
+            c.params = view
 
 
 @dataclass(frozen=True)
-class LocalUpdate:
-    """Shared-group displacement a client sends to the server."""
+class RoundUpdates:
+    """Every client's shared-group displacement of one round, as one
+    batch: row k of ``deltas`` (in ``layout``'s canonical order) is
+    client ``client_ids[k]``'s, and ``n_train[k]`` its train-node count.
+    At least one client, distinct ids and counts >= 1, or InputError.
+    """
 
-    client_id: int
-    delta: FlatVector
-    n_train: int
+    client_ids: tuple[int, ...]
+    deltas: np.ndarray  # (K, L)
+    n_train: tuple[int, ...]
+    layout: tuple[LayerSpec, ...]
 
     def __post_init__(self):
-        if self.n_train < 1:
-            raise InputError("n_train must be >= 1")
+        k = len(self.client_ids)
+        if k == 0 or len(set(self.client_ids)) != k:
+            raise InputError("a round needs at least one client update and distinct ids")
+        if self.deltas.shape != (k, sum(s.size for s in self.layout)):
+            raise InputError(f"deltas of shape {self.deltas.shape} do not match {k} clients "
+                             "and the layout")
+        if len(self.n_train) != k or min(self.n_train) < 1:
+            raise InputError("one n_train >= 1 per client required")
 
 
 def _step(params: ParameterSet, grads: ParameterSet, lr: float,
@@ -163,33 +197,34 @@ def _step(params: ParameterSet, grads: ParameterSet, lr: float,
 
 
 def local_train(fed: Federation, global_shared: FlatVector,
-                round_index: int = 0) -> list[LocalUpdate]:
+                round_index: int = 0) -> RoundUpdates:
     """Run one round of local training of every client; their shared
-    deltas, in client order.
+    deltas, one row per client in federation order.
 
     Loads the broadcast shared parameters into every client model (a
     local head keeps its previous values), runs E full-batch gradient
     steps (fedsgd: exactly one; fedprox: mu-proximal gradient toward the
-    broadcast point), persists the trained parameters in the states, and
-    returns theta_shared_after - theta_shared_broadcast of each client.
-    Each step is one ``gradient`` call and one in-place update over the
-    stacked parameters of all clients; each client's values are those
-    its own one-client federation gives, bit for bit.
+    broadcast point), holds the trained parameters in the federation,
+    and returns theta_shared_after - theta_shared_broadcast of each
+    client. Each step is one ``gradient`` call and one in-place update
+    over the stacked parameters of all clients; each client's values are
+    those its own one-client federation gives, bit for bit.
 
     A client whose loss is not finite at some step, or whose delta is
     not finite, has diverged: the DivergenceError names the first such
-    client in federation order, and no client's parameters persist.
+    client in federation order, and the federation and every client keep
+    the parameters they had.
     """
     group = layout_group(global_shared.layout)
     if layer_layout(fed.clients[0].params, group) != global_shared.layout:
         raise InputError("broadcast layout does not match the client model")
-    n_train = np.diff(fed.train.bounds)
+    n_train = fed.train.counts
     if not n_train.all():
-        raise InputError(f"client {fed.clients[int(np.argmin(n_train))].client_id} "
+        raise InputError(f"client {fed.client_ids[int(np.argmin(n_train))]} "
                          "has no train nodes")
 
     anchor = unflatten(global_shared, fed.clients[0].params)
-    params = _stack(fed, anchor, group)
+    params = fed._stacked(anchor, group)
     training = fed.training
     n_steps = 1 if training.trainer == "fedsgd" else training.epochs
     # fedprox pulls the broadcast layers, not a local head, toward anchor
@@ -211,14 +246,11 @@ def local_train(fed: Federation, global_shared: FlatVector,
     # a displacement whose entries or norm are unrepresentable can never
     # be aggregated; surface it as divergence, not as a malformed input
     # (d . d is finite exactly when d's entries and norm are)
-    diverged |= ~np.isfinite([d.dot(d) for d in deltas])
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged |= ~np.isfinite(np.vecdot(deltas, deltas))
     if diverged.any():
-        raise DivergenceError(round_index, fed.clients[int(np.argmax(diverged))].client_id)
+        raise DivergenceError(round_index, fed.client_ids[int(np.argmax(diverged))])
 
-    for c, p in zip(fed.clients, unstack_params(params)):
-        c.params = p
-    return [
-        LocalUpdate(client_id=c.client_id,
-                    delta=FlatVector(values=d, layout=global_shared.layout), n_train=n)
-        for c, d, n in zip(fed.clients, deltas, n_train.tolist())
-    ]
+    fed._commit(params)
+    return RoundUpdates(client_ids=fed.client_ids, deltas=deltas,
+                        n_train=tuple(n_train.tolist()), layout=global_shared.layout)

@@ -146,7 +146,7 @@ def _evaluate(fed: Federation, shared) -> float:
     if fed.test.index.size == 0:
         return float("nan")
     logits = forward(fed.params(shared), fed.batch, fed.test, fed.model.activation)[1][-1]
-    return accuracy(logits, fed.batch.labels[fed.test.index])
+    return accuracy(logits, fed.test.pick[1])
 
 
 def _fmt(x: float) -> str:
@@ -194,12 +194,12 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
 
         test_acc = _evaluate(fed, shared)
 
-        if len(updates) >= 2:
-            gamma, _ = pairwise_coherence(np.stack([u.delta.values for u in updates]))
-            iu = np.triu_indices(len(updates), k=1)
+        if len(updates.deltas) >= 2:
+            gamma, _ = pairwise_coherence(updates.deltas)
+            iu = np.triu_indices(len(updates.deltas), k=1)
             gamma_mean = float(np.mean(gamma[iu]))
         else:
-            gamma_mean = 1.0 if np.any(updates[0].delta.values) else 0.0
+            gamma_mean = 1.0 if np.any(updates.deltas) else 0.0
 
         live = [c for c in report.clients if c.proxy_norm > 0.0]
         alignment = float(np.mean([c.cos_ref for c in live])) if live else 0.0

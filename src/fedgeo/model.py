@@ -172,34 +172,41 @@ def feature_message(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
     return adj @ np.asarray(x, dtype=np.float64)
 
 
-def _segments(bounds: np.ndarray) -> list[tuple[int, int]]:
+def _segments(bounds: np.ndarray) -> tuple[tuple[int, int], ...]:
     """(start, stop) of each graph's rows, from K + 1 offsets."""
     b = bounds.tolist()
-    return list(zip(b[:-1], b[1:]))
+    return tuple(zip(b[:-1], b[1:]))
 
 
 @dataclass(frozen=True)
 class Rows:
     """Node rows of a GraphBatch, graph by graph: graph k's rows are
     ``index[bounds[k]:bounds[k + 1]]``, ascending, and lie in its node
-    range."""
+    range. The other fields are what every step reads of them, computed
+    once by ``GraphBatch.rows``."""
 
     index: np.ndarray   # (R,)
     bounds: np.ndarray  # (K + 1,) offsets into index
+    spans: tuple[tuple[int, int], ...]  # (bounds[k], bounds[k + 1]) of each graph
+    counts: np.ndarray  # (K,) rows of each graph
+    pick: tuple[np.ndarray, np.ndarray]  # (row position, label): each row's label logit
+    share: np.ndarray   # (R, 1) 1 / its graph's row count, the row's weight in a mean loss
 
 
 @dataclass(frozen=True)
 class GraphBatch:
     """K graphs held as one, their node rows concatenated in order: graph
-    k's nodes are rows ``nodes[k]:nodes[k + 1]``. ``adj`` is the
-    block-diagonal A_hat, so no graph's values enter another's products;
-    ``message`` stacks the graphs' first-layer messages (read-only) and
-    ``labels`` their labels."""
+    k's nodes are rows ``nodes[k]:nodes[k + 1]`` (``spans[k]``, counting
+    ``counts[k]``). ``adj`` is the block-diagonal A_hat, so no graph's
+    values enter another's products; ``message`` stacks the graphs'
+    first-layer messages (read-only) and ``labels`` their labels."""
 
     adj: NormalizedAdjacency
     message: np.ndarray  # (N, f)
     labels: np.ndarray   # (N,)
     nodes: np.ndarray    # (K + 1,) node offsets
+    spans: tuple[tuple[int, int], ...]
+    counts: np.ndarray   # (K,)
 
     def rows(self, per_graph: list[np.ndarray]) -> Rows:
         """The Rows of node indices given per graph, each local to its graph."""
@@ -208,7 +215,11 @@ class GraphBatch:
         index = np.concatenate([np.asarray(r, dtype=np.int64) + start
                                 for r, start in zip(per_graph, self.nodes[:-1].tolist())])
         bounds = np.cumsum([0] + [len(r) for r in per_graph])
-        return Rows(index=index, bounds=bounds)
+        counts = np.diff(bounds)
+        held = counts[counts > 0]  # a graph without rows has no row to weigh
+        return Rows(index=index, bounds=bounds, spans=_segments(bounds), counts=counts,
+                    pick=(np.arange(index.size), self.labels[index]),
+                    share=np.repeat(1.0 / held, held)[:, None])
 
 
 def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
@@ -222,8 +233,9 @@ def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
             raise InputError(f"labels {y.shape[0]} != adjacency size {adj.n_nodes}")
     message = np.concatenate([feature_message(a, x) for a, x in zip(adjs, features, strict=True)])
     message.flags.writeable = False  # forward hands it out as messages[0]
+    nodes = np.cumsum([0] + [a.n_nodes for a in adjs])
     return GraphBatch(adj=block_diagonal(adjs), message=message, labels=np.concatenate(labels),
-                      nodes=np.cumsum([0] + [a.n_nodes for a in adjs]))
+                      nodes=nodes, spans=_segments(nodes), counts=np.diff(nodes))
 
 
 def stack_params(sets: list[ParameterSet]) -> ParameterSet:
@@ -249,10 +261,10 @@ def unstack_params(params: ParameterSet) -> list[ParameterSet]:
     ]
 
 
-def _per_graph(x: np.ndarray, weight: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def _per_graph(x: np.ndarray, weight: np.ndarray, spans: tuple) -> np.ndarray:
     """``x[a:b] @ weight[k]`` for each graph k's rows a:b, stacked."""
     out = np.empty((x.shape[0], weight.shape[2]))
-    for k, (a, b) in enumerate(_segments(bounds)):
+    for k, (a, b) in enumerate(spans):
         np.matmul(x[a:b], weight[k], out=out[a:b])
     return out
 
@@ -279,7 +291,7 @@ def forward(
     _check_activation(activation)
     n_graphs = batch.nodes.size - 1
     m = batch.message
-    bounds = batch.nodes
+    spans, counts = batch.spans, batch.counts
     messages = []
     preacts = []
     last = params.n_layers - 1
@@ -293,10 +305,10 @@ def forward(
             )
         if li == last:
             m = m[rows.index]
-            bounds = rows.bounds
-        p = _per_graph(m, layer.weight, bounds)
+            spans, counts = rows.spans, rows.counts
+        p = _per_graph(m, layer.weight, spans)
         if layer.bias is not None:
-            p += np.repeat(layer.bias, np.diff(bounds), axis=0)
+            p += np.repeat(layer.bias, counts, axis=0)
         messages.append(m)
         preacts.append(p)
         if li < last:
@@ -304,16 +316,17 @@ def forward(
     return messages, preacts
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax cross-entropy of each logit row of ``z`` with its label in
-    ``y`` (log-sum-exp form), and the rows' softmax probabilities."""
-    if y.size == 0:
+def _cross_entropy(z: np.ndarray, pick: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax cross-entropy of each logit row of ``z`` with its label
+    (log-sum-exp form), and the rows' softmax probabilities; ``pick`` is
+    (row position, label) of each row's label logit (see ``Rows``)."""
+    if pick[1].size == 0:
         raise InputError("no rows selected")
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
     total = e.sum(axis=1)
     lse = zmax[:, 0] + np.log(total)
-    nll = lse - z[np.arange(z.shape[0]), y]
+    nll = lse - z[pick]
     return nll, e / total[:, None]
 
 
@@ -335,18 +348,16 @@ def gradient(
     """
     messages, preacts = forward(params, batch, rows, activation)
     logits = preacts[-1]
-    counts = np.diff(rows.bounds)
-    if not counts.all():
-        raise InputError(f"graph {int(np.argmin(counts))}: no rows selected")
+    if not rows.counts.all():
+        raise InputError(f"graph {int(np.argmin(rows.counts))}: no rows selected")
     finite = np.logical_and.reduceat(np.isfinite(logits).all(axis=1), rows.bounds[:-1])
     # a diverged graph's arithmetic is not finite by design: no warnings
     with np.errstate(all=None if finite.all() else "ignore"):
-        y = batch.labels[rows.index]
-        nll, dp = _cross_entropy(logits, y)
-        losses = np.array([nll[a:b].sum() / (b - a) for a, b in _segments(rows.bounds)])
+        nll, dp = _cross_entropy(logits, rows.pick)
+        losses = np.array([nll[a:b].sum() / (b - a) for a, b in rows.spans])
         losses[~finite] = np.inf
-        dp[np.arange(dp.shape[0]), y] -= 1.0
-        dp *= np.repeat(1.0 / counts, counts)[:, None]  # d loss / d logits of each graph's rows
+        dp[rows.pick] -= 1.0
+        dp *= rows.share  # d loss / d logits of each graph's rows
 
         last = params.n_layers - 1
         grads: list[Layer] = [None] * params.n_layers  # type: ignore[list-item]
@@ -355,7 +366,7 @@ def gradient(
             m = messages[li]
             gw = np.empty(layer.weight.shape)
             gb = None if layer.bias is None else np.empty(layer.bias.shape)
-            for k, (a, b) in enumerate(_segments(rows.bounds if li == last else batch.nodes)):
+            for k, (a, b) in enumerate(rows.spans if li == last else batch.spans):
                 np.matmul(m[a:b].T, dp[a:b], out=gw[k])
                 if gb is not None:
                     gb[k] = dp[a:b].sum(axis=0)
@@ -364,7 +375,7 @@ def gradient(
                 # only the last layer sits above another (at most 2 layers):
                 # its rows' gradient scatters into zeros for the other nodes
                 up = np.zeros((batch.message.shape[0], layer.weight.shape[1]))
-                up[rows.index] = _per_graph(dp, layer.weight.transpose(0, 2, 1), rows.bounds)
+                up[rows.index] = _per_graph(dp, layer.weight.transpose(0, 2, 1), rows.spans)
                 dp = batch.adj @ up
                 if activation == "relu":
                     dp = dp * (preacts[li - 1] > 0.0)

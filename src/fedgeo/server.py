@@ -20,10 +20,12 @@ follows the raw proxies by exponential smoothing, and both modes (plain
 and regulated) maintain it, so the alignment diagnostics are comparable
 across modes.
 
-A round's projected proxies come from one stacked (K x L) @ (L x d_z)
-product with the run-constant sign matrix, rows in ascending client
-order. All reductions run in that order; given the same inputs the
-round is bitwise deterministic.
+A round arrives as one (K x L) delta matrix (``client.RoundUpdates``)
+and stays one: its proxies are one (K x d) stack (one (K x L) @ (L x
+d_z) product with the run-constant sign matrix when projected), each
+gate acts on every row at once, and the weighted sum adds the rows in
+ascending client order. Each row gets the bits a one-client round gives
+it, and given the same inputs the round is bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .client import LocalUpdate
+from .client import RoundUpdates
 from .errors import InputError
-from .model import FlatVector, layer_slices
+from .model import FlatVector, LayerSpec, layer_slices
 
 __all__ = [
     "MODES",
@@ -119,16 +121,6 @@ class ProxyVector:
     layer_norms: tuple[float, ...]
     blocks: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("proxy entries must be finite")
-        if self.blocks and self.blocks[-1][1] != self.values.shape[0]:
-            raise InputError("proxy blocks do not tile the vector")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
 
 @dataclass(frozen=True)
 class GeometricReference:
@@ -200,40 +192,49 @@ def _resolve_proxy_dim(cfg: AggregatorConfig, full_len: int) -> int | None:
 def _sign_projection(d_in: int, d_out: int) -> np.ndarray:
     """Run-constant random +-1 matrix (d_in x d_out) drawn from
     _PROXY_SEED; a run uses one (d_in, d_out), so only the latest matrix
-    is kept."""
+    is kept. Every caller gets the same array, so it is read-only."""
     rng = np.random.default_rng(_PROXY_SEED)
-    return 2.0 * rng.integers(0, 2, size=(d_in, d_out)) - 1.0
+    p = 2.0 * rng.integers(0, 2, size=(d_in, d_out)) - 1.0
+    p.flags.writeable = False
+    return p
 
 
-def _proxies(deltas: list[FlatVector], cfg: AggregatorConfig) -> list[ProxyVector]:
-    """``proxy_map`` of each delta, in order; the deltas share one layout.
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's norm, bit for bit its ``np.linalg.norm``."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * rows[k], bit for bit a loop's running total from
+    +0.0 (a reduce would sum a one-column stack pairwise)."""
+    terms = weights[:, None] * rows
+    terms[0] += 0.0  # from +0.0: a -0.0 first term adds up to +0.0
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _proxies(deltas: np.ndarray, layout: tuple[LayerSpec, ...], cfg: AggregatorConfig
+             ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """``proxy_map`` of each row of the (K, L) ``deltas``: the (K, d)
+    proxies, the (K, layers) layer norms and the proxy blocks.
 
     A projected batch is one (K x L) @ (L x d_z) product, so the
     run-constant matrix is read once per round, not once per client.
     """
-    slices = layer_slices(deltas[0].layout)
+    if not np.isfinite(deltas).all():
+        raise InputError("update contains non-finite entries")
+    slices = layer_slices(layout)
     sizes = [b - a for a, b in slices]
-    rows, layer_norms = [], []
-    for delta in deltas:
-        if not np.all(np.isfinite(delta.values)):
-            raise InputError("update contains non-finite entries")
-        norms = np.array([np.linalg.norm(delta.values[a:b]) for a, b in slices])
-        total = float(norms.sum())
-        if total == 0.0:
-            rows.append(np.zeros(delta.values.shape[0]))
-        else:
-            rows.append(delta.values * np.repeat(norms / total / (norms + 1e-12), sizes))
-        layer_norms.append(tuple(float(n) for n in norms))
+    norms = np.stack([_row_norms(deltas[:, a:b]) for a, b in slices], axis=1)
+    total = norms.sum(axis=1, keepdims=True)
+    live = total[:, 0] != 0.0
+    z = np.zeros_like(deltas)
+    z[live] = deltas[live] * np.repeat(norms[live] / total[live] / (norms[live] + 1e-12),
+                                       sizes, axis=1)
 
-    d_z = _resolve_proxy_dim(cfg, rows[0].shape[0])
+    d_z = _resolve_proxy_dim(cfg, deltas.shape[1])
     if d_z is None:
-        blocks = tuple(slices)
-    else:
-        p = _sign_projection(rows[0].shape[0], d_z)
-        rows = list((np.stack(rows) @ p) / np.sqrt(d_z))
-        blocks = ((0, d_z),)
-    return [ProxyVector(values=v, layer_norms=n, blocks=blocks)
-            for v, n in zip(rows, layer_norms)]
+        return z, norms, tuple(slices)
+    return (z @ _sign_projection(deltas.shape[1], d_z)) / np.sqrt(d_z), norms, ((0, d_z),)
 
 
 def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
@@ -245,9 +246,10 @@ def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
     configured proxy dimension it is pushed through a fixed seeded
     sign-projection and rescaled by 1/sqrt(d_z). A zero displacement
     maps to the zero proxy. This is the batch of one of the stacked
-    product ``regulate_and_aggregate`` uses for a round's proxies.
+    proxies ``regulate_and_aggregate`` computes for a round.
     """
-    return _proxies([delta], cfg)[0]
+    z, norms, blocks = _proxies(delta.values[None], delta.layout, cfg)
+    return ProxyVector(values=z[0], layer_norms=tuple(norms[0].tolist()), blocks=blocks)
 
 
 def _top_directions(window: np.ndarray, m: int) -> np.ndarray:
@@ -276,30 +278,28 @@ def _top_directions(window: np.ndarray, m: int) -> np.ndarray:
 
 def update_reference(
     ref: GeometricReference,
-    proxies: list[ProxyVector],
+    proxies: np.ndarray,
     weights: np.ndarray,
     cfg: AggregatorConfig,
 ) -> GeometricReference:
     """Exponentially smooth the reference and refresh the subspace.
 
-    r <- alpha * r + (1 - alpha) * sum_k w_k z_k; the round's proxies
-    join the ring buffer (oldest evicted beyond W); the basis becomes
-    the top-m directions of the buffer, or stays empty while the buffer
-    holds fewer than m proxies or m = 0.
+    r <- alpha * r + (1 - alpha) * sum_k w_k z_k over the rows z_k of the
+    (K, d) ``proxies``; they join the ring buffer (oldest evicted beyond
+    W); the basis becomes the top-m directions of the buffer, or stays
+    empty while the buffer holds fewer than m proxies or m = 0.
     """
     if abs(float(np.sum(weights)) - 1.0) > 1e-9:
         raise InputError("weights must sum to 1")
     if len(proxies) != len(weights):
         raise InputError("one weight per proxy required")
-    mean = np.zeros_like(ref.r)
-    for w, z in zip(weights, proxies):
-        if z.values.shape != ref.r.shape:
-            raise InputError("proxy length does not match the reference")
-        mean += w * z.values
-    r_new = cfg.alpha * ref.r + (1.0 - cfg.alpha) * mean
+    if proxies.ndim != 2 or proxies.shape[1] != ref.r.shape[0]:
+        raise InputError("proxies must be rows as long as the reference")
+    if not np.isfinite(proxies).all():
+        raise InputError("proxy entries must be finite")
+    r_new = cfg.alpha * ref.r + (1.0 - cfg.alpha) * _weighted_sum(weights, proxies)
 
-    window = list(ref.window) + [z.values.copy() for z in proxies]
-    window = window[-cfg.window:]
+    window = (list(ref.window) + list(proxies.copy()))[-cfg.window:]
 
     m = cfg.subspace_dim
     if m == 0 or len(window) < m:
@@ -309,63 +309,56 @@ def update_reference(
     return GeometricReference(r=r_new, window=tuple(window), basis=basis)
 
 
-def align_regulate(z: np.ndarray, ref: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Attenuate by beta when the proxy opposes the reference.
+def align_regulate(z: np.ndarray, ref: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Attenuate by beta each row of the (K, d) stack ``z`` that opposes
+    the reference; the rows and their factors (1 or beta).
 
     The decision is the sign of the inner product, so it is invariant to
     positive rescaling of either vector; the zero boundary passes.
     """
-    factor = 1.0 if float(z @ ref) >= 0.0 else beta
-    return z * factor, factor
+    factor = np.where(np.vecdot(z, ref) >= 0.0, 1.0, beta)
+    return z * factor[:, None], factor
 
 
 def subspace_project(
     z: np.ndarray, basis: np.ndarray, blocks: tuple[tuple[int, int], ...]
-) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Project onto the dominant-direction subspace; per-block retention.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project each row of the (K, d) stack ``z`` onto the
+    dominant-direction subspace; the rows and their (K, blocks) retention.
 
     Empty basis = identity. retention_b = ||projected block|| /
     (||block|| + 1e-12), clamped to [0, 1]."""
     if basis.shape[1] == 0:
-        return z, tuple(1.0 for _ in blocks)
-    proj = basis @ (basis.T @ z)
-    retention = []
-    for a, b in blocks:
-        before = np.linalg.norm(z[a:b])
-        after = np.linalg.norm(proj[a:b])
-        retention.append(min(1.0, after / (before + 1e-12)))
-    return proj, tuple(retention)
+        return z, np.ones((z.shape[0], len(blocks)))
+    # one matrix-vector product per row, as for a single proxy
+    proj = np.matmul(basis[None], np.matmul(basis.T[None], z[:, :, None]))[:, :, 0]
+    retention = np.stack([
+        np.minimum(1.0, _row_norms(proj[:, a:b]) / (_row_norms(z[:, a:b]) + 1e-12))
+        for a, b in blocks], axis=1)
+    return proj, retention
 
 
-def sensitivity_normalize(z: np.ndarray, epsilon: float) -> tuple[np.ndarray, float]:
-    """Cap the proxy norm at epsilon: z / max(1, ||z||/epsilon).
+def sensitivity_normalize(z: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cap the norm of each row of the (K, d) stack ``z`` at epsilon:
+    z / max(1, ||z||/epsilon); the rows and their factors.
 
-    epsilon <= 0 means the cap is inactive (factor 1); a zero vector is
-    returned unchanged with factor 1.
+    epsilon <= 0 means the cap is inactive (factor 1); a zero row keeps
+    factor 1.
     """
-    n = float(np.linalg.norm(z))
-    if epsilon <= 0.0 or n == 0.0:
-        return z, 1.0
-    factor = min(1.0, epsilon / n)
-    return z * factor, factor
-
-
-def _normalized_weights(updates: list[LocalUpdate], cfg: AggregatorConfig) -> np.ndarray:
-    if cfg.weights == "uniform":
-        return np.full(len(updates), 1.0 / len(updates))
-    counts = np.array([u.n_train for u in updates], dtype=np.float64)
-    total = counts.sum()
-    if total <= 0.0:
-        raise InputError("train-count weighting needs a positive total count")
-    return counts / total
+    n = _row_norms(z)
+    factor = np.ones_like(n)
+    if epsilon > 0.0:
+        np.minimum(1.0, np.divide(epsilon, n, out=factor, where=n > 0.0), out=factor)
+    return z * factor[:, None], factor
 
 
 def regulate_and_aggregate(
-    updates: list[LocalUpdate],
+    updates: RoundUpdates,
     ref: GeometricReference,
     cfg: AggregatorConfig,
 ) -> tuple[FlatVector, GeometricReference, RegulationReport]:
-    """One server aggregation step.
+    """One server aggregation step over a round's (K, L) delta matrix,
+    its rows taken in ascending client id order.
 
     Client k's update is rescaled layer by layer with
     c_{k,l} = align_k · retention_{k,b(l)} · clip_k before the weighted
@@ -375,84 +368,55 @@ def regulate_and_aggregate(
     proxies (raw by default, regulated under the ablation flag) and the
     report records the realized geometry.
     """
-    if not updates:
-        raise InputError("need at least one client update")
-    updates = sorted(updates, key=lambda u: u.client_id)
-    ids = [u.client_id for u in updates]
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate client ids in one round")
-    layout = updates[0].delta.layout
-    for u in updates[1:]:
-        if u.delta.layout != layout:
-            raise InputError("inconsistent update layouts")
-    weights = _normalized_weights(updates, cfg)
+    order = np.argsort(updates.client_ids)
+    ids = np.asarray(updates.client_ids)[order]
+    deltas = updates.deltas[order]
+    counts = np.asarray(updates.n_train, dtype=np.float64)[order]
+    k = len(ids)
+    weights = np.full(k, 1.0 / k) if cfg.weights == "uniform" else counts / counts.sum()
 
-    proxies = _proxies([u.delta for u in updates], cfg)
-    if proxies[0].values.shape != ref.r.shape:
-        raise InputError(
-            f"reference length {ref.r.shape[0]} does not match proxies "
-            f"({proxies[0].values.shape[0]})"
-        )
+    z, _, blocks = _proxies(deltas, updates.layout, cfg)
+    if z.shape[1] != ref.r.shape[0]:
+        raise InputError(f"reference length {ref.r.shape[0]} does not match proxies "
+                         f"({z.shape[1]})")
 
     # effective reference: fall back to the heaviest client's direction
-    # when the smoothed reference has no direction yet
-    r_eff = ref.r
-    fallback_used = False
-    if np.linalg.norm(ref.r) == 0.0 and cfg.fallback == "largest":
-        lead = max(range(len(updates)), key=lambda i: (weights[i], -ids[i]))
-        r_eff = proxies[lead].values
-        fallback_used = True
+    # (the lowest id among equals) when the smoothed reference has no
+    # direction yet
+    fallback_used = bool(np.linalg.norm(ref.r) == 0.0 and cfg.fallback == "largest")
+    r_eff = z[int(np.argmax(weights))] if fallback_used else ref.r
 
-    norms = [z.norm for z in proxies]
-    eps = 0.0  # a plain server has no cap
+    norms = _row_norms(z)
+    r_norm = float(np.linalg.norm(r_eff))
+    cos_ref = np.zeros(k)
+    np.divide(np.vecdot(z, r_eff), norms * r_norm, out=cos_ref,
+              where=(norms > 0.0) & (r_norm > 0.0))
+    cos_ref = np.clip(cos_ref, -1.0, 1.0)
+
+    eps = 0.0  # a plain server has no cap, and every factor is 1
+    z_out, align, retention, clip = z, np.ones(k), np.ones((k, len(blocks))), np.ones(k)
     if cfg.mode == "ggrs":
         eps = float(np.median(norms)) if cfg.epsilon == "adaptive" else float(cfg.epsilon)
+        z_out, align = align_regulate(z, r_eff, cfg.beta)
+        z_out, retention = subspace_project(z_out, ref.basis, blocks)
+        z_out, clip = sensitivity_normalize(z_out, eps)
 
-    slices = layer_slices(layout)
-    sizes = [b - a for a, b in slices]
-    n_layers = len(slices)
-    blocks = proxies[0].blocks
-    block_of = range(n_layers) if len(blocks) == n_layers else [0] * n_layers
-    global_delta = np.zeros_like(updates[0].delta.values)
-    rows, source = [], []
-    r_norm = float(np.linalg.norm(r_eff))
+    slices = layer_slices(updates.layout)
+    block_of = range(len(slices)) if len(blocks) == len(slices) else [0] * len(slices)
+    coefficients = align[:, None] * retention[:, block_of] * clip[:, None]
+    global_delta = _weighted_sum(
+        weights, deltas * np.repeat(coefficients, [b - a for a, b in slices], axis=1))
 
-    for u, z, zn, w in zip(updates, proxies, norms, weights):
-        cos_ref = 0.0
-        if zn > 0.0 and r_norm > 0.0:
-            cos_ref = float(np.clip(z.values @ r_eff / (zn * r_norm), -1.0, 1.0))
-
-        z_out, align, retention, clip = z.values, 1.0, (1.0,) * len(blocks), 1.0
-        if cfg.mode == "ggrs":
-            z_out, align = align_regulate(z.values, r_eff, cfg.beta)
-            z_out, retention = subspace_project(z_out, ref.basis, blocks)
-            z_out, clip = sensitivity_normalize(z_out, eps)
-        source.append(z if cfg.reference == "raw" else
-                      ProxyVector(values=z_out, layer_norms=z.layer_norms, blocks=blocks))
-
-        coefficients = tuple(align * retention[b] * clip for b in block_of)
-        global_delta += w * (u.delta.values * np.repeat(coefficients, sizes))
-
-        rows.append(
-            ClientRegulation(
-                client_id=u.client_id,
-                proxy_norm=zn,
-                cos_ref=cos_ref,
-                align_factor=align,
-                attenuated=align < 1.0,
-                retention=retention,
-                clip_factor=clip,
-                coefficients=coefficients,
-            )
-        )
-
-    new_ref = update_reference(ref, source, weights, cfg)
-    layer_coefficients = weights @ np.array([row.coefficients for row in rows])
-
-    report = RegulationReport(
-        clients=tuple(rows),
-        layer_coefficients=tuple(float(c) for c in layer_coefficients),
-        epsilon=eps,
-        fallback_used=fallback_used,
+    new_ref = update_reference(ref, z if cfg.reference == "raw" else z_out, weights, cfg)
+    rows = tuple(
+        ClientRegulation(client_id=i, proxy_norm=n, cos_ref=c, align_factor=a,
+                         attenuated=a < 1.0, retention=tuple(ret), clip_factor=cl,
+                         coefficients=tuple(co))
+        for i, n, c, a, ret, cl, co in zip(ids.tolist(), norms.tolist(), cos_ref.tolist(),
+                                           align.tolist(), retention.tolist(), clip.tolist(),
+                                           coefficients.tolist())
     )
-    return FlatVector(values=global_delta, layout=layout), new_ref, report
+    report = RegulationReport(clients=rows,
+                              layer_coefficients=tuple((weights @ coefficients).tolist()),
+                              epsilon=eps, fallback_used=fallback_used)
+    return FlatVector(values=global_delta, layout=updates.layout), new_ref, report

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .client import LocalUpdate
+from .client import RoundUpdates
 from .graphs import normalized_adjacency, path_graph, complete_graph
 from .metrics import operator_spectrum
-from .model import SHARED, FlatVector, LayerSpec
+from .model import SHARED, LayerSpec
 from .server import AggregatorConfig, initial_reference, regulate_and_aggregate
 
 __all__ = ["ToyCheck", "toy_appendix"]
@@ -49,15 +49,6 @@ class ToyCheck:
     ok: bool
 
 
-def _scalar_update(client_id: int, w: float) -> LocalUpdate:
-    layout = (LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),)
-    return LocalUpdate(
-        client_id=client_id,
-        delta=FlatVector(values=np.array([w]), layout=layout),
-        n_train=1,
-    )
-
-
 def toy_appendix() -> tuple[str, bool]:
     """Run the illustration; returns (report text, all checks passed)."""
     a1 = normalized_adjacency(path_graph(3)).dense()
@@ -65,7 +56,8 @@ def toy_appendix() -> tuple[str, bool]:
     eig_a1 = operator_spectrum(a1)
     eig_a2 = operator_spectrum(a2)
 
-    updates = [_scalar_update(0, 1.0), _scalar_update(1, -1.0)]
+    updates = RoundUpdates(client_ids=(0, 1), deltas=np.array([[1.0], [-1.0]]), n_train=(1, 1),
+                           layout=(LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),))
 
     plain_cfg = AggregatorConfig(mode="plain")
     w_plain = float(

@@ -21,9 +21,9 @@ from fedgeo import (
     AggregatorConfig,
     Federation,
     FlatVector,
-    LocalUpdate,
     ModelConfig,
     PartitionSpec,
+    RoundUpdates,
     build_clients,
     dirichlet_assignments,
     flatten,
@@ -58,12 +58,13 @@ def _gate(name, ok, detail):
 # ---------------------------------------------------------------- 1: toy
 
 
-def _scalar_update(client_id, w):
+def _scalar_updates(ws):
     layout = (LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),)
-    return LocalUpdate(
-        client_id=client_id,
-        delta=FlatVector(values=np.array([w]), layout=layout),
-        n_train=1,
+    return RoundUpdates(
+        client_ids=tuple(range(len(ws))),
+        deltas=np.array(ws)[:, None],
+        n_train=(1,) * len(ws),
+        layout=layout,
     )
 
 
@@ -82,7 +83,7 @@ def test_1_toy_illustration_reproduces_pinned_values():
     a2 = normalized_adjacency(complete_graph(3)).dense()
     ok_e2 = np.max(np.abs(operator_spectrum(a2) - [1.0, 0.0, 0.0])) < 1e-9
 
-    ups = [_scalar_update(0, 1.0), _scalar_update(1, -1.0)]
+    ups = _scalar_updates([1.0, -1.0])
     w_plain = float(
         regulate_and_aggregate(ups, initial_reference(1), AggregatorConfig(mode="plain"))[0].values[0]
     )
@@ -195,8 +196,8 @@ def test_3a_single_client_federation_is_centralized_descent():
     rows = batch.rows([np.flatnonzero(c.graph.train_mask)])
     worst = 0.0
     for t in range(1, 21):
-        u = local_train(fed, shared, round_index=t)[0]
-        delta, ref, _ = regulate_and_aggregate([u], ref, agg)
+        u = local_train(fed, shared, round_index=t)
+        delta, ref, _ = regulate_and_aggregate(u, ref, agg)
         shared = FlatVector(values=shared.values + delta.values, layout=shared.layout)
 
         p = unflatten(FlatVector(values=oracle, layout=shared.layout), params)
@@ -217,16 +218,15 @@ def test_3b_identical_aligned_updates_reduce_to_plain_mean():
         LayerSpec(index=1, group=SHARED, w_shape=(3, 2), b_size=2),
     )
     vals = rng.normal(size=4 * 3 + 3 + 3 * 2 + 2)
-    ups = [
-        LocalUpdate(client_id=k, delta=FlatVector(values=vals.copy(), layout=layout), n_train=5)
-        for k in range(3)
-    ]
+    ups = RoundUpdates(client_ids=(0, 1, 2), deltas=np.stack([vals] * 3), n_train=(5, 5, 5),
+                       layout=layout)
     agg = AggregatorConfig(mode="ggrs", beta=0.5)
     plain = AggregatorConfig(mode="plain")
 
     # round 1: zero reference, fallback supplies the common direction;
     # round 2: reference is exactly that direction (cosine 1)
-    ref_g = initial_reference(proxy_map(ups[0].delta, agg).values.shape[0])
+    ref_g = initial_reference(proxy_map(FlatVector(values=vals, layout=layout),
+                                        agg).values.shape[0])
     ref_p = initial_reference(ref_g.r.shape[0])
     worst = 0.0
     for rnd in (1, 2):
@@ -252,11 +252,11 @@ def test_3c_regulated_client_updates_never_exceed_raw_norm():
     for t in range(1, 9):
         ups = local_train(fed, shared, round_index=t)
         delta, ref, report = regulate_and_aggregate(ups, ref, agg)
-        by_id = {u.client_id: u for u in ups}
+        by_id = dict(zip(ups.client_ids, ups.deltas))
         for creg in report.clients:
-            raw = by_id[creg.client_id].delta.values
+            raw = by_id[creg.client_id]
             applied = raw.copy()
-            for (lo, hi), c_l in zip(layer_slices(by_id[creg.client_id].delta.layout), creg.coefficients):
+            for (lo, hi), c_l in zip(layer_slices(ups.layout), creg.coefficients):
                 applied[lo:hi] *= c_l
             excess = float(np.linalg.norm(applied) - np.linalg.norm(raw))
             worst_excess = max(worst_excess, excess)

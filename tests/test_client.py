@@ -49,9 +49,9 @@ def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="re
 
 def test_zero_lr_gives_zero_delta():
     fed, shared = _fixture(lr=0.0)
-    update = local_train(fed, shared)[0]
-    assert np.all(update.delta.values == 0.0)
-    assert update.n_train == int(fed.clients[0].graph.train_mask.sum())
+    update = local_train(fed, shared)
+    assert np.all(update.deltas[0] == 0.0)
+    assert update.n_train[0] == int(fed.clients[0].graph.train_mask.sum())
 
 
 def test_one_step_quadratic_surrogate_closed_form():
@@ -67,19 +67,19 @@ def test_one_step_quadratic_surrogate_closed_form():
     state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params)
     fed = Federation([state], ModelConfig(n_layers=1, activation="identity", bias=False),
                      TrainingConfig(trainer="fedavg", lr=lr, epochs=1))
-    update = local_train(fed, flatten(params, group=SHARED))[0]
+    update = local_train(fed, flatten(params, group=SHARED))
     z = x @ w0
     p = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
     expected = -lr * x.T @ (p - np.eye(2)[y])
-    assert update.delta.values == pytest.approx(expected.ravel(), abs=1e-15)
+    assert update.deltas[0] == pytest.approx(expected.ravel(), abs=1e-15)
 
 
 def test_fedsgd_takes_exactly_one_step():
     f1, shared = _fixture(trainer="fedsgd", epochs=7, lr=0.05)
     f2, _ = _fixture(trainer="fedavg", epochs=1, lr=0.05)
-    u1 = local_train(f1, shared)[0]
-    u2 = local_train(f2, shared)[0]
-    np.testing.assert_array_equal(u1.delta.values, u2.delta.values)
+    u1 = local_train(f1, shared)
+    u2 = local_train(f2, shared)
+    np.testing.assert_array_equal(u1.deltas[0], u2.deltas[0])
 
 
 def test_fedavg_multi_epoch_matches_manual_descent():
@@ -90,7 +90,7 @@ def test_fedavg_multi_epoch_matches_manual_descent():
         fed, shared = _fixture(trainer=trainer, epochs=3, lr=0.07, mu=mu,
                                cross_domain=cross_domain)
         state = fed.clients[0]
-        update = local_train(fed, shared)[0]
+        update = local_train(fed, shared)
 
         # oracle: run the descent loop by hand through the public gradient,
         # adding fedprox's mu * (theta - theta_0) on the shared layers
@@ -117,7 +117,7 @@ def test_fedavg_multi_epoch_matches_manual_descent():
                 ))
             params = ParameterSet(layers=tuple(layers))
         expected = flatten(params, group=SHARED).values - shared.values
-        np.testing.assert_allclose(update.delta.values, expected, rtol=0, atol=0)
+        np.testing.assert_allclose(update.deltas[0], expected, rtol=0, atol=0)
         np.testing.assert_allclose(flatten(state.params).values,
                                    flatten(params).values, rtol=0, atol=0)
 
@@ -128,10 +128,10 @@ def test_fedprox_large_mu_contracts_delta():
     # fedavg drift ~E times farther
     base, shared = _fixture(trainer="fedavg", lr=1e-6, epochs=1500)
     prox, _ = _fixture(trainer="fedprox", lr=1e-6, epochs=1500, mu=1e6)
-    u_avg = local_train(base, shared)[0]
-    u_prox = local_train(prox, shared)[0]
-    n_avg = np.linalg.norm(u_avg.delta.values)
-    n_prox = np.linalg.norm(u_prox.delta.values)
+    u_avg = local_train(base, shared)
+    u_prox = local_train(prox, shared)
+    n_avg = np.linalg.norm(u_avg.deltas[0])
+    n_prox = np.linalg.norm(u_prox.deltas[0])
     assert n_prox < 1e-3 * n_avg
 
 
@@ -141,8 +141,8 @@ def test_fedprox_mu_monotonically_shrinks_delta():
                                      epochs=5, lr=0.05)
         fed_large, _ = _fixture(seed=trial, trainer="fedprox", mu=10.0,
                                 epochs=5, lr=0.05)
-        n_small = np.linalg.norm(local_train(fed_small, shared)[0].delta.values)
-        n_large = np.linalg.norm(local_train(fed_large, shared)[0].delta.values)
+        n_small = np.linalg.norm(local_train(fed_small, shared).deltas[0])
+        n_large = np.linalg.norm(local_train(fed_large, shared).deltas[0])
         assert n_large <= n_small + 1e-15
 
 
@@ -151,17 +151,17 @@ def test_fedprox_first_step_equals_fedavg():
     # cannot distinguish the trainers
     avg, shared = _fixture(trainer="fedavg", epochs=1, lr=0.05)
     prox, _ = _fixture(trainer="fedprox", epochs=1, lr=0.05, mu=5.0)
-    u_avg = local_train(avg, shared)[0]
-    u_prox = local_train(prox, shared)[0]
-    np.testing.assert_allclose(u_avg.delta.values, u_prox.delta.values, atol=1e-12)
+    u_avg = local_train(avg, shared)
+    u_prox = local_train(prox, shared)
+    np.testing.assert_allclose(u_avg.deltas[0], u_prox.deltas[0], atol=1e-12)
 
 
 def test_local_train_deterministic_bitwise():
     f1, shared = _fixture(seed=3, epochs=4)
     f2, _ = _fixture(seed=3, epochs=4)
-    u1 = local_train(f1, shared)[0]
-    u2 = local_train(f2, shared)[0]
-    np.testing.assert_array_equal(u1.delta.values, u2.delta.values)
+    u1 = local_train(f1, shared)
+    u2 = local_train(f2, shared)
+    np.testing.assert_array_equal(u1.deltas[0], u2.deltas[0])
 
 
 def test_local_head_persists_across_rounds():
@@ -179,8 +179,8 @@ def test_local_head_persists_across_rounds():
     head_r1 = state.params.layers[1].weight.copy()
     assert np.any(head_r1 != head_before)  # head trains locally
     # round 2: broadcast does not touch the head
-    u2 = local_train(Federation([state], cfg, training), shared, round_index=2)[0]
-    assert u2.delta.values.size == shared.values.size
+    u2 = local_train(Federation([state], cfg, training), shared, round_index=2)
+    assert u2.deltas[0].size == shared.values.size
     assert np.any(state.params.layers[1].weight != head_r1)
 
 
@@ -243,12 +243,12 @@ def test_replaced_graph_trains_like_a_fresh_state():
     replaced = dataclasses.replace(state, graph=g2, adj=normalized_adjacency(g2))
     fresh = ClientState(client_id=0, graph=g2, adj=normalized_adjacency(g2),
                         params=state.params)
-    u_replaced = local_train(Federation([replaced], fed.model, fed.training), shared)[0]
-    u_fresh = local_train(Federation([fresh], fed.model, fed.training), shared)[0]
-    np.testing.assert_array_equal(u_replaced.delta.values, u_fresh.delta.values)
+    u_replaced = local_train(Federation([replaced], fed.model, fed.training), shared)
+    u_fresh = local_train(Federation([fresh], fed.model, fed.training), shared)
+    np.testing.assert_array_equal(u_replaced.deltas[0], u_fresh.deltas[0])
     assert u_replaced.n_train == u_fresh.n_train
-    assert not np.array_equal(local_train(fed, shared)[0].delta.values,
-                              u_fresh.delta.values)
+    assert not np.array_equal(local_train(fed, shared).deltas[0],
+                              u_fresh.deltas[0])
 
 
 def test_layout_mismatch_rejected():
@@ -356,12 +356,13 @@ def test_batch_trains_each_client_as_its_own_federation(n_clients, n_layers, act
     singles = [Federation([c], model, training) for c in alone]
     for t in (1, 2):
         together = local_train(fed, shared, round_index=t)
-        apart = [local_train(f, shared, round_index=t)[0] for f in singles]
-        for u, v, b, a in zip(together, apart, batched, alone):
-            assert (u.client_id, u.n_train) == (v.client_id, v.n_train)
-            np.testing.assert_array_equal(u.delta.values, v.delta.values)
+        apart = [local_train(f, shared, round_index=t) for f in singles]
+        for k, (v, b, a) in enumerate(zip(apart, batched, alone)):
+            assert (together.client_ids[k], together.n_train[k]) == (v.client_ids[0],
+                                                                     v.n_train[0])
+            np.testing.assert_array_equal(together.deltas[k], v.deltas[0])
             np.testing.assert_array_equal(flatten(b.params).values, flatten(a.params).values)
-        shared = FlatVector(values=shared.values + together[-1].delta.values,
+        shared = FlatVector(values=shared.values + together.deltas[-1],
                             layout=shared.layout)
 
 
@@ -392,3 +393,65 @@ def test_building_a_federation_leaves_its_clients_untouched():
         assert fed.batch.message[a:b].shape == want.shape
         assert fed.batch.message[a:b].tobytes() == want.tobytes()
     assert not fed.batch.message.flags.writeable
+
+
+def test_a_diverging_round_changes_no_parameters():
+    # after a good round every client's params are its slice of the
+    # federation's stack; a round that diverges must leave that stack,
+    # the evaluation parameters and every client's params as they were,
+    # so the next round trains as if the failed one never ran
+    model = ModelConfig(n_layers=2, hidden_dim=3)
+    params = init_params(model, 3, 2, seed=5, cross_domain=True)
+    shared = flatten(params, group=SHARED)
+
+    def federation():
+        rng = np.random.default_rng(11)
+        return Federation([_random_client(k, rng, 2, 3, params) for k in range(3)], model,
+                          TrainingConfig(lr=0.3, epochs=2))
+
+    fed, twin = federation(), federation()
+    for f in (fed, twin):
+        local_train(f, shared, round_index=1)
+    before = [(c.params, flatten(c.params).values.tobytes()) for c in fed.clients]
+    evaluated = [l.weight.tobytes() for l in fed.params(shared).layers]
+    huge = FlatVector(values=1e300 * np.ones_like(shared.values), layout=shared.layout)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError):
+            local_train(fed, huge, round_index=2)
+    for c, (p, flat) in zip(fed.clients, before):
+        assert c.params is p and flatten(c.params).values.tobytes() == flat
+    assert [l.weight.tobytes() for l in fed.params(shared).layers] == evaluated
+    again, untouched = (local_train(f, shared, round_index=2) for f in (fed, twin))
+    assert again.deltas.tobytes() == untouched.deltas.tobytes()
+    for c, t in zip(fed.clients, twin.clients):
+        assert flatten(c.params).values.tobytes() == flatten(t.params).values.tobytes()
+
+
+def test_the_federation_owns_its_clients_parameters():
+    # after a round each client's params is a view of the federation's
+    # stack: the next round overwrites it in place, and a params object
+    # put in its place is neither read nor kept
+    model = ModelConfig(n_layers=2, hidden_dim=3)
+    params = init_params(model, 3, 2, seed=2, cross_domain=True)
+    shared = flatten(params, group=SHARED)
+
+    def federation():
+        rng = np.random.default_rng(4)
+        return Federation([_random_client(k, rng, 2, 3, params) for k in range(2)], model,
+                          TrainingConfig(lr=0.3))
+
+    fed, twin = federation(), federation()
+    local_train(fed, shared, round_index=1)
+    held = [c.params for c in fed.clients]
+    r1 = [flatten(p).values for p in held]
+    fed.clients[0].params = init_params(model, 3, 2, seed=9, cross_domain=True)
+    local_train(fed, shared, round_index=2)
+    for c, p, v in zip(fed.clients, held, r1):
+        assert c.params is p
+        assert not np.array_equal(flatten(p).values, v)  # the local head trained on
+    # client 0's round-2 head continued from its round-1 head, not from
+    # the params it was handed in between: the same as a twin never handed them
+    for r in (1, 2):
+        local_train(twin, shared, round_index=r)
+    for c, t in zip(fed.clients, twin.clients):
+        assert flatten(c.params).values.tobytes() == flatten(t.params).values.tobytes()

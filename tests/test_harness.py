@@ -90,8 +90,8 @@ client.lr = 0.1
     agg = AggregatorConfig(mode="plain")
 
     for t in range(1, 21):
-        u = local_train(fed, shared, round_index=t)[0]
-        delta, ref, _ = regulate_and_aggregate([u], ref, agg)
+        u = local_train(fed, shared, round_index=t)
+        delta, ref, _ = regulate_and_aggregate(u, ref, agg)
         shared = FlatVector(values=shared.values + delta.values,
                             layout=shared.layout)
 
@@ -274,8 +274,8 @@ client.lr = 0.1
     fed = Federation(clients, cfg.model, cfg.client)
     for t in range(1, 4):
         updates = local_train(fed, shared, round_index=t)
-        for u in updates:  # only the shared group ever leaves a client
-            assert u.delta.values.shape[0] == shared.values.shape[0]
+        # only the shared group ever leaves a client
+        assert updates.deltas.shape == (len(clients), shared.values.shape[0])
         delta, ref, _ = regulate_and_aggregate(updates, ref, agg)
         shared = FlatVector(values=shared.values + delta.values,
                             layout=shared.layout)

@@ -120,19 +120,19 @@ def test_masked_cross_entropy_against_manual():
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     manual = -np.mean(np.log(p[mask, labels[mask]]))
-    assert abs(_cross_entropy(logits[mask], labels[mask])[0].mean() - manual) < 1e-12
+    assert abs(_cross_entropy(logits[mask], (np.arange(4), labels[mask]))[0].mean() - manual) < 1e-12
 
 
 def test_masked_cross_entropy_handles_huge_logits():
     logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
     labels = np.array([0, 1])
-    loss = _cross_entropy(logits, labels)[0].mean()
+    loss = _cross_entropy(logits, (np.arange(2), labels))[0].mean()
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_masked_cross_entropy_empty_mask():
     with pytest.raises(InputError):
-        _cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        _cross_entropy(np.zeros((0, 2)), (np.arange(0), np.zeros(0, dtype=int)))
 
 
 def _fd_gradient(params, adj, features, labels, rows, activation, step=1e-4):

@@ -1,16 +1,17 @@
 import dataclasses
 import hashlib
+from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgeo import (
     AggregatorConfig,
     GeometricReference,
     InputError,
-    LocalUpdate,
+    RoundUpdates,
     align_regulate,
     initial_reference,
     proxy_map,
@@ -22,6 +23,7 @@ from fedgeo import (
 from fedgeo.model import SHARED, FlatVector, LayerSpec, layer_slices
 from fedgeo.server import (
     FALLBACKS,
+    MODES,
     REFERENCES,
     WEIGHTINGS,
     ProxyVector,
@@ -30,9 +32,21 @@ from fedgeo.server import (
 )
 
 
+# one client's row of a round, as the tests below write it
+Update = namedtuple("Update", "client_id delta n_train")
+
+
+def _round(updates):
+    """The RoundUpdates of ``updates``, which share one layout."""
+    return RoundUpdates(client_ids=tuple(int(u.client_id) for u in updates),
+                        deltas=np.stack([u.delta.values for u in updates]),
+                        n_train=tuple(int(u.n_train) for u in updates),
+                        layout=updates[0].delta.layout)
+
+
 def _scalar_update(client_id, w, n_train=1):
     layout = (LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),)
-    return LocalUpdate(
+    return Update(
         client_id=client_id,
         delta=FlatVector(values=np.array([float(w)]), layout=layout),
         n_train=n_train,
@@ -49,7 +63,7 @@ def _layout_two(d1=3, d2=2):
 
 def _update_two(client_id, values, n_train=1):
     layout = _layout_two()
-    return LocalUpdate(
+    return Update(
         client_id=client_id,
         delta=FlatVector(values=np.asarray(values, dtype=float), layout=layout),
         n_train=n_train,
@@ -99,7 +113,7 @@ def test_proxy_map_zero_delta_is_zero_proxy():
     cfg = AggregatorConfig()
     z = proxy_map(FlatVector(values=np.zeros(5), layout=_layout_two()), cfg)
     assert np.all(z.values == 0.0)
-    assert z.norm == 0.0
+    assert np.linalg.norm(z.values) == 0.0
 
 
 def test_proxy_map_norm_bounded_by_one():
@@ -107,7 +121,7 @@ def test_proxy_map_norm_bounded_by_one():
     rng = np.random.default_rng(0)
     for _ in range(20):
         delta = FlatVector(values=rng.normal(size=5), layout=_layout_two())
-        assert proxy_map(delta, cfg).norm <= 1.0 + 1e-12
+        assert np.linalg.norm(proxy_map(delta, cfg).values) <= 1.0 + 1e-12
 
 
 def test_proxy_map_rejects_non_finite():
@@ -149,6 +163,10 @@ def test_sign_projection_draw_is_pinned():
     assert hashlib.sha256(p.tobytes()).hexdigest() == (
         "ee3545c7a074e73131a642f2e2b0d570479b7b1ac731478dd5fd8dd703fdd44a"
     )
+    # every caller shares the cached matrix, so no caller may write it
+    with pytest.raises(ValueError):
+        p[0, 0] = 0.0
+    assert _sign_projection(4680, 1024) is p and p[0, 0] in (-1.0, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,13 +194,13 @@ def test_round_proxies_match_proxy_map(shapes, k, proxy_dim, zero_ref, seed):
     r = np.zeros(d) if zero_ref else rng.standard_normal(d)
     ref = GeometricReference(r=r, window=(), basis=np.zeros((d, 0)))
     updates = [
-        LocalUpdate(client_id=int(c), n_train=1,
+        Update(client_id=int(c), n_train=1,
                     delta=FlatVector(values=rng.standard_normal(size)
                                      * rng.choice([0.0, 1e-3, 1.0, 100.0]),
                                      layout=layout))
         for c in rng.choice(20, size=k, replace=False)
     ]
-    _, _, report = regulate_and_aggregate(updates, ref, cfg)
+    _, _, report = regulate_and_aggregate(_round(updates), ref, cfg)
 
     alone = {u.client_id: proxy_map(u.delta, cfg) for u in updates}
     # uniform weights: a zero reference falls back to the lowest id's proxy
@@ -191,14 +209,15 @@ def test_round_proxies_match_proxy_map(shapes, k, proxy_dim, zero_ref, seed):
     assert len(report.clients) == k
     for row in report.clients:
         z = alone[row.client_id]
+        z_norm = float(np.linalg.norm(z.values))
         cos_ref = 0.0
-        if z.norm > 0.0 and r_norm > 0.0:
-            cos_ref = float(np.clip(z.values @ r_eff / (z.norm * r_norm), -1.0, 1.0))
+        if z_norm > 0.0 and r_norm > 0.0:
+            cos_ref = float(np.clip(z.values @ r_eff / (z_norm * r_norm), -1.0, 1.0))
         if projected:
-            assert abs(row.proxy_norm - z.norm) <= 1e-12
+            assert abs(row.proxy_norm - z_norm) <= 1e-12
             assert abs(row.cos_ref - cos_ref) <= 1e-12
         else:
-            assert row.proxy_norm == z.norm
+            assert row.proxy_norm == z_norm
             assert row.cos_ref == cos_ref
 
 
@@ -207,7 +226,7 @@ def test_update_reference_ema_arithmetic():
     z = ProxyVector(values=np.array([0.6, 0.0, 0.8]), layer_norms=(1.0,),
                     blocks=((0, 3),))
     cfg = AggregatorConfig(alpha=0.9)
-    new = update_reference(ref, [z], np.array([1.0]), cfg)
+    new = update_reference(ref, z.values[None], np.array([1.0]), cfg)
     np.testing.assert_allclose(new.r, 0.1 * z.values, atol=1e-15)
     assert len(new.window) == 1
 
@@ -217,7 +236,7 @@ def test_update_reference_cancellation_keeps_reference():
     zp = ProxyVector(values=np.array([1.0]), layer_norms=(1.0,), blocks=((0, 1),))
     zm = ProxyVector(values=np.array([-1.0]), layer_norms=(1.0,), blocks=((0, 1),))
     cfg = AggregatorConfig(alpha=0.9)
-    new = update_reference(ref, [zp, zm], np.array([0.5, 0.5]), cfg)
+    new = update_reference(ref, np.stack([zp.values, zm.values]), np.array([0.5, 0.5]), cfg)
     assert new.r[0] == 0.0
 
 
@@ -227,7 +246,7 @@ def test_update_reference_window_eviction():
     for i in range(6):
         z = ProxyVector(values=np.array([float(i), 1.0]), layer_norms=(1.0,),
                         blocks=((0, 2),))
-        ref = update_reference(ref, [z], np.array([1.0]), cfg)
+        ref = update_reference(ref, z.values[None], np.array([1.0]), cfg)
     assert len(ref.window) == 4
     assert ref.window[0][0] == 2.0  # oldest two evicted
     assert ref.window[-1][0] == 5.0
@@ -237,7 +256,15 @@ def test_update_reference_weights_must_sum_to_one():
     ref = initial_reference(1)
     z = ProxyVector(values=np.array([1.0]), layer_norms=(1.0,), blocks=((0, 1),))
     with pytest.raises(InputError):
-        update_reference(ref, [z], np.array([0.7]), AggregatorConfig())
+        update_reference(ref, z.values[None], np.array([0.7]), AggregatorConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_update_reference_rejects_non_finite_proxies(bad):
+    ref = initial_reference(2)
+    proxies = np.array([[0.6, 0.8], [bad, 0.0]])
+    with pytest.raises(InputError, match="finite"):
+        update_reference(ref, proxies, np.array([0.5, 0.5]), AggregatorConfig())
 
 
 def test_basis_empty_while_window_underfull():
@@ -247,7 +274,7 @@ def test_basis_empty_while_window_underfull():
     for i in range(3):  # 3 < m = 4
         z = ProxyVector(values=rng.normal(size=3), layer_norms=(1.0,),
                         blocks=((0, 3),))
-        ref = update_reference(ref, [z], np.array([1.0]), cfg)
+        ref = update_reference(ref, z.values[None], np.array([1.0]), cfg)
         assert ref.basis.shape == (3, 0)
 
 
@@ -257,7 +284,7 @@ def test_basis_of_identical_vectors_is_rank_one():
     v = np.array([1.0, 2.0, 2.0])
     for _ in range(4):
         z = ProxyVector(values=v.copy(), layer_norms=(1.0,), blocks=((0, 3),))
-        ref = update_reference(ref, [z], np.array([1.0]), cfg)
+        ref = update_reference(ref, z.values[None], np.array([1.0]), cfg)
     assert ref.basis.shape == (3, 1)
     unit = v / np.linalg.norm(v)
     assert abs(abs(ref.basis[:, 0] @ unit) - 1.0) < 1e-9
@@ -270,7 +297,7 @@ def test_subspace_disabled_when_m_zero():
     for _ in range(5):
         z = ProxyVector(values=rng.normal(size=3), layer_norms=(1.0,),
                         blocks=((0, 3),))
-        ref = update_reference(ref, [z], np.array([1.0]), cfg)
+        ref = update_reference(ref, z.values[None], np.array([1.0]), cfg)
     assert ref.basis.shape == (3, 0)
 
 
@@ -326,15 +353,15 @@ def test_top_directions_properties(d, s, repeats, m, seed):
 
 def test_align_regulate_examples():
     r = np.array([1.0])
-    kept, f1 = align_regulate(np.array([-1.0]), r, beta=0.5)
+    (kept,), (f1,) = align_regulate(np.array([[-1.0]]), r, beta=0.5)
     assert f1 == 0.5
     assert kept[0] == -0.5
-    same, f2 = align_regulate(np.array([2.0]), r, beta=0.5)
+    (same,), (f2,) = align_regulate(np.array([[2.0]]), r, beta=0.5)
     assert f2 == 1.0
     assert same[0] == 2.0
     # orthogonal sits on the pass side of the boundary
     z = np.array([0.0, 1.0])
-    ortho, f3 = align_regulate(z, np.array([1.0, 0.0]), beta=0.5)
+    (ortho,), (f3,) = align_regulate(z[None], np.array([1.0, 0.0]), beta=0.5)
     assert f3 == 1.0
     np.testing.assert_array_equal(ortho, z)
 
@@ -344,15 +371,15 @@ def test_align_regulate_scale_invariant_decision():
     for _ in range(20):
         z = rng.normal(size=4)
         r = rng.normal(size=4)
-        _, f = align_regulate(z, r, beta=0.3)
-        _, f_scaled = align_regulate(5.0 * z, 0.01 * r, beta=0.3)
+        _, f = align_regulate(z[None], r, beta=0.3)
+        _, f_scaled = align_regulate(5.0 * z[None], 0.01 * r, beta=0.3)
         assert f == f_scaled
 
 
 def test_subspace_project_hand_example():
     basis = np.array([[1.0], [0.0]])
     z = np.array([3.0, 4.0])
-    proj, retention = subspace_project(z, basis, blocks=((0, 2),))
+    (proj,), (retention,) = subspace_project(z[None], basis, blocks=((0, 2),))
     np.testing.assert_allclose(proj, [3.0, 0.0], atol=1e-15)
     assert retention[0] == pytest.approx(0.6, abs=1e-9)
 
@@ -361,30 +388,30 @@ def test_subspace_project_fixed_point_in_span():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(5, 2)))
     z = q @ np.array([1.3, -0.4])
-    proj, retention = subspace_project(z, q, blocks=((0, 5),))
+    (proj,), (retention,) = subspace_project(z[None], q, blocks=((0, 5),))
     np.testing.assert_allclose(proj, z, atol=1e-12)
     assert retention[0] > 1.0 - 1e-9
 
 
 def test_subspace_project_empty_basis_is_identity():
     z = np.array([1.0, 2.0])
-    proj, retention = subspace_project(z, np.zeros((2, 0)), blocks=((0, 2),))
+    (proj,), (retention,) = subspace_project(z[None], np.zeros((2, 0)), blocks=((0, 2),))
     np.testing.assert_array_equal(proj, z)
-    assert retention == (1.0,)
+    assert retention.tolist() == [1.0]
 
 
 def test_sensitivity_normalize_examples():
     z = np.array([2.0, 0.0])
-    capped, f = sensitivity_normalize(z, 1.0)
+    (capped,), (f,) = sensitivity_normalize(z[None], 1.0)
     assert f == 0.5
     assert np.linalg.norm(capped) == pytest.approx(1.0, abs=1e-15)
 
     small = np.array([0.3])
-    same, f2 = sensitivity_normalize(small, 1.0)
+    (same,), (f2,) = sensitivity_normalize(small[None], 1.0)
     assert f2 == 1.0
     np.testing.assert_array_equal(same, small)
 
-    zero, f3 = sensitivity_normalize(np.zeros(2), 1.0)
+    (zero,), (f3,) = sensitivity_normalize(np.zeros((1, 2)), 1.0)
     assert f3 == 1.0
     assert np.all(zero == 0.0)
 
@@ -395,7 +422,7 @@ def test_plain_mode_is_exact_weighted_mean():
     for weighting in ("uniform", "by_train_count"):
         cfg = AggregatorConfig(mode="plain", weights=weighting)
         ref = initial_reference(5)
-        out, _, report = regulate_and_aggregate(updates, ref, cfg)
+        out, _, report = regulate_and_aggregate(_round(updates), ref, cfg)
         if weighting == "uniform":
             w = np.full(3, 1.0 / 3.0)
         else:
@@ -411,12 +438,12 @@ def test_plain_mode_is_exact_weighted_mean():
 def test_toy_plain_and_regulated_weights():
     updates = [_scalar_update(0, 1.0), _scalar_update(1, -1.0)]
     plain, _, _ = regulate_and_aggregate(
-        updates, initial_reference(1), AggregatorConfig(mode="plain")
+        _round(updates), initial_reference(1), AggregatorConfig(mode="plain")
     )
     assert plain.values[0] == 0.0
 
     reg, _, report = regulate_and_aggregate(
-        updates, initial_reference(1), AggregatorConfig(mode="ggrs", beta=0.5)
+        _round(updates), initial_reference(1), AggregatorConfig(mode="ggrs", beta=0.5)
     )
     assert reg.values[0] == 0.25
     assert report.fallback_used
@@ -431,10 +458,10 @@ def test_identical_updates_make_regulation_a_no_op():
     updates = [_update_two(i, values.copy()) for i in range(3)]
     ref = initial_reference(5)
     out_plain, _, _ = regulate_and_aggregate(
-        updates, ref, AggregatorConfig(mode="plain")
+        _round(updates), ref, AggregatorConfig(mode="plain")
     )
     out_reg, _, report = regulate_and_aggregate(
-        updates, initial_reference(5), AggregatorConfig(mode="ggrs")
+        _round(updates), initial_reference(5), AggregatorConfig(mode="ggrs")
     )
     assert np.max(np.abs(out_plain.values - out_reg.values)) < 1e-12
     for c in report.clients:
@@ -448,7 +475,7 @@ def test_regulated_norm_never_exceeds_raw_norm():
     ref = initial_reference(5)
     for round_index in range(8):
         updates = [_update_two(i, rng.normal(size=5)) for i in range(4)]
-        out, ref, report = regulate_and_aggregate(updates, ref, cfg)
+        out, ref, report = regulate_and_aggregate(_round(updates), ref, cfg)
         for u, row in zip(updates, report.clients):
             regulated = u.delta.values.copy()
             slices = ((0, 3), (3, 5))
@@ -468,7 +495,7 @@ def test_adaptive_epsilon_clips_outlier_norm():
         _update_two(2, 10.0 * base),
     ]
     cfg = AggregatorConfig(mode="ggrs")
-    _, _, report = regulate_and_aggregate(updates, initial_reference(5), cfg)
+    _, _, report = regulate_and_aggregate(_round(updates), initial_reference(5), cfg)
     # the proxy map is scale-free up to its 1e-12 normalizer guard, so the
     # large client is clipped only at the noise floor
     assert all(c.clip_factor == pytest.approx(1.0, abs=1e-9)
@@ -476,7 +503,7 @@ def test_adaptive_epsilon_clips_outlier_norm():
 
     # fixed epsilon below the proxy norm clips everyone equally
     cfg2 = AggregatorConfig(mode="ggrs", epsilon=0.25)
-    _, _, report2 = regulate_and_aggregate(updates, initial_reference(5), cfg2)
+    _, _, report2 = regulate_and_aggregate(_round(updates), initial_reference(5), cfg2)
     for c in report2.clients:
         assert c.clip_factor == pytest.approx(0.25, rel=1e-9)
 
@@ -484,7 +511,7 @@ def test_adaptive_epsilon_clips_outlier_norm():
 def test_fallback_none_passes_everything_first_round():
     updates = [_scalar_update(0, 1.0), _scalar_update(1, -1.0)]
     cfg = AggregatorConfig(mode="ggrs", beta=0.5, fallback="none")
-    out, _, report = regulate_and_aggregate(updates, initial_reference(1), cfg)
+    out, _, report = regulate_and_aggregate(_round(updates), initial_reference(1), cfg)
     # zero reference: inner products are 0, the >= 0 boundary passes both
     assert out.values[0] == 0.0
     assert not report.fallback_used
@@ -495,8 +522,8 @@ def test_reference_source_ablation_changes_ema():
     updates = [_scalar_update(0, 1.0), _scalar_update(1, -1.0)]
     raw_cfg = AggregatorConfig(mode="ggrs", beta=0.5, reference="raw")
     reg_cfg = AggregatorConfig(mode="ggrs", beta=0.5, reference="regulated")
-    _, ref_raw, _ = regulate_and_aggregate(updates, initial_reference(1), raw_cfg)
-    _, ref_reg, _ = regulate_and_aggregate(updates, initial_reference(1), reg_cfg)
+    _, ref_raw, _ = regulate_and_aggregate(_round(updates), initial_reference(1), raw_cfg)
+    _, ref_reg, _ = regulate_and_aggregate(_round(updates), initial_reference(1), reg_cfg)
     # raw proxies cancel; regulated proxies leave 0.1 * (1 - 0.5)/2
     assert ref_raw.r[0] == pytest.approx(0.0, abs=1e-15)
     assert ref_reg.r[0] == pytest.approx(0.1 * 0.25, rel=1e-9)
@@ -505,19 +532,24 @@ def test_reference_source_ablation_changes_ema():
 def test_duplicate_client_ids_rejected():
     updates = [_scalar_update(0, 1.0), _scalar_update(0, -1.0)]
     with pytest.raises(InputError):
-        regulate_and_aggregate(updates, initial_reference(1), AggregatorConfig())
+        regulate_and_aggregate(_round(updates), initial_reference(1), AggregatorConfig())
 
 
 def test_layout_mismatch_rejected():
-    u1 = _scalar_update(0, 1.0)
-    u2 = _update_two(1, np.ones(5))
+    # five-long rows under a one-entry layout
     with pytest.raises(InputError):
-        regulate_and_aggregate([u1, u2], initial_reference(1), AggregatorConfig())
+        regulate_and_aggregate(
+            RoundUpdates(client_ids=(0, 1), deltas=np.ones((2, 5)), n_train=(1, 1),
+                         layout=_scalar_update(0, 1.0).delta.layout),
+            initial_reference(1), AggregatorConfig())
 
 
 def test_empty_round_rejected():
     with pytest.raises(InputError):
-        regulate_and_aggregate([], initial_reference(1), AggregatorConfig())
+        regulate_and_aggregate(
+            RoundUpdates(client_ids=(), deltas=np.zeros((0, 1)), n_train=(),
+                         layout=_scalar_update(0, 1.0).delta.layout),
+            initial_reference(1), AggregatorConfig())
 
 
 def test_reference_norm_bounded_by_history():
@@ -531,7 +563,7 @@ def test_reference_norm_bounded_by_history():
         proxies = [proxy_map(u.delta, cfg) for u in updates]
         mean = np.mean([z.values for z in proxies], axis=0)
         peak = max(peak, np.linalg.norm(mean))
-        _, ref, _ = regulate_and_aggregate(updates, ref, cfg)
+        _, ref, _ = regulate_and_aggregate(_round(updates), ref, cfg)
         assert np.linalg.norm(ref.r) <= peak + 1e-12
 
 
@@ -571,15 +603,15 @@ def test_gate_pipeline_properties(shapes, k, rounds, mode, weights, epsilon, win
     for r in range(rounds):
         ids = rng.choice(20, size=k, replace=False)
         updates = [
-            LocalUpdate(client_id=int(c), n_train=int(rng.integers(1, 50)),
+            Update(client_id=int(c), n_train=int(rng.integers(1, 50)),
                         delta=FlatVector(values=rng.standard_normal(size)
                                          * rng.choice([0.0, 1e-3, 1.0, 100.0]),
                                          layout=layout))
             for c in ids
         ]
-        got, new_ref, report = regulate_and_aggregate(updates, ref, cfg)
+        got, new_ref, report = regulate_and_aggregate(_round(updates), ref, cfg)
         perm = [updates[i] for i in rng.permutation(k)]
-        got_p, new_ref_p, report_p = regulate_and_aggregate(perm, ref, cfg)
+        got_p, new_ref_p, report_p = regulate_and_aggregate(_round(perm), ref, cfg)
         assert got.values.tobytes() == got_p.values.tobytes()
         assert new_ref.r.tobytes() == new_ref_p.r.tobytes()
         assert new_ref.basis.tobytes() == new_ref_p.basis.tobytes()
@@ -664,12 +696,12 @@ def test_adaptive_epsilon_decisions_are_scale_free(shapes, k, rounds, cfg, scale
         values = [rng.standard_normal(size) * rng.choice([0.0, 1e-3, 1.0, 100.0]) for _ in ids]
 
         def round_of(c):
-            return [LocalUpdate(client_id=int(i), n_train=int(n),
+            return [Update(client_id=int(i), n_train=int(n),
                                 delta=FlatVector(values=c * v, layout=layout))
                     for i, n, v in zip(ids, n_train, values)]
 
-        _, ref, report = regulate_and_aggregate(round_of(1.0), ref, cfg)
-        _, ref_c, report_c = regulate_and_aggregate(round_of(scale), ref_c, cfg)
+        _, ref, report = regulate_and_aggregate(_round(round_of(1.0)), ref, cfg)
+        _, ref_c, report_c = regulate_and_aggregate(_round(round_of(scale)), ref_c, cfg)
         for row, row_c in zip(report.clients, report_c.clients):
             assert row.attenuated == row_c.attenuated
             np.testing.assert_allclose(row_c.coefficients, row.coefficients, rtol=0, atol=1e-5)
@@ -689,9 +721,99 @@ def test_identical_updates_make_ggrs_equal_plain(shapes, k, rounds, cfg, seed):
     ref = ref_plain = initial_reference(dim)
     for r in range(rounds):
         delta = direction * rng.choice([1e-3, 1.0, 100.0])
-        updates = [LocalUpdate(client_id=i, n_train=int(rng.integers(1, 50)),
+        updates = [Update(client_id=i, n_train=int(rng.integers(1, 50)),
                                delta=FlatVector(values=delta.copy(), layout=layout))
                    for i in range(k)]
-        got, ref, _ = regulate_and_aggregate(updates, ref, cfg)
-        plain, ref_plain, _ = regulate_and_aggregate(updates, ref_plain, plain_cfg)
+        got, ref, _ = regulate_and_aggregate(_round(updates), ref, cfg)
+        plain, ref_plain, _ = regulate_and_aggregate(_round(updates), ref_plain, plain_cfg)
         assert np.linalg.norm(got.values - plain.values) <= 1e-8 * np.linalg.norm(delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    cuts=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+    window=st.integers(1, 10),
+    m=st.integers(0, 6),
+    beta=st.sampled_from([0.0, 0.3, 0.5]),
+    epsilon=st.sampled_from([0.0, 0.05, 1.0, 100.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gates_on_a_stack_give_each_row_its_one_row_bits(k, cuts, window, m, beta, epsilon,
+                                                        seed):
+    # the three gates act on a (K, d) stack at once; each row's output and
+    # factors are bit for bit those of a one-row stack, and those are the
+    # per-vector formulas: the sign of z @ r, B @ (B.T @ z), and ratios of
+    # np.linalg.norm
+    rng = np.random.default_rng(seed)
+    blocks = tuple(zip(np.cumsum([0] + cuts[:-1]).tolist(), np.cumsum(cuts).tolist()))
+    d = blocks[-1][1]
+    z = rng.standard_normal((k, d)) * rng.choice([0.0, 1e-3, 1.0, 100.0], size=(k, 1))
+    r = rng.standard_normal(d) * rng.choice([0.0, 1.0])
+    basis = _top_directions(rng.standard_normal((d, window)), m)
+
+    za, fa = align_regulate(z, r, beta)
+    zp, ret = subspace_project(za, basis, blocks)
+    zc, fc = sensitivity_normalize(zp, epsilon)
+    assert fa.shape == fc.shape == (k,) and ret.shape == (k, len(blocks))
+    for i in range(k):
+        za1, fa1 = align_regulate(z[i:i + 1], r, beta)
+        zp1, ret1 = subspace_project(za1, basis, blocks)
+        zc1, fc1 = sensitivity_normalize(zp1, epsilon)
+        for batch, one in ((za, za1), (fa, fa1), (zp, zp1), (ret, ret1), (zc, zc1), (fc, fc1)):
+            assert batch[i].tobytes() == one[0].tobytes()
+
+        assert fa1[0] == (1.0 if float(z[i] @ r) >= 0.0 else beta)
+        if basis.shape[1]:
+            proj = basis @ (basis.T @ za1[0])
+            assert zp1[0].tobytes() == proj.tobytes()
+            assert ret1[0].tolist() == [
+                min(1.0, np.linalg.norm(proj[a:b]) / (np.linalg.norm(za1[0][a:b]) + 1e-12))
+                for a, b in blocks]
+        n = float(np.linalg.norm(zp1[0]))
+        assert fc1[0] == (min(1.0, epsilon / n) if epsilon > 0.0 and n > 0.0 else 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4), st.booleans()),
+                    min_size=1, max_size=3),
+    k=st.integers(1, 16),
+    mode=st.sampled_from(MODES),
+    weights=st.sampled_from(WEIGHTINGS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shapes=[(1, 1, False)], k=16, mode="plain", weights="by_train_count", seed=0)
+def test_round_delta_is_the_sequential_weighted_sum(shapes, k, mode, weights, seed):
+    # the applied delta is sum_k w_k (c_k * d_k), added client by client in
+    # ascending id order onto +0.0, bit for bit, with c_k the per-layer
+    # coefficients the report gives; one-entry layouts and K > 8 included,
+    # where a pairwise reduce would reorder the additions, and rows of
+    # signed zeros
+    rng = np.random.default_rng(seed)
+    layout = tuple(
+        LayerSpec(index=i, group=SHARED, w_shape=(a, b), b_size=b if bias else 0)
+        for i, (a, b, bias) in enumerate(shapes)
+    )
+    size = sum(s.size for s in layout)
+    ids = rng.choice(40, size=k, replace=False)
+    deltas = rng.standard_normal((k, size)) * rng.choice([-0.0, 0.0, 1e-3, 1.0, 100.0],
+                                                          size=(k, 1))
+    n_train = rng.integers(1, 50, size=k)
+    cfg = AggregatorConfig(mode=mode, weights=weights)
+    # a reference with a direction and a basis, so that every gate acts
+    ref = GeometricReference(r=rng.standard_normal(size), window=(),
+                             basis=_top_directions(rng.standard_normal((size, 4)), 2))
+    updates = RoundUpdates(client_ids=tuple(ids.tolist()), deltas=deltas,
+                           n_train=tuple(n_train.tolist()), layout=layout)
+    got, _, report = regulate_and_aggregate(updates, ref, cfg)
+
+    order = np.argsort(ids)
+    assert [row.client_id for row in report.clients] == ids[order].tolist()
+    counts = n_train[order].astype(np.float64)
+    w = np.full(k, 1.0 / k) if weights == "uniform" else counts / counts.sum()
+    sizes = [b - a for a, b in layer_slices(layout)]
+    expected = np.zeros(size)
+    for wk, d, row in zip(w, deltas[order], report.clients):
+        expected += wk * (d * np.repeat(row.coefficients, sizes))
+    assert got.values.tobytes() == expected.tobytes()
