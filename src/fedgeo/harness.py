@@ -154,18 +154,17 @@ def _fmt(x: float) -> str:
 
 
 def _round_rows(report: RegulationReport, round_index: int) -> list[str]:
-    rows = []
-    for c in report.clients:
-        obj = {
-            "round": round_index,
-            "client": c.client_id,
-            "cos_ref": float(c.cos_ref),
-            "atten": bool(c.attenuated),
-            "retention": [float(r) for r in c.retention],
-            "clip": float(c.clip_factor),
-        }
-        rows.append(json.dumps(obj))
-    return rows
+    """One JSONL row per client, the text ``json.dumps`` gives the object
+    {round, client, cos_ref, atten, retention, clip}. ``ClientRegulation``
+    range-checks every value, so each float is finite and its JSON is its
+    ``repr``."""
+    return [
+        f'{{"round": {round_index}, "client": {c.client_id}, "cos_ref": {float(c.cos_ref)!r}, '
+        f'"atten": {"true" if c.attenuated else "false"}, '
+        f'"retention": [{", ".join([repr(float(r)) for r in c.retention])}], '
+        f'"clip": {float(c.clip_factor)!r}}}'
+        for c in report.clients
+    ]
 
 
 def _run_one_seed(cfg: RunConfig, run_seed: int):

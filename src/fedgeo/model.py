@@ -11,9 +11,11 @@ computes it once), and ``Rows`` name the node rows whose logits the
 caller reads (the train rows for the loss, the test rows for accuracy).
 The last layer is built for those rows only. Their parameters come
 stacked, one slice per graph (``stack_params``); products with the
-weights run graph by graph, everything else over all rows at once, so
-each graph's values are bit for bit those of a batch of that graph
-alone.
+weights run graph by graph, everything else over all rows at once. The
+losses and bias gradients of all graphs are one product with a 0/1
+matrix (``GraphBatch.sums``, ``Rows.sums``) that adds each graph's rows
+in row order from +0.0. So each graph's values are bit for bit those of
+a batch of that graph alone.
 Parameters are grouped into a shared encoder and an optional client-local
 head (the final layer, in cross-domain federations) and travel between
 client and server as flat vectors with a canonical layer-ordered,
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, UnsupportedModelError
 from .graphs import NormalizedAdjacency, block_diagonal
@@ -178,6 +181,14 @@ def _segments(bounds: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(b[:-1], b[1:]))
 
 
+def _segment_sums(bounds: np.ndarray) -> sp.csr_array:
+    """The (K, n) 0/1 matrix whose row k selects rows bounds[k]:bounds[k + 1]
+    of an n-row array: ``sums @ x`` adds each segment's rows in row order
+    from +0.0 (a segment without rows sums to 0)."""
+    n = int(bounds[-1])
+    return sp.csr_array((np.ones(n), np.arange(n), bounds), shape=(bounds.size - 1, n))
+
+
 @dataclass(frozen=True)
 class Rows:
     """Node rows of a GraphBatch, graph by graph: graph k's rows are
@@ -189,6 +200,7 @@ class Rows:
     bounds: np.ndarray  # (K + 1,) offsets into index
     spans: tuple[tuple[int, int], ...]  # (bounds[k], bounds[k + 1]) of each graph
     counts: np.ndarray  # (K,) rows of each graph
+    sums: sp.csr_array  # (K, R) 0/1: sums @ x adds each graph's rows of x, see _segment_sums
     pick: tuple[np.ndarray, np.ndarray]  # (row position, label): each row's label logit
     share: np.ndarray   # (R, 1) 1 / its graph's row count, the row's weight in a mean loss
 
@@ -197,9 +209,10 @@ class Rows:
 class GraphBatch:
     """K graphs held as one, their node rows concatenated in order: graph
     k's nodes are rows ``nodes[k]:nodes[k + 1]`` (``spans[k]``, counting
-    ``counts[k]``). ``adj`` is the block-diagonal A_hat, so no graph's
-    values enter another's products; ``message`` stacks the graphs'
-    first-layer messages (read-only) and ``labels`` their labels."""
+    ``counts[k]``; ``sums`` adds them up). ``adj`` is the block-diagonal
+    A_hat, so no graph's values enter another's products; ``message``
+    stacks the graphs' first-layer messages (read-only) and ``labels``
+    their labels."""
 
     adj: NormalizedAdjacency
     message: np.ndarray  # (N, f)
@@ -207,6 +220,7 @@ class GraphBatch:
     nodes: np.ndarray    # (K + 1,) node offsets
     spans: tuple[tuple[int, int], ...]
     counts: np.ndarray   # (K,)
+    sums: sp.csr_array   # (K, N) 0/1: sums @ x adds each graph's node rows of x
 
     def rows(self, per_graph: list[np.ndarray]) -> Rows:
         """The Rows of node indices given per graph, each local to its graph."""
@@ -218,6 +232,7 @@ class GraphBatch:
         counts = np.diff(bounds)
         held = counts[counts > 0]  # a graph without rows has no row to weigh
         return Rows(index=index, bounds=bounds, spans=_segments(bounds), counts=counts,
+                    sums=_segment_sums(bounds),
                     pick=(np.arange(index.size), self.labels[index]),
                     share=np.repeat(1.0 / held, held)[:, None])
 
@@ -235,7 +250,8 @@ def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
     message.flags.writeable = False  # forward hands it out as messages[0]
     nodes = np.cumsum([0] + [a.n_nodes for a in adjs])
     return GraphBatch(adj=block_diagonal(adjs), message=message, labels=np.concatenate(labels),
-                      nodes=nodes, spans=_segments(nodes), counts=np.diff(nodes))
+                      nodes=nodes, spans=_segments(nodes), counts=np.diff(nodes),
+                      sums=_segment_sums(nodes))
 
 
 def stack_params(sets: list[ParameterSet]) -> ParameterSet:
@@ -340,6 +356,9 @@ def gradient(
     ``batch.labels``), and its analytic gradients, stacked and grouped as
     ``params`` (see ``forward``). A graph without rows is an InputError.
 
+    Each graph's loss sums its rows' losses in row order, and each bias
+    gradient its rows' terms (``Rows.sums``, ``GraphBatch.sums``).
+
     The last layer is built for ``rows`` only, so divergence is decided
     on the logits the loss reads: a graph whose logits are not all
     finite has diverged, its loss is inf, its gradients are not
@@ -354,7 +373,7 @@ def gradient(
     # a diverged graph's arithmetic is not finite by design: no warnings
     with np.errstate(all=None if finite.all() else "ignore"):
         nll, dp = _cross_entropy(logits, rows.pick)
-        losses = np.array([nll[a:b].sum() / (b - a) for a, b in rows.spans])
+        losses = rows.sums @ nll / rows.counts
         losses[~finite] = np.inf
         dp[rows.pick] -= 1.0
         dp *= rows.share  # d loss / d logits of each graph's rows
@@ -364,12 +383,11 @@ def gradient(
         for li in range(last, -1, -1):
             layer = params.layers[li]
             m = messages[li]
+            seg = rows if li == last else batch
             gw = np.empty(layer.weight.shape)
-            gb = None if layer.bias is None else np.empty(layer.bias.shape)
-            for k, (a, b) in enumerate(rows.spans if li == last else batch.spans):
+            for k, (a, b) in enumerate(seg.spans):
                 np.matmul(m[a:b].T, dp[a:b], out=gw[k])
-                if gb is not None:
-                    gb[k] = dp[a:b].sum(axis=0)
+            gb = None if layer.bias is None else seg.sums @ dp
             grads[li] = Layer(weight=gw, bias=gb, group=layer.group)
             if li > 0:
                 # only the last layer sits above another (at most 2 layers):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgeo import (
     AggregatorConfig,
@@ -32,7 +34,7 @@ from fedgeo.model import (
     stack_params,
     unstack_params,
 )
-from fedgeo.server import _sign_projection
+from fedgeo.server import ClientRegulation, RegulationReport, _sign_projection
 
 
 SMALL = """
@@ -429,3 +431,34 @@ client.lr = 0.1
     lines = result.csv_path.read_text().splitlines()[1:]
     for line in lines:
         assert line.split(",")[3] == "1.0"  # one live client: coherent by fiat
+
+
+# edge values a float strategy may not draw: -0.0, the smallest subnormal, 1.0
+_EDGES = st.sampled_from([-0.0, 5e-324, 1.0])
+
+
+@settings(max_examples=150)
+@given(
+    round_index=st.integers(1, 10**6),
+    clients=st.lists(st.tuples(
+        st.integers(0, 10**6),
+        st.one_of(_EDGES, st.floats(-1.0, 1.0)),
+        st.booleans(),
+        st.lists(st.one_of(_EDGES, st.floats(0.0, 1.0)), max_size=3),
+        st.one_of(_EDGES, st.floats(0.0, 1.0)),
+    ), min_size=1, max_size=4),
+)
+def test_round_rows_are_the_json_dumps_text(round_index, clients):
+    # _round_rows formats each JSONL row itself; its text must stay the
+    # one json.dumps gives the row object
+    report = RegulationReport(
+        clients=tuple(ClientRegulation(client_id=i, proxy_norm=1.0, cos_ref=cos,
+                                       align_factor=1.0, attenuated=atten,
+                                       retention=tuple(ret), clip_factor=clip,
+                                       coefficients=(1.0,))
+                      for i, cos, atten, ret, clip in clients),
+        layer_coefficients=(1.0,), epsilon=0.0, fallback_used=False)
+    want = [json.dumps({"round": round_index, "client": i, "cos_ref": cos, "atten": atten,
+                        "retention": ret, "clip": clip})
+            for i, cos, atten, ret, clip in clients]
+    assert harness._round_rows(report, round_index) == want

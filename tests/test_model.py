@@ -257,6 +257,46 @@ def test_gradient_on_train_rows_matches_full_row_reference(n, dims, n_layers, ac
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _row_order_sum(column: np.ndarray) -> float:
+    """The entries of ``column`` added one by one, in order, from +0.0."""
+    total = 0.0
+    for v in column.tolist():
+        total += v
+    return total
+
+
+@settings(max_examples=150)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    width=st.one_of(st.just(1), st.integers(2, 64)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_segment_sums_add_each_graphs_rows_in_order(sizes, width, seed, data):
+    # GraphBatch.sums and Rows.sums give each graph's bias gradient: over
+    # two or more columns, the bits of x[a:b].sum(axis=0), which adds the
+    # rows in order. NumPy sums a single column pairwise, so there the
+    # product is checked against the row-order sum from +0.0 instead. An
+    # all-zero column may sum to +0.0 where NumPy gives -0.0 (NumPy starts
+    # from the first row, the product from +0.0); np.array_equal counts
+    # the two zeros equal.
+    rng = np.random.default_rng(seed)
+    no_edges = np.zeros((0, 2), dtype=int)
+    batch = graph_batch([normalized_adjacency(make_graph(n, no_edges)) for n in sizes],
+                        [np.zeros((n, 1)) for n in sizes],
+                        [np.zeros(n, dtype=int) for n in sizes])
+    rows = batch.rows([sorted(data.draw(st.sets(st.integers(0, n - 1)), label=f"rows {k}"))
+                       for k, n in enumerate(sizes)])
+    for seg in (batch, rows):
+        n = seg.spans[-1][1]
+        x = rng.normal(size=(n, width)) * np.exp2(rng.integers(-40, 41, size=(n, width)))
+        got = seg.sums @ x
+        assert got.shape == (len(sizes), width)
+        for k, (a, b) in enumerate(seg.spans):
+            want = x[a:b].sum(axis=0) if width > 1 else [_row_order_sum(x[a:b, 0])]
+            assert np.array_equal(got[k], want), (k, a, b)
+
+
 def test_divergence_is_decided_on_the_train_rows():
     # node 2 is isolated, so only its own logits overflow: outside the
     # train rows they are never built; inside, the step diverges

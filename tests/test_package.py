@@ -38,3 +38,14 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("tool", ["output_digests.py", "ab_pairs.py"])
+def test_benchmark_tools_print_their_help(tool):
+    # the A/B and output-identity tools are run by hand, so no other test
+    # would notice one that no longer starts
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(root / "tools" / tool), "--help"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
