@@ -35,14 +35,28 @@ __all__ = [
 ]
 
 
-def canonical_edges(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+def canonical_edges(edges, n_nodes: int) -> np.ndarray:
     """Validate and canonicalize an edge array.
 
     Rows are reordered so u < v, duplicates are removed, and rows are
-    sorted lexicographically. Self-loops and out-of-range endpoints raise
-    :class:`InputError`.
+    sorted lexicographically; the result is a new int64 array. Ragged
+    rows, an odd number of endpoints, a non-integral, out-of-range or
+    non-finite endpoint and a self-loop raise :class:`InputError`.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    try:
+        raw = np.asarray(edges)
+    except ValueError as e:  # ragged rows
+        raise InputError(f"edges are not rows of two endpoints: {e}") from None
+    if raw.size % 2:
+        raise InputError(f"edge row {raw.size // 2} has one endpoint, not two")
+    raw = raw.reshape(-1, 2)
+    if raw.dtype.kind not in "iu":
+        x = raw.astype(np.float64)
+        bad = ~(np.isfinite(x) & (x == np.trunc(x))).all(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise InputError(f"edge row {row}: endpoints {x[row].tolist()} are not integers")
+    edges = raw.astype(np.int64, copy=False)
     if edges.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     if edges.min() < 0 or edges.max() >= n_nodes:
@@ -55,8 +69,10 @@ def canonical_edges(edges: np.ndarray, n_nodes: int) -> np.ndarray:
         raise InputError(f"self-loop at edge row {bad}")
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return canon
+    key = lo * n_nodes + hi  # increases exactly when rows are sorted and unique
+    if (key[1:] > key[:-1]).all():  # as every generated and induced graph's are
+        return np.stack([lo, hi], axis=1)
+    return np.stack(np.divmod(np.unique(key), n_nodes), axis=1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -203,25 +219,31 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     is the self-loop).
     """
     n = g.n_nodes
-    deg = np.ones(n, dtype=np.float64)  # self-loop contributes 1 everywhere
-    if g.n_edges:
-        np.add.at(deg, g.edges[:, 0], 1.0)
-        np.add.at(deg, g.edges[:, 1], 1.0)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    above = np.bincount(u, minlength=n)  # row j's entries right of the diagonal
+    below = np.bincount(v, minlength=n)  # and left of it
+    deg = 1.0 + (above + below)  # the self-loop contributes 1 everywhere
     inv_sqrt = 1.0 / np.sqrt(deg)
+    w = inv_sqrt[u] * inv_sqrt[v]
 
-    rows = [np.arange(n, dtype=np.int64)]
-    cols = [np.arange(n, dtype=np.int64)]
-    vals = [inv_sqrt * inv_sqrt]
-    if g.n_edges:
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        w = inv_sqrt[u] * inv_sqrt[v]
-        rows += [u, v]
-        cols += [v, u]
-        vals += [w, w]
-    mat = sp.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    # CSR with each row's columns ascending, written in place: row j holds
+    # its edges (u, j) in order of u, the diagonal, then its edges (j, v)
+    # in order of v. The canonical edges are sorted by (u, v), so edge e
+    # is number e - (u's first edge) of row u's right part; sorted stably
+    # by v, they fill the left parts the same way.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + 1 + above, out=indptr[1:])
+    diag = indptr[:-1] + below
+    e = np.arange(u.size)
+    right = diag[u] + 1 + e - (np.cumsum(above) - above)[u]
+    by_v = np.argsort(v, kind="stable")
+    left = indptr[v[by_v]] + e - (np.cumsum(below) - below)[v[by_v]]
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data[diag], indices[diag] = inv_sqrt * inv_sqrt, np.arange(n)
+    data[right], indices[right] = w, v
+    data[left], indices[left] = w[by_v], u[by_v]
+    mat = sp.csr_array((data, indices, indptr), shape=(n, n))
     return NormalizedAdjacency(n_nodes=n, storage=mat)
 
 
@@ -244,8 +266,10 @@ def block_diagonal(adjs: list[NormalizedAdjacency]) -> NormalizedAdjacency:
 
 
 # the complete and planted generators are dense in n: the planted draw
-# holds about 19 bytes x n^2 of temporaries (0.3 GB at this limit)
+# takes n^2 coins (n x DRAW_ROWS at a time) and complete_graph keeps
+# n^2 / 2 edges, so this limit bounds their time and complete's memory
 MAX_DENSE_NODES = 4096
+DRAW_ROWS = 256  # planted coin rows drawn at once: 2 MB of coins per 1,000 nodes
 
 
 def check_generator(n_nodes: int = 1, n_blocks: int = 1, block_size: int = 1,
@@ -303,9 +327,11 @@ def planted_partition_graph(
     60/20/20 per class, assigned round-robin over each class's nodes in
     index order.
 
-    RNG stream order (one ``default_rng(seed)``): first a single (n, n)
-    uniform draw for the edge coin flips (strict upper triangle used),
-    then an (n, feature_dim) standard-normal draw for feature noise.
+    RNG stream order (one ``default_rng(seed)``): first the (n, n)
+    uniform coin flips of the edges, row-major (strict upper triangle
+    used), then an (n, feature_dim) standard-normal draw for feature
+    noise. The coins are drawn ``DRAW_ROWS`` rows at a time, which
+    consumes the stream as one (n, n) draw does and holds no n x n array.
     """
     check_generator(n_blocks=n_blocks, block_size=block_size, p_in=p_in, p_out=p_out,
                     n_classes=n_classes, feature_dim=feature_dim, dense=True)
@@ -315,11 +341,17 @@ def planted_partition_graph(
     labels = (block % n_classes).astype(np.int64)
 
     rng = np.random.default_rng(seed)
-    prob = np.where(block[:, None] == block[None, :], p_in, p_out)
-    coins = rng.random((n, n))
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    adj = upper & (coins < prob)
-    edges = np.stack(np.nonzero(adj), axis=1)
+    hits = []
+    for r0 in range(0, n, DRAW_ROWS):
+        coins = rng.random((min(DRAW_ROWS, n - r0), n))
+        c0 = r0 + 1  # no row of the block keeps a coin left of column c0
+        rows = block[r0:r0 + coins.shape[0], None]
+        r, c = np.nonzero(coins[:, c0:] < np.where(rows == block[None, c0:], p_in, p_out))
+        r += r0
+        c += c0
+        upper = c > r
+        hits.append(np.stack([r[upper], c[upper]], axis=1))
+    edges = np.concatenate(hits)
 
     means = np.zeros((n_classes, feature_dim))
     means[np.arange(n_classes), np.arange(n_classes) % feature_dim] = class_sep

@@ -174,8 +174,6 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
     shared = flatten(global_params, group=SHARED)
     probe = proxy_map(shared, cfg.server)  # fixes the proxy length for this layout
     ref = initial_reference(probe.values.shape[0])
-    # batched after the probe: its one-time sign-matrix draw is a run's
-    # memory peak, and the batch's stacking would briefly add to it
     fed = Federation(clients, cfg.model, cfg.client)
 
     csv_rows: list[str] = []

@@ -62,6 +62,7 @@ __all__ = [
 _REDUCE_ABOVE = 4096
 _REDUCED_DIM = 1024
 _PROXY_SEED = 97  # seeds the sign projection
+_SIGN_ROWS = 256  # sign-matrix rows drawn at once: 2 MB of int64 at 1024 columns
 
 MODES = ("plain", "ggrs")
 WEIGHTINGS = ("uniform", "by_train_count")
@@ -190,11 +191,18 @@ def _resolve_proxy_dim(cfg: AggregatorConfig, full_len: int) -> int | None:
 
 @lru_cache(maxsize=1)
 def _sign_projection(d_in: int, d_out: int) -> np.ndarray:
-    """Run-constant random +-1 matrix (d_in x d_out) drawn from
-    _PROXY_SEED; a run uses one (d_in, d_out), so only the latest matrix
-    is kept. Every caller gets the same array, so it is read-only."""
+    """Run-constant random +-1 matrix (d_in x d_out): 2 b - 1 for the
+    (d_in, d_out) row-major ``integers(0, 2)`` draw b of a
+    ``default_rng(_PROXY_SEED)``, filled in place _SIGN_ROWS rows at a
+    time (the draw consumes the stream as one whole draw does). A run
+    uses one (d_in, d_out), so only the latest matrix is kept. Every
+    caller gets the same array, so it is read-only."""
     rng = np.random.default_rng(_PROXY_SEED)
-    p = 2.0 * rng.integers(0, 2, size=(d_in, d_out)) - 1.0
+    p = np.empty((d_in, d_out))
+    for r0 in range(0, d_in, _SIGN_ROWS):
+        rows = p[r0:r0 + _SIGN_ROWS]
+        np.multiply(rng.integers(0, 2, size=rows.shape), 2.0, out=rows)
+        rows -= 1.0
     p.flags.writeable = False
     return p
 

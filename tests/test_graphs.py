@@ -1,6 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgeo import (
     Graph,
@@ -13,6 +18,7 @@ from fedgeo import (
     path_graph,
     planted_partition_graph,
 )
+from fedgeo import graphs
 from fedgeo.graphs import block_diagonal, canonical_edges
 
 
@@ -20,6 +26,47 @@ def test_canonical_edges_dedup_and_order():
     edges = np.array([[2, 1], [1, 2], [0, 3], [3, 0], [1, 2]])
     canon = canonical_edges(edges, 4)
     assert canon.tolist() == [[0, 3], [1, 2]]
+
+
+def _unique_rows(edges: np.ndarray) -> np.ndarray:
+    """The canonical edges as np.unique(axis=0) sorts them: the reference."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.unique(np.sort(edges, axis=1), axis=0)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(2, 12), data=st.data())
+def test_canonical_edges_equal_unique_rows(n, data):
+    # duplicates, reversed rows and already-canonical input all come out
+    # as np.unique(axis=0) gives them, in a new array; the caller's array
+    # stays writeable and unchanged
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = np.array(data.draw(st.lists(pair, max_size=30)), dtype=np.int64).reshape(-1, 2)
+    if data.draw(st.booleans(), label="canonical input"):
+        edges = _unique_rows(edges)
+    before = edges.copy()
+    canon = canonical_edges(edges, n)
+    want = _unique_rows(before) if before.size else np.zeros((0, 2), dtype=np.int64)
+    assert canon.dtype == np.int64 and canon.shape == want.shape
+    assert np.array_equal(canon, want)
+    assert not np.shares_memory(canon, edges)
+    assert edges.flags.writeable and np.array_equal(edges, before)
+
+
+def test_canonical_edges_reject_non_integral_endpoints_and_odd_counts():
+    # a float endpoint used to be truncated silently, and an odd count or
+    # ragged rows fell through to a bare ValueError
+    with pytest.raises(InputError, match="edge row 0"):
+        make_graph(3, [[0.5, 1.9]])
+    with pytest.raises(InputError, match="edge row 1"):
+        make_graph(3, [[0, 1], [0.2, 2.7]])
+    with pytest.raises(InputError, match="edge row 0"):
+        make_graph(3, [[0, np.nan]])
+    with pytest.raises(InputError, match="edge row 1 has one endpoint"):
+        make_graph(3, [0, 1, 2])
+    with pytest.raises(InputError, match="rows of two endpoints"):
+        make_graph(3, [[0, 1], [2]])
+    assert make_graph(3, [[2.0, 0.0]]).edges.tolist() == [[0, 2]]
 
 
 def test_direct_graph_construction_canonicalizes_edges():
@@ -99,6 +146,35 @@ def test_normalized_adjacency_matches_dense_formula():
         expected = full / np.sqrt(np.outer(d, d))
         np.testing.assert_allclose(a_hat, expected, atol=1e-14)
         np.testing.assert_allclose(a_hat, a_hat.T, atol=0)
+
+
+def _coo_adjacency(g) -> sp.csr_array:
+    """A_hat built through COO -> CSR, the reference for the direct build."""
+    n = g.n_nodes
+    deg = np.ones(n)
+    np.add.at(deg, g.edges[:, 0], 1.0)
+    np.add.at(deg, g.edges[:, 1], 1.0)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    w = inv_sqrt[u] * inv_sqrt[v]
+    rows = np.concatenate([np.arange(n), u, v])
+    cols = np.concatenate([np.arange(n), v, u])
+    vals = np.concatenate([inv_sqrt * inv_sqrt, w, w])
+    return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 12), data=st.data())
+def test_normalized_adjacency_equals_the_coo_build(n, data):
+    # written as CSR directly: the same arrays, dtypes and sortedness
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+    g = make_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    got, want = normalized_adjacency(g).storage, _coo_adjacency(g)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.shape == want.shape and got.has_sorted_indices == want.has_sorted_indices
 
 
 def test_normalized_adjacency_isolated_node_diagonal_one():
@@ -206,10 +282,83 @@ def test_planted_partition_rejects_bad_probabilities():
 
 
 def test_dense_generators_reject_more_than_4096_nodes():
-    # the planted draw holds ~19 bytes x n^2 of temporaries; fail before it
+    # the planted draw takes n^2 coins; fail before it
     with pytest.raises(InputError, match="at most 4096 nodes"):
         planted_partition_graph(17, 241, p_in=0.1, p_out=0.01,
                                 n_classes=2, feature_dim=3, class_sep=1.0, seed=0)
     with pytest.raises(InputError, match="at most 4096 nodes"):
         complete_graph(4097)
     assert path_graph(5000).n_nodes == 5000  # sparse: not limited
+
+
+def _planted_one_shot(n_blocks, block_size, p_in, p_out, n_classes, feature_dim,
+                      class_sep, seed):
+    """The planted graph drawn with one (n, n) coin array: the reference
+    for the row-block draw."""
+    n = n_blocks * block_size
+    block = np.repeat(np.arange(n_blocks), block_size)
+    labels = (block % n_classes).astype(np.int64)
+    rng = np.random.default_rng(seed)
+    prob = np.where(block[:, None] == block[None, :], p_in, p_out)
+    coins = rng.random((n, n))
+    adj = np.triu(np.ones((n, n), dtype=bool), k=1) & (coins < prob)
+    edges = np.stack(np.nonzero(adj), axis=1)
+    means = np.zeros((n_classes, feature_dim))
+    means[np.arange(n_classes), np.arange(n_classes) % feature_dim] = class_sep
+    features = means[labels] + rng.standard_normal((n, feature_dim))
+    masks = [np.zeros(n, dtype=bool) for _ in range(3)]
+    for c in range(n_classes):
+        idx = np.flatnonzero(labels == c)
+        slot = np.arange(idx.size) % 5
+        for mask, held in zip(masks, (slot <= 2, slot == 3, slot == 4)):
+            mask[idx[held]] = True
+    return make_graph(n, edges, features=features, labels=labels, train_mask=masks[0],
+                      val_mask=masks[1], test_mask=masks[2])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_blocks=st.integers(1, 5),
+    block_size=st.integers(1, 9),
+    draw_rows=st.integers(1, 50),
+    probs=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.4, 0.4), (0.7, 0.1)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_blocks=2, block_size=5, draw_rows=16, probs=(0.7, 0.1), seed=0)  # n below the block
+@example(n_blocks=2, block_size=8, draw_rows=16, probs=(0.7, 0.1), seed=1)  # n equal to it
+@example(n_blocks=5, block_size=7, draw_rows=16, probs=(0.7, 0.1), seed=2)  # 2 blocks and 3 rows
+def test_planted_row_blocks_match_the_one_shot_draw(n_blocks, block_size, draw_rows, probs,
+                                                    seed):
+    # n falls below, on and between multiples of the block, and one block
+    # may cover every row; p_in == p_out and p = 0, 1 included
+    args = (n_blocks, block_size, *probs, 3, 4, 1.5, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "DRAW_ROWS", draw_rows)
+        got = planted_partition_graph(*args)
+    want = _planted_one_shot(*args)
+    for name in ("edges", "features", "labels", "train_mask", "val_mask", "test_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_planted_draw_is_pinned():
+    # wide_ggrs's source: a rewrite of the draw that moves an edge or a
+    # feature bit changes this digest
+    g = planted_partition_graph(8, 250, 0.02, 0.001, 8, 64, 1.0, 1000)
+    assert g.n_edges == 6657
+    assert hashlib.sha256(g.edges.tobytes() + g.features.tobytes()).hexdigest() == (
+        "a8918659aa27bb0395d95ca4f3778b937e36ae0c4415bf12d095a53190d46189"
+    )
+
+
+def test_planted_draw_holds_no_n_by_n_array():
+    # NumPy reports its buffers to tracemalloc: one (2000, 2000) float
+    # array alone is 30.5 MiB, and the one-shot draw peaked at 72.5 MiB
+    planted_partition_graph(8, 250, 0.02, 0.001, 8, 64, 1.0, 1000)  # warm
+    tracemalloc.start()
+    try:
+        planted_partition_graph(8, 250, 0.02, 0.001, 8, 64, 1.0, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak

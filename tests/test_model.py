@@ -297,6 +297,50 @@ def test_segment_sums_add_each_graphs_rows_in_order(sizes, width, seed, data):
             assert np.array_equal(got[k], want), (k, a, b)
 
 
+@settings(max_examples=100)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    width=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_rows_gather_and_scatter_are_the_full_products_bit_for_bit(sizes, width, seed, data):
+    # the last layer's message is gather @ h, not (A_hat @ h)[index], and
+    # its gradient goes back as scatter @ d, not A_hat @ (d scattered into
+    # zeros): a CSR product adds each row's stored terms in order from
+    # +0.0, and the dropped terms are exact +0.0. Graphs with no row and
+    # with one row included.
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n in sizes:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        graphs.append(make_graph(n, np.array(pairs, dtype=int).reshape(-1, 2),
+                                 features=rng.normal(size=(n, 3))))
+    batch = graph_batch([normalized_adjacency(g) for g in graphs], [g.features for g in graphs],
+                        [g.labels for g in graphs])
+    rows = batch.rows([sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n),
+                                        label=f"rows {k}")) for k, n in enumerate(sizes)])
+    n_nodes, n_rows = batch.message.shape[0], rows.index.size
+    a = batch.adj.storage  # built by hand: the values of scipy's fancy indexing
+    for got, want in ((rows.gather, a[rows.index]), (rows.scatter, a[:, rows.index])):
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def spread(shape):  # magnitudes over 2^-40..2^40, and some signed zeros
+        x = rng.normal(size=shape) * np.exp2(rng.integers(-40, 41, size=shape))
+        return np.where(rng.random(shape) < 0.1, -0.0, x)
+
+    h = spread((n_nodes, width))
+    assert (rows.gather @ h).tobytes() == (batch.adj @ h)[rows.index].tobytes()
+    d = spread((n_rows, width))
+    up = np.zeros((n_nodes, width))
+    up[rows.index] = d
+    assert (rows.scatter @ d).tobytes() == (batch.adj @ up).tobytes()
+    assert rows.message.tobytes() == batch.message[rows.index].tobytes()
+    assert rows.message.shape == (n_rows, 3) and not rows.message.flags.writeable
+
+
 def test_divergence_is_decided_on_the_train_rows():
     # node 2 is isolated, so only its own logits overflow: outside the
     # train rows they are never built; inside, the step diverges

@@ -49,3 +49,16 @@ def test_benchmark_tools_print_their_help(tool):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_ab_pairs_refuses_an_unknown_workload_before_any_run(tmp_path):
+    # a typo among several names fails at once, not after the first
+    # workload's pairs; the parent path is never entered
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(root / "tools" / "ab_pairs.py"),
+                           "--parent", str(tmp_path / "absent"), "--seed", "0",
+                           "--workload", "wide_ggrs", "no_such_workload"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "unknown workload no_such_workload" in proc.stderr
+    assert "wide_ggrs pair" not in proc.stderr

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -20,8 +21,10 @@ from fedgeo import (
     subspace_project,
     update_reference,
 )
+from fedgeo import server
 from fedgeo.model import SHARED, FlatVector, LayerSpec, layer_slices
 from fedgeo.server import (
+    _PROXY_SEED,
     FALLBACKS,
     MODES,
     REFERENCES,
@@ -167,6 +170,36 @@ def test_sign_projection_draw_is_pinned():
     with pytest.raises(ValueError):
         p[0, 0] = 0.0
     assert _sign_projection(4680, 1024) is p and p[0, 0] in (-1.0, 1.0)
+
+
+def test_sign_projection_row_blocks_match_the_one_shot_draw(monkeypatch):
+    # 10 rows in blocks of 3: three whole blocks and a short last one, of
+    # 21 and 7 draws, so a block that dropped a buffered half of a 64-bit
+    # output would shift the stream
+    monkeypatch.setattr(server, "_SIGN_ROWS", 3)
+    _sign_projection.cache_clear()
+    try:
+        p = _sign_projection(10, 7)
+    finally:
+        _sign_projection.cache_clear()
+    want = 2.0 * np.random.default_rng(_PROXY_SEED).integers(0, 2, size=(10, 7)) - 1.0
+    assert p.dtype == want.dtype and p.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        p[0, 0] = 0.0
+
+
+def test_sign_projection_draw_holds_one_matrix():
+    # NumPy reports its buffers to tracemalloc: the one-shot draw held an
+    # int64 copy and a 2.0 * x copy beside the 36.6 MiB matrix (2x it)
+    _sign_projection.cache_clear()
+    tracemalloc.start()
+    try:
+        p = _sign_projection(4680, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _sign_projection.cache_clear()
+    assert peak < 1.25 * p.nbytes, (peak, p.nbytes)
 
 
 @settings(max_examples=100, deadline=None)

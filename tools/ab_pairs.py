@@ -2,16 +2,18 @@
 
 Usage, from a repository root:
 
-    python3 tools/ab_pairs.py --parent DIR --workload crowd_plain --seed 101 \
+    python3 tools/ab_pairs.py --parent DIR [--workload crowd_plain ...] --seed 101 \
         --pairs 10 --seconds 40
 
-Each pair runs ``perfbench/run.py --trace 0`` once in the parent
-checkout ``DIR`` and once in the checkout holding this script, the
-parent first in even pairs and second in odd ones, so a shared host's
-slow drift falls on both sides. Then it prints, for every end-to-end
-metric of this checkout's ``BENCHMARK.json``, the median over the pairs
-on each side, the parent's interquartile range, and in how many pairs
-the change was strictly better in the metric's direction. Each pair's
+For each named workload (default: every workload of this checkout's
+``BENCHMARK.json``; an unknown name is refused before any run), each
+pair runs ``perfbench/run.py --trace 0`` once in the parent checkout
+``DIR`` and once in the checkout holding this script, the parent first
+in even pairs and second in odd ones, so a shared host's slow drift
+falls on both sides. Then it prints one table per workload: for every
+end-to-end metric of ``BENCHMARK.json``, the median over the pairs on
+each side, the parent's interquartile range, and in how many pairs the
+change was strictly better in the metric's direction. Each pair's
 values go to standard error as they arrive. A side whose benchmark
 reports failed repetitions is counted, and the tool exits 1 if there
 were any.
@@ -42,34 +44,9 @@ def _measure(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def main() -> int:
-    bench = json.loads((CHANGE / "BENCHMARK.json").read_text())
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", type=Path, required=True, help="the parent checkout")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"],
-                    help="length of each run (default: the benchmark's run_seconds)")
-    args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 to give quartiles")
-    roots = {"parent": args.parent.resolve(), "change": CHANGE}
-    spec = bench["end_to_end"]
-
-    values: dict[str, dict[str, list[float]]] = {side: {} for side in roots}
-    failed = {side: 0 for side in roots}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = _measure(roots[side], args.workload, args.seed, args.seconds)
-            failed[side] += result["failed"]
-            for name, m in result["metrics"].items():
-                values[side].setdefault(name, []).append(m["value"])
-            shown = ", ".join(f"{name} {m['value']:.6g}" for name, m in result["metrics"].items())
-            print(f"pair {i + 1} {side}: {shown}", file=sys.stderr)
-
-    print(f"{args.workload} seed {args.seed}, {args.pairs} alternating pairs of "
+def _table(workload: str, values: dict, spec: list, args) -> None:
+    """The comparison table of one workload's pairs."""
+    print(f"{workload} seed {args.seed}, {args.pairs} alternating pairs of "
           f"{args.seconds:g} s runs")
     print(f"{'metric':18s} {'unit':9s} {'parent':>11s} {'change':>11s} "
           f"{'parent IQR':>23s} {'change better':>14s}")
@@ -85,6 +62,42 @@ def main() -> int:
         print(f"{name:18s} {m['unit']:9s} {statistics.median(parent):11.5g} "
               f"{statistics.median(change):11.5g} {q1:11.5g}-{q3:<11.5g} "
               f"{wins:>9d}/{len(parent)}")
+
+
+def main() -> int:
+    bench = json.loads((CHANGE / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="the parent checkout")
+    ap.add_argument("--workload", nargs="*", default=known,
+                    help="workloads to run (default: every one in BENCHMARK.json)")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=bench["run_seconds"],
+                    help="length of each run (default: the benchmark's run_seconds)")
+    args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 to give quartiles")
+    workloads = args.workload or known  # a bare --workload names none
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        ap.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(known)}")
+    roots = {"parent": args.parent.resolve(), "change": CHANGE}
+
+    failed = {side: 0 for side in roots}
+    for workload in workloads:
+        values: dict[str, dict[str, list[float]]] = {side: {} for side in roots}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = _measure(roots[side], workload, args.seed, args.seconds)
+                failed[side] += result["failed"]
+                for name, m in result["metrics"].items():
+                    values[side].setdefault(name, []).append(m["value"])
+                shown = ", ".join(f"{name} {m['value']:.6g}"
+                                  for name, m in result["metrics"].items())
+                print(f"{workload} pair {i + 1} {side}: {shown}", file=sys.stderr)
+        _table(workload, values, bench["end_to_end"], args)
     print(f"failed repetitions: parent {failed['parent']}, change {failed['change']}")
     return 1 if any(failed.values()) else 0
 
