@@ -9,13 +9,7 @@ make the difference measurable.
 
 from .client import ClientState, Federation, RoundUpdates, TrainingConfig, local_train
 from .config import DataSource, RunConfig, load_config, parse_config
-from .errors import (
-    ConfigError,
-    CsvFormatError,
-    DivergenceError,
-    InputError,
-    UnsupportedModelError,
-)
+from .errors import ConfigError, CsvFormatError, DivergenceError, InputError
 from .graph_io import load_graph_csv, save_graph_csv
 from .graphs import (
     Graph,
@@ -32,7 +26,6 @@ from .graphs import (
 from .harness import RunResult, build_clients, partition_report, run
 from .metrics import (
     accuracy,
-    mean_alignment,
     operator_spectrum,
     pairwise_coherence,
     sensitivity_norm,
@@ -44,7 +37,6 @@ from .model import (
     flatten,
     forward,
     gradient,
-    induced_operator,
     init_params,
     unflatten,
 )
@@ -88,7 +80,6 @@ __all__ = [
     "RoundUpdates",
     "RunResult",
     "TrainingConfig",
-    "UnsupportedModelError",
     "accuracy",
     "align_regulate",
     "build_clients",
@@ -99,7 +90,6 @@ __all__ = [
     "forward",
     "gradient",
     "graph_density",
-    "induced_operator",
     "induced_subgraph",
     "init_params",
     "initial_reference",
@@ -107,7 +97,6 @@ __all__ = [
     "load_graph_csv",
     "local_train",
     "make_graph",
-    "mean_alignment",
     "mean_degree",
     "normalized_adjacency",
     "operator_spectrum",

@@ -19,11 +19,6 @@ class CsvFormatError(InputError):
         super().__init__(f"{path}:{line}: {reason}")
 
 
-class UnsupportedModelError(InputError):
-    """Operation requires a model shape it was not given (e.g. a dense
-    propagation operator requested for a nonlinear or multi-layer model)."""
-
-
 class ConfigError(Exception):
     """Invalid run configuration; message carries file and line when known."""
 

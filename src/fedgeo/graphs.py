@@ -40,8 +40,9 @@ def canonical_edges(edges, n_nodes: int) -> np.ndarray:
 
     Rows are reordered so u < v, duplicates are removed, and rows are
     sorted lexicographically; the result is a new int64 array. Ragged
-    rows, an odd number of endpoints, a non-integral, out-of-range or
-    non-finite endpoint and a self-loop raise :class:`InputError`.
+    rows, an odd number of endpoints, endpoints that are not numbers
+    (strings, bools, objects), a non-integral, out-of-range or non-finite
+    endpoint and a self-loop raise :class:`InputError`.
     """
     try:
         raw = np.asarray(edges)
@@ -50,7 +51,9 @@ def canonical_edges(edges, n_nodes: int) -> np.ndarray:
     if raw.size % 2:
         raise InputError(f"edge row {raw.size // 2} has one endpoint, not two")
     raw = raw.reshape(-1, 2)
-    if raw.dtype.kind not in "iu":
+    if raw.dtype.kind not in "iuf":
+        raise InputError(f"edge endpoints must be integer node indices, got dtype {raw.dtype}")
+    if raw.dtype.kind == "f":
         x = raw.astype(np.float64)
         bad = ~(np.isfinite(x) & (x == np.trunc(x))).all(axis=1)
         if bad.any():

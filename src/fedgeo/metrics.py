@@ -1,11 +1,12 @@
 """Round-level geometry and performance diagnostics.
 
-Three geometric summaries describe each aggregation round: the pairwise
-cosine matrix between client updates, the mean cosine between client
-proxies and the server's reference direction, and the Euclidean norm of
-the applied global delta. Spectra of (small, symmetric) node-space
-propagation operators come from a cyclic Jacobi eigensolver so the
-values are exactly those of the symmetrized input.
+Two geometric summaries of each aggregation round live here: the
+pairwise cosine matrix between client updates and the Euclidean norm of
+the applied global delta. The third, the mean cosine between client
+proxies and the server's effective reference, the harness takes from
+the regulation report's ``cos_ref``. Spectra of (small, symmetric)
+node-space propagation operators come from a cyclic Jacobi eigensolver
+so the values are exactly those of the symmetrized input.
 
 Zero vectors have no direction; every cosine involving one is 0 by
 convention and flagged where the API allows it.
@@ -19,7 +20,6 @@ from .errors import InputError
 
 __all__ = [
     "pairwise_coherence",
-    "mean_alignment",
     "sensitivity_norm",
     "operator_spectrum",
     "accuracy",
@@ -50,27 +50,6 @@ def pairwise_coherence(updates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx = np.flatnonzero(~zero_mask)
     gamma[idx, idx] = 1.0
     return gamma, zero_mask
-
-
-def mean_alignment(proxies: np.ndarray, ref: np.ndarray) -> float:
-    """Mean of cos(z_k, ref) over rows with nonzero norm.
-
-    Returns 0.0 when the reference is zero or no row has a direction
-    (the zero-cosine convention).
-    """
-    z = np.asarray(proxies, dtype=np.float64)
-    r = np.asarray(ref, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != r.shape[0]:
-        raise InputError("proxies must be K x d matching the reference length")
-    rnorm = np.linalg.norm(r)
-    if rnorm == 0.0:
-        return 0.0
-    norms = np.linalg.norm(z, axis=1)
-    live = norms > 0.0
-    if not live.any():
-        return 0.0
-    cos = (z[live] @ r) / (norms[live] * rnorm)
-    return float(np.mean(np.clip(cos, -1.0, 1.0)))
 
 
 def sensitivity_norm(global_delta: np.ndarray) -> float:

@@ -29,11 +29,12 @@ returns views, of the stack it is given).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError, UnsupportedModelError
+from .errors import InputError
 from .graphs import NormalizedAdjacency, block_diagonal
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "flatten",
     "unflatten",
     "layer_slices",
-    "induced_operator",
     "ACTIVATIONS",
 ]
 
@@ -215,8 +215,11 @@ class Rows:
     """Node rows of a GraphBatch, graph by graph: graph k's rows are
     ``index[bounds[k]:bounds[k + 1]]``, ascending, and lie in its node
     range. The other fields are what every step reads of them, computed
-    once by ``GraphBatch.rows``."""
+    once by ``GraphBatch.rows``; ``message``, ``gather`` and ``scatter``
+    are built on first read, as a one-layer model reads only the first
+    and a two-layer one only the other two."""
 
+    batch: GraphBatch
     index: np.ndarray   # (R,)
     bounds: np.ndarray  # (K + 1,) offsets into index
     spans: tuple[tuple[int, int], ...]  # (bounds[k], bounds[k + 1]) of each graph
@@ -224,9 +227,23 @@ class Rows:
     sums: sp.csr_array  # (K, R) 0/1: sums @ x adds each graph's rows of x, see _segment_sums
     pick: tuple[np.ndarray, np.ndarray]  # (row position, label): each row's label logit
     share: np.ndarray   # (R, 1) 1 / its graph's row count, the row's weight in a mean loss
-    message: np.ndarray  # (R, f) the first-layer message at index, read-only
-    gather: sp.csr_array   # (R, N) A_hat's rows at index: gather @ h is (A_hat @ h)[index]
-    scatter: sp.csr_array  # (N, R) A_hat's columns at index: A_hat @ h for h zero off index
+
+    @cached_property
+    def message(self) -> np.ndarray:
+        """(R, f) the first-layer message at index, read-only."""
+        message = self.batch.message[self.index]
+        message.flags.writeable = False
+        return message
+
+    @cached_property
+    def gather(self) -> sp.csr_array:
+        """(R, N) A_hat's rows at index: gather @ h is (A_hat @ h)[index]."""
+        return _csr_rows(self.batch.adj.storage, self.index)
+
+    @cached_property
+    def scatter(self) -> sp.csr_array:
+        """(N, R) A_hat's columns at index: A_hat @ h for h zero off index."""
+        return _csr_columns(self.batch.adj.storage, self.index)
 
 
 @dataclass(frozen=True)
@@ -255,14 +272,10 @@ class GraphBatch:
         bounds = np.cumsum([0] + [len(r) for r in per_graph])
         counts = np.diff(bounds)
         held = counts[counts > 0]  # a graph without rows has no row to weigh
-        message = self.message[index]
-        message.flags.writeable = False
-        return Rows(index=index, bounds=bounds, spans=_segments(bounds), counts=counts,
-                    sums=_segment_sums(bounds),
+        return Rows(batch=self, index=index, bounds=bounds, spans=_segments(bounds),
+                    counts=counts, sums=_segment_sums(bounds),
                     pick=(np.arange(index.size), self.labels[index]),
-                    share=np.repeat(1.0 / held, held)[:, None], message=message,
-                    gather=_csr_rows(self.adj.storage, index),
-                    scatter=_csr_columns(self.adj.storage, index))
+                    share=np.repeat(1.0 / held, held)[:, None])
 
 
 def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
@@ -499,23 +512,3 @@ def unflatten(flat: FlatVector, template: ParameterSet) -> ParameterSet:
         layers[spec.index] = Layer(weight=w, bias=b, group=old.group)
     return ParameterSet(layers=tuple(layers))
 
-
-def induced_operator(params: ParameterSet, adj: NormalizedAdjacency) -> np.ndarray:
-    """Dense node-space propagation operator of a 1-layer linear model.
-
-    Only defined when the model is a single bias-free layer with a scalar
-    (1x1) weight, giving W * A_hat, or an n x n weight, giving A_hat @ W.
-    """
-    if params.n_layers != 1:
-        raise UnsupportedModelError("operator extraction requires a 1-layer model")
-    layer = params.layers[0]
-    if layer.bias is not None:
-        raise UnsupportedModelError("operator extraction requires a bias-free layer")
-    w = layer.weight
-    if w.shape == (1, 1):
-        return float(w[0, 0]) * adj.dense()
-    if w.shape == (adj.n_nodes, adj.n_nodes):
-        return adj.dense() @ w
-    raise UnsupportedModelError(
-        f"weight shape {w.shape} is neither scalar nor {adj.n_nodes}x{adj.n_nodes}"
-    )

@@ -69,6 +69,14 @@ def test_canonical_edges_reject_non_integral_endpoints_and_odd_counts():
     assert make_graph(3, [[2.0, 0.0]]).edges.tolist() == [[0, 2]]
 
 
+@pytest.mark.parametrize("edges", [[["0", "1"]], [["a", "b"]], [[True, False]]],
+                         ids=["digit strings", "letters", "bools"])
+def test_canonical_edges_reject_endpoints_that_are_not_numbers(edges):
+    # "0" used to pass through float as node 0, and "a" raised a bare ValueError
+    with pytest.raises(InputError, match="dtype"):
+        make_graph(3, edges)
+
+
 def test_direct_graph_construction_canonicalizes_edges():
     z = np.zeros(4, dtype=bool)
     g = Graph(n_nodes=4, edges=np.array([[2, 1], [1, 2], [3, 0], [0, 3], [2, 1]]),

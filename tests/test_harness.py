@@ -66,6 +66,32 @@ def test_csv_header_is_the_contract():
     )
 
 
+@pytest.mark.parametrize("n_layers, read, unread", [
+    (1, {"message"}, {"gather", "scatter"}),
+    (2, {"gather", "scatter"}, {"message"}),
+], ids=["one layer", "two layers"])
+def test_a_run_builds_only_the_row_operators_its_model_reads(tmp_path, monkeypatch,
+                                                             n_layers, read, unread):
+    # Rows builds message, gather and scatter on first read: a one-layer
+    # model reads only message, a two-layer one only gather and scatter
+    built = []
+
+    class Recorded(Federation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "Federation", Recorded)
+    run(parse_config(SMALL + f"model.layers = {n_layers}\n", path="inline.conf"),
+        out=str(tmp_path))
+    assert len(built) == 2  # one federation per seed
+    for fed in built:
+        assert fed.test.index.size  # evaluation ran a forward pass
+        for rows in (fed.train, fed.test):
+            assert not unread & vars(rows).keys()
+        assert read <= vars(fed.train).keys()
+
+
 def test_single_client_matches_centralized_descent():
     # K = 1 under plain averaging is gradient descent on the one client's
     # data; the independent oracle runs descent directly on the model

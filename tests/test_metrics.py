@@ -4,7 +4,6 @@ import pytest
 from fedgeo import (
     InputError,
     accuracy,
-    mean_alignment,
     operator_spectrum,
     pairwise_coherence,
     sensitivity_norm,
@@ -52,28 +51,6 @@ def test_pairwise_coherence_matches_brute_force():
         for j in range(4):
             want = u[i] @ u[j] / (np.linalg.norm(u[i]) * np.linalg.norm(u[j]))
             assert gamma[i, j] == pytest.approx(want, abs=1e-12)
-
-
-def test_mean_alignment_trig_oracle():
-    # three unit proxies at 0, 60 and 90 degrees from the reference:
-    # mean cosine = (1 + 0.5 + 0) / 3
-    ref = np.array([1.0, 0.0])
-    rows = np.array([
-        [1.0, 0.0],
-        [np.cos(np.pi / 3), np.sin(np.pi / 3)],
-        [0.0, 1.0],
-    ])
-    assert mean_alignment(rows, ref) == pytest.approx(1.5 / 3.0, abs=1e-12)
-
-
-def test_mean_alignment_degenerate_inputs():
-    ref = np.array([1.0, 0.0])
-    assert mean_alignment(np.zeros((3, 2)), ref) == 0.0  # all rows zero
-    rows = np.array([[1.0, 0.0]])
-    assert mean_alignment(rows, np.zeros(2)) == 0.0  # zero reference
-    # zero rows are excluded from the average, not counted as zeros
-    mixed = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert mean_alignment(mixed, ref) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sensitivity_norm_examples():

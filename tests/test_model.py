@@ -7,11 +7,9 @@ from fedgeo import (
     FlatVector,
     InputError,
     ModelConfig,
-    UnsupportedModelError,
     flatten,
     forward,
     gradient,
-    induced_operator,
     init_params,
     make_graph,
     normalized_adjacency,
@@ -425,36 +423,3 @@ def test_model_config_validation():
     with pytest.raises(InputError):
         ModelConfig(n_layers=1, hidden_dim=0)
 
-
-def test_induced_operator_scalar_scales_adjacency():
-    adj = normalized_adjacency(path_graph(3))
-    params = ParameterSet(
-        layers=(Layer(weight=np.array([[0.25]]), bias=None, group=SHARED),)
-    )
-    t = induced_operator(params, adj)
-    np.testing.assert_allclose(t, 0.25 * adj.dense(), atol=0)
-
-
-def test_induced_operator_square_weight():
-    adj = normalized_adjacency(path_graph(3))
-    w = np.diag([1.0, 2.0, 3.0])
-    params = ParameterSet(layers=(Layer(weight=w, bias=None, group=SHARED),))
-    t = induced_operator(params, adj)
-    np.testing.assert_allclose(t, adj.dense() @ w, atol=0)
-
-
-def test_induced_operator_rejects_unsupported_models():
-    adj = normalized_adjacency(path_graph(3))
-    two = init_params(ModelConfig(n_layers=2, hidden_dim=4), 3, 2, seed=0)
-    with pytest.raises(UnsupportedModelError):
-        induced_operator(two, adj)
-    with_bias = ParameterSet(
-        layers=(Layer(weight=np.array([[1.0]]), bias=np.zeros(1), group=SHARED),)
-    )
-    with pytest.raises(UnsupportedModelError):
-        induced_operator(with_bias, adj)
-    rect = ParameterSet(
-        layers=(Layer(weight=np.ones((3, 2)), bias=None, group=SHARED),)
-    )
-    with pytest.raises(UnsupportedModelError):
-        induced_operator(rect, adj)
