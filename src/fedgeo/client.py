@@ -13,16 +13,20 @@ group). Plain gradient descent throughout — no momentum, no minibatches —
 so a round is bitwise deterministic in its inputs.
 
 A ``Federation`` holds its clients' graphs as one batch, with their
-train and test rows, and their parameters as one stack. ``local_train``
-trains all of them together, one ``model.gradient`` call over the stack
-per step (the last layer built for the train rows only), and hands the
-server one ``RoundUpdates``: the (K x L) matrix of the clients' deltas.
-A one-client federation is the K = 1 case of the same code, and each
-client's values are bit for bit those it gets alone.
+train and test rows, and their parameters as one stack. Its clients
+belong to one or more runs, independent federations that train in
+lockstep, such as the harness's run seeds: each run has its own
+broadcast and its own server. ``local_train`` trains all clients
+together, one ``model.gradient`` call over the stack per step (the last
+layer built for the train rows only), and hands each run's server one
+``RoundUpdates``: the matrix of its clients' deltas. A one-run or
+one-client federation is the R = 1 or K = 1 case of the same code, and
+each client's values are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +101,13 @@ class ClientState:
 
 
 class Federation:
-    """K clients trained and evaluated as one batch, under one ``model``
-    and one ``training`` config.
+    """K clients of R runs trained and evaluated as one batch, under one
+    ``model`` and one ``training`` config.
 
-    The clients' parameters must share one shape (InputError otherwise).
+    ``run_sizes`` counts the clients of each run, which come in run
+    order (default: one run of all clients); ``runs`` holds each run's
+    (start, stop) in ``clients``. Every run needs a client, and the
+    clients' parameters must share one shape (InputError otherwise).
     ``batch`` holds their graphs as one (``model.GraphBatch``, built
     once, so a client given a new graph needs a new federation), and
     ``train`` and ``test`` their train and test rows in it. It owns the
@@ -108,9 +115,14 @@ class Federation:
     ``ClientState``). Building it changes no client.
     """
 
-    def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig):
+    def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig,
+                 run_sizes: tuple[int, ...] | None = None):
         if not clients:
             raise InputError("a federation needs at least one client")
+        run_sizes = (len(clients),) if run_sizes is None else tuple(run_sizes)
+        if sum(run_sizes) != len(clients) or min(run_sizes) < 1:
+            raise InputError(f"run sizes {run_sizes} do not split {len(clients)} clients "
+                             "into runs of at least one")
         first = clients[0]
         layout = layer_layout(first.params)
         for c in clients[1:]:
@@ -119,6 +131,9 @@ class Federation:
                                  f"client {first.client_id}'s")
         self.clients = tuple(clients)
         self.client_ids = tuple(c.client_id for c in clients)
+        self.run_sizes = run_sizes
+        stops = np.cumsum(run_sizes).tolist()
+        self.runs = tuple(zip([0] + stops[:-1], stops))
         self.model = model
         self.training = training
         self.batch = graph_batch([c.adj for c in clients], [c.graph.features for c in clients],
@@ -128,25 +143,38 @@ class Federation:
         self._stack = stack_params([c.params for c in clients])
         self._views = unstack_params(self._stack)
 
-    def params(self, shared: FlatVector) -> ParameterSet:
-        """Every client's parameters, stacked in client order: the layers
-        ``shared`` covers repeated from it, the others (a local head)
-        copies of the held ones."""
-        return self._stacked(unflatten(shared, self.clients[0].params),
-                             layout_group(shared.layout))
+    def params(self, broadcasts: Sequence[FlatVector]) -> ParameterSet:
+        """Every client's parameters, stacked in client order, given one
+        broadcast per run: the layers the broadcasts cover repeated from
+        the client's run's, the others (a local head) copies of the held
+        ones."""
+        return self._stacked(*self._anchors(broadcasts))
 
-    def _stacked(self, anchor: ParameterSet, group: str) -> ParameterSet:
-        """What ``params`` returns, given the broadcast unflattened over
-        the first client's parameters (``anchor``) and the group it covers."""
-        k = len(self.clients)
+    def _anchors(self, broadcasts: Sequence[FlatVector]) -> tuple[list[ParameterSet], str]:
+        """Each run's broadcast unflattened over the first client's
+        parameters, and the group they cover. One broadcast per run, each
+        with the layout of the clients' parameters, or InputError."""
+        if len(broadcasts) != len(self.runs):
+            raise InputError(f"{len(broadcasts)} broadcasts for {len(self.runs)} runs")
+        group = layout_group(broadcasts[0].layout)
+        template = self.clients[0].params
+        layout = layer_layout(template, group)
+        if any(b.layout != layout for b in broadcasts):
+            raise InputError("broadcast layout does not match the client model")
+        return [unflatten(b, template) for b in broadcasts], group
+
+    def _stacked(self, anchors: list[ParameterSet], group: str) -> ParameterSet:
+        """What ``params`` returns, given ``_anchors``' values."""
+        def repeat(arrays):
+            return np.repeat(np.stack(arrays), self.run_sizes, axis=0)
         return ParameterSet(layers=tuple(
-            Layer(weight=np.repeat(a.weight[None], k, axis=0),
-                  bias=None if a.bias is None else np.repeat(a.bias[None], k, axis=0),
-                  group=a.group)
-            if group in ("all", a.group) else
+            Layer(weight=repeat([a.weight for a in per_run]),
+                  bias=None if h.bias is None else repeat([a.bias for a in per_run]),
+                  group=h.group)
+            if group in ("all", h.group) else
             Layer(weight=h.weight.copy(), bias=None if h.bias is None else h.bias.copy(),
                   group=h.group)
-            for a, h in zip(anchor.layers, self._stack.layers)
+            for h, *per_run in zip(self._stack.layers, *(a.layers for a in anchors))
         ))
 
     def _commit(self, params: ParameterSet) -> None:
@@ -186,7 +214,8 @@ class RoundUpdates:
 def _step(params: ParameterSet, grads: ParameterSet, lr: float,
           anchor: ParameterSet, pulls: list[float]) -> None:
     """theta <- theta - lr * (g + mu * (theta - anchor)) in place, with
-    mu = pulls[layer]; a layer with mu = 0 takes a plain step."""
+    mu = pulls[layer]; a layer with mu = 0 takes a plain step and reads
+    nothing of ``anchor``."""
     for p, g, p0, mu in zip(params.layers, grads.layers, anchor.layers, pulls):
         for theta, grad, start in ((p.weight, g.weight, p0.weight), (p.bias, g.bias, p0.bias)):
             if theta is None:
@@ -196,14 +225,15 @@ def _step(params: ParameterSet, grads: ParameterSet, lr: float,
             theta -= lr * grad
 
 
-def local_train(fed: Federation, global_shared: FlatVector,
-                round_index: int = 0) -> RoundUpdates:
-    """Run one round of local training of every client; their shared
-    deltas, one row per client in federation order.
+def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
+                round_index: int = 0) -> list[RoundUpdates]:
+    """Run one round of local training of every client, given one
+    broadcast of shared parameters per run; each run's shared deltas,
+    one row per client in federation order.
 
-    Loads the broadcast shared parameters into every client model (a
-    local head keeps its previous values), runs E full-batch gradient
-    steps (fedsgd: exactly one; fedprox: mu-proximal gradient toward the
+    Loads its run's broadcast into every client model (a local head
+    keeps its previous values), runs E full-batch gradient steps
+    (fedsgd: exactly one; fedprox: mu-proximal gradient toward the
     broadcast point), holds the trained parameters in the federation,
     and returns theta_shared_after - theta_shared_broadcast of each
     client. Each step is one ``gradient`` call and one in-place update
@@ -212,24 +242,23 @@ def local_train(fed: Federation, global_shared: FlatVector,
 
     A client whose loss is not finite at some step, or whose delta is
     not finite, has diverged: the DivergenceError names the first such
-    client in federation order, and the federation and every client keep
-    the parameters they had.
+    client in federation order and its run, and the federation and
+    every client keep the parameters they had.
     """
-    group = layout_group(global_shared.layout)
-    if layer_layout(fed.clients[0].params, group) != global_shared.layout:
-        raise InputError("broadcast layout does not match the client model")
+    anchors, group = fed._anchors(broadcasts)
     n_train = fed.train.counts
     if not n_train.all():
         raise InputError(f"client {fed.client_ids[int(np.argmin(n_train))]} "
                          "has no train nodes")
 
-    anchor = unflatten(global_shared, fed.clients[0].params)
-    params = fed._stacked(anchor, group)
+    params = fed._stacked(anchors, group)
     training = fed.training
     n_steps = 1 if training.trainer == "fedsgd" else training.epochs
-    # fedprox pulls the broadcast layers, not a local head, toward anchor
+    # fedprox pulls the broadcast layers, not a local head, toward the
+    # client's run's broadcast; without a pull no step reads the anchor
     mu = training.mu if training.trainer == "fedprox" else 0.0
-    pulls = [mu if group in ("all", l.group) else 0.0 for l in anchor.layers]
+    anchor = fed._stacked(anchors, group) if mu > 0.0 else params
+    pulls = [mu if group in ("all", l.group) else 0.0 for l in params.layers]
 
     diverged = np.zeros(len(fed.clients), dtype=bool)
     for _ in range(n_steps):
@@ -239,18 +268,24 @@ def local_train(fed: Federation, global_shared: FlatVector,
             diverged |= ~np.isfinite(losses)
             _step(params, grads, training.lr, anchor, pulls)
 
-    stacked = [a.reshape(len(fed.clients), -1) for spec in global_shared.layout
+    layout = broadcasts[0].layout
+    stacked = [a.reshape(len(fed.clients), -1) for spec in layout
                for a in (params.layers[spec.index].weight, params.layers[spec.index].bias)
                if a is not None]
-    deltas = np.concatenate(stacked, axis=1) - global_shared.values
+    start = np.repeat(np.stack([b.values for b in broadcasts]), fed.run_sizes, axis=0)
+    deltas = np.concatenate(stacked, axis=1) - start
     # a displacement whose entries or norm are unrepresentable can never
     # be aggregated; surface it as divergence, not as a malformed input
     # (d . d is finite exactly when d's entries and norm are)
     with np.errstate(over="ignore", invalid="ignore"):
         diverged |= ~np.isfinite(np.vecdot(deltas, deltas))
     if diverged.any():
-        raise DivergenceError(round_index, fed.client_ids[int(np.argmax(diverged))])
+        k = int(np.argmax(diverged))
+        run = next(r for r, (a, b) in enumerate(fed.runs) if a <= k < b)
+        raise DivergenceError(round_index, fed.client_ids[k], run)
 
     fed._commit(params)
-    return RoundUpdates(client_ids=fed.client_ids, deltas=deltas,
-                        n_train=tuple(n_train.tolist()), layout=global_shared.layout)
+    counts = tuple(n_train.tolist())
+    return [RoundUpdates(client_ids=fed.client_ids[a:b], deltas=deltas[a:b],
+                         n_train=counts[a:b], layout=layout)
+            for a, b in fed.runs]

@@ -260,14 +260,14 @@ def _in_section(path: str, section: str, check):
 
 
 def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
-    """Run each data source's and partition's range rules in the code
-    that owns them."""
+    """Run each data source's range rules, and each partition's under
+    every run seed, in the code that owns them."""
     checks = [
         (name, lambda src=src: _check_source(src))
         for name, src in zip(source_names, cfg.sources)
     ] + [
-        (f"partition of {name}", lambda j=j: cfg.partition_spec(j, cfg.seeds[0]))
-        for j, name in enumerate(source_names)
+        (f"partition of {name}", lambda j=j, s=s: cfg.partition_spec(j, s))
+        for j, name in enumerate(source_names) for s in cfg.seeds
     ]
     for section, check in checks:
         _in_section(path, section, check)
@@ -300,6 +300,7 @@ def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None
         ("rounds", cfg.rounds < 1, "rounds must be >= 1"),
         ("seeds", not cfg.seeds, "at least one seed is required"),
         ("seeds", len(set(cfg.seeds)) != len(cfg.seeds), "seeds must be distinct"),
+        ("seeds", any(s < 0 for s in cfg.seeds), "seeds must be >= 0"),
         ("regime", cross and len(cfg.sources) < 2, "cross_domain requires at least 2 data sections"),
         ("regime", cross and cfg.model.n_layers < 2, "cross_domain requires layers = 2 (the head stays local)"),
     ):

@@ -24,11 +24,13 @@ class ConfigError(Exception):
 
 
 class DivergenceError(RuntimeError):
-    """Local training produced a non-finite loss."""
+    """Local training produced a non-finite loss; ``run`` is the index of
+    the diverged client's run in its federation (see ``Federation``)."""
 
-    def __init__(self, round_index: int, client_id: int):
+    def __init__(self, round_index: int, client_id: int, run: int = 0):
         self.round_index = round_index
         self.client_id = client_id
+        self.run = run
         super().__init__(
             f"non-finite loss at round {round_index}, client {client_id}"
         )

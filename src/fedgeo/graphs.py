@@ -201,7 +201,7 @@ class NormalizedAdjacency:
 @dataclass(frozen=True)
 class PartitionSpec:
     """Label-skew partition parameters: K clients, Dirichlet concentration,
-    and the seed that fixes every draw."""
+    and the seed (>= 0) that fixes every draw."""
 
     n_clients: int
     dirichlet_alpha: float
@@ -213,6 +213,8 @@ class PartitionSpec:
             raise InputError("partition requires at least 1 client")
         if not self.dirichlet_alpha > 0:
             raise InputError("dirichlet_alpha must be positive")
+        if self.seed < 0:
+            raise InputError(f"partition seed must be >= 0, got {self.seed}")
 
 
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:

@@ -1,14 +1,17 @@
 """End-to-end federated training runs: build, loop, measure, emit.
 
 Per seed the harness builds the configured graph sources, Dirichlet-
-partitions each among its clients, initializes one global model, batches
-the clients into one ``Federation``, and runs T synchronous rounds:
-broadcast the shared parameters, train every client locally (one
-``local_train`` call for the whole federation), aggregate on the server
-(plain weighted mean or the regulated pipeline), apply the global
-delta, evaluate (one forward over every client's test rows). Clients
-sit in the batch and are reduced in ascending id order, so given
-(config, seed) every emitted byte is reproducible.
+partitions each among its clients and initializes one global model,
+all before the first round. It batches every seed's clients into one
+``Federation``, one run per seed, and runs T synchronous rounds of all
+seeds in lockstep: broadcast each seed's shared parameters, train every
+client locally (one ``local_train`` call for all seeds), aggregate each
+seed on its own server (plain weighted mean or the regulated pipeline),
+apply each seed's global delta, evaluate (one forward over every
+client's test rows). No seed's values enter another's arithmetic, and
+clients sit in the batch and are reduced in ascending id order, so
+given (config, seed) every emitted byte is reproducible and the same
+as a run of that seed alone.
 
 Outputs in the run directory:
   metrics.csv               one row per (seed, round), fixed header
@@ -29,12 +32,12 @@ graph with seed 1000*s + j, its partition with seed partition.seed +
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .client import ClientState, Federation, local_train
+from .client import ClientState, Federation, RoundUpdates, local_train
 from .config import DataSource, RunConfig
 from .errors import ConfigError, DivergenceError, InputError
 from .graph_io import load_graph_csv
@@ -48,11 +51,17 @@ from .graphs import (
     planted_partition_graph,
 )
 from .metrics import accuracy, pairwise_coherence, sensitivity_norm
-from .model import SHARED, ParameterSet, flatten, forward, init_params
+from .model import SHARED, FlatVector, ParameterSet, flatten, forward, init_params
 # no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
 from .model import unflatten  # noqa: F401
 from .partition import dirichlet_label_partition
-from .server import RegulationReport, initial_reference, proxy_map, regulate_and_aggregate
+from .server import (
+    GeometricReference,
+    RegulationReport,
+    initial_reference,
+    proxy_map,
+    regulate_and_aggregate,
+)
 
 __all__ = ["RunResult", "run", "partition_report", "build_clients"]
 
@@ -136,17 +145,20 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
     return clients, global_params
 
 
-def _evaluate(fed: Federation, shared) -> float:
-    """Micro-averaged test accuracy of the current global model: one
-    forward over every client's test rows, each client with the broadcast
-    shared parameters and its own persistent layers (the local head in
-    cross-domain mode), and one ``accuracy`` over all of them. NaN when
-    no client has test nodes.
+def _evaluate(fed: Federation, broadcasts: list[FlatVector]) -> list[float]:
+    """Micro-averaged test accuracy of each run's current global model:
+    one forward over every client's test rows, each client with its
+    run's broadcast shared parameters and its own persistent layers (the
+    local head in cross-domain mode), and one ``accuracy`` per run over
+    its clients' rows. NaN for a run whose clients have no test nodes.
     """
     if fed.test.index.size == 0:
-        return float("nan")
-    logits = forward(fed.params(shared), fed.batch, fed.test, fed.model.activation)[1][-1]
-    return accuracy(logits, fed.test.pick[1])
+        return [float("nan")] * len(broadcasts)
+    logits = forward(fed.params(broadcasts), fed.batch, fed.test, fed.model.activation)[1][-1]
+    bounds = fed.test.bounds.tolist()
+    return [accuracy(logits[bounds[a]:bounds[b]], fed.test.pick[1][bounds[a]:bounds[b]])
+            if bounds[b] > bounds[a] else float("nan")
+            for a, b in fed.runs]
 
 
 def _fmt(x: float) -> str:
@@ -167,30 +179,23 @@ def _round_rows(report: RegulationReport, round_index: int) -> list[str]:
     ]
 
 
-def _run_one_seed(cfg: RunConfig, run_seed: int):
-    """Execute T rounds for one seed; returns (csv rows, jsonl rows,
-    per-round accuracy/alignment/sensitivity arrays)."""
-    clients, global_params = build_clients(cfg, run_seed)
-    shared = flatten(global_params, group=SHARED)
-    probe = proxy_map(shared, cfg.server)  # fixes the proxy length for this layout
-    ref = initial_reference(probe.values.shape[0])
-    fed = Federation(clients, cfg.model, cfg.client)
+@dataclass
+class _Seed:
+    """One run seed of a run: its clients, the global shared parameters
+    and server reference it carries from round to round, and its rows
+    and per-round accuracy, alignment and sensitivity (``curves``) so far."""
 
-    csv_rows: list[str] = []
-    jsonl_rows: list[str] = []
-    acc_tr = np.zeros(cfg.rounds)
-    ali_tr = np.zeros(cfg.rounds)
-    sen_tr = np.zeros(cfg.rounds)
+    seed: int
+    clients: list[ClientState]
+    shared: FlatVector
+    ref: GeometricReference
+    curves: np.ndarray  # (3, T)
+    csv_rows: list[str] = field(default_factory=list)
+    jsonl_rows: list[str] = field(default_factory=list)
 
-    for t in range(1, cfg.rounds + 1):
-        updates = local_train(fed, shared, round_index=t)
-
-        global_delta, ref, report = regulate_and_aggregate(updates, ref, cfg.server)
-        new_values = shared.values + global_delta.values
-        shared = type(shared)(values=new_values, layout=shared.layout)
-
-        test_acc = _evaluate(fed, shared)
-
+    def record(self, t: int, test_acc: float, updates: RoundUpdates,
+               global_delta: FlatVector, report: RegulationReport) -> None:
+        """Round t's CSV row, JSONL rows and curve values."""
         if len(updates.deltas) >= 2:
             gamma, _ = pairwise_coherence(updates.deltas)
             iu = np.triu_indices(len(updates.deltas), k=1)
@@ -204,16 +209,59 @@ def _run_one_seed(cfg: RunConfig, run_seed: int):
         clip_rate = float(np.mean([c.clip_factor < 1.0 for c in report.clients]))
         atten_rate = float(np.mean([c.attenuated for c in report.clients]))
 
-        csv_rows.append(
-            f"{t},{run_seed},{_fmt(test_acc)},{_fmt(gamma_mean)},{_fmt(alignment)},"
+        self.csv_rows.append(
+            f"{t},{self.seed},{_fmt(test_acc)},{_fmt(gamma_mean)},{_fmt(alignment)},"
             f"{_fmt(sensitivity)},{_fmt(clip_rate)},{_fmt(atten_rate)}"
         )
-        jsonl_rows.extend(_round_rows(report, t))
-        acc_tr[t - 1] = test_acc
-        ali_tr[t - 1] = alignment
-        sen_tr[t - 1] = sensitivity
+        self.jsonl_rows.extend(_round_rows(report, t))
+        self.curves[:, t - 1] = test_acc, alignment, sensitivity
 
-    return csv_rows, jsonl_rows, acc_tr, ali_tr, sen_tr
+
+def _federation(cfg: RunConfig, seeds: list[_Seed]) -> Federation:
+    """One Federation of the seeds' clients, one run per seed."""
+    return Federation([c for s in seeds for c in s.clients], cfg.model, cfg.client,
+                      tuple(len(s.clients) for s in seeds))
+
+
+def _train(cfg: RunConfig, seeds: tuple[int, ...]) -> tuple[list[_Seed], DivergenceError | None]:
+    """Build every seed, then run T rounds of all of them in lockstep.
+
+    Returns the seeds that finished, a prefix of ``seeds``, and the
+    DivergenceError of the first seed that diverged (None when none
+    did). A seed that diverges is dropped with every later seed, as a run
+    of the seeds one after another stops at the first that diverges; the
+    others retry the round in a federation rebuilt from their clients,
+    whose parameters the failed round left as they were.
+    """
+    built = [build_clients(cfg, s) for s in seeds]
+    shared = [flatten(params, group=SHARED) for _, params in built]
+    # fixes the proxy length for this layout, which every seed shares
+    probe = proxy_map(shared[0], cfg.server)
+    live = [_Seed(s, clients, v, initial_reference(probe.values.shape[0]),
+                  np.zeros((3, cfg.rounds)))
+            for s, (clients, _), v in zip(seeds, built, shared)]
+    failed = None
+    fed = _federation(cfg, live)
+    t = 1
+    while live and t <= cfg.rounds:
+        try:
+            updates = local_train(fed, [s.shared for s in live], round_index=t)
+        except DivergenceError as e:
+            failed, live = e, live[:e.run]
+            if live:
+                fed = _federation(cfg, live)
+            continue
+        applied = []
+        for s, u in zip(live, updates):
+            global_delta, s.ref, report = regulate_and_aggregate(u, s.ref, cfg.server)
+            s.shared = FlatVector(values=s.shared.values + global_delta.values,
+                                  layout=s.shared.layout)
+            applied.append((global_delta, report))
+        accuracies = _evaluate(fed, [s.shared for s in live])
+        for s, u, acc, (global_delta, report) in zip(live, updates, accuracies, applied):
+            s.record(t, acc, u, global_delta, report)
+        t += 1
+    return live, failed
 
 
 def _mean_std(per_seed: list[float]) -> dict:
@@ -221,10 +269,10 @@ def _mean_std(per_seed: list[float]) -> dict:
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
-def _summary(cfg: RunConfig, seeds: tuple[int, ...], curves: list[list[np.ndarray]]) -> dict:
+def _summary(cfg: RunConfig, seeds: tuple[int, ...], curves: list[np.ndarray]) -> dict:
     """summary.json over the seeds that finished, the first len(curves);
     ``curves`` holds each one's per-round accuracy, alignment and
-    sensitivity."""
+    sensitivity, one row each."""
     summary = {
         "name": cfg.name,
         "regulation": cfg.server.mode,
@@ -248,41 +296,40 @@ def _summary(cfg: RunConfig, seeds: tuple[int, ...], curves: list[list[np.ndarra
 def run(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunResult:
     """Run the configured federation for every seed and emit the files.
 
-    ``seed``/``out`` override the config's seed list / output directory.
-    When a seed diverges, the finished seeds' rows and a summary of them
-    naming the failed seed, round and client are written before the
-    ``DivergenceError`` propagates.
+    ``seed``/``out`` override the config's seed list / output directory;
+    a negative ``seed``, or one whose partition seeds would be, is an
+    InputError raised before anything is written. Every seed is built
+    before the first round, so a seed that cannot be built fails the run
+    before any round trains. When a seed diverges, the rows of the seeds
+    before it and a summary of them naming the failed seed, round and
+    client are written before the ``DivergenceError`` propagates.
     """
+    if seed is not None:
+        if seed < 0:
+            raise InputError(f"seed must be >= 0, got {seed}")
+        for j in range(len(cfg.sources)):
+            cfg.partition_spec(j, seed)
     seeds = (seed,) if seed is not None else cfg.seeds
     out_dir = Path(out if out is not None else cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.raw_text)
 
-    all_csv: list[str] = [CSV_HEADER]
-    jsonl_paths: list[Path] = []
-    curves: list[list[np.ndarray]] = []
-
+    finished, failed = _train(cfg, seeds)
     csv_path = out_dir / "metrics.csv"
+    csv_path.write_text("\n".join([CSV_HEADER, *(r for s in finished for r in s.csv_rows)]) + "\n")
+    jsonl_paths = []
+    for s in finished:
+        p = out_dir / f"regulation_seed{s.seed}.jsonl"
+        p.write_text("\n".join(s.jsonl_rows) + "\n")
+        jsonl_paths.append(p)
+    summary = _summary(cfg, seeds, [s.curves for s in finished])
+    if failed is not None:
+        summary["failed"] = {"seed": seeds[len(finished)], "round": failed.round_index,
+                             "client": failed.client_id}
     summary_path = out_dir / "summary.json"
-    try:
-        for s in seeds:
-            csv_rows, jsonl_rows, *trajectories = _run_one_seed(cfg, s)
-            all_csv.extend(csv_rows)
-            p = out_dir / f"regulation_seed{s}.jsonl"
-            p.write_text("\n".join(jsonl_rows) + "\n")
-            jsonl_paths.append(p)
-            curves.append(trajectories)
-    except DivergenceError as e:
-        summary = _summary(cfg, seeds, curves)
-        summary["failed"] = {"seed": s, "round": e.round_index, "client": e.client_id}
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        raise
-    finally:
-        # a seed that diverges does not lose the rows of the seeds before it
-        csv_path.write_text("\n".join(all_csv) + "\n")
-
-    summary = _summary(cfg, seeds, curves)
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    if failed is not None:
+        raise failed
 
     return RunResult(
         out_dir=out_dir,

@@ -196,7 +196,7 @@ def test_3a_single_client_federation_is_centralized_descent():
     rows = batch.rows([np.flatnonzero(c.graph.train_mask)])
     worst = 0.0
     for t in range(1, 21):
-        u = local_train(fed, shared, round_index=t)
+        u = local_train(fed, [shared], round_index=t)[0]
         delta, ref, _ = regulate_and_aggregate(u, ref, agg)
         shared = FlatVector(values=shared.values + delta.values, layout=shared.layout)
 
@@ -250,7 +250,7 @@ def test_3c_regulated_client_updates_never_exceed_raw_norm():
     worst_excess = -np.inf
     fed = Federation(clients, cfg.model, cfg.client)
     for t in range(1, 9):
-        ups = local_train(fed, shared, round_index=t)
+        ups = local_train(fed, [shared], round_index=t)[0]
         delta, ref, report = regulate_and_aggregate(ups, ref, agg)
         by_id = dict(zip(ups.client_ids, ups.deltas))
         for creg in report.clients:

@@ -49,7 +49,7 @@ def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="re
 
 def test_zero_lr_gives_zero_delta():
     fed, shared = _fixture(lr=0.0)
-    update = local_train(fed, shared)
+    update = local_train(fed, [shared])[0]
     assert np.all(update.deltas[0] == 0.0)
     assert update.n_train[0] == int(fed.clients[0].graph.train_mask.sum())
 
@@ -67,7 +67,7 @@ def test_one_step_quadratic_surrogate_closed_form():
     state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params)
     fed = Federation([state], ModelConfig(n_layers=1, activation="identity", bias=False),
                      TrainingConfig(trainer="fedavg", lr=lr, epochs=1))
-    update = local_train(fed, flatten(params, group=SHARED))
+    update = local_train(fed, [flatten(params, group=SHARED)])[0]
     z = x @ w0
     p = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
     expected = -lr * x.T @ (p - np.eye(2)[y])
@@ -77,8 +77,8 @@ def test_one_step_quadratic_surrogate_closed_form():
 def test_fedsgd_takes_exactly_one_step():
     f1, shared = _fixture(trainer="fedsgd", epochs=7, lr=0.05)
     f2, _ = _fixture(trainer="fedavg", epochs=1, lr=0.05)
-    u1 = local_train(f1, shared)
-    u2 = local_train(f2, shared)
+    u1 = local_train(f1, [shared])[0]
+    u2 = local_train(f2, [shared])[0]
     np.testing.assert_array_equal(u1.deltas[0], u2.deltas[0])
 
 
@@ -90,7 +90,7 @@ def test_fedavg_multi_epoch_matches_manual_descent():
         fed, shared = _fixture(trainer=trainer, epochs=3, lr=0.07, mu=mu,
                                cross_domain=cross_domain)
         state = fed.clients[0]
-        update = local_train(fed, shared)
+        update = local_train(fed, [shared])[0]
 
         # oracle: run the descent loop by hand through the public gradient,
         # adding fedprox's mu * (theta - theta_0) on the shared layers
@@ -128,8 +128,8 @@ def test_fedprox_large_mu_contracts_delta():
     # fedavg drift ~E times farther
     base, shared = _fixture(trainer="fedavg", lr=1e-6, epochs=1500)
     prox, _ = _fixture(trainer="fedprox", lr=1e-6, epochs=1500, mu=1e6)
-    u_avg = local_train(base, shared)
-    u_prox = local_train(prox, shared)
+    u_avg = local_train(base, [shared])[0]
+    u_prox = local_train(prox, [shared])[0]
     n_avg = np.linalg.norm(u_avg.deltas[0])
     n_prox = np.linalg.norm(u_prox.deltas[0])
     assert n_prox < 1e-3 * n_avg
@@ -141,8 +141,8 @@ def test_fedprox_mu_monotonically_shrinks_delta():
                                      epochs=5, lr=0.05)
         fed_large, _ = _fixture(seed=trial, trainer="fedprox", mu=10.0,
                                 epochs=5, lr=0.05)
-        n_small = np.linalg.norm(local_train(fed_small, shared).deltas[0])
-        n_large = np.linalg.norm(local_train(fed_large, shared).deltas[0])
+        n_small = np.linalg.norm(local_train(fed_small, [shared])[0].deltas[0])
+        n_large = np.linalg.norm(local_train(fed_large, [shared])[0].deltas[0])
         assert n_large <= n_small + 1e-15
 
 
@@ -151,16 +151,16 @@ def test_fedprox_first_step_equals_fedavg():
     # cannot distinguish the trainers
     avg, shared = _fixture(trainer="fedavg", epochs=1, lr=0.05)
     prox, _ = _fixture(trainer="fedprox", epochs=1, lr=0.05, mu=5.0)
-    u_avg = local_train(avg, shared)
-    u_prox = local_train(prox, shared)
+    u_avg = local_train(avg, [shared])[0]
+    u_prox = local_train(prox, [shared])[0]
     np.testing.assert_allclose(u_avg.deltas[0], u_prox.deltas[0], atol=1e-12)
 
 
 def test_local_train_deterministic_bitwise():
     f1, shared = _fixture(seed=3, epochs=4)
     f2, _ = _fixture(seed=3, epochs=4)
-    u1 = local_train(f1, shared)
-    u2 = local_train(f2, shared)
+    u1 = local_train(f1, [shared])[0]
+    u2 = local_train(f2, [shared])[0]
     np.testing.assert_array_equal(u1.deltas[0], u2.deltas[0])
 
 
@@ -175,11 +175,11 @@ def test_local_head_persists_across_rounds():
     training = TrainingConfig(lr=0.1)
     shared = flatten(params, group=SHARED)
     head_before = params.layers[1].weight.copy()
-    local_train(Federation([state], cfg, training), shared, round_index=1)
+    local_train(Federation([state], cfg, training), [shared], round_index=1)
     head_r1 = state.params.layers[1].weight.copy()
     assert np.any(head_r1 != head_before)  # head trains locally
     # round 2: broadcast does not touch the head
-    u2 = local_train(Federation([state], cfg, training), shared, round_index=2)
+    u2 = local_train(Federation([state], cfg, training), [shared], round_index=2)[0]
     assert u2.deltas[0].size == shared.values.size
     assert np.any(state.params.layers[1].weight != head_r1)
 
@@ -195,7 +195,7 @@ def test_no_train_nodes_errors():
     params = init_params(cfg, 3, 1, seed=0)
     state = ClientState(client_id=2, graph=g, adj=normalized_adjacency(g), params=params)
     with pytest.raises(InputError):
-        local_train(Federation([state], cfg, TrainingConfig()), flatten(params, group=SHARED))
+        local_train(Federation([state], cfg, TrainingConfig()), [flatten(params, group=SHARED)])
 
 
 def test_divergence_carries_round_and_client():
@@ -204,7 +204,7 @@ def test_divergence_carries_round_and_client():
     fed, shared = _fixture(seed=2, lr=1e6, epochs=30, activation="identity")
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError) as err:
-            local_train(fed, shared, round_index=17)
+            local_train(fed, [shared], round_index=17)
     assert err.value.round_index == 17
     assert err.value.client_id == 0
     assert "round 17" in str(err.value)
@@ -225,7 +225,7 @@ def test_divergence_of_a_one_layer_identity_model():
     fed = Federation([state], cfg, TrainingConfig(lr=1.0, epochs=3))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
-            local_train(fed, flatten(params, group=SHARED), round_index=4)
+            local_train(fed, [flatten(params, group=SHARED)], round_index=4)
     assert err.value.round_index == 4
     assert err.value.client_id == 5
     assert "round 4" in str(err.value)
@@ -243,11 +243,11 @@ def test_replaced_graph_trains_like_a_fresh_state():
     replaced = dataclasses.replace(state, graph=g2, adj=normalized_adjacency(g2))
     fresh = ClientState(client_id=0, graph=g2, adj=normalized_adjacency(g2),
                         params=state.params)
-    u_replaced = local_train(Federation([replaced], fed.model, fed.training), shared)
-    u_fresh = local_train(Federation([fresh], fed.model, fed.training), shared)
+    u_replaced = local_train(Federation([replaced], fed.model, fed.training), [shared])[0]
+    u_fresh = local_train(Federation([fresh], fed.model, fed.training), [shared])[0]
     np.testing.assert_array_equal(u_replaced.deltas[0], u_fresh.deltas[0])
     assert u_replaced.n_train == u_fresh.n_train
-    assert not np.array_equal(local_train(fed, shared).deltas[0],
+    assert not np.array_equal(local_train(fed, [shared])[0].deltas[0],
                               u_fresh.deltas[0])
 
 
@@ -255,14 +255,14 @@ def test_layout_mismatch_rejected():
     fed, _ = _fixture()
     other = init_params(ModelConfig(n_layers=2, hidden_dim=9), 4, 2, seed=0)
     with pytest.raises(InputError):
-        local_train(fed, flatten(other, group=SHARED))
+        local_train(fed, [flatten(other, group=SHARED)])
 
 
 def test_unknown_activation_is_an_error_not_identity():
     fed, shared = _fixture()
     with pytest.raises(InputError):
         local_train(Federation(list(fed.clients), dataclasses.replace(
-            fed.model, activation="tanh"), fed.training), shared)
+            fed.model, activation="tanh"), fed.training), [shared])
 
 
 def test_client_state_validation():
@@ -304,7 +304,7 @@ def test_divergence_names_the_first_client_whatever_the_step():
         losses, _ = gradient(stack_params([params, params]), fed.batch, fed.train, "identity")
         assert np.isfinite(losses[0]) and losses[1] == np.inf
         with pytest.raises(DivergenceError) as err:
-            local_train(fed, flatten(params, group=SHARED), round_index=3)
+            local_train(fed, [flatten(params, group=SHARED)], round_index=3)
     assert (err.value.round_index, err.value.client_id) == (3, 0)
 
 
@@ -322,7 +322,7 @@ def _random_client(cid, rng, n_classes, feature_dim, params):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n_clients=st.integers(1, 5),
+    run_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
     n_layers=st.sampled_from((1, 2)),
     activation=st.sampled_from(("relu", "identity")),
     trainer=st.sampled_from(("fedavg", "fedsgd", "fedprox")),
@@ -330,40 +330,55 @@ def _random_client(cid, rng, n_classes, feature_dim, params):
     epochs=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batch_trains_each_client_as_its_own_federation(n_clients, n_layers, activation,
+def test_batch_trains_each_client_as_its_own_federation(run_sizes, n_layers, activation,
                                                         trainer, local_heads, epochs, seed):
-    # no client's values enter another's arithmetic: a K-client batch
-    # gives every client's delta and persisted parameters, bit for bit,
-    # as K one-client federations do, over two rounds
+    # no client's values enter another's arithmetic, nor one run's
+    # another's: a batch of R runs, each with its own broadcast, gives
+    # every run's deltas and every client's persisted parameters, bit for
+    # bit, as the run's own federation and one-client federations do,
+    # over two rounds
     rng = np.random.default_rng(seed)
     model = ModelConfig(n_layers=n_layers, hidden_dim=3, activation=activation)
     training = TrainingConfig(trainer=trainer, lr=0.3, epochs=epochs, mu=0.5)
     cross_domain = local_heads and n_layers == 2
     params = init_params(model, 3, 2, seed=seed % 1000, cross_domain=cross_domain)
-    shared = flatten(params, group=SHARED)
+    broadcasts = [flatten(init_params(model, 3, 2, seed=seed % 1000 + r,
+                                      cross_domain=cross_domain), group=SHARED)
+                  for r in range(len(run_sizes))]
+    n_clients = sum(run_sizes)
     draws = [rng.integers(2**32) for _ in range(n_clients)]
     # each client's own head, when it has one
     heads = [dataclasses.replace(params, layers=params.layers[:-1] + (dataclasses.replace(
         params.layers[-1], weight=params.layers[-1].weight + k),)) if cross_domain else params
         for k in range(n_clients)]
+    runs = np.repeat(np.arange(len(run_sizes)), run_sizes)
 
     def clients():
-        return [_random_client(k, np.random.default_rng(d), 2, 3, h)
-                for k, (d, h) in enumerate(zip(draws, heads))]
+        # ids restart in each run, as each run seed's do
+        return [_random_client(k - sum(run_sizes[:r]), np.random.default_rng(d), 2, 3, h)
+                for k, (r, d, h) in enumerate(zip(runs, draws, heads))]
 
-    batched, alone = clients(), clients()
-    fed = Federation(batched, model, training)
+    batched, own, alone = clients(), clients(), clients()
+    fed = Federation(batched, model, training, tuple(run_sizes))
+    per_run = [Federation(own[a:b], model, training) for a, b in fed.runs]
     singles = [Federation([c], model, training) for c in alone]
     for t in (1, 2):
-        together = local_train(fed, shared, round_index=t)
-        apart = [local_train(f, shared, round_index=t) for f in singles]
-        for k, (v, b, a) in enumerate(zip(apart, batched, alone)):
-            assert (together.client_ids[k], together.n_train[k]) == (v.client_ids[0],
-                                                                     v.n_train[0])
-            np.testing.assert_array_equal(together.deltas[k], v.deltas[0])
-            np.testing.assert_array_equal(flatten(b.params).values, flatten(a.params).values)
-        shared = FlatVector(values=shared.values + together.deltas[-1],
-                            layout=shared.layout)
+        together = local_train(fed, broadcasts, round_index=t)
+        assert len(together) == len(run_sizes)
+        for r, ((a, b), u, f) in enumerate(zip(fed.runs, together, per_run)):
+            v = local_train(f, [broadcasts[r]], round_index=t)[0]
+            assert (u.client_ids, u.n_train) == (v.client_ids, v.n_train)
+            np.testing.assert_array_equal(u.deltas, v.deltas)
+            for k in range(a, b):
+                w = local_train(singles[k], [broadcasts[r]], round_index=t)[0]
+                assert (u.client_ids[k - a], u.n_train[k - a]) == (w.client_ids[0],
+                                                                   w.n_train[0])
+                np.testing.assert_array_equal(u.deltas[k - a], w.deltas[0])
+        for c, o, s1 in zip(batched, own, alone):
+            np.testing.assert_array_equal(flatten(c.params).values, flatten(o.params).values)
+            np.testing.assert_array_equal(flatten(c.params).values, flatten(s1.params).values)
+        broadcasts = [FlatVector(values=b.values + u.deltas[-1], layout=b.layout)
+                      for b, u in zip(broadcasts, together)]
 
 
 def test_federation_validation():
@@ -375,6 +390,30 @@ def test_federation_validation():
     with pytest.raises(InputError):
         Federation([state, dataclasses.replace(state, client_id=1, params=other)],
                    fed.model, fed.training)
+    for sizes in ((), (2,), (0, 1), (1, 1)):
+        with pytest.raises(InputError, match="do not split 1 clients"):
+            Federation([state], fed.model, fed.training, sizes)
+    _, shared = _fixture()
+    with pytest.raises(InputError, match="2 broadcasts for 1 runs"):
+        local_train(fed, [shared, shared])
+
+
+def test_divergence_names_the_run_of_the_first_diverged_client():
+    # two runs of two clients, ids restarting in each; only the run
+    # given a huge broadcast diverges, and the lower run is named first
+    model = ModelConfig(n_layers=2, hidden_dim=3)
+    params = init_params(model, 3, 2, seed=5)
+    shared = flatten(params, group=SHARED)
+    huge = FlatVector(values=1e300 * np.ones_like(shared.values), layout=shared.layout)
+    rng = np.random.default_rng(11)
+    fed = Federation([_random_client(k % 2, rng, 2, 3, params) for k in range(4)], model,
+                     TrainingConfig(lr=0.3), (2, 2))
+    for broadcasts, run in (([shared, huge], 1), ([huge, shared], 0), ([huge, huge], 0)):
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                local_train(fed, broadcasts, round_index=4)
+        assert (err.value.round_index, err.value.client_id, err.value.run) == (4, 0, run)
+    assert [u.client_ids for u in local_train(fed, [shared, shared])] == [(0, 1), (0, 1)]
 
 
 def test_building_a_federation_leaves_its_clients_untouched():
@@ -411,17 +450,17 @@ def test_a_diverging_round_changes_no_parameters():
 
     fed, twin = federation(), federation()
     for f in (fed, twin):
-        local_train(f, shared, round_index=1)
+        local_train(f, [shared], round_index=1)
     before = [(c.params, flatten(c.params).values.tobytes()) for c in fed.clients]
-    evaluated = [l.weight.tobytes() for l in fed.params(shared).layers]
+    evaluated = [l.weight.tobytes() for l in fed.params([shared]).layers]
     huge = FlatVector(values=1e300 * np.ones_like(shared.values), layout=shared.layout)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError):
-            local_train(fed, huge, round_index=2)
+            local_train(fed, [huge], round_index=2)
     for c, (p, flat) in zip(fed.clients, before):
         assert c.params is p and flatten(c.params).values.tobytes() == flat
-    assert [l.weight.tobytes() for l in fed.params(shared).layers] == evaluated
-    again, untouched = (local_train(f, shared, round_index=2) for f in (fed, twin))
+    assert [l.weight.tobytes() for l in fed.params([shared]).layers] == evaluated
+    again, untouched = (local_train(f, [shared], round_index=2)[0] for f in (fed, twin))
     assert again.deltas.tobytes() == untouched.deltas.tobytes()
     for c, t in zip(fed.clients, twin.clients):
         assert flatten(c.params).values.tobytes() == flatten(t.params).values.tobytes()
@@ -441,17 +480,17 @@ def test_the_federation_owns_its_clients_parameters():
                           TrainingConfig(lr=0.3))
 
     fed, twin = federation(), federation()
-    local_train(fed, shared, round_index=1)
+    local_train(fed, [shared], round_index=1)
     held = [c.params for c in fed.clients]
     r1 = [flatten(p).values for p in held]
     fed.clients[0].params = init_params(model, 3, 2, seed=9, cross_domain=True)
-    local_train(fed, shared, round_index=2)
+    local_train(fed, [shared], round_index=2)
     for c, p, v in zip(fed.clients, held, r1):
         assert c.params is p
         assert not np.array_equal(flatten(p).values, v)  # the local head trained on
     # client 0's round-2 head continued from its round-1 head, not from
     # the params it was handed in between: the same as a twin never handed them
     for r in (1, 2):
-        local_train(twin, shared, round_index=r)
+        local_train(twin, [shared], round_index=r)
     for c, t in zip(fed.clients, twin.clients):
         assert flatten(c.params).values.tobytes() == flatten(t.params).values.tobytes()

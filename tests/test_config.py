@@ -221,6 +221,23 @@ def test_seed_list_validation(tmp_path):
         _load(tmp_path, MINIMAL + "run.seeds =\n")
 
 
+def test_negative_seeds_are_config_errors(tmp_path):
+    # default_rng takes no negative seed: each is refused while parsing,
+    # naming the line or section, not by numpy once a run has started
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, MINIMAL + "run.seeds = 2, -1\n")
+    assert str(err.value).endswith("run.conf:3: seeds must be >= 0")
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, MINIMAL + "partition.seed = -5000\n")
+    assert str(err.value).endswith(
+        "run.conf: partition of data: partition seed must be >= 0, got -3500")
+    # every run seed's partition seeds are checked, not only the first's:
+    # -1600 + 1000 * 2 + 500 >= 0, but -1600 + 1000 * 1 + 500 < 0
+    with pytest.raises(ConfigError, match="got -100$"):
+        _load(tmp_path, MINIMAL + "run.seeds = 2, 1\npartition.seed = -1600\n")
+    assert _load(tmp_path, MINIMAL + "run.seeds = 2\npartition.seed = -1600\n").seeds == (2,)
+
+
 def test_enum_validation(tmp_path):
     for bad in (
         "run.regime = federated",

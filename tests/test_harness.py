@@ -77,19 +77,19 @@ def test_a_run_builds_only_the_row_operators_its_model_reads(tmp_path, monkeypat
     built = []
 
     class Recorded(Federation):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append(self)
 
     monkeypatch.setattr(harness, "Federation", Recorded)
     run(parse_config(SMALL + f"model.layers = {n_layers}\n", path="inline.conf"),
         out=str(tmp_path))
-    assert len(built) == 2  # one federation per seed
-    for fed in built:
-        assert fed.test.index.size  # evaluation ran a forward pass
-        for rows in (fed.train, fed.test):
-            assert not unread & vars(rows).keys()
-        assert read <= vars(fed.train).keys()
+    (fed,) = built  # one federation holds both seeds' clients
+    assert len(fed.runs) == 2
+    assert fed.test.index.size  # evaluation ran a forward pass
+    for rows in (fed.train, fed.test):
+        assert not unread & vars(rows).keys()
+    assert read <= vars(fed.train).keys()
 
 
 def test_single_client_matches_centralized_descent():
@@ -118,7 +118,7 @@ client.lr = 0.1
     agg = AggregatorConfig(mode="plain")
 
     for t in range(1, 21):
-        u = local_train(fed, shared, round_index=t)
+        u = local_train(fed, [shared], round_index=t)[0]
         delta, ref, _ = regulate_and_aggregate(u, ref, agg)
         shared = FlatVector(values=shared.values + delta.values,
                             layout=shared.layout)
@@ -207,37 +207,85 @@ def test_rerun_is_byte_identical_with_projected_proxies(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _cross_domain_fedprox(tmp_path):
+    # fedprox with local heads, so each client's pull reads its own seed's
+    # broadcast; the csv source starves some clients of train nodes, and
+    # the seeds keep 3, 4 and 5 clients
+    d = _skewed_csv_source(tmp_path)
+    return f"""
+run.rounds = 3
+run.seeds = 1, 2, 8
+run.regime = cross_domain
+data1.kind = planted
+data1.blocks = 2
+data1.block_size = 8
+data1.classes = 2
+data1.features = 2
+data1.clients = 2
+data2.kind = csv
+data2.edges = {d}/edges.csv
+data2.features = {d}/features.csv
+data2.labels = {d}/labels.csv
+data2.splits = {d}/splits.csv
+data2.clients = 3
+partition.alpha = 0.05
+model.hidden = 4
+client.trainer = fedprox
+client.mu = 0.5
+client.lr = 0.1
+server.regulation = ggrs
+"""
+
+
 def test_two_seed_run_matches_one_seed_runs(tmp_path):
-    # each seed's clients compute their own cached messages: nothing of
-    # seed 1 leaks into seed 2, and the order of the seeds changes nothing
-    cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
-    both = run(cfg, out=str(tmp_path / "both"))
-    rows = both.csv_path.read_text().splitlines()[1:]
-    for s in (2, 1):
-        one = run(cfg, seed=s, out=str(tmp_path / f"seed{s}"))
-        assert one.csv_path.read_text().splitlines()[1:] == [
-            l for l in rows if l.split(",")[1] == str(s)]
-        name = f"regulation_seed{s}.jsonl"
-        assert (tmp_path / f"seed{s}" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+    # the seeds train in one federation, but nothing of one seed leaks
+    # into another, and the order of the seeds changes nothing
+    for name, text in (("small", SMALL), ("cross", _cross_domain_fedprox(tmp_path))):
+        cfg = parse_config(text, path="inline.conf")
+        if name == "cross":
+            assert [len(build_clients(cfg, s)[0]) for s in cfg.seeds] == [3, 4, 5]
+        both = run(cfg, out=str(tmp_path / name / "all"))
+        rows = both.csv_path.read_text().splitlines()[1:]
+        assert len(rows) == cfg.rounds * len(cfg.seeds)
+        for s in reversed(cfg.seeds):
+            one = run(cfg, seed=s, out=str(tmp_path / name / f"seed{s}"))
+            assert one.csv_path.read_text().splitlines()[1:] == [
+                l for l in rows if l.split(",")[1] == str(s)]
+            jsonl = f"regulation_seed{s}.jsonl"
+            assert ((tmp_path / name / f"seed{s}" / jsonl).read_bytes()
+                    == (tmp_path / name / "all" / jsonl).read_bytes())
+
+
+def _diverge(monkeypatch, at):
+    """``harness.local_train`` raising for run index r at round t, client
+    c, for each r: (t, c) of ``at``, while run r is in the federation;
+    the lowest such run first, as ``local_train`` names it."""
+    train = harness.local_train
+
+    def diverging(fed, broadcasts, round_index=0):
+        for r, (t, c) in sorted(at.items()):
+            if round_index == t and r < len(fed.runs):
+                raise DivergenceError(t, c, r)
+        return train(fed, broadcasts, round_index=round_index)
+
+    monkeypatch.setattr(harness, "local_train", diverging)
 
 
 def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
     cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
     full = run(cfg, out=str(tmp_path / "full")).csv_path.read_text().splitlines()
-    one_seed = harness._run_one_seed
 
-    def second_seed_diverges(cfg, s):
-        if s == 2:
-            raise DivergenceError(2, 0)
-        return one_seed(cfg, s)
-
-    monkeypatch.setattr(harness, "_run_one_seed", second_seed_diverges)
-    with pytest.raises(DivergenceError):
-        run(cfg, out=str(tmp_path / "o"))
+    with monkeypatch.context() as m:
+        _diverge(m, {1: (2, 0)})  # the second seed diverges at round 2
+        with pytest.raises(DivergenceError):
+            run(cfg, out=str(tmp_path / "o"))
     kept = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
     assert kept == [l for l in full if l == CSV_HEADER or l.split(",")[1] == "1"]
     assert len(kept) == 1 + 3
     assert (tmp_path / "o" / "config.txt").read_text() == cfg.raw_text
+    assert ((tmp_path / "o" / "regulation_seed1.jsonl").read_bytes()
+            == (tmp_path / "full" / "regulation_seed1.jsonl").read_bytes())
+    assert not (tmp_path / "o" / "regulation_seed2.jsonl").exists()
     # the summary covers the finished seed and names the failure
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["seeds"] == [1]
@@ -246,16 +294,63 @@ def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
     assert summary["trajectory"]["test_acc"] == seed1
     assert summary["last10"]["test_acc"] == {"mean": float(np.mean(seed1)), "std": 0.0}
 
-    def first_seed_diverges(cfg, s):
-        raise DivergenceError(1, 3)
-
-    monkeypatch.setattr(harness, "_run_one_seed", first_seed_diverges)
-    with pytest.raises(DivergenceError):
-        run(cfg, out=str(tmp_path / "none"))
+    with monkeypatch.context() as m:
+        _diverge(m, {0: (1, 3)})  # the first seed diverges at round 1
+        with pytest.raises(DivergenceError):
+            run(cfg, out=str(tmp_path / "none"))
     summary = json.loads((tmp_path / "none" / "summary.json").read_text())
     assert summary["seeds"] == []
     assert summary["failed"] == {"seed": 1, "round": 1, "client": 3}
     assert "last10" not in summary and "trajectory" not in summary
+
+    # the second seed diverges first, at round 1, and the first at round 3:
+    # run one after another, the first seed would fail at round 3 and the
+    # second never start
+    with monkeypatch.context() as m:
+        _diverge(m, {1: (1, 0), 0: (3, 1)})
+        with pytest.raises(DivergenceError) as err:
+            run(cfg, out=str(tmp_path / "crossed"))
+    assert (cfg.seeds[err.value.run], err.value.round_index, err.value.client_id) == (1, 3, 1)
+    summary = json.loads((tmp_path / "crossed" / "summary.json").read_text())
+    assert summary["seeds"] == []
+    assert summary["failed"] == {"seed": 1, "round": 3, "client": 1}
+    assert (tmp_path / "crossed" / "metrics.csv").read_text() == CSV_HEADER + "\n"
+
+
+def test_a_seed_that_cannot_be_built_fails_before_any_round(tmp_path, monkeypatch):
+    # every seed is built before round 1, so the first seed trains no
+    # round when the second has no client with train nodes
+    cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
+    build, rounds = harness.build_clients, []
+
+    def build_or_fail(cfg, run_seed):
+        if run_seed == 2:
+            raise InputError("no client has any train nodes")
+        return build(cfg, run_seed)
+
+    monkeypatch.setattr(harness, "build_clients", build_or_fail)
+    monkeypatch.setattr(harness, "local_train", lambda *args, **kw: rounds.append(args))
+    with pytest.raises(InputError, match="no client has any train nodes"):
+        run(cfg, out=str(tmp_path / "o"))
+    assert rounds == []
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["config.txt"]
+
+
+def test_a_negative_seed_override_is_refused_before_any_output(tmp_path, capsys):
+    cfg = parse_config(SMALL, path="inline.conf")
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        run(cfg, seed=-1, out=str(tmp_path / "o"))
+    # so is one whose partition seed would be negative: -1600 + 1000 + 500
+    shifted = parse_config(SMALL.replace("run.seeds = 1, 2", "run.seeds = 2")
+                           + "partition.seed = -1600\n", path="inline.conf")
+    with pytest.raises(InputError, match="partition seed must be >= 0, got -100"):
+        run(shifted, seed=1, out=str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
+
+    p = _write(tmp_path, SMALL)
+    assert main(["run", "--config", str(p), "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_override_runs_single_seed(tmp_path):
@@ -301,7 +396,7 @@ client.lr = 0.1
     agg = AggregatorConfig(mode="plain")
     fed = Federation(clients, cfg.model, cfg.client)
     for t in range(1, 4):
-        updates = local_train(fed, shared, round_index=t)
+        updates = local_train(fed, [shared], round_index=t)[0]
         # only the shared group ever leaves a client
         assert updates.deltas.shape == (len(clients), shared.values.shape[0])
         delta, ref, _ = regulate_and_aggregate(updates, ref, agg)

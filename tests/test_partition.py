@@ -67,6 +67,11 @@ def test_small_alpha_skews_shares():
     assert top > 0.7
 
 
+def test_spec_rejects_a_negative_seed():
+    with pytest.raises(InputError, match="partition seed must be >= 0, got -1"):
+        PartitionSpec(n_clients=2, dirichlet_alpha=1.0, seed=-1)
+
+
 def test_thin_class_warns():
     labels = np.array([0, 0, 0, 1])  # class 1 has 1 node < 3 clients
     spec = PartitionSpec(n_clients=3, dirichlet_alpha=1.0, seed=0)
