@@ -13,13 +13,18 @@ group). Plain gradient descent throughout — no momentum, no minibatches —
 so a round is bitwise deterministic in its inputs.
 
 A ``Federation`` holds its clients' graphs as one batch, with their
-train and test rows, and their parameters as one stack. Its clients
-belong to one or more runs, independent federations that train in
-lockstep, such as the harness's run seeds: each run has its own
-broadcast and its own server. ``local_train`` trains all clients
-together, one ``model.gradient`` call over the stack per step (the last
-layer built for the train rows only), and hands each run's server one
-``RoundUpdates``: the matrix of its clients' deltas. A one-run or
+train and test rows, and their parameters as one (K, L) matrix, row k
+client k's flat vector (``model.FlatVector`` order, local head
+included), each layer a view of it (``model.layer_views``). The layers
+a broadcast covers are adjacent (a model has 1 or 2 layers), so their
+columns are one slice of the matrix. Its clients belong to one or more
+runs, independent federations that train in lockstep, such as the
+harness's run seeds: each run has its own broadcast and its own
+server. ``local_train`` trains all clients together, one
+``model.gradient`` call and one array update of the whole matrix per
+step (the last layer built for the train rows only), and hands each
+run's server one ``RoundUpdates``: the matrix of its clients' deltas,
+a slice of the trained matrix minus the broadcasts. A one-run or
 one-client federation is the R = 1 or K = 1 case of the same code, and
 each client's values are bit for bit those it gets alone.
 """
@@ -34,21 +39,21 @@ import numpy as np
 from .errors import DivergenceError, InputError
 from .graphs import Graph, NormalizedAdjacency
 from .model import (
+    GROUPS,
     FlatVector,
-    Layer,
     LayerSpec,
     ModelConfig,
     ParameterSet,
-    # flatten: no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
-    flatten,  # noqa: F401
+    check_layer_count,
+    flatten,
     gradient,
     graph_batch,
     layer_layout,
-    layout_group,
-    stack_params,
-    unflatten,
-    unstack_params,
+    layer_slices,
+    layer_views,
 )
+# no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
+from .model import unflatten  # noqa: F401
 
 __all__ = ["ClientState", "Federation", "RoundUpdates", "TrainingConfig", "local_train", "TRAINERS"]
 
@@ -82,11 +87,11 @@ class ClientState:
 
     ``params`` holds the full parameter set including any local head.
     A ``Federation`` over the client copies it and owns it from then on:
-    after each of its rounds ``params`` is a view into the federation's
-    stack that the next round overwrites in place (copy it to keep a
-    round's values), and a ``params`` assigned between rounds is not
-    read. A graph whose node count is not the adjacency size is an
-    InputError.
+    after each of its rounds ``params`` is ``layer_views`` of the
+    client's row of the federation's matrix, which the next round
+    overwrites in place (copy it to keep a round's values), and a
+    ``params`` assigned between rounds is not read. A graph whose node
+    count is not the adjacency size is an InputError.
     """
 
     client_id: int
@@ -107,12 +112,13 @@ class Federation:
     ``run_sizes`` counts the clients of each run, which come in run
     order (default: one run of all clients); ``runs`` holds each run's
     (start, stop) in ``clients``. Every run needs a client, and the
-    clients' parameters must share one shape (InputError otherwise).
+    clients' parameters must share one shape of 1 or 2 layers
+    (InputError otherwise); ``layout`` is that shape's FlatVector layout.
     ``batch`` holds their graphs as one (``model.GraphBatch``, built
     once, so a client given a new graph needs a new federation), and
     ``train`` and ``test`` their train and test rows in it. It owns the
-    clients' parameters, stacked, local heads included (see
-    ``ClientState``). Building it changes no client.
+    clients' parameters, local heads included, as one (K, L) matrix in
+    client order (see ``ClientState``). Building it changes no client.
     """
 
     def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig,
@@ -124,14 +130,15 @@ class Federation:
             raise InputError(f"run sizes {run_sizes} do not split {len(clients)} clients "
                              "into runs of at least one")
         first = clients[0]
-        layout = layer_layout(first.params)
-        for c in clients[1:]:
-            if layer_layout(c.params) != layout:
+        check_layer_count(first.params.n_layers)
+        flats = [flatten(c.params) for c in clients]
+        self.layout = flats[0].layout
+        for c, flat in zip(clients, flats):
+            if flat.layout != self.layout:
                 raise InputError(f"client {c.client_id}'s parameters differ in shape from "
                                  f"client {first.client_id}'s")
         self.clients = tuple(clients)
         self.client_ids = tuple(c.client_id for c in clients)
-        self.run_sizes = run_sizes
         stops = np.cumsum(run_sizes).tolist()
         self.runs = tuple(zip([0] + stops[:-1], stops))
         self.model = model
@@ -140,49 +147,34 @@ class Federation:
                                  [c.graph.labels for c in clients])
         self.train = self.batch.rows([np.flatnonzero(c.graph.train_mask) for c in clients])
         self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask) for c in clients])
-        self._stack = stack_params([c.params for c in clients])
-        self._views = unstack_params(self._stack)
+        self._held = np.stack([flat.values for flat in flats])
+        self._views = [layer_views(row, self.layout) for row in self._held]
+        spans = layer_slices(self.layout)
+        self._columns = {layout: slice(spans[layout[0].index][0], spans[layout[-1].index][1])
+                         for layout in (layer_layout(first.params, g) for g in GROUPS) if layout}
 
-    def params(self, broadcasts: Sequence[FlatVector]) -> ParameterSet:
-        """Every client's parameters, stacked in client order, given one
-        broadcast per run: the layers the broadcasts cover repeated from
-        the client's run's, the others (a local head) copies of the held
-        ones."""
-        return self._stacked(*self._anchors(broadcasts))
+    def columns(self, layout: tuple[LayerSpec, ...]) -> slice:
+        """The columns a broadcast of ``layout``, one group's layout of the
+        clients' parameters (or InputError), covers: one slice, as its layers are adjacent."""
+        if layout not in self._columns:
+            raise InputError("broadcast layout does not match the client model")
+        return self._columns[layout]
 
-    def _anchors(self, broadcasts: Sequence[FlatVector]) -> tuple[list[ParameterSet], str]:
-        """Each run's broadcast unflattened over the first client's
-        parameters, and the group they cover. One broadcast per run, each
-        with the layout of the clients' parameters, or InputError."""
+    def params(self, broadcasts: Sequence[FlatVector]) -> np.ndarray:
+        """Every client's parameters as a new (K, L) matrix in client
+        order, given one broadcast per run (InputError otherwise): the
+        held rows, with the columns the broadcasts cover (``columns``)
+        set to the client's run's broadcast."""
         if len(broadcasts) != len(self.runs):
             raise InputError(f"{len(broadcasts)} broadcasts for {len(self.runs)} runs")
-        group = layout_group(broadcasts[0].layout)
-        template = self.clients[0].params
-        layout = layer_layout(template, group)
-        if any(b.layout != layout for b in broadcasts):
-            raise InputError("broadcast layout does not match the client model")
-        return [unflatten(b, template) for b in broadcasts], group
+        work = self._held.copy()
+        for (a, b), v in zip(self.runs, broadcasts):
+            work[a:b, self.columns(v.layout)] = v.values
+        return work
 
-    def _stacked(self, anchors: list[ParameterSet], group: str) -> ParameterSet:
-        """What ``params`` returns, given ``_anchors``' values."""
-        def repeat(arrays):
-            return np.repeat(np.stack(arrays), self.run_sizes, axis=0)
-        return ParameterSet(layers=tuple(
-            Layer(weight=repeat([a.weight for a in per_run]),
-                  bias=None if h.bias is None else repeat([a.bias for a in per_run]),
-                  group=h.group)
-            if group in ("all", h.group) else
-            Layer(weight=h.weight.copy(), bias=None if h.bias is None else h.bias.copy(),
-                  group=h.group)
-            for h, *per_run in zip(self._stack.layers, *(a.layers for a in anchors))
-        ))
-
-    def _commit(self, params: ParameterSet) -> None:
-        """Hold ``params``; each client's ``params`` becomes its slice."""
-        for held, new in zip(self._stack.layers, params.layers):
-            np.copyto(held.weight, new.weight)
-            if held.bias is not None:
-                np.copyto(held.bias, new.bias)
+    def _commit(self, params: np.ndarray) -> None:
+        """Hold ``params``; each client's ``params`` becomes views of its row."""
+        np.copyto(self._held, params)
         for c, view in zip(self.clients, self._views):
             c.params = view
 
@@ -211,20 +203,6 @@ class RoundUpdates:
             raise InputError("one n_train >= 1 per client required")
 
 
-def _step(params: ParameterSet, grads: ParameterSet, lr: float,
-          anchor: ParameterSet, pulls: list[float]) -> None:
-    """theta <- theta - lr * (g + mu * (theta - anchor)) in place, with
-    mu = pulls[layer]; a layer with mu = 0 takes a plain step and reads
-    nothing of ``anchor``."""
-    for p, g, p0, mu in zip(params.layers, grads.layers, anchor.layers, pulls):
-        for theta, grad, start in ((p.weight, g.weight, p0.weight), (p.bias, g.bias, p0.bias)):
-            if theta is None:
-                continue
-            if mu > 0.0:
-                grad = grad + mu * (theta - start)
-            theta -= lr * grad
-
-
 def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
                 round_index: int = 0) -> list[RoundUpdates]:
     """Run one round of local training of every client, given one
@@ -237,28 +215,27 @@ def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
     broadcast point), holds the trained parameters in the federation,
     and returns theta_shared_after - theta_shared_broadcast of each
     client. Each step is one ``gradient`` call and one in-place update
-    over the stacked parameters of all clients; each client's values are
-    those its own one-client federation gives, bit for bit.
+    of the (K, L) parameter matrix of all clients; each client's values
+    are those its own one-client federation gives, bit for bit.
 
     A client whose loss is not finite at some step, or whose delta is
     not finite, has diverged: the DivergenceError names the first such
     client in federation order and its run, and the federation and
     every client keep the parameters they had.
     """
-    anchors, group = fed._anchors(broadcasts)
+    work = fed.params(broadcasts)
     n_train = fed.train.counts
     if not n_train.all():
-        raise InputError(f"client {fed.client_ids[int(np.argmin(n_train))]} "
-                         "has no train nodes")
+        raise InputError(f"client {fed.client_ids[int(np.argmin(n_train))]} has no train nodes")
 
-    params = fed._stacked(anchors, group)
+    shared = fed.columns(broadcasts[0].layout)
+    params = layer_views(work, fed.layout)
     training = fed.training
     n_steps = 1 if training.trainer == "fedsgd" else training.epochs
-    # fedprox pulls the broadcast layers, not a local head, toward the
-    # client's run's broadcast; without a pull no step reads the anchor
+    # fedprox pulls the broadcast columns, not a local head, toward the run's
+    # broadcast start, theta <- theta - lr * (g + mu * (theta - start)); no other trainer reads it
     mu = training.mu if training.trainer == "fedprox" else 0.0
-    anchor = fed._stacked(anchors, group) if mu > 0.0 else params
-    pulls = [mu if group in ("all", l.group) else 0.0 for l in params.layers]
+    start = work[:, shared].copy() if mu > 0.0 else None
 
     diverged = np.zeros(len(fed.clients), dtype=bool)
     for _ in range(n_steps):
@@ -266,14 +243,14 @@ def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
         with np.errstate(all="ignore" if diverged.any() else None):
             losses, grads = gradient(params, fed.batch, fed.train, fed.model.activation)
             diverged |= ~np.isfinite(losses)
-            _step(params, grads, training.lr, anchor, pulls)
+            if mu > 0.0:
+                grads[:, shared] += mu * (work[:, shared] - start)
+            grads *= training.lr
+            work -= grads
 
-    layout = broadcasts[0].layout
-    stacked = [a.reshape(len(fed.clients), -1) for spec in layout
-               for a in (params.layers[spec.index].weight, params.layers[spec.index].bias)
-               if a is not None]
-    start = np.repeat(np.stack([b.values for b in broadcasts]), fed.run_sizes, axis=0)
-    deltas = np.concatenate(stacked, axis=1) - start
+    deltas = work[:, shared].copy()
+    for (a, b), v in zip(fed.runs, broadcasts):
+        deltas[a:b] -= v.values
     # a displacement whose entries or norm are unrepresentable can never
     # be aggregated; surface it as divergence, not as a malformed input
     # (d . d is finite exactly when d's entries and norm are)
@@ -284,8 +261,8 @@ def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
         run = next(r for r, (a, b) in enumerate(fed.runs) if a <= k < b)
         raise DivergenceError(round_index, fed.client_ids[k], run)
 
-    fed._commit(params)
+    fed._commit(work)
     counts = tuple(n_train.tolist())
     return [RoundUpdates(client_ids=fed.client_ids[a:b], deltas=deltas[a:b],
-                         n_train=counts[a:b], layout=layout)
+                         n_train=counts[a:b], layout=broadcasts[0].layout)
             for a, b in fed.runs]

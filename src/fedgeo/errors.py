@@ -25,12 +25,15 @@ class ConfigError(Exception):
 
 class DivergenceError(RuntimeError):
     """Local training produced a non-finite loss; ``run`` is the index of
-    the diverged client's run in its federation (see ``Federation``)."""
+    the diverged client's run in its federation (see ``Federation``), and
+    ``seed`` the run seed it trained under, when known (the harness's
+    errors name it; client ids restart in every seed)."""
 
-    def __init__(self, round_index: int, client_id: int, run: int = 0):
+    def __init__(self, round_index: int, client_id: int, run: int = 0,
+                 seed: int | None = None):
         self.round_index = round_index
         self.client_id = client_id
         self.run = run
-        super().__init__(
-            f"non-finite loss at round {round_index}, client {client_id}"
-        )
+        self.seed = seed
+        where = "" if seed is None else f"seed {seed}, "
+        super().__init__(f"non-finite loss at {where}round {round_index}, client {client_id}")

@@ -51,7 +51,7 @@ from .graphs import (
     planted_partition_graph,
 )
 from .metrics import accuracy, pairwise_coherence, sensitivity_norm
-from .model import SHARED, FlatVector, ParameterSet, flatten, forward, init_params
+from .model import SHARED, FlatVector, ParameterSet, flatten, forward, init_params, layer_views
 # no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
 from .model import unflatten  # noqa: F401
 from .partition import dirichlet_label_partition
@@ -154,7 +154,8 @@ def _evaluate(fed: Federation, broadcasts: list[FlatVector]) -> list[float]:
     """
     if fed.test.index.size == 0:
         return [float("nan")] * len(broadcasts)
-    logits = forward(fed.params(broadcasts), fed.batch, fed.test, fed.model.activation)[1][-1]
+    params = layer_views(fed.params(broadcasts), fed.layout)
+    logits = forward(params, fed.batch, fed.test, fed.model.activation)[1][-1]
     bounds = fed.test.bounds.tolist()
     return [accuracy(logits[bounds[a]:bounds[b]], fed.test.pick[1][bounds[a]:bounds[b]])
             if bounds[b] > bounds[a] else float("nan")
@@ -227,11 +228,12 @@ def _train(cfg: RunConfig, seeds: tuple[int, ...]) -> tuple[list[_Seed], Diverge
     """Build every seed, then run T rounds of all of them in lockstep.
 
     Returns the seeds that finished, a prefix of ``seeds``, and the
-    DivergenceError of the first seed that diverged (None when none
-    did). A seed that diverges is dropped with every later seed, as a run
-    of the seeds one after another stops at the first that diverges; the
-    others retry the round in a federation rebuilt from their clients,
-    whose parameters the failed round left as they were.
+    DivergenceError of the first seed that diverged, naming that seed
+    (None when none did). A seed that diverges is dropped with every
+    later seed, as a run of the seeds one after another stops at the
+    first that diverges; the others retry the round in a federation
+    rebuilt from their clients, whose parameters the failed round left
+    as they were.
     """
     built = [build_clients(cfg, s) for s in seeds]
     shared = [flatten(params, group=SHARED) for _, params in built]
@@ -247,7 +249,8 @@ def _train(cfg: RunConfig, seeds: tuple[int, ...]) -> tuple[list[_Seed], Diverge
         try:
             updates = local_train(fed, [s.shared for s in live], round_index=t)
         except DivergenceError as e:
-            failed, live = e, live[:e.run]
+            failed = DivergenceError(e.round_index, e.client_id, e.run, seed=live[e.run].seed)
+            live = live[:e.run]
             if live:
                 fed = _federation(cfg, live)
             continue
@@ -302,7 +305,8 @@ def run(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunR
     before the first round, so a seed that cannot be built fails the run
     before any round trains. When a seed diverges, the rows of the seeds
     before it and a summary of them naming the failed seed, round and
-    client are written before the ``DivergenceError`` propagates.
+    client are written before the ``DivergenceError``, which names them
+    too, propagates.
     """
     if seed is not None:
         if seed < 0:
@@ -324,7 +328,7 @@ def run(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunR
         jsonl_paths.append(p)
     summary = _summary(cfg, seeds, [s.curves for s in finished])
     if failed is not None:
-        summary["failed"] = {"seed": seeds[len(finished)], "round": failed.round_index,
+        summary["failed"] = {"seed": failed.seed, "round": failed.round_index,
                              "client": failed.client_id}
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

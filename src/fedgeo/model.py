@@ -10,26 +10,29 @@ A_hat and the stacked first-layer messages ``A_hat @ X``
 computes it once), and ``Rows`` name the node rows whose logits the
 caller reads (the train rows for the loss, the test rows for accuracy).
 The last layer is built for those rows only. Their parameters come
-stacked, one slice per graph (``stack_params``); products with the
-weights run graph by graph, everything else over all rows at once. The
-losses and bias gradients of all graphs are one product with a 0/1
-matrix (``GraphBatch.sums``, ``Rows.sums``) that adds each graph's rows
-in row order from +0.0. So each graph's values are bit for bit those of
-a batch of that graph alone.
+stacked, one slice per graph: ``layer_views`` of a (K, L) matrix whose
+row k is graph k's flat vector. Products with the weights run graph by
+graph, everything else over all rows at once. The losses and bias
+gradients of all graphs are one product with a 0/1 matrix
+(``GraphBatch.sums``, ``Rows.sums``) that adds each graph's rows in row
+order from +0.0. So each graph's values are bit for bit those of a
+batch of that graph alone.
 Parameters are grouped into a shared encoder and an optional client-local
 head (the final layer, in cross-domain federations) and travel between
 client and server as flat vectors with a canonical layer-ordered,
-row-major layout.
+row-major layout; ``layer_slices`` is the one place that layout's
+offsets are computed, and ``layer_views`` the one place they are read.
 
 Everything here is pure and double-precision; parameter values returned
-from one call are never aliased into another (``unstack_params`` alone
-returns views, of the stack it is given).
+from one call are never aliased into another (``layer_views`` alone
+returns views, of the array it is given).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,8 +50,8 @@ __all__ = [
     "init_params",
     "feature_message",
     "graph_batch",
-    "stack_params",
-    "unstack_params",
+    "check_layer_count",
+    "layer_views",
     "forward",
     "gradient",
     "flatten",
@@ -59,12 +62,20 @@ __all__ = [
 
 SHARED = "shared"
 LOCAL = "local"
+GROUPS = ("all", SHARED, LOCAL)  # what flatten selects: every layer, or one group's
 ACTIVATIONS = ("relu", "identity")
 
 
 def _check_activation(activation: str) -> None:
     if activation not in ACTIVATIONS:
         raise InputError(f"activation must be {' or '.join(map(repr, ACTIVATIONS))}")
+
+
+def check_layer_count(n_layers: int) -> None:
+    """InputError naming ``n_layers`` unless it is 1 or 2, the depths
+    ``gradient`` differentiates (and whose broadcast layers are adjacent)."""
+    if n_layers not in (1, 2):
+        raise InputError(f"layers must be 1 or 2, not {n_layers}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +90,7 @@ class ModelConfig:
     bias: bool = True
 
     def __post_init__(self):
-        if self.n_layers not in (1, 2):
-            raise InputError("layers must be 1 or 2")
+        check_layer_count(self.n_layers)
         if self.hidden_dim < 1:
             raise InputError("hidden width must be >= 1")
         _check_activation(self.activation)
@@ -295,29 +305,6 @@ def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
                       sums=_segment_sums(nodes))
 
 
-def stack_params(sets: list[ParameterSet]) -> ParameterSet:
-    """K same-shaped parameter sets as one, the form ``forward`` and
-    ``gradient`` take: each layer's weight stacked to (K, fan_in,
-    fan_out) and its bias to (K, fan_out). The arrays are new."""
-    return ParameterSet(layers=tuple(
-        Layer(weight=np.stack([s.layers[li].weight for s in sets]),
-              bias=None if layer.bias is None else np.stack([s.layers[li].bias for s in sets]),
-              group=layer.group)
-        for li, layer in enumerate(sets[0].layers)
-    ))
-
-
-def unstack_params(params: ParameterSet) -> list[ParameterSet]:
-    """The K parameter sets of a stacked one, as views of its arrays."""
-    return [
-        ParameterSet(layers=tuple(
-            Layer(weight=l.weight[k], bias=None if l.bias is None else l.bias[k], group=l.group)
-            for l in params.layers
-        ))
-        for k in range(params.layers[0].weight.shape[0])
-    ]
-
-
 def _per_graph(x: np.ndarray, weight: np.ndarray, spans: tuple) -> np.ndarray:
     """``x[a:b] @ weight[k]`` for each graph k's rows a:b, stacked."""
     out = np.empty((x.shape[0], weight.shape[2]))
@@ -334,7 +321,7 @@ def forward(
 ):
     """Run the propagation stack of K graphs from their first-layer
     ``batch.message``, with graph k's parameters ``params`` slice k
-    (stacked, see ``stack_params``), and build the last layer for
+    (stacked, see ``layer_views``), and build the last layer for
     ``rows`` only.
 
     Returns ``(messages, preacts)``: messages[l] is layer l's input
@@ -394,10 +381,13 @@ def gradient(
     batch: GraphBatch,
     rows: Rows,
     activation: str = "relu",
-) -> tuple[np.ndarray, ParameterSet]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each graph's mean cross-entropy over its ``rows`` (labels from
-    ``batch.labels``), and its analytic gradients, stacked and grouped as
-    ``params`` (see ``forward``). A graph without rows is an InputError.
+    ``batch.labels``), and its analytic gradients as one new (K, L)
+    matrix: row k is graph k's gradient in FlatVector order, laid out
+    as ``layer_views`` reads ``params`` (see ``forward``). A graph
+    without rows, or a model of other than 1 or 2 layers, is an
+    InputError.
 
     Each graph's loss sums its rows' losses in row order, and each bias
     gradient its rows' terms (``Rows.sums``, ``GraphBatch.sums``).
@@ -408,6 +398,7 @@ def gradient(
     meaningful, and the caller decides what to do. The other graphs'
     values are unaffected.
     """
+    check_layer_count(params.n_layers)
     messages, preacts = forward(params, batch, rows, activation)
     logits = preacts[-1]
     if not rows.counts.all():
@@ -420,42 +411,39 @@ def gradient(
         losses[~finite] = np.inf
         dp[rows.pick] -= 1.0
         dp *= rows.share  # d loss / d logits of each graph's rows
+        dps = [dp]  # d loss / d pre-activation of each layer
+        if params.n_layers == 2:
+            # the last layer, which holds the rows only, sits above the first
+            weight = params.layers[1].weight
+            dp = rows.scatter @ _per_graph(dp, weight.transpose(0, 2, 1), rows.spans)
+            if activation == "relu":
+                dp = dp * (preacts[0] > 0.0)
+            dps.insert(0, dp)
 
-        last = params.n_layers - 1
-        grads: list[Layer] = [None] * params.n_layers  # type: ignore[list-item]
-        for li in range(last, -1, -1):
-            layer = params.layers[li]
-            m = messages[li]
-            seg = rows if li == last else batch
-            gw = np.empty(layer.weight.shape)
+        # allocated after the temporaries above: with a live array above them, glibc keeps
+        # their freed pages rather than trim the heap and fault them back in next call
+        layout = layer_layout(params)
+        grads = np.empty((batch.nodes.size - 1, sum(s.size for s in layout)))
+        for li, (grad, m, dp) in enumerate(zip(layer_views(grads, layout).layers, messages, dps)):
+            seg = rows if li == params.n_layers - 1 else batch
+            gw = grad.weight
             for k, (a, b) in enumerate(seg.spans):
                 np.matmul(m[a:b].T, dp[a:b], out=gw[k])
-            gb = None if layer.bias is None else seg.sums @ dp
-            grads[li] = Layer(weight=gw, bias=gb, group=layer.group)
-            if li > 0:
-                # only the last layer sits above another (at most 2 layers),
-                # and it holds the rows only
-                dp = rows.scatter @ _per_graph(dp, layer.weight.transpose(0, 2, 1), rows.spans)
-                if activation == "relu":
-                    dp = dp * (preacts[li - 1] > 0.0)
+            if grad.bias is not None:
+                grad.bias[...] = seg.sums @ dp
 
-    return losses, ParameterSet(layers=tuple(grads))
-
-
-def layout_group(layout: tuple[LayerSpec, ...]) -> str:
-    """The group a layout covers: its one group, or "all" when mixed."""
-    groups = {s.group for s in layout}
-    return groups.pop() if len(groups) == 1 else "all"
+    return losses, grads
 
 
 def layer_layout(params: ParameterSet, group: str = "all") -> tuple[LayerSpec, ...]:
     """The layout ``flatten(params, group)`` gives, read from the layer
-    shapes alone."""
-    if group not in ("all", SHARED, LOCAL):
+    shapes alone: their last two axes (weights) and last axis (biases),
+    so a stacked set (see ``layer_views``) gives one graph's layout."""
+    if group not in GROUPS:
         raise InputError(f"unknown group {group!r}")
     return tuple(
-        LayerSpec(index=li, group=layer.group, w_shape=layer.weight.shape,
-                  b_size=layer.bias.size if layer.bias is not None else 0)
+        LayerSpec(index=li, group=layer.group, w_shape=layer.weight.shape[-2:],
+                  b_size=layer.bias.shape[-1] if layer.bias is not None else 0)
         for li, layer in enumerate(params.layers)
         if group in ("all", layer.group)
     )
@@ -464,51 +452,38 @@ def layer_layout(params: ParameterSet, group: str = "all") -> tuple[LayerSpec, .
 def flatten(params: ParameterSet, group: str = "all") -> FlatVector:
     """Concatenate the selected layers into one vector (see FlatVector)."""
     layout = layer_layout(params, group)
-    chunks = []
-    for spec in layout:
-        layer = params.layers[spec.index]
-        chunks.append(layer.weight.ravel())
-        if layer.bias is not None:
-            chunks.append(layer.bias)
-    values = np.concatenate(chunks) if chunks else np.zeros(0)
-    return FlatVector(values=values, layout=layout)
+    layers = [params.layers[spec.index] for spec in layout]
+    chunks = [a.ravel() for layer in layers for a in (layer.weight, layer.bias) if a is not None]
+    return FlatVector(values=np.concatenate(chunks) if chunks else np.zeros(0), layout=layout)
 
 
 def layer_slices(layout: tuple[LayerSpec, ...]) -> list[tuple[int, int]]:
     """(start, stop) of each layer's block inside the flat vector."""
-    out = []
-    off = 0
-    for s in layout:
-        out.append((off, off + s.size))
-        off += s.size
-    return out
+    stops = list(accumulate(s.size for s in layout))
+    return list(zip([0] + stops[:-1], stops))
+
+
+def layer_views(values: np.ndarray, layout: tuple[LayerSpec, ...]) -> ParameterSet:
+    """The layers of ``layout`` as views of ``values``, one flat vector
+    (L,) or a stack of them (..., L) in FlatVector order: each weight
+    (..., fan_in, fan_out) and bias (..., fan_out) reads and writes its
+    block of every row. A layer is numbered by its place in ``layout``."""
+    shape = values.shape[:-1]
+    return ParameterSet(layers=tuple(
+        Layer(weight=values[..., a:b - s.b_size].reshape(shape + s.w_shape, copy=False),
+              bias=values[..., b - s.b_size:b] if s.b_size else None, group=s.group)
+        for s, (a, b) in zip(layout, layer_slices(layout))
+    ))
 
 
 def unflatten(flat: FlatVector, template: ParameterSet) -> ParameterSet:
     """Rebuild a ParameterSet from ``template`` with the layers covered by
-    ``flat.layout`` replaced by the flat values. Raises on any shape or
-    group mismatch."""
+    ``flat.layout`` replaced by views of a copy of the flat values.
+    Raises on any shape or group mismatch."""
+    full = layer_layout(template)
     layers = list(template.layers)
-    off = 0
-    for spec in flat.layout:
-        if spec.index >= len(layers):
-            raise InputError(f"layout names layer {spec.index}, model has {len(layers)}")
-        old = layers[spec.index]
-        if old.weight.shape != spec.w_shape or spec.b_size != (
-            old.bias.size if old.bias is not None else 0
-        ):
-            raise InputError(f"layout mismatch at layer {spec.index}")
-        if old.group != spec.group:
-            raise InputError(f"group mismatch at layer {spec.index}")
-        w_n = spec.w_shape[0] * spec.w_shape[1]
-        w = flat.values[off:off + w_n].reshape(spec.w_shape).copy()
-        off += w_n
-        b = None
-        if spec.b_size:
-            b = flat.values[off:off + spec.b_size].copy()
-            off += spec.b_size
-        elif old.bias is not None:
-            b = old.bias.copy()
-        layers[spec.index] = Layer(weight=w, bias=b, group=old.group)
+    for spec, layer in zip(flat.layout, layer_views(flat.values.copy(), flat.layout).layers):
+        if spec.index >= len(full) or spec != full[spec.index]:
+            raise InputError(f"layout mismatch at layer {spec.index} of {len(full)}")
+        layers[spec.index] = layer
     return ParameterSet(layers=tuple(layers))
-

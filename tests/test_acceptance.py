@@ -44,8 +44,10 @@ from fedgeo import (
     unflatten,
 )
 from fedgeo.metrics import _jacobi_eigh
-from fedgeo.model import graph_batch, stack_params, unstack_params
+from fedgeo.model import graph_batch, layer_views
 from fedgeo.model import SHARED, LayerSpec, layer_slices
+
+from conftest import stack
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -138,13 +140,13 @@ def test_2_analytic_gradients_match_central_differences():
         assert g.n_nodes <= 20
         batch = graph_batch([adj], [g.features], [g.labels])
         rows = batch.rows([np.flatnonzero(g.train_mask)])
-        _, grads = gradient(stack_params([params]), batch, rows, activation="relu")
+        _, grads = gradient(stack([params]), batch, rows, activation="relu")
         flat = flatten(params)
-        ga = flatten(unstack_params(grads)[0]).values
+        ga = grads[0]
 
         def loss_at(values):
             p = unflatten(FlatVector(values=values, layout=flat.layout), params)
-            return gradient(stack_params([p]), batch, rows, activation="relu")[0][0]
+            return gradient(stack([p]), batch, rows, activation="relu")[0][0]
 
         fd = np.zeros_like(flat.values)
         for i in range(flat.values.size):
@@ -201,8 +203,8 @@ def test_3a_single_client_federation_is_centralized_descent():
         shared = FlatVector(values=shared.values + delta.values, layout=shared.layout)
 
         p = unflatten(FlatVector(values=oracle, layout=shared.layout), params)
-        _, grads = gradient(stack_params([p]), batch, rows, activation=fed.model.activation)
-        oracle = oracle - fed.training.lr * flatten(unstack_params(grads)[0], group=SHARED).values
+        _, grads = gradient(stack([p]), batch, rows, activation=fed.model.activation)
+        oracle = oracle - fed.training.lr * flatten(layer_views(grads[0], fed.layout), group=SHARED).values
         worst = max(worst, float(np.max(np.abs(shared.values - oracle))))
     _gate(
         "criterion 3a (K=1 equals centralized descent)",

@@ -29,9 +29,10 @@ from fedgeo.model import (
     ParameterSet,
     feature_message,
     graph_batch,
-    stack_params,
-    unstack_params,
+    layer_views,
 )
+
+from conftest import stack
 
 
 def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="relu",
@@ -100,10 +101,10 @@ def test_fedavg_multi_epoch_matches_manual_descent():
         params = start
         batch = graph_batch([state.adj], [state.graph.features], [state.graph.labels])
         for _ in range(3):
-            _, grads = gradient(stack_params([params]), batch,
+            _, grads = gradient(stack([params]), batch,
                                 batch.rows([np.flatnonzero(state.graph.train_mask)]),
                                 activation="relu")
-            grads = unstack_params(grads)[0]
+            grads = layer_views(grads[0], fed.layout)
             layers = []
             for p, p0, gr in zip(params.layers, start.layers, grads.layers):
                 gw, gb = gr.weight, gr.bias
@@ -301,7 +302,7 @@ def test_divergence_names_the_first_client_whatever_the_step():
                                   params=params))
     fed = Federation(states, cfg, TrainingConfig(lr=1.0, epochs=2))
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, _ = gradient(stack_params([params, params]), fed.batch, fed.train, "identity")
+        losses, _ = gradient(stack([params, params]), fed.batch, fed.train, "identity")
         assert np.isfinite(losses[0]) and losses[1] == np.inf
         with pytest.raises(DivergenceError) as err:
             local_train(fed, [flatten(params, group=SHARED)], round_index=3)
@@ -398,6 +399,87 @@ def test_federation_validation():
         local_train(fed, [shared, shared])
 
 
+def test_a_model_of_other_than_one_or_two_layers_is_refused_by_name():
+    fed, _ = _fixture()
+    state = fed.clients[0]
+    rng = np.random.default_rng(0)
+    deep = ParameterSet(layers=tuple(Layer(weight=rng.normal(size=shape), bias=None,
+                                           group=SHARED)
+                                     for shape in ((4, 5), (5, 5), (5, 2))))
+    for params, n in ((deep, 3), (ParameterSet(layers=()), 0)):
+        with pytest.raises(InputError, match=f"layers must be 1 or 2, not {n}"):
+            Federation([dataclasses.replace(state, params=params)], fed.model, fed.training)
+
+
+def _per_layer_stack(sets):
+    """Each layer's weights and biases of K sets stacked to new arrays."""
+    return ParameterSet(layers=tuple(
+        Layer(weight=np.stack([s.layers[li].weight for s in sets]),
+              bias=None if layer.bias is None else np.stack([s.layers[li].bias for s in sets]),
+              group=layer.group)
+        for li, layer in enumerate(sets[0].layers)))
+
+
+def _per_layer_step(params, grads, lr, anchor, pulls):
+    """theta <- theta - lr * (g + mu * (theta - anchor)) in place, layer by
+    layer, with mu = pulls[layer]; a layer with mu = 0 takes a plain step
+    and reads nothing of ``anchor``."""
+    for p, g, p0, mu in zip(params.layers, grads.layers, anchor.layers, pulls):
+        for theta, grad, start in ((p.weight, g.weight, p0.weight), (p.bias, g.bias, p0.bias)):
+            if theta is None:
+                continue
+            if mu > 0.0:
+                grad = grad + mu * (theta - start)
+            theta -= lr * grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    run_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    trainer=st.sampled_from(("fedavg", "fedprox")),
+    activation=st.sampled_from(("relu", "identity")),
+    bias=st.booleans(),
+    epochs=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_one_matrix_step_is_the_per_layer_step(run_sizes, trainer, activation, bias,
+                                                   epochs, seed):
+    # local_train's step over the (K, L) matrix gives, bit for bit, what
+    # the step written layer by layer over contiguous per-layer stacks
+    # gives, over two rounds of a cross-domain federation; the oracle
+    # pulls only the shared layer, and the local head, moved by the first
+    # step, would take other bits from a pull
+    rng = np.random.default_rng(seed)
+    model = ModelConfig(n_layers=2, hidden_dim=3, activation=activation, bias=bias)
+    training = TrainingConfig(trainer=trainer, lr=0.3, epochs=epochs, mu=0.5)
+    params = init_params(model, 3, 2, seed=seed % 1000, cross_domain=True)
+    fed = Federation([_random_client(k, rng, 2, 3, params) for k in range(sum(run_sizes))],
+                     model, training, tuple(run_sizes))
+    layout, shared = fed.layout, flatten(params, group=SHARED).layout
+    n_shared = sum(spec.size for spec in shared)  # the shared layer comes first
+    pulls = [training.mu if trainer == "fedprox" and spec.group == SHARED else 0.0
+             for spec in layout]
+    runs = np.repeat(np.arange(len(run_sizes)), run_sizes)
+    held = np.stack([flatten(c.params).values for c in fed.clients])
+    for t in (1, 2):
+        broadcasts = [FlatVector(values=rng.normal(size=n_shared), layout=shared)
+                      for _ in run_sizes]
+        rows = [np.concatenate([broadcasts[r].values, row[n_shared:]])
+                for r, row in zip(runs, held)]
+        theta, anchor = (_per_layer_stack([unflatten(FlatVector(values=v, layout=layout), params)
+                                           for v in rows]) for _ in range(2))
+        for _ in range(epochs):
+            _, grads = gradient(theta, fed.batch, fed.train, activation)
+            _per_layer_step(theta, layer_views(grads, layout), training.lr, anchor, pulls)
+        held = np.concatenate([a.reshape(len(rows), -1) for layer in theta.layers
+                               for a in (layer.weight, layer.bias) if a is not None], axis=1)
+
+        updates = local_train(fed, broadcasts, round_index=t)
+        deltas = np.concatenate([u.deltas for u in updates])
+        assert deltas.tobytes() == (held[:, :n_shared] - np.stack(rows)[:, :n_shared]).tobytes()
+        assert np.stack([flatten(c.params).values for c in fed.clients]).tobytes() == held.tobytes()
+
+
 def test_divergence_names_the_run_of_the_first_diverged_client():
     # two runs of two clients, ids restarting in each; only the run
     # given a huge broadcast diverges, and the lower run is named first
@@ -452,14 +534,14 @@ def test_a_diverging_round_changes_no_parameters():
     for f in (fed, twin):
         local_train(f, [shared], round_index=1)
     before = [(c.params, flatten(c.params).values.tobytes()) for c in fed.clients]
-    evaluated = [l.weight.tobytes() for l in fed.params([shared]).layers]
+    evaluated = fed.params([shared]).tobytes()
     huge = FlatVector(values=1e300 * np.ones_like(shared.values), layout=shared.layout)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError):
             local_train(fed, [huge], round_index=2)
     for c, (p, flat) in zip(fed.clients, before):
         assert c.params is p and flatten(c.params).values.tobytes() == flat
-    assert [l.weight.tobytes() for l in fed.params([shared]).layers] == evaluated
+    assert fed.params([shared]).tobytes() == evaluated
     again, untouched = (local_train(f, [shared], round_index=2)[0] for f in (fed, twin))
     assert again.deltas.tobytes() == untouched.deltas.tobytes()
     for c, t in zip(fed.clients, twin.clients):

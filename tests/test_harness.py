@@ -31,9 +31,9 @@ from fedgeo.model import (
     SHARED,
     FlatVector,
     graph_batch,
-    stack_params,
-    unstack_params,
 )
+
+from conftest import stack
 from fedgeo.server import ClientRegulation, RegulationReport, _sign_projection
 
 
@@ -123,11 +123,11 @@ client.lr = 0.1
         shared = FlatVector(values=shared.values + delta.values,
                             layout=shared.layout)
 
-        _, g = gradient(stack_params([oracle]), batch, rows, activation="relu")
+        _, g = gradient(stack([oracle]), batch, rows, activation="relu")
         flat = flatten(oracle)
-        step = flatten(unstack_params(g)[0])
+        step = g[0]
         oracle = unflatten(
-            FlatVector(values=flat.values - 0.1 * step.values, layout=flat.layout),
+            FlatVector(values=flat.values - 0.1 * step, layout=flat.layout),
             oracle,
         )
         gap = np.max(np.abs(shared.values - flatten(oracle).values))
@@ -271,14 +271,19 @@ def _diverge(monkeypatch, at):
     monkeypatch.setattr(harness, "local_train", diverging)
 
 
-def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
+def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch, capsys):
     cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
     full = run(cfg, out=str(tmp_path / "full")).csv_path.read_text().splitlines()
 
     with monkeypatch.context() as m:
         _diverge(m, {1: (2, 0)})  # the second seed diverges at round 2
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as err:
             run(cfg, out=str(tmp_path / "o"))
+        # client ids restart in every seed: the error and stderr name the seed
+        assert (err.value.seed, err.value.round_index, err.value.client_id) == (2, 2, 0)
+        assert main(["run", "--config", str(_write(tmp_path, SMALL, "small.conf")),
+                     "--out", str(tmp_path / "cli")]) == 2
+    assert capsys.readouterr().err == "divergence: non-finite loss at seed 2, round 2, client 0\n"
     kept = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
     assert kept == [l for l in full if l == CSV_HEADER or l.split(",")[1] == "1"]
     assert len(kept) == 1 + 3
@@ -296,8 +301,9 @@ def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
 
     with monkeypatch.context() as m:
         _diverge(m, {0: (1, 3)})  # the first seed diverges at round 1
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as err:
             run(cfg, out=str(tmp_path / "none"))
+    assert err.value.seed == 1
     summary = json.loads((tmp_path / "none" / "summary.json").read_text())
     assert summary["seeds"] == []
     assert summary["failed"] == {"seed": 1, "round": 1, "client": 3}
@@ -311,6 +317,7 @@ def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch):
         with pytest.raises(DivergenceError) as err:
             run(cfg, out=str(tmp_path / "crossed"))
     assert (cfg.seeds[err.value.run], err.value.round_index, err.value.client_id) == (1, 3, 1)
+    assert err.value.seed == 1
     summary = json.loads((tmp_path / "crossed" / "summary.json").read_text())
     assert summary["seeds"] == []
     assert summary["failed"] == {"seed": 1, "round": 3, "client": 1}

@@ -26,9 +26,10 @@ from fedgeo.model import (
     _cross_entropy,
     feature_message,
     graph_batch,
-    stack_params,
-    unstack_params,
+    layer_views,
 )
+
+from conftest import stack
 
 
 def _one_graph(adj, features, labels, rows):
@@ -77,7 +78,7 @@ def test_forward_matches_naive_reimplementation():
     for seed in range(8):
         g, adj, cfg, params = _random_case(seed)
         every = np.arange(g.n_nodes)
-        ours = forward(stack_params([params]),
+        ours = forward(stack([params]),
                        *_one_graph(adj, g.features, g.labels, every),
                        cfg.activation)[1][-1]
         theirs = _naive_forward(params, adj.dense(), g.features, cfg.activation)
@@ -89,7 +90,7 @@ def test_forward_identity_single_layer_is_linear_map():
     w = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     params = ParameterSet(layers=(Layer(weight=w, bias=None, group=SHARED),))
     adj = normalized_adjacency(g)
-    out = forward(stack_params([params]),
+    out = forward(stack([params]),
                   *_one_graph(adj, g.features, g.labels, np.arange(3)),
                   "identity")[1][-1]
     np.testing.assert_allclose(out, adj.dense() @ np.eye(3) @ w, atol=1e-15)
@@ -99,13 +100,13 @@ def test_forward_shape_errors():
     g, adj, cfg, params = _random_case(1)
     rows = np.flatnonzero(g.train_mask)
     with pytest.raises(InputError):
-        forward(stack_params([params]),
+        forward(stack([params]),
                 *_one_graph(adj, g.features[:, :-1], g.labels, rows),
                 cfg.activation)
     with pytest.raises(InputError):
         feature_message(adj, g.features[:-1])
     with pytest.raises(InputError):
-        forward(stack_params([params]),
+        forward(stack([params]),
                 *_one_graph(adj, g.features, g.labels, rows), "tanh")
 
 
@@ -139,7 +140,7 @@ def _fd_gradient(params, adj, features, labels, rows, activation, step=1e-4):
 
     def loss_at(values):
         p = unflatten(FlatVector(values=values, layout=flat.layout), template)
-        return gradient(stack_params([p]), *_one_graph(adj, features, labels, rows),
+        return gradient(stack([p]), *_one_graph(adj, features, labels, rows),
                         activation=activation)[0][0]
 
     fd = np.zeros_like(flat.values)
@@ -160,9 +161,9 @@ def test_gradient_matches_finite_differences_relu():
         g, adj, cfg, params = _random_case(seed)
         assert g.n_nodes <= 20
         rows = np.flatnonzero(g.train_mask)
-        _, grads = gradient(stack_params([params]), *_one_graph(adj, g.features, g.labels, rows),
+        _, grads = gradient(stack([params]), *_one_graph(adj, g.features, g.labels, rows),
                             activation=cfg.activation)
-        ga = flatten(unstack_params(grads)[0]).values
+        ga = grads[0]
         gf = _fd_gradient(params, adj, g.features, g.labels, rows, cfg.activation)
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         worst = max(worst, rel)
@@ -174,9 +175,9 @@ def test_gradient_matches_finite_differences_identity_1layer():
     for seed in (3, 5):
         g, adj, cfg, params = _random_case(seed, n_layers=1, activation="identity")
         rows = np.flatnonzero(g.train_mask)
-        _, grads = gradient(stack_params([params]), *_one_graph(adj, g.features, g.labels, rows),
+        _, grads = gradient(stack([params]), *_one_graph(adj, g.features, g.labels, rows),
                             activation="identity")
-        ga = flatten(unstack_params(grads)[0]).values
+        ga = grads[0]
         gf = _fd_gradient(params, adj, g.features, g.labels, rows, "identity")
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         assert rel < 1e-6
@@ -243,14 +244,14 @@ def test_gradient_on_train_rows_matches_full_row_reference(n, dims, n_layers, ac
     want_loss, want, want_logits = _full_row_gradient(params, adj.dense(), g.features,
                                                       g.labels, mask, activation)
     batch, rows = _one_graph(adj, g.features, g.labels, train_rows)
-    logits = forward(stack_params([params]), batch, rows, activation)[1][-1]
+    logits = forward(stack([params]), batch, rows, activation)[1][-1]
     want_logits = want_logits[train_rows]
     assert logits.shape == want_logits.shape
     assert np.linalg.norm(logits - want_logits) <= 1e-12 * np.linalg.norm(want_logits)
 
-    losses, grads = gradient(stack_params([params]), batch, rows, activation)
+    losses, grads = gradient(stack([params]), batch, rows, activation)
     loss = losses[0]
-    got = flatten(unstack_params(grads)[0]).values
+    got = grads[0]
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -347,13 +348,69 @@ def test_divergence_is_decided_on_the_train_rows():
     params = ParameterSet(layers=(Layer(weight=np.array([[4.0, -4.0]]), bias=None,
                                         group=SHARED),))
     adj = normalized_adjacency(g)
-    losses, _ = gradient(stack_params([params]),
+    losses, _ = gradient(stack([params]),
                          *_one_graph(adj, g.features, g.labels, np.array([0, 1])), "identity")
     assert np.isfinite(losses[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, _ = gradient(stack_params([params]),
+        losses, _ = gradient(stack([params]),
                              *_one_graph(adj, g.features, g.labels, np.array([0, 2])), "identity")
     assert losses[0] == float("inf")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_layers=st.sampled_from((1, 2)),
+    bias=st.booleans(),
+    local_head=st.booleans(),
+    n_sets=st.integers(1, 4),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_layer_views_are_the_per_layer_stacks(n_layers, bias, local_head, n_sets, dims, seed):
+    # layer_views of stacked flat vectors hold, bit for bit, each layer's
+    # arrays stacked one by one; a write through a view lands in the
+    # matrix at the columns flatten gives that layer; unflatten inverts
+    # flatten bit for bit, of every group
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(n_layers=n_layers, hidden_dim=dims[1], bias=bias)
+    template = init_params(cfg, dims[0], dims[2], seed=seed % 1000,
+                           cross_domain=local_head and n_layers == 2)
+    layout = flatten(template).layout
+    sets = [unflatten(FlatVector(values=rng.normal(size=sum(s.size for s in layout)),
+                                 layout=layout), template) for _ in range(n_sets)]
+    for s in sets:
+        for group in ("all", SHARED, LOCAL):
+            back = unflatten(flatten(s, group), s)
+            assert [(l.weight.tobytes(), None if l.bias is None else l.bias.tobytes(), l.group)
+                    for l in back.layers] == [
+                (l.weight.tobytes(), None if l.bias is None else l.bias.tobytes(), l.group)
+                for l in s.layers]
+
+    matrix = np.stack([flatten(s).values for s in sets])
+    views = layer_views(matrix, layout)
+    assert len(views.layers) == n_layers
+    for li, view in enumerate(views.layers):
+        weights = np.stack([s.layers[li].weight for s in sets])
+        assert view.weight.shape == weights.shape and view.weight.tobytes() == weights.tobytes()
+        assert view.group == template.layers[li].group
+        if bias:
+            biases = np.stack([s.layers[li].bias for s in sets])
+            assert view.bias.shape == biases.shape and view.bias.tobytes() == biases.tobytes()
+        else:
+            assert view.bias is None
+    for k, s in enumerate(sets):
+        assert flatten(layer_views(matrix[k], layout)).values.tobytes() == matrix[k].tobytes()
+
+    filled = ParameterSet(layers=tuple(
+        Layer(weight=np.full(l.weight.shape, 2.0 * li + 1.0),
+              bias=None if l.bias is None else np.full(l.bias.shape, 2.0 * li + 2.0),
+              group=l.group)
+        for li, l in enumerate(template.layers)))
+    for li, view in enumerate(views.layers):
+        view.weight[...] = 2.0 * li + 1.0
+        if view.bias is not None:
+            view.bias[...] = 2.0 * li + 2.0
+    assert (matrix == flatten(filled).values).all()
 
 
 def test_flatten_unflatten_round_trip_bitwise():
@@ -413,8 +470,20 @@ def test_init_params_deterministic_and_bounded():
     assert np.any(c.layers[0].weight != a.layers[0].weight)
 
 
+def test_gradient_refuses_a_model_of_three_layers_by_name():
+    # backpropagation is written for 1 or 2 layers; a deeper model is an
+    # InputError naming its layer count, not a bare numpy error
+    g, adj, cfg, params = _random_case(0)
+    deep = ParameterSet(layers=params.layers[:1] + (
+        Layer(weight=np.ones((cfg.hidden_dim, cfg.hidden_dim)), bias=None, group=SHARED),)
+        + params.layers[1:])
+    with pytest.raises(InputError, match="layers must be 1 or 2, not 3"):
+        gradient(stack([deep]), *_one_graph(adj, g.features, g.labels,
+                                            np.flatnonzero(g.train_mask)))
+
+
 def test_model_config_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="layers must be 1 or 2, not 3"):
         ModelConfig(n_layers=3)
     with pytest.raises(InputError):
         ModelConfig(n_layers=1, activation="tanh")
