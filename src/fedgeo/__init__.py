@@ -45,6 +45,7 @@ from .server import (
     AggregatorConfig,
     GeometricReference,
     ProxyVector,
+    ReferenceStack,
     RegulationReport,
     align_regulate,
     initial_reference,
@@ -75,6 +76,7 @@ __all__ = [
     "ParameterSet",
     "PartitionSpec",
     "ProxyVector",
+    "ReferenceStack",
     "RegulationReport",
     "RunConfig",
     "RoundUpdates",

@@ -20,11 +20,12 @@ a broadcast covers are adjacent (a model has 1 or 2 layers), so their
 columns are one slice of the matrix. Its clients belong to one or more
 runs, independent federations that train in lockstep, such as the
 harness's run seeds: each run has its own broadcast and its own
-server. ``local_train`` trains all clients together, one
+server state. ``local_train`` trains all clients together, one
 ``model.gradient`` call and one array update of the whole matrix per
-step (the last layer built for the train rows only), and hands each
-run's server one ``RoundUpdates``: the matrix of its clients' deltas,
-a slice of the trained matrix minus the broadcasts. A one-run or
+step (the last layer built for the train rows only), and hands the
+server one ``RoundUpdates`` of every run: the matrix of the clients'
+deltas, the trained matrix's shared columns minus each run's
+broadcast, with the federation's run bounds. A one-run or
 one-client federation is the R = 1 or K = 1 case of the same code, and
 each client's values are bit for bit those it gets alone.
 """
@@ -131,7 +132,11 @@ class Federation:
                              "into runs of at least one")
         first = clients[0]
         check_layer_count(first.params.n_layers)
-        flats = [flatten(c.params) for c in clients]
+        flats = [flatten(first.params)]
+        for prev, c in zip(clients, clients[1:]):
+            # the harness gives a seed's clients one ParameterSet: each set is
+            # flattened once, a client's compared with the previous one's by identity
+            flats.append(flats[-1] if c.params is prev.params else flatten(c.params))
         self.layout = flats[0].layout
         for c, flat in zip(clients, flats):
             if flat.layout != self.layout:
@@ -184,30 +189,49 @@ class RoundUpdates:
     """Every client's shared-group displacement of one round, as one
     batch: row k of ``deltas`` (in ``layout``'s canonical order) is
     client ``client_ids[k]``'s, and ``n_train[k]`` its train-node count.
-    At least one client, distinct ids and counts >= 1, or InputError.
+    The rows belong to one or more runs, run r's rows ``runs[r]`` =
+    (start, stop) in run order (default: one run of every row). Every
+    run needs a row, ids must be distinct within a run and counts >= 1
+    (InputError otherwise). It is the sequence of its runs:
+    ``updates[r]`` is run r's rows as a one-run RoundUpdates.
     """
 
     client_ids: tuple[int, ...]
     deltas: np.ndarray  # (K, L)
     n_train: tuple[int, ...]
     layout: tuple[LayerSpec, ...]
+    runs: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         k = len(self.client_ids)
-        if k == 0 or len(set(self.client_ids)) != k:
-            raise InputError("a round needs at least one client update and distinct ids")
+        object.__setattr__(self, "runs", ((0, k),) if self.runs is None
+                           else tuple((int(a), int(b)) for a, b in self.runs))
+        stops = [b for _, b in self.runs]
+        if (k == 0 or [a for a, _ in self.runs] != [0] + stops[:-1] or stops[-1] != k
+                or any(len(set(self.client_ids[a:b])) != b - a or a == b
+                       for a, b in self.runs)):
+            raise InputError("a round needs at least one client update in every run and "
+                             "distinct ids within a run")
         if self.deltas.shape != (k, sum(s.size for s in self.layout)):
             raise InputError(f"deltas of shape {self.deltas.shape} do not match {k} clients "
                              "and the layout")
         if len(self.n_train) != k or min(self.n_train) < 1:
             raise InputError("one n_train >= 1 per client required")
 
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __getitem__(self, run: int) -> RoundUpdates:
+        a, b = self.runs[run]
+        return RoundUpdates(client_ids=self.client_ids[a:b], deltas=self.deltas[a:b],
+                            n_train=self.n_train[a:b], layout=self.layout)
+
 
 def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
-                round_index: int = 0) -> list[RoundUpdates]:
+                round_index: int = 0) -> RoundUpdates:
     """Run one round of local training of every client, given one
-    broadcast of shared parameters per run; each run's shared deltas,
-    one row per client in federation order.
+    broadcast of shared parameters per run; every client's shared delta,
+    one row per client in federation order, in the federation's runs.
 
     Loads its run's broadcast into every client model (a local head
     keeps its previous values), runs E full-batch gradient steps
@@ -262,7 +286,5 @@ def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
         raise DivergenceError(round_index, fed.client_ids[k], run)
 
     fed._commit(work)
-    counts = tuple(n_train.tolist())
-    return [RoundUpdates(client_ids=fed.client_ids[a:b], deltas=deltas[a:b],
-                         n_train=counts[a:b], layout=broadcasts[0].layout)
-            for a, b in fed.runs]
+    return RoundUpdates(client_ids=fed.client_ids, deltas=deltas, n_train=tuple(n_train.tolist()),
+                        layout=broadcasts[0].layout, runs=fed.runs)

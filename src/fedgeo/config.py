@@ -25,8 +25,15 @@ from pathlib import Path
 from .client import TRAINERS, TrainingConfig
 from .errors import ConfigError, InputError
 from .graphs import PartitionSpec, check_generator
-from .model import ACTIVATIONS, ModelConfig
-from .server import FALLBACKS, MODES, REFERENCES, WEIGHTINGS, AggregatorConfig
+from .model import ACTIVATIONS, ModelConfig, shared_length
+from .server import (
+    FALLBACKS,
+    MODES,
+    REFERENCES,
+    WEIGHTINGS,
+    AggregatorConfig,
+    check_projection,
+)
 
 __all__ = ["DataSource", "RunConfig", "KEYS", "parse_config", "load_config"]
 
@@ -273,6 +280,23 @@ def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
         _in_section(path, section, check)
 
 
+def _check_proxies(cfg: RunConfig, path: str) -> None:
+    """The sign-matrix limit of the run's proxies (``check_projection``),
+    where every source is generated, so the model's layout is known
+    before any graph is built."""
+    if any(src.kind == "csv" for src in cfg.sources):
+        return
+    # path and complete graphs have identity features and one class; a
+    # planted graph labels block b with class b mod classes
+    widths = {src.feature_dim if src.kind == "planted" else src.n for src in cfg.sources}
+    if len(widths) > 1:
+        return  # build_clients refuses sources that disagree on feature width
+    classes = max(min(src.blocks, src.classes) if src.kind == "planted" else 1
+                  for src in cfg.sources)
+    length = shared_length(cfg.model, widths.pop(), classes, cfg.regime == "cross_domain")
+    _in_section(path, "server", lambda: check_projection(cfg.server, length))
+
+
 def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None) -> RunConfig:
     base_dir = base_dir or Path(".")
     entries = _parse_lines(text, path)
@@ -307,6 +331,7 @@ def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None
         if broken:
             _fail(path, entries["run", key][1], reason)
     _check_ranges(cfg, source_names, path)
+    _check_proxies(cfg, path)
     return cfg
 
 

@@ -5,10 +5,12 @@ partitions each among its clients and initializes one global model,
 all before the first round. It batches every seed's clients into one
 ``Federation``, one run per seed, and runs T synchronous rounds of all
 seeds in lockstep: broadcast each seed's shared parameters, train every
-client locally (one ``local_train`` call for all seeds), aggregate each
-seed on its own server (plain weighted mean or the regulated pipeline),
+client locally (one ``local_train`` call for all seeds), aggregate every
+seed, each with its own server state (one ``regulate_and_aggregate``
+call for all seeds: plain weighted mean or the regulated pipeline),
 apply each seed's global delta, evaluate (one forward over every
-client's test rows). No seed's values enter another's arithmetic, and
+client's test rows), and cut each seed's CSV and JSONL rows from the
+round's arrays. No seed's values enter another's arithmetic, and
 clients sit in the batch and are reduced in ascending id order, so
 given (config, seed) every emitted byte is reproducible and the same
 as a run of that seed alone.
@@ -56,11 +58,12 @@ from .model import SHARED, FlatVector, ParameterSet, flatten, forward, init_para
 from .model import unflatten  # noqa: F401
 from .partition import dirichlet_label_partition
 from .server import (
-    GeometricReference,
+    ReferenceStack,
     RegulationReport,
     initial_reference,
     proxy_map,
     regulate_and_aggregate,
+    run_stacks,
 )
 
 __all__ = ["RunResult", "run", "partition_report", "build_clients"]
@@ -167,55 +170,71 @@ def _fmt(x: float) -> str:
 
 
 def _round_rows(report: RegulationReport, round_index: int) -> list[str]:
-    """One JSONL row per client, the text ``json.dumps`` gives the object
-    {round, client, cos_ref, atten, retention, clip}. ``ClientRegulation``
-    range-checks every value, so each float is finite and its JSON is its
-    ``repr``."""
+    """One JSONL row per client row of the report, the text ``json.dumps``
+    gives the object {round, client, cos_ref, atten, retention, clip}.
+    The report range-checks every value, so each float is finite and its
+    JSON is its ``repr``."""
     return [
-        f'{{"round": {round_index}, "client": {c.client_id}, "cos_ref": {float(c.cos_ref)!r}, '
-        f'"atten": {"true" if c.attenuated else "false"}, '
-        f'"retention": [{", ".join([repr(float(r)) for r in c.retention])}], '
-        f'"clip": {float(c.clip_factor)!r}}}'
-        for c in report.clients
+        f'{{"round": {round_index}, "client": {i}, "cos_ref": {c!r}, '
+        f'"atten": {"true" if a else "false"}, '
+        f'"retention": [{", ".join(map(repr, ret))}], "clip": {cl!r}}}'
+        for i, c, a, ret, cl in zip(report.client_ids.tolist(), report.cos_ref.tolist(),
+                                    report.attenuated.tolist(), report.retention.tolist(),
+                                    report.clip_factor.tolist())
     ]
+
+
+def _gamma_means(updates: RoundUpdates) -> np.ndarray:
+    """Each run's mean pairwise cosine between its clients' deltas, one
+    ``pairwise_coherence`` per stack of runs of one size; a one-client
+    run's is 1 when its delta is nonzero and 0 otherwise."""
+    out = np.empty(len(updates.runs))
+    for ids, rows in run_stacks(updates.runs):
+        deltas = updates.deltas[rows]
+        if rows.shape[1] >= 2:
+            gamma, _ = pairwise_coherence(deltas)
+            iu = np.triu_indices(rows.shape[1], k=1)
+            # one mean per matrix: a mean along an axis sums in another order
+            out[ids] = [np.mean(g[iu]) for g in gamma]
+        else:
+            out[ids] = np.any(deltas, axis=(1, 2))
+    return out
 
 
 @dataclass
 class _Seed:
-    """One run seed of a run: its clients, the global shared parameters
-    and server reference it carries from round to round, and its rows
-    and per-round accuracy, alignment and sensitivity (``curves``) so far."""
+    """One run seed of a run: its clients, and its rows and per-round
+    accuracy, alignment and sensitivity (``curves``) so far."""
 
     seed: int
     clients: list[ClientState]
-    shared: FlatVector
-    ref: GeometricReference
     curves: np.ndarray  # (3, T)
     csv_rows: list[str] = field(default_factory=list)
     jsonl_rows: list[str] = field(default_factory=list)
 
-    def record(self, t: int, test_acc: float, updates: RoundUpdates,
-               global_delta: FlatVector, report: RegulationReport) -> None:
-        """Round t's CSV row, JSONL rows and curve values."""
-        if len(updates.deltas) >= 2:
-            gamma, _ = pairwise_coherence(updates.deltas)
-            iu = np.triu_indices(len(updates.deltas), k=1)
-            gamma_mean = float(np.mean(gamma[iu]))
-        else:
-            gamma_mean = 1.0 if np.any(updates.deltas) else 0.0
 
-        live = [c for c in report.clients if c.proxy_norm > 0.0]
-        alignment = float(np.mean([c.cos_ref for c in live])) if live else 0.0
-        sensitivity = sensitivity_norm(global_delta.values)
-        clip_rate = float(np.mean([c.clip_factor < 1.0 for c in report.clients]))
-        atten_rate = float(np.mean([c.attenuated for c in report.clients]))
-
-        self.csv_rows.append(
-            f"{t},{self.seed},{_fmt(test_acc)},{_fmt(gamma_mean)},{_fmt(alignment)},"
-            f"{_fmt(sensitivity)},{_fmt(clip_rate)},{_fmt(atten_rate)}"
+def _record(seeds: list[_Seed], t: int, accuracies: list[float], updates: RoundUpdates,
+            deltas: np.ndarray, report: RegulationReport) -> None:
+    """Round t's CSV row, JSONL rows and curve values of every seed, each
+    seed's cut from the round's arrays: ``deltas`` (R, L) holds the
+    applied global deltas and ``report`` the regulation of every run."""
+    starts, stops = np.transpose(report.runs)
+    # a mean of 0/1 values is its count over its length, and a count is exact
+    rates = np.add.reduceat([report.clip_factor < 1.0, report.attenuated], starts, axis=1,
+                            dtype=np.float64) / (stops - starts)
+    live = report.proxy_norm > 0.0
+    rows = _round_rows(report, t)
+    for s, (a, b), acc, gamma, sensitivity, clip_rate, atten_rate in zip(
+            seeds, report.runs, accuracies, _gamma_means(updates).tolist(),
+            sensitivity_norm(deltas).tolist(), *rates.tolist()):
+        cos = report.cos_ref[a:b][live[a:b]]
+        alignment = float(np.mean(cos)) if cos.size else 0.0
+        s.csv_rows.append(
+            f"{t},{s.seed},{_fmt(acc)},{_fmt(gamma)},{_fmt(alignment)},{_fmt(sensitivity)},"
+            f"{_fmt(clip_rate)},{_fmt(atten_rate)}"
         )
-        self.jsonl_rows.extend(_round_rows(report, t))
-        self.curves[:, t - 1] = test_acc, alignment, sensitivity
+        s.jsonl_rows.extend(rows[a:b])
+        s.curves[:, t - 1] = acc, alignment, sensitivity
 
 
 def _federation(cfg: RunConfig, seeds: list[_Seed]) -> Federation:
@@ -227,42 +246,43 @@ def _federation(cfg: RunConfig, seeds: list[_Seed]) -> Federation:
 def _train(cfg: RunConfig, seeds: tuple[int, ...]) -> tuple[list[_Seed], DivergenceError | None]:
     """Build every seed, then run T rounds of all of them in lockstep.
 
-    Returns the seeds that finished, a prefix of ``seeds``, and the
-    DivergenceError of the first seed that diverged, naming that seed
-    (None when none did). A seed that diverges is dropped with every
-    later seed, as a run of the seeds one after another stops at the
-    first that diverges; the others retry the round in a federation
-    rebuilt from their clients, whose parameters the failed round left
-    as they were.
+    Each round is one ``local_train`` call and one
+    ``regulate_and_aggregate`` call for every seed: the seeds' global
+    shared parameters are one (R, L) matrix and their server state one
+    ``ReferenceStack``. Returns the seeds that finished, a prefix of
+    ``seeds``, and the DivergenceError of the first seed that diverged,
+    naming that seed (None when none did). A seed that diverges is
+    dropped with every later seed, as a run of the seeds one after
+    another stops at the first that diverges; the others keep the first
+    rows of the parameters and the server state and retry the round in
+    a federation rebuilt from their clients, whose parameters the failed
+    round left as they were.
     """
     built = [build_clients(cfg, s) for s in seeds]
     shared = [flatten(params, group=SHARED) for _, params in built]
+    layout = shared[0].layout
     # fixes the proxy length for this layout, which every seed shares
     probe = proxy_map(shared[0], cfg.server)
-    live = [_Seed(s, clients, v, initial_reference(probe.values.shape[0]),
-                  np.zeros((3, cfg.rounds)))
-            for s, (clients, _), v in zip(seeds, built, shared)]
+    live = [_Seed(s, clients, np.zeros((3, cfg.rounds))) for s, (clients, _) in zip(seeds, built)]
+    params = np.stack([v.values for v in shared])
+    ref = ReferenceStack.of([initial_reference(probe.values.shape[0])] * len(live))
     failed = None
     fed = _federation(cfg, live)
     t = 1
     while live and t <= cfg.rounds:
         try:
-            updates = local_train(fed, [s.shared for s in live], round_index=t)
+            updates = local_train(fed, [FlatVector(values=v, layout=layout) for v in params],
+                                  round_index=t)
         except DivergenceError as e:
             failed = DivergenceError(e.round_index, e.client_id, e.run, seed=live[e.run].seed)
-            live = live[:e.run]
+            live, params, ref = live[:e.run], params[:e.run], ref[:e.run]
             if live:
                 fed = _federation(cfg, live)
             continue
-        applied = []
-        for s, u in zip(live, updates):
-            global_delta, s.ref, report = regulate_and_aggregate(u, s.ref, cfg.server)
-            s.shared = FlatVector(values=s.shared.values + global_delta.values,
-                                  layout=s.shared.layout)
-            applied.append((global_delta, report))
-        accuracies = _evaluate(fed, [s.shared for s in live])
-        for s, u, acc, (global_delta, report) in zip(live, updates, accuracies, applied):
-            s.record(t, acc, u, global_delta, report)
+        deltas, ref, report = regulate_and_aggregate(updates, ref, cfg.server)
+        params = params + deltas
+        accuracies = _evaluate(fed, [FlatVector(values=v, layout=layout) for v in params])
+        _record(live, t, accuracies, updates, deltas, report)
         t += 1
     return live, failed
 

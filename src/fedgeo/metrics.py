@@ -27,7 +27,8 @@ __all__ = [
 
 
 def pairwise_coherence(updates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine matrix between the rows of ``updates`` (K x d, K >= 2).
+    """Cosine matrix between the rows of ``updates`` (K x d, K >= 2), or
+    of each matrix of a stack (..., K, d), each with the bits it gets alone.
 
     Returns ``(gamma, zero_mask)``: gamma[i, j] = cos(row_i, row_j),
     symmetric, entries in [-1, 1], unit diagonal for nonzero rows.
@@ -35,26 +36,28 @@ def pairwise_coherence(updates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in ``zero_mask``.
     """
     u = np.asarray(updates, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] < 2:
+    if u.ndim < 2 or u.shape[-2] < 2:
         raise InputError("need a 2-d array with at least two update rows")
-    norms = np.linalg.norm(u, axis=1)
+    norms = np.linalg.norm(u, axis=-1)
     zero_mask = norms == 0.0
     safe = np.where(zero_mask, 1.0, norms)
-    unit = u / safe[:, None]
-    gamma = unit @ unit.T
+    unit = u / safe[..., None]
+    gamma = unit @ unit.swapaxes(-1, -2)
     gamma = np.clip(gamma, -1.0, 1.0)
-    gamma[zero_mask, :] = 0.0
-    gamma[:, zero_mask] = 0.0
+    gamma[zero_mask] = 0.0
+    gamma.swapaxes(-1, -2)[zero_mask] = 0.0
     # exact symmetry and exact unit diagonal for the nonzero rows
-    gamma = 0.5 * (gamma + gamma.T)
-    idx = np.flatnonzero(~zero_mask)
-    gamma[idx, idx] = 1.0
+    gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2))
+    diag = np.arange(u.shape[-2])
+    gamma[..., diag, diag] = np.where(zero_mask, 0.0, 1.0)
     return gamma, zero_mask
 
 
-def sensitivity_norm(global_delta: np.ndarray) -> float:
-    """Euclidean norm of the applied global update."""
-    return float(np.linalg.norm(np.asarray(global_delta, dtype=np.float64)))
+def sensitivity_norm(global_delta: np.ndarray) -> float | np.ndarray:
+    """Euclidean norm of the applied global update (L,), or of each row of
+    a stack of them (R, L), bit for bit its ``np.linalg.norm``."""
+    x = np.asarray(global_delta, dtype=np.float64)
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):

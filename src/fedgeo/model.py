@@ -48,6 +48,7 @@ __all__ = [
     "GraphBatch",
     "Rows",
     "init_params",
+    "shared_length",
     "feature_message",
     "graph_batch",
     "check_layer_count",
@@ -142,6 +143,22 @@ class FlatVector:
             )
 
 
+def _fans(config: ModelConfig, in_dim: int, out_dim: int) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each layer of an ``in_dim -> out_dim`` model."""
+    dims = [in_dim] + [config.hidden_dim] * (config.n_layers - 1) + [out_dim]
+    return list(zip(dims[:-1], dims[1:]))
+
+
+def shared_length(config: ModelConfig, in_dim: int, out_dim: int,
+                  cross_domain: bool = False) -> int:
+    """Length of the shared FlatVector of the model ``init_params`` builds
+    with these arguments, computed without building it."""
+    fans = _fans(config, in_dim, out_dim)
+    if cross_domain:  # the last layer is the client-local head
+        fans = fans[:-1]
+    return sum(a * b + (b if config.bias else 0) for a, b in fans)
+
+
 def init_params(config: ModelConfig, in_dim: int, out_dim: int, seed: int,
                 cross_domain: bool = False) -> ParameterSet:
     """Seeded uniform initialization, scale sqrt(6 / (fan_in + fan_out)),
@@ -154,13 +171,8 @@ def init_params(config: ModelConfig, in_dim: int, out_dim: int, seed: int,
     if min(in_dim, out_dim) < 1:
         raise InputError("model dimensions must be positive")
     rng = np.random.default_rng(seed)
-    dims = [in_dim]
-    if config.n_layers == 2:
-        dims.append(config.hidden_dim)
-    dims.append(out_dim)
     layers = []
-    for li in range(config.n_layers):
-        fan_in, fan_out = dims[li], dims[li + 1]
+    for li, (fan_in, fan_out) in enumerate(_fans(config, in_dim, out_dim)):
         s = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-s, s, size=(fan_in, fan_out))
         b = np.zeros(fan_out) if config.bias else None

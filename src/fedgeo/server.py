@@ -21,17 +21,26 @@ and regulated) maintain it, so the alignment diagnostics are comparable
 across modes.
 
 A round arrives as one (K x L) delta matrix (``client.RoundUpdates``)
-and stays one: its proxies are one (K x d) stack (one (K x L) @ (L x
-d_z) product with the run-constant sign matrix when projected), each
-gate acts on every row at once, and the weighted sum adds the rows in
-ascending client order. Each row gets the bits a one-client round gives
-it, and given the same inputs the round is bitwise deterministic.
+whose rows belong to R runs, independent servers such as the harness's
+seeds, whose state is one ``ReferenceStack``. Each gate acts on every
+row at once, against the row's own run's reference, basis and cap; each
+run's weighted sums add its rows in ascending client order from +0.0;
+and the bases of the runs whose windows hold the same number of proxies
+are refreshed by one stacked Gram/eigh/QR pass. Products that mix rows
+(the sign projection, the Gram matrices) stack the runs along a leading
+axis instead of concatenating them, so each run gets the bits of its
+own one-run call, the R = 1 case of the same code with a
+``GeometricReference``. An unprojected row also gets the bits a
+one-client round gives it; a projected one does not, as a one-row
+projection is a matrix-vector product. Given the same inputs the round
+is bitwise deterministic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,9 +56,12 @@ __all__ = [
     "AggregatorConfig",
     "ProxyVector",
     "GeometricReference",
+    "ReferenceStack",
     "ClientRegulation",
     "RegulationReport",
     "initial_reference",
+    "run_stacks",
+    "check_projection",
     "proxy_map",
     "update_reference",
     "align_regulate",
@@ -63,6 +75,9 @@ _REDUCE_ABOVE = 4096
 _REDUCED_DIM = 1024
 _PROXY_SEED = 97  # seeds the sign projection
 _SIGN_ROWS = 256  # sign-matrix rows drawn at once: 2 MB of int64 at 1024 columns
+# the largest sign matrix drawn: 512 MiB holds the 389 MiB of a 767-feature,
+# 64-hidden model's 49,802-long proxies at 1024 columns
+_MAX_SIGN_BYTES = 512 * 2**20
 
 MODES = ("plain", "ggrs")
 WEIGHTINGS = ("uniform", "by_train_count")
@@ -152,6 +167,50 @@ def initial_reference(dim: int) -> GeometricReference:
 
 
 @dataclass(frozen=True)
+class ReferenceStack:
+    """The GeometricReference of each of R runs, as stacked arrays.
+
+    ``r`` (R, d) holds the references. Run i's window, oldest first, is
+    the last ``fill[i]`` rows of ``window[i]`` (R, n, d), and its basis
+    the first ``rank[i]`` columns of ``basis[i]`` (R, d, m); the rest is
+    zero. ``of`` stacks one-run references, ``stack[a:b]`` holds runs a
+    to b - 1, and ``run(i)`` is run i's GeometricReference.
+    """
+
+    r: np.ndarray
+    window: np.ndarray
+    fill: np.ndarray
+    basis: np.ndarray
+    rank: np.ndarray
+
+    @classmethod
+    def of(cls, refs: Sequence[GeometricReference]) -> ReferenceStack:
+        """The stack of ``refs``, references of one length (InputError otherwise)."""
+        d = refs[0].r.shape[0]
+        if any(ref.r.shape != (d,) for ref in refs):
+            raise InputError("stacked references must share one length")
+        fill = np.array([len(ref.window) for ref in refs])
+        rank = np.array([ref.basis.shape[1] for ref in refs])
+        window = np.zeros((len(refs), fill.max(), d))
+        basis = np.zeros((len(refs), d, rank.max()))
+        for i, ref in enumerate(refs):
+            if fill[i]:
+                window[i, window.shape[1] - fill[i]:] = ref.window
+            basis[i, :, :rank[i]] = ref.basis
+        return cls(r=np.stack([ref.r for ref in refs]), window=window, fill=fill,
+                   basis=basis, rank=rank)
+
+    def run(self, i: int) -> GeometricReference:
+        return GeometricReference(
+            r=self.r[i], window=tuple(self.window[i, self.window.shape[1] - self.fill[i]:]),
+            basis=self.basis[i, :, :self.rank[i]])
+
+    def __getitem__(self, runs: slice) -> ReferenceStack:
+        return ReferenceStack(r=self.r[runs], window=self.window[runs], fill=self.fill[runs],
+                              basis=self.basis[runs], rank=self.rank[runs])
+
+
+@dataclass(frozen=True)
 class ClientRegulation:
     """Realized regulation of one client in one round."""
 
@@ -164,20 +223,68 @@ class ClientRegulation:
     clip_factor: float                  # in (0, 1]
     coefficients: tuple[float, ...]     # per layer: align * retention * clip
 
-    def __post_init__(self):
-        if not (-1.0 - 1e-12 <= self.cos_ref <= 1.0 + 1e-12):
-            raise InputError("cosine out of range")
-        for f in (self.align_factor, self.clip_factor, *self.retention, *self.coefficients):
-            if not (0.0 <= f <= 1.0 + 1e-12):
-                raise InputError("regulation factors must lie in [0, 1]")
-
 
 @dataclass(frozen=True)
 class RegulationReport:
-    clients: tuple[ClientRegulation, ...]
-    layer_coefficients: tuple[float, ...]   # weight-averaged c_l across clients
-    epsilon: float                          # resolved norm cap (0 = inactive)
-    fallback_used: bool
+    """Realized regulation of one round of R runs, one row per client:
+    rows in ascending client id order within each run, run r's rows
+    ``runs[r]`` = (start, stop). Each cosine lies in [-1, 1] and each
+    factor in [0, 1], up to 1e-12 (InputError otherwise), so every value
+    is finite. ``clients`` gives the rows as ``ClientRegulation``s.
+    """
+
+    client_ids: np.ndarray          # (K,)
+    runs: tuple[tuple[int, int], ...]
+    proxy_norm: np.ndarray          # (K,)
+    cos_ref: np.ndarray             # (K,) cosine(raw proxy, effective reference)
+    align_factor: np.ndarray        # (K,) 1 or beta
+    retention: np.ndarray           # (K, proxy blocks)
+    clip_factor: np.ndarray         # (K,)
+    coefficients: np.ndarray        # (K, layers) align * retention * clip
+    layer_coefficients: np.ndarray  # (R, layers) each run's weighted sum of its rows'
+    epsilon: np.ndarray             # (R,) resolved norm cap (0 = inactive)
+    fallback_used: np.ndarray       # (R,) bool
+
+    def __post_init__(self):
+        # a NaN fails every comparison
+        if not (self.cos_ref.min(initial=0.0) >= -1.0 - 1e-12
+                and self.cos_ref.max(initial=0.0) <= 1.0 + 1e-12):
+            raise InputError("cosine out of range")
+        for f in (self.align_factor, self.retention, self.clip_factor, self.coefficients):
+            if not (f.min(initial=0.0) >= 0.0 and f.max(initial=0.0) <= 1.0 + 1e-12):
+                raise InputError("regulation factors must lie in [0, 1]")
+
+    @property
+    def attenuated(self) -> np.ndarray:
+        return self.align_factor < 1.0
+
+    @cached_property
+    def clients(self) -> tuple[ClientRegulation, ...]:
+        return tuple(
+            ClientRegulation(client_id=i, proxy_norm=n, cos_ref=c, align_factor=a,
+                             attenuated=a < 1.0, retention=tuple(ret), clip_factor=cl,
+                             coefficients=tuple(co))
+            for i, n, c, a, ret, cl, co in zip(
+                self.client_ids.tolist(), self.proxy_norm.tolist(), self.cos_ref.tolist(),
+                self.align_factor.tolist(), self.retention.tolist(),
+                self.clip_factor.tolist(), self.coefficients.tolist()))
+
+
+def _equal(keys: np.ndarray) -> list[np.ndarray]:
+    """The indices of each distinct value of ``keys``, ascending by value."""
+    if (keys == keys[0]).all():
+        return [np.arange(len(keys))]
+    return [np.flatnonzero(keys == v) for v in np.unique(keys)]
+
+
+def run_stacks(runs: Sequence[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The runs, given as (start, stop) row spans, grouped by size: per
+    size, the runs' indices (G,) and their rows' indices (G, size). A
+    product over each run's rows stacks a group along a leading axis, so
+    each run gets the bits of its own product."""
+    bounds = np.asarray(runs)
+    sizes = bounds[:, 1] - bounds[:, 0]
+    return [(ids, bounds[ids, :1] + np.arange(sizes[ids[0]])) for ids in _equal(sizes)]
 
 
 def _resolve_proxy_dim(cfg: AggregatorConfig, full_len: int) -> int | None:
@@ -189,6 +296,21 @@ def _resolve_proxy_dim(cfg: AggregatorConfig, full_len: int) -> int | None:
     return cfg.proxy_dim if full_len > cfg.proxy_dim else None
 
 
+def _check_sign_bytes(d_in: int, d_out: int) -> None:
+    if d_in * d_out * 8 > _MAX_SIGN_BYTES:
+        raise InputError(f"sign projection of {d_in}-long proxies to {d_out} needs a "
+                         f"{d_in} x {d_out} x 8 = {d_in * d_out * 8:,}-byte matrix, above "
+                         f"the limit of {_MAX_SIGN_BYTES:,} bytes")
+
+
+def check_projection(cfg: AggregatorConfig, length: int) -> None:
+    """InputError when the proxies of ``length``-long updates under
+    ``cfg`` would need a sign matrix above the limit (512 MiB)."""
+    d_z = _resolve_proxy_dim(cfg, length)
+    if d_z is not None:
+        _check_sign_bytes(length, d_z)
+
+
 @lru_cache(maxsize=1)
 def _sign_projection(d_in: int, d_out: int) -> np.ndarray:
     """Run-constant random +-1 matrix (d_in x d_out): 2 b - 1 for the
@@ -196,7 +318,9 @@ def _sign_projection(d_in: int, d_out: int) -> np.ndarray:
     ``default_rng(_PROXY_SEED)``, filled in place _SIGN_ROWS rows at a
     time (the draw consumes the stream as one whole draw does). A run
     uses one (d_in, d_out), so only the latest matrix is kept. Every
-    caller gets the same array, so it is read-only."""
+    caller gets the same array, so it is read-only. A matrix above the
+    limit is an InputError, raised before anything is allocated."""
+    _check_sign_bytes(d_in, d_out)
     rng = np.random.default_rng(_PROXY_SEED)
     p = np.empty((d_in, d_out))
     for r0 in range(0, d_in, _SIGN_ROWS):
@@ -212,21 +336,29 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] * rows[k], bit for bit a loop's running total from
-    +0.0 (a reduce would sum a one-column stack pairwise)."""
-    terms = weights[:, None] * rows
-    terms[0] += 0.0  # from +0.0: a -0.0 first term adds up to +0.0
-    return np.add.accumulate(terms, axis=0)[-1]
+def _weighted_sums(weights: np.ndarray, rows: np.ndarray,
+                   stacks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Each run's sum_k weights[k] * rows[k] over its rows, the runs given
+    as ``run_stacks``: bit for bit a loop's running total from +0.0 in
+    row order (a reduce would sum a one-column stack pairwise); (R, cols)."""
+    out = np.empty((sum(len(ids) for ids, _ in stacks), rows.shape[1]))
+    for ids, idx in stacks:
+        terms = weights[idx][:, :, None] * rows[idx]
+        terms[:, 0] += 0.0  # from +0.0: a -0.0 first term adds up to +0.0
+        out[ids] = np.add.accumulate(terms, axis=1)[:, -1]
+    return out
 
 
-def _proxies(deltas: np.ndarray, layout: tuple[LayerSpec, ...], cfg: AggregatorConfig
+def _proxies(deltas: np.ndarray, layout: tuple[LayerSpec, ...], cfg: AggregatorConfig,
+             stacks: list[tuple[np.ndarray, np.ndarray]] | None = None
              ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
     """``proxy_map`` of each row of the (K, L) ``deltas``: the (K, d)
     proxies, the (K, layers) layer norms and the proxy blocks.
 
-    A projected batch is one (K x L) @ (L x d_z) product, so the
-    run-constant matrix is read once per round, not once per client.
+    A projected batch is one (K_r x L) @ (L x d_z) product per run, the
+    runs of one size (``stacks``, default one run of every row) stacked
+    along a leading axis, so the run-constant matrix is read once per
+    round, not once per client.
     """
     if not np.isfinite(deltas).all():
         raise InputError("update contains non-finite entries")
@@ -234,15 +366,21 @@ def _proxies(deltas: np.ndarray, layout: tuple[LayerSpec, ...], cfg: AggregatorC
     sizes = [b - a for a, b in slices]
     norms = np.stack([_row_norms(deltas[:, a:b]) for a, b in slices], axis=1)
     total = norms.sum(axis=1, keepdims=True)
-    live = total[:, 0] != 0.0
-    z = np.zeros_like(deltas)
-    z[live] = deltas[live] * np.repeat(norms[live] / total[live] / (norms[live] + 1e-12),
-                                       sizes, axis=1)
+    scale = np.zeros_like(norms)
+    np.divide(norms, total, out=scale, where=total != 0.0)
+    scale /= norms + 1e-12
+    z = deltas * np.repeat(scale, sizes, axis=1)
+    if not total.all():
+        z[total[:, 0] == 0.0] = 0.0  # a zero row's entries may be -0.0
 
     d_z = _resolve_proxy_dim(cfg, deltas.shape[1])
     if d_z is None:
         return z, norms, tuple(slices)
-    return (z @ _sign_projection(deltas.shape[1], d_z)) / np.sqrt(d_z), norms, ((0, d_z),)
+    sign = _sign_projection(deltas.shape[1], d_z)
+    out = np.empty((len(z), d_z))
+    for _, idx in stacks or run_stacks(((0, len(z)),)):
+        out[idx] = z[idx] @ sign
+    return out / np.sqrt(d_z), norms, ((0, d_z),)
 
 
 def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
@@ -260,66 +398,122 @@ def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
     return ProxyVector(values=z[0], layer_norms=tuple(norms[0].tolist()), blocks=blocks)
 
 
-def _top_directions(window: np.ndarray, m: int) -> np.ndarray:
-    """Top-m left singular directions of the (d x n) window matrix.
+def _top_directions(window: np.ndarray, m: int):
+    """Top-m left singular directions of each (d x n) window matrix of
+    the stack ``window`` (G, d, n): a (G, d, min(m, d, n)) array whose
+    matrix g holds window g's directions in its first rank[g] columns,
+    zero after, and the ranks. A single (d x n) window gives its (d,
+    rank) basis.
 
     One symmetric eigendecomposition of the small n x n Gram matrix: the
     left directions live in the window column span, so each right
     eigenvector v maps back as window @ v. Directions come in descending
     eigenvalue order, and none whose eigenvalue is at most 1e-10 of the
     trace (the total squared singular mass) is kept, so the basis never
-    pads with noise directions; a zero window gives a (d, 0) basis. One
-    QR pass orthonormalizes the columns, and each column's
-    largest-magnitude entry is made positive.
+    pads with noise directions; a zero window has rank 0. One QR pass
+    orthonormalizes the columns, and each column's largest-magnitude
+    entry is made positive. The windows share one stacked Gram product
+    and eigendecomposition, and those of one rank one stacked QR, so
+    each gets the bits of its own.
     """
-    d, n = window.shape
-    gram = window.T @ window
+    if window.ndim == 2:
+        q, rank = _top_directions(window[None], m)
+        return q[0, :, :rank[0]]
+    g, d, n = window.shape
+    gram = window.transpose(0, 2, 1) @ window
     lam, v = np.linalg.eigh(gram)
-    lam, v = lam[::-1], v[:, ::-1]
-    k = min(m, d, n, np.count_nonzero(lam > 1e-10 * np.trace(gram)))
-    if k == 0:
-        return np.zeros((d, 0))
-    q, _ = np.linalg.qr(window @ v[:, :k])
-    j = np.argmax(np.abs(q), axis=0)
-    return q * np.sign(q[j, np.arange(k)])
+    lam, v = lam[:, ::-1], v[:, :, ::-1]
+    trace = np.trace(gram, axis1=1, axis2=2)
+    rank = np.minimum(min(m, d, n), np.count_nonzero(lam > 1e-10 * trace[:, None], axis=1))
+    q = np.zeros((g, d, min(m, d, n)))
+    for ids in _equal(rank):
+        k = rank[ids[0]]
+        if k:
+            qk, _ = np.linalg.qr(window[ids] @ v[ids, :, :k])
+            lead = qk[np.arange(len(ids))[:, None], np.argmax(np.abs(qk), axis=1), np.arange(k)]
+            q[ids, :, :k] = qk * np.sign(lead)[:, None]
+    return q, rank
+
+
+def _appended(ref: ReferenceStack, proxies: np.ndarray, runs: list[tuple[int, int]],
+              cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's window with its rows of ``proxies`` appended and the
+    oldest evicted beyond ``cap``: the new (R, n, d) windows and fills."""
+    n_old = ref.window.shape[1]
+    fill = np.minimum(cap, ref.fill + [b - a for a, b in runs])
+    n = int(fill.max())
+    window = np.zeros((len(runs), n, proxies.shape[1]))
+    for i, ((a, b), f_old, f) in enumerate(zip(runs, ref.fill.tolist(), fill.tolist())):
+        rows = np.concatenate([ref.window[i, n_old - f_old:], proxies[a:b]])
+        window[i, n - f:] = rows[len(rows) - f:]
+    return window, fill
+
+
+def _refreshed(window: np.ndarray, fill: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's basis, the top-m directions of its window, or none while
+    the window holds fewer than m proxies or m = 0; the runs whose
+    windows hold one number of proxies in one stacked refresh. The
+    (R, d, m) bases and their ranks."""
+    n_runs, n, d = window.shape
+    basis, rank = np.zeros((n_runs, d, m)), np.zeros(n_runs, dtype=np.intp)
+    if m == 0:
+        return basis, rank
+    for ids in _equal(fill):
+        f = fill[ids[0]]
+        if f >= m:
+            q, rank[ids] = _top_directions(
+                np.ascontiguousarray(window[ids, n - f:].transpose(0, 2, 1)), m)
+            basis[ids, :, :q.shape[2]] = q
+    return basis, rank
 
 
 def update_reference(
-    ref: GeometricReference,
+    ref: GeometricReference | ReferenceStack,
     proxies: np.ndarray,
-    weights: np.ndarray,
+    weights: np.ndarray | Sequence[np.ndarray],
     cfg: AggregatorConfig,
-) -> GeometricReference:
+) -> GeometricReference | ReferenceStack:
     """Exponentially smooth the reference and refresh the subspace.
 
     r <- alpha * r + (1 - alpha) * sum_k w_k z_k over the rows z_k of the
-    (K, d) ``proxies``; they join the ring buffer (oldest evicted beyond
-    W); the basis becomes the top-m directions of the buffer, or stays
-    empty while the buffer holds fewer than m proxies or m = 0.
+    (K, d) ``proxies``, added in row order from +0.0; they join the ring
+    buffer (oldest evicted beyond W); the basis becomes the top-m
+    directions of the buffer, or stays empty while the buffer holds
+    fewer than m proxies or m = 0.
+
+    ``ref`` is one run's GeometricReference, with its (K,) ``weights``,
+    or a ReferenceStack of R runs, with every run's rows in ``proxies``,
+    run after run, and one weight vector per run in ``weights``; the
+    result is of the same kind. Each run's weights must sum to 1.
     """
-    if abs(float(np.sum(weights)) - 1.0) > 1e-9:
-        raise InputError("weights must sum to 1")
-    if len(proxies) != len(weights):
+    one = isinstance(ref, GeometricReference)
+    stack = ReferenceStack.of([ref]) if one else ref
+    weights = [weights] if one else weights
+    if len(weights) != len(stack.r):
+        raise InputError(f"{len(weights)} weight vectors for {len(stack.r)} runs")
+    stops = np.cumsum([len(w) for w in weights]).tolist()
+    runs = list(zip([0] + stops[:-1], stops))
+    if len(proxies) != stops[-1] or any(a == b for a, b in runs):
         raise InputError("one weight per proxy required")
-    if proxies.ndim != 2 or proxies.shape[1] != ref.r.shape[0]:
+    flat = np.concatenate(weights)
+    if (np.abs(np.add.reduceat(flat, [a for a, _ in runs]) - 1.0) > 1e-9).any():
+        raise InputError("weights must sum to 1")
+    if proxies.ndim != 2 or proxies.shape[1] != stack.r.shape[1]:
         raise InputError("proxies must be rows as long as the reference")
     if not np.isfinite(proxies).all():
         raise InputError("proxy entries must be finite")
-    r_new = cfg.alpha * ref.r + (1.0 - cfg.alpha) * _weighted_sum(weights, proxies)
-
-    window = (list(ref.window) + list(proxies.copy()))[-cfg.window:]
-
-    m = cfg.subspace_dim
-    if m == 0 or len(window) < m:
-        basis = np.zeros((ref.r.shape[0], 0))
-    else:
-        basis = _top_directions(np.stack(window, axis=1), m)
-    return GeometricReference(r=r_new, window=tuple(window), basis=basis)
+    mean = _weighted_sums(flat, proxies, run_stacks(runs))
+    window, fill = _appended(stack, proxies, runs, cfg.window)
+    basis, rank = _refreshed(window, fill, cfg.subspace_dim)
+    new = ReferenceStack(r=cfg.alpha * stack.r + (1.0 - cfg.alpha) * mean,
+                         window=window, fill=fill, basis=basis, rank=rank)
+    return new.run(0) if one else new
 
 
 def align_regulate(z: np.ndarray, ref: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Attenuate by beta each row of the (K, d) stack ``z`` that opposes
-    the reference; the rows and their factors (1 or beta).
+    the reference, one (d,) or one per row (K, d); the rows and their
+    factors (1 or beta).
 
     The decision is the sign of the inner product, so it is invariant to
     positive rescaling of either vector; the zero boundary passes.
@@ -332,99 +526,134 @@ def subspace_project(
     z: np.ndarray, basis: np.ndarray, blocks: tuple[tuple[int, int], ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project each row of the (K, d) stack ``z`` onto the
-    dominant-direction subspace; the rows and their (K, blocks) retention.
+    dominant-direction subspace, one (d, b) basis or one per row
+    (K, d, b); the rows and their (K, blocks) retention.
 
     Empty basis = identity. retention_b = ||projected block|| /
     (||block|| + 1e-12), clamped to [0, 1]."""
-    if basis.shape[1] == 0:
+    if basis.shape[-1] == 0:
         return z, np.ones((z.shape[0], len(blocks)))
     # one matrix-vector product per row, as for a single proxy
-    proj = np.matmul(basis[None], np.matmul(basis.T[None], z[:, :, None]))[:, :, 0]
+    proj = np.matmul(basis, np.matmul(basis.swapaxes(-1, -2), z[:, :, None]))[:, :, 0]
     retention = np.stack([
         np.minimum(1.0, _row_norms(proj[:, a:b]) / (_row_norms(z[:, a:b]) + 1e-12))
         for a, b in blocks], axis=1)
     return proj, retention
 
 
-def sensitivity_normalize(z: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cap the norm of each row of the (K, d) stack ``z`` at epsilon:
-    z / max(1, ||z||/epsilon); the rows and their factors.
+def sensitivity_normalize(z: np.ndarray, epsilon: float | np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Cap the norm of each row of the (K, d) stack ``z`` at epsilon, one
+    cap or one per row (K,): z / max(1, ||z||/epsilon); the rows and
+    their factors.
 
     epsilon <= 0 means the cap is inactive (factor 1); a zero row keeps
     factor 1.
     """
     n = _row_norms(z)
     factor = np.ones_like(n)
-    if epsilon > 0.0:
-        np.minimum(1.0, np.divide(epsilon, n, out=factor, where=n > 0.0), out=factor)
+    np.divide(epsilon, n, out=factor, where=(n > 0.0) & (np.asarray(epsilon) > 0.0))
+    np.minimum(1.0, factor, out=factor)
     return z * factor[:, None], factor
+
+
+def _project(z: np.ndarray, ref: ReferenceStack, run_of: np.ndarray,
+             blocks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``subspace_project`` of each row onto its run's basis: one call
+    for the rows of each basis width."""
+    width = ref.rank[run_of]
+    out, retention = np.empty_like(z), np.empty((len(z), len(blocks)))
+    for rows in _equal(width):
+        out[rows], retention[rows] = subspace_project(
+            z[rows], ref.basis[run_of[rows], :, :width[rows[0]]], blocks)
+    return out, retention
 
 
 def regulate_and_aggregate(
     updates: RoundUpdates,
-    ref: GeometricReference,
+    ref: GeometricReference | ReferenceStack,
     cfg: AggregatorConfig,
-) -> tuple[FlatVector, GeometricReference, RegulationReport]:
-    """One server aggregation step over a round's (K, L) delta matrix,
-    its rows taken in ascending client id order.
+) -> tuple[FlatVector | np.ndarray, GeometricReference | ReferenceStack, RegulationReport]:
+    """One server aggregation step of each run of a round's (K, L) delta
+    matrix, each run's rows taken in ascending client id order.
 
     Client k's update is rescaled layer by layer with
-    c_{k,l} = align_k · retention_{k,b(l)} · clip_k before the weighted
-    sum, where b(l) = l, or the single block of a projected proxy. Plain
-    mode sets every factor to 1, so it is the exact weighted mean of the
-    raw updates. Either way the reference state advances on the round's
-    proxies (raw by default, regulated under the ablation flag) and the
-    report records the realized geometry.
-    """
-    order = np.argsort(updates.client_ids)
-    ids = np.asarray(updates.client_ids)[order]
-    deltas = updates.deltas[order]
-    counts = np.asarray(updates.n_train, dtype=np.float64)[order]
-    k = len(ids)
-    weights = np.full(k, 1.0 / k) if cfg.weights == "uniform" else counts / counts.sum()
+    c_{k,l} = align_k · retention_{k,b(l)} · clip_k before its run's
+    weighted sum, where b(l) = l, or the single block of a projected
+    proxy. Plain mode sets every factor to 1, so it is the exact
+    weighted mean of the raw updates. Either way each run's reference
+    advances on its proxies (raw by default, regulated under the
+    ablation flag) and the report records the realized geometry.
 
-    z, _, blocks = _proxies(deltas, updates.layout, cfg)
-    if z.shape[1] != ref.r.shape[0]:
-        raise InputError(f"reference length {ref.r.shape[0]} does not match proxies "
+    Given a ReferenceStack, one reference per run, it returns the (R, L)
+    matrix of the runs' global deltas and the next stack; given the
+    GeometricReference of a one-run round, the FlatVector of its global
+    delta and its next reference, the R = 1 case of the same code.
+    """
+    one = isinstance(ref, GeometricReference)
+    stack = ReferenceStack.of([ref]) if one else ref
+    runs = updates.runs
+    if len(stack.r) != len(runs):
+        raise InputError(f"{len(stack.r)} references for {len(runs)} runs")
+    sizes = np.array([b - a for a, b in runs])
+    run_of = np.repeat(np.arange(len(runs)), sizes)
+    order = np.lexsort((updates.client_ids, run_of))
+    deltas = updates.deltas[order]
+    stacks = run_stacks(runs)
+    if cfg.weights == "uniform":
+        weights = np.repeat(1.0 / sizes, sizes)
+    else:
+        counts = np.asarray(updates.n_train, dtype=np.float64)[order]
+        weights = counts / np.repeat(np.add.reduceat(counts, [a for a, _ in runs]), sizes)
+
+    z, _, blocks = _proxies(deltas, updates.layout, cfg, stacks)
+    if z.shape[1] != stack.r.shape[1]:
+        raise InputError(f"reference length {stack.r.shape[1]} does not match proxies "
                          f"({z.shape[1]})")
 
-    # effective reference: fall back to the heaviest client's direction
-    # (the lowest id among equals) when the smoothed reference has no
-    # direction yet
-    fallback_used = bool(np.linalg.norm(ref.r) == 0.0 and cfg.fallback == "largest")
-    r_eff = z[int(np.argmax(weights))] if fallback_used else ref.r
+    # effective reference: a run whose smoothed reference has no direction
+    # yet falls back to its heaviest client's (the lowest id among equals)
+    fallback = (_row_norms(stack.r) == 0.0) & (cfg.fallback == "largest")
+    heaviest = np.empty(len(runs), dtype=np.intp)
+    for ids, idx in stacks:
+        heaviest[ids] = idx[np.arange(len(ids)), np.argmax(weights[idx], axis=1)]
+    r_eff = np.where(fallback[:, None], z[heaviest], stack.r)
 
     norms = _row_norms(z)
-    r_norm = float(np.linalg.norm(r_eff))
-    cos_ref = np.zeros(k)
-    np.divide(np.vecdot(z, r_eff), norms * r_norm, out=cos_ref,
+    r_rows = r_eff[run_of]
+    r_norm = _row_norms(r_eff)[run_of]
+    cos_ref = np.zeros(len(z))
+    np.divide(np.vecdot(z, r_rows), norms * r_norm, out=cos_ref,
               where=(norms > 0.0) & (r_norm > 0.0))
     cos_ref = np.clip(cos_ref, -1.0, 1.0)
 
-    eps = 0.0  # a plain server has no cap, and every factor is 1
+    k = len(z)
+    eps = np.zeros(len(runs))  # a plain server has no cap, and every factor is 1
     z_out, align, retention, clip = z, np.ones(k), np.ones((k, len(blocks))), np.ones(k)
     if cfg.mode == "ggrs":
-        eps = float(np.median(norms)) if cfg.epsilon == "adaptive" else float(cfg.epsilon)
-        z_out, align = align_regulate(z, r_eff, cfg.beta)
-        z_out, retention = subspace_project(z_out, ref.basis, blocks)
-        z_out, clip = sensitivity_normalize(z_out, eps)
+        if cfg.epsilon == "adaptive":
+            for ids, idx in stacks:
+                eps[ids] = np.median(norms[idx], axis=1)
+        else:
+            eps[:] = cfg.epsilon
+        z_out, align = align_regulate(z, r_rows, cfg.beta)
+        z_out, retention = _project(z_out, stack, run_of, blocks)
+        z_out, clip = sensitivity_normalize(z_out, eps[run_of])
 
     slices = layer_slices(updates.layout)
     block_of = range(len(slices)) if len(blocks) == len(slices) else [0] * len(slices)
     coefficients = align[:, None] * retention[:, block_of] * clip[:, None]
-    global_delta = _weighted_sum(
-        weights, deltas * np.repeat(coefficients, [b - a for a, b in slices], axis=1))
+    global_deltas = _weighted_sums(
+        weights, deltas * np.repeat(coefficients, [b - a for a, b in slices], axis=1), stacks)
 
-    new_ref = update_reference(ref, z if cfg.reference == "raw" else z_out, weights, cfg)
-    rows = tuple(
-        ClientRegulation(client_id=i, proxy_norm=n, cos_ref=c, align_factor=a,
-                         attenuated=a < 1.0, retention=tuple(ret), clip_factor=cl,
-                         coefficients=tuple(co))
-        for i, n, c, a, ret, cl, co in zip(ids.tolist(), norms.tolist(), cos_ref.tolist(),
-                                           align.tolist(), retention.tolist(), clip.tolist(),
-                                           coefficients.tolist())
-    )
-    report = RegulationReport(clients=rows,
-                              layer_coefficients=tuple((weights @ coefficients).tolist()),
-                              epsilon=eps, fallback_used=fallback_used)
-    return FlatVector(values=global_delta, layout=updates.layout), new_ref, report
+    new_ref = update_reference(stack, z if cfg.reference == "raw" else z_out,
+                               [weights[a:b] for a, b in runs], cfg)
+    report = RegulationReport(
+        client_ids=np.asarray(updates.client_ids)[order], runs=runs, proxy_norm=norms,
+        cos_ref=cos_ref, align_factor=align, retention=retention, clip_factor=clip,
+        coefficients=coefficients,
+        layer_coefficients=_weighted_sums(weights, coefficients, stacks), epsilon=eps,
+        fallback_used=fallback)
+    if one:
+        return FlatVector(values=global_deltas[0], layout=updates.layout), new_ref.run(0), report
+    return global_deltas, new_ref, report

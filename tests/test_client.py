@@ -23,6 +23,7 @@ from fedgeo import (
     unflatten,
 )
 from fedgeo.model import (
+    LOCAL,
     SHARED,
     FlatVector,
     Layer,
@@ -380,6 +381,27 @@ def test_batch_trains_each_client_as_its_own_federation(run_sizes, n_layers, act
             np.testing.assert_array_equal(flatten(c.params).values, flatten(s1.params).values)
         broadcasts = [FlatVector(values=b.values + u.deltas[-1], layout=b.layout)
                       for b, u in zip(broadcasts, together)]
+
+
+def test_federation_flattens_each_shared_parameter_set_once(monkeypatch):
+    # the harness hands a seed's clients one ParameterSet; a set is
+    # flattened once for its run of consecutive clients, compared by
+    # identity, and each client still holds its own set's local head
+    import fedgeo.client
+    model = ModelConfig(n_layers=2, hidden_dim=3)
+    a, b = (init_params(model, 3, 2, seed=s, cross_domain=True) for s in (1, 2))
+    sets = (a, a, b, b, b, a)
+    rng = np.random.default_rng(4)
+    clients = [_random_client(k, rng, 2, 3, p) for k, p in enumerate(sets)]
+    flattened = []
+    flatten_ = fedgeo.client.flatten
+    monkeypatch.setattr(fedgeo.client, "flatten",
+                        lambda params, *args: flattened.append(params) or flatten_(params, *args))
+    fed = Federation(clients, model, TrainingConfig(lr=0.0), (3, 3))
+    assert [p is a for p in flattened] == [True, False, True]
+    local_train(fed, [flatten_(a, SHARED), flatten_(b, SHARED)])
+    for c, p in zip(clients, sets):
+        assert flatten_(c.params, LOCAL).values.tobytes() == flatten_(p, LOCAL).values.tobytes()
 
 
 def test_federation_validation():

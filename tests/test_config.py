@@ -427,3 +427,46 @@ def test_readme_config_block_parses_and_names_every_key():
     parse_config(block, path="README.md")
     missing = [f"{s}.{k}" for s, k in KEYS if not re.search(rf"\b{s}\.{k}\b", block)]
     assert missing == []
+
+
+_PAPER_WIDTH = """
+data.kind = planted
+data.blocks = 8
+data.block_size = 500
+data.classes = 10
+data.features = {features}
+model.layers = 2
+model.hidden = 64
+"""
+
+
+def test_paper_width_proxies_parse_and_a_larger_sign_matrix_is_refused(tmp_path):
+    # 767 features need a 389 MiB sign matrix, which stays allowed; 5000
+    # would need 2.6 GB and fail before any graph is built. Eight blocks
+    # label 8 of the 10 classes, so the head is 64 x 8 + 8
+    cfg = _load(tmp_path, _PAPER_WIDTH.format(features=767))
+    assert cfg.sources[0].feature_dim == 767
+    with pytest.raises(ConfigError, match=r"run.conf: server: sign projection of "
+                                          r"320584-long proxies to 1024 needs a 320584 x 1024 "
+                                          r"x 8 = 2,626,224,128-byte matrix, above the limit "
+                                          r"of 536,870,912 bytes"):
+        _load(tmp_path, _PAPER_WIDTH.format(features=5000))
+
+
+def test_sign_matrix_limit_at_and_one_entry_over(tmp_path, monkeypatch):
+    # complete graphs of 6 nodes: identity features, one class; the
+    # default 2-layer, 16-hidden model shares 6*16+16 + 16*1+1 values
+    import fedgeo.server
+    text = MINIMAL + "server.proxy_dim = 3\n"
+    entries = (6 * 16 + 16 + 16 + 1) * 3
+    monkeypatch.setattr(fedgeo.server, "_MAX_SIGN_BYTES", entries * 8)
+    _load(tmp_path, text)
+    monkeypatch.setattr(fedgeo.server, "_MAX_SIGN_BYTES", entries * 8 - 1)
+    with pytest.raises(ConfigError, match="server: sign projection of 129-long proxies"):
+        _load(tmp_path, text)
+    # a csv source's layout is known only once it is loaded
+    for name, body in (("e.csv", "0,1\n"), ("f.csv", "1.0\n2.0\n"), ("l.csv", "0\n1\n"),
+                       ("s.csv", "train\ntest\n")):
+        (tmp_path / name).write_text(body)
+    _load(tmp_path, "data.kind = csv\ndata.edges = e.csv\ndata.features = f.csv\n"
+                    "data.labels = l.csv\ndata.splits = s.csv\nserver.proxy_dim = 3\n")

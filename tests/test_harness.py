@@ -34,7 +34,7 @@ from fedgeo.model import (
 )
 
 from conftest import stack
-from fedgeo.server import ClientRegulation, RegulationReport, _sign_projection
+from fedgeo.server import RegulationReport, _sign_projection
 
 
 SMALL = """
@@ -240,7 +240,12 @@ server.regulation = ggrs
 def test_two_seed_run_matches_one_seed_runs(tmp_path):
     # the seeds train in one federation, but nothing of one seed leaks
     # into another, and the order of the seeds changes nothing
-    for name, text in (("small", SMALL), ("cross", _cross_domain_fedprox(tmp_path))):
+    # the projected runs stack the seeds' sign projections along a leading
+    # axis; one product over their concatenated rows would change the bits
+    # (on OpenBLAS at 1 thread it does for 3 columns, not for 8)
+    for name, text in (("small", SMALL), ("cross", _cross_domain_fedprox(tmp_path)),
+                       ("projected", SMALL + "server.proxy_dim = 8\n"),
+                       ("projected3", SMALL + "server.proxy_dim = 3\n")):
         cfg = parse_config(text, path="inline.conf")
         if name == "cross":
             assert [len(build_clients(cfg, s)[0]) for s in cfg.seeds] == [3, 4, 5]
@@ -322,6 +327,35 @@ def test_divergence_keeps_rows_of_finished_seeds(tmp_path, monkeypatch, capsys):
     assert summary["seeds"] == []
     assert summary["failed"] == {"seed": 1, "round": 3, "client": 1}
     assert (tmp_path / "crossed" / "metrics.csv").read_text() == CSV_HEADER + "\n"
+
+
+def test_one_server_call_per_lockstep_round_keeps_the_first_runs_on_divergence(
+        tmp_path, monkeypatch):
+    # every seed is regulated in one regulate_and_aggregate call per round;
+    # when the second seed diverges at round 2, the first retries the round
+    # with the first slice of the stacked server state round 1 left
+    cfg = parse_config(SMALL, path="inline.conf")  # seeds 1, 2
+    regulate, calls = harness.regulate_and_aggregate, []
+
+    def recorded(updates, ref, agg):
+        result = regulate(updates, ref, agg)
+        calls.append((updates.runs, ref, result[1]))
+        return result
+
+    monkeypatch.setattr(harness, "regulate_and_aggregate", recorded)
+    run(cfg, out=str(tmp_path / "full"))
+    assert [len(runs) for runs, _, _ in calls] == [2] * cfg.rounds
+    for (_, _, out), (_, ref, _) in zip(calls, calls[1:]):
+        assert ref is out  # each round's state is the last round's result
+
+    calls.clear()
+    _diverge(monkeypatch, {1: (2, 0)})
+    with pytest.raises(DivergenceError):
+        run(cfg, out=str(tmp_path / "o"))
+    assert [len(runs) for runs, _, _ in calls] == [2, 1, 1]
+    first, retried = calls[0][2], calls[1][1]
+    for name in ("r", "window", "fill", "basis", "rank"):
+        assert getattr(retried, name).tobytes() == getattr(first, name)[:1].tobytes()
 
 
 def test_a_seed_that_cannot_be_built_fails_before_any_round(tmp_path, monkeypatch):
@@ -568,25 +602,27 @@ _EDGES = st.sampled_from([-0.0, 5e-324, 1.0])
 @settings(max_examples=150)
 @given(
     round_index=st.integers(1, 10**6),
+    blocks=st.integers(0, 3),
     clients=st.lists(st.tuples(
         st.integers(0, 10**6),
         st.one_of(_EDGES, st.floats(-1.0, 1.0)),
         st.booleans(),
-        st.lists(st.one_of(_EDGES, st.floats(0.0, 1.0)), max_size=3),
+        st.lists(st.one_of(_EDGES, st.floats(0.0, 1.0)), min_size=3, max_size=3),
         st.one_of(_EDGES, st.floats(0.0, 1.0)),
     ), min_size=1, max_size=4),
 )
-def test_round_rows_are_the_json_dumps_text(round_index, clients):
+def test_round_rows_are_the_json_dumps_text(round_index, blocks, clients):
     # _round_rows formats each JSONL row itself; its text must stay the
     # one json.dumps gives the row object
+    ids, cos, atten, ret, clip = (list(c) for c in zip(*clients))
+    ret = [r[:blocks] for r in ret]
+    k = len(clients)
     report = RegulationReport(
-        clients=tuple(ClientRegulation(client_id=i, proxy_norm=1.0, cos_ref=cos,
-                                       align_factor=1.0, attenuated=atten,
-                                       retention=tuple(ret), clip_factor=clip,
-                                       coefficients=(1.0,))
-                      for i, cos, atten, ret, clip in clients),
-        layer_coefficients=(1.0,), epsilon=0.0, fallback_used=False)
-    want = [json.dumps({"round": round_index, "client": i, "cos_ref": cos, "atten": atten,
-                        "retention": ret, "clip": clip})
-            for i, cos, atten, ret, clip in clients]
+        client_ids=np.array(ids), runs=((0, k),), proxy_norm=np.ones(k), cos_ref=np.array(cos),
+        align_factor=np.where(atten, 0.5, 1.0), retention=np.array(ret).reshape(k, blocks),
+        clip_factor=np.array(clip), coefficients=np.ones((k, 1)),
+        layer_coefficients=np.ones((1, 1)), epsilon=np.zeros(1), fallback_used=np.zeros(1, bool))
+    want = [json.dumps({"round": round_index, "client": i, "cos_ref": c, "atten": a,
+                        "retention": r, "clip": cl})
+            for i, c, a, r, cl in zip(ids, cos, atten, ret, clip)]
     assert harness._round_rows(report, round_index) == want

@@ -53,6 +53,20 @@ def test_pairwise_coherence_matches_brute_force():
             assert gamma[i, j] == pytest.approx(want, abs=1e-12)
 
 
+def test_pairwise_coherence_of_a_stack_gives_each_matrix_its_bits():
+    # the harness takes one stack per size of its runs; zero rows included
+    rng = np.random.default_rng(2)
+    for k, d in ((2, 1), (4, 52), (9, 30), (31, 7)):
+        u = rng.normal(size=(3, k, d))
+        u[1, 0] = 0.0
+        gamma, zero = pairwise_coherence(u)
+        for g, z, one in zip(gamma, zero, u):
+            want, want_zero = pairwise_coherence(one)
+            assert g.tobytes() == want.tobytes() and z.tolist() == want_zero.tolist()
+    norms = sensitivity_norm(u.reshape(3 * 31, 7))
+    assert norms.tolist() == [float(np.linalg.norm(row)) for row in u.reshape(3 * 31, 7)]
+
+
 def test_sensitivity_norm_examples():
     assert sensitivity_norm(np.array([3.0, 4.0])) == pytest.approx(5.0, abs=1e-12)
     assert sensitivity_norm(np.zeros(4)) == 0.0

@@ -91,3 +91,24 @@ def test_ab_pairs_refuses_an_unknown_workload_before_any_run(tmp_path):
     assert proc.returncode == 2
     assert "unknown workload no_such_workload" in proc.stderr
     assert "wide_ggrs pair" not in proc.stderr
+
+
+def test_ab_pairs_byte_compiles_both_checkouts(tmp_path):
+    # before the first pair, every module of src/ and perfbench/ of each
+    # checkout gets its bytecode cache, so no measured repetition compiles
+    import importlib.util
+    import shutil
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("ab_pairs", root / "tools" / "ab_pairs.py")
+    ab_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_pairs)
+    for side in ("parent", "change"):
+        for part in ("src", "perfbench"):
+            shutil.copytree(root / part, tmp_path / side / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        ab_pairs._compile(tmp_path / side)
+        sources = sorted((tmp_path / side).rglob("*.py"))
+        assert sources
+        for py in sources:
+            assert Path(importlib.util.cache_from_source(str(py))).is_file(), py

@@ -30,8 +30,10 @@ from fedgeo.server import (
     REFERENCES,
     WEIGHTINGS,
     ProxyVector,
+    ReferenceStack,
     _sign_projection,
     _top_directions,
+    check_projection,
 )
 
 
@@ -850,3 +852,129 @@ def test_round_delta_is_the_sequential_weighted_sum(shapes, k, mode, weights, se
     for wk, d, row in zip(w, deltas[order], report.clients):
         expected += wk * (d * np.repeat(row.coefficients, sizes))
     assert got.values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=_SHAPES,
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    rounds=st.integers(1, 4),
+    mode=st.sampled_from(MODES),
+    weights=st.sampled_from(WEIGHTINGS),
+    epsilon=st.sampled_from(["adaptive", 0.05, 1.0]),
+    window=st.integers(1, 6),
+    m=st.integers(0, 6),
+    proxy_dim=st.sampled_from([None, 0, 3]),
+    reference=st.sampled_from(REFERENCES),
+    fallback=st.sampled_from(FALLBACKS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shapes=[(2, 3, True)], sizes=[3, 1, 3, 2], rounds=4, mode="ggrs",
+         weights="by_train_count", epsilon="adaptive", window=4, m=2, proxy_dim=3,
+         reference="regulated", fallback="largest", seed=1)
+def test_a_round_of_runs_gives_each_run_its_one_run_bits(shapes, sizes, rounds, mode, weights,
+                                                         epsilon, window, m, proxy_dim,
+                                                         reference, fallback, seed):
+    # R runs of ragged sizes (one-client runs included) regulated in one
+    # call per round, their state one ReferenceStack: each run's global
+    # delta, reference (r, window, basis) and report rows are bit for bit
+    # those of its own one-run call, round after round. Zero updates leave
+    # windows rank-deficient, so the runs' bases differ in width
+    rng = np.random.default_rng(seed)
+    layout, size, dim = _layout_of(shapes, proxy_dim)
+    cfg = AggregatorConfig(mode=mode, weights=weights, epsilon=epsilon, window=window,
+                           subspace_dim=min(m, window), proxy_dim=proxy_dim,
+                           reference=reference, fallback=fallback)
+    stack = ReferenceStack.of([initial_reference(dim)] * len(sizes))
+    alone = [initial_reference(dim)] * len(sizes)
+    bounds = tuple(zip(np.cumsum([0] + sizes[:-1]).tolist(), np.cumsum(sizes).tolist()))
+    for _ in range(rounds):
+        # ids restart in every run and come unsorted; a run may send only zeros
+        ids = np.concatenate([rng.permutation(20)[:k] for k in sizes])
+        scale = rng.choice([0.0, 1e-3, 1.0, 100.0], size=(len(ids), 1))
+        scale[np.repeat(rng.random(len(sizes)) < 0.2, sizes)] = 0.0
+        batch = RoundUpdates(client_ids=tuple(ids.tolist()),
+                             deltas=rng.standard_normal((len(ids), size)) * scale,
+                             n_train=tuple(rng.integers(1, 50, size=len(ids)).tolist()),
+                             layout=layout, runs=bounds)
+        deltas, stack, report = regulate_and_aggregate(batch, stack, cfg)
+        assert deltas.shape == (len(sizes), size) and report.runs == bounds
+        for r, (a, b) in enumerate(bounds):
+            got, alone[r], own = regulate_and_aggregate(batch[r], alone[r], cfg)
+            assert deltas[r].tobytes() == got.values.tobytes()
+            mine = stack.run(r)
+            assert mine.r.tobytes() == alone[r].r.tobytes()
+            assert len(mine.window) == len(alone[r].window)
+            assert np.stack(mine.window).tobytes() == np.stack(alone[r].window).tobytes()
+            assert mine.basis.shape == alone[r].basis.shape
+            assert mine.basis.tobytes() == alone[r].basis.tobytes()
+            for name in ("client_ids", "proxy_norm", "cos_ref", "align_factor", "retention",
+                         "clip_factor", "coefficients"):
+                assert getattr(report, name)[a:b].tobytes() == getattr(own, name).tobytes()
+            for name in ("layer_coefficients", "epsilon", "fallback_used"):
+                assert getattr(report, name)[r].tobytes() == getattr(own, name)[0].tobytes()
+
+
+def test_a_stack_slices_and_unstacks_its_runs():
+    # ReferenceStack.of pads the runs' windows and bases to one shape;
+    # run(i) and stack[a:b] give each run's own values back
+    rng = np.random.default_rng(3)
+    refs = [GeometricReference(r=rng.standard_normal(4), window=tuple(rng.standard_normal((n, 4))),
+                               basis=_top_directions(rng.standard_normal((4, 3)), b))
+            for n, b in ((0, 0), (3, 2), (1, 1))]
+    stack = ReferenceStack.of(refs)
+    assert stack.window.shape == (3, 3, 4) and stack.basis.shape == (3, 4, 2)
+    for part, first in ((stack, 0), (stack[1:], 1)):
+        for i, ref in enumerate(refs[first:]):
+            got = part.run(i)
+            assert got.r.tobytes() == ref.r.tobytes() and got.basis.tobytes() == ref.basis.tobytes()
+            assert len(got.window) == len(ref.window)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got.window, ref.window))
+    with pytest.raises(InputError, match="one length"):
+        ReferenceStack.of([initial_reference(3), initial_reference(4)])
+    with pytest.raises(InputError, match="2 references for 1 runs"):
+        regulate_and_aggregate(_round([_scalar_update(0, 1.0)]),
+                               ReferenceStack.of([initial_reference(1)] * 2), AggregatorConfig())
+    with pytest.raises(InputError, match="1 weight vectors for 2 runs"):
+        update_reference(ReferenceStack.of([initial_reference(1)] * 2), np.ones((2, 1)),
+                         [np.array([0.5, 0.5])], AggregatorConfig())
+
+
+def test_round_updates_runs_tile_the_rows():
+    layout = _scalar_update(0, 1.0).delta.layout
+
+    def updates(ids, runs):
+        return RoundUpdates(client_ids=ids, deltas=np.ones((len(ids), 1)),
+                            n_train=(1,) * len(ids), layout=layout, runs=runs)
+
+    # ids restart in every run; each run is a one-run RoundUpdates of its rows
+    both = updates((0, 1, 0), ((0, 2), (2, 3)))
+    assert len(both) == 2 and [u.client_ids for u in both] == [(0, 1), (0,)]
+    assert both[1].runs == ((0, 1),)
+    for ids, runs in (((0, 0, 1), ((0, 2), (2, 3))), ((0, 1, 2), ((0, 2),)),
+                      ((0, 1, 2), ((0, 1), (2, 3))), ((0, 1, 2), ((0, 0), (0, 3)))):
+        with pytest.raises(InputError, match="every run"):
+            updates(ids, runs)
+
+
+def test_sign_matrix_at_the_limit_is_drawn_and_one_entry_over_is_refused(monkeypatch):
+    # the limit counts d_in x d_z x 8 bytes; with it made small no test
+    # allocates a large matrix
+    monkeypatch.setattr(server, "_MAX_SIGN_BYTES", 10 * 3 * 8)
+    _sign_projection.cache_clear()
+    try:
+        assert _sign_projection(10, 3).shape == (10, 3)
+        with pytest.raises(InputError, match=r"11 x 3 x 8 = 264-byte matrix, above the limit "
+                                             r"of 240 bytes"):
+            _sign_projection(11, 3)
+        cfg = AggregatorConfig(proxy_dim=3)
+        check_projection(cfg, 10)
+        with pytest.raises(InputError, match="above the limit"):
+            check_projection(cfg, 11)
+        with pytest.raises(InputError, match="above the limit"):
+            proxy_map(FlatVector(values=np.ones(11), layout=(
+                LayerSpec(index=0, group=SHARED, w_shape=(1, 11), b_size=0),)), cfg)
+    finally:
+        _sign_projection.cache_clear()
+    # unprojected proxies need no matrix, however long
+    check_projection(AggregatorConfig(proxy_dim=0), 10**9)

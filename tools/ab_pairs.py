@@ -17,11 +17,18 @@ change was strictly better in the metric's direction. Each pair's
 values go to standard error as they arrive. A side whose benchmark
 reports failed repetitions is counted, and the tool exits 1 if there
 were any.
+
+Before the first pair it byte-compiles ``src/`` and ``perfbench/`` of
+both checkouts, so that neither side compiles modules inside a measured
+repetition: compiling raises a process's peak RSS by about 1.3 MB, and
+a checkout without bytecode caches would compile in every repetition
+when ``PYTHONDONTWRITEBYTECODE`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -42,6 +49,13 @@ def _measure(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{root}: perfbench/run.py exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _compile(root: Path) -> None:
+    """Byte-compile ``src/`` and ``perfbench/`` of the checkout ``root``."""
+    for part in ("src", "perfbench"):
+        if not compileall.compile_dir(root / part, quiet=1):
+            raise RuntimeError(f"{root / part}: byte-compiling failed")
 
 
 def _table(workload: str, values: dict, spec: list, args) -> None:
@@ -83,6 +97,8 @@ def main() -> int:
     if unknown:
         ap.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(known)}")
     roots = {"parent": args.parent.resolve(), "change": CHANGE}
+    for root in roots.values():
+        _compile(root)
 
     failed = {side: 0 for side in roots}
     for workload in workloads:
