@@ -32,6 +32,7 @@ each client's values are bit for bit those it gets alone.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,8 +64,9 @@ TRAINERS = ("fedavg", "fedsgd", "fedprox")
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Local training settings: a known trainer, lr >= 0, epochs >= 1, and
-    mu >= 0 (for every trainer, though only fedprox reads it)."""
+    """Local training settings: a known trainer, a finite lr >= 0, epochs
+    >= 1, and a finite mu >= 0 (for every trainer, though only fedprox
+    reads it)."""
 
     trainer: str = "fedavg"
     lr: float = 0.05
@@ -76,10 +78,10 @@ class TrainingConfig:
             raise InputError(f"unknown trainer {self.trainer!r}")
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
-        if self.lr < 0.0:
-            raise InputError("learning rate must be nonnegative")
-        if self.mu < 0.0:
-            raise InputError("mu must be nonnegative")
+        for name in ("lr", "mu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InputError(f"{name} must be a finite number >= 0, not {value}")
 
 
 @dataclass

@@ -374,18 +374,37 @@ def forward(
     return messages, preacts
 
 
-def _cross_entropy(z: np.ndarray, pick: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy(z: np.ndarray, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax cross-entropy of each logit row of ``z`` with its label
-    (log-sum-exp form), and the rows' softmax probabilities; ``pick`` is
-    (row position, label) of each row's label logit (see ``Rows``)."""
-    if pick[1].size == 0:
+    (log-sum-exp form), and its gradient in the row's logits: the softmax
+    probabilities less one at the label. ``pick`` is the flat position
+    ``row * width + label`` of each row's label logit in C order.
+
+    The row max is a chain of ``np.maximum`` over the columns, one
+    whole-array operation per class rather than NumPy's reduce loop per
+    row. It can differ from ``z.max(axis=1)`` only in the sign of a zero
+    max, which reaches no output: ``z - zmax`` has the same ``exp``, and
+    the log-sum-exp adds ``log(total) >= +0.0`` to it. The denominator stays
+    ``e.sum(axis=1)``: NumPy adds a short row in an order that depends on
+    its length, which no column chain matches at every width."""
+    if pick.size == 0:
         raise InputError("no rows selected")
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
+    zmax = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(zmax, z[:, j], out=zmax)
+    e = np.exp(z - zmax[:, None])
     total = e.sum(axis=1)
-    lse = zmax[:, 0] + np.log(total)
-    nll = lse - z[pick]
-    return nll, e / total[:, None]
+    nll = zmax + np.log(total) - z.ravel()[pick]
+    dz = e / total[:, None]
+    dz.ravel()[pick] -= 1.0  # dz is new and C-contiguous, so ravel is a view
+    return nll, dz
+
+
+def _finite_graphs(logits: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Whether each graph's rows ``bounds[k]:bounds[k + 1]`` of ``logits``,
+    none empty, are all finite: one ``reduceat`` down the rows, then a
+    check of each graph's columns."""
+    return np.logical_and.reduceat(np.isfinite(logits), bounds[:-1], axis=0).all(axis=1)
 
 
 def gradient(
@@ -415,13 +434,12 @@ def gradient(
     logits = preacts[-1]
     if not rows.counts.all():
         raise InputError(f"graph {int(np.argmin(rows.counts))}: no rows selected")
-    finite = np.logical_and.reduceat(np.isfinite(logits).all(axis=1), rows.bounds[:-1])
+    finite = _finite_graphs(logits, rows.bounds)
     # a diverged graph's arithmetic is not finite by design: no warnings
     with np.errstate(all=None if finite.all() else "ignore"):
-        nll, dp = _cross_entropy(logits, rows.pick)
+        nll, dp = _cross_entropy(logits, rows.pick[0] * logits.shape[1] + rows.pick[1])
         losses = rows.sums @ nll / rows.counts
         losses[~finite] = np.inf
-        dp[rows.pick] -= 1.0
         dp *= rows.share  # d loss / d logits of each graph's rows
         dps = [dp]  # d loss / d pre-activation of each layer
         if params.n_layers == 2:

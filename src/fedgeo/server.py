@@ -38,6 +38,7 @@ is bitwise deterministic.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -105,11 +106,10 @@ class AggregatorConfig:
             raise InputError("alpha must be in [0, 1)")
         if not (0.0 <= self.beta < 1.0):
             raise InputError("beta must be in [0, 1)")
-        if isinstance(self.epsilon, str):
-            if self.epsilon != "adaptive":
-                raise InputError("epsilon must be a positive number or 'adaptive'")
-        elif not self.epsilon > 0.0:
-            raise InputError("epsilon must be a positive number or 'adaptive'")
+        if (self.epsilon != "adaptive" if isinstance(self.epsilon, str)
+                else not (math.isfinite(self.epsilon) and self.epsilon > 0.0)):
+            raise InputError(f"epsilon must be a finite positive number or 'adaptive', "
+                             f"not {self.epsilon!r}")
         if self.subspace_dim < 0 or self.window < 1:
             raise InputError("subspace_dim must be >= 0 and window >= 1")
         if self.subspace_dim > self.window:
@@ -185,7 +185,9 @@ class ReferenceStack:
 
     @classmethod
     def of(cls, refs: Sequence[GeometricReference]) -> ReferenceStack:
-        """The stack of ``refs``, references of one length (InputError otherwise)."""
+        """The stack of ``refs``, at least one, of one length (InputError otherwise)."""
+        if not refs:
+            raise InputError("a reference stack needs at least one reference")
         d = refs[0].r.shape[0]
         if any(ref.r.shape != (d,) for ref in refs):
             raise InputError("stacked references must share one length")

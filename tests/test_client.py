@@ -279,6 +279,12 @@ def test_client_state_validation():
         TrainingConfig(lr=-0.1)
     with pytest.raises(InputError):
         TrainingConfig(trainer="fedavg", mu=-1.0)
+    # nan < 0.0 is False, so a sign check alone lets nan through; parse_config refuses both
+    for name in ("lr", "mu"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(InputError, match=f"{name} must be a finite number >= 0, "
+                                                 f"not {value}"):
+                TrainingConfig(**{name: value})
     with pytest.raises(InputError):
         ModelConfig(activation="tanh")
     ClientState(client_id=0, graph=g, adj=adj, params=params)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedgeo import (
     FlatVector,
@@ -24,6 +25,7 @@ from fedgeo.model import (
     Layer,
     ParameterSet,
     _cross_entropy,
+    _finite_graphs,
     feature_message,
     graph_batch,
     layer_views,
@@ -119,19 +121,99 @@ def test_masked_cross_entropy_against_manual():
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     manual = -np.mean(np.log(p[mask, labels[mask]]))
-    assert abs(_cross_entropy(logits[mask], (np.arange(4), labels[mask]))[0].mean() - manual) < 1e-12
+    assert abs(_cross_entropy(logits[mask], np.arange(4) * 3 + labels[mask])[0].mean() - manual) < 1e-12
 
 
 def test_masked_cross_entropy_handles_huge_logits():
     logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
     labels = np.array([0, 1])
-    loss = _cross_entropy(logits, (np.arange(2), labels))[0].mean()
+    loss = _cross_entropy(logits, np.arange(2) * 2 + labels)[0].mean()
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_masked_cross_entropy_empty_mask():
     with pytest.raises(InputError):
-        _cross_entropy(np.zeros((0, 2)), (np.arange(0), np.zeros(0, dtype=int)))
+        _cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+def _reduce_cross_entropy(z, labels):
+    """The loss and logit gradient by NumPy's row reduce and tuple-indexed
+    label picks: the expressions ``_cross_entropy`` replaces."""
+    pick = (np.arange(z.shape[0]), labels)
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    total = e.sum(axis=1)
+    nll = zmax[:, 0] + np.log(total) - z[pick]
+    dz = e / total[:, None]
+    dz[pick] -= 1.0
+    return nll, dz
+
+
+def _bits(x):
+    """x's bytes with every NaN made one NaN, so NaN compares as NaN."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+# 9 classes of signed zeros: the column chain keeps the first zero's sign
+# (+0.0), NumPy's reduce at this width gives -0.0
+_OPPOSITE_ZEROS = np.array([[0.0, -0.0, -0.0, -0.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
+
+
+@settings(max_examples=300)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    width=st.integers(1, 12),
+    data=st.data(),
+)
+@example(sizes=[1], width=9, data=None)
+def test_cross_entropy_and_finiteness_are_the_row_reduce_bits(sizes, width, data):
+    # the column chain, the flat picks and the reduceat down the rows give
+    # the bits of NumPy's per-row reduce and tuple-indexed picks, NaN as NaN
+    bounds = np.cumsum([0] + sizes)
+    n = int(bounds[-1])
+    if data is None:
+        z, labels = _OPPOSITE_ZEROS, np.array([3])
+        chain = np.maximum.accumulate(z, axis=1)[:, -1]  # max(max(z0, z1), z2)...
+        assert chain == 0.0 and np.signbit(chain) != np.signbit(z.max(axis=1))
+    else:
+        z = data.draw(arrays(np.float64, (n, width), elements=_ENTRIES), label="z")
+        labels = data.draw(arrays(np.int64, n, elements=st.integers(0, width - 1)),
+                           label="labels")
+    with np.errstate(all="ignore"):
+        got = _cross_entropy(z, np.arange(n) * width + labels)
+        want = _reduce_cross_entropy(z, labels)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and _bits(g) == _bits(w)
+    finite = np.logical_and.reduceat(np.isfinite(z).all(axis=1), bounds[:-1])
+    assert np.array_equal(_finite_graphs(z, bounds), finite)
+
+
+def test_a_minus_inf_logit_marks_only_its_graph_as_diverged():
+    # three graphs of isolated nodes under one identity layer: the logits
+    # are each graph's weight row. The middle graph's non-label logit is
+    # -inf; its softmax loss is finite, but its step has diverged. The
+    # other two keep the bits they get in batches of their own.
+    no_edges = np.zeros((0, 2), dtype=int)
+    sizes, labels = (2, 3, 2), [np.array([0, 1]), np.array([0, 0, 0]), np.array([1, 1])]
+    weights = [np.array([[0.5, -0.25]]), np.array([[1.0, -np.inf]]), np.array([[-2.0, 3.0]])]
+    adjs = [normalized_adjacency(make_graph(n, no_edges)) for n in sizes]
+    features = [np.ones((n, 1)) for n in sizes]
+
+    def step(ks):
+        params = stack([ParameterSet(layers=(Layer(weight=weights[k], bias=None, group=SHARED),))
+                        for k in ks])
+        batch = graph_batch([adjs[k] for k in ks], [features[k] for k in ks],
+                            [labels[k] for k in ks])
+        return gradient(params, batch, batch.rows([np.arange(sizes[k]) for k in ks]), "identity")
+
+    losses, grads = step([0, 1, 2])
+    assert np.isfinite(losses[[0, 2]]).all() and losses[1] == np.inf
+    for k in (0, 2):
+        own_losses, own_grads = step([k])
+        assert losses[k].tobytes() == own_losses[0].tobytes()
+        assert grads[k].tobytes() == own_grads[0].tobytes()
 
 
 def _fd_gradient(params, adj, features, labels, rows, activation, step=1e-4):

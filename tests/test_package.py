@@ -93,6 +93,25 @@ def test_ab_pairs_refuses_an_unknown_workload_before_any_run(tmp_path):
     assert "wide_ggrs pair" not in proc.stderr
 
 
+def test_output_digests_of_a_checkout_against_itself_print_nothing(tmp_path):
+    # --against prints only the lines that differ and exits 1 on any; a
+    # checkout of the smoke config alone keeps the two runs short
+    import shutil
+
+    root = Path(__file__).resolve().parent.parent
+    checkout = tmp_path / "checkout"
+    shutil.copytree(root / "src", checkout / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (checkout / "configs").mkdir()
+    shutil.copy(root / "configs" / "smoke.conf", checkout / "configs")
+    (checkout / "perfbench").mkdir()
+    shutil.copy(root / "perfbench" / "workloads.py", checkout / "perfbench")
+    proc = subprocess.run([sys.executable, str(root / "tools" / "output_digests.py"),
+                           "--root", str(checkout), "--against", str(checkout), "--seeds"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_ab_pairs_byte_compiles_both_checkouts(tmp_path):
     # before the first pair, every module of src/ and perfbench/ of each
     # checkout gets its bytecode cache, so no measured repetition compiles

@@ -86,6 +86,10 @@ def test_aggregator_config_validation():
         AggregatorConfig(epsilon=0.0)
     with pytest.raises(InputError):
         AggregatorConfig(epsilon="median")
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(InputError, match=f"epsilon must be a finite positive number or "
+                                             f"'adaptive', not {value}"):
+            AggregatorConfig(epsilon=value)
     with pytest.raises(InputError):
         AggregatorConfig(subspace_dim=9, window=8)
     with pytest.raises(InputError):
@@ -932,6 +936,8 @@ def test_a_stack_slices_and_unstacks_its_runs():
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got.window, ref.window))
     with pytest.raises(InputError, match="one length"):
         ReferenceStack.of([initial_reference(3), initial_reference(4)])
+    with pytest.raises(InputError, match="a reference stack needs at least one reference"):
+        ReferenceStack.of([])
     with pytest.raises(InputError, match="2 references for 1 runs"):
         regulate_and_aggregate(_round([_scalar_update(0, 1.0)]),
                                ReferenceStack.of([initial_reference(1)] * 2), AggregatorConfig())

@@ -3,16 +3,23 @@
 Usage, from a repository root:
 
     python3 tools/output_digests.py [--root CHECKOUT] [--seeds 0 1 64 127] > digests.txt
+    python3 tools/output_digests.py --against PARENT [--seeds 0 1 64 127]
 
 Runs the shipped configs (``configs/*.conf``) and the given workload
-seeds (default 0) of every benchmark workload (``perfbench/workloads.py``)
-of the checkout at ``--root`` (default: the one holding this script),
-each through ``fedgeo run`` in a fresh interpreter with 1 BLAS thread,
-into a temporary directory. Prints one line ``sha256  <run>/<file>`` for
-each ``metrics.csv``, ``regulation_seed*.jsonl``, ``summary.json`` and
-``config.txt``, sorted by run and file name. Comparing two checkouts is
-one run per checkout plus ``diff``; ``--root`` lets this copy measure a
-checkout that predates it.
+seeds (default 0; ``--seeds`` with none runs the configs alone) of every
+benchmark workload (``perfbench/workloads.py``) of the checkout at
+``--root`` (default: the one holding this script), each through
+``fedgeo run`` in a fresh interpreter with 1 BLAS thread, into a
+temporary directory. Prints one line ``sha256  <run>/<file>`` for each
+``metrics.csv``, ``regulation_seed*.jsonl``, ``summary.json`` and
+``config.txt``, sorted by run and file name. ``--root`` lets this copy
+measure a checkout that predates it.
+
+With ``--against DIR`` it runs the same configs again with the source of
+the checkout ``DIR`` and prints only the lines that differ, ``- `` for
+``DIR``'s and ``+ `` for ``--root``'s (a file one side lacks has a line
+on the other side only). It exits 1 if any line differs, so checking
+that a change keeps every output byte is one command.
 """
 
 from __future__ import annotations
@@ -43,33 +50,59 @@ def _runs(root: Path, seeds: list[int], work: Path) -> list[tuple[str, Path]]:
     return runs
 
 
+def _digests(root: Path, runs: list[tuple[str, Path]], work: Path) -> dict[str, str]:
+    """{``<run>/<file>``: sha256} of every checked file the runs give with
+    ``root``'s source; RuntimeError naming the run if one fails."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.update({var: "1" for var in BLAS_VARS})
+    digests = {}
+    for run_name, config in runs:
+        out = work / run_name
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedgeo.cli", "run", "--config", str(config),
+             "--out", str(out)],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(f"{root}: {run_name}: fedgeo run exited {proc.returncode}: "
+                               f"{proc.stderr.strip()}")
+        for p in sorted({p for pattern in CHECKED for p in out.glob(pattern)}):
+            digests[f"{run_name}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
+    return digests
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0],
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="print only the lines that differ from checkout DIR's")
+    ap.add_argument("--seeds", type=int, nargs="*", default=[0],
                     help="workload seeds to run (default 0)")
     args = ap.parse_args()
     root = args.root.resolve()
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.update({var: "1" for var in BLAS_VARS})
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for run_name, config in _runs(root, args.seeds, work):
-            out = work / "out" / run_name
-            proc = subprocess.run(
-                [sys.executable, "-m", "fedgeo.cli", "run", "--config", str(config),
-                 "--out", str(out)],
-                cwd=root, env=env, capture_output=True, text=True,
-            )
-            if proc.returncode != 0:
-                print(f"{run_name}: fedgeo run exited {proc.returncode}: {proc.stderr.strip()}",
-                      file=sys.stderr)
-                return 1
-            files = sorted({p for pattern in CHECKED for p in out.glob(pattern)})
-            for p in files:
-                digest = hashlib.sha256(p.read_bytes()).hexdigest()
-                print(f"{digest}  {run_name}/{p.name}")
-    return 0
+        runs = _runs(root, args.seeds, work)
+        try:
+            ours = _digests(root, runs, work / "root")
+            theirs = None
+            if args.against:
+                theirs = _digests(args.against.resolve(), runs, work / "against")
+        except RuntimeError as e:
+            print(e, file=sys.stderr)
+            return 1
+    if theirs is None:
+        for name, digest in ours.items():
+            print(f"{digest}  {name}")
+        return 0
+    differ = False
+    for name in sorted(ours.keys() | theirs.keys()):
+        if ours.get(name) != theirs.get(name):
+            differ = True
+            for sign, side in (("-", theirs), ("+", ours)):
+                if name in side:
+                    print(f"{sign} {side[name]}  {name}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
