@@ -43,7 +43,6 @@ from .model import (
 from .partition import dirichlet_assignments, dirichlet_label_partition, induced_subgraph
 from .server import (
     AggregatorConfig,
-    GeometricReference,
     ProxyVector,
     ReferenceStack,
     RegulationReport,
@@ -68,7 +67,6 @@ __all__ = [
     "DivergenceError",
     "Federation",
     "FlatVector",
-    "GeometricReference",
     "Graph",
     "InputError",
     "ModelConfig",

@@ -15,17 +15,18 @@ so a round is bitwise deterministic in its inputs.
 A ``Federation`` holds its clients' graphs as one batch, with their
 train and test rows, and their parameters as one (K, L) matrix, row k
 client k's flat vector (``model.FlatVector`` order, local head
-included), each layer a view of it (``model.layer_views``). The layers
-a broadcast covers are adjacent (a model has 1 or 2 layers), so their
-columns are one slice of the matrix. Its clients belong to one or more
-runs, independent federations that train in lockstep, such as the
-harness's run seeds: each run has its own broadcast and its own
-server state. ``local_train`` trains all clients together, one
+included), each layer a view of it (``model.layer_views``). The shared
+layers are adjacent (a model has 1 or 2 layers), so their columns are
+one slice of the matrix. Its clients belong to one or more runs,
+independent federations that train in lockstep, such as the harness's
+run seeds: each run has its own shared parameters and its own server
+state, and a round's broadcast is one (R, L_shared) matrix, row r run
+r's. ``local_train`` trains all clients together, one
 ``model.gradient`` call and one array update of the whole matrix per
 step (the last layer built for the train rows only), and hands the
 server one ``RoundUpdates`` of every run: the matrix of the clients'
-deltas, the trained matrix's shared columns minus each run's
-broadcast, with the federation's run bounds. A one-run or
+deltas, the trained matrix's shared columns minus each client's run's
+broadcast row, with the federation's run bounds. A one-run or
 one-client federation is the R = 1 or K = 1 case of the same code, and
 each client's values are bit for bit those it gets alone.
 """
@@ -33,16 +34,14 @@ each client's values are bit for bit those it gets alone.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InputError
+from .errors import DivergenceError, InputError, check_integer
 from .graphs import Graph, NormalizedAdjacency
 from .model import (
-    GROUPS,
-    FlatVector,
+    SHARED,
     LayerSpec,
     ModelConfig,
     ParameterSet,
@@ -76,6 +75,7 @@ class TrainingConfig:
     def __post_init__(self):
         if self.trainer not in TRAINERS:
             raise InputError(f"unknown trainer {self.trainer!r}")
+        check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
         for name in ("lr", "mu"):
@@ -115,8 +115,10 @@ class Federation:
     ``run_sizes`` counts the clients of each run, which come in run
     order (default: one run of all clients); ``runs`` holds each run's
     (start, stop) in ``clients``. Every run needs a client, and the
-    clients' parameters must share one shape of 1 or 2 layers
-    (InputError otherwise); ``layout`` is that shape's FlatVector layout.
+    clients' parameters must share one shape of 1 or 2 layers, at least
+    one of them shared (InputError otherwise); ``layout`` is that
+    shape's FlatVector layout, ``shared_layout`` its shared layers' and
+    ``shared_columns`` the one slice of the layout they cover.
     ``batch`` holds their graphs as one (``model.GraphBatch``, built
     once, so a client given a new graph needs a new federation), and
     ``train`` and ``test`` their train and test rows in it. It owns the
@@ -144,8 +146,15 @@ class Federation:
             if flat.layout != self.layout:
                 raise InputError(f"client {c.client_id}'s parameters differ in shape from "
                                  f"client {first.client_id}'s")
+        self.shared_layout = layer_layout(first.params, SHARED)
+        if not self.shared_layout:
+            raise InputError(f"client {first.client_id}'s model has no shared layer")
+        spans = layer_slices(self.layout)
+        self.shared_columns = slice(spans[self.shared_layout[0].index][0],
+                                    spans[self.shared_layout[-1].index][1])
         self.clients = tuple(clients)
         self.client_ids = tuple(c.client_id for c in clients)
+        self.run_sizes = run_sizes
         stops = np.cumsum(run_sizes).tolist()
         self.runs = tuple(zip([0] + stops[:-1], stops))
         self.model = model
@@ -156,27 +165,18 @@ class Federation:
         self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask) for c in clients])
         self._held = np.stack([flat.values for flat in flats])
         self._views = [layer_views(row, self.layout) for row in self._held]
-        spans = layer_slices(self.layout)
-        self._columns = {layout: slice(spans[layout[0].index][0], spans[layout[-1].index][1])
-                         for layout in (layer_layout(first.params, g) for g in GROUPS) if layout}
 
-    def columns(self, layout: tuple[LayerSpec, ...]) -> slice:
-        """The columns a broadcast of ``layout``, one group's layout of the
-        clients' parameters (or InputError), covers: one slice, as its layers are adjacent."""
-        if layout not in self._columns:
-            raise InputError("broadcast layout does not match the client model")
-        return self._columns[layout]
-
-    def params(self, broadcasts: Sequence[FlatVector]) -> np.ndarray:
+    def params(self, shared: np.ndarray) -> np.ndarray:
         """Every client's parameters as a new (K, L) matrix in client
-        order, given one broadcast per run (InputError otherwise): the
-        held rows, with the columns the broadcasts cover (``columns``)
-        set to the client's run's broadcast."""
-        if len(broadcasts) != len(self.runs):
-            raise InputError(f"{len(broadcasts)} broadcasts for {len(self.runs)} runs")
+        order, given the (R, L_shared) matrix of each run's shared
+        parameters (InputError naming both shapes otherwise): the held
+        rows, with the ``shared_columns`` set to the client's run's row."""
+        want = (len(self.runs), self.shared_columns.stop - self.shared_columns.start)
+        if shared.shape != want:
+            raise InputError(f"shared parameters of shape {shared.shape} do not match the "
+                             f"federation's {want}")
         work = self._held.copy()
-        for (a, b), v in zip(self.runs, broadcasts):
-            work[a:b, self.columns(v.layout)] = v.values
+        work[:, self.shared_columns] = np.repeat(shared, self.run_sizes, axis=0)
         return work
 
     def _commit(self, params: np.ndarray) -> None:
@@ -229,11 +229,11 @@ class RoundUpdates:
                             n_train=self.n_train[a:b], layout=self.layout)
 
 
-def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
-                round_index: int = 0) -> RoundUpdates:
-    """Run one round of local training of every client, given one
-    broadcast of shared parameters per run; every client's shared delta,
-    one row per client in federation order, in the federation's runs.
+def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> RoundUpdates:
+    """Run one round of local training of every client, given the
+    (R, L_shared) matrix of each run's broadcast shared parameters (see
+    ``Federation.params``); every client's shared delta, one row per
+    client in federation order, in the federation's runs.
 
     Loads its run's broadcast into every client model (a local head
     keeps its previous values), runs E full-batch gradient steps
@@ -249,19 +249,19 @@ def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
     client in federation order and its run, and the federation and
     every client keep the parameters they had.
     """
-    work = fed.params(broadcasts)
+    work = fed.params(shared)
     n_train = fed.train.counts
     if not n_train.all():
         raise InputError(f"client {fed.client_ids[int(np.argmin(n_train))]} has no train nodes")
 
-    shared = fed.columns(broadcasts[0].layout)
+    cols = fed.shared_columns
     params = layer_views(work, fed.layout)
     training = fed.training
     n_steps = 1 if training.trainer == "fedsgd" else training.epochs
     # fedprox pulls the broadcast columns, not a local head, toward the run's
     # broadcast start, theta <- theta - lr * (g + mu * (theta - start)); no other trainer reads it
     mu = training.mu if training.trainer == "fedprox" else 0.0
-    start = work[:, shared].copy() if mu > 0.0 else None
+    start = work[:, cols].copy() if mu > 0.0 else None
 
     diverged = np.zeros(len(fed.clients), dtype=bool)
     for _ in range(n_steps):
@@ -270,13 +270,12 @@ def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
             losses, grads = gradient(params, fed.batch, fed.train, fed.model.activation)
             diverged |= ~np.isfinite(losses)
             if mu > 0.0:
-                grads[:, shared] += mu * (work[:, shared] - start)
+                grads[:, cols] += mu * (work[:, cols] - start)
             grads *= training.lr
             work -= grads
 
-    deltas = work[:, shared].copy()
-    for (a, b), v in zip(fed.runs, broadcasts):
-        deltas[a:b] -= v.values
+    deltas = np.repeat(shared, fed.run_sizes, axis=0)
+    np.subtract(work[:, cols], deltas, out=deltas)
     # a displacement whose entries or norm are unrepresentable can never
     # be aggregated; surface it as divergence, not as a malformed input
     # (d . d is finite exactly when d's entries and norm are)
@@ -289,4 +288,4 @@ def local_train(fed: Federation, broadcasts: Sequence[FlatVector],
 
     fed._commit(work)
     return RoundUpdates(client_ids=fed.client_ids, deltas=deltas, n_train=tuple(n_train.tolist()),
-                        layout=broadcasts[0].layout, runs=fed.runs)
+                        layout=fed.shared_layout, runs=fed.runs)

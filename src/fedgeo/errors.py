@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types and the integer check shared across the package.
 
 The CLI maps these onto exit codes: config problems exit 1, numerical
 divergence exits 2 (see ``fedgeo.cli``).
 """
+
+import numbers
 
 
 class InputError(ValueError):
@@ -37,3 +39,9 @@ class DivergenceError(RuntimeError):
         self.seed = seed
         where = "" if seed is None else f"seed {seed}, "
         super().__init__(f"non-finite loss at {where}round {round_index}, client {client_id}")
+
+
+def check_integer(name: str, value: object) -> None:
+    """InputError naming the field ``name`` unless ``value`` is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, not {value!r}")

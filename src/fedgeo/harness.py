@@ -53,12 +53,11 @@ from .graphs import (
     planted_partition_graph,
 )
 from .metrics import accuracy, pairwise_coherence, sensitivity_norm
-from .model import SHARED, FlatVector, ParameterSet, flatten, forward, init_params, layer_views
+from .model import SHARED, ParameterSet, flatten, forward, init_params, layer_views
 # no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
 from .model import unflatten  # noqa: F401
 from .partition import dirichlet_label_partition
 from .server import (
-    ReferenceStack,
     RegulationReport,
     initial_reference,
     proxy_map,
@@ -148,16 +147,17 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
     return clients, global_params
 
 
-def _evaluate(fed: Federation, broadcasts: list[FlatVector]) -> list[float]:
+def _evaluate(fed: Federation, shared: np.ndarray) -> list[float]:
     """Micro-averaged test accuracy of each run's current global model:
     one forward over every client's test rows, each client with its
-    run's broadcast shared parameters and its own persistent layers (the
-    local head in cross-domain mode), and one ``accuracy`` per run over
-    its clients' rows. NaN for a run whose clients have no test nodes.
+    run's row of the (R, L_shared) ``shared`` parameters and its own
+    persistent layers (the local head in cross-domain mode), and one
+    ``accuracy`` per run over its clients' rows. NaN for a run whose
+    clients have no test nodes.
     """
     if fed.test.index.size == 0:
-        return [float("nan")] * len(broadcasts)
-    params = layer_views(fed.params(broadcasts), fed.layout)
+        return [float("nan")] * len(shared)
+    params = layer_views(fed.params(shared), fed.layout)
     logits = forward(params, fed.batch, fed.test, fed.model.activation)[1][-1]
     bounds = fed.test.bounds.tolist()
     return [accuracy(logits[bounds[a]:bounds[b]], fed.test.pick[1][bounds[a]:bounds[b]])
@@ -260,19 +260,17 @@ def _train(cfg: RunConfig, seeds: tuple[int, ...]) -> tuple[list[_Seed], Diverge
     """
     built = [build_clients(cfg, s) for s in seeds]
     shared = [flatten(params, group=SHARED) for _, params in built]
-    layout = shared[0].layout
     # fixes the proxy length for this layout, which every seed shares
     probe = proxy_map(shared[0], cfg.server)
     live = [_Seed(s, clients, np.zeros((3, cfg.rounds))) for s, (clients, _) in zip(seeds, built)]
     params = np.stack([v.values for v in shared])
-    ref = ReferenceStack.of([initial_reference(probe.values.shape[0])] * len(live))
+    ref = initial_reference(probe.values.shape[0], len(live))
     failed = None
     fed = _federation(cfg, live)
     t = 1
     while live and t <= cfg.rounds:
         try:
-            updates = local_train(fed, [FlatVector(values=v, layout=layout) for v in params],
-                                  round_index=t)
+            updates = local_train(fed, params, round_index=t)
         except DivergenceError as e:
             failed = DivergenceError(e.round_index, e.client_id, e.run, seed=live[e.run].seed)
             live, params, ref = live[:e.run], params[:e.run], ref[:e.run]
@@ -281,7 +279,7 @@ def _train(cfg: RunConfig, seeds: tuple[int, ...]) -> tuple[list[_Seed], Diverge
             continue
         deltas, ref, report = regulate_and_aggregate(updates, ref, cfg.server)
         params = params + deltas
-        accuracies = _evaluate(fed, [FlatVector(values=v, layout=layout) for v in params])
+        accuracies = _evaluate(fed, params)
         _record(live, t, accuracies, updates, deltas, report)
         t += 1
     return live, failed

@@ -37,7 +37,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
+from .errors import InputError, check_integer
 from .graphs import NormalizedAdjacency, block_diagonal
 
 __all__ = [
@@ -91,7 +91,9 @@ class ModelConfig:
     bias: bool = True
 
     def __post_init__(self):
+        check_integer("n_layers", self.n_layers)
         check_layer_count(self.n_layers)
+        check_integer("hidden_dim", self.hidden_dim)
         if self.hidden_dim < 1:
             raise InputError("hidden width must be >= 1")
         _check_activation(self.activation)

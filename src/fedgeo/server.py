@@ -22,18 +22,19 @@ across modes.
 
 A round arrives as one (K x L) delta matrix (``client.RoundUpdates``)
 whose rows belong to R runs, independent servers such as the harness's
-seeds, whose state is one ``ReferenceStack``. Each gate acts on every
-row at once, against the row's own run's reference, basis and cap; each
-run's weighted sums add its rows in ascending client order from +0.0;
-and the bases of the runs whose windows hold the same number of proxies
-are refreshed by one stacked Gram/eigh/QR pass. Products that mix rows
-(the sign projection, the Gram matrices) stack the runs along a leading
-axis instead of concatenating them, so each run gets the bits of its
-own one-run call, the R = 1 case of the same code with a
-``GeometricReference``. An unprojected row also gets the bits a
-one-client round gives it; a projected one does not, as a one-row
-projection is a matrix-vector product. Given the same inputs the round
-is bitwise deterministic.
+seeds. Their state is one ``ReferenceStack`` (a one-run server is the
+R = 1 stack ``initial_reference(d)`` starts), and a round returns the
+(R x L) matrix of their global deltas. Each gate acts on every row at
+once, against the row's own run's reference, basis and cap; each run's
+weighted sums add its rows in ascending client order from +0.0; and the
+bases of the runs whose windows hold the same number of proxies are
+refreshed by one stacked Gram/eigh/QR pass. Products that mix rows (the
+sign projection, the Gram matrices) stack the runs along a leading axis
+instead of concatenating them, so each run gets the bits of its own
+one-run round. An unprojected row also gets the bits a one-client round
+gives it; a projected one does not, as a one-row projection is a
+matrix-vector product. Given the same inputs the round is bitwise
+deterministic.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .client import RoundUpdates
-from .errors import InputError
+from .errors import InputError, check_integer
 from .model import FlatVector, LayerSpec, layer_slices
 
 __all__ = [
@@ -56,7 +57,6 @@ __all__ = [
     "REFERENCES",
     "AggregatorConfig",
     "ProxyVector",
-    "GeometricReference",
     "ReferenceStack",
     "ClientRegulation",
     "RegulationReport",
@@ -100,6 +100,10 @@ class AggregatorConfig:
     reference: str = "raw"              # EMA source, one of REFERENCES
 
     def __post_init__(self):
+        check_integer("subspace_dim", self.subspace_dim)
+        check_integer("window", self.window)
+        if self.proxy_dim is not None:
+            check_integer("proxy_dim", self.proxy_dim)
         if self.mode not in MODES:
             raise InputError(f"unknown aggregation mode {self.mode!r}")
         if not (0.0 <= self.alpha < 1.0):
@@ -139,42 +143,15 @@ class ProxyVector:
 
 
 @dataclass(frozen=True)
-class GeometricReference:
-    """Server-side geometric state: smoothed reference direction ``r``,
-    the ring buffer of the last W accepted proxies (oldest first), and
-    an orthonormal basis of their dominant directions (possibly empty,
-    shape (d, b))."""
-
-    r: np.ndarray
-    window: tuple[np.ndarray, ...]
-    basis: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.r)):
-            raise InputError("reference must be finite")
-        if self.basis.ndim != 2 or self.basis.shape[0] != self.r.shape[0]:
-            raise InputError("basis rows must match the reference length")
-        if self.basis.shape[1]:
-            gram = self.basis.T @ self.basis
-            if np.max(np.abs(gram - np.eye(self.basis.shape[1]))) > 1e-10:
-                raise InputError("basis columns must be orthonormal")
-
-
-def initial_reference(dim: int) -> GeometricReference:
-    return GeometricReference(
-        r=np.zeros(dim), window=(), basis=np.zeros((dim, 0))
-    )
-
-
-@dataclass(frozen=True)
 class ReferenceStack:
-    """The GeometricReference of each of R runs, as stacked arrays.
+    """The server state of each of R runs, as stacked arrays: the
+    smoothed reference directions ``r`` (R, d), the ring buffers of the
+    last W proxies and orthonormal bases of their dominant directions.
 
-    ``r`` (R, d) holds the references. Run i's window, oldest first, is
-    the last ``fill[i]`` rows of ``window[i]`` (R, n, d), and its basis
-    the first ``rank[i]`` columns of ``basis[i]`` (R, d, m); the rest is
-    zero. ``of`` stacks one-run references, ``stack[a:b]`` holds runs a
-    to b - 1, and ``run(i)`` is run i's GeometricReference.
+    Run i's window, oldest first, is the last ``fill[i]`` rows of
+    ``window[i]`` (R, n, d), and its basis the first ``rank[i]`` columns
+    of ``basis[i]`` (R, d, m); the rest is zero. ``stack[a:b]`` holds
+    runs a to b - 1.
     """
 
     r: np.ndarray
@@ -183,33 +160,17 @@ class ReferenceStack:
     basis: np.ndarray
     rank: np.ndarray
 
-    @classmethod
-    def of(cls, refs: Sequence[GeometricReference]) -> ReferenceStack:
-        """The stack of ``refs``, at least one, of one length (InputError otherwise)."""
-        if not refs:
-            raise InputError("a reference stack needs at least one reference")
-        d = refs[0].r.shape[0]
-        if any(ref.r.shape != (d,) for ref in refs):
-            raise InputError("stacked references must share one length")
-        fill = np.array([len(ref.window) for ref in refs])
-        rank = np.array([ref.basis.shape[1] for ref in refs])
-        window = np.zeros((len(refs), fill.max(), d))
-        basis = np.zeros((len(refs), d, rank.max()))
-        for i, ref in enumerate(refs):
-            if fill[i]:
-                window[i, window.shape[1] - fill[i]:] = ref.window
-            basis[i, :, :rank[i]] = ref.basis
-        return cls(r=np.stack([ref.r for ref in refs]), window=window, fill=fill,
-                   basis=basis, rank=rank)
-
-    def run(self, i: int) -> GeometricReference:
-        return GeometricReference(
-            r=self.r[i], window=tuple(self.window[i, self.window.shape[1] - self.fill[i]:]),
-            basis=self.basis[i, :, :self.rank[i]])
-
     def __getitem__(self, runs: slice) -> ReferenceStack:
         return ReferenceStack(r=self.r[runs], window=self.window[runs], fill=self.fill[runs],
                               basis=self.basis[runs], rank=self.rank[runs])
+
+
+def initial_reference(dim: int, runs: int = 1) -> ReferenceStack:
+    """The state of ``runs`` servers of ``dim``-long proxies before their
+    first round: zero references, empty windows and bases."""
+    return ReferenceStack(r=np.zeros((runs, dim)), window=np.zeros((runs, 0, dim)),
+                          fill=np.zeros(runs, dtype=np.intp), basis=np.zeros((runs, dim, 0)),
+                          rank=np.zeros(runs, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -404,8 +365,7 @@ def _top_directions(window: np.ndarray, m: int):
     """Top-m left singular directions of each (d x n) window matrix of
     the stack ``window`` (G, d, n): a (G, d, min(m, d, n)) array whose
     matrix g holds window g's directions in its first rank[g] columns,
-    zero after, and the ranks. A single (d x n) window gives its (d,
-    rank) basis.
+    zero after, and the ranks.
 
     One symmetric eigendecomposition of the small n x n Gram matrix: the
     left directions live in the window column span, so each right
@@ -418,9 +378,6 @@ def _top_directions(window: np.ndarray, m: int):
     and eigendecomposition, and those of one rank one stacked QR, so
     each gets the bits of its own.
     """
-    if window.ndim == 2:
-        q, rank = _top_directions(window[None], m)
-        return q[0, :, :rank[0]]
     g, d, n = window.shape
     gram = window.transpose(0, 2, 1) @ window
     lam, v = np.linalg.eigh(gram)
@@ -470,11 +427,11 @@ def _refreshed(window: np.ndarray, fill: np.ndarray, m: int) -> tuple[np.ndarray
 
 
 def update_reference(
-    ref: GeometricReference | ReferenceStack,
+    ref: ReferenceStack,
     proxies: np.ndarray,
-    weights: np.ndarray | Sequence[np.ndarray],
+    weights: Sequence[np.ndarray],
     cfg: AggregatorConfig,
-) -> GeometricReference | ReferenceStack:
+) -> ReferenceStack:
     """Exponentially smooth the reference and refresh the subspace.
 
     r <- alpha * r + (1 - alpha) * sum_k w_k z_k over the rows z_k of the
@@ -483,16 +440,12 @@ def update_reference(
     directions of the buffer, or stays empty while the buffer holds
     fewer than m proxies or m = 0.
 
-    ``ref`` is one run's GeometricReference, with its (K,) ``weights``,
-    or a ReferenceStack of R runs, with every run's rows in ``proxies``,
-    run after run, and one weight vector per run in ``weights``; the
-    result is of the same kind. Each run's weights must sum to 1.
+    ``ref`` holds R runs, ``proxies`` every run's rows, run after run,
+    and ``weights`` one weight vector per run, which must sum to 1; the
+    next stack.
     """
-    one = isinstance(ref, GeometricReference)
-    stack = ReferenceStack.of([ref]) if one else ref
-    weights = [weights] if one else weights
-    if len(weights) != len(stack.r):
-        raise InputError(f"{len(weights)} weight vectors for {len(stack.r)} runs")
+    if len(weights) != len(ref.r):
+        raise InputError(f"{len(weights)} weight vectors for {len(ref.r)} runs")
     stops = np.cumsum([len(w) for w in weights]).tolist()
     runs = list(zip([0] + stops[:-1], stops))
     if len(proxies) != stops[-1] or any(a == b for a, b in runs):
@@ -500,16 +453,15 @@ def update_reference(
     flat = np.concatenate(weights)
     if (np.abs(np.add.reduceat(flat, [a for a, _ in runs]) - 1.0) > 1e-9).any():
         raise InputError("weights must sum to 1")
-    if proxies.ndim != 2 or proxies.shape[1] != stack.r.shape[1]:
+    if proxies.ndim != 2 or proxies.shape[1] != ref.r.shape[1]:
         raise InputError("proxies must be rows as long as the reference")
     if not np.isfinite(proxies).all():
         raise InputError("proxy entries must be finite")
     mean = _weighted_sums(flat, proxies, run_stacks(runs))
-    window, fill = _appended(stack, proxies, runs, cfg.window)
+    window, fill = _appended(ref, proxies, runs, cfg.window)
     basis, rank = _refreshed(window, fill, cfg.subspace_dim)
-    new = ReferenceStack(r=cfg.alpha * stack.r + (1.0 - cfg.alpha) * mean,
-                         window=window, fill=fill, basis=basis, rank=rank)
-    return new.run(0) if one else new
+    return ReferenceStack(r=cfg.alpha * ref.r + (1.0 - cfg.alpha) * mean,
+                          window=window, fill=fill, basis=basis, rank=rank)
 
 
 def align_regulate(z: np.ndarray, ref: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -573,9 +525,9 @@ def _project(z: np.ndarray, ref: ReferenceStack, run_of: np.ndarray,
 
 def regulate_and_aggregate(
     updates: RoundUpdates,
-    ref: GeometricReference | ReferenceStack,
+    ref: ReferenceStack,
     cfg: AggregatorConfig,
-) -> tuple[FlatVector | np.ndarray, GeometricReference | ReferenceStack, RegulationReport]:
+) -> tuple[np.ndarray, ReferenceStack, RegulationReport]:
     """One server aggregation step of each run of a round's (K, L) delta
     matrix, each run's rows taken in ascending client id order.
 
@@ -587,16 +539,12 @@ def regulate_and_aggregate(
     advances on its proxies (raw by default, regulated under the
     ablation flag) and the report records the realized geometry.
 
-    Given a ReferenceStack, one reference per run, it returns the (R, L)
-    matrix of the runs' global deltas and the next stack; given the
-    GeometricReference of a one-run round, the FlatVector of its global
-    delta and its next reference, the R = 1 case of the same code.
+    ``ref`` holds one reference per run; returns the (R, L) matrix of
+    the runs' global deltas, the next stack and the report.
     """
-    one = isinstance(ref, GeometricReference)
-    stack = ReferenceStack.of([ref]) if one else ref
     runs = updates.runs
-    if len(stack.r) != len(runs):
-        raise InputError(f"{len(stack.r)} references for {len(runs)} runs")
+    if len(ref.r) != len(runs):
+        raise InputError(f"{len(ref.r)} references for {len(runs)} runs")
     sizes = np.array([b - a for a, b in runs])
     run_of = np.repeat(np.arange(len(runs)), sizes)
     order = np.lexsort((updates.client_ids, run_of))
@@ -609,17 +557,17 @@ def regulate_and_aggregate(
         weights = counts / np.repeat(np.add.reduceat(counts, [a for a, _ in runs]), sizes)
 
     z, _, blocks = _proxies(deltas, updates.layout, cfg, stacks)
-    if z.shape[1] != stack.r.shape[1]:
-        raise InputError(f"reference length {stack.r.shape[1]} does not match proxies "
+    if z.shape[1] != ref.r.shape[1]:
+        raise InputError(f"reference length {ref.r.shape[1]} does not match proxies "
                          f"({z.shape[1]})")
 
     # effective reference: a run whose smoothed reference has no direction
     # yet falls back to its heaviest client's (the lowest id among equals)
-    fallback = (_row_norms(stack.r) == 0.0) & (cfg.fallback == "largest")
+    fallback = (_row_norms(ref.r) == 0.0) & (cfg.fallback == "largest")
     heaviest = np.empty(len(runs), dtype=np.intp)
     for ids, idx in stacks:
         heaviest[ids] = idx[np.arange(len(ids)), np.argmax(weights[idx], axis=1)]
-    r_eff = np.where(fallback[:, None], z[heaviest], stack.r)
+    r_eff = np.where(fallback[:, None], z[heaviest], ref.r)
 
     norms = _row_norms(z)
     r_rows = r_eff[run_of]
@@ -639,7 +587,7 @@ def regulate_and_aggregate(
         else:
             eps[:] = cfg.epsilon
         z_out, align = align_regulate(z, r_rows, cfg.beta)
-        z_out, retention = _project(z_out, stack, run_of, blocks)
+        z_out, retention = _project(z_out, ref, run_of, blocks)
         z_out, clip = sensitivity_normalize(z_out, eps[run_of])
 
     slices = layer_slices(updates.layout)
@@ -648,7 +596,7 @@ def regulate_and_aggregate(
     global_deltas = _weighted_sums(
         weights, deltas * np.repeat(coefficients, [b - a for a, b in slices], axis=1), stacks)
 
-    new_ref = update_reference(stack, z if cfg.reference == "raw" else z_out,
+    new_ref = update_reference(ref, z if cfg.reference == "raw" else z_out,
                                [weights[a:b] for a, b in runs], cfg)
     report = RegulationReport(
         client_ids=np.asarray(updates.client_ids)[order], runs=runs, proxy_norm=norms,
@@ -656,6 +604,4 @@ def regulate_and_aggregate(
         coefficients=coefficients,
         layer_coefficients=_weighted_sums(weights, coefficients, stacks), epsilon=eps,
         fallback_used=fallback)
-    if one:
-        return FlatVector(values=global_deltas[0], layout=updates.layout), new_ref.run(0), report
     return global_deltas, new_ref, report

@@ -60,15 +60,11 @@ def toy_appendix() -> tuple[str, bool]:
                            layout=(LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),))
 
     plain_cfg = AggregatorConfig(mode="plain")
-    w_plain = float(
-        regulate_and_aggregate(updates, initial_reference(1), plain_cfg)[0].values[0]
-    )
+    w_plain = float(regulate_and_aggregate(updates, initial_reference(1), plain_cfg)[0][0, 0])
     eig_plain = operator_spectrum(w_plain * a1)
 
     reg_cfg = AggregatorConfig(mode="ggrs", beta=0.5)
-    w_reg = float(
-        regulate_and_aggregate(updates, initial_reference(1), reg_cfg)[0].values[0]
-    )
+    w_reg = float(regulate_and_aggregate(updates, initial_reference(1), reg_cfg)[0][0, 0])
     eig_reg = operator_spectrum(w_reg * a1)
 
     checks = [

@@ -87,12 +87,12 @@ def test_1_toy_illustration_reproduces_pinned_values():
 
     ups = _scalar_updates([1.0, -1.0])
     w_plain = float(
-        regulate_and_aggregate(ups, initial_reference(1), AggregatorConfig(mode="plain"))[0].values[0]
+        regulate_and_aggregate(ups, initial_reference(1), AggregatorConfig(mode="plain"))[0][0, 0]
     )
     w_reg = float(
         regulate_and_aggregate(
             ups, initial_reference(1), AggregatorConfig(mode="ggrs", beta=0.5)
-        )[0].values[0]
+        )[0][0, 0]
     )
     ok_w = w_plain == 0.0 and np.all(operator_spectrum(w_plain * a1) == 0.0)
     ok_r = w_reg == 0.25
@@ -198,9 +198,9 @@ def test_3a_single_client_federation_is_centralized_descent():
     rows = batch.rows([np.flatnonzero(c.graph.train_mask)])
     worst = 0.0
     for t in range(1, 21):
-        u = local_train(fed, [shared], round_index=t)[0]
+        u = local_train(fed, shared.values[None], round_index=t)[0]
         delta, ref, _ = regulate_and_aggregate(u, ref, agg)
-        shared = FlatVector(values=shared.values + delta.values, layout=shared.layout)
+        shared = FlatVector(values=shared.values + delta[0], layout=shared.layout)
 
         p = unflatten(FlatVector(values=oracle, layout=shared.layout), params)
         _, grads = gradient(stack([p]), batch, rows, activation=fed.model.activation)
@@ -229,12 +229,12 @@ def test_3b_identical_aligned_updates_reduce_to_plain_mean():
     # round 2: reference is exactly that direction (cosine 1)
     ref_g = initial_reference(proxy_map(FlatVector(values=vals, layout=layout),
                                         agg).values.shape[0])
-    ref_p = initial_reference(ref_g.r.shape[0])
+    ref_p = initial_reference(ref_g.r.shape[1])
     worst = 0.0
     for rnd in (1, 2):
         d_g, ref_g, _ = regulate_and_aggregate(ups, ref_g, agg)
         d_p, ref_p, _ = regulate_and_aggregate(ups, ref_p, plain)
-        worst = max(worst, float(np.max(np.abs(d_g.values - d_p.values))))
+        worst = max(worst, float(np.max(np.abs(d_g - d_p))))
     _gate(
         "criterion 3b (identical updates: regulated == plain)",
         worst <= 1e-12,
@@ -252,7 +252,7 @@ def test_3c_regulated_client_updates_never_exceed_raw_norm():
     worst_excess = -np.inf
     fed = Federation(clients, cfg.model, cfg.client)
     for t in range(1, 9):
-        ups = local_train(fed, [shared], round_index=t)[0]
+        ups = local_train(fed, shared.values[None], round_index=t)[0]
         delta, ref, report = regulate_and_aggregate(ups, ref, agg)
         by_id = dict(zip(ups.client_ids, ups.deltas))
         for creg in report.clients:
@@ -263,7 +263,7 @@ def test_3c_regulated_client_updates_never_exceed_raw_norm():
             excess = float(np.linalg.norm(applied) - np.linalg.norm(raw))
             worst_excess = max(worst_excess, excess)
             checked += 1
-        shared = FlatVector(values=shared.values + delta.values, layout=shared.layout)
+        shared = FlatVector(values=shared.values + delta[0], layout=shared.layout)
     _gate(
         "criterion 3c (regulated norm <= raw norm)",
         checked == 8 * len(clients) and worst_excess <= 1e-12,

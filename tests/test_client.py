@@ -51,7 +51,7 @@ def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="re
 
 def test_zero_lr_gives_zero_delta():
     fed, shared = _fixture(lr=0.0)
-    update = local_train(fed, [shared])[0]
+    update = local_train(fed, shared.values[None])[0]
     assert np.all(update.deltas[0] == 0.0)
     assert update.n_train[0] == int(fed.clients[0].graph.train_mask.sum())
 
@@ -69,7 +69,7 @@ def test_one_step_quadratic_surrogate_closed_form():
     state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params)
     fed = Federation([state], ModelConfig(n_layers=1, activation="identity", bias=False),
                      TrainingConfig(trainer="fedavg", lr=lr, epochs=1))
-    update = local_train(fed, [flatten(params, group=SHARED)])[0]
+    update = local_train(fed, flatten(params, group=SHARED).values[None])[0]
     z = x @ w0
     p = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
     expected = -lr * x.T @ (p - np.eye(2)[y])
@@ -79,8 +79,8 @@ def test_one_step_quadratic_surrogate_closed_form():
 def test_fedsgd_takes_exactly_one_step():
     f1, shared = _fixture(trainer="fedsgd", epochs=7, lr=0.05)
     f2, _ = _fixture(trainer="fedavg", epochs=1, lr=0.05)
-    u1 = local_train(f1, [shared])[0]
-    u2 = local_train(f2, [shared])[0]
+    u1 = local_train(f1, shared.values[None])[0]
+    u2 = local_train(f2, shared.values[None])[0]
     np.testing.assert_array_equal(u1.deltas[0], u2.deltas[0])
 
 
@@ -92,7 +92,7 @@ def test_fedavg_multi_epoch_matches_manual_descent():
         fed, shared = _fixture(trainer=trainer, epochs=3, lr=0.07, mu=mu,
                                cross_domain=cross_domain)
         state = fed.clients[0]
-        update = local_train(fed, [shared])[0]
+        update = local_train(fed, shared.values[None])[0]
 
         # oracle: run the descent loop by hand through the public gradient,
         # adding fedprox's mu * (theta - theta_0) on the shared layers
@@ -130,8 +130,8 @@ def test_fedprox_large_mu_contracts_delta():
     # fedavg drift ~E times farther
     base, shared = _fixture(trainer="fedavg", lr=1e-6, epochs=1500)
     prox, _ = _fixture(trainer="fedprox", lr=1e-6, epochs=1500, mu=1e6)
-    u_avg = local_train(base, [shared])[0]
-    u_prox = local_train(prox, [shared])[0]
+    u_avg = local_train(base, shared.values[None])[0]
+    u_prox = local_train(prox, shared.values[None])[0]
     n_avg = np.linalg.norm(u_avg.deltas[0])
     n_prox = np.linalg.norm(u_prox.deltas[0])
     assert n_prox < 1e-3 * n_avg
@@ -143,8 +143,8 @@ def test_fedprox_mu_monotonically_shrinks_delta():
                                      epochs=5, lr=0.05)
         fed_large, _ = _fixture(seed=trial, trainer="fedprox", mu=10.0,
                                 epochs=5, lr=0.05)
-        n_small = np.linalg.norm(local_train(fed_small, [shared])[0].deltas[0])
-        n_large = np.linalg.norm(local_train(fed_large, [shared])[0].deltas[0])
+        n_small = np.linalg.norm(local_train(fed_small, shared.values[None])[0].deltas[0])
+        n_large = np.linalg.norm(local_train(fed_large, shared.values[None])[0].deltas[0])
         assert n_large <= n_small + 1e-15
 
 
@@ -153,16 +153,16 @@ def test_fedprox_first_step_equals_fedavg():
     # cannot distinguish the trainers
     avg, shared = _fixture(trainer="fedavg", epochs=1, lr=0.05)
     prox, _ = _fixture(trainer="fedprox", epochs=1, lr=0.05, mu=5.0)
-    u_avg = local_train(avg, [shared])[0]
-    u_prox = local_train(prox, [shared])[0]
+    u_avg = local_train(avg, shared.values[None])[0]
+    u_prox = local_train(prox, shared.values[None])[0]
     np.testing.assert_allclose(u_avg.deltas[0], u_prox.deltas[0], atol=1e-12)
 
 
 def test_local_train_deterministic_bitwise():
     f1, shared = _fixture(seed=3, epochs=4)
     f2, _ = _fixture(seed=3, epochs=4)
-    u1 = local_train(f1, [shared])[0]
-    u2 = local_train(f2, [shared])[0]
+    u1 = local_train(f1, shared.values[None])[0]
+    u2 = local_train(f2, shared.values[None])[0]
     np.testing.assert_array_equal(u1.deltas[0], u2.deltas[0])
 
 
@@ -177,11 +177,11 @@ def test_local_head_persists_across_rounds():
     training = TrainingConfig(lr=0.1)
     shared = flatten(params, group=SHARED)
     head_before = params.layers[1].weight.copy()
-    local_train(Federation([state], cfg, training), [shared], round_index=1)
+    local_train(Federation([state], cfg, training), shared.values[None], round_index=1)
     head_r1 = state.params.layers[1].weight.copy()
     assert np.any(head_r1 != head_before)  # head trains locally
     # round 2: broadcast does not touch the head
-    u2 = local_train(Federation([state], cfg, training), [shared], round_index=2)[0]
+    u2 = local_train(Federation([state], cfg, training), shared.values[None], round_index=2)[0]
     assert u2.deltas[0].size == shared.values.size
     assert np.any(state.params.layers[1].weight != head_r1)
 
@@ -197,7 +197,8 @@ def test_no_train_nodes_errors():
     params = init_params(cfg, 3, 1, seed=0)
     state = ClientState(client_id=2, graph=g, adj=normalized_adjacency(g), params=params)
     with pytest.raises(InputError):
-        local_train(Federation([state], cfg, TrainingConfig()), [flatten(params, group=SHARED)])
+        local_train(Federation([state], cfg, TrainingConfig()),
+                    flatten(params, group=SHARED).values[None])
 
 
 def test_divergence_carries_round_and_client():
@@ -206,7 +207,7 @@ def test_divergence_carries_round_and_client():
     fed, shared = _fixture(seed=2, lr=1e6, epochs=30, activation="identity")
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError) as err:
-            local_train(fed, [shared], round_index=17)
+            local_train(fed, shared.values[None], round_index=17)
     assert err.value.round_index == 17
     assert err.value.client_id == 0
     assert "round 17" in str(err.value)
@@ -227,7 +228,7 @@ def test_divergence_of_a_one_layer_identity_model():
     fed = Federation([state], cfg, TrainingConfig(lr=1.0, epochs=3))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
-            local_train(fed, [flatten(params, group=SHARED)], round_index=4)
+            local_train(fed, flatten(params, group=SHARED).values[None], round_index=4)
     assert err.value.round_index == 4
     assert err.value.client_id == 5
     assert "round 4" in str(err.value)
@@ -245,11 +246,12 @@ def test_replaced_graph_trains_like_a_fresh_state():
     replaced = dataclasses.replace(state, graph=g2, adj=normalized_adjacency(g2))
     fresh = ClientState(client_id=0, graph=g2, adj=normalized_adjacency(g2),
                         params=state.params)
-    u_replaced = local_train(Federation([replaced], fed.model, fed.training), [shared])[0]
-    u_fresh = local_train(Federation([fresh], fed.model, fed.training), [shared])[0]
+    u_replaced = local_train(Federation([replaced], fed.model, fed.training),
+                             shared.values[None])[0]
+    u_fresh = local_train(Federation([fresh], fed.model, fed.training), shared.values[None])[0]
     np.testing.assert_array_equal(u_replaced.deltas[0], u_fresh.deltas[0])
     assert u_replaced.n_train == u_fresh.n_train
-    assert not np.array_equal(local_train(fed, [shared])[0].deltas[0],
+    assert not np.array_equal(local_train(fed, shared.values[None])[0].deltas[0],
                               u_fresh.deltas[0])
 
 
@@ -257,14 +259,14 @@ def test_layout_mismatch_rejected():
     fed, _ = _fixture()
     other = init_params(ModelConfig(n_layers=2, hidden_dim=9), 4, 2, seed=0)
     with pytest.raises(InputError):
-        local_train(fed, [flatten(other, group=SHARED)])
+        local_train(fed, flatten(other, group=SHARED).values[None])
 
 
 def test_unknown_activation_is_an_error_not_identity():
     fed, shared = _fixture()
     with pytest.raises(InputError):
         local_train(Federation(list(fed.clients), dataclasses.replace(
-            fed.model, activation="tanh"), fed.training), [shared])
+            fed.model, activation="tanh"), fed.training), shared.values[None])
 
 
 def test_client_state_validation():
@@ -275,6 +277,9 @@ def test_client_state_validation():
         TrainingConfig(trainer="adam")
     with pytest.raises(InputError):
         TrainingConfig(epochs=0)
+    for value in (2.5, True):
+        with pytest.raises(InputError, match=f"epochs must be an integer, not {value!r}"):
+            TrainingConfig(epochs=value)
     with pytest.raises(InputError):
         TrainingConfig(lr=-0.1)
     with pytest.raises(InputError):
@@ -312,7 +317,7 @@ def test_divergence_names_the_first_client_whatever_the_step():
         losses, _ = gradient(stack([params, params]), fed.batch, fed.train, "identity")
         assert np.isfinite(losses[0]) and losses[1] == np.inf
         with pytest.raises(DivergenceError) as err:
-            local_train(fed, [flatten(params, group=SHARED)], round_index=3)
+            local_train(fed, flatten(params, group=SHARED).values[None], round_index=3)
     assert (err.value.round_index, err.value.client_id) == (3, 0)
 
 
@@ -350,9 +355,9 @@ def test_batch_trains_each_client_as_its_own_federation(run_sizes, n_layers, act
     training = TrainingConfig(trainer=trainer, lr=0.3, epochs=epochs, mu=0.5)
     cross_domain = local_heads and n_layers == 2
     params = init_params(model, 3, 2, seed=seed % 1000, cross_domain=cross_domain)
-    broadcasts = [flatten(init_params(model, 3, 2, seed=seed % 1000 + r,
-                                      cross_domain=cross_domain), group=SHARED)
-                  for r in range(len(run_sizes))]
+    broadcasts = np.stack([flatten(init_params(model, 3, 2, seed=seed % 1000 + r,
+                                               cross_domain=cross_domain), group=SHARED).values
+                           for r in range(len(run_sizes))])
     n_clients = sum(run_sizes)
     draws = [rng.integers(2**32) for _ in range(n_clients)]
     # each client's own head, when it has one
@@ -374,19 +379,18 @@ def test_batch_trains_each_client_as_its_own_federation(run_sizes, n_layers, act
         together = local_train(fed, broadcasts, round_index=t)
         assert len(together) == len(run_sizes)
         for r, ((a, b), u, f) in enumerate(zip(fed.runs, together, per_run)):
-            v = local_train(f, [broadcasts[r]], round_index=t)[0]
+            v = local_train(f, broadcasts[r:r + 1], round_index=t)[0]
             assert (u.client_ids, u.n_train) == (v.client_ids, v.n_train)
             np.testing.assert_array_equal(u.deltas, v.deltas)
             for k in range(a, b):
-                w = local_train(singles[k], [broadcasts[r]], round_index=t)[0]
+                w = local_train(singles[k], broadcasts[r:r + 1], round_index=t)[0]
                 assert (u.client_ids[k - a], u.n_train[k - a]) == (w.client_ids[0],
                                                                    w.n_train[0])
                 np.testing.assert_array_equal(u.deltas[k - a], w.deltas[0])
         for c, o, s1 in zip(batched, own, alone):
             np.testing.assert_array_equal(flatten(c.params).values, flatten(o.params).values)
             np.testing.assert_array_equal(flatten(c.params).values, flatten(s1.params).values)
-        broadcasts = [FlatVector(values=b.values + u.deltas[-1], layout=b.layout)
-                      for b, u in zip(broadcasts, together)]
+        broadcasts = broadcasts + np.stack([u.deltas[-1] for u in together])
 
 
 def test_federation_flattens_each_shared_parameter_set_once(monkeypatch):
@@ -405,7 +409,7 @@ def test_federation_flattens_each_shared_parameter_set_once(monkeypatch):
                         lambda params, *args: flattened.append(params) or flatten_(params, *args))
     fed = Federation(clients, model, TrainingConfig(lr=0.0), (3, 3))
     assert [p is a for p in flattened] == [True, False, True]
-    local_train(fed, [flatten_(a, SHARED), flatten_(b, SHARED)])
+    local_train(fed, np.stack([flatten_(a, SHARED).values, flatten_(b, SHARED).values]))
     for c, p in zip(clients, sets):
         assert flatten_(c.params, LOCAL).values.tobytes() == flatten_(p, LOCAL).values.tobytes()
 
@@ -423,8 +427,14 @@ def test_federation_validation():
         with pytest.raises(InputError, match="do not split 1 clients"):
             Federation([state], fed.model, fed.training, sizes)
     _, shared = _fixture()
-    with pytest.raises(InputError, match="2 broadcasts for 1 runs"):
-        local_train(fed, [shared, shared])
+    n = shared.values.size
+    with pytest.raises(InputError, match=fr"shared parameters of shape \(2, {n}\) do not "
+                                         fr"match the federation's \(1, {n}\)"):
+        local_train(fed, np.stack([shared.values, shared.values]))
+    local = ParameterSet(layers=tuple(dataclasses.replace(layer, group=LOCAL)
+                                      for layer in state.params.layers))
+    with pytest.raises(InputError, match="client 0's model has no shared layer"):
+        Federation([dataclasses.replace(state, params=local)], fed.model, fed.training)
 
 
 def test_a_model_of_other_than_one_or_two_layers_is_refused_by_name():
@@ -490,9 +500,8 @@ def test_the_one_matrix_step_is_the_per_layer_step(run_sizes, trainer, activatio
     runs = np.repeat(np.arange(len(run_sizes)), run_sizes)
     held = np.stack([flatten(c.params).values for c in fed.clients])
     for t in (1, 2):
-        broadcasts = [FlatVector(values=rng.normal(size=n_shared), layout=shared)
-                      for _ in run_sizes]
-        rows = [np.concatenate([broadcasts[r].values, row[n_shared:]])
+        broadcasts = rng.normal(size=(len(run_sizes), n_shared))
+        rows = [np.concatenate([broadcasts[r], row[n_shared:]])
                 for r, row in zip(runs, held)]
         theta, anchor = (_per_layer_stack([unflatten(FlatVector(values=v, layout=layout), params)
                                            for v in rows]) for _ in range(2))
@@ -518,12 +527,13 @@ def test_divergence_names_the_run_of_the_first_diverged_client():
     rng = np.random.default_rng(11)
     fed = Federation([_random_client(k % 2, rng, 2, 3, params) for k in range(4)], model,
                      TrainingConfig(lr=0.3), (2, 2))
-    for broadcasts, run in (([shared, huge], 1), ([huge, shared], 0), ([huge, huge], 0)):
+    for broadcasts, run in (((shared, huge), 1), ((huge, shared), 0), ((huge, huge), 0)):
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as err:
-                local_train(fed, broadcasts, round_index=4)
+                local_train(fed, np.stack([b.values for b in broadcasts]), round_index=4)
         assert (err.value.round_index, err.value.client_id, err.value.run) == (4, 0, run)
-    assert [u.client_ids for u in local_train(fed, [shared, shared])] == [(0, 1), (0, 1)]
+    assert [u.client_ids for u in local_train(fed, np.stack([shared.values] * 2))] == [
+        (0, 1), (0, 1)]
 
 
 def test_building_a_federation_leaves_its_clients_untouched():
@@ -560,17 +570,17 @@ def test_a_diverging_round_changes_no_parameters():
 
     fed, twin = federation(), federation()
     for f in (fed, twin):
-        local_train(f, [shared], round_index=1)
+        local_train(f, shared.values[None], round_index=1)
     before = [(c.params, flatten(c.params).values.tobytes()) for c in fed.clients]
-    evaluated = fed.params([shared]).tobytes()
+    evaluated = fed.params(shared.values[None]).tobytes()
     huge = FlatVector(values=1e300 * np.ones_like(shared.values), layout=shared.layout)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError):
-            local_train(fed, [huge], round_index=2)
+            local_train(fed, huge.values[None], round_index=2)
     for c, (p, flat) in zip(fed.clients, before):
         assert c.params is p and flatten(c.params).values.tobytes() == flat
-    assert fed.params([shared]).tobytes() == evaluated
-    again, untouched = (local_train(f, [shared], round_index=2)[0] for f in (fed, twin))
+    assert fed.params(shared.values[None]).tobytes() == evaluated
+    again, untouched = (local_train(f, shared.values[None], round_index=2)[0] for f in (fed, twin))
     assert again.deltas.tobytes() == untouched.deltas.tobytes()
     for c, t in zip(fed.clients, twin.clients):
         assert flatten(c.params).values.tobytes() == flatten(t.params).values.tobytes()
@@ -590,17 +600,17 @@ def test_the_federation_owns_its_clients_parameters():
                           TrainingConfig(lr=0.3))
 
     fed, twin = federation(), federation()
-    local_train(fed, [shared], round_index=1)
+    local_train(fed, shared.values[None], round_index=1)
     held = [c.params for c in fed.clients]
     r1 = [flatten(p).values for p in held]
     fed.clients[0].params = init_params(model, 3, 2, seed=9, cross_domain=True)
-    local_train(fed, [shared], round_index=2)
+    local_train(fed, shared.values[None], round_index=2)
     for c, p, v in zip(fed.clients, held, r1):
         assert c.params is p
         assert not np.array_equal(flatten(p).values, v)  # the local head trained on
     # client 0's round-2 head continued from its round-1 head, not from
     # the params it was handed in between: the same as a twin never handed them
     for r in (1, 2):
-        local_train(twin, [shared], round_index=r)
+        local_train(twin, shared.values[None], round_index=r)
     for c, t in zip(fed.clients, twin.clients):
         assert flatten(c.params).values.tobytes() == flatten(t.params).values.tobytes()

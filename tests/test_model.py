@@ -573,4 +573,9 @@ def test_model_config_validation():
         init_params(ModelConfig(n_layers=1), 0, 2, seed=0)
     with pytest.raises(InputError):
         ModelConfig(n_layers=1, hidden_dim=0)
+    # 1.0 and True pass a membership test in (1, 2); 2.5 fails only mid-round
+    for name, value in (("n_layers", 1.0), ("n_layers", True), ("hidden_dim", 2.5),
+                        ("hidden_dim", True)):
+        with pytest.raises(InputError, match=f"{name} must be an integer, not {value!r}"):
+            ModelConfig(**{name: value})
 

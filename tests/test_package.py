@@ -1,9 +1,11 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,35 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_counts_the_layers_of_a_short_run(tmp_path):
+    # the tracer's callbacks read the server state (``ref.window``) and
+    # the report (``report.clients``); a refactor that breaks one, or
+    # leaves a traced layer uncalled, fails here, not only under
+    # `pytest perfbench`
+    root = Path(__file__).resolve().parent.parent
+    code = textwrap.dedent("""\
+        import dataclasses, json, sys, time
+        from tracer import Tracer
+        import fedgeo.config, fedgeo.harness
+        tracer = Tracer(rounds=2)
+        tracer.install()
+        cfg = dataclasses.replace(fedgeo.config.load_config(sys.argv[1]), rounds=2)
+        start = time.perf_counter()
+        fedgeo.harness.run(cfg, out=sys.argv[2])
+        tracer.metrics(wall_s=time.perf_counter() - start)
+        print(json.dumps(tracer.calls()))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "perfbench"), str(root / "src")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "configs" / "smoke.conf"),
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in ("server.regulate", "server.update_reference", "server.proxy_map",
+                 "client.local_train", "model.layout"):
+        assert calls.get(name, 0) > 0, (name, calls)
 
 
 @pytest.mark.parametrize("tool", ["output_digests.py", "ab_pairs.py"])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fedgeo import (
     AggregatorConfig,
-    GeometricReference,
     InputError,
     RoundUpdates,
     align_regulate,
@@ -75,6 +74,38 @@ def _update_two(client_id, values, n_train=1):
     )
 
 
+def _one_run(r, basis):
+    """The one-run stack of reference ``r``, an empty window and the (d, b) ``basis``."""
+    return ReferenceStack(r=r[None], window=np.zeros((1, 0, len(r))),
+                          fill=np.zeros(1, dtype=np.intp), basis=basis[None],
+                          rank=np.array([basis.shape[1]]))
+
+
+def _run(stack, i):
+    """Run i's reference, window (its rows, oldest first) and (d, rank) basis."""
+    return (stack.r[i], stack.window[i, stack.window.shape[1] - stack.fill[i]:],
+            stack.basis[i, :, :stack.rank[i]])
+
+
+def _directions(w, m):
+    """The (d, rank) basis ``_top_directions`` gives the one (d x n) window ``w``."""
+    q, rank = _top_directions(w[None], m)
+    return q[0, :, :rank[0]]
+
+
+def _check_state(stack):
+    # what every stack a round returns holds: a finite reference, an
+    # orthonormal basis in each run's first rank columns and zeros after,
+    # and zeros before each run's last fill window rows
+    assert np.isfinite(stack.r).all()
+    n = stack.window.shape[1]
+    for i, (fill, rank) in enumerate(zip(stack.fill.tolist(), stack.rank.tolist())):
+        basis = stack.basis[i, :, :rank]
+        assert np.max(np.abs(basis.T @ basis - np.eye(rank)), initial=0.0) <= 1e-10
+        assert not stack.basis[i, :, rank:].any()
+        assert not stack.window[i, :n - fill].any()
+
+
 def test_aggregator_config_validation():
     with pytest.raises(InputError):
         AggregatorConfig(mode="median")
@@ -94,6 +125,12 @@ def test_aggregator_config_validation():
         AggregatorConfig(subspace_dim=9, window=8)
     with pytest.raises(InputError):
         AggregatorConfig(weights="by_loss")
+    # a float or bool count would fail only mid-round, or count as 1
+    for name, value in (("window", 2.5), ("window", True), ("subspace_dim", 1.5),
+                        ("subspace_dim", False), ("proxy_dim", 2.5), ("proxy_dim", True)):
+        with pytest.raises(InputError, match=f"{name} must be an integer, not {value!r}"):
+            AggregatorConfig(**{name: value})
+    AggregatorConfig(window=np.int64(4), subspace_dim=np.int64(2), proxy_dim=None)
 
 
 def test_proxy_map_scalar_signs():
@@ -231,7 +268,7 @@ def test_round_proxies_match_proxy_map(shapes, k, proxy_dim, zero_ref, seed):
     d = proxy_dim if projected else size
     cfg = AggregatorConfig(mode="ggrs", proxy_dim=proxy_dim)
     r = np.zeros(d) if zero_ref else rng.standard_normal(d)
-    ref = GeometricReference(r=r, window=(), basis=np.zeros((d, 0)))
+    ref = _one_run(r, np.zeros((d, 0)))
     updates = [
         Update(client_id=int(c), n_train=1,
                     delta=FlatVector(values=rng.standard_normal(size)
@@ -265,9 +302,9 @@ def test_update_reference_ema_arithmetic():
     z = ProxyVector(values=np.array([0.6, 0.0, 0.8]), layer_norms=(1.0,),
                     blocks=((0, 3),))
     cfg = AggregatorConfig(alpha=0.9)
-    new = update_reference(ref, z.values[None], np.array([1.0]), cfg)
-    np.testing.assert_allclose(new.r, 0.1 * z.values, atol=1e-15)
-    assert len(new.window) == 1
+    new = update_reference(ref, z.values[None], [np.array([1.0])], cfg)
+    np.testing.assert_allclose(new.r[0], 0.1 * z.values, atol=1e-15)
+    assert new.fill[0] == 1
 
 
 def test_update_reference_cancellation_keeps_reference():
@@ -275,8 +312,8 @@ def test_update_reference_cancellation_keeps_reference():
     zp = ProxyVector(values=np.array([1.0]), layer_norms=(1.0,), blocks=((0, 1),))
     zm = ProxyVector(values=np.array([-1.0]), layer_norms=(1.0,), blocks=((0, 1),))
     cfg = AggregatorConfig(alpha=0.9)
-    new = update_reference(ref, np.stack([zp.values, zm.values]), np.array([0.5, 0.5]), cfg)
-    assert new.r[0] == 0.0
+    new = update_reference(ref, np.stack([zp.values, zm.values]), [np.array([0.5, 0.5])], cfg)
+    assert new.r[0, 0] == 0.0
 
 
 def test_update_reference_window_eviction():
@@ -285,17 +322,18 @@ def test_update_reference_window_eviction():
     for i in range(6):
         z = ProxyVector(values=np.array([float(i), 1.0]), layer_norms=(1.0,),
                         blocks=((0, 2),))
-        ref = update_reference(ref, z.values[None], np.array([1.0]), cfg)
-    assert len(ref.window) == 4
-    assert ref.window[0][0] == 2.0  # oldest two evicted
-    assert ref.window[-1][0] == 5.0
+        ref = update_reference(ref, z.values[None], [np.array([1.0])], cfg)
+    window = _run(ref, 0)[1]
+    assert len(window) == 4
+    assert window[0][0] == 2.0  # oldest two evicted
+    assert window[-1][0] == 5.0
 
 
 def test_update_reference_weights_must_sum_to_one():
     ref = initial_reference(1)
     z = ProxyVector(values=np.array([1.0]), layer_norms=(1.0,), blocks=((0, 1),))
     with pytest.raises(InputError):
-        update_reference(ref, z.values[None], np.array([0.7]), AggregatorConfig())
+        update_reference(ref, z.values[None], [np.array([0.7])], AggregatorConfig())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -303,7 +341,7 @@ def test_update_reference_rejects_non_finite_proxies(bad):
     ref = initial_reference(2)
     proxies = np.array([[0.6, 0.8], [bad, 0.0]])
     with pytest.raises(InputError, match="finite"):
-        update_reference(ref, proxies, np.array([0.5, 0.5]), AggregatorConfig())
+        update_reference(ref, proxies, [np.array([0.5, 0.5])], AggregatorConfig())
 
 
 def test_basis_empty_while_window_underfull():
@@ -313,8 +351,8 @@ def test_basis_empty_while_window_underfull():
     for i in range(3):  # 3 < m = 4
         z = ProxyVector(values=rng.normal(size=3), layer_norms=(1.0,),
                         blocks=((0, 3),))
-        ref = update_reference(ref, z.values[None], np.array([1.0]), cfg)
-        assert ref.basis.shape == (3, 0)
+        ref = update_reference(ref, z.values[None], [np.array([1.0])], cfg)
+        assert _run(ref, 0)[2].shape == (3, 0)
 
 
 def test_basis_of_identical_vectors_is_rank_one():
@@ -323,10 +361,11 @@ def test_basis_of_identical_vectors_is_rank_one():
     v = np.array([1.0, 2.0, 2.0])
     for _ in range(4):
         z = ProxyVector(values=v.copy(), layer_norms=(1.0,), blocks=((0, 3),))
-        ref = update_reference(ref, z.values[None], np.array([1.0]), cfg)
-    assert ref.basis.shape == (3, 1)
+        ref = update_reference(ref, z.values[None], [np.array([1.0])], cfg)
+    basis = _run(ref, 0)[2]
+    assert basis.shape == (3, 1)
     unit = v / np.linalg.norm(v)
-    assert abs(abs(ref.basis[:, 0] @ unit) - 1.0) < 1e-9
+    assert abs(abs(basis[:, 0] @ unit) - 1.0) < 1e-9
 
 
 def test_subspace_disabled_when_m_zero():
@@ -336,8 +375,8 @@ def test_subspace_disabled_when_m_zero():
     for _ in range(5):
         z = ProxyVector(values=rng.normal(size=3), layer_norms=(1.0,),
                         blocks=((0, 3),))
-        ref = update_reference(ref, z.values[None], np.array([1.0]), cfg)
-    assert ref.basis.shape == (3, 0)
+        ref = update_reference(ref, z.values[None], [np.array([1.0])], cfg)
+    assert _run(ref, 0)[2].shape == (3, 0)
 
 
 def test_top_directions_match_svd_oracle():
@@ -348,7 +387,7 @@ def test_top_directions_match_svd_oracle():
     for trial in range(10):
         d, n, m = 12, 8, 3
         w = rng.normal(size=(d, n))
-        basis = _top_directions(w, m)
+        basis = _directions(w, m)
         u, s, _ = np.linalg.svd(w, full_matrices=False)
         oracle = u[:, :m]
         p_ours = basis @ basis.T
@@ -377,7 +416,7 @@ def test_top_directions_properties(d, s, repeats, m, seed):
     w = u @ np.diag(s[:r]) @ v.T
     w = np.concatenate([w, w[:, [i % len(s) for i in repeats]]], axis=1)
 
-    basis = _top_directions(w, m)
+    basis = _directions(w, m)
     k = basis.shape[1]
     assert np.max(np.abs(basis.T @ basis - np.eye(k)), initial=0.0) < 1e-10
     lead = np.argmax(np.abs(basis), axis=0)
@@ -470,7 +509,7 @@ def test_plain_mode_is_exact_weighted_mean():
         expected = np.zeros(5)
         for wi, u in zip(w, updates):
             expected += wi * u.delta.values
-        np.testing.assert_array_equal(out.values, expected)  # bit-for-bit
+        np.testing.assert_array_equal(out[0], expected)  # bit-for-bit
         assert all(c.coefficients == (1.0, 1.0) for c in report.clients)
 
 
@@ -479,12 +518,12 @@ def test_toy_plain_and_regulated_weights():
     plain, _, _ = regulate_and_aggregate(
         _round(updates), initial_reference(1), AggregatorConfig(mode="plain")
     )
-    assert plain.values[0] == 0.0
+    assert plain[0, 0] == 0.0
 
     reg, _, report = regulate_and_aggregate(
         _round(updates), initial_reference(1), AggregatorConfig(mode="ggrs", beta=0.5)
     )
-    assert reg.values[0] == 0.25
+    assert reg[0, 0] == 0.25
     assert report.fallback_used
     assert not report.clients[0].attenuated
     assert report.clients[1].attenuated
@@ -502,7 +541,7 @@ def test_identical_updates_make_regulation_a_no_op():
     out_reg, _, report = regulate_and_aggregate(
         _round(updates), initial_reference(5), AggregatorConfig(mode="ggrs")
     )
-    assert np.max(np.abs(out_plain.values - out_reg.values)) < 1e-12
+    assert np.max(np.abs(out_plain - out_reg)) < 1e-12
     for c in report.clients:
         assert c.align_factor == 1.0
         assert c.clip_factor == 1.0
@@ -552,7 +591,7 @@ def test_fallback_none_passes_everything_first_round():
     cfg = AggregatorConfig(mode="ggrs", beta=0.5, fallback="none")
     out, _, report = regulate_and_aggregate(_round(updates), initial_reference(1), cfg)
     # zero reference: inner products are 0, the >= 0 boundary passes both
-    assert out.values[0] == 0.0
+    assert out[0, 0] == 0.0
     assert not report.fallback_used
     assert not any(c.attenuated for c in report.clients)
 
@@ -564,8 +603,8 @@ def test_reference_source_ablation_changes_ema():
     _, ref_raw, _ = regulate_and_aggregate(_round(updates), initial_reference(1), raw_cfg)
     _, ref_reg, _ = regulate_and_aggregate(_round(updates), initial_reference(1), reg_cfg)
     # raw proxies cancel; regulated proxies leave 0.1 * (1 - 0.5)/2
-    assert ref_raw.r[0] == pytest.approx(0.0, abs=1e-15)
-    assert ref_reg.r[0] == pytest.approx(0.1 * 0.25, rel=1e-9)
+    assert ref_raw.r[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert ref_reg.r[0, 0] == pytest.approx(0.1 * 0.25, rel=1e-9)
 
 
 def test_duplicate_client_ids_rejected():
@@ -651,7 +690,7 @@ def test_gate_pipeline_properties(shapes, k, rounds, mode, weights, epsilon, win
         got, new_ref, report = regulate_and_aggregate(_round(updates), ref, cfg)
         perm = [updates[i] for i in rng.permutation(k)]
         got_p, new_ref_p, report_p = regulate_and_aggregate(_round(perm), ref, cfg)
-        assert got.values.tobytes() == got_p.values.tobytes()
+        assert got.tobytes() == got_p.tobytes()
         assert new_ref.r.tobytes() == new_ref_p.r.tobytes()
         assert new_ref.basis.tobytes() == new_ref_p.basis.tobytes()
         assert repr(report) == repr(report_p)
@@ -680,19 +719,18 @@ def test_gate_pipeline_properties(shapes, k, rounds, mode, weights, epsilon, win
                                       in zip(layer_slices(layout), row.coefficients)])
             assert np.linalg.norm(applied) <= np.linalg.norm(u.delta.values) * (1 + 1e-12)
             applied_sum += wk * applied
-        assert got.values.tobytes() == applied_sum.tobytes()
+        assert got[0].tobytes() == applied_sum.tobytes()
         expected_c = sum(wk * np.array(row.coefficients) for wk, row in zip(w, report.clients))
         assert np.max(np.abs(np.array(report.layer_coefficients) - expected_c)) <= 1e-15
         if mode == "plain":
             mean = np.zeros(size)
             for wk, u in zip(w, ordered):
                 mean += wk * u.delta.values
-            assert got.values.tobytes() == mean.tobytes()
+            assert got[0].tobytes() == mean.tobytes()
             assert all(c == 1.0 for row in report.clients for c in row.coefficients)
 
-        basis = new_ref.basis
-        assert basis.shape[1] <= cfg.subspace_dim
-        assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])), initial=0.0) < 1e-10
+        assert new_ref.rank[0] <= cfg.subspace_dim
+        _check_state(new_ref)
         ref = new_ref
 
 
@@ -765,7 +803,7 @@ def test_identical_updates_make_ggrs_equal_plain(shapes, k, rounds, cfg, seed):
                    for i in range(k)]
         got, ref, _ = regulate_and_aggregate(_round(updates), ref, cfg)
         plain, ref_plain, _ = regulate_and_aggregate(_round(updates), ref_plain, plain_cfg)
-        assert np.linalg.norm(got.values - plain.values) <= 1e-8 * np.linalg.norm(delta)
+        assert np.linalg.norm(got - plain) <= 1e-8 * np.linalg.norm(delta)
 
 
 @settings(max_examples=150, deadline=None)
@@ -789,7 +827,7 @@ def test_gates_on_a_stack_give_each_row_its_one_row_bits(k, cuts, window, m, bet
     d = blocks[-1][1]
     z = rng.standard_normal((k, d)) * rng.choice([0.0, 1e-3, 1.0, 100.0], size=(k, 1))
     r = rng.standard_normal(d) * rng.choice([0.0, 1.0])
-    basis = _top_directions(rng.standard_normal((d, window)), m)
+    basis = _directions(rng.standard_normal((d, window)), m)
 
     za, fa = align_regulate(z, r, beta)
     zp, ret = subspace_project(za, basis, blocks)
@@ -841,8 +879,7 @@ def test_round_delta_is_the_sequential_weighted_sum(shapes, k, mode, weights, se
     n_train = rng.integers(1, 50, size=k)
     cfg = AggregatorConfig(mode=mode, weights=weights)
     # a reference with a direction and a basis, so that every gate acts
-    ref = GeometricReference(r=rng.standard_normal(size), window=(),
-                             basis=_top_directions(rng.standard_normal((size, 4)), 2))
+    ref = _one_run(rng.standard_normal(size), _directions(rng.standard_normal((size, 4)), 2))
     updates = RoundUpdates(client_ids=tuple(ids.tolist()), deltas=deltas,
                            n_train=tuple(n_train.tolist()), layout=layout)
     got, _, report = regulate_and_aggregate(updates, ref, cfg)
@@ -855,7 +892,7 @@ def test_round_delta_is_the_sequential_weighted_sum(shapes, k, mode, weights, se
     expected = np.zeros(size)
     for wk, d, row in zip(w, deltas[order], report.clients):
         expected += wk * (d * np.repeat(row.coefficients, sizes))
-    assert got.values.tobytes() == expected.tobytes()
+    assert got[0].tobytes() == expected.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -889,7 +926,7 @@ def test_a_round_of_runs_gives_each_run_its_one_run_bits(shapes, sizes, rounds, 
     cfg = AggregatorConfig(mode=mode, weights=weights, epsilon=epsilon, window=window,
                            subspace_dim=min(m, window), proxy_dim=proxy_dim,
                            reference=reference, fallback=fallback)
-    stack = ReferenceStack.of([initial_reference(dim)] * len(sizes))
+    stack = initial_reference(dim, len(sizes))
     alone = [initial_reference(dim)] * len(sizes)
     bounds = tuple(zip(np.cumsum([0] + sizes[:-1]).tolist(), np.cumsum(sizes).tolist()))
     for _ in range(rounds):
@@ -903,15 +940,13 @@ def test_a_round_of_runs_gives_each_run_its_one_run_bits(shapes, sizes, rounds, 
                              layout=layout, runs=bounds)
         deltas, stack, report = regulate_and_aggregate(batch, stack, cfg)
         assert deltas.shape == (len(sizes), size) and report.runs == bounds
+        _check_state(stack)
         for r, (a, b) in enumerate(bounds):
             got, alone[r], own = regulate_and_aggregate(batch[r], alone[r], cfg)
-            assert deltas[r].tobytes() == got.values.tobytes()
-            mine = stack.run(r)
-            assert mine.r.tobytes() == alone[r].r.tobytes()
-            assert len(mine.window) == len(alone[r].window)
-            assert np.stack(mine.window).tobytes() == np.stack(alone[r].window).tobytes()
-            assert mine.basis.shape == alone[r].basis.shape
-            assert mine.basis.tobytes() == alone[r].basis.tobytes()
+            _check_state(alone[r])
+            assert deltas[r].tobytes() == got[0].tobytes()
+            for mine, theirs in zip(_run(stack, r), _run(alone[r], 0)):
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
             for name in ("client_ids", "proxy_norm", "cos_ref", "align_factor", "retention",
                          "clip_factor", "coefficients"):
                 assert getattr(report, name)[a:b].tobytes() == getattr(own, name).tobytes()
@@ -920,30 +955,32 @@ def test_a_round_of_runs_gives_each_run_its_one_run_bits(shapes, sizes, rounds, 
 
 
 def test_a_stack_slices_and_unstacks_its_runs():
-    # ReferenceStack.of pads the runs' windows and bases to one shape;
-    # run(i) and stack[a:b] give each run's own values back
+    # a stack pads its runs' windows and bases to one shape; stack[a:b]
+    # and each run's rows of it give each run's own values back
     rng = np.random.default_rng(3)
-    refs = [GeometricReference(r=rng.standard_normal(4), window=tuple(rng.standard_normal((n, 4))),
-                               basis=_top_directions(rng.standard_normal((4, 3)), b))
-            for n, b in ((0, 0), (3, 2), (1, 1))]
-    stack = ReferenceStack.of(refs)
-    assert stack.window.shape == (3, 3, 4) and stack.basis.shape == (3, 4, 2)
+    refs = [(rng.standard_normal(4), rng.standard_normal((n, 4)),
+             _directions(rng.standard_normal((4, 3)), b)) for n, b in ((0, 0), (3, 2), (1, 1))]
+    window, basis = np.zeros((3, 3, 4)), np.zeros((3, 4, 2))
+    for i, (_, w, q) in enumerate(refs):
+        window[i, 3 - len(w):] = w
+        basis[i, :, :q.shape[1]] = q
+    stack = ReferenceStack(r=np.stack([r for r, _, _ in refs]), window=window,
+                           fill=np.array([0, 3, 1]), basis=basis, rank=np.array([0, 2, 1]))
+    _check_state(stack)
     for part, first in ((stack, 0), (stack[1:], 1)):
         for i, ref in enumerate(refs[first:]):
-            got = part.run(i)
-            assert got.r.tobytes() == ref.r.tobytes() and got.basis.tobytes() == ref.basis.tobytes()
-            assert len(got.window) == len(ref.window)
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got.window, ref.window))
-    with pytest.raises(InputError, match="one length"):
-        ReferenceStack.of([initial_reference(3), initial_reference(4)])
-    with pytest.raises(InputError, match="a reference stack needs at least one reference"):
-        ReferenceStack.of([])
+            for got, want in zip(_run(part, i), ref):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a fresh stack is the runs' zero state, one row each
+    fresh = initial_reference(4, 3)
+    assert fresh.r.shape == (3, 4) and not fresh.r.any() and fresh.window.shape == (3, 0, 4)
+    assert fresh.basis.shape == (3, 4, 0) and fresh.fill.tolist() == fresh.rank.tolist() == [0] * 3
     with pytest.raises(InputError, match="2 references for 1 runs"):
-        regulate_and_aggregate(_round([_scalar_update(0, 1.0)]),
-                               ReferenceStack.of([initial_reference(1)] * 2), AggregatorConfig())
+        regulate_and_aggregate(_round([_scalar_update(0, 1.0)]), initial_reference(1, 2),
+                               AggregatorConfig())
     with pytest.raises(InputError, match="1 weight vectors for 2 runs"):
-        update_reference(ReferenceStack.of([initial_reference(1)] * 2), np.ones((2, 1)),
-                         [np.array([0.5, 0.5])], AggregatorConfig())
+        update_reference(initial_reference(1, 2), np.ones((2, 1)), [np.array([0.5, 0.5])],
+                         AggregatorConfig())
 
 
 def test_round_updates_runs_tile_the_rows():
