@@ -275,11 +275,11 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
             work -= grads
 
     deltas = np.repeat(shared, fed.run_sizes, axis=0)
-    np.subtract(work[:, cols], deltas, out=deltas)
     # a displacement whose entries or norm are unrepresentable can never
     # be aggregated; surface it as divergence, not as a malformed input
     # (d . d is finite exactly when d's entries and norm are)
     with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(work[:, cols], deltas, out=deltas)
         diverged |= ~np.isfinite(np.vecdot(deltas, deltas))
     if diverged.any():
         k = int(np.argmax(diverged))

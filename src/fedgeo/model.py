@@ -12,8 +12,8 @@ caller reads (the train rows for the loss, the test rows for accuracy).
 The last layer is built for those rows only. Their parameters come
 stacked, one slice per graph: ``layer_views`` of a (K, L) matrix whose
 row k is graph k's flat vector. Products with the weights run graph by
-graph, everything else over all rows at once. The losses and bias
-gradients of all graphs are one product with a 0/1 matrix
+graph (``_product``), everything else over all rows at once. The losses
+and bias gradients of all graphs are one product with a 0/1 matrix
 (``GraphBatch.sums``, ``Rows.sums``) that adds each graph's rows in row
 order from +0.0. So each graph's values are bit for bit those of a
 batch of that graph alone.
@@ -319,11 +319,26 @@ def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
                       sums=_segment_sums(nodes))
 
 
+def _product(weight: np.ndarray):
+    """``f(a, b, out)`` writing ``a @ b`` to ``out``, for the per-graph
+    products with a stack of ``weight``s: ``np.dot``, the BLAS call
+    ``np.matmul`` makes at about a third of its per-call cost on tiny
+    products, except for a 1 x 1 weight. There ``np.dot`` multiplies a
+    1 x 1 by a 1 x 1 directly and keeps a zero's sign, which BLAS adds
+    to +0.0, so it gets ``np.matmul``. ``np.dot`` also reports
+    floating-point flags that matmul does not, so callers run it with
+    warnings off: divergence is decided on the logits, not on warnings."""
+    return np.matmul if weight.shape[-2:] == (1, 1) else np.dot
+
+
 def _per_graph(x: np.ndarray, weight: np.ndarray, spans: tuple) -> np.ndarray:
-    """``x[a:b] @ weight[k]`` for each graph k's rows a:b, stacked."""
+    """``x[a:b] @ weight[k]`` for each graph k's rows a:b, stacked (see
+    ``_product``)."""
     out = np.empty((x.shape[0], weight.shape[2]))
-    for k, (a, b) in enumerate(spans):
-        np.matmul(x[a:b], weight[k], out=out[a:b])
+    product = _product(weight)
+    with np.errstate(all="ignore"):
+        for k, (a, b) in enumerate(spans):
+            product(x[a:b], weight[k], out[a:b])
     return out
 
 
@@ -459,8 +474,10 @@ def gradient(
         for li, (grad, m, dp) in enumerate(zip(layer_views(grads, layout).layers, messages, dps)):
             seg = rows if li == params.n_layers - 1 else batch
             gw = grad.weight
-            for k, (a, b) in enumerate(seg.spans):
-                np.matmul(m[a:b].T, dp[a:b], out=gw[k])
+            product = _product(gw)
+            with np.errstate(all="ignore"):  # as in _per_graph
+                for k, (a, b) in enumerate(seg.spans):
+                    product(m[a:b].T, dp[a:b], gw[k])
             if grad.bias is not None:
                 grad.bias[...] = seg.sums @ dp
 

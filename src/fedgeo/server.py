@@ -17,8 +17,9 @@ layer by layer with c_{k,l} = align_k · retention_{k,b(l)} · clip_k
 before the weighted sum, where b(l) is the proxy block holding layer l:
 l itself, or the single block of a sign-projected proxy. The reference
 follows the raw proxies by exponential smoothing, and both modes (plain
-and regulated) maintain it, so the alignment diagnostics are comparable
-across modes.
+and regulated) maintain it and the proxy window, so the alignment
+diagnostics are comparable across modes. Only the subspace gate reads
+the basis, so a plain server keeps none.
 
 A round arrives as one (K x L) delta matrix (``client.RoundUpdates``)
 whose rows belong to R runs, independent servers such as the harness's
@@ -26,15 +27,15 @@ seeds. Their state is one ``ReferenceStack`` (a one-run server is the
 R = 1 stack ``initial_reference(d)`` starts), and a round returns the
 (R x L) matrix of their global deltas. Each gate acts on every row at
 once, against the row's own run's reference, basis and cap; each run's
-weighted sums add its rows in ascending client order from +0.0; and the
-bases of the runs whose windows hold the same number of proxies are
-refreshed by one stacked Gram/eigh/QR pass. Products that mix rows (the
-sign projection, the Gram matrices) stack the runs along a leading axis
-instead of concatenating them, so each run gets the bits of its own
-one-run round. An unprojected row also gets the bits a one-client round
-gives it; a projected one does not, as a one-row projection is a
-matrix-vector product. Given the same inputs the round is bitwise
-deterministic.
+weighted sums add its rows in ascending client order from +0.0; and a
+regulating server refreshes the bases of the runs whose windows hold
+the same number of proxies by one stacked Gram/eigh/QR pass. Products
+that mix rows (the sign projection, the Gram matrices) stack the runs
+along a leading axis instead of concatenating them, so each run gets
+the bits of its own one-run round. An unprojected row also gets the
+bits a one-client round gives it; a projected one does not, as a
+one-row projection is a matrix-vector product. Given the same inputs
+the round is bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -438,7 +439,9 @@ def update_reference(
     (K, d) ``proxies``, added in row order from +0.0; they join the ring
     buffer (oldest evicted beyond W); the basis becomes the top-m
     directions of the buffer, or stays empty while the buffer holds
-    fewer than m proxies or m = 0.
+    fewer than m proxies or m = 0. A plain server (``cfg.mode``) never
+    reads the basis, so it keeps none: rank 0 and a zero-width basis,
+    with the same reference, window and fill as a regulating one.
 
     ``ref`` holds R runs, ``proxies`` every run's rows, run after run,
     and ``weights`` one weight vector per run, which must sum to 1; the
@@ -459,7 +462,7 @@ def update_reference(
         raise InputError("proxy entries must be finite")
     mean = _weighted_sums(flat, proxies, run_stacks(runs))
     window, fill = _appended(ref, proxies, runs, cfg.window)
-    basis, rank = _refreshed(window, fill, cfg.subspace_dim)
+    basis, rank = _refreshed(window, fill, cfg.subspace_dim if cfg.mode == "ggrs" else 0)
     return ReferenceStack(r=cfg.alpha * ref.r + (1.0 - cfg.alpha) * mean,
                           window=window, fill=fill, basis=basis, rank=rank)
 

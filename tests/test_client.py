@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,28 @@ def test_divergence_of_a_one_layer_identity_model():
     assert err.value.round_index == 4
     assert err.value.client_id == 5
     assert "round 4" in str(err.value)
+
+
+def test_a_diverging_client_trains_without_warnings():
+    # three one-client runs of isolated nodes under one identity layer;
+    # run 1's broadcast has a -inf weight, so its logits are not all
+    # finite. Its divergence is raised, and nothing on the way warns.
+    no_edges = np.zeros((0, 2), dtype=int)
+    clients = []
+    for n, labels in ((2, [0, 1]), (3, [0, 0, 0]), (2, [1, 1])):
+        g = make_graph(n, no_edges, features=np.ones((n, 1)), labels=np.array(labels),
+                       train_mask=np.ones(n, dtype=bool))
+        params = ParameterSet(layers=(Layer(weight=np.zeros((1, 2)), bias=None, group=SHARED),))
+        clients.append(ClientState(client_id=0, graph=g, adj=normalized_adjacency(g),
+                                   params=params))
+    fed = Federation(clients, ModelConfig(n_layers=1, activation="identity"),
+                     TrainingConfig(lr=0.1, epochs=2), (1, 1, 1))
+    broadcasts = np.array([[0.5, -0.25], [1.0, -np.inf], [-2.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError) as err:
+            local_train(fed, broadcasts, round_index=3)
+    assert (err.value.round_index, err.value.run) == (3, 1)
 
 
 def test_replaced_graph_trains_like_a_fresh_state():

@@ -632,7 +632,8 @@ def test_round_rows_are_the_json_dumps_text(round_index, blocks, clients):
     assert harness._round_rows(report, round_index) == want
 
 
-@pytest.mark.parametrize("config", ["smoke.conf", "alignment_margin_ggrs.conf"])
+@pytest.mark.parametrize("config", ["smoke.conf", "alignment_margin_ggrs.conf",
+                                    "alignment_margin_plain.conf"])
 def test_outputs_are_byte_identical_at_one_and_two_blas_threads(config, tmp_path):
     # byte identity holds at a fixed BLAS thread count; a run without a
     # sign projection also keeps it across 1 and 2 threads. A

@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +21,7 @@ from fedgeo import (
     planted_partition_graph,
     unflatten,
 )
+from fedgeo import model
 from fedgeo.model import (
     ACTIVATIONS,
     LOCAL,
@@ -190,30 +194,115 @@ def test_cross_entropy_and_finiteness_are_the_row_reduce_bits(sizes, width, data
     assert np.array_equal(_finite_graphs(z, bounds), finite)
 
 
-def test_a_minus_inf_logit_marks_only_its_graph_as_diverged():
-    # three graphs of isolated nodes under one identity layer: the logits
-    # are each graph's weight row. The middle graph's non-label logit is
-    # -inf; its softmax loss is finite, but its step has diverged. The
-    # other two keep the bits they get in batches of their own.
+# three graphs of isolated nodes under one identity layer: the logits are
+# each graph's weight row. The middle graph's non-label logit is -inf; its
+# softmax loss is finite, but its step has diverged.
+_ISOLATED_SIZES = (2, 3, 2)
+_ISOLATED_LABELS = [np.array([0, 1]), np.array([0, 0, 0]), np.array([1, 1])]
+_ISOLATED_WEIGHTS = [np.array([[0.5, -0.25]]), np.array([[1.0, -np.inf]]),
+                     np.array([[-2.0, 3.0]])]
+
+
+def _isolated_step(ks):
+    """``gradient`` of the batch of the isolated graphs ``ks``, every node a row."""
     no_edges = np.zeros((0, 2), dtype=int)
-    sizes, labels = (2, 3, 2), [np.array([0, 1]), np.array([0, 0, 0]), np.array([1, 1])]
-    weights = [np.array([[0.5, -0.25]]), np.array([[1.0, -np.inf]]), np.array([[-2.0, 3.0]])]
-    adjs = [normalized_adjacency(make_graph(n, no_edges)) for n in sizes]
-    features = [np.ones((n, 1)) for n in sizes]
+    params = stack([ParameterSet(layers=(Layer(weight=_ISOLATED_WEIGHTS[k], bias=None,
+                                                group=SHARED),)) for k in ks])
+    batch = graph_batch([normalized_adjacency(make_graph(_ISOLATED_SIZES[k], no_edges))
+                         for k in ks], [np.ones((_ISOLATED_SIZES[k], 1)) for k in ks],
+                        [_ISOLATED_LABELS[k] for k in ks])
+    return gradient(params, batch, batch.rows([np.arange(_ISOLATED_SIZES[k]) for k in ks]),
+                    "identity")
 
-    def step(ks):
-        params = stack([ParameterSet(layers=(Layer(weight=weights[k], bias=None, group=SHARED),))
-                        for k in ks])
-        batch = graph_batch([adjs[k] for k in ks], [features[k] for k in ks],
-                            [labels[k] for k in ks])
-        return gradient(params, batch, batch.rows([np.arange(sizes[k]) for k in ks]), "identity")
 
-    losses, grads = step([0, 1, 2])
+def test_a_minus_inf_logit_marks_only_its_graph_as_diverged():
+    # the other two keep the bits they get in batches of their own
+    losses, grads = _isolated_step([0, 1, 2])
     assert np.isfinite(losses[[0, 2]]).all() and losses[1] == np.inf
     for k in (0, 2):
-        own_losses, own_grads = step([k])
+        own_losses, own_grads = _isolated_step([k])
         assert losses[k].tobytes() == own_losses[0].tobytes()
         assert grads[k].tobytes() == own_grads[0].tobytes()
+
+
+def test_a_diverged_graph_raises_no_warning():
+    # divergence is decided on the logits; the diverged graph's
+    # arithmetic, products included, warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        losses, _ = _isolated_step([0, 1, 2])
+    assert losses[1] == np.inf
+
+
+class _MatmulNumpy:
+    """NumPy whose ``dot(a, b, out)`` is ``np.matmul(a, b, out=out)``: put
+    in the model's place of ``np``, it runs the per-graph products as
+    one ``np.matmul`` per graph."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def dot(a, b, out):
+        return np.matmul(a, b, out=out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    widths=st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16)),
+    n_layers=st.sampled_from((1, 2)),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(sizes=[1, 1], widths=(1, 1, 1), n_layers=2, bias=False, seed=0, data=None)
+def test_per_graph_products_are_the_matmul_bits(sizes, widths, n_layers, bias, seed, data):
+    # the per-graph products keep the bits of one np.matmul(..., out=) per
+    # graph: 1-row and width-1 (gemv) shapes, 1 x 1 by 1 x 1 products of
+    # signed zeros, transposed operands, and graphs without rows
+    # (evaluation rows only)
+    f, c, hidden = widths
+    rng = np.random.default_rng(seed)
+
+    def subsets(min_size, label):
+        return [sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=min_size, max_size=n),
+                                 label=f"{label} {k}")) if data else list(range(n))
+                for k, n in enumerate(sizes)]
+
+    graphs = []
+    for n in sizes:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        graphs.append(make_graph(n, np.array(pairs, dtype=int).reshape(-1, 2),
+                                 features=rng.normal(size=(n, f)),
+                                 labels=rng.integers(0, c, size=n)))
+    batch = graph_batch([normalized_adjacency(g) for g in graphs], [g.features for g in graphs],
+                        [g.labels for g in graphs])
+    train, test = batch.rows(subsets(1, "train")), batch.rows(subsets(0, "test"))
+
+    def spread(shape):  # magnitudes over 2^-40..2^40, and some signed zeros
+        x = rng.normal(size=shape) * np.exp2(rng.integers(-40, 41, size=shape))
+        return np.where(rng.random(shape) < 0.2, np.copysign(0.0, x), x)
+
+    x, w = spread((test.index.size, f)), spread((len(sizes), c, f))
+    for weight in (w.transpose(0, 2, 1), np.ascontiguousarray(w.transpose(0, 2, 1))):
+        want = np.empty((x.shape[0], c))
+        for k, (a, b) in enumerate(test.spans):
+            np.matmul(x[a:b], weight[k], out=want[a:b])
+        assert model._per_graph(x, weight, test.spans).tobytes() == want.tobytes()
+
+    cfg = ModelConfig(n_layers=n_layers, hidden_dim=hidden, bias=bias)
+    params = stack([init_params(cfg, f, c, seed=seed % 1000 + k) for k in range(len(sizes))])
+
+    def outputs():
+        messages, preacts = forward(params, batch, test)
+        return messages + preacts + list(gradient(params, batch, train))
+
+    got = outputs()
+    with mock.patch.object(model, "np", _MatmulNumpy()):
+        want = outputs()
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _fd_gradient(params, adj, features, labels, rows, activation, step=1e-4):

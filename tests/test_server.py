@@ -345,7 +345,7 @@ def test_update_reference_rejects_non_finite_proxies(bad):
 
 
 def test_basis_empty_while_window_underfull():
-    cfg = AggregatorConfig(window=8, subspace_dim=4)
+    cfg = AggregatorConfig(mode="ggrs", window=8, subspace_dim=4)
     ref = initial_reference(3)
     rng = np.random.default_rng(0)
     for i in range(3):  # 3 < m = 4
@@ -356,7 +356,7 @@ def test_basis_empty_while_window_underfull():
 
 
 def test_basis_of_identical_vectors_is_rank_one():
-    cfg = AggregatorConfig(window=8, subspace_dim=4)
+    cfg = AggregatorConfig(mode="ggrs", window=8, subspace_dim=4)
     ref = initial_reference(3)
     v = np.array([1.0, 2.0, 2.0])
     for _ in range(4):
@@ -369,7 +369,7 @@ def test_basis_of_identical_vectors_is_rank_one():
 
 
 def test_subspace_disabled_when_m_zero():
-    cfg = AggregatorConfig(window=4, subspace_dim=0)
+    cfg = AggregatorConfig(mode="ggrs", window=4, subspace_dim=0)
     ref = initial_reference(3)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -377,6 +377,38 @@ def test_subspace_disabled_when_m_zero():
                         blocks=((0, 3),))
         ref = update_reference(ref, z.values[None], [np.array([1.0])], cfg)
     assert _run(ref, 0)[2].shape == (3, 0)
+
+
+def test_a_plain_server_keeps_its_reference_and_window_but_no_basis():
+    # only the subspace gate reads the basis, so a plain server computes
+    # none; the rest of its state is the bits a regulating server keeps
+    rng = np.random.default_rng(3)
+    plain = AggregatorConfig(mode="plain", window=6, subspace_dim=2)
+    ggrs = dataclasses.replace(plain, mode="ggrs")
+    kept = refreshed = initial_reference(4, runs=2)
+    weights = [np.full(2, 0.5), np.full(3, 1.0 / 3.0)]
+    for _ in range(4):
+        proxies = rng.normal(size=(5, 4))
+        kept = update_reference(kept, proxies, weights, plain)
+        refreshed = update_reference(refreshed, proxies, weights, ggrs)
+    assert refreshed.rank.tolist() == [2, 2]  # past m proxies in every run
+    assert kept.rank.tolist() == [0, 0] and kept.basis.shape == (2, 4, 0)
+    for name in ("r", "window", "fill"):
+        a, b = getattr(kept, name), getattr(refreshed, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_plain_round_computes_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a plain round computed a basis")
+    monkeypatch.setattr(server, "_top_directions", refuse)
+    rng = np.random.default_rng(4)
+    cfg = AggregatorConfig(mode="plain", window=8, subspace_dim=2)
+    ref = initial_reference(5)
+    for _ in range(4):
+        updates = [_update_two(i, rng.normal(size=5)) for i in range(3)]
+        _, ref, _ = regulate_and_aggregate(_round(updates), ref, cfg)
+    assert ref.fill.tolist() == [8] and ref.rank.tolist() == [0]
 
 
 def test_top_directions_match_svd_oracle():
