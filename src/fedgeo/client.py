@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, check_integer
+from .errors import DivergenceError, InputError, check_integer, check_real
 from .graphs import Graph, NormalizedAdjacency
 from .model import (
     SHARED,
@@ -80,6 +80,7 @@ class TrainingConfig:
             raise InputError("epochs must be >= 1")
         for name in ("lr", "mu"):
             value = getattr(self, name)
+            check_real(name, value)
             if not (math.isfinite(value) and value >= 0.0):
                 raise InputError(f"{name} must be a finite number >= 0, not {value}")
 
@@ -114,16 +115,17 @@ class Federation:
 
     ``run_sizes`` counts the clients of each run, which come in run
     order (default: one run of all clients); ``runs`` holds each run's
-    (start, stop) in ``clients``. Every run needs a client, and the
-    clients' parameters must share one shape of 1 or 2 layers, at least
-    one of them shared (InputError otherwise); ``layout`` is that
-    shape's FlatVector layout, ``shared_layout`` its shared layers' and
-    ``shared_columns`` the one slice of the layout they cover.
-    ``batch`` holds their graphs as one (``model.GraphBatch``, built
-    once, so a client given a new graph needs a new federation), and
-    ``train`` and ``test`` their train and test rows in it. It owns the
-    clients' parameters, local heads included, as one (K, L) matrix in
-    client order (see ``ClientState``). Building it changes no client.
+    (start, stop) in ``clients``. Every run needs a client, every client
+    a train node, and the clients' parameters must share one shape of 1
+    or 2 layers, at least one of them shared (InputError otherwise);
+    ``layout`` is that shape's FlatVector layout, ``shared_layout`` its
+    shared layers' and ``shared_columns`` the one slice of the layout
+    they cover. ``batch`` holds their graphs as one
+    (``model.GraphBatch``, built once, so a client given a new graph
+    needs a new federation), and ``train`` and ``test`` their train and
+    test rows in it. It owns the clients' parameters, local heads
+    included, as one (K, L) matrix in client order (see
+    ``ClientState``). Building it changes no client.
     """
 
     def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig,
@@ -162,6 +164,9 @@ class Federation:
         self.batch = graph_batch([c.adj for c in clients], [c.graph.features for c in clients],
                                  [c.graph.labels for c in clients])
         self.train = self.batch.rows([np.flatnonzero(c.graph.train_mask) for c in clients])
+        if not self.train.counts.all():
+            raise InputError(f"client {self.client_ids[int(np.argmin(self.train.counts))]} "
+                             "has no train nodes")
         self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask) for c in clients])
         self._held = np.stack([flat.values for flat in flats])
         self._views = [layer_views(row, self.layout) for row in self._held]
@@ -250,10 +255,6 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     every client keep the parameters they had.
     """
     work = fed.params(shared)
-    n_train = fed.train.counts
-    if not n_train.all():
-        raise InputError(f"client {fed.client_ids[int(np.argmin(n_train))]} has no train nodes")
-
     cols = fed.shared_columns
     params = layer_views(work, fed.layout)
     training = fed.training
@@ -287,5 +288,6 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
         raise DivergenceError(round_index, fed.client_ids[k], run)
 
     fed._commit(work)
-    return RoundUpdates(client_ids=fed.client_ids, deltas=deltas, n_train=tuple(n_train.tolist()),
+    return RoundUpdates(client_ids=fed.client_ids, deltas=deltas,
+                        n_train=tuple(fed.train.counts.tolist()),
                         layout=fed.shared_layout, runs=fed.runs)

@@ -1,4 +1,4 @@
-"""Exception types and the integer check shared across the package.
+"""Exception types and the number checks shared across the package.
 
 The CLI maps these onto exit codes: config problems exit 1, numerical
 divergence exits 2 (see ``fedgeo.cli``).
@@ -45,3 +45,9 @@ def check_integer(name: str, value: object) -> None:
     """InputError naming the field ``name`` unless ``value`` is an integer (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, not {value!r}")
+
+
+def check_real(name: str, value: object) -> None:
+    """InputError naming the field ``name`` unless ``value`` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a number, not {value!r}")

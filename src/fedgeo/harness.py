@@ -41,7 +41,7 @@ import numpy as np
 
 from .client import ClientState, Federation, RoundUpdates, local_train
 from .config import DataSource, RunConfig
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DivergenceError, InputError, check_integer
 from .graph_io import load_graph_csv
 from .graphs import (
     Graph,
@@ -327,6 +327,7 @@ def run(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunR
     too, propagates.
     """
     if seed is not None:
+        check_integer("seed", seed)
         if seed < 0:
             raise InputError(f"seed must be >= 0, got {seed}")
         for j in range(len(cfg.sources)):

@@ -213,27 +213,6 @@ def _segment_sums(bounds: np.ndarray) -> sp.csr_array:
     return sp.csr_array((np.ones(n), np.arange(n), bounds), shape=(bounds.size - 1, n))
 
 
-# Rows' slices of A_hat are built from its arrays: scipy's fancy indexing
-# gives the same values, but its code paths add about 0.2 MB to peak RSS
-def _csr_rows(a: sp.csr_array, index: np.ndarray) -> sp.csr_array:
-    """``a[index]``: a's rows at ``index``, each with its entries in a's order."""
-    starts, sizes = a.indptr[index], np.diff(a.indptr)[index]
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    take = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
-    return sp.csr_array((a.data[take], a.indices[take], indptr), shape=(index.size, a.shape[1]))
-
-
-def _csr_columns(a: sp.csr_array, index: np.ndarray) -> sp.csr_array:
-    """``a[:, index]`` for an ascending ``index`` without repeats: each
-    row keeps its entries in the columns at ``index``, in a's order."""
-    column = np.full(a.shape[1], -1)
-    column[index] = np.arange(index.size)
-    keep = column[a.indices] >= 0
-    indptr = np.concatenate([[0], np.cumsum(keep)])[a.indptr]
-    return sp.csr_array((a.data[keep], column[a.indices[keep]], indptr),
-                        shape=(a.shape[0], index.size))
-
-
 @dataclass(frozen=True)
 class Rows:
     """Node rows of a GraphBatch, graph by graph: graph k's rows are
@@ -241,7 +220,9 @@ class Rows:
     range. The other fields are what every step reads of them, computed
     once by ``GraphBatch.rows``; ``message``, ``gather`` and ``scatter``
     are built on first read, as a one-layer model reads only the first
-    and a two-layer one only the other two."""
+    and a two-layer one only the other two. ``gather`` is the one slice
+    of A_hat, and ``scatter`` its transpose, so the backward pass is the
+    forward's exact adjoint whether or not A_hat is symmetric."""
 
     batch: GraphBatch
     index: np.ndarray   # (R,)
@@ -262,12 +243,12 @@ class Rows:
     @cached_property
     def gather(self) -> sp.csr_array:
         """(R, N) A_hat's rows at index: gather @ h is (A_hat @ h)[index]."""
-        return _csr_rows(self.batch.adj.storage, self.index)
+        return self.batch.adj.storage[self.index]
 
     @cached_property
-    def scatter(self) -> sp.csr_array:
-        """(N, R) A_hat's columns at index: A_hat @ h for h zero off index."""
-        return _csr_columns(self.batch.adj.storage, self.index)
+    def scatter(self) -> sp.csc_array:
+        """(N, R) gather's transpose, a view: the adjoint of the forward."""
+        return self.gather.T
 
 
 @dataclass(frozen=True)

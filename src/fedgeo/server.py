@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .client import RoundUpdates
-from .errors import InputError, check_integer
+from .errors import InputError, check_integer, check_real
 from .model import FlatVector, LayerSpec, layer_slices
 
 __all__ = [
@@ -105,6 +105,10 @@ class AggregatorConfig:
         check_integer("window", self.window)
         if self.proxy_dim is not None:
             check_integer("proxy_dim", self.proxy_dim)
+        for name in ("alpha", "beta"):
+            check_real(name, getattr(self, name))
+        if not isinstance(self.epsilon, str):
+            check_real("epsilon", self.epsilon)
         if self.mode not in MODES:
             raise InputError(f"unknown aggregation mode {self.mode!r}")
         if not (0.0 <= self.alpha < 1.0):

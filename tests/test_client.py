@@ -313,6 +313,11 @@ def test_client_state_validation():
             with pytest.raises(InputError, match=f"{name} must be a finite number >= 0, "
                                                  f"not {value}"):
                 TrainingConfig(**{name: value})
+        # a bool would pass as 0 or 1
+        for value in (True, False, "0.1"):
+            with pytest.raises(InputError, match=f"{name} must be a number, not {value!r}"):
+                TrainingConfig(**{name: value})
+    TrainingConfig(lr=1, mu=np.float64(0.5))
     with pytest.raises(InputError):
         ModelConfig(activation="tanh")
     ClientState(client_id=0, graph=g, adj=adj, params=params)
@@ -458,6 +463,10 @@ def test_federation_validation():
                                       for layer in state.params.layers))
     with pytest.raises(InputError, match="client 0's model has no shared layer"):
         Federation([dataclasses.replace(state, params=local)], fed.model, fed.training)
+    bare = dataclasses.replace(state.graph, train_mask=np.zeros(state.graph.n_nodes, bool))
+    with pytest.raises(InputError, match="client 7 has no train nodes"):
+        Federation([state, dataclasses.replace(state, client_id=7, graph=bare)],
+                   fed.model, fed.training)
 
 
 def test_a_model_of_other_than_one_or_two_layers_is_refused_by_name():

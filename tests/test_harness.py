@@ -385,6 +385,9 @@ def test_a_negative_seed_override_is_refused_before_any_output(tmp_path, capsys)
     cfg = parse_config(SMALL, path="inline.conf")
     with pytest.raises(InputError, match="seed must be >= 0, got -1"):
         run(cfg, seed=-1, out=str(tmp_path / "o"))
+    for value in (1.5, True):  # so is a seed that is not an integer
+        with pytest.raises(InputError, match=f"seed must be an integer, not {value!r}"):
+            run(cfg, seed=value, out=str(tmp_path / "o"))
     # so is one whose partition seed would be negative: -1600 + 1000 + 500
     shifted = parse_config(SMALL.replace("run.seeds = 1, 2", "run.seeds = 2")
                            + "partition.seed = -1600\n", path="inline.conf")

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +12,7 @@ from fedgeo import (
     FlatVector,
     InputError,
     ModelConfig,
+    NormalizedAdjacency,
     flatten,
     forward,
     gradient,
@@ -354,6 +356,23 @@ def test_gradient_matches_finite_differences_identity_1layer():
         assert rel < 1e-6
 
 
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_gradient_matches_finite_differences_on_a_non_symmetric_operator(activation):
+    # NormalizedAdjacency does not check symmetry, so the last layer's
+    # gradient must go back through the adjoint of its forward operator,
+    # not through A_hat's columns, which equal it only when A_hat = A_hat^T
+    rng = np.random.default_rng(6)
+    dense = rng.uniform(0.1, 1.0, size=(6, 6)) * (rng.random((6, 6)) < 0.6)
+    assert not np.array_equal(dense, dense.T)
+    adj = NormalizedAdjacency(n_nodes=6, storage=sp.csr_array(dense))
+    features, labels = rng.normal(size=(6, 3)), rng.integers(0, 2, size=6)
+    rows = np.array([0, 2, 3, 5])
+    params = init_params(ModelConfig(hidden_dim=4, activation=activation), 3, 2, seed=1)
+    _, grads = gradient(stack([params]), *_one_graph(adj, features, labels, rows), activation)
+    fd = _fd_gradient(params, adj, features, labels, rows, activation)
+    assert np.abs(grads[0] - fd).max() < 1e-6
+
+
 def _full_row_gradient(params, a, x, labels, mask, activation):
     # reference: dense A_hat, logits for every node, and a gradient that
     # is zero on the rows outside the mask; returns the logits too
@@ -477,7 +496,7 @@ def test_segment_sums_add_each_graphs_rows_in_order(sizes, width, seed, data):
 def test_rows_gather_and_scatter_are_the_full_products_bit_for_bit(sizes, width, seed, data):
     # the last layer's message is gather @ h, not (A_hat @ h)[index], and
     # its gradient goes back as scatter @ d, not A_hat @ (d scattered into
-    # zeros): a CSR product adds each row's stored terms in order from
+    # zeros): a sparse product adds each row's stored terms in order from
     # +0.0, and the dropped terms are exact +0.0. Graphs with no row and
     # with one row included.
     rng = np.random.default_rng(seed)
@@ -491,11 +510,11 @@ def test_rows_gather_and_scatter_are_the_full_products_bit_for_bit(sizes, width,
     rows = batch.rows([sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n),
                                         label=f"rows {k}")) for k, n in enumerate(sizes)])
     n_nodes, n_rows = batch.message.shape[0], rows.index.size
-    a = batch.adj.storage  # built by hand: the values of scipy's fancy indexing
-    for got, want in ((rows.gather, a[rows.index]), (rows.scatter, a[:, rows.index])):
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    gather, scatter = rows.gather, rows.scatter
+    assert gather.shape == (n_rows, n_nodes) and scatter.shape == (n_nodes, n_rows)
+    assert scatter.format == "csc"  # gather's transpose: its CSR arrays read as columns
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(scatter, name), getattr(gather, name)), name
 
     def spread(shape):  # magnitudes over 2^-40..2^40, and some signed zeros
         x = rng.normal(size=shape) * np.exp2(rng.integers(-40, 41, size=shape))

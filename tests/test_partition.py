@@ -72,6 +72,18 @@ def test_spec_rejects_a_negative_seed():
         PartitionSpec(n_clients=2, dirichlet_alpha=1.0, seed=-1)
 
 
+def test_spec_refuses_non_numbers_by_name():
+    # a float count or seed would fail later inside NumPy, and a bool pass as 0 or 1
+    for name, value in (("n_clients", 2.5), ("n_clients", True), ("seed", 1.5),
+                        ("seed", False)):
+        with pytest.raises(InputError, match=f"{name} must be an integer, not {value!r}"):
+            PartitionSpec(**{"n_clients": 2, "dirichlet_alpha": 1.0, "seed": 0, name: value})
+    for value in (True, "1.0"):
+        with pytest.raises(InputError, match=f"dirichlet_alpha must be a number, not {value!r}"):
+            PartitionSpec(n_clients=2, dirichlet_alpha=value, seed=0)
+    PartitionSpec(n_clients=np.int64(2), dirichlet_alpha=np.float64(1.0), seed=np.int64(0))
+
+
 def test_thin_class_warns():
     labels = np.array([0, 0, 0, 1])  # class 1 has 1 node < 3 clients
     spec = PartitionSpec(n_clients=3, dirichlet_alpha=1.0, seed=0)

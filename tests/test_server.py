@@ -131,6 +131,12 @@ def test_aggregator_config_validation():
         with pytest.raises(InputError, match=f"{name} must be an integer, not {value!r}"):
             AggregatorConfig(**{name: value})
     AggregatorConfig(window=np.int64(4), subspace_dim=np.int64(2), proxy_dim=None)
+    # a bool is not a number here: False would pass as alpha 0, True as epsilon 1
+    for name, value in (("alpha", False), ("beta", True), ("epsilon", True),
+                        ("alpha", "0.5")):
+        with pytest.raises(InputError, match=f"{name} must be a number, not {value!r}"):
+            AggregatorConfig(**{name: value})
+    AggregatorConfig(alpha=0, beta=np.float64(0.5), epsilon=2)
 
 
 def test_proxy_map_scalar_signs():
