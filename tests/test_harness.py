@@ -602,6 +602,28 @@ client.lr = 0.1
         assert line.split(",")[3] == "1.0"  # one live client: coherent by fiat
 
 
+def test_a_run_with_no_test_rows_reads_nan_accuracy(tmp_path):
+    # path and complete graphs put every node in the train split, so no
+    # client has a test row: each round's accuracy is NaN in both files;
+    # with one class the loss is flat, so every delta and proxy is zero
+    cfg = parse_config("""
+run.rounds = 2
+run.seeds = 1, 2
+data1.kind = path
+data2.kind = complete
+model.hidden = 4
+client.lr = 0.1
+server.regulation = ggrs
+""", path="inline.conf")
+    result = run(cfg, out=str(tmp_path / "o"))
+    assert result.csv_path.read_text() == "\n".join(
+        [CSV_HEADER] + [f"{t},{s},nan,0.0,0.0,0.0,0.0,0.0" for s in (1, 2) for t in (1, 2)]
+    ) + "\n"
+    text = result.summary_path.read_text()
+    assert '"test_acc": {\n      "mean": NaN,\n      "std": NaN\n    }' in text
+    assert '"test_acc": [\n      NaN,\n      NaN\n    ]' in text
+
+
 # edge values a float strategy may not draw: -0.0, the smallest subnormal, 1.0
 _EDGES = st.sampled_from([-0.0, 5e-324, 1.0])
 
