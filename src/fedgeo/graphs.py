@@ -12,6 +12,7 @@ in a documented order, so results are reproducible across platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,8 +217,10 @@ class PartitionSpec:
         # K = 1 is the degenerate single-client federation and is allowed.
         if self.n_clients < 1:
             raise InputError("partition requires at least 1 client")
-        if not self.dirichlet_alpha > 0:
-            raise InputError("dirichlet_alpha must be positive")
+        # inf passes a bare > 0 and draws NaN shares: every node to one client
+        alpha = self.dirichlet_alpha
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise InputError(f"dirichlet_alpha must be a finite number > 0, not {alpha}")
         if self.seed < 0:
             raise InputError(f"partition seed must be >= 0, got {self.seed}")
 

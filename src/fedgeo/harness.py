@@ -9,8 +9,11 @@ client locally (one ``local_train`` call for all seeds), aggregate every
 seed, each with its own server state (one ``regulate_and_aggregate``
 call for all seeds: plain weighted mean or the regulated pipeline),
 apply each seed's global delta, evaluate (one forward over every
-client's test rows), and cut each seed's CSV and JSONL rows from the
-round's arrays. No seed's values enter another's arithmetic, and
+client's test rows), compute every seed's geometry columns (one
+``_round_metrics`` call) and cut each seed's JSONL rows from the
+report. Accuracy and geometry fill one (seeds, T, 6) array of CSV
+values, which ``metrics.csv`` and ``summary.json`` are both formatted
+from. No seed's values enter another's arithmetic, and
 clients sit in the batch and are reduced in ascending id order, so
 given (config, seed) every emitted byte is reproducible and the same
 as a run of that seed alone.
@@ -34,7 +37,7 @@ graph with seed 1000*s + j, its partition with seed partition.seed +
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -165,10 +168,6 @@ def _evaluate(fed: Federation, shared: np.ndarray) -> list[float]:
             for a, b in fed.runs]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _round_rows(report: RegulationReport, round_index: int) -> list[str]:
     """One JSONL row per client row of the report, the text ``json.dumps``
     gives the object {round, client, cos_ref, atten, retention, clip}.
@@ -184,105 +183,91 @@ def _round_rows(report: RegulationReport, round_index: int) -> list[str]:
     ]
 
 
-def _gamma_means(updates: RoundUpdates) -> np.ndarray:
-    """Each run's mean pairwise cosine between its clients' deltas, one
-    ``pairwise_coherence`` per stack of runs of one size; a one-client
-    run's is 1 when its delta is nonzero and 0 otherwise."""
-    out = np.empty(len(updates.runs))
+# here, not in metrics.py: perfbench's tracer patches the harness's
+# pairwise_coherence by name (ROADMAP item 1)
+def _round_metrics(updates: RoundUpdates, report: RegulationReport,
+                   deltas: np.ndarray) -> np.ndarray:
+    """The CSV's five geometry columns of each run, an (R, 5) array:
+    gamma_mean, the mean pairwise cosine of its clients' deltas (a
+    one-client run's is 1 when its delta is nonzero, else 0); alignment,
+    the mean ``cos_ref`` over its rows with a nonzero proxy (0 if none);
+    sensitivity, the norm of its row of the applied ``deltas`` (R, L);
+    and the shares of its rows clipped and attenuated."""
+    out = np.empty((len(report.runs), 5))
     for ids, rows in run_stacks(updates.runs):
-        deltas = updates.deltas[rows]
+        stack = updates.deltas[rows]
         if rows.shape[1] >= 2:
-            gamma, _ = pairwise_coherence(deltas)
+            gamma, _ = pairwise_coherence(stack)
             iu = np.triu_indices(rows.shape[1], k=1)
             # one mean per matrix: a mean along an axis sums in another order
-            out[ids] = [np.mean(g[iu]) for g in gamma]
+            out[ids, 0] = [np.mean(g[iu]) for g in gamma]
         else:
-            out[ids] = np.any(deltas, axis=(1, 2))
+            out[ids, 0] = np.any(stack, axis=(1, 2))
+    live = report.proxy_norm > 0.0
+    out[:, 1] = [np.mean(report.cos_ref[a:b][live[a:b]]) if live[a:b].any() else 0.0
+                 for a, b in report.runs]
+    out[:, 2] = sensitivity_norm(deltas)
+    starts, stops = np.transpose(report.runs)
+    # a mean of 0/1 values is its count over its length, and a count is exact
+    flags = np.stack([report.clip_factor < 1.0, report.attenuated], axis=1)
+    out[:, 3:] = np.add.reduceat(flags, starts, dtype=np.float64) / (stops - starts)[:, None]
     return out
 
 
-@dataclass
-class _Seed:
-    """One run seed of a run: its clients, and its rows and per-round
-    accuracy, alignment and sensitivity (``curves``) so far."""
-
-    seed: int
-    clients: list[ClientState]
-    curves: np.ndarray  # (3, T)
-    csv_rows: list[str] = field(default_factory=list)
-    jsonl_rows: list[str] = field(default_factory=list)
-
-
-def _record(seeds: list[_Seed], t: int, accuracies: list[float], updates: RoundUpdates,
-            deltas: np.ndarray, report: RegulationReport) -> None:
-    """Round t's CSV row, JSONL rows and curve values of every seed, each
-    seed's cut from the round's arrays: ``deltas`` (R, L) holds the
-    applied global deltas and ``report`` the regulation of every run."""
-    starts, stops = np.transpose(report.runs)
-    # a mean of 0/1 values is its count over its length, and a count is exact
-    rates = np.add.reduceat([report.clip_factor < 1.0, report.attenuated], starts, axis=1,
-                            dtype=np.float64) / (stops - starts)
-    live = report.proxy_norm > 0.0
-    rows = _round_rows(report, t)
-    for s, (a, b), acc, gamma, sensitivity, clip_rate, atten_rate in zip(
-            seeds, report.runs, accuracies, _gamma_means(updates).tolist(),
-            sensitivity_norm(deltas).tolist(), *rates.tolist()):
-        cos = report.cos_ref[a:b][live[a:b]]
-        alignment = float(np.mean(cos)) if cos.size else 0.0
-        s.csv_rows.append(
-            f"{t},{s.seed},{_fmt(acc)},{_fmt(gamma)},{_fmt(alignment)},{_fmt(sensitivity)},"
-            f"{_fmt(clip_rate)},{_fmt(atten_rate)}"
-        )
-        s.jsonl_rows.extend(rows[a:b])
-        s.curves[:, t - 1] = acc, alignment, sensitivity
-
-
-def _federation(cfg: RunConfig, seeds: list[_Seed]) -> Federation:
+def _federation(cfg: RunConfig, clients: list[list[ClientState]]) -> Federation:
     """One Federation of the seeds' clients, one run per seed."""
-    return Federation([c for s in seeds for c in s.clients], cfg.model, cfg.client,
-                      tuple(len(s.clients) for s in seeds))
+    return Federation([c for run in clients for c in run], cfg.model, cfg.client,
+                      tuple(map(len, clients)))
 
 
-def _train(cfg: RunConfig, seeds: tuple[int, ...]) -> tuple[list[_Seed], DivergenceError | None]:
+def _train(cfg: RunConfig, seeds: tuple[int, ...]
+           ) -> tuple[np.ndarray, list[list[str]], DivergenceError | None]:
     """Build every seed, then run T rounds of all of them in lockstep.
 
     Each round is one ``local_train`` call and one
     ``regulate_and_aggregate`` call for every seed: the seeds' global
     shared parameters are one (R, L) matrix and their server state one
-    ``ReferenceStack``. Returns the seeds that finished, a prefix of
-    ``seeds``, and the DivergenceError of the first seed that diverged,
-    naming that seed (None when none did). A seed that diverges is
-    dropped with every later seed, as a run of the seeds one after
-    another stops at the first that diverges; the others keep the first
-    rows of the parameters and the server state and retry the round in
-    a federation rebuilt from their clients, whose parameters the failed
-    round left as they were.
+    ``ReferenceStack``. Returns the CSV values of the seeds that
+    finished, a prefix of ``seeds`` (R, T, 6: each round's test_acc and
+    ``_round_metrics``), their JSONL rows, one list per seed, and the
+    DivergenceError of the first seed that diverged, naming that seed
+    (None when none did). A seed that diverges is dropped with every
+    later seed, as a run of the seeds one after another stops at the
+    first that diverges; the others keep the first rows of the
+    parameters and the server state and retry the round in a federation
+    rebuilt from their clients, whose parameters the failed round left
+    as they were.
     """
     built = [build_clients(cfg, s) for s in seeds]
     shared = [flatten(params, group=SHARED) for _, params in built]
     # fixes the proxy length for this layout, which every seed shares
     probe = proxy_map(shared[0], cfg.server)
-    live = [_Seed(s, clients, np.zeros((3, cfg.rounds))) for s, (clients, _) in zip(seeds, built)]
+    clients = [c for c, _ in built]
     params = np.stack([v.values for v in shared])
-    ref = initial_reference(probe.values.shape[0], len(live))
+    ref = initial_reference(probe.values.shape[0], len(seeds))
+    values = np.empty((len(seeds), cfg.rounds, 6))
+    jsonl: list[list[str]] = [[] for _ in seeds]
     failed = None
-    fed = _federation(cfg, live)
+    fed = _federation(cfg, clients)
     t = 1
-    while live and t <= cfg.rounds:
+    while clients and t <= cfg.rounds:
         try:
             updates = local_train(fed, params, round_index=t)
         except DivergenceError as e:
-            failed = DivergenceError(e.round_index, e.client_id, e.run, seed=live[e.run].seed)
-            live, params, ref = live[:e.run], params[:e.run], ref[:e.run]
-            if live:
-                fed = _federation(cfg, live)
+            failed = DivergenceError(e.round_index, e.client_id, e.run, seed=seeds[e.run])
+            clients, params, ref = clients[:e.run], params[:e.run], ref[:e.run]
+            if clients:
+                fed = _federation(cfg, clients)
             continue
         deltas, ref, report = regulate_and_aggregate(updates, ref, cfg.server)
         params = params + deltas
-        accuracies = _evaluate(fed, params)
-        _record(live, t, accuracies, updates, deltas, report)
+        values[:len(clients), t - 1, 0] = _evaluate(fed, params)
+        values[:len(clients), t - 1, 1:] = _round_metrics(updates, report, deltas)
+        rows = _round_rows(report, t)
+        for seed_rows, (a, b) in zip(jsonl, report.runs):
+            seed_rows.extend(rows[a:b])
         t += 1
-    return live, failed
+    return values[:len(clients)], jsonl[:len(clients)], failed
 
 
 def _mean_std(per_seed: list[float]) -> dict:
@@ -290,21 +275,22 @@ def _mean_std(per_seed: list[float]) -> dict:
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
-def _summary(cfg: RunConfig, seeds: tuple[int, ...], curves: list[np.ndarray]) -> dict:
-    """summary.json over the seeds that finished, the first len(curves);
-    ``curves`` holds each one's per-round accuracy, alignment and
-    sensitivity, one row each."""
+def _summary(cfg: RunConfig, seeds: tuple[int, ...], values: np.ndarray) -> dict:
+    """summary.json over the seeds that finished, the first len(values);
+    it reads the test_acc, alignment and sensitivity columns of
+    ``_train``'s (R, T, 6) CSV values."""
     summary = {
         "name": cfg.name,
         "regulation": cfg.server.mode,
         "trainer": cfg.client.trainer,
         "rounds": cfg.rounds,
-        "seeds": list(seeds[:len(curves)]),
+        "seeds": list(seeds[:len(values)]),
         "clients": cfg.n_clients,
     }
-    if curves:
+    if len(values):
         tail = slice(-min(_SUMMARY_TAIL, cfg.rounds), None)
-        by_metric = dict(zip(("test_acc", "alignment", "sensitivity"), zip(*curves)))
+        by_metric = dict(zip(("test_acc", "alignment", "sensitivity"),
+                             values[:, :, [0, 2, 3]].transpose(2, 0, 1)))
         summary["last10"] = {
             k: _mean_std([float(c[tail].mean()) for c in v]) for k, v in by_metric.items()
         }
@@ -337,15 +323,19 @@ def run(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunR
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.raw_text)
 
-    finished, failed = _train(cfg, seeds)
+    values, jsonl, failed = _train(cfg, seeds)
+    finished = seeds[:len(values)]
     csv_path = out_dir / "metrics.csv"
-    csv_path.write_text("\n".join([CSV_HEADER, *(r for s in finished for r in s.csv_rows)]) + "\n")
+    csv_path.write_text("\n".join([CSV_HEADER, *(
+        f"{t},{s}," + ",".join(map(repr, row))
+        for s, rounds in zip(finished, values.tolist()) for t, row in enumerate(rounds, 1)
+    )]) + "\n")
     jsonl_paths = []
-    for s in finished:
-        p = out_dir / f"regulation_seed{s.seed}.jsonl"
-        p.write_text("\n".join(s.jsonl_rows) + "\n")
+    for s, rows in zip(finished, jsonl):
+        p = out_dir / f"regulation_seed{s}.jsonl"
+        p.write_text("\n".join(rows) + "\n")
         jsonl_paths.append(p)
-    summary = _summary(cfg, seeds, [s.curves for s in finished])
+    summary = _summary(cfg, seeds, values)
     if failed is not None:
         summary["failed"] = {"seed": failed.seed, "round": failed.round_index,
                              "client": failed.client_id}

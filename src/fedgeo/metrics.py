@@ -2,11 +2,12 @@
 
 Two geometric summaries of each aggregation round live here: the
 pairwise cosine matrix between client updates and the Euclidean norm of
-the applied global delta. The third, the mean cosine between client
-proxies and the server's effective reference, the harness takes from
-the regulation report's ``cos_ref``. Spectra of (small, symmetric)
-node-space propagation operators come from a cyclic Jacobi eigensolver
-so the values are exactly those of the symmetrized input.
+the applied global delta. The harness's ``_round_metrics`` makes them
+CSV columns, next to alignment: the mean over nonzero proxies of the
+regulation report's ``cos_ref``, each proxy's cosine with the server's
+effective reference. Spectra of (small, symmetric) node-space
+propagation operators come from a cyclic Jacobi eigensolver so the
+values are exactly those of the symmetrized input.
 
 Zero vectors have no direction; every cosine involving one is 0 by
 convention and flagged where the API allows it.

@@ -97,6 +97,8 @@ class ModelConfig:
         if self.hidden_dim < 1:
             raise InputError("hidden width must be >= 1")
         _check_activation(self.activation)
+        if not isinstance(self.bias, bool):  # "false" is a true string
+            raise InputError(f"bias must be a bool, not {self.bias!r}")
 
 
 @dataclass(frozen=True)

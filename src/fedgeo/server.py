@@ -17,9 +17,9 @@ layer by layer with c_{k,l} = align_k · retention_{k,b(l)} · clip_k
 before the weighted sum, where b(l) is the proxy block holding layer l:
 l itself, or the single block of a sign-projected proxy. The reference
 follows the raw proxies by exponential smoothing, and both modes (plain
-and regulated) maintain it and the proxy window, so the alignment
-diagnostics are comparable across modes. Only the subspace gate reads
-the basis, so a plain server keeps none.
+and regulated) maintain it, so the alignment diagnostics are comparable
+across modes. Only the subspace gate reads the proxy window and its
+basis, so a plain server keeps neither.
 
 A round arrives as one (K x L) delta matrix (``client.RoundUpdates``)
 whose rows belong to R runs, independent servers such as the harness's
@@ -443,9 +443,10 @@ def update_reference(
     (K, d) ``proxies``, added in row order from +0.0; they join the ring
     buffer (oldest evicted beyond W); the basis becomes the top-m
     directions of the buffer, or stays empty while the buffer holds
-    fewer than m proxies or m = 0. A plain server (``cfg.mode``) never
-    reads the basis, so it keeps none: rank 0 and a zero-width basis,
-    with the same reference, window and fill as a regulating one.
+    fewer than m proxies or m = 0. A plain server (``cfg.mode``) reads
+    neither buffer nor basis, so it keeps neither: fill 0, rank 0, an
+    empty window and a zero-width basis, with the same reference as a
+    regulating one.
 
     ``ref`` holds R runs, ``proxies`` every run's rows, run after run,
     and ``weights`` one weight vector per run, which must sum to 1; the
@@ -465,8 +466,9 @@ def update_reference(
     if not np.isfinite(proxies).all():
         raise InputError("proxy entries must be finite")
     mean = _weighted_sums(flat, proxies, run_stacks(runs))
-    window, fill = _appended(ref, proxies, runs, cfg.window)
-    basis, rank = _refreshed(window, fill, cfg.subspace_dim if cfg.mode == "ggrs" else 0)
+    ggrs = cfg.mode == "ggrs"
+    window, fill = _appended(ref, proxies, runs, cfg.window if ggrs else 0)
+    basis, rank = _refreshed(window, fill, cfg.subspace_dim if ggrs else 0)
     return ReferenceStack(r=cfg.alpha * ref.r + (1.0 - cfg.alpha) * mean,
                           window=window, fill=fill, basis=basis, rank=rank)
 

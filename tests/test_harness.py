@@ -28,12 +28,15 @@ from fedgeo import (
 )
 import fedgeo.harness as harness
 from fedgeo.cli import main
+from fedgeo.client import RoundUpdates
 from fedgeo.config import parse_config
 from fedgeo.harness import CSV_HEADER, _client_graphs
+from fedgeo.metrics import pairwise_coherence
 from fedgeo.model import (
     LOCAL,
     SHARED,
     FlatVector,
+    LayerSpec,
     graph_batch,
 )
 
@@ -622,6 +625,52 @@ server.regulation = ggrs
     text = result.summary_path.read_text()
     assert '"test_acc": {\n      "mean": NaN,\n      "std": NaN\n    }' in text
     assert '"test_acc": [\n      NaN,\n      NaN\n    ]' in text
+
+
+def _round_metrics_oracle(updates, report, deltas):
+    """The five geometry columns of each run, computed from that run's
+    rows alone."""
+    out = []
+    for r, (a, b) in enumerate(updates.runs):
+        if b - a >= 2:
+            gamma, _ = pairwise_coherence(updates.deltas[a:b])
+            gamma_mean = np.mean(gamma[np.triu_indices(b - a, k=1)])
+        else:
+            gamma_mean = float(np.any(updates.deltas[a]))
+        live = report.proxy_norm[a:b] > 0.0
+        alignment = np.mean(report.cos_ref[a:b][live]) if live.any() else 0.0
+        out.append([gamma_mean, alignment, np.linalg.norm(deltas[r]),
+                    np.mean(report.clip_factor[a:b] < 1.0), np.mean(report.attenuated[a:b])])
+    return np.array(out)
+
+
+def test_round_metrics_match_a_per_run_loop():
+    # runs of unequal size, one-client runs (one with a zero delta), a run
+    # whose proxies are all zero and runs with some zero rows, regulated
+    # over rounds long enough for attenuation, projection and clipping
+    sizes = [3, 1, 4, 2, 1, 5, 3]
+    bounds = np.cumsum([0] + sizes).tolist()
+    runs = tuple(zip(bounds[:-1], bounds[1:]))
+    layout = (LayerSpec(index=0, group=SHARED, w_shape=(2, 3), b_size=3),
+              LayerSpec(index=1, group=SHARED, w_shape=(3, 2), b_size=0))
+    cfg = AggregatorConfig(mode="ggrs", window=6, subspace_dim=2)
+    rng = np.random.default_rng(11)
+    ref = initial_reference(15, runs=len(sizes))
+    rates = []
+    for _ in range(6):
+        d = rng.normal(size=(bounds[-1], 15))
+        d[[1, 3, 5, 8, 9, 13]] = 0.0  # rows of runs 0, 2 and 5, all of runs 1 and 3
+        updates = RoundUpdates(client_ids=tuple(i for n in sizes for i in range(n)), deltas=d,
+                               n_train=tuple(rng.integers(1, 9, size=bounds[-1]).tolist()),
+                               layout=layout, runs=runs)
+        deltas, ref, report = regulate_and_aggregate(updates, ref, cfg)
+        got = harness._round_metrics(updates, report, deltas)
+        want = _round_metrics_oracle(updates, report, deltas)
+        assert got.shape == (len(sizes), 5) and got.tobytes() == want.tobytes()
+        assert got[[1, 3], :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        rates.append(got[:, 3:])
+    # the rates took values other than 0 and 1, so a wrong divisor shows
+    assert ((np.array(rates) > 0.0) & (np.array(rates) < 1.0)).any(axis=(0, 1)).all()
 
 
 # edge values a float strategy may not draw: -0.0, the smallest subnormal, 1.0

@@ -686,4 +686,8 @@ def test_model_config_validation():
                         ("hidden_dim", True)):
         with pytest.raises(InputError, match=f"{name} must be an integer, not {value!r}"):
             ModelConfig(**{name: value})
+    # any non-empty string is true, so "false" would build bias vectors
+    for value in ("false", 0, 1, None):
+        with pytest.raises(InputError, match=f"bias must be a bool, not {value!r}"):
+            ModelConfig(bias=value)
 

@@ -75,7 +75,8 @@ def test_benchmark_tracer_counts_the_layers_of_a_short_run(tmp_path):
     # the tracer's callbacks read the server state (``ref.window``) and
     # the report (``report.clients``); a refactor that breaks one, or
     # leaves a traced layer uncalled, fails here, not only under
-    # `pytest perfbench`
+    # `pytest perfbench`. The two metrics spans patch the names the
+    # harness imported, so a round must reach them through the harness
     root = Path(__file__).resolve().parent.parent
     code = textwrap.dedent("""\
         import dataclasses, json, sys, time
@@ -96,7 +97,8 @@ def test_benchmark_tracer_counts_the_layers_of_a_short_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout.strip().splitlines()[-1])
     for name in ("server.regulate", "server.update_reference", "server.proxy_map",
-                 "client.local_train", "model.layout"):
+                 "client.local_train", "model.layout", "metrics.coherence",
+                 "metrics.accuracy"):
         assert calls.get(name, 0) > 0, (name, calls)
 
 

@@ -81,6 +81,10 @@ def test_spec_refuses_non_numbers_by_name():
     for value in (True, "1.0"):
         with pytest.raises(InputError, match=f"dirichlet_alpha must be a number, not {value!r}"):
             PartitionSpec(n_clients=2, dirichlet_alpha=value, seed=0)
+    # inf would draw NaN shares and hand every node to the last client
+    for value in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="dirichlet_alpha must be a finite number > 0"):
+            PartitionSpec(n_clients=2, dirichlet_alpha=value, seed=0)
     PartitionSpec(n_clients=np.int64(2), dirichlet_alpha=np.float64(1.0), seed=np.int64(0))
 
 
