@@ -5,28 +5,31 @@ its private graph for E full-batch gradient-descent steps ("epoch" =
 one full-batch step; graphs here are small), and returns the shared
 displacement delta = theta_local - theta_global. In cross-domain mode
 the final layer is a client-local head: it trains locally, persists in
-the client state across rounds, and never leaves the client.
+the federation's ``held`` rows across rounds, and never leaves the
+client.
 
 Trainers: "fedavg" (E steps), "fedsgd" (forced single step), "fedprox"
 (E steps, gradient augmented with mu * (theta - global) over the shared
 group). Plain gradient descent throughout — no momentum, no minibatches —
 so a round is bitwise deterministic in its inputs.
 
-A ``Federation`` holds its clients' graphs as one batch, with their
-train and test rows, and their parameters as one (K, L) matrix, row k
-client k's flat vector (``model.FlatVector`` order, local head
-included), each layer a view of it (``model.layer_views``). The shared
-layers are adjacent (a model has 1 or 2 layers), so their columns are
-one slice of the matrix. Its clients belong to one or more runs,
-independent federations that train in lockstep, such as the harness's
-run seeds: each run has its own shared parameters and its own server
-state, and a round's broadcast is one (R, L_shared) matrix, row r run
-r's. ``local_train`` trains all clients together, one
-``model.gradient`` call and one array update of the whole matrix per
-step (the last layer built for the train rows only), and hands the
-server one ``RoundUpdates`` of every run: the matrix of the clients'
-deltas, the trained matrix's shared columns minus each client's run's
-broadcast row, with the federation's run bounds. A one-run or
+A ``ClientState`` is a client's input record, and the ``Federation``
+built over it owns what training changes. It holds its clients' graphs
+as one batch, with their train and test rows, and their parameters as
+one (K, L) matrix, ``held``, row k client k's flat vector
+(``model.FlatVector`` order, local head included), which each round
+replaces with the trained matrix. The shared layers are adjacent (a
+model has 1 or 2 layers), so their columns are one slice of the
+matrix. Its clients belong to one or more runs, independent
+federations that train in lockstep, such as the harness's run seeds:
+each run has its own shared parameters and its own server state, and a
+round's broadcast is one (R, L_shared) matrix, row r run r's.
+``local_train`` trains all clients together, one ``model.gradient``
+call and one array update of the whole matrix per step (the last layer
+built for the train rows only), and hands the server one
+``RoundUpdates`` of every run: the matrix of the clients' deltas, the
+trained matrix's shared columns minus each client's run's broadcast
+row, with the federation's run bounds. A one-run or
 one-client federation is the R = 1 or K = 1 case of the same code, and
 each client's values are bit for bit those it gets alone.
 """
@@ -85,16 +88,12 @@ class TrainingConfig:
                 raise InputError(f"{name} must be a finite number >= 0, not {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientState:
-    """One client's private state; owned exclusively by that client.
-
-    ``params`` holds the full parameter set including any local head.
-    A ``Federation`` over the client copies it and owns it from then on:
-    after each of its rounds ``params`` is ``layer_views`` of the
-    client's row of the federation's matrix, which the next round
-    overwrites in place (copy it to keep a round's values), and a
-    ``params`` assigned between rounds is not read. A graph whose node
+    """One client's input record: its id, its graph and normalized
+    adjacency, and the parameters it starts from, local head included.
+    A ``Federation`` over the client copies ``params`` into its ``held``
+    matrix and trains that; the record never changes. A graph whose node
     count is not the adjacency size is an InputError.
     """
 
@@ -123,9 +122,10 @@ class Federation:
     they cover. ``batch`` holds their graphs as one
     (``model.GraphBatch``, built once, so a client given a new graph
     needs a new federation), and ``train`` and ``test`` their train and
-    test rows in it. It owns the clients' parameters, local heads
-    included, as one (K, L) matrix in client order (see
-    ``ClientState``). Building it changes no client.
+    test rows in it. ``held`` is the (K, L) matrix of the clients'
+    current parameters, local heads included, in client order: each
+    round replaces it with a new matrix and never writes into it, so a
+    reference kept from an earlier round keeps that round's values.
     """
 
     def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig,
@@ -168,8 +168,7 @@ class Federation:
             raise InputError(f"client {self.client_ids[int(np.argmin(self.train.counts))]} "
                              "has no train nodes")
         self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask) for c in clients])
-        self._held = np.stack([flat.values for flat in flats])
-        self._views = [layer_views(row, self.layout) for row in self._held]
+        self.held = np.stack([flat.values for flat in flats])
 
     def params(self, shared: np.ndarray) -> np.ndarray:
         """Every client's parameters as a new (K, L) matrix in client
@@ -180,15 +179,17 @@ class Federation:
         if shared.shape != want:
             raise InputError(f"shared parameters of shape {shared.shape} do not match the "
                              f"federation's {want}")
-        work = self._held.copy()
+        work = self.held.copy()
         work[:, self.shared_columns] = np.repeat(shared, self.run_sizes, axis=0)
         return work
 
-    def _commit(self, params: np.ndarray) -> None:
-        """Hold ``params``; each client's ``params`` becomes views of its row."""
-        np.copyto(self._held, params)
-        for c, view in zip(self.clients, self._views):
-            c.params = view
+    def first_runs(self, n: int) -> Federation:
+        """A federation of runs 0..n-1 alone, under the same configs,
+        holding their current rows of ``held``."""
+        fed = Federation(list(self.clients[:sum(self.run_sizes[:n])]), self.model,
+                         self.training, self.run_sizes[:n])
+        fed.held = self.held[:len(fed.clients)]
+        return fed
 
 
 @dataclass(frozen=True)
@@ -243,16 +244,16 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     Loads its run's broadcast into every client model (a local head
     keeps its previous values), runs E full-batch gradient steps
     (fedsgd: exactly one; fedprox: mu-proximal gradient toward the
-    broadcast point), holds the trained parameters in the federation,
-    and returns theta_shared_after - theta_shared_broadcast of each
-    client. Each step is one ``gradient`` call and one in-place update
+    broadcast point), replaces the federation's ``held`` with the
+    trained matrix, and returns theta_shared_after -
+    theta_shared_broadcast of each client. Each step is one ``gradient`` call and one in-place update
     of the (K, L) parameter matrix of all clients; each client's values
     are those its own one-client federation gives, bit for bit.
 
     A client whose loss is not finite at some step, or whose delta is
     not finite, has diverged: the DivergenceError names the first such
-    client in federation order and its run, and the federation and
-    every client keep the parameters they had.
+    client in federation order and its run, and the federation keeps
+    the ``held`` it had.
     """
     work = fed.params(shared)
     cols = fed.shared_columns
@@ -260,9 +261,10 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     training = fed.training
     n_steps = 1 if training.trainer == "fedsgd" else training.epochs
     # fedprox pulls the broadcast columns, not a local head, toward the run's
-    # broadcast start, theta <- theta - lr * (g + mu * (theta - start)); no other trainer reads it
+    # broadcast start, theta <- theta - lr * (g + mu * (theta - start)); the
+    # deltas subtract the same start, in place
     mu = training.mu if training.trainer == "fedprox" else 0.0
-    start = work[:, cols].copy() if mu > 0.0 else None
+    start = work[:, cols].copy()
 
     diverged = np.zeros(len(fed.clients), dtype=bool)
     for _ in range(n_steps):
@@ -275,19 +277,18 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
             grads *= training.lr
             work -= grads
 
-    deltas = np.repeat(shared, fed.run_sizes, axis=0)
     # a displacement whose entries or norm are unrepresentable can never
     # be aggregated; surface it as divergence, not as a malformed input
     # (d . d is finite exactly when d's entries and norm are)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(work[:, cols], deltas, out=deltas)
+        deltas = np.subtract(work[:, cols], start, out=start)
         diverged |= ~np.isfinite(np.vecdot(deltas, deltas))
     if diverged.any():
         k = int(np.argmax(diverged))
         run = next(r for r, (a, b) in enumerate(fed.runs) if a <= k < b)
         raise DivergenceError(round_index, fed.client_ids[k], run)
 
-    fed._commit(work)
+    fed.held = work
     return RoundUpdates(client_ids=fed.client_ids, deltas=deltas,
                         n_train=tuple(fed.train.counts.tolist()),
                         layout=fed.shared_layout, runs=fed.runs)

@@ -47,7 +47,8 @@ class DataSource:
 
     kind: str
     clients: int = 1
-    # path / complete
+    # path / complete: identity features, every node class 0 and in train,
+    # no test rows; alone they train nothing and add no test rows
     n: int = 8
     # planted partition
     blocks: int = 4

@@ -136,15 +136,9 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
         cross_domain=cfg.regime == "cross_domain",
     )
 
-    clients = []
-    cid = 0
-    for _, g in pairs:
-        if int(g.train_mask.sum()) < 1:
-            cid += 1
-            continue
-        clients.append(ClientState(client_id=cid, graph=g, adj=normalized_adjacency(g),
-                                   params=global_params))
-        cid += 1
+    clients = [ClientState(client_id=cid, graph=g, adj=normalized_adjacency(g),
+                           params=global_params)
+               for cid, (_, g) in enumerate(pairs) if g.train_mask.any()]
     if not clients:
         raise InputError("no client has any train nodes")
     return clients, global_params
@@ -214,12 +208,6 @@ def _round_metrics(updates: RoundUpdates, report: RegulationReport,
     return out
 
 
-def _federation(cfg: RunConfig, clients: list[list[ClientState]]) -> Federation:
-    """One Federation of the seeds' clients, one run per seed."""
-    return Federation([c for run in clients for c in run], cfg.model, cfg.client,
-                      tuple(map(len, clients)))
-
-
 def _train(cfg: RunConfig, seeds: tuple[int, ...]
            ) -> tuple[np.ndarray, list[list[str]], DivergenceError | None]:
     """Build every seed, then run T rounds of all of them in lockstep.
@@ -234,40 +222,41 @@ def _train(cfg: RunConfig, seeds: tuple[int, ...]
     (None when none did). A seed that diverges is dropped with every
     later seed, as a run of the seeds one after another stops at the
     first that diverges; the others keep the first rows of the
-    parameters and the server state and retry the round in a federation
-    rebuilt from their clients, whose parameters the failed round left
-    as they were.
+    parameters and the server state and retry the round in the
+    federation's ``first_runs``, which holds their clients' trained
+    parameters as the failed round left them.
     """
     built = [build_clients(cfg, s) for s in seeds]
     shared = [flatten(params, group=SHARED) for _, params in built]
     # fixes the proxy length for this layout, which every seed shares
     probe = proxy_map(shared[0], cfg.server)
-    clients = [c for c, _ in built]
     params = np.stack([v.values for v in shared])
     ref = initial_reference(probe.values.shape[0], len(seeds))
     values = np.empty((len(seeds), cfg.rounds, 6))
     jsonl: list[list[str]] = [[] for _ in seeds]
     failed = None
-    fed = _federation(cfg, clients)
+    # one run per seed
+    fed = Federation([c for clients, _ in built for c in clients], cfg.model, cfg.client,
+                     tuple(len(clients) for clients, _ in built))
     t = 1
-    while clients and t <= cfg.rounds:
+    while len(params) and t <= cfg.rounds:
         try:
             updates = local_train(fed, params, round_index=t)
         except DivergenceError as e:
             failed = DivergenceError(e.round_index, e.client_id, e.run, seed=seeds[e.run])
-            clients, params, ref = clients[:e.run], params[:e.run], ref[:e.run]
-            if clients:
-                fed = _federation(cfg, clients)
+            params, ref = params[:e.run], ref[:e.run]
+            if e.run:
+                fed = fed.first_runs(e.run)
             continue
         deltas, ref, report = regulate_and_aggregate(updates, ref, cfg.server)
         params = params + deltas
-        values[:len(clients), t - 1, 0] = _evaluate(fed, params)
-        values[:len(clients), t - 1, 1:] = _round_metrics(updates, report, deltas)
+        values[:len(params), t - 1, 0] = _evaluate(fed, params)
+        values[:len(params), t - 1, 1:] = _round_metrics(updates, report, deltas)
         rows = _round_rows(report, t)
         for seed_rows, (a, b) in zip(jsonl, report.runs):
             seed_rows.extend(rows[a:b])
         t += 1
-    return values[:len(clients)], jsonl[:len(clients)], failed
+    return values[:len(params)], jsonl[:len(params)], failed
 
 
 def _mean_std(per_seed: list[float]) -> dict:

@@ -41,7 +41,7 @@ def dirichlet_assignments(labels: np.ndarray, spec: PartitionSpec) -> list[np.nd
     k = spec.n_clients
     rng = np.random.default_rng(spec.seed)
     buckets: list[list[np.ndarray]] = [[] for _ in range(k)]
-    thin = [c for c in np.unique(labels) if np.count_nonzero(labels == c) < k]
+    thin = [c for c in np.unique(labels).tolist() if np.count_nonzero(labels == c) < k]
     if thin:
         warnings.warn(
             f"classes {thin} have fewer nodes than clients ({k}); "

@@ -49,6 +49,7 @@ import numpy as np
 
 from .client import RoundUpdates
 from .errors import InputError, check_integer, check_real
+from .metrics import sensitivity_norm
 from .model import FlatVector, LayerSpec, layer_slices
 
 __all__ = [
@@ -299,11 +300,6 @@ def _sign_projection(d_in: int, d_out: int) -> np.ndarray:
     return p
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Each row's norm, bit for bit its ``np.linalg.norm``."""
-    return np.sqrt(np.vecdot(x, x))
-
-
 def _weighted_sums(weights: np.ndarray, rows: np.ndarray,
                    stacks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Each run's sum_k weights[k] * rows[k] over its rows, the runs given
@@ -332,7 +328,7 @@ def _proxies(deltas: np.ndarray, layout: tuple[LayerSpec, ...], cfg: AggregatorC
         raise InputError("update contains non-finite entries")
     slices = layer_slices(layout)
     sizes = [b - a for a, b in slices]
-    norms = np.stack([_row_norms(deltas[:, a:b]) for a, b in slices], axis=1)
+    norms = np.stack([sensitivity_norm(deltas[:, a:b]) for a, b in slices], axis=1)
     total = norms.sum(axis=1, keepdims=True)
     scale = np.zeros_like(norms)
     np.divide(norms, total, out=scale, where=total != 0.0)
@@ -499,7 +495,7 @@ def subspace_project(
     # one matrix-vector product per row, as for a single proxy
     proj = np.matmul(basis, np.matmul(basis.swapaxes(-1, -2), z[:, :, None]))[:, :, 0]
     retention = np.stack([
-        np.minimum(1.0, _row_norms(proj[:, a:b]) / (_row_norms(z[:, a:b]) + 1e-12))
+        np.minimum(1.0, sensitivity_norm(proj[:, a:b]) / (sensitivity_norm(z[:, a:b]) + 1e-12))
         for a, b in blocks], axis=1)
     return proj, retention
 
@@ -513,7 +509,7 @@ def sensitivity_normalize(z: np.ndarray, epsilon: float | np.ndarray
     epsilon <= 0 means the cap is inactive (factor 1); a zero row keeps
     factor 1.
     """
-    n = _row_norms(z)
+    n = sensitivity_norm(z)
     factor = np.ones_like(n)
     np.divide(epsilon, n, out=factor, where=(n > 0.0) & (np.asarray(epsilon) > 0.0))
     np.minimum(1.0, factor, out=factor)
@@ -572,15 +568,15 @@ def regulate_and_aggregate(
 
     # effective reference: a run whose smoothed reference has no direction
     # yet falls back to its heaviest client's (the lowest id among equals)
-    fallback = (_row_norms(ref.r) == 0.0) & (cfg.fallback == "largest")
+    fallback = (sensitivity_norm(ref.r) == 0.0) & (cfg.fallback == "largest")
     heaviest = np.empty(len(runs), dtype=np.intp)
     for ids, idx in stacks:
         heaviest[ids] = idx[np.arange(len(ids)), np.argmax(weights[idx], axis=1)]
     r_eff = np.where(fallback[:, None], z[heaviest], ref.r)
 
-    norms = _row_norms(z)
+    norms = sensitivity_norm(z)
     r_rows = r_eff[run_of]
-    r_norm = _row_norms(r_eff)[run_of]
+    r_norm = sensitivity_norm(r_eff)[run_of]
     cos_ref = np.zeros(len(z))
     np.divide(np.vecdot(z, r_rows), norms * r_norm, out=cos_ref,
               where=(norms > 0.0) & (r_norm > 0.0))

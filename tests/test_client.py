@@ -121,8 +121,7 @@ def test_fedavg_multi_epoch_matches_manual_descent():
             params = ParameterSet(layers=tuple(layers))
         expected = flatten(params, group=SHARED).values - shared.values
         np.testing.assert_allclose(update.deltas[0], expected, rtol=0, atol=0)
-        np.testing.assert_allclose(flatten(state.params).values,
-                                   flatten(params).values, rtol=0, atol=0)
+        np.testing.assert_allclose(fed.held[0], flatten(params).values, rtol=0, atol=0)
 
 
 def test_fedprox_large_mu_contracts_delta():
@@ -175,16 +174,16 @@ def test_local_head_persists_across_rounds():
     cfg = ModelConfig(n_layers=2, hidden_dim=5)
     params = init_params(cfg, 4, 2, seed=0, cross_domain=True)
     state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params)
-    training = TrainingConfig(lr=0.1)
+    fed = Federation([state], cfg, TrainingConfig(lr=0.1))
     shared = flatten(params, group=SHARED)
-    head_before = params.layers[1].weight.copy()
-    local_train(Federation([state], cfg, training), shared.values[None], round_index=1)
-    head_r1 = state.params.layers[1].weight.copy()
-    assert np.any(head_r1 != head_before)  # head trains locally
+    local_train(fed, shared.values[None], round_index=1)
+    # the round replaced the held matrix, so this view keeps round 1's head
+    head_r1 = layer_views(fed.held[0], fed.layout).layers[1].weight
+    assert np.any(head_r1 != params.layers[1].weight)  # head trains locally
     # round 2: broadcast does not touch the head
-    u2 = local_train(Federation([state], cfg, training), shared.values[None], round_index=2)[0]
+    u2 = local_train(fed, shared.values[None], round_index=2)[0]
     assert u2.deltas[0].size == shared.values.size
-    assert np.any(state.params.layers[1].weight != head_r1)
+    assert np.any(layer_views(fed.held[0], fed.layout).layers[1].weight != head_r1)
 
 
 def test_no_train_nodes_errors():
@@ -387,22 +386,17 @@ def test_batch_trains_each_client_as_its_own_federation(run_sizes, n_layers, act
                                                cross_domain=cross_domain), group=SHARED).values
                            for r in range(len(run_sizes))])
     n_clients = sum(run_sizes)
-    draws = [rng.integers(2**32) for _ in range(n_clients)]
     # each client's own head, when it has one
     heads = [dataclasses.replace(params, layers=params.layers[:-1] + (dataclasses.replace(
         params.layers[-1], weight=params.layers[-1].weight + k),)) if cross_domain else params
         for k in range(n_clients)]
     runs = np.repeat(np.arange(len(run_sizes)), run_sizes)
-
-    def clients():
-        # ids restart in each run, as each run seed's do
-        return [_random_client(k - sum(run_sizes[:r]), np.random.default_rng(d), 2, 3, h)
-                for k, (r, d, h) in enumerate(zip(runs, draws, heads))]
-
-    batched, own, alone = clients(), clients(), clients()
-    fed = Federation(batched, model, training, tuple(run_sizes))
-    per_run = [Federation(own[a:b], model, training) for a, b in fed.runs]
-    singles = [Federation([c], model, training) for c in alone]
+    # ids restart in each run, as each run seed's do
+    clients = [_random_client(k - sum(run_sizes[:r]), rng, 2, 3, h)
+               for k, (r, h) in enumerate(zip(runs, heads))]
+    fed = Federation(clients, model, training, tuple(run_sizes))
+    per_run = [Federation(clients[a:b], model, training) for a, b in fed.runs]
+    singles = [Federation([c], model, training) for c in clients]
     for t in (1, 2):
         together = local_train(fed, broadcasts, round_index=t)
         assert len(together) == len(run_sizes)
@@ -415,16 +409,15 @@ def test_batch_trains_each_client_as_its_own_federation(run_sizes, n_layers, act
                 assert (u.client_ids[k - a], u.n_train[k - a]) == (w.client_ids[0],
                                                                    w.n_train[0])
                 np.testing.assert_array_equal(u.deltas[k - a], w.deltas[0])
-        for c, o, s1 in zip(batched, own, alone):
-            np.testing.assert_array_equal(flatten(c.params).values, flatten(o.params).values)
-            np.testing.assert_array_equal(flatten(c.params).values, flatten(s1.params).values)
+        for others in (per_run, singles):
+            np.testing.assert_array_equal(fed.held, np.concatenate([f.held for f in others]))
         broadcasts = broadcasts + np.stack([u.deltas[-1] for u in together])
 
 
 def test_federation_flattens_each_shared_parameter_set_once(monkeypatch):
     # the harness hands a seed's clients one ParameterSet; a set is
     # flattened once for its run of consecutive clients, compared by
-    # identity, and each client still holds its own set's local head
+    # identity, and each client's row holds its own set's local head
     import fedgeo.client
     model = ModelConfig(n_layers=2, hidden_dim=3)
     a, b = (init_params(model, 3, 2, seed=s, cross_domain=True) for s in (1, 2))
@@ -438,8 +431,9 @@ def test_federation_flattens_each_shared_parameter_set_once(monkeypatch):
     fed = Federation(clients, model, TrainingConfig(lr=0.0), (3, 3))
     assert [p is a for p in flattened] == [True, False, True]
     local_train(fed, np.stack([flatten_(a, SHARED).values, flatten_(b, SHARED).values]))
-    for c, p in zip(clients, sets):
-        assert flatten_(c.params, LOCAL).values.tobytes() == flatten_(p, LOCAL).values.tobytes()
+    for row, p in zip(fed.held, sets):
+        assert (flatten_(layer_views(row, fed.layout), LOCAL).values.tobytes()
+                == flatten_(p, LOCAL).values.tobytes())
 
 
 def test_federation_validation():
@@ -546,7 +540,7 @@ def test_the_one_matrix_step_is_the_per_layer_step(run_sizes, trainer, activatio
         updates = local_train(fed, broadcasts, round_index=t)
         deltas = np.concatenate([u.deltas for u in updates])
         assert deltas.tobytes() == (held[:, :n_shared] - np.stack(rows)[:, :n_shared]).tobytes()
-        assert np.stack([flatten(c.params).values for c in fed.clients]).tobytes() == held.tobytes()
+        assert fed.held.tobytes() == held.tobytes()
 
 
 def test_divergence_names_the_run_of_the_first_diverged_client():
@@ -587,10 +581,9 @@ def test_building_a_federation_leaves_its_clients_untouched():
 
 
 def test_a_diverging_round_changes_no_parameters():
-    # after a good round every client's params are its slice of the
-    # federation's stack; a round that diverges must leave that stack,
-    # the evaluation parameters and every client's params as they were,
-    # so the next round trains as if the failed one never ran
+    # a round that diverges must leave the federation's held matrix and
+    # the evaluation parameters as they were, so the next round trains
+    # as if the failed one never ran
     model = ModelConfig(n_layers=2, hidden_dim=3)
     params = init_params(model, 3, 2, seed=5, cross_domain=True)
     shared = flatten(params, group=SHARED)
@@ -603,46 +596,41 @@ def test_a_diverging_round_changes_no_parameters():
     fed, twin = federation(), federation()
     for f in (fed, twin):
         local_train(f, shared.values[None], round_index=1)
-    before = [(c.params, flatten(c.params).values.tobytes()) for c in fed.clients]
+    before, held = fed.held, fed.held.tobytes()
     evaluated = fed.params(shared.values[None]).tobytes()
     huge = FlatVector(values=1e300 * np.ones_like(shared.values), layout=shared.layout)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError):
             local_train(fed, huge.values[None], round_index=2)
-    for c, (p, flat) in zip(fed.clients, before):
-        assert c.params is p and flatten(c.params).values.tobytes() == flat
+    assert fed.held is before and fed.held.tobytes() == held
     assert fed.params(shared.values[None]).tobytes() == evaluated
     again, untouched = (local_train(f, shared.values[None], round_index=2)[0] for f in (fed, twin))
     assert again.deltas.tobytes() == untouched.deltas.tobytes()
-    for c, t in zip(fed.clients, twin.clients):
-        assert flatten(c.params).values.tobytes() == flatten(t.params).values.tobytes()
+    assert fed.held.tobytes() == twin.held.tobytes()
 
 
 def test_the_federation_owns_its_clients_parameters():
-    # after a round each client's params is a view of the federation's
-    # stack: the next round overwrites it in place, and a params object
-    # put in its place is neither read nor kept
+    # the held matrix is the clients' parameters: a round replaces it,
+    # leaving a matrix kept from the round before as it was, and the next
+    # round's local heads continue from it; a client's record is its
+    # input and cannot be changed
     model = ModelConfig(n_layers=2, hidden_dim=3)
+    training = TrainingConfig(lr=0.3)
     params = init_params(model, 3, 2, seed=2, cross_domain=True)
     shared = flatten(params, group=SHARED)
-
-    def federation():
-        rng = np.random.default_rng(4)
-        return Federation([_random_client(k, rng, 2, 3, params) for k in range(2)], model,
-                          TrainingConfig(lr=0.3))
-
-    fed, twin = federation(), federation()
+    rng = np.random.default_rng(4)
+    clients = [_random_client(k, rng, 2, 3, params) for k in range(2)]
+    fed = Federation(clients, model, training)
     local_train(fed, shared.values[None], round_index=1)
-    held = [c.params for c in fed.clients]
-    r1 = [flatten(p).values for p in held]
-    fed.clients[0].params = init_params(model, 3, 2, seed=9, cross_domain=True)
-    local_train(fed, shared.values[None], round_index=2)
-    for c, p, v in zip(fed.clients, held, r1):
-        assert c.params is p
-        assert not np.array_equal(flatten(p).values, v)  # the local head trained on
-    # client 0's round-2 head continued from its round-1 head, not from
-    # the params it was handed in between: the same as a twin never handed them
-    for r in (1, 2):
-        local_train(twin, shared.values[None], round_index=r)
-    for c, t in zip(fed.clients, twin.clients):
-        assert flatten(c.params).values.tobytes() == flatten(t.params).values.tobytes()
+    r1 = fed.held
+    kept = r1.tobytes()
+    # records that start from the round-1 rows train round 2 as fed does
+    resumed = Federation([dataclasses.replace(c, params=layer_views(row, fed.layout))
+                          for c, row in zip(clients, r1)], model, training)
+    u2, v2 = (local_train(f, shared.values[None], round_index=2)[0] for f in (fed, resumed))
+    assert fed.held is not r1 and r1.tobytes() == kept
+    assert not np.array_equal(fed.held, r1)  # the local heads trained on
+    assert u2.deltas.tobytes() == v2.deltas.tobytes()
+    assert fed.held.tobytes() == resumed.held.tobytes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fed.clients[0].params = init_params(model, 3, 2, seed=9, cross_domain=True)

@@ -38,6 +38,7 @@ from fedgeo.model import (
     FlatVector,
     LayerSpec,
     graph_batch,
+    layer_views,
 )
 
 from conftest import stack
@@ -365,6 +366,47 @@ def test_one_server_call_per_lockstep_round_keeps_the_first_runs_on_divergence(
         assert getattr(retried, name).tobytes() == getattr(first, name)[:1].tobytes()
 
 
+CROSS = """
+run.rounds = 4
+run.seeds = 1, 2
+run.regime = cross_domain
+data1.kind = planted
+data1.blocks = 2
+data1.block_size = 8
+data1.classes = 2
+data1.features = 4
+data1.clients = 2
+data2.kind = planted
+data2.blocks = 2
+data2.block_size = 8
+data2.p_in = 0.5
+data2.classes = 2
+data2.features = 4
+data2.clients = 2
+model.hidden = 4
+client.lr = 0.1
+server.regulation = ggrs
+"""
+
+
+def test_a_cross_domain_retry_keeps_the_survivors_trained_heads(tmp_path, monkeypatch):
+    # when seed 2 diverges at round 3, seed 1 retries the round with the
+    # local heads its clients trained in rounds 1 and 2, not their
+    # initial ones: its rows are the full run's, byte for byte
+    cfg = parse_config(CROSS, path="inline.conf")
+    run(cfg, out=str(tmp_path / "full"))
+    _diverge(monkeypatch, {1: (3, 0)})
+    with pytest.raises(DivergenceError) as err:
+        run(cfg, out=str(tmp_path / "o"))
+    assert (err.value.seed, err.value.round_index) == (2, 3)
+    full = (tmp_path / "full" / "metrics.csv").read_text().splitlines()
+    kept = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
+    assert kept == [l for l in full if l == CSV_HEADER or l.split(",")[1] == "1"]
+    assert len(kept) == 1 + 4
+    assert ((tmp_path / "o" / "regulation_seed1.jsonl").read_bytes()
+            == (tmp_path / "full" / "regulation_seed1.jsonl").read_bytes())
+
+
 def test_a_seed_that_cannot_be_built_fails_before_any_round(tmp_path, monkeypatch):
     # every seed is built before round 1, so the first seed trains no
     # round when the second has no client with train nodes
@@ -454,7 +496,7 @@ client.lr = 0.1
         shared = FlatVector(values=shared.values + delta[0],
                             layout=shared.layout)
 
-    heads = [flatten(c.params, group=LOCAL).values for c in clients]
+    heads = [flatten(layer_views(row, fed.layout), group=LOCAL).values for row in fed.held]
     init_head = flatten(params0, group=LOCAL).values
     assert not np.array_equal(heads[0], heads[1])  # trained on different data
     for h in heads:

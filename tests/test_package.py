@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -28,6 +29,17 @@ def test_every_exported_name_resolves(module):
     assert len(set(exported)) == len(exported), f"{module.__name__}.__all__ repeats a name"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+
+
+def test_every_dataclass_the_package_defines_is_frozen():
+    # records are inputs and values; what training changes lives in the
+    # Federation, so no dataclass of the package can be written into
+    mutable = sorted(f"{m.__name__}.{name}" for m in MODULES
+                     for name, obj in vars(m).items()
+                     if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                     and obj.__module__ == m.__name__
+                     and not obj.__dataclass_params__.frozen)
+    assert mutable == []
 
 
 # exported names that no module of the package reads, each with the

@@ -91,8 +91,12 @@ def test_spec_refuses_non_numbers_by_name():
 def test_thin_class_warns():
     labels = np.array([0, 0, 0, 1])  # class 1 has 1 node < 3 clients
     spec = PartitionSpec(n_clients=3, dirichlet_alpha=1.0, seed=0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match=r"classes \[1\] have fewer nodes than clients \(3\)"):
         dirichlet_assignments(labels, spec)
+    # the classes print as plain ints, not NumPy scalar reprs
+    spec = PartitionSpec(n_clients=5, dirichlet_alpha=1.0, seed=0)
+    with pytest.warns(UserWarning, match=r"classes \[0, 1, 2, 3\] have"):
+        dirichlet_assignments(np.repeat(np.arange(4), 3), spec)
 
 
 def test_partition_returns_client_graphs_covering_nodes():
