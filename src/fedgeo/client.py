@@ -8,17 +8,19 @@ the final layer is a client-local head: it trains locally, persists in
 the federation's ``held`` rows across rounds, and never leaves the
 client.
 
-Trainers: "fedavg" (E steps), "fedsgd" (forced single step), "fedprox"
-(E steps, gradient augmented with mu * (theta - global) over the shared
-group). Plain gradient descent throughout — no momentum, no minibatches —
-so a round is bitwise deterministic in its inputs.
+Trainers: "fedavg" (E steps) and "fedprox" (E steps, gradient
+augmented with mu * (theta - global) over the shared group); FedSGD is
+fedavg at E = 1. Plain gradient descent throughout — no momentum, no
+minibatches — so a round is bitwise deterministic in its inputs.
 
-A ``ClientState`` is a client's input record, and the ``Federation``
-built over it owns what training changes. It holds its clients' graphs
-as one batch, with their train and test rows, and their parameters as
-one (K, L) matrix, ``held``, row k client k's flat vector
-(``model.FlatVector`` order, local head included), which each round
-replaces with the trained matrix. The shared layers are adjacent (a
+A ``ClientState`` is a client's input record: its rows of a graph that
+may hold other clients side by side, as the harness builds each
+source's clients. The ``Federation`` built over it owns what training
+changes. It holds its clients' graphs as one batch, each distinct graph
+and its normalized adjacency once, with their train and test rows, and
+their parameters as one (K, L) matrix, ``held``, row k client k's flat
+vector (``model.FlatVector`` order, local head included), which each
+round replaces with the trained matrix. The shared layers are adjacent (a
 model has 1 or 2 layers), so their columns are one slice of the
 matrix. Its clients belong to one or more runs, independent
 federations that train in lockstep, such as the harness's run seeds:
@@ -61,7 +63,7 @@ from .model import unflatten  # noqa: F401
 
 __all__ = ["ClientState", "Federation", "RoundUpdates", "TrainingConfig", "local_train", "TRAINERS"]
 
-TRAINERS = ("fedavg", "fedsgd", "fedprox")
+TRAINERS = ("fedavg", "fedprox")
 
 
 @dataclass(frozen=True)
@@ -90,22 +92,35 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class ClientState:
-    """One client's input record: its id, its graph and normalized
-    adjacency, and the parameters it starts from, local head included.
+    """One client's input record: its id, a graph and its normalized
+    adjacency, the client's rows ``nodes`` = (start, stop) of that graph
+    (default: the whole graph), and the parameters it starts from, local
+    head included. Clients that share a graph share its arrays and
+    operator; the graph must have no edge that leaves a client's rows.
     A ``Federation`` over the client copies ``params`` into its ``held``
     matrix and trains that; the record never changes. A graph whose node
-    count is not the adjacency size is an InputError.
+    count is not the adjacency size, or rows that are not a non-empty
+    span of the graph, are an InputError.
     """
 
     client_id: int
     graph: Graph
     adj: NormalizedAdjacency
     params: ParameterSet
+    nodes: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.graph.n_nodes != self.adj.n_nodes:
-            raise InputError(f"feature rows {self.graph.n_nodes} "
-                             f"!= adjacency size {self.adj.n_nodes}")
+        n = self.graph.n_nodes
+        if n != self.adj.n_nodes:
+            raise InputError(f"feature rows {n} != adjacency size {self.adj.n_nodes}")
+        nodes = (0, n) if self.nodes is None else tuple(self.nodes)
+        for end in nodes:
+            check_integer("a client's node span end", end)
+        nodes = tuple(map(int, nodes))
+        if len(nodes) != 2 or not 0 <= nodes[0] < nodes[1] <= n:
+            raise InputError(f"client {self.client_id}'s nodes {nodes} are not a non-empty "
+                             f"span of its {n}-node graph")
+        object.__setattr__(self, "nodes", nodes)
 
 
 class Federation:
@@ -121,7 +136,9 @@ class Federation:
     shared layers' and ``shared_columns`` the one slice of the layout
     they cover. ``batch`` holds their graphs as one
     (``model.GraphBatch``, built once, so a client given a new graph
-    needs a new federation), and ``train`` and ``test`` their train and
+    needs a new federation), each distinct graph once: the clients of a
+    graph come one after another and cover its rows in order
+    (InputError otherwise). ``train`` and ``test`` are their train and
     test rows in it. ``held`` is the (K, L) matrix of the clients'
     current parameters, local heads included, in client order: each
     round replaces it with a new matrix and never writes into it, so a
@@ -161,13 +178,26 @@ class Federation:
         self.runs = tuple(zip([0] + stops[:-1], stops))
         self.model = model
         self.training = training
-        self.batch = graph_batch([c.adj for c in clients], [c.graph.features for c in clients],
-                                 [c.graph.labels for c in clients])
-        self.train = self.batch.rows([np.flatnonzero(c.graph.train_mask) for c in clients])
+        for p, c in zip([None, *clients], [*clients, None]):
+            if p is None or p.nodes[1] == p.adj.n_nodes:  # p ends a graph: c starts one
+                ok = c is None or c.nodes[0] == 0
+            else:  # c continues p's graph
+                ok = c is not None and c.adj is p.adj and c.nodes[0] == p.nodes[1]
+            if not ok:
+                raise InputError(f"client {(c or p).client_id}'s nodes {(c or p).nodes} are "
+                                 "out of place: a graph's clients follow one another and "
+                                 "cover its rows in order")
+        graphs = [c for c in clients if c.nodes[0] == 0]  # the first client of each graph
+        self.batch = graph_batch([c.adj for c in graphs], [c.graph.features for c in graphs],
+                                 [c.graph.labels for c in graphs],
+                                 np.cumsum([0] + [b - a for a, b in (c.nodes for c in clients)]))
+        self.train = self.batch.rows([np.flatnonzero(c.graph.train_mask[slice(*c.nodes)])
+                                      for c in clients])
         if not self.train.counts.all():
             raise InputError(f"client {self.client_ids[int(np.argmin(self.train.counts))]} "
                              "has no train nodes")
-        self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask) for c in clients])
+        self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask[slice(*c.nodes)])
+                                     for c in clients])
         self.held = np.stack([flat.values for flat in flats])
 
     def params(self, shared: np.ndarray) -> np.ndarray:
@@ -243,11 +273,11 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
 
     Loads its run's broadcast into every client model (a local head
     keeps its previous values), runs E full-batch gradient steps
-    (fedsgd: exactly one; fedprox: mu-proximal gradient toward the
-    broadcast point), replaces the federation's ``held`` with the
-    trained matrix, and returns theta_shared_after -
-    theta_shared_broadcast of each client. Each step is one ``gradient`` call and one in-place update
-    of the (K, L) parameter matrix of all clients; each client's values
+    (fedprox: mu-proximal gradient toward the broadcast point), replaces
+    the federation's ``held`` with the trained matrix, and returns
+    theta_shared_after - theta_shared_broadcast of each client. Each
+    step is one ``gradient`` call and one in-place update of the (K, L)
+    parameter matrix of all clients; each client's values
     are those its own one-client federation gives, bit for bit.
 
     A client whose loss is not finite at some step, or whose delta is
@@ -259,7 +289,6 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     cols = fed.shared_columns
     params = layer_views(work, fed.layout)
     training = fed.training
-    n_steps = 1 if training.trainer == "fedsgd" else training.epochs
     # fedprox pulls the broadcast columns, not a local head, toward the run's
     # broadcast start, theta <- theta - lr * (g + mu * (theta - start)); the
     # deltas subtract the same start, in place
@@ -267,7 +296,7 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     start = work[:, cols].copy()
 
     diverged = np.zeros(len(fed.clients), dtype=bool)
-    for _ in range(n_steps):
+    for _ in range(training.epochs):
         # a diverged client's values are not finite from here on: no warnings
         with np.errstate(all="ignore" if diverged.any() else None):
             losses, grads = gradient(params, fed.batch, fed.train, fed.model.activation)

@@ -128,6 +128,13 @@ def _choice(*options: str):
     return convert
 
 
+def _trainer(raw: str) -> str:
+    if raw == "fedsgd":  # the alias ran fedavg's one step whatever the epochs
+        raise ValueError("trainer fedsgd is fedavg at one epoch: use client.trainer = fedavg "
+                         "with client.epochs = 1")
+    return _choice(*TRAINERS)(raw)
+
+
 def _word_or(word: str, value, convert):
     """``word`` reads as ``value``; any other text goes through ``convert``."""
     return lambda raw: value if raw == word else convert(raw)
@@ -171,7 +178,7 @@ KEYS = {
     ("model", "hidden"): ("hidden_dim", _int),
     ("model", "activation"): ("activation", _choice(*ACTIVATIONS)),
     ("model", "bias"): ("bias", _bool),
-    ("client", "trainer"): ("trainer", _choice(*TRAINERS)),
+    ("client", "trainer"): ("trainer", _trainer),
     ("client", "lr"): ("lr", _float),
     ("client", "epochs"): ("epochs", _int),
     ("client", "mu"): ("mu", _float),

@@ -282,7 +282,9 @@ def block_diagonal(adjs: list[NormalizedAdjacency]) -> NormalizedAdjacency:
 # takes n^2 coins (n x DRAW_ROWS at a time) and complete_graph keeps
 # n^2 / 2 edges, so this limit bounds their time and complete's memory
 MAX_DENSE_NODES = 4096
-DRAW_ROWS = 256  # planted coin rows drawn at once: 2 MB of coins per 1,000 nodes
+# planted coin rows drawn at once, into one buffer of 2 MB of coins and
+# 0.25 MB of hit flags per 1,000 nodes that every chunk reuses
+DRAW_ROWS = 256
 
 
 def check_generator(n_nodes: int = 1, n_blocks: int = 1, block_size: int = 1,
@@ -345,6 +347,9 @@ def planted_partition_graph(
     used), then an (n, feature_dim) standard-normal draw for feature
     noise. The coins are drawn ``DRAW_ROWS`` rows at a time, which
     consumes the stream as one (n, n) draw does and holds no n x n array.
+    A chunk's coins are compared with ``p_out`` in place and then, over
+    each block's window of the chunk, with ``p_in``, so no array of
+    per-coin probabilities is built; its hits are read as flat indices.
     """
     check_generator(n_blocks=n_blocks, block_size=block_size, p_in=p_in, p_out=p_out,
                     n_classes=n_classes, feature_dim=feature_dim, dense=True)
@@ -354,12 +359,25 @@ def planted_partition_graph(
     labels = (block % n_classes).astype(np.int64)
 
     rng = np.random.default_rng(seed)
+    coins = np.empty(min(DRAW_ROWS, n) * n)
+    hit = np.empty(coins.size, dtype=bool)
     hits = []
     for r0 in range(0, n, DRAW_ROWS):
-        coins = rng.random((min(DRAW_ROWS, n - r0), n))
-        c0 = r0 + 1  # no row of the block keeps a coin left of column c0
-        rows = block[r0:r0 + coins.shape[0], None]
-        r, c = np.nonzero(coins[:, c0:] < np.where(rows == block[None, c0:], p_in, p_out))
+        r1 = min(r0 + DRAW_ROWS, n)
+        c0 = r0 + 1  # no row of the chunk keeps a coin left of column c0
+        draw = coins[:(r1 - r0) * n].reshape(r1 - r0, n)
+        rng.random(out=draw)
+        # chunk[i, j]: coin (r0 + i, c0 + j) is below its probability, p_out
+        # everywhere and then p_in over each block's window of the chunk
+        chunk = hit[:(r1 - r0) * (n - c0)].reshape(r1 - r0, n - c0)
+        np.less(draw[:, c0:], p_out, out=chunk)
+        for b in range(r0 // block_size, (r1 - 1) // block_size + 1):
+            start, stop = b * block_size, (b + 1) * block_size
+            if stop > c0:
+                rows = slice(max(start, r0) - r0, min(stop, r1) - r0)
+                np.less(draw[rows, max(start, c0):stop], p_in,
+                        out=chunk[rows, max(start, c0) - c0:stop - c0])
+        r, c = np.divmod(np.flatnonzero(chunk), n - c0)
         r += r0
         c += c0
         upper = c > r

@@ -59,7 +59,7 @@ from .metrics import accuracy, pairwise_coherence, sensitivity_norm
 from .model import SHARED, ParameterSet, flatten, forward, init_params, layer_views
 # no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
 from .model import unflatten  # noqa: F401
-from .partition import dirichlet_label_partition
+from .partition import dirichlet_label_partition, induced_subgraph
 from .server import (
     RegulationReport,
     initial_reference,
@@ -104,17 +104,22 @@ def _source_graph(src: DataSource, seed: int) -> Graph:
     raise ConfigError(f"unknown data kind {src.kind!r}")
 
 
-def _client_graphs(cfg: RunConfig, run_seed: int) -> list[tuple[int, Graph]]:
-    """All client graphs for one run seed, as (source_index, graph)."""
-    out: list[tuple[int, Graph]] = []
+def _source_partitions(cfg: RunConfig, run_seed: int) -> list[tuple[Graph, list[np.ndarray]]]:
+    """Each source's graph for one run seed, with each of its clients'
+    original node ids (one client holds every node)."""
+    out = []
     for j, src in enumerate(cfg.sources):
         g = _source_graph(src, seed=1000 * run_seed + j)
-        if src.clients == 1:
-            parts = [g]
-        else:
-            parts = dirichlet_label_partition(g, cfg.partition_spec(j, run_seed))
-        out.extend((j, p) for p in parts)
+        out.append((g, [np.arange(g.n_nodes)] if src.clients == 1
+                    else dirichlet_label_partition(g, cfg.partition_spec(j, run_seed))))
     return out
+
+
+def _client_graphs(cfg: RunConfig, run_seed: int) -> list[tuple[int, Graph]]:
+    """Every client's own graph for one run seed, as (source_index, graph)."""
+    return [(j, g if len(groups) == 1 else induced_subgraph(g, [ids]))
+            for j, (g, groups) in enumerate(_source_partitions(cfg, run_seed))
+            for ids in groups]
 
 
 def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], ParameterSet]:
@@ -122,23 +127,38 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
 
     Clients without train nodes are left out of the federation (they
     could neither train nor report a displacement); at least one must
-    remain. Feature width and class count must agree across sources
-    because the encoder (and the initial head) are shared.
+    remain, and the others keep their ids. A source's kept clients share
+    one graph, their ``induced_subgraph`` side by side, and its one
+    normalized adjacency, each client holding its rows of them. Feature
+    width and class count must agree across sources because the encoder
+    (and the initial head) are shared.
     """
-    pairs = _client_graphs(cfg, run_seed)
-    dims = {g.feature_dim for _, g in pairs}
+    sources = _source_partitions(cfg, run_seed)
+    dims = {g.feature_dim for g, _ in sources}
     if len(dims) != 1:
         raise InputError(f"sources disagree on feature width: {sorted(dims)}")
-    n_classes = max(g.n_classes for _, g in pairs)
+    n_classes = max(g.n_classes for g, _ in sources)
 
     global_params = init_params(
         cfg.model, dims.pop(), n_classes, seed=run_seed,
         cross_domain=cfg.regime == "cross_domain",
     )
 
-    clients = [ClientState(client_id=cid, graph=g, adj=normalized_adjacency(g),
-                           params=global_params)
-               for cid, (_, g) in enumerate(pairs) if g.train_mask.any()]
+    clients: list[ClientState] = []
+    first_id = 0
+    for g, groups in sources:
+        kept = [(first_id + k, ids) for k, ids in enumerate(groups) if g.train_mask[ids].any()]
+        first_id += len(groups)
+        if not kept:
+            continue
+        if len(groups) > 1:
+            g = induced_subgraph(g, [ids for _, ids in kept])
+        adj = normalized_adjacency(g)
+        stop = 0
+        for cid, ids in kept:
+            stop += ids.size
+            clients.append(ClientState(client_id=cid, graph=g, adj=adj, params=global_params,
+                                       nodes=(stop - ids.size, stop)))
     if not clients:
         raise InputError("no client has any train nodes")
     return clients, global_params

@@ -7,7 +7,8 @@ activation, the final layer emits raw logits. ``forward`` and
 ``GraphBatch`` holds their node rows concatenated, with a block-diagonal
 A_hat and the stacked first-layer messages ``A_hat @ X``
 (``feature_message``; it depends on the graph alone, so the batch
-computes it once), and ``Rows`` name the node rows whose logits the
+computes it once, per operator, which may hold several graphs side by
+side), and ``Rows`` name the node rows whose logits the
 caller reads (the train rows for the loss, the test rows for accuracy).
 The last layer is built for those rows only. Their parameters come
 stacked, one slice per graph: ``layer_views`` of a (K, L) matrix whose
@@ -195,7 +196,7 @@ def _activate(x: np.ndarray, kind: str) -> np.ndarray:
 def feature_message(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
     """The first layer's message ``A_hat @ x``; ``x`` needs one row per
     node (InputError otherwise). It depends on the graph alone, so
-    ``graph_batch`` computes it once per graph."""
+    ``graph_batch`` computes it once per operator."""
     if x.shape[0] != adj.n_nodes:
         raise InputError(f"feature rows {x.shape[0]} != adjacency size {adj.n_nodes}")
     return adj @ np.asarray(x, dtype=np.float64)
@@ -286,9 +287,14 @@ class GraphBatch:
 
 
 def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
-                labels: list[np.ndarray]) -> GraphBatch:
-    """The GraphBatch of K graphs, given each one's A_hat, node features
-    and labels; each graph's message is its ``feature_message``."""
+                labels: list[np.ndarray], nodes: np.ndarray | None = None) -> GraphBatch:
+    """The GraphBatch of K graphs held by the given operators side by
+    side, given each operator's A_hat, node features and labels, and the
+    (K + 1) offsets ``nodes`` of the graphs in the operators' rows
+    (default: each operator one graph). Each operator's message is its
+    ``feature_message``. The offsets must rise from 0 to the rows'
+    total, and no entry of an operator may join two graphs (InputError
+    otherwise)."""
     if not adjs:
         raise InputError("a graph batch needs at least one graph")
     for adj, y in zip(adjs, labels, strict=True):
@@ -296,9 +302,22 @@ def graph_batch(adjs: list[NormalizedAdjacency], features: list[np.ndarray],
             raise InputError(f"labels {y.shape[0]} != adjacency size {adj.n_nodes}")
     message = np.concatenate([feature_message(a, x) for a, x in zip(adjs, features, strict=True)])
     message.flags.writeable = False  # forward hands it out as messages[0]
-    nodes = np.cumsum([0] + [a.n_nodes for a in adjs])
-    return GraphBatch(adj=block_diagonal(adjs), message=message, labels=np.concatenate(labels),
-                      nodes=nodes, spans=_segments(nodes), counts=np.diff(nodes),
+    adj = block_diagonal(adjs)
+    nodes = np.cumsum([0] + [a.n_nodes for a in adjs]) if nodes is None else np.asarray(nodes)
+    if nodes[0] != 0 or nodes[-1] != adj.n_nodes or np.any(np.diff(nodes) <= 0):
+        raise InputError(f"graph offsets {nodes.tolist()} do not rise from 0 to the "
+                         f"operators' {adj.n_nodes} rows")
+    # every row holds its diagonal, so each row's columns have a min and a
+    # max, which lie in the row's graph unless an entry joins two graphs
+    # (per-row arrays: per-entry ones raised margin_ggrs's peak RSS by 0.3 MB)
+    counts = np.diff(nodes)
+    starts = adj.storage.indptr[:-1]
+    low = np.minimum.reduceat(adj.storage.indices, starts)
+    high = np.maximum.reduceat(adj.storage.indices, starts)
+    if np.any(low < np.repeat(nodes[:-1], counts)) or np.any(high >= np.repeat(nodes[1:], counts)):
+        raise InputError("an operator's entry joins two graphs")
+    return GraphBatch(adj=adj, message=message, labels=np.concatenate(labels),
+                      nodes=nodes, spans=_segments(nodes), counts=counts,
                       sums=_segment_sums(nodes))
 
 

@@ -2,11 +2,12 @@
 
 For each class, per-client proportions are drawn from
 Dirichlet(alpha * 1_K); the class's nodes are shuffled and split at the
-cumulative proportion boundaries. Each client receives the induced
-subgraph on its nodes: node indices are relabeled to be contiguous and
-cross-client edges are dropped (clients never see topology they do not
-own). The client node sets always cover the original node set exactly
-once.
+cumulative proportion boundaries. The partition is each client's node
+ids; the client node sets always cover the original node set exactly
+once. ``induced_subgraph`` builds the clients' graphs side by side as
+one graph: each client's nodes are relabeled to one contiguous range
+and cross-client edges are dropped (clients never see topology they do
+not own).
 
 RNG stream order (one ``default_rng(spec.seed)``): for each class in
 ascending label order, first the Dirichlet draw, then the permutation of
@@ -62,28 +63,37 @@ def dirichlet_assignments(labels: np.ndarray, spec: PartitionSpec) -> list[np.nd
     return out
 
 
-def induced_subgraph(g: Graph, node_ids: np.ndarray) -> Graph:
-    """Subgraph on ``node_ids`` with nodes relabeled to 0..len-1.
+def induced_subgraph(g: Graph, groups: list[np.ndarray]) -> Graph:
+    """The subgraphs of ``g`` on each group of node ids, side by side as
+    one graph: group k's nodes are nodes ``bounds[k]:bounds[k + 1]`` in
+    ascending original order, where ``bounds`` are the cumulative group
+    sizes from 0, and only the edges inside one group are kept. Features,
+    labels and masks are carried over. One group gives the subgraph on
+    it alone.
 
-    ``node_ids`` must be sorted, unique original indices. Edges with an
-    endpoint outside the set are dropped; features, labels, and masks are
-    carried over.
+    Each group must be sorted, unique and non-empty original indices,
+    and no node may be in two groups (InputError otherwise).
     """
-    node_ids = np.asarray(node_ids, dtype=np.int64)
-    if node_ids.size == 0:
-        raise InputError("induced subgraph needs at least one node")
-    if np.any(np.diff(node_ids) <= 0):
+    groups = [np.asarray(ids, dtype=np.int64) for ids in groups]
+    if not groups or any(ids.ndim != 1 or ids.size == 0 for ids in groups):
+        raise InputError("induced subgraph needs groups of node ids, each of at least one")
+    sizes = [ids.size for ids in groups]
+    node_ids = np.concatenate(groups)
+    rise = np.diff(node_ids)
+    rise[np.cumsum(sizes)[:-1] - 1] = 1  # a group may start below the last one's end
+    if np.any(rise <= 0):
         raise InputError("node_ids must be sorted and unique")
+    owner = np.full(g.n_nodes, -1, dtype=np.int64)
+    owner[node_ids] = np.repeat(np.arange(len(groups)), sizes)
+    if np.count_nonzero(owner >= 0) != node_ids.size:
+        raise InputError("a node is in two groups")
     remap = np.full(g.n_nodes, -1, dtype=np.int64)
     remap[node_ids] = np.arange(node_ids.size)
-    if g.n_edges:
-        keep = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
-        edges = remap[g.edges[keep]]
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    keep = (owner[u] >= 0) & (owner[u] == owner[v])
     return make_graph(
         node_ids.size,
-        edges,
+        remap[g.edges[keep]],
         features=g.features[node_ids],
         labels=g.labels[node_ids],
         train_mask=g.train_mask[node_ids],
@@ -92,12 +102,13 @@ def induced_subgraph(g: Graph, node_ids: np.ndarray) -> Graph:
     )
 
 
-def dirichlet_label_partition(g: Graph, spec: PartitionSpec) -> list[Graph]:
-    """Partition ``g`` into ``spec.n_clients`` induced client subgraphs.
+def dirichlet_label_partition(g: Graph, spec: PartitionSpec) -> list[np.ndarray]:
+    """Each of the ``spec.n_clients`` clients' sorted original node ids
+    in a partition of ``g``.
 
-    A client drawn an empty node set would break the Graph invariant; such
-    clients receive one node stolen from the largest client (rare, only
-    under extreme skew on tiny graphs) so that coverage stays exact.
+    A client drawn an empty node set would have no graph; such clients
+    receive one node stolen from the largest client (rare, only under
+    extreme skew on tiny graphs) so that coverage stays exact.
     """
     assignment = dirichlet_assignments(g.labels, spec)
     empty = [i for i, ids in enumerate(assignment) if ids.size == 0]
@@ -107,4 +118,4 @@ def dirichlet_label_partition(g: Graph, spec: PartitionSpec) -> list[Graph]:
             raise InputError("not enough nodes to give every client at least one")
         assignment[i] = assignment[donor][-1:]
         assignment[donor] = assignment[donor][:-1]
-    return [induced_subgraph(g, ids) for ids in assignment]
+    return assignment

@@ -77,7 +77,7 @@ __all__ = [
 _REDUCE_ABOVE = 4096
 _REDUCED_DIM = 1024
 _PROXY_SEED = 97  # seeds the sign projection
-_SIGN_ROWS = 256  # sign-matrix rows drawn at once: 2 MB of int64 at 1024 columns
+_SIGN_ROWS = 256  # sign-matrix rows drawn at once: 1 MB of raw bits at 1024 columns
 # the largest sign matrix drawn: 512 MiB holds the 389 MiB of a 767-feature,
 # 64-hidden model's 49,802-long proxies at 1024 columns
 _MAX_SIGN_BYTES = 512 * 2**20
@@ -284,18 +284,32 @@ def check_projection(cfg: AggregatorConfig, length: int) -> None:
 def _sign_projection(d_in: int, d_out: int) -> np.ndarray:
     """Run-constant random +-1 matrix (d_in x d_out): 2 b - 1 for the
     (d_in, d_out) row-major ``integers(0, 2)`` draw b of a
-    ``default_rng(_PROXY_SEED)``, filled in place _SIGN_ROWS rows at a
-    time (the draw consumes the stream as one whole draw does). A run
-    uses one (d_in, d_out), so only the latest matrix is kept. Every
-    caller gets the same array, so it is read-only. A matrix above the
-    limit is an InputError, raised before anything is allocated."""
+    ``default_rng(_PROXY_SEED)``, filled in place about _SIGN_ROWS rows
+    at a time. A run uses one (d_in, d_out), so only the latest matrix
+    is kept. Every caller gets the same array, so it is read-only. A
+    matrix above the limit is an InputError, raised before anything is
+    allocated.
+
+    The bits are read from the bit generator's raw 64-bit outputs,
+    without ``integers``' int64 array. This relies on how NumPy draws
+    ``integers(0, 2)``: by Lemire's method on ``next_uint32``, one
+    32-bit half of a raw output per entry, low half first, and with a
+    range of 2 that method never rejects and returns bit 31 of the half.
+    Each chunk but the last holds an even number of entries, so it
+    starts on a fresh raw output, as in the one whole draw."""
     _check_sign_bytes(d_in, d_out)
-    rng = np.random.default_rng(_PROXY_SEED)
+    bits = np.random.default_rng(_PROXY_SEED).bit_generator
     p = np.empty((d_in, d_out))
-    for r0 in range(0, d_in, _SIGN_ROWS):
-        rows = p[r0:r0 + _SIGN_ROWS]
-        np.multiply(rng.integers(0, 2, size=rows.shape), 2.0, out=rows)
-        rows -= 1.0
+    entries = p.reshape(-1)
+    step = _SIGN_ROWS * d_out + (_SIGN_ROWS * d_out) % 2
+    for start in range(0, entries.size, step):
+        chunk = entries[start:start + step]
+        # little-endian words, so each output's low half comes first
+        raw = bits.random_raw((chunk.size + 1) // 2).astype("<u8", copy=False)
+        halves = raw.view("<u4")[:chunk.size]
+        np.right_shift(halves, 31, out=halves)
+        np.multiply(halves, 2.0, out=chunk)
+        chunk -= 1.0
     p.flags.writeable = False
     return p
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedgeo import (
     ClientState,
+    ConfigError,
     DivergenceError,
     Federation,
     InputError,
@@ -19,6 +20,7 @@ from fedgeo import (
     local_train,
     make_graph,
     normalized_adjacency,
+    parse_config,
     path_graph,
     planted_partition_graph,
     unflatten,
@@ -77,12 +79,16 @@ def test_one_step_quadratic_surrogate_closed_form():
     assert update.deltas[0] == pytest.approx(expected.ravel(), abs=1e-15)
 
 
-def test_fedsgd_takes_exactly_one_step():
-    f1, shared = _fixture(trainer="fedsgd", epochs=7, lr=0.05)
-    f2, _ = _fixture(trainer="fedavg", epochs=1, lr=0.05)
-    u1 = local_train(f1, shared.values[None])[0]
-    u2 = local_train(f2, shared.values[None])[0]
-    np.testing.assert_array_equal(u1.deltas[0], u2.deltas[0])
+def test_fedsgd_is_refused_with_the_fedavg_config_that_replaces_it():
+    # fedsgd ran fedavg's one step whatever the epochs: a config naming it
+    # fails at parse time and says what to write instead
+    text = "data.kind = complete\ndata.n = 4\nclient.trainer = fedsgd\n"
+    with pytest.raises(ConfigError, match=r"inline.conf:3: trainer fedsgd is fedavg at one "
+                                          r"epoch: use client.trainer = fedavg with "
+                                          r"client.epochs = 1"):
+        parse_config(text, path="inline.conf")
+    with pytest.raises(InputError, match="unknown trainer 'fedsgd'"):
+        TrainingConfig(trainer="fedsgd")
 
 
 def test_fedavg_multi_epoch_matches_manual_descent():
@@ -365,7 +371,7 @@ def _random_client(cid, rng, n_classes, feature_dim, params):
     run_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
     n_layers=st.sampled_from((1, 2)),
     activation=st.sampled_from(("relu", "identity")),
-    trainer=st.sampled_from(("fedavg", "fedsgd", "fedprox")),
+    trainer=st.sampled_from(("fedavg", "fedprox")),
     local_heads=st.booleans(),
     epochs=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),

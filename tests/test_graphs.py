@@ -349,6 +349,47 @@ def test_planted_row_blocks_match_the_one_shot_draw(n_blocks, block_size, draw_r
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def _planted_edges_by_where(n_blocks, block_size, p_in, p_out, seed):
+    """The planted edges as each chunk's np.where array of per-coin
+    probabilities gives them: the reference for the in-place draw."""
+    n = n_blocks * block_size
+    block = np.repeat(np.arange(n_blocks), block_size)
+    rng = np.random.default_rng(seed)
+    hits = []
+    for r0 in range(0, n, graphs.DRAW_ROWS):
+        coins = rng.random((min(graphs.DRAW_ROWS, n - r0), n))
+        rows = block[r0:r0 + coins.shape[0], None]
+        r, c = np.nonzero(coins < np.where(rows == block[None, :], p_in, p_out))
+        r += r0
+        upper = c > r
+        hits.append(np.stack([r[upper], c[upper]], axis=1))
+    return np.concatenate(hits)
+
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_blocks=st.integers(1, 9),
+    block_size=st.integers(1, 300),
+    probs=st.tuples(_PROBABILITY, _PROBABILITY).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_blocks=3, block_size=171, probs=[0.1, 0.6], seed=0)  # blocks straddle chunks
+@example(n_blocks=1, block_size=257, probs=[0.3, 0.3], seed=1)  # a last row with no column
+@example(n_blocks=9, block_size=1, probs=[0.0, 1.0], seed=2)    # one-node blocks
+@example(n_blocks=9, block_size=300, probs=[0.001, 0.02], seed=3)
+def test_planted_edges_match_the_per_coin_probability_draw(n_blocks, block_size, probs, seed):
+    # blocks of 1 to 300 nodes fall across the DRAW_ROWS-row chunks at
+    # every offset; p_out <= p_in, with 0, 1 and equal values
+    p_out, p_in = probs
+    got = planted_partition_graph(n_blocks, block_size, p_in, p_out, 2, 3, 1.0, seed).edges
+    want = _planted_edges_by_where(n_blocks, block_size, p_in, p_out, seed)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_planted_draw_is_pinned():
     # wide_ggrs's source: a rewrite of the draw that moves an edge or a
     # feature bit changes this digest

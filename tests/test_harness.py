@@ -2,24 +2,33 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgeo import (
     AggregatorConfig,
+    ClientState,
     ConfigError,
     DivergenceError,
     Federation,
     InputError,
+    ModelConfig,
+    TrainingConfig,
     build_clients,
+    dirichlet_label_partition,
     flatten,
     gradient,
+    induced_subgraph,
+    init_params,
     initial_reference,
     local_train,
+    make_graph,
+    normalized_adjacency,
     partition_report,
     proxy_map,
     regulate_and_aggregate,
@@ -31,6 +40,7 @@ from fedgeo.cli import main
 from fedgeo.client import RoundUpdates
 from fedgeo.config import parse_config
 from fedgeo.harness import CSV_HEADER, _client_graphs
+from fedgeo.graphs import block_diagonal
 from fedgeo.metrics import pairwise_coherence
 from fedgeo.model import (
     LOCAL,
@@ -544,6 +554,148 @@ model.hidden = 4
     clients, _ = build_clients(found, run_seed=1)
     assert len(clients) == 1  # the starved client is dropped, not trained
     assert clients[0].graph.train_mask.sum() >= 1
+
+
+def _planted_config(clients: list[int], blocks: int, block_size: int, probs: list[float],
+                    classes: int, alpha: float) -> str:
+    """A config of one planted source per entry of ``clients``, each split
+    among that many clients."""
+    p_out, p_in = probs
+    return "".join(f"""
+data{j}.kind = planted
+data{j}.blocks = {blocks}
+data{j}.block_size = {block_size}
+data{j}.p_in = {p_in!r}
+data{j}.p_out = {p_out!r}
+data{j}.classes = {classes}
+data{j}.features = 3
+data{j}.clients = {k}
+""" for j, k in enumerate(clients, 1)) + f"partition.alpha = {alpha!r}\nmodel.hidden = 3\n"
+
+
+def _arrays(adj):
+    m = adj.storage
+    return [(a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    clients=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    blocks=st.integers(1, 4),
+    block_size=st.integers(1, 10),
+    probs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    classes=st.integers(1, 3),
+    alpha=st.sampled_from([0.05, 0.5, 50.0]),
+    run_seed=st.integers(0, 100),
+)
+# each draws a client no node, which then takes one from the largest, and
+# a client with no train node, which is dropped while the others keep their ids
+@example(clients=[5], blocks=1, block_size=6, probs=[0.2, 0.8], classes=1, alpha=0.05,
+         run_seed=0)
+@example(clients=[4, 2], blocks=2, block_size=5, probs=[0.1, 0.7], classes=2, alpha=0.05,
+         run_seed=3)
+def test_a_sources_clients_share_their_own_graphs_side_by_side(clients, blocks, block_size,
+                                                              probs, classes, alpha,
+                                                              run_seed):
+    # each source's kept clients hold one graph and one operator, which
+    # are their own graphs' and operators' side by side, array for array;
+    # their federation trains on the same message and rows as one of
+    # per-client states
+    cfg = parse_config(_planted_config(clients, blocks, block_size, probs, classes, alpha),
+                       path="inline.conf")
+    own, cid = [], 0  # (client id, source, the client's own graph) of each kept client
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # classes thinner than the clients
+        try:
+            for j, k in enumerate(clients):
+                g = harness._source_graph(cfg.sources[j], 1000 * run_seed + j)
+                groups = ([np.arange(g.n_nodes)] if k == 1
+                          else dirichlet_label_partition(g, cfg.partition_spec(j, run_seed)))
+                for ids in groups:
+                    sub = induced_subgraph(g, [ids])
+                    if sub.train_mask.any():
+                        own.append((cid, j, sub))
+                    cid += 1
+        except InputError:  # fewer nodes than clients
+            with pytest.raises(InputError, match="not enough nodes"):
+                build_clients(cfg, run_seed)
+            return
+        if not own:
+            with pytest.raises(InputError, match="no client has any train nodes"):
+                build_clients(cfg, run_seed)
+            return
+        built, params = build_clients(cfg, run_seed)
+
+    assert [c.client_id for c in built] == [i for i, _, _ in own]
+    for j in range(len(clients)):
+        mine = [c for c, (_, src, _) in zip(built, own) if src == j]
+        graphs = [sub for _, src, sub in own if src == j]
+        if not mine:
+            continue
+        assert all(c.graph is mine[0].graph and c.adj is mine[0].adj for c in mine)
+        stops = np.cumsum([sub.n_nodes for sub in graphs]).tolist()
+        assert [c.nodes for c in mine] == list(zip([0] + stops[:-1], stops))
+        assert _arrays(mine[0].adj) == _arrays(
+            block_diagonal([normalized_adjacency(sub) for sub in graphs]))
+        for c, sub in zip(mine, graphs):
+            a, b = c.nodes
+            for name in ("features", "labels", "train_mask", "val_mask", "test_mask"):
+                assert getattr(c.graph, name)[a:b].tobytes() == getattr(sub, name).tobytes()
+
+    fed = Federation(built, cfg.model, cfg.client)
+    alone = Federation([ClientState(client_id=i, graph=sub, adj=normalized_adjacency(sub),
+                                    params=params) for i, _, sub in own],
+                       cfg.model, cfg.client)
+    assert fed.batch.message.tobytes() == alone.batch.message.tobytes()
+    assert _arrays(fed.batch.adj) == _arrays(alone.batch.adj)
+    assert fed.batch.nodes.tolist() == alone.batch.nodes.tolist()
+    for rows, want in ((fed.train, alone.train), (fed.test, alone.test)):
+        for name in ("index", "bounds", "counts"):
+            assert getattr(rows, name).tolist() == getattr(want, name).tolist()
+        assert [p.tolist() for p in rows.pick] == [p.tolist() for p in want.pick]
+
+
+def test_a_client_holds_a_non_empty_span_of_its_graph_in_order():
+    # two clients' graphs side by side, on nodes 0-2 and 3-7
+    g = make_graph(8, [[0, 1], [1, 2], [3, 4], [5, 7]], features=np.ones((8, 3)),
+                   labels=[0, 1] * 4)
+    adj = normalized_adjacency(g)
+    params = init_params(ModelConfig(n_layers=1), 3, 2, seed=0)
+    assert ClientState(client_id=0, graph=g, adj=adj, params=params).nodes == (0, 8)
+    for nodes in ((0, 9), (-1, 3), (3, 3), (5, 2), (0, 1, 2)):
+        with pytest.raises(InputError, match=r"not a non-empty span of its 8-node graph"):
+            ClientState(client_id=0, graph=g, adj=adj, params=params, nodes=nodes)
+    with pytest.raises(InputError, match="must be an integer, not 2.5"):
+        ClientState(client_id=0, graph=g, adj=adj, params=params, nodes=(0, 2.5))
+
+    # a graph's clients follow one another and cover its rows in order
+    def state(cid, nodes, a=adj):
+        return ClientState(client_id=cid, graph=g, adj=a, params=params, nodes=nodes)
+    fed = Federation([state(0, (0, 3)), state(1, (3, 8)), state(2, None)], ModelConfig(n_layers=1),
+                     TrainingConfig())
+    assert fed.batch.nodes.tolist() == [0, 3, 8, 16]
+    other = normalized_adjacency(g)
+    for clients, bad in (
+        ([state(0, (3, 8)), state(1, (0, 3))], "client 0's nodes \\(3, 8\\)"),
+        ([state(0, (0, 3)), state(1, (4, 8))], "client 1's nodes \\(4, 8\\)"),
+        ([state(0, (0, 3)), state(1, (3, 8), other)], "client 1's nodes \\(3, 8\\)"),
+        ([state(0, (0, 3))], "client 0's nodes \\(0, 3\\)"),
+        ([state(0, None), state(1, (3, 8))], "client 1's nodes \\(3, 8\\)"),
+    ):
+        with pytest.raises(InputError, match=bad + " are out of place: a graph's clients "
+                                                   "follow one another and cover its rows "
+                                                   "in order"):
+            Federation(clients, ModelConfig(n_layers=1), TrainingConfig())
+    for nodes in ([0, 5, 5, 8], [0, 3], [1, 8]):
+        with pytest.raises(InputError, match="do not rise from 0 to the operators' 8 rows"):
+            graph_batch([adj], [g.features], [g.labels], nodes)
+    # an edge between two clients' rows would mix their values
+    joined = make_graph(4, [[1, 2]], features=np.ones((4, 3)), labels=[0, 1, 0, 1])
+    joined_adj = normalized_adjacency(joined)
+    with pytest.raises(InputError, match="joins two graphs"):
+        Federation([ClientState(client_id=k, graph=joined, adj=joined_adj, params=params,
+                                nodes=span) for k, span in enumerate(((0, 2), (2, 4)))],
+                   ModelConfig(n_layers=1), TrainingConfig())
 
 
 def test_all_clients_without_train_nodes_rejected(tmp_path):

@@ -88,7 +88,8 @@ def test_benchmark_tracer_counts_the_layers_of_a_short_run(tmp_path):
     # the report (``report.clients``); a refactor that breaks one, or
     # leaves a traced layer uncalled, fails here, not only under
     # `pytest perfbench`. The two metrics spans patch the names the
-    # harness imported, so a round must reach them through the harness
+    # harness imported, so a round must reach them through the harness,
+    # and the three build spans the names it builds each source through
     root = Path(__file__).resolve().parent.parent
     code = textwrap.dedent("""\
         import dataclasses, json, sys, time
@@ -110,7 +111,8 @@ def test_benchmark_tracer_counts_the_layers_of_a_short_run(tmp_path):
     calls = json.loads(proc.stdout.strip().splitlines()[-1])
     for name in ("server.regulate", "server.update_reference", "server.proxy_map",
                  "client.local_train", "model.layout", "metrics.coherence",
-                 "metrics.accuracy"):
+                 "metrics.accuracy", "graphs.generate", "graphs.normalize",
+                 "partition.split"):
         assert calls.get(name, 0) > 0, (name, calls)
 
 

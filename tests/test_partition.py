@@ -104,15 +104,18 @@ def test_partition_returns_client_graphs_covering_nodes():
     spec = PartitionSpec(n_clients=4, dirichlet_alpha=0.3, seed=9)
     parts = dirichlet_label_partition(g, spec)
     assert len(parts) == 4
-    assert sum(p.n_nodes for p in parts) == g.n_nodes
-    for p in parts:
-        assert p.n_nodes >= 1
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(g.n_nodes))
+    for ids in parts:
+        assert ids.size >= 1 and np.all(np.diff(ids) > 0)
+    sub = induced_subgraph(g, parts)
+    assert sub.n_nodes == g.n_nodes
 
 
 def test_partition_single_client_is_whole_graph():
     g = _fixture_graph()
     spec = PartitionSpec(n_clients=1, dirichlet_alpha=0.3, seed=0)
-    (p,) = dirichlet_label_partition(g, spec)
+    (ids,) = dirichlet_label_partition(g, spec)
+    p = induced_subgraph(g, [ids])
     assert p.n_nodes == g.n_nodes
     np.testing.assert_array_equal(p.edges, g.edges)
     np.testing.assert_array_equal(p.features, g.features)
@@ -129,7 +132,8 @@ def test_partition_drops_cross_client_edges():
     for i, ids in enumerate(assignment):
         owner[ids] = i
     intra = np.count_nonzero(owner[g.edges[:, 0]] == owner[g.edges[:, 1]])
-    assert sum(p.n_edges for p in parts) == intra
+    assert sum(induced_subgraph(g, [ids]).n_edges for ids in parts) == intra
+    assert induced_subgraph(g, parts).n_edges == intra
     assert intra < g.n_edges  # heterophilous cut exists at these sizes
 
 
@@ -140,8 +144,8 @@ def test_empty_client_receives_a_node():
     g = make_graph(3, np.array([[0, 1], [1, 2]]), labels=labels)
     spec = PartitionSpec(n_clients=3, dirichlet_alpha=0.2, seed=0)
     parts = dirichlet_label_partition(g, spec)
-    assert sum(p.n_nodes for p in parts) == 3
-    assert all(p.n_nodes == 1 for p in parts)
+    assert sorted(np.concatenate(parts).tolist()) == [0, 1, 2]
+    assert all(ids.size == 1 for ids in parts)
 
 
 def test_partition_impossible_when_fewer_nodes_than_clients():
@@ -158,7 +162,7 @@ def test_induced_subgraph_relabels_and_filters():
         np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]),
         labels=np.array([0, 1, 0, 1, 0]),
     )
-    sub = induced_subgraph(g, np.array([0, 2, 4]))
+    sub = induced_subgraph(g, [np.array([0, 2, 4])])
     assert sub.n_nodes == 3
     # only 0-4 survives among {0,2,4}; relabeled to 0-2
     assert sub.edges.tolist() == [[0, 2]]
@@ -169,6 +173,11 @@ def test_induced_subgraph_relabels_and_filters():
 def test_induced_subgraph_rejects_unsorted_ids():
     g = make_graph(4, np.array([[0, 1]]))
     with pytest.raises(InputError):
-        induced_subgraph(g, np.array([2, 0]))
+        induced_subgraph(g, [np.array([2, 0])])
     with pytest.raises(InputError):
-        induced_subgraph(g, np.array([], dtype=int))
+        induced_subgraph(g, [np.array([], dtype=int)])
+    for groups in ([], np.array([0, 1]), [np.array([0]), np.array([], dtype=int)]):
+        with pytest.raises(InputError, match="groups of node ids"):
+            induced_subgraph(g, groups)
+    with pytest.raises(InputError, match="a node is in two groups"):
+        induced_subgraph(g, [np.array([0, 1]), np.array([1, 2])])

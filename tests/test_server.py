@@ -237,6 +237,23 @@ def test_sign_projection_row_blocks_match_the_one_shot_draw(monkeypatch):
         p[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("shape", [(4680, 1024), (300, 7), (259, 1023), (1, 1)])
+def test_sign_projection_is_numpys_integers_draw(shape):
+    # the matrix reads bits straight from the bit generator on the strength
+    # of how NumPy draws integers(0, 2) (see _sign_projection); a NumPy
+    # whose draw differs fails here. An odd width, rows that are not a
+    # multiple of _SIGN_ROWS and a single entry included
+    _sign_projection.cache_clear()
+    try:
+        p = _sign_projection(*shape)
+    finally:
+        _sign_projection.cache_clear()
+    want = 2.0 * np.random.default_rng(_PROXY_SEED).integers(0, 2, shape) - 1.0
+    assert _PROXY_SEED == 97
+    assert p.dtype == want.dtype and p.shape == shape and p.tobytes() == want.tobytes()
+    assert not p.flags.writeable
+
+
 def test_sign_projection_draw_holds_one_matrix():
     # NumPy reports its buffers to tracemalloc: the one-shot draw held an
     # int64 copy and a 2.0 * x copy beside the 36.6 MiB matrix (2x it)
