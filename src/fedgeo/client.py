@@ -290,10 +290,12 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     params = layer_views(work, fed.layout)
     training = fed.training
     # fedprox pulls the broadcast columns, not a local head, toward the run's
-    # broadcast start, theta <- theta - lr * (g + mu * (theta - start)); the
-    # deltas subtract the same start, in place
+    # broadcast start, theta <- theta - lr * (g + mu * (theta - start)), the
+    # pull computed in one buffer held for the round; the deltas subtract the
+    # same start, in place
     mu = training.mu if training.trainer == "fedprox" else 0.0
     start = work[:, cols].copy()
+    pull = np.empty_like(start) if mu > 0.0 else None
 
     diverged = np.zeros(len(fed.clients), dtype=bool)
     for _ in range(training.epochs):
@@ -301,8 +303,10 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
         with np.errstate(all="ignore" if diverged.any() else None):
             losses, grads = gradient(params, fed.batch, fed.train, fed.model.activation)
             diverged |= ~np.isfinite(losses)
-            if mu > 0.0:
-                grads[:, cols] += mu * (work[:, cols] - start)
+            if pull is not None:
+                np.subtract(work[:, cols], start, out=pull)
+                pull *= mu
+                grads[:, cols] += pull
             grads *= training.lr
             work -= grads
 

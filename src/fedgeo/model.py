@@ -13,7 +13,7 @@ caller reads (the train rows for the loss, the test rows for accuracy).
 The last layer is built for those rows only. Their parameters come
 stacked, one slice per graph: ``layer_views`` of a (K, L) matrix whose
 row k is graph k's flat vector. Products with the weights run graph by
-graph (``_product``), everything else over all rows at once. The losses
+graph (``_products``), everything else over all rows at once. The losses
 and bias gradients of all graphs are one product with a 0/1 matrix
 (``GraphBatch.sums``, ``Rows.sums``) that adds each graph's rows in row
 order from +0.0. So each graph's values are bit for bit those of a
@@ -24,13 +24,22 @@ client and server as flat vectors with a canonical layer-ordered,
 row-major layout; ``layer_slices`` is the one place that layout's
 offsets are computed, and ``layer_views`` the one place they are read.
 
-Everything here is pure and double-precision; parameter values returned
-from one call are never aliased into another (``layer_views`` alone
-returns views, of the array it is given).
+Everything here is double-precision, and pure but for held workspaces.
+The per-graph operands of those products are sliced once and held by
+the object that owns the data: a ``Layer`` holds its weight's per-graph
+views for as long as it lives (one round's ``layer_views``), and a
+``GraphBatch`` or ``Rows`` holds the row views of its messages and its
+step buffers (``buffer``) for as long as it lives. ``forward``
+writes its pre-activations into such buffers, so they hold until the
+next ``forward`` or ``gradient`` on the same batch; ``gradient``'s
+losses and matrix are new on every call, and parameter values are never
+aliased into another call's (``layer_views`` alone returns views, of
+the array it is given).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -104,9 +113,25 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class Layer:
-    weight: np.ndarray          # (fan_in, fan_out)
-    bias: np.ndarray | None     # (fan_out,) or None
+    """One layer's weight (fan_in, fan_out) and bias (fan_out,) or None,
+    or a stack of K of each (see ``layer_views``), and its group. A
+    stacked layer holds the per-graph weight views that ``forward`` and
+    ``gradient`` read, made on first read: a new parameter matrix comes
+    with new layers, so they never outlive the matrix's layers."""
+
+    weight: np.ndarray          # (fan_in, fan_out), or (K, fan_in, fan_out)
+    bias: np.ndarray | None     # (fan_out,) or (K, fan_out), or None
     group: str                  # SHARED or LOCAL
+
+    @cached_property
+    def per_graph(self) -> list[np.ndarray]:
+        """Each graph's ``weight[k]``, a view."""
+        return list(self.weight)
+
+    @cached_property
+    def per_graph_t(self) -> list[np.ndarray]:
+        """Each graph's ``weight[k].T``, a view, for the backward pass."""
+        return list(self.weight.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -116,6 +141,12 @@ class ParameterSet:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def layout(self) -> tuple[LayerSpec, ...]:
+        """``layer_layout(self)``, read once: the layout ``gradient``
+        gives its matrix."""
+        return layer_layout(self)
 
 
 @dataclass(frozen=True)
@@ -216,8 +247,51 @@ def _segment_sums(bounds: np.ndarray) -> sp.csr_array:
     return sp.csr_array((np.ones(n), np.arange(n), bounds), shape=(bounds.size - 1, n))
 
 
+class _Segments:
+    """What GraphBatch and Rows share: per-graph row views of their
+    arrays, made once, and held step buffers. ``message`` and ``spans``
+    are the dataclass's."""
+
+    message: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def slices(self) -> list[slice]:
+        """``slice(*spans[k])`` of each graph k."""
+        return [slice(a, b) for a, b in self.spans]
+
+    @cached_property
+    def held(self) -> dict:
+        """The held buffers (``buffer``) and other step constants, by name."""
+        return {}
+
+    def views(self, x: np.ndarray) -> list[np.ndarray]:
+        """Each graph's rows ``x[a:b]`` of an array of this object's rows."""
+        return list(map(x.__getitem__, self.slices))
+
+    @cached_property
+    def message_rows(self) -> list[np.ndarray]:
+        """Each graph's rows of ``message``, views."""
+        return self.views(self.message)
+
+    @cached_property
+    def message_cols(self) -> list[np.ndarray]:
+        """The transposes of ``message_rows``, for the weight gradients."""
+        return [m.T for m in self.message_rows]
+
+    def buffer(self, name: str, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The held (rows, width) buffer ``name`` and its ``views``: made
+        on first use and again when the width changes, held by this
+        object, and overwritten by the next step that writes it."""
+        held = self.held.get(name)
+        if held is None or held[0].shape[1] != width:
+            buf = np.empty((self.slices[-1].stop, width))
+            held = self.held[name] = (buf, self.views(buf))
+        return held
+
+
 @dataclass(frozen=True)
-class Rows:
+class Rows(_Segments):
     """Node rows of a GraphBatch, graph by graph: graph k's rows are
     ``index[bounds[k]:bounds[k + 1]]``, ascending, and lie in its node
     range. The other fields are what every step reads of them, computed
@@ -225,7 +299,13 @@ class Rows:
     are built on first read, as a one-layer model reads only the first
     and a two-layer one only the other two. ``gather`` is the one slice
     of A_hat, and ``scatter`` its transpose, so the backward pass is the
-    forward's exact adjoint whether or not A_hat is symmetric."""
+    forward's exact adjoint whether or not A_hat is symmetric.
+
+    The rows also hold, for as long as they live, the per-graph views of
+    ``message`` and of its transpose, the flat label positions of the
+    last logit width, and the buffers of the last layer's product (the
+    logits ``forward`` returns), of the cross-entropy gradient and of
+    its product back through the last weight (``gradient``)."""
 
     batch: GraphBatch
     index: np.ndarray   # (R,)
@@ -243,6 +323,14 @@ class Rows:
         message.flags.writeable = False
         return message
 
+    def label_positions(self, width: int) -> np.ndarray:
+        """The flat position ``row * width + label`` of each row's label
+        logit in a C-order (R, width) array, held for the last width."""
+        held = self.held.get("pick")
+        if held is None or held[0] != width:
+            held = self.held["pick"] = (width, self.pick[0] * width + self.pick[1])
+        return held[1]
+
     @cached_property
     def gather(self) -> sp.csr_array:
         """(R, N) A_hat's rows at index: gather @ h is (A_hat @ h)[index]."""
@@ -255,13 +343,18 @@ class Rows:
 
 
 @dataclass(frozen=True)
-class GraphBatch:
+class GraphBatch(_Segments):
     """K graphs held as one, their node rows concatenated in order: graph
     k's nodes are rows ``nodes[k]:nodes[k + 1]`` (``spans[k]``, counting
     ``counts[k]``; ``sums`` adds them up). ``adj`` is the block-diagonal
     A_hat, so no graph's values enter another's products; ``message``
     stacks the graphs' first-layer messages (read-only) and ``labels``
-    their labels."""
+    their labels.
+
+    The batch also holds, for as long as it lives, the per-graph views
+    of ``message`` and of its transpose, and the hidden layer's product
+    (which ``forward`` returns), a buffer over its node rows shared by
+    all its ``Rows``."""
 
     adj: NormalizedAdjacency
     message: np.ndarray  # (N, f)
@@ -333,15 +426,13 @@ def _product(weight: np.ndarray):
     return np.matmul if weight.shape[-2:] == (1, 1) else np.dot
 
 
-def _per_graph(x: np.ndarray, weight: np.ndarray, spans: tuple) -> np.ndarray:
-    """``x[a:b] @ weight[k]`` for each graph k's rows a:b, stacked (see
-    ``_product``)."""
-    out = np.empty((x.shape[0], weight.shape[2]))
-    product = _product(weight)
+def _products(product, xs: list, ws: list, outs: list) -> None:
+    """``product(xs[k], ws[k], outs[k])`` for each graph k (see
+    ``_product``) with floating-point warnings off, over operand views
+    made beforehand: slicing them inside the loop would cost about as
+    much as the tiny products. ``deque`` runs the map out in C."""
     with np.errstate(all="ignore"):
-        for k, (a, b) in enumerate(spans):
-            product(x[a:b], weight[k], out[a:b])
-    return out
+        deque(map(product, xs, ws, outs), maxlen=0)
 
 
 def forward(
@@ -357,16 +448,20 @@ def forward(
 
     Returns ``(messages, preacts)``: messages[l] is layer l's input
     A_hat @ H_l and preacts[l] its pre-activation; the logits of ``rows``
-    are preacts[-1]. Hidden layers span every node; the last layer's
+    are preacts[-1]. The hidden layer spans every node; the last layer's
     message (``rows.gather @ H``, or the read-only ``rows.message`` of a
     one-layer model) and pre-activation hold the rows only. Products with the
     weights run graph by graph; the rest acts on all rows at once, and
-    each row's value is the one a single graph's forward gives. An
-    activation outside ACTIVATIONS is an InputError.
+    each row's value is the one a single graph's forward gives. The
+    pre-activations are buffers that ``batch`` (the hidden layer's) and
+    ``rows`` (the last layer's) hold, so they hold until the next
+    ``forward`` or ``gradient`` on the same batch. An activation outside
+    ACTIVATIONS, or a model of other than 1 or 2 layers, is an
+    InputError.
     """
     _check_activation(activation)
+    check_layer_count(params.n_layers)
     n_graphs = batch.nodes.size - 1
-    spans, counts = batch.spans, batch.counts
     messages = []
     preacts = []
     last = params.n_layers - 1
@@ -374,18 +469,17 @@ def forward(
         if layer.weight.shape[0] != n_graphs:
             raise InputError(f"layer {li}: {layer.weight.shape[0]} parameter sets for "
                              f"{n_graphs} graphs")
-        if li == last:
-            m = rows.message if li == 0 else rows.gather @ h
-            spans, counts = rows.spans, rows.counts
-        else:
-            m = batch.message if li == 0 else batch.adj @ h
+        seg = rows if li == last else batch  # a hidden layer is the first
+        m = seg.message if li == 0 else rows.gather @ h
         if m.shape[1] != layer.weight.shape[1]:
             raise InputError(
                 f"layer {li}: input width {m.shape[1]} != fan_in {layer.weight.shape[1]}"
             )
-        p = _per_graph(m, layer.weight, spans)
+        p, ps = seg.buffer("product", layer.weight.shape[2])
+        _products(_product(layer.weight), seg.message_rows if li == 0 else seg.views(m),
+                  layer.per_graph, ps)
         if layer.bias is not None:
-            p += np.repeat(layer.bias, counts, axis=0)
+            p += np.repeat(layer.bias, seg.counts, axis=0)
         messages.append(m)
         preacts.append(p)
         if li < last:
@@ -393,11 +487,14 @@ def forward(
     return messages, preacts
 
 
-def _cross_entropy(z: np.ndarray, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy(z: np.ndarray, pick: np.ndarray,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Softmax cross-entropy of each logit row of ``z`` with its label
     (log-sum-exp form), and its gradient in the row's logits: the softmax
-    probabilities less one at the label. ``pick`` is the flat position
-    ``row * width + label`` of each row's label logit in C order.
+    probabilities less one at the label, written to ``out`` (a new
+    array if None; a C-contiguous array of z's shape otherwise). ``pick``
+    is the flat position ``row * width + label`` of each row's label
+    logit in C order.
 
     The row max is a chain of ``np.maximum`` over the columns, one
     whole-array operation per class rather than NumPy's reduce loop per
@@ -411,12 +508,13 @@ def _cross_entropy(z: np.ndarray, pick: np.ndarray) -> tuple[np.ndarray, np.ndar
     zmax = z[:, 0].copy()
     for j in range(1, z.shape[1]):
         np.maximum(zmax, z[:, j], out=zmax)
-    e = np.exp(z - zmax[:, None])
+    e = np.subtract(z, zmax[:, None], out=out)
+    np.exp(e, out=e)
     total = e.sum(axis=1)
     nll = zmax + np.log(total) - z.ravel()[pick]
-    dz = e / total[:, None]
-    dz.ravel()[pick] -= 1.0  # dz is new and C-contiguous, so ravel is a view
-    return nll, dz
+    e /= total[:, None]
+    e.ravel()[pick] -= 1.0  # e is C-contiguous, so ravel is a view
+    return nll, e
 
 
 def _finite_graphs(logits: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -437,7 +535,8 @@ def gradient(
     matrix: row k is graph k's gradient in FlatVector order, laid out
     as ``layer_views`` reads ``params`` (see ``forward``). A graph
     without rows, or a model of other than 1 or 2 layers, is an
-    InputError.
+    InputError. The losses and the matrix are new arrays; the step's
+    other arrays are buffers that ``batch`` and ``rows`` hold.
 
     Each graph's loss sums its rows' losses in row order, and each bias
     gradient its rows' terms (``Rows.sums``, ``GraphBatch.sums``).
@@ -453,33 +552,34 @@ def gradient(
     logits = preacts[-1]
     if not rows.counts.all():
         raise InputError(f"graph {int(np.argmin(rows.counts))}: no rows selected")
-    finite = _finite_graphs(logits, rows.bounds)
+    finite = bool(np.isfinite(logits).all())
     # a diverged graph's arithmetic is not finite by design: no warnings
-    with np.errstate(all=None if finite.all() else "ignore"):
-        nll, dp = _cross_entropy(logits, rows.pick[0] * logits.shape[1] + rows.pick[1])
+    with np.errstate(all=None if finite else "ignore"):
+        width = logits.shape[1]
+        dp, dps = rows.buffer("loss", width)
+        nll, _ = _cross_entropy(logits, rows.label_positions(width), out=dp)
         losses = rows.sums @ nll / rows.counts
-        losses[~finite] = np.inf
+        if not finite:
+            losses[~_finite_graphs(logits, rows.bounds)] = np.inf
         dp *= rows.share  # d loss / d logits of each graph's rows
-        dps = [dp]  # d loss / d pre-activation of each layer
+        back = [(dp, dps)]  # d loss / d pre-activation of each layer, and its views
         if params.n_layers == 2:
             # the last layer, which holds the rows only, sits above the first
-            weight = params.layers[1].weight
-            dp = rows.scatter @ _per_graph(dp, weight.transpose(0, 2, 1), rows.spans)
+            layer = params.layers[1]
+            q, qs = rows.buffer("back", layer.weight.shape[1])
+            _products(_product(layer.weight), dps, layer.per_graph_t, qs)
+            # a new array, masked in place: a held copy of it raised wide_ggrs's peak RSS
+            dp = rows.scatter @ q
             if activation == "relu":
-                dp = dp * (preacts[0] > 0.0)
-            dps.insert(0, dp)
+                dp *= preacts[0] > 0.0
+            back.insert(0, (dp, batch.views(dp)))
 
-        # allocated after the temporaries above: with a live array above them, glibc keeps
-        # their freed pages rather than trim the heap and fault them back in next call
-        layout = layer_layout(params)
-        grads = np.empty((batch.nodes.size - 1, sum(s.size for s in layout)))
-        for li, (grad, m, dp) in enumerate(zip(layer_views(grads, layout).layers, messages, dps)):
+        grads = np.empty((batch.nodes.size - 1, sum(s.size for s in params.layout)))
+        for li, (grad, m, (dp, dps)) in enumerate(zip(layer_views(grads, params.layout).layers,
+                                                     messages, back)):
             seg = rows if li == params.n_layers - 1 else batch
-            gw = grad.weight
-            product = _product(gw)
-            with np.errstate(all="ignore"):  # as in _per_graph
-                for k, (a, b) in enumerate(seg.spans):
-                    product(m[a:b].T, dp[a:b], gw[k])
+            ms = seg.message_cols if li == 0 else [x.T for x in seg.views(m)]
+            _products(_product(grad.weight), ms, dps, list(grad.weight))
             if grad.bias is not None:
                 grad.bias[...] = seg.sums @ dp
 

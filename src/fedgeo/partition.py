@@ -41,26 +41,23 @@ def dirichlet_assignments(labels: np.ndarray, spec: PartitionSpec) -> list[np.nd
     labels = np.asarray(labels, dtype=np.int64)
     k = spec.n_clients
     rng = np.random.default_rng(spec.seed)
-    buckets: list[list[np.ndarray]] = [[] for _ in range(k)]
-    thin = [c for c in np.unique(labels).tolist() if np.count_nonzero(labels == c) < k]
+    classes, counts = np.unique(labels, return_counts=True)
+    thin = classes[counts < k].tolist()
     if thin:
         warnings.warn(
             f"classes {thin} have fewer nodes than clients ({k}); "
             "partitioning proceeds best-effort",
             stacklevel=2,
         )
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        props = rng.dirichlet(np.full(k, spec.dirichlet_alpha))
-        idx = rng.permutation(idx)
+    alpha = np.full(k, spec.dirichlet_alpha)
+    owner = np.empty(labels.size, dtype=np.int64)  # each node's client
+    for c in classes.tolist():
+        props = rng.dirichlet(alpha)
+        idx = rng.permutation(np.flatnonzero(labels == c))
         cuts = np.floor(np.cumsum(props)[:-1] * idx.size).astype(np.int64)
-        for client, part in enumerate(np.split(idx, cuts)):
-            buckets[client].append(part)
-    out = []
-    for parts in buckets:
-        merged = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        out.append(np.sort(merged))
-    return out
+        # idx[j] goes to client (number of cuts <= j), the part np.split(idx, cuts) puts it in
+        owner[idx] = np.bincount(cuts, minlength=idx.size + 1)[:idx.size].cumsum()
+    return [np.flatnonzero(owner == client) for client in range(k)]
 
 
 def induced_subgraph(g: Graph, groups: list[np.ndarray]) -> Graph:

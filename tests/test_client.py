@@ -640,3 +640,34 @@ def test_the_federation_owns_its_clients_parameters():
     assert fed.held.tobytes() == resumed.held.tobytes()
     with pytest.raises(dataclasses.FrozenInstanceError):
         fed.clients[0].params = init_params(model, 3, 2, seed=9, cross_domain=True)
+
+
+def test_a_new_parameter_matrix_trains_as_in_a_fresh_federation():
+    # each round frees the last round's parameter matrix and allocates a
+    # same-shaped one, perhaps at the same address: a step must read the
+    # new matrix's weights, never views held from an old one, so every
+    # round gives the bytes of a federation built for that round alone,
+    # also after first_runs drops the last run. The rounds run back to
+    # back, so that each allocates as the one before did, and both
+    # layers' weights are 3 x 3, so that a reused address also has the
+    # shape of an earlier weight
+    model = ModelConfig(n_layers=2, hidden_dim=3, activation="relu")
+    training = TrainingConfig(trainer="fedprox", lr=0.3, epochs=2, mu=0.5)
+    params = init_params(model, 3, 3, seed=7, cross_domain=True)
+    rng = np.random.default_rng(8)
+    clients = [_random_client(k % 3, rng, 3, 3, params) for k in range(6)]
+    fed = Federation(clients, model, training, (3, 3))
+    width = fed.shared_columns.stop - fed.shared_columns.start
+    rounds = []
+    for t in range(1, 7):
+        if t == 4:
+            fed = fed.first_runs(1)
+        shared = rng.normal(size=(len(fed.runs), width))
+        start = fed.held.tobytes()
+        deltas = local_train(fed, shared, round_index=t).deltas.tobytes()
+        rounds.append((fed.run_sizes, start, shared, deltas, fed.held.tobytes()))
+    for t, (run_sizes, start, shared, deltas, held) in enumerate(rounds, 1):
+        fresh = Federation(clients[:sum(run_sizes)], model, training, run_sizes)
+        fresh.held = np.frombuffer(start).reshape(fresh.held.shape).copy()
+        assert local_train(fresh, shared, round_index=t).deltas.tobytes() == deltas
+        assert fresh.held.tobytes() == held

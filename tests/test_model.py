@@ -291,20 +291,55 @@ def test_per_graph_products_are_the_matmul_bits(sizes, widths, n_layers, bias, s
         want = np.empty((x.shape[0], c))
         for k, (a, b) in enumerate(test.spans):
             np.matmul(x[a:b], weight[k], out=want[a:b])
-        assert model._per_graph(x, weight, test.spans).tobytes() == want.tobytes()
+        got = np.empty_like(want)
+        model._products(model._product(weight), test.views(x), list(weight), test.views(got))
+        assert got.tobytes() == want.tobytes()
 
     cfg = ModelConfig(n_layers=n_layers, hidden_dim=hidden, bias=bias)
     params = stack([init_params(cfg, f, c, seed=seed % 1000 + k) for k in range(len(sizes))])
 
     def outputs():
         messages, preacts = forward(params, batch, test)
-        return messages + preacts + list(gradient(params, batch, train))
+        # copied: gradient may write into the buffers forward returned
+        return [a.copy() for a in messages + preacts] + list(gradient(params, batch, train))
 
     got = outputs()
     with mock.patch.object(model, "np", _MatmulNumpy()):
         want = outputs()
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gradient_returns_new_arrays_and_forward_holds_until_the_next_step():
+    # gradient's losses and matrix are new arrays, never written by a
+    # later call; forward's outputs are buffers its batch and rows hold,
+    # which keep their values until the next forward or gradient on the
+    # same batch, whatever runs on another batch in between
+    rng = np.random.default_rng(3)
+    graphs = [make_graph(n, np.array([[0, 1], [1, 2]]), features=rng.normal(size=(n, 3)),
+                         labels=rng.integers(0, 2, size=n)) for n in (3, 5, 4)]
+
+    def batch_and_rows():
+        batch = graph_batch([normalized_adjacency(g) for g in graphs],
+                            [g.features for g in graphs], [g.labels for g in graphs])
+        return batch, batch.rows([np.arange(2)] * 3), batch.rows([np.arange(2, 3)] * 3)
+
+    batch, train, test = batch_and_rows()
+    other, other_train, other_test = batch_and_rows()
+    cfg = ModelConfig(n_layers=2, hidden_dim=4)
+    p1, p2 = (stack([init_params(cfg, 3, 2, seed=s + k) for k in range(3)]) for s in (0, 10))
+    losses, grads = gradient(p1, batch, train)
+    kept = losses.tobytes(), grads.tobytes()
+    messages, preacts = forward(p2, batch, test)
+    held = [a.tobytes() for a in messages + preacts]
+    forward(p1, other, other_test)
+    gradient(p1, other, other_train)
+    assert [a.tobytes() for a in messages + preacts] == held
+    again, _ = gradient(p2, batch, train)
+    forward(p1, batch, test)
+    assert (losses.tobytes(), grads.tobytes()) == kept
+    assert not np.shares_memory(losses, again)
+    assert not any(np.shares_memory(grads, a) for a in preacts)
 
 
 def _fd_gradient(params, adj, features, labels, rows, activation, step=1e-4):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgeo import (
     InputError,
@@ -27,6 +31,50 @@ def test_assignments_cover_all_nodes_exactly_once():
         merged = np.concatenate(parts)
         assert merged.size == g.n_nodes
         np.testing.assert_array_equal(np.sort(merged), np.arange(g.n_nodes))
+
+
+def _per_class_split(labels, spec):
+    """The split as a loop per class writes it: each class's shuffled
+    nodes np.split at the cumulative proportions, appended to per-client
+    lists, then each client's ids concatenated and sorted."""
+    k = spec.n_clients
+    rng = np.random.default_rng(spec.seed)
+    buckets = [[] for _ in range(k)]
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        props = rng.dirichlet(np.full(k, spec.dirichlet_alpha))
+        idx = rng.permutation(idx)
+        cuts = np.floor(np.cumsum(props)[:-1] * idx.size).astype(np.int64)
+        for client, part in enumerate(np.split(idx, cuts)):
+            buckets[client].append(part)
+    return [np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
+            for parts in buckets]
+
+
+@settings(max_examples=200)
+@given(
+    labels=st.lists(st.integers(-2, 6), max_size=80),
+    n_clients=st.integers(1, 12),
+    alpha=st.sampled_from((1e-3, 0.05, 0.3, 1.0, 10.0, 1e6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assignments_are_the_per_class_split_bit_for_bit(labels, n_clients, alpha, seed):
+    # every client's ids, their dtype and the warning of thin classes are
+    # those of the per-class loop, empty clients and classes with fewer
+    # nodes than clients included
+    labels = np.array(labels, dtype=np.int64)
+    spec = PartitionSpec(n_clients=n_clients, dirichlet_alpha=alpha, seed=seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = dirichlet_assignments(labels, spec)
+    want = _per_class_split(labels, spec)
+    assert len(got) == len(want) == n_clients
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    thin = [c for c in np.unique(labels).tolist() if np.count_nonzero(labels == c) < n_clients]
+    assert [str(w.message) for w in caught] == (
+        [f"classes {thin} have fewer nodes than clients ({n_clients}); "
+         "partitioning proceeds best-effort"] if thin else [])
 
 
 def test_assignments_deterministic():
