@@ -39,7 +39,8 @@ each client's values are bit for bit those it gets alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .model import (
 )
 # no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
 from .model import unflatten  # noqa: F401
+from .server import RunLayout
 
 __all__ = ["ClientState", "Federation", "RoundUpdates", "TrainingConfig", "local_train", "TRAINERS"]
 
@@ -143,6 +145,9 @@ class Federation:
     current parameters, local heads included, in client order: each
     round replaces it with a new matrix and never writes into it, so a
     reference kept from an earlier round keeps that round's values.
+    ``run_layout`` is the run structure of its rounds
+    (``server.RunLayout``), built on first read and handed out with
+    every round's ``RoundUpdates``.
     """
 
     def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig,
@@ -213,9 +218,15 @@ class Federation:
         work[:, self.shared_columns] = np.repeat(shared, self.run_sizes, axis=0)
         return work
 
+    @cached_property
+    def run_layout(self) -> RunLayout:
+        return RunLayout(self.runs, self.client_ids, tuple(self.train.counts.tolist()),
+                         self.shared_layout)
+
     def first_runs(self, n: int) -> Federation:
         """A federation of runs 0..n-1 alone, under the same configs,
-        holding their current rows of ``held``."""
+        holding their current rows of ``held``, with a run layout of its
+        own."""
         fed = Federation(list(self.clients[:sum(self.run_sizes[:n])]), self.model,
                          self.training, self.run_sizes[:n])
         fed.held = self.held[:len(fed.clients)]
@@ -232,6 +243,12 @@ class RoundUpdates:
     run needs a row, ids must be distinct within a run and counts >= 1
     (InputError otherwise). It is the sequence of its runs:
     ``updates[r]`` is run r's rows as a one-run RoundUpdates.
+
+    ``run_layout`` is the rows' run structure (``server.RunLayout``),
+    which the server round reads: ``local_train`` passes its
+    federation's, built once, and without one the RoundUpdates builds
+    its own from the tuples. A given one must hold the same runs, ids,
+    counts and layout (InputError otherwise).
     """
 
     client_ids: tuple[int, ...]
@@ -239,22 +256,24 @@ class RoundUpdates:
     n_train: tuple[int, ...]
     layout: tuple[LayerSpec, ...]
     runs: tuple[tuple[int, int], ...] | None = None
+    run_layout: RunLayout | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.client_ids)
-        object.__setattr__(self, "runs", ((0, k),) if self.runs is None
-                           else tuple((int(a), int(b)) for a, b in self.runs))
-        stops = [b for _, b in self.runs]
-        if (k == 0 or [a for a, _ in self.runs] != [0] + stops[:-1] or stops[-1] != k
-                or any(len(set(self.client_ids[a:b])) != b - a or a == b
-                       for a, b in self.runs)):
-            raise InputError("a round needs at least one client update in every run and "
-                             "distinct ids within a run")
+        lay = self.run_layout
+        if lay is None:
+            lay = RunLayout(((0, k),) if self.runs is None else self.runs, self.client_ids,
+                            self.n_train, self.layout)
+            object.__setattr__(self, "run_layout", lay)
+        elif ((lay.client_ids, lay.n_train, lay.layout) != (self.client_ids, self.n_train,
+                                                            self.layout)
+              or self.runs is not None and tuple(map(tuple, self.runs)) != lay.runs):
+            raise InputError("the run layout does not match the round's runs, ids, counts "
+                             "and layout")
+        object.__setattr__(self, "runs", lay.runs)
         if self.deltas.shape != (k, sum(s.size for s in self.layout)):
             raise InputError(f"deltas of shape {self.deltas.shape} do not match {k} clients "
                              "and the layout")
-        if len(self.n_train) != k or min(self.n_train) < 1:
-            raise InputError("one n_train >= 1 per client required")
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -322,6 +341,6 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
         raise DivergenceError(round_index, fed.client_ids[k], run)
 
     fed.held = work
-    return RoundUpdates(client_ids=fed.client_ids, deltas=deltas,
-                        n_train=tuple(fed.train.counts.tolist()),
-                        layout=fed.shared_layout, runs=fed.runs)
+    lay = fed.run_layout
+    return RoundUpdates(client_ids=lay.client_ids, deltas=deltas, n_train=lay.n_train,
+                        layout=lay.layout, run_layout=lay)

@@ -33,6 +33,7 @@ from .server import (
     WEIGHTINGS,
     AggregatorConfig,
     check_projection,
+    check_window,
 )
 
 __all__ = ["DataSource", "RunConfig", "KEYS", "parse_config", "load_config"]
@@ -289,9 +290,11 @@ def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
 
 
 def _check_proxies(cfg: RunConfig, path: str) -> None:
-    """The sign-matrix limit of the run's proxies (``check_projection``),
-    where every source is generated, so the model's layout is known
-    before any graph is built."""
+    """The window limit of the run's proxies (``check_window``: a run's
+    window fills by at most its configured clients each round) and their
+    sign-matrix limit (``check_projection``), where every source is
+    generated, so the model's layout is known before any graph is built."""
+    _in_section(path, "server", lambda: check_window(cfg.server, cfg.rounds * cfg.n_clients))
     if any(src.kind == "csv" for src in cfg.sources):
         return
     # path and complete graphs have identity features and one class; a

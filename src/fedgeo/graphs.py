@@ -346,7 +346,9 @@ def planted_partition_graph(
     uniform coin flips of the edges, row-major (strict upper triangle
     used), then an (n, feature_dim) standard-normal draw for feature
     noise. The coins are drawn ``DRAW_ROWS`` rows at a time, which
-    consumes the stream as one (n, n) draw does and holds no n x n array.
+    consumes the stream as one (n, n) draw does and holds no n x n array;
+    in every chunk after the first, each row's coins left of the chunk's
+    first diagonal are skipped, not drawn (``bit_generator.advance``).
     A chunk's coins are compared with ``p_out`` in place and then, over
     each block's window of the chunk, with ``p_in``, so no array of
     per-coin probabilities is built; its hits are read as flat indices.
@@ -366,7 +368,14 @@ def planted_partition_graph(
         r1 = min(r0 + DRAW_ROWS, n)
         c0 = r0 + 1  # no row of the chunk keeps a coin left of column c0
         draw = coins[:(r1 - r0) * n].reshape(r1 - r0, n)
-        rng.random(out=draw)
+        if r0 == 0:
+            rng.random(out=draw)
+        else:
+            # each row's coins left of column c0, which no row of the chunk
+            # reads, are skipped: ``random`` takes one raw output per coin
+            for row in draw:
+                rng.bit_generator.advance(c0)
+                rng.random(out=row[c0:])
         # chunk[i, j]: coin (r0 + i, c0 + j) is below its probability, p_out
         # everywhere and then p_in over each block's window of the chunk
         chunk = hit[:(r1 - r0) * (n - c0)].reshape(r1 - r0, n - c0)

@@ -60,13 +60,7 @@ from .model import SHARED, ParameterSet, flatten, forward, init_params, layer_vi
 # no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
 from .model import unflatten  # noqa: F401
 from .partition import dirichlet_label_partition, induced_subgraph
-from .server import (
-    RegulationReport,
-    initial_reference,
-    proxy_map,
-    regulate_and_aggregate,
-    run_stacks,
-)
+from .server import RegulationReport, initial_reference, proxy_map, regulate_and_aggregate
 
 __all__ = ["RunResult", "run", "partition_report", "build_clients"]
 
@@ -206,25 +200,25 @@ def _round_metrics(updates: RoundUpdates, report: RegulationReport,
     one-client run's is 1 when its delta is nonzero, else 0); alignment,
     the mean ``cos_ref`` over its rows with a nonzero proxy (0 if none);
     sensitivity, the norm of its row of the applied ``deltas`` (R, L);
-    and the shares of its rows clipped and attenuated."""
-    out = np.empty((len(report.runs), 5))
-    for ids, rows in run_stacks(updates.runs):
+    and the shares of its rows clipped and attenuated. The run groups
+    and pair indices come from ``updates.run_layout``."""
+    lay = updates.run_layout
+    out = np.empty((len(lay.runs), 5))
+    for (ids, rows), iu in zip(lay.stacks, lay.pairs):
         stack = updates.deltas[rows]
         if rows.shape[1] >= 2:
             gamma, _ = pairwise_coherence(stack)
-            iu = np.triu_indices(rows.shape[1], k=1)
             # one mean per matrix: a mean along an axis sums in another order
             out[ids, 0] = [np.mean(g[iu]) for g in gamma]
         else:
             out[ids, 0] = np.any(stack, axis=(1, 2))
     live = report.proxy_norm > 0.0
     out[:, 1] = [np.mean(report.cos_ref[a:b][live[a:b]]) if live[a:b].any() else 0.0
-                 for a, b in report.runs]
+                 for a, b in lay.runs]
     out[:, 2] = sensitivity_norm(deltas)
-    starts, stops = np.transpose(report.runs)
     # a mean of 0/1 values is its count over its length, and a count is exact
     flags = np.stack([report.clip_factor < 1.0, report.attenuated], axis=1)
-    out[:, 3:] = np.add.reduceat(flags, starts, dtype=np.float64) / (stops - starts)[:, None]
+    out[:, 3:] = np.add.reduceat(flags, lay.starts, dtype=np.float64) / lay.sizes[:, None]
     return out
 
 

@@ -29,7 +29,13 @@ R = 1 stack ``initial_reference(d)`` starts), and a round returns the
 once, against the row's own run's reference, basis and cap; each run's
 weighted sums add its rows in ascending client order from +0.0; and a
 regulating server refreshes the bases of the runs whose windows hold
-the same number of proxies by one stacked Gram/eigh/QR pass. Products
+the same number of proxies by one stacked Gram/eigh/QR pass. What a
+round reads that changes only with the federation (the runs' rows, the
+order that sorts each run's rows by client id, the weights, the groups
+of runs of one size) is a ``RunLayout``, built once per federation
+(``client.Federation.run_layout``) and carried by every round's
+``RoundUpdates``; a RoundUpdates built from plain tuples builds its
+own, so every call form gets the same bits. Products
 that mix rows (the sign projection, the Gram matrices) stack the runs
 along a leading axis instead of concatenating them, so each run gets
 the bits of its own one-run round. An unprojected row also gets the
@@ -44,13 +50,16 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .client import RoundUpdates
 from .errors import InputError, check_integer, check_real
 from .metrics import sensitivity_norm
 from .model import FlatVector, LayerSpec, layer_slices
+
+if TYPE_CHECKING:  # client.py reads RunLayout from here
+    from .client import RoundUpdates
 
 __all__ = [
     "MODES",
@@ -60,11 +69,13 @@ __all__ = [
     "AggregatorConfig",
     "ProxyVector",
     "ReferenceStack",
+    "RunLayout",
     "ClientRegulation",
     "RegulationReport",
     "initial_reference",
     "run_stacks",
     "check_projection",
+    "check_window",
     "proxy_map",
     "update_reference",
     "align_regulate",
@@ -81,6 +92,11 @@ _SIGN_ROWS = 256  # sign-matrix rows drawn at once: 1 MB of raw bits at 1024 col
 # the largest sign matrix drawn: 512 MiB holds the 389 MiB of a 767-feature,
 # 64-hidden model's 49,802-long proxies at 1024 columns
 _MAX_SIGN_BYTES = 512 * 2**20
+# the most proxies a ggrs window may come to hold: its basis refresh, an
+# eigh of the fill x fill Gram, took about 40 ms per run and round at 512
+# and 240 ms at 1024 (1 BLAS thread on a 2-vCPU Xeon host, 200- and
+# 1024-long proxies alike)
+_MAX_WINDOW_FILL = 512
 
 MODES = ("plain", "ggrs")
 WEIGHTINGS = ("uniform", "by_train_count")
@@ -256,6 +272,136 @@ def run_stacks(runs: Sequence[tuple[int, int]]) -> list[tuple[np.ndarray, np.nda
     return [(ids, bounds[ids, :1] + np.arange(sizes[ids[0]])) for ids in _equal(sizes)]
 
 
+def _held(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _RunWeights(tuple):
+    """Each run's weight vector under one weighting, as views of ``flat``
+    (every row's weight, in row order), for the runs of ``layout``, with
+    each run's heaviest row ``heaviest`` (the first among equals). It is
+    the ``weights`` a round hands ``update_reference``, which reads the
+    run structure from it instead of deriving it again."""
+
+    def __new__(cls, flat: np.ndarray, layout: RunLayout):
+        self = super().__new__(cls, (flat[a:b] for a, b in layout.runs))
+        self.flat, self.layout = _held(flat), layout
+        self.heaviest = np.empty(len(layout.runs), dtype=np.intp)
+        for ids, idx in layout.stacks:
+            self.heaviest[ids] = idx[np.arange(len(ids)), np.argmax(flat[idx], axis=1)]
+        _held(self.heaviest)
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class RunLayout:
+    """The run structure of a round: what the server round and the
+    round's diagnostics read that changes only when the federation does.
+
+    Rows belong to R runs, run r's rows ``runs[r]`` = (start, stop) in
+    run order; row k is client ``client_ids[k]``'s, with ``n_train[k]``
+    train nodes, and each row is a displacement of the shared layers of
+    ``layout``. Every run needs a row, ids must be distinct within a run
+    and counts >= 1 (InputError otherwise).
+
+    Everything else is derived on first read and kept, read-only: the
+    order that sorts each run's rows by client id (None when they
+    already ascend, as the harness's do), the ids in that order, each
+    row's run, the runs grouped by size (``run_stacks``) with each
+    group's upper-triangle pair indices, each weighting's weights and
+    the layer slices. A ``client.Federation`` builds its layout once and
+    every ``RoundUpdates`` of its rounds carries it; a RoundUpdates built
+    from plain tuples builds its own.
+    """
+
+    runs: tuple[tuple[int, int], ...]
+    client_ids: tuple[int, ...]
+    n_train: tuple[int, ...]
+    layout: tuple[LayerSpec, ...]
+
+    def __post_init__(self):
+        k = len(self.client_ids)
+        runs = tuple((int(a), int(b)) for a, b in self.runs)
+        object.__setattr__(self, "runs", runs)
+        stops = [b for _, b in runs]
+        if (k == 0 or not runs or [a for a, _ in runs] != [0] + stops[:-1] or stops[-1] != k
+                or any(len(set(self.client_ids[a:b])) != b - a or a == b for a, b in runs)):
+            raise InputError("a round needs at least one client update in every run and "
+                             "distinct ids within a run")
+        if len(self.n_train) != k or min(self.n_train) < 1:
+            raise InputError("one n_train >= 1 per client required")
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """(R,) each run's row count."""
+        return _held(np.array([b - a for a, b in self.runs]))
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """(R,) each run's first row."""
+        return _held(np.array([a for a, _ in self.runs]))
+
+    @cached_property
+    def run_of(self) -> np.ndarray:
+        """(K,) each row's run."""
+        return _held(np.repeat(np.arange(len(self.runs)), self.sizes))
+
+    @cached_property
+    def order(self) -> np.ndarray | None:
+        """The rows in ascending client id order within each run, or None
+        when they already are."""
+        order = np.lexsort((self.client_ids, self.run_of))
+        return None if (order == np.arange(len(order))).all() else _held(order)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """(K,) the client ids in ``order``."""
+        ids = np.asarray(self.client_ids)
+        return _held(ids if self.order is None else ids[self.order])
+
+    @cached_property
+    def stacks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``run_stacks(runs)``."""
+        return [(_held(ids), _held(idx)) for ids, idx in run_stacks(self.runs)]
+
+    @cached_property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per group of ``stacks``, the upper-triangle indices (i < j) of
+        its runs' row pairs."""
+        return [tuple(map(_held, np.triu_indices(idx.shape[1], k=1))) for _, idx in self.stacks]
+
+    @cached_property
+    def slices(self) -> list[tuple[int, int]]:
+        """``layer_slices(layout)``."""
+        return layer_slices(self.layout)
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """Each layer's entry count, the repeat counts of a per-layer value."""
+        return _held(np.array([b - a for a, b in self.slices]))
+
+    @cached_property
+    def _weights(self) -> dict[str, _RunWeights]:
+        return {}
+
+    def weights(self, weighting: str) -> _RunWeights:
+        """Each row's weight under ``weighting`` (one of WEIGHTINGS), rows
+        in ``order``: 1 / size for uniform, else the row's train-node
+        count over its run's total."""
+        got = self._weights.get(weighting)
+        if got is None:
+            if weighting == "uniform":
+                flat = np.repeat(1.0 / self.sizes, self.sizes)
+            else:
+                counts = np.asarray(self.n_train, dtype=np.float64)
+                if self.order is not None:
+                    counts = counts[self.order]
+                flat = counts / np.repeat(np.add.reduceat(counts, self.starts), self.sizes)
+            got = self._weights[weighting] = _RunWeights(flat, self)
+        return got
+
+
 def _resolve_proxy_dim(cfg: AggregatorConfig, full_len: int) -> int | None:
     """Target dimension of the sign projection, or None to keep layers."""
     if cfg.proxy_dim == 0:
@@ -278,6 +424,20 @@ def check_projection(cfg: AggregatorConfig, length: int) -> None:
     d_z = _resolve_proxy_dim(cfg, length)
     if d_z is not None:
         _check_sign_bytes(length, d_z)
+
+
+def check_window(cfg: AggregatorConfig, reach: int) -> None:
+    """InputError when the window of a regulating server with a subspace
+    gate could come to hold more than _MAX_WINDOW_FILL (512) proxies: it holds
+    at most ``cfg.window`` of them, and at most ``reach`` (rounds x
+    clients of a run)."""
+    fill = min(cfg.window, reach)
+    if cfg.mode == "ggrs" and cfg.subspace_dim > 0 and fill > _MAX_WINDOW_FILL:
+        raise InputError(
+            f"server.window = {cfg.window} lets a run's window fill to {fill} proxies, "
+            f"above the limit of {_MAX_WINDOW_FILL}: a basis refresh of a "
+            f"{_MAX_WINDOW_FILL}-proxy window takes about 40 ms per run and round, and the "
+            "time grows as the cube of the fill")
 
 
 @lru_cache(maxsize=1)
@@ -327,36 +487,33 @@ def _weighted_sums(weights: np.ndarray, rows: np.ndarray,
     return out
 
 
-def _proxies(deltas: np.ndarray, layout: tuple[LayerSpec, ...], cfg: AggregatorConfig,
-             stacks: list[tuple[np.ndarray, np.ndarray]] | None = None
+def _proxies(deltas: np.ndarray, cfg: AggregatorConfig, lay: RunLayout
              ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-    """``proxy_map`` of each row of the (K, L) ``deltas``: the (K, d)
-    proxies, the (K, layers) layer norms and the proxy blocks.
+    """``proxy_map`` of each row of the (K, L) ``deltas``, in the runs
+    and layer layout of ``lay``: the (K, d) proxies, the (K, layers)
+    layer norms and the proxy blocks.
 
     A projected batch is one (K_r x L) @ (L x d_z) product per run, the
-    runs of one size (``stacks``, default one run of every row) stacked
-    along a leading axis, so the run-constant matrix is read once per
-    round, not once per client.
+    runs of one size stacked along a leading axis, so the run-constant
+    matrix is read once per round, not once per client.
     """
     if not np.isfinite(deltas).all():
         raise InputError("update contains non-finite entries")
-    slices = layer_slices(layout)
-    sizes = [b - a for a, b in slices]
-    norms = np.stack([sensitivity_norm(deltas[:, a:b]) for a, b in slices], axis=1)
+    norms = np.stack([sensitivity_norm(deltas[:, a:b]) for a, b in lay.slices], axis=1)
     total = norms.sum(axis=1, keepdims=True)
     scale = np.zeros_like(norms)
     np.divide(norms, total, out=scale, where=total != 0.0)
     scale /= norms + 1e-12
-    z = deltas * np.repeat(scale, sizes, axis=1)
+    z = deltas * np.repeat(scale, lay.widths, axis=1)
     if not total.all():
         z[total[:, 0] == 0.0] = 0.0  # a zero row's entries may be -0.0
 
     d_z = _resolve_proxy_dim(cfg, deltas.shape[1])
     if d_z is None:
-        return z, norms, tuple(slices)
+        return z, norms, tuple(lay.slices)
     sign = _sign_projection(deltas.shape[1], d_z)
     out = np.empty((len(z), d_z))
-    for _, idx in stacks or run_stacks(((0, len(z)),)):
+    for _, idx in lay.stacks:
         out[idx] = z[idx] @ sign
     return out / np.sqrt(d_z), norms, ((0, d_z),)
 
@@ -372,7 +529,8 @@ def proxy_map(delta: FlatVector, cfg: AggregatorConfig) -> ProxyVector:
     maps to the zero proxy. This is the batch of one of the stacked
     proxies ``regulate_and_aggregate`` computes for a round.
     """
-    z, norms, blocks = _proxies(delta.values[None], delta.layout, cfg)
+    z, norms, blocks = _proxies(delta.values[None], cfg,
+                                RunLayout(((0, 1),), (0,), (1,), delta.layout))
     return ProxyVector(values=z[0], layer_norms=tuple(norms[0].tolist()), blocks=blocks)
 
 
@@ -409,16 +567,28 @@ def _top_directions(window: np.ndarray, m: int):
     return q, rank
 
 
-def _appended(ref: ReferenceStack, proxies: np.ndarray, runs: list[tuple[int, int]],
+def _appended(ref: ReferenceStack, proxies: np.ndarray, sizes: np.ndarray,
               cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each run's window with its rows of ``proxies`` appended and the
-    oldest evicted beyond ``cap``: the new (R, n, d) windows and fills."""
-    n_old = ref.window.shape[1]
-    fill = np.minimum(cap, ref.fill + [b - a for a, b in runs])
-    n = int(fill.max())
-    window = np.zeros((len(runs), n, proxies.shape[1]))
-    for i, ((a, b), f_old, f) in enumerate(zip(runs, ref.fill.tolist(), fill.tolist())):
-        rows = np.concatenate([ref.window[i, n_old - f_old:], proxies[a:b]])
+    """Each run's window with its ``sizes`` rows of ``proxies`` (run
+    after run) appended and the oldest evicted beyond ``cap``: the new
+    (R, n, d) windows and fills. When every run appends as many rows to
+    as full a window, all runs append in one slice assignment."""
+    n_runs, d = len(sizes), proxies.shape[1]
+    fill = np.minimum(cap, ref.fill + sizes)
+    if cap == 0:
+        return np.zeros((n_runs, 0, d)), fill
+    n_old, n = ref.window.shape[1], int(fill.max())
+    if (sizes == sizes[0]).all() and (ref.fill == ref.fill[0]).all():
+        window = np.empty((n_runs, n, d))
+        kept = max(0, n - int(sizes[0]))  # each run's newest old rows that stay
+        window[:, :kept] = ref.window[:, n_old - kept:]
+        window[:, kept:] = proxies.reshape(n_runs, -1, d)[:, int(sizes[0]) - (n - kept):]
+        return window, fill
+    window = np.zeros((n_runs, n, d))
+    stops = np.cumsum(sizes).tolist()
+    for i, (b, s, f_old, f) in enumerate(zip(stops, sizes.tolist(), ref.fill.tolist(),
+                                             fill.tolist())):
+        rows = np.concatenate([ref.window[i, n_old - f_old:], proxies[b - s:b]])
         window[i, n - f:] = rows[len(rows) - f:]
     return window, fill
 
@@ -460,24 +630,30 @@ def update_reference(
 
     ``ref`` holds R runs, ``proxies`` every run's rows, run after run,
     and ``weights`` one weight vector per run, which must sum to 1; the
-    next stack.
+    next stack. A round passes the weights its ``RunLayout`` holds, and
+    the run structure is read from that layout; every check still runs.
     """
     if len(weights) != len(ref.r):
         raise InputError(f"{len(weights)} weight vectors for {len(ref.r)} runs")
-    stops = np.cumsum([len(w) for w in weights]).tolist()
-    runs = list(zip([0] + stops[:-1], stops))
-    if len(proxies) != stops[-1] or any(a == b for a, b in runs):
+    lay = weights.layout if isinstance(weights, _RunWeights) else None
+    if lay is None:
+        sizes = np.array([len(w) for w in weights])
+        starts = np.cumsum(sizes) - sizes
+        flat = np.concatenate(weights)
+    else:
+        flat, sizes, starts = weights.flat, lay.sizes, lay.starts
+    if len(proxies) != sizes.sum() or not sizes.all():
         raise InputError("one weight per proxy required")
-    flat = np.concatenate(weights)
-    if (np.abs(np.add.reduceat(flat, [a for a, _ in runs]) - 1.0) > 1e-9).any():
+    if (np.abs(np.add.reduceat(flat, starts) - 1.0) > 1e-9).any():
         raise InputError("weights must sum to 1")
     if proxies.ndim != 2 or proxies.shape[1] != ref.r.shape[1]:
         raise InputError("proxies must be rows as long as the reference")
     if not np.isfinite(proxies).all():
         raise InputError("proxy entries must be finite")
-    mean = _weighted_sums(flat, proxies, run_stacks(runs))
+    stacks = run_stacks(np.stack([starts, starts + sizes], axis=1)) if lay is None else lay.stacks
+    mean = _weighted_sums(flat, proxies, stacks)
     ggrs = cfg.mode == "ggrs"
-    window, fill = _appended(ref, proxies, runs, cfg.window if ggrs else 0)
+    window, fill = _appended(ref, proxies, sizes, cfg.window if ggrs else 0)
     basis, rank = _refreshed(window, fill, cfg.subspace_dim if ggrs else 0)
     return ReferenceStack(r=cfg.alpha * ref.r + (1.0 - cfg.alpha) * mean,
                           window=window, fill=fill, basis=basis, rank=rank)
@@ -559,23 +735,21 @@ def regulate_and_aggregate(
     ablation flag) and the report records the realized geometry.
 
     ``ref`` holds one reference per run; returns the (R, L) matrix of
-    the runs' global deltas, the next stack and the report.
+    the runs' global deltas, the next stack and the report. The run
+    structure, order and weights come from ``updates.run_layout``, built
+    once per federation.
     """
-    runs = updates.runs
+    lay = updates.run_layout
+    runs = lay.runs
     if len(ref.r) != len(runs):
         raise InputError(f"{len(ref.r)} references for {len(runs)} runs")
-    sizes = np.array([b - a for a, b in runs])
-    run_of = np.repeat(np.arange(len(runs)), sizes)
-    order = np.lexsort((updates.client_ids, run_of))
-    deltas = updates.deltas[order]
-    stacks = run_stacks(runs)
-    if cfg.weights == "uniform":
-        weights = np.repeat(1.0 / sizes, sizes)
-    else:
-        counts = np.asarray(updates.n_train, dtype=np.float64)[order]
-        weights = counts / np.repeat(np.add.reduceat(counts, [a for a, _ in runs]), sizes)
+    run_of, stacks = lay.run_of, lay.stacks
+    deltas = (np.ascontiguousarray(updates.deltas) if lay.order is None
+              else updates.deltas[lay.order])
+    run_weights = lay.weights(cfg.weights)
+    weights = run_weights.flat
 
-    z, _, blocks = _proxies(deltas, updates.layout, cfg, stacks)
+    z, _, blocks = _proxies(deltas, cfg, lay)
     if z.shape[1] != ref.r.shape[1]:
         raise InputError(f"reference length {ref.r.shape[1]} does not match proxies "
                          f"({z.shape[1]})")
@@ -583,10 +757,7 @@ def regulate_and_aggregate(
     # effective reference: a run whose smoothed reference has no direction
     # yet falls back to its heaviest client's (the lowest id among equals)
     fallback = (sensitivity_norm(ref.r) == 0.0) & (cfg.fallback == "largest")
-    heaviest = np.empty(len(runs), dtype=np.intp)
-    for ids, idx in stacks:
-        heaviest[ids] = idx[np.arange(len(ids)), np.argmax(weights[idx], axis=1)]
-    r_eff = np.where(fallback[:, None], z[heaviest], ref.r)
+    r_eff = np.where(fallback[:, None], z[run_weights.heaviest], ref.r)
 
     norms = sensitivity_norm(z)
     r_rows = r_eff[run_of]
@@ -609,16 +780,14 @@ def regulate_and_aggregate(
         z_out, retention = _project(z_out, ref, run_of, blocks)
         z_out, clip = sensitivity_normalize(z_out, eps[run_of])
 
-    slices = layer_slices(updates.layout)
-    block_of = range(len(slices)) if len(blocks) == len(slices) else [0] * len(slices)
+    block_of = slice(None) if len(blocks) == len(lay.slices) else [0] * len(lay.slices)
     coefficients = align[:, None] * retention[:, block_of] * clip[:, None]
     global_deltas = _weighted_sums(
-        weights, deltas * np.repeat(coefficients, [b - a for a, b in slices], axis=1), stacks)
+        weights, deltas * np.repeat(coefficients, lay.widths, axis=1), stacks)
 
-    new_ref = update_reference(ref, z if cfg.reference == "raw" else z_out,
-                               [weights[a:b] for a, b in runs], cfg)
+    new_ref = update_reference(ref, z if cfg.reference == "raw" else z_out, run_weights, cfg)
     report = RegulationReport(
-        client_ids=np.asarray(updates.client_ids)[order], runs=runs, proxy_norm=norms,
+        client_ids=lay.ids, runs=runs, proxy_norm=norms,
         cos_ref=cos_ref, align_factor=align, retention=retention, clip_factor=clip,
         coefficients=coefficients,
         layer_coefficients=_weighted_sums(weights, coefficients, stacks), epsilon=eps,

@@ -671,3 +671,27 @@ def test_a_new_parameter_matrix_trains_as_in_a_fresh_federation():
         fresh.held = np.frombuffer(start).reshape(fresh.held.shape).copy()
         assert local_train(fresh, shared, round_index=t).deltas.tobytes() == deltas
         assert fresh.held.tobytes() == held
+
+
+def test_a_federation_builds_its_run_layout_once_and_first_runs_its_own():
+    # every round of a federation carries the one RunLayout it holds;
+    # first_runs(n) is a new federation of n runs with a layout of its own
+    model = ModelConfig(n_layers=2, hidden_dim=3, activation="relu")
+    training = TrainingConfig(lr=0.3)
+    params = init_params(model, 3, 3, seed=7)
+    rng = np.random.default_rng(8)
+    clients = [_random_client(k, rng, 3, 3, params) for k in (0, 1, 2, 0, 1, 0)]
+    fed = Federation(clients, model, training, (3, 2, 1))
+    width = fed.shared_columns.stop - fed.shared_columns.start
+    first = local_train(fed, rng.normal(size=(3, width)), round_index=1)
+    second = local_train(fed, rng.normal(size=(3, width)), round_index=2)
+    assert first.run_layout is second.run_layout is fed.run_layout
+    assert fed.run_layout.runs == fed.runs == ((0, 3), (3, 5), (5, 6))
+    assert fed.run_layout.n_train == tuple(fed.train.counts.tolist())
+    part = fed.first_runs(2)
+    lay = part.run_layout
+    assert lay is not fed.run_layout
+    assert (lay.runs, lay.client_ids, lay.n_train) == (((0, 3), (3, 5)), part.client_ids,
+                                                       fed.run_layout.n_train[:5])
+    updates = local_train(part, rng.normal(size=(2, width)), round_index=3)
+    assert updates.run_layout is lay and len(updates) == 2

@@ -470,3 +470,36 @@ def test_sign_matrix_limit_at_and_one_entry_over(tmp_path, monkeypatch):
         (tmp_path / name).write_text(body)
     _load(tmp_path, "data.kind = csv\ndata.edges = e.csv\ndata.features = f.csv\n"
                     "data.labels = l.csv\ndata.splits = s.csv\nserver.proxy_dim = 3\n")
+
+
+def test_ggrs_window_limit_counts_the_fill_a_run_can_reach(tmp_path):
+    # a run's window fills by at most its configured clients a round, so
+    # it can reach min(window, rounds x clients) proxies; 512 is the limit
+    ggrs = MINIMAL + "server.regulation = ggrs\n"
+    cfg = _load(tmp_path, ggrs + "server.window = 512\nrun.rounds = 600\n")
+    assert cfg.server.window == 512
+    over = "server.window = 513\nrun.rounds = 600\n"
+    with pytest.raises(ConfigError, match=r"run.conf: server: server.window = 513 lets a run's "
+                                          r"window fill to 513 proxies, above the limit of 512"):
+        _load(tmp_path, ggrs + over)
+    # 2 clients for 256 rounds fill 512, one round more 514
+    _load(tmp_path, ggrs + "data.clients = 2\nserver.window = 5000\nrun.rounds = 256\n")
+    with pytest.raises(ConfigError, match="fill to 514 proxies, above the limit of 512"):
+        _load(tmp_path, ggrs + "data.clients = 2\nserver.window = 5000\nrun.rounds = 257\n")
+    # only a subspace gate reads the window
+    _load(tmp_path, MINIMAL + over)
+    _load(tmp_path, ggrs + over + "server.subspace_dim = 0\n")
+
+
+def test_shipped_configs_and_every_workload_parse():
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "configs").glob("*.conf")):
+        load_config(path)
+    import sys
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        from workloads import WORKLOADS, config_text
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    for name in WORKLOADS:
+        parse_config(config_text(name))

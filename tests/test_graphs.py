@@ -349,9 +349,11 @@ def test_planted_row_blocks_match_the_one_shot_draw(n_blocks, block_size, draw_r
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def _planted_edges_by_where(n_blocks, block_size, p_in, p_out, seed):
+def _planted_by_where(n_blocks, block_size, p_in, p_out, n_classes, feature_dim, class_sep,
+                      seed):
     """The planted edges as each chunk's np.where array of per-coin
-    probabilities gives them: the reference for the in-place draw."""
+    probabilities gives them, every coin drawn, and the features drawn
+    after them: the reference for the in-place draw."""
     n = n_blocks * block_size
     block = np.repeat(np.arange(n_blocks), block_size)
     rng = np.random.default_rng(seed)
@@ -363,7 +365,10 @@ def _planted_edges_by_where(n_blocks, block_size, p_in, p_out, seed):
         r += r0
         upper = c > r
         hits.append(np.stack([r[upper], c[upper]], axis=1))
-    return np.concatenate(hits)
+    means = np.zeros((n_classes, feature_dim))
+    means[np.arange(n_classes), np.arange(n_classes) % feature_dim] = class_sep
+    labels = block % n_classes
+    return np.concatenate(hits), means[labels] + rng.standard_normal((n, feature_dim))
 
 
 _PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -380,14 +385,18 @@ _PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @example(n_blocks=1, block_size=257, probs=[0.3, 0.3], seed=1)  # a last row with no column
 @example(n_blocks=9, block_size=1, probs=[0.0, 1.0], seed=2)    # one-node blocks
 @example(n_blocks=9, block_size=300, probs=[0.001, 0.02], seed=3)
+@example(n_blocks=2, block_size=300, probs=[0.05, 0.5], seed=4)  # three chunks
 def test_planted_edges_match_the_per_coin_probability_draw(n_blocks, block_size, probs, seed):
     # blocks of 1 to 300 nodes fall across the DRAW_ROWS-row chunks at
-    # every offset; p_out <= p_in, with 0, 1 and equal values
+    # every offset; p_out <= p_in, with 0, 1 and equal values. The
+    # features are drawn after the coins, so they pin the stream position
+    # the skipped coins leave
     p_out, p_in = probs
-    got = planted_partition_graph(n_blocks, block_size, p_in, p_out, 2, 3, 1.0, seed).edges
-    want = _planted_edges_by_where(n_blocks, block_size, p_in, p_out, seed)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    args = (n_blocks, block_size, p_in, p_out, 2, 3, 1.0, seed)
+    got = planted_partition_graph(*args)
+    for a, b in zip((got.edges, got.features), _planted_by_where(*args)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_planted_draw_is_pinned():

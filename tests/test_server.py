@@ -30,6 +30,8 @@ from fedgeo.server import (
     WEIGHTINGS,
     ProxyVector,
     ReferenceStack,
+    RunLayout,
+    _appended,
     _sign_projection,
     _top_directions,
     check_projection,
@@ -1075,3 +1077,118 @@ def test_sign_matrix_at_the_limit_is_drawn_and_one_entry_over_is_refused(monkeyp
         _sign_projection.cache_clear()
     # unprojected proxies need no matrix, however long
     check_projection(AggregatorConfig(proxy_dim=0), 10**9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=_SHAPES,
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    rounds=st.integers(1, 4),
+    mode=st.sampled_from(MODES),
+    window=st.integers(1, 6),
+    m=st.integers(0, 6),
+    proxy_dim=st.sampled_from([None, 0, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shapes=[(2, 3, True)], sizes=[4, 1, 3], rounds=4, mode="ggrs", window=5, m=2,
+         proxy_dim=3, seed=5)
+def test_a_held_run_layout_gives_the_bits_of_one_built_from_the_tuples(
+        shapes, sizes, rounds, mode, window, m, proxy_dim, seed):
+    # one RunLayout, held as a Federation holds it and carried by every
+    # round under both weightings, gives each round's deltas, stack,
+    # report and CSV geometry bit for bit as a RoundUpdates that builds
+    # its own from the tuples. Runs differ in size and ids come shuffled
+    # within each run, so the layout's order is not the identity
+    from fedgeo import harness
+
+    rng = np.random.default_rng(seed)
+    layout, size, dim = _layout_of(shapes, proxy_dim)
+    ids = tuple(np.concatenate([rng.permutation(20)[:k] for k in sizes]).tolist())
+    n_train = tuple(rng.integers(1, 50, size=len(ids)).tolist())
+    bounds = tuple(zip(np.cumsum([0] + sizes[:-1]).tolist(), np.cumsum(sizes).tolist()))
+    held = RunLayout(bounds, ids, n_train, layout)
+    stacks = {(w, lay): initial_reference(dim, len(sizes))
+              for w in WEIGHTINGS for lay in ("held", "own")}
+    for _ in range(rounds):
+        deltas = rng.standard_normal((len(ids), size)) * rng.choice(
+            [0.0, 1e-3, 1.0, 100.0], size=(len(ids), 1))
+        for w in WEIGHTINGS:
+            cfg = AggregatorConfig(mode=mode, weights=w, window=window,
+                                   subspace_dim=min(m, window), proxy_dim=proxy_dim)
+            out = {}
+            for lay in ("held", "own"):
+                updates = RoundUpdates(client_ids=ids, deltas=deltas, n_train=n_train,
+                                       layout=layout, runs=bounds,
+                                       run_layout=held if lay == "held" else None)
+                assert (updates.run_layout is held) == (lay == "held")
+                got, stacks[w, lay], report = regulate_and_aggregate(updates, stacks[w, lay],
+                                                                     cfg)
+                out[lay] = (got, *dataclasses.astuple(stacks[w, lay]),
+                            *(getattr(report, f.name) for f in dataclasses.fields(report)
+                              if f.name != "runs"),
+                            harness._round_metrics(updates, report, got))
+            for a, b in zip(out["held"], out["own"]):
+                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_run_layout_must_match_its_round():
+    layout = _scalar_update(0, 1.0).delta.layout
+    lay = RunLayout(((0, 2), (2, 3)), (1, 0, 0), (2, 3, 4), layout)
+    assert lay.order.tolist() == [1, 0, 2] and lay.ids.tolist() == [0, 1, 0]
+    assert lay.weights("by_train_count").flat.tolist() == [3 / 5, 2 / 5, 1.0]
+    assert lay.weights("uniform") is lay.weights("uniform")  # built once
+    assert not lay.weights("uniform").flat.flags.writeable
+    base = dict(client_ids=(1, 0, 0), deltas=np.ones((3, 1)), n_train=(2, 3, 4), layout=layout)
+    assert RoundUpdates(**base, run_layout=lay).runs == lay.runs
+    for key, value in (("client_ids", (1, 0, 2)), ("n_train", (2, 3, 5)),
+                       ("runs", ((0, 1), (1, 3)))):
+        with pytest.raises(InputError, match="run layout does not match"):
+            RoundUpdates(**{**base, key: value}, run_layout=lay)
+    with pytest.raises(InputError, match="every run"):
+        RunLayout(((0, 2),), (0, 0), (1, 1), layout)
+    with pytest.raises(InputError, match="n_train"):
+        RunLayout(((0, 2),), (0, 1), (1, 0), layout)
+
+
+def _appended_per_run(ref, proxies, sizes, cap):
+    """Each run's window grown by the per-run loop: the reference for the
+    one-slice append."""
+    n_old = ref.window.shape[1]
+    fill = np.minimum(cap, ref.fill + sizes)
+    n = int(fill.max())
+    window = np.zeros((len(sizes), n, proxies.shape[1]))
+    stops = np.cumsum(sizes)
+    for i, (b, s, f_old, f) in enumerate(zip(stops, sizes, ref.fill, fill)):
+        rows = np.concatenate([ref.window[i, n_old - f_old:], proxies[b - s:b]])
+        window[i, n - f:] = rows[len(rows) - f:]
+    return window, fill
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.integers(1, 4), size=st.integers(1, 6), fill=st.integers(0, 8),
+       pad=st.integers(0, 3), cap=st.integers(0, 10), ragged=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_one_slice_append_equals_the_per_run_loop(runs, size, fill, pad, cap, ragged,
+                                                      seed):
+    # runs of one size and fill append in one slice assignment, others
+    # run by run; a window may be wider than the fill (``stack[a:b]``
+    # keeps the widest run's width), the cap may be below, at or above
+    # the rows appended, and 0 (a plain server)
+    rng = np.random.default_rng(seed)
+    fills = np.full(runs, min(fill, cap))
+    sizes = np.full(runs, size)
+    if ragged:
+        fills = np.minimum(cap, rng.integers(0, fill + 1, size=runs))
+        sizes = rng.integers(1, size + 1, size=runs)
+    d = 3
+    width = int(fills.max(initial=0)) + pad
+    window = np.zeros((runs, width, d))
+    for i, f in enumerate(fills):
+        window[i, width - f:] = rng.standard_normal((f, d))
+    ref = ReferenceStack(r=np.zeros((runs, d)), window=window, fill=fills,
+                         basis=np.zeros((runs, d, 0)), rank=np.zeros(runs, dtype=np.intp))
+    proxies = rng.standard_normal((int(sizes.sum()), d))
+    got, got_fill = _appended(ref, proxies, sizes, cap)
+    want, want_fill = _appended_per_run(ref, proxies, sizes, cap)
+    assert got_fill.tolist() == want_fill.tolist()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
