@@ -20,9 +20,12 @@ changes. It holds its clients' graphs as one batch, each distinct graph
 and its normalized adjacency once, with their train and test rows, and
 their parameters as one (K, L) matrix, ``held``, row k client k's flat
 vector (``model.FlatVector`` order, local head included), which each
-round replaces with the trained matrix. The shared layers are adjacent (a
-model has 1 or 2 layers), so their columns are one slice of the
-matrix. Its clients belong to one or more runs, independent
+round replaces with a copy of the trained matrix. A round's broadcast
+is loaded once into a work matrix the federation holds, which the
+evaluation reads and ``local_train`` trains in place, and each step's
+gradient is written into a held gradient matrix. The shared layers
+are adjacent (a model has 1 or 2 layers), so their columns are one
+slice of the matrix. Its clients belong to one or more runs, independent
 federations that train in lockstep, such as the harness's run seeds:
 each run has its own shared parameters and its own server state, and a
 round's broadcast is one (R, L_shared) matrix, row r run r's.
@@ -39,6 +42,7 @@ each client's values are bit for bit those it gets alone.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -143,11 +147,16 @@ class Federation:
     (InputError otherwise). ``train`` and ``test`` are their train and
     test rows in it. ``held`` is the (K, L) matrix of the clients'
     current parameters, local heads included, in client order: each
-    round replaces it with a new matrix and never writes into it, so a
-    reference kept from an earlier round keeps that round's values.
-    ``run_layout`` is the run structure of its rounds
-    (``server.RunLayout``), built on first read and handed out with
-    every round's ``RoundUpdates``.
+    round replaces it with a new read-only matrix and never writes into
+    it, so a reference kept from an earlier round keeps that round's
+    values; to change it, assign a new matrix. The federation also
+    holds a (K, L) work matrix, into which ``broadcast`` loads a round's
+    parameters and which ``local_train`` trains in place, and a (K, L)
+    gradient matrix, which each local step's ``model.gradient`` writes
+    (its ``out``); both and their layer and per-graph views are built
+    once per federation. ``run_layout`` is the run structure of its
+    rounds (``server.RunLayout``), built on first read and handed out
+    with every round's ``RoundUpdates``.
     """
 
     def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig,
@@ -204,19 +213,38 @@ class Federation:
         self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask[slice(*c.nodes)])
                                      for c in clients])
         self.held = np.stack([flat.values for flat in flats])
+        self.held.flags.writeable = False
+        self._work = layer_views(np.empty_like(self.held), self.layout)
+        self._grads = layer_views(np.empty_like(self.held), self.layout)
+        self._loaded = None  # (held, shared bits) of the broadcast in _work, or None
 
-    def params(self, shared: np.ndarray) -> np.ndarray:
-        """Every client's parameters as a new (K, L) matrix in client
-        order, given the (R, L_shared) matrix of each run's shared
-        parameters (InputError naming both shapes otherwise): the held
-        rows, with the ``shared_columns`` set to the client's run's row."""
-        want = (len(self.runs), self.shared_columns.stop - self.shared_columns.start)
+    def broadcast(self, shared: np.ndarray) -> ParameterSet:
+        """The ``layer_views`` of the federation's work matrix holding
+        every client's parameters in client order, given the
+        (R, L_shared) matrix of each run's shared parameters (InputError
+        naming both shapes otherwise): the held rows, with the
+        ``shared_columns`` set to the client's run's row. The matrix and
+        its views are built once per federation and hold until the next
+        ``broadcast`` or ``local_train``. The broadcast is loaded again
+        unless ``held`` is the object it was loaded from and ``shared``
+        has the bits it was loaded with, and after every ``local_train``."""
+        cols = self.shared_columns
+        want = (len(self.runs), cols.stop - cols.start)
         if shared.shape != want:
             raise InputError(f"shared parameters of shape {shared.shape} do not match the "
                              f"federation's {want}")
-        work = self.held.copy()
-        work[:, self.shared_columns] = np.repeat(shared, self.run_sizes, axis=0)
-        return work
+        bits = np.asarray(shared, dtype=np.float64).tobytes()  # -0.0 is not +0.0
+        if self._loaded is None or self._loaded[0] is not self.held or self._loaded[1] != bits:
+            work, held = self._work.values, self.held
+            work[:, :cols.start] = held[:, :cols.start]  # the local head, if any
+            work[:, cols.stop:] = held[:, cols.stop:]
+            work[:, cols] = np.repeat(shared, self.run_sizes, axis=0)
+            self._loaded = (held, bits)
+        return self._work
+
+    def params(self, shared: np.ndarray) -> np.ndarray:
+        """A copy of the work matrix ``broadcast(shared)`` loads."""
+        return self.broadcast(shared).values.copy()
 
     @cached_property
     def run_layout(self) -> RunLayout:
@@ -287,26 +315,29 @@ class RoundUpdates:
 def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> RoundUpdates:
     """Run one round of local training of every client, given the
     (R, L_shared) matrix of each run's broadcast shared parameters (see
-    ``Federation.params``); every client's shared delta, one row per
+    ``Federation.broadcast``); every client's shared delta, one row per
     client in federation order, in the federation's runs.
 
     Loads its run's broadcast into every client model (a local head
-    keeps its previous values), runs E full-batch gradient steps
-    (fedprox: mu-proximal gradient toward the broadcast point), replaces
-    the federation's ``held`` with the trained matrix, and returns
+    keeps its previous values; a broadcast already loaded is trained as
+    it is), runs E full-batch gradient steps (fedprox: mu-proximal
+    gradient toward the broadcast point), replaces the federation's
+    ``held`` with a copy of the trained matrix, and returns
     theta_shared_after - theta_shared_broadcast of each client. Each
-    step is one ``gradient`` call and one in-place update of the (K, L)
-    parameter matrix of all clients; each client's values
-    are those its own one-client federation gives, bit for bit.
+    step is one ``gradient`` call into the federation's gradient matrix
+    and one in-place update of its work matrix, the (K, L) parameters of
+    all clients; each client's values are those its own one-client
+    federation gives, bit for bit.
 
     A client whose loss is not finite at some step, or whose delta is
     not finite, has diverged: the DivergenceError names the first such
     client in federation order and its run, and the federation keeps
     the ``held`` it had.
     """
-    work = fed.params(shared)
+    params = fed.broadcast(shared)
+    fed._loaded = None  # training overwrites the broadcast
+    work = params.values
     cols = fed.shared_columns
-    params = layer_views(work, fed.layout)
     training = fed.training
     # fedprox pulls the broadcast columns, not a local head, toward the run's
     # broadcast start, theta <- theta - lr * (g + mu * (theta - start)), the
@@ -319,8 +350,9 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     diverged = np.zeros(len(fed.clients), dtype=bool)
     for _ in range(training.epochs):
         # a diverged client's values are not finite from here on: no warnings
-        with np.errstate(all="ignore" if diverged.any() else None):
-            losses, grads = gradient(params, fed.batch, fed.train, fed.model.activation)
+        with np.errstate(all="ignore") if diverged.any() else nullcontext():
+            losses, grads = gradient(params, fed.batch, fed.train, fed.model.activation,
+                                     out=fed._grads)
             diverged |= ~np.isfinite(losses)
             if pull is not None:
                 np.subtract(work[:, cols], start, out=pull)
@@ -340,7 +372,8 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
         run = next(r for r, (a, b) in enumerate(fed.runs) if a <= k < b)
         raise DivergenceError(round_index, fed.client_ids[k], run)
 
-    fed.held = work
+    fed.held = work.copy()
+    fed.held.flags.writeable = False
     lay = fed.run_layout
     return RoundUpdates(client_ids=lay.client_ids, deltas=deltas, n_train=lay.n_train,
                         layout=lay.layout, run_layout=lay)

@@ -56,7 +56,7 @@ from .graphs import (
     planted_partition_graph,
 )
 from .metrics import accuracy, pairwise_coherence, sensitivity_norm
-from .model import SHARED, ParameterSet, flatten, forward, init_params, layer_views
+from .model import SHARED, ParameterSet, flatten, forward, init_params
 # no caller here; perfbench's tracer patches it by name (ROADMAP item 1)
 from .model import unflatten  # noqa: F401
 from .partition import dirichlet_label_partition, induced_subgraph
@@ -168,8 +168,7 @@ def _evaluate(fed: Federation, shared: np.ndarray) -> list[float]:
     """
     if fed.test.index.size == 0:
         return [float("nan")] * len(shared)
-    params = layer_views(fed.params(shared), fed.layout)
-    logits = forward(params, fed.batch, fed.test, fed.model.activation)[1][-1]
+    logits = forward(fed.broadcast(shared), fed.batch, fed.test, fed.model.activation)[1][-1]
     bounds = fed.test.bounds.tolist()
     return [accuracy(logits[bounds[a]:bounds[b]], fed.test.pick[1][bounds[a]:bounds[b]])
             if bounds[b] > bounds[a] else float("nan")
@@ -200,12 +199,15 @@ def _round_metrics(updates: RoundUpdates, report: RegulationReport,
     one-client run's is 1 when its delta is nonzero, else 0); alignment,
     the mean ``cos_ref`` over its rows with a nonzero proxy (0 if none);
     sensitivity, the norm of its row of the applied ``deltas`` (R, L);
-    and the shares of its rows clipped and attenuated. The run groups
-    and pair indices come from ``updates.run_layout``."""
+    and the shares of its rows clipped and attenuated. The rows are
+    read in ascending client id order within each run, as the server
+    reads them, and the run groups and pair indices come from
+    ``updates.run_layout``."""
     lay = updates.run_layout
+    sorted_deltas = updates.deltas if lay.order is None else updates.deltas[lay.order]
     out = np.empty((len(lay.runs), 5))
     for (ids, rows), iu in zip(lay.stacks, lay.pairs):
-        stack = updates.deltas[rows]
+        stack = sorted_deltas[rows]
         if rows.shape[1] >= 2:
             gamma, _ = pairwise_coherence(stack)
             # one mean per matrix: a mean along an axis sums in another order

@@ -27,20 +27,23 @@ offsets are computed, and ``layer_views`` the one place they are read.
 Everything here is double-precision, and pure but for held workspaces.
 The per-graph operands of those products are sliced once and held by
 the object that owns the data: a ``Layer`` holds its weight's per-graph
-views for as long as it lives (one round's ``layer_views``), and a
-``GraphBatch`` or ``Rows`` holds the row views of its messages and its
-step buffers (``buffer``) for as long as it lives. ``forward``
-writes its pre-activations into such buffers, so they hold until the
-next ``forward`` or ``gradient`` on the same batch; ``gradient``'s
-losses and matrix are new on every call, and parameter values are never
-aliased into another call's (``layer_views`` alone returns views, of
-the array it is given).
+views for as long as it lives (as long as the ``layer_views`` of a
+matrix that the caller holds, such as a federation's parameter and
+gradient matrices), and a ``GraphBatch`` or ``Rows`` holds the row
+views of its messages and its step buffers (``buffer``) for as long as
+it lives. ``forward`` writes its pre-activations into such buffers, so
+they hold until the next ``forward`` or ``gradient`` on the same batch.
+``gradient``'s losses are new on every call, and so is its matrix
+unless the caller passes the views of one to write into (``out``);
+parameter values are never aliased into another call's (``layer_views``
+alone returns views, of the array it is given).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
@@ -116,8 +119,9 @@ class Layer:
     """One layer's weight (fan_in, fan_out) and bias (fan_out,) or None,
     or a stack of K of each (see ``layer_views``), and its group. A
     stacked layer holds the per-graph weight views that ``forward`` and
-    ``gradient`` read, made on first read: a new parameter matrix comes
-    with new layers, so they never outlive the matrix's layers."""
+    ``gradient`` read (and ``gradient`` writes, of its ``out``), made on
+    first read: a new parameter matrix comes with new layers, so they
+    never outlive the matrix's layers."""
 
     weight: np.ndarray          # (fan_in, fan_out), or (K, fan_in, fan_out)
     bias: np.ndarray | None     # (fan_out,) or (K, fan_out), or None
@@ -136,7 +140,11 @@ class Layer:
 
 @dataclass(frozen=True)
 class ParameterSet:
+    """A model's layers; ``values`` is the array they are views of when
+    ``layer_views`` made them, else None."""
+
     layers: tuple[Layer, ...]
+    values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_layers(self) -> int:
@@ -529,14 +537,18 @@ def gradient(
     batch: GraphBatch,
     rows: Rows,
     activation: str = "relu",
+    out: ParameterSet | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each graph's mean cross-entropy over its ``rows`` (labels from
-    ``batch.labels``), and its analytic gradients as one new (K, L)
-    matrix: row k is graph k's gradient in FlatVector order, laid out
-    as ``layer_views`` reads ``params`` (see ``forward``). A graph
-    without rows, or a model of other than 1 or 2 layers, is an
-    InputError. The losses and the matrix are new arrays; the step's
-    other arrays are buffers that ``batch`` and ``rows`` hold.
+    ``batch.labels``), and its analytic gradients as one (K, L) matrix:
+    row k is graph k's gradient in FlatVector order, laid out as
+    ``layer_views`` reads ``params`` (see ``forward``). A graph without
+    rows, or a model of other than 1 or 2 layers, is an InputError. The
+    losses are a new array, and so is the matrix unless ``out`` is
+    given: the ``layer_views`` of a (K, L) matrix in ``params``' layout
+    (InputError otherwise), which the gradient is written into through
+    those views and their held per-graph views, and which is returned.
+    The step's other arrays are buffers that ``batch`` and ``rows`` hold.
 
     Each graph's loss sums its rows' losses in row order, and each bias
     gradient its rows' terms (``Rows.sums``, ``GraphBatch.sums``).
@@ -548,13 +560,18 @@ def gradient(
     values are unaffected.
     """
     check_layer_count(params.n_layers)
+    shape = (batch.nodes.size - 1, sum(s.size for s in params.layout))
+    if out is not None and (out.values is None or out.values.shape != shape
+                            or out.layout != params.layout):
+        raise InputError(f"out must be the layer views of a {shape} matrix in the "
+                         "parameters' layout")
     messages, preacts = forward(params, batch, rows, activation)
     logits = preacts[-1]
     if not rows.counts.all():
         raise InputError(f"graph {int(np.argmin(rows.counts))}: no rows selected")
     finite = bool(np.isfinite(logits).all())
     # a diverged graph's arithmetic is not finite by design: no warnings
-    with np.errstate(all=None if finite else "ignore"):
+    with nullcontext() if finite else np.errstate(all="ignore"):
         width = logits.shape[1]
         dp, dps = rows.buffer("loss", width)
         nll, _ = _cross_entropy(logits, rows.label_positions(width), out=dp)
@@ -574,16 +591,16 @@ def gradient(
                 dp *= preacts[0] > 0.0
             back.insert(0, (dp, batch.views(dp)))
 
-        grads = np.empty((batch.nodes.size - 1, sum(s.size for s in params.layout)))
-        for li, (grad, m, (dp, dps)) in enumerate(zip(layer_views(grads, params.layout).layers,
-                                                     messages, back)):
+        if out is None:
+            out = layer_views(np.empty(shape), params.layout)
+        for li, (grad, m, (dp, dps)) in enumerate(zip(out.layers, messages, back)):
             seg = rows if li == params.n_layers - 1 else batch
             ms = seg.message_cols if li == 0 else [x.T for x in seg.views(m)]
-            _products(_product(grad.weight), ms, dps, list(grad.weight))
+            _products(_product(grad.weight), ms, dps, grad.per_graph)
             if grad.bias is not None:
                 grad.bias[...] = seg.sums @ dp
 
-    return losses, grads
+    return losses, out.values
 
 
 def layer_layout(params: ParameterSet, group: str = "all") -> tuple[LayerSpec, ...]:
@@ -624,7 +641,7 @@ def layer_views(values: np.ndarray, layout: tuple[LayerSpec, ...]) -> ParameterS
         Layer(weight=values[..., a:b - s.b_size].reshape(shape + s.w_shape, copy=False),
               bias=values[..., b - s.b_size:b] if s.b_size else None, group=s.group)
         for s, (a, b) in zip(layout, layer_slices(layout))
-    ))
+    ), values=values)
 
 
 def unflatten(flat: FlatVector, template: ParameterSet) -> ParameterSet:

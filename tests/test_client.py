@@ -673,6 +673,53 @@ def test_a_new_parameter_matrix_trains_as_in_a_fresh_federation():
         assert fresh.held.tobytes() == held
 
 
+def test_each_change_of_a_broadcasts_inputs_loads_it_again():
+    # a federation loads a round's broadcast once, for the evaluation and
+    # the next round, and again whenever its inputs change: a trained
+    # round, a new held matrix, other bits of shared (written in place,
+    # a signed zero among them), a diverged round, first_runs. After each,
+    # the broadcast and the next round give the bytes of a federation
+    # built fresh for the same held matrix and shared parameters
+    model = ModelConfig(n_layers=2, hidden_dim=3, activation="relu")
+    training = TrainingConfig(trainer="fedprox", lr=0.3, epochs=2, mu=0.5)
+    params = init_params(model, 3, 3, seed=7, cross_domain=True)
+    rng = np.random.default_rng(12)
+    clients = [_random_client(k % 3, rng, 3, 3, params) for k in range(6)]
+    fed = Federation(clients, model, training, (3, 3))
+    width = fed.shared_columns.stop - fed.shared_columns.start
+    shared = rng.normal(size=(2, width))
+    shared[:, 0] = 0.0
+
+    def as_fresh(f, shared, t):
+        # f's broadcast, then its round t, against a fresh federation's
+        twin = Federation(clients[:len(f.clients)], model, training, f.run_sizes)
+        twin.held = f.held.copy()
+        assert f.params(shared).tobytes() == twin.params(shared).tobytes()
+        got, want = (local_train(x, shared, round_index=t) for x in (f, twin))
+        assert got.deltas.tobytes() == want.deltas.tobytes()
+        assert f.held.tobytes() == twin.held.tobytes()
+
+    as_fresh(fed, shared, 1)  # a trained round
+    as_fresh(fed, shared, 2)  # and its held matrix, trained again
+    fed.params(shared)
+    fed.held = np.ascontiguousarray(fed.held[::-1])  # a new held matrix
+    as_fresh(fed, shared, 3)
+    for write in (lambda s: s.__setitem__((0, 0), -0.0), lambda s: s.__imul__(0.5)):
+        fed.params(shared)
+        write(shared)  # the same array, other bits
+        as_fresh(fed, shared, 4)
+    huge = np.full_like(shared, 1e300)
+    fed.params(huge)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        local_train(fed, huge, round_index=5)
+    twin = Federation(clients, model, training, (3, 3))
+    twin.held = fed.held.copy()
+    assert fed.params(huge).tobytes() == twin.params(huge).tobytes()
+    as_fresh(fed, shared, 5)
+    fed.params(shared)
+    as_fresh(fed.first_runs(1), shared[:1], 6)
+
+
 def test_a_federation_builds_its_run_layout_once_and_first_runs_its_own():
     # every round of a federation carries the one RunLayout it holds;
     # first_runs(n) is a new federation of n runs with a layout of its own

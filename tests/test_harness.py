@@ -867,6 +867,36 @@ def test_round_metrics_match_a_per_run_loop():
     assert ((np.array(rates) > 0.0) & (np.array(rates) < 1.0)).any(axis=(0, 1)).all()
 
 
+def test_round_metrics_read_a_shuffled_round_as_the_sorted_one():
+    # the server reads each run's rows in ascending client id order, and
+    # so do the diagnostics: the same rows sent shuffled within their runs
+    # give the sorted round's (R, 5) values bit for bit
+    sizes = [4, 1, 5, 3, 6]
+    bounds = np.cumsum([0] + sizes).tolist()
+    runs = tuple(zip(bounds[:-1], bounds[1:]))
+    layout = (LayerSpec(index=0, group=SHARED, w_shape=(2, 3), b_size=3),
+              LayerSpec(index=1, group=SHARED, w_shape=(3, 2), b_size=0))
+    cfg = AggregatorConfig(mode="ggrs", window=6, subspace_dim=2)
+    rng = np.random.default_rng(23)
+    ids = np.concatenate([np.arange(n) for n in sizes])
+    refs = {side: initial_reference(15, runs=len(sizes)) for side in ("sorted", "shuffled")}
+    for _ in range(5):
+        d = rng.normal(size=(bounds[-1], 15)) * rng.choice([1e-3, 1.0, 100.0],
+                                                            size=(bounds[-1], 1))
+        n_train = rng.integers(1, 9, size=bounds[-1])
+        shuffled = np.concatenate([a + rng.permutation(b - a) for a, b in runs])
+        got = {}
+        for side, rows in (("sorted", np.arange(bounds[-1])), ("shuffled", shuffled)):
+            updates = RoundUpdates(client_ids=tuple(ids[rows].tolist()), deltas=d[rows],
+                                   n_train=tuple(n_train[rows].tolist()), layout=layout,
+                                   runs=runs)
+            assert (updates.run_layout.order is None) == (side == "sorted")
+            deltas, refs[side], report = regulate_and_aggregate(updates, refs[side], cfg)
+            got[side] = harness._round_metrics(updates, report, deltas)
+        assert got["shuffled"].shape == (len(sizes), 5)
+        assert got["shuffled"].tobytes() == got["sorted"].tobytes()
+
+
 # edge values a float strategy may not draw: -0.0, the smallest subnormal, 1.0
 _EDGES = st.sampled_from([-0.0, 5e-324, 1.0])
 

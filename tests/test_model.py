@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -340,6 +341,57 @@ def test_gradient_returns_new_arrays_and_forward_holds_until_the_next_step():
     assert (losses.tobytes(), grads.tobytes()) == kept
     assert not np.shares_memory(losses, again)
     assert not any(np.shares_memory(grads, a) for a in preacts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    widths=st.tuples(st.integers(1, 6), st.integers(2, 4), st.integers(1, 6)),
+    n_layers=st.sampled_from((1, 2)),
+    activation=st.sampled_from(ACTIVATIONS),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_into_a_held_matrix_is_the_new_matrix_bits(sizes, widths, n_layers,
+                                                            activation, bias, seed):
+    # gradient(..., out=views of M) writes the bits of a new gradient matrix
+    # into M, whatever M held, through the views it was given, returns M
+    # and writes nothing else: not the parameters, not a matrix returned
+    # before
+    f, c, hidden = widths
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n in sizes:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        graphs.append(make_graph(n, np.array(pairs, dtype=int).reshape(-1, 2),
+                                 features=rng.normal(size=(n, f)),
+                                 labels=rng.integers(0, c, size=n)))
+    batch = graph_batch([normalized_adjacency(g) for g in graphs], [g.features for g in graphs],
+                        [g.labels for g in graphs])
+    train = batch.rows([np.flatnonzero(rng.random(n) < 0.6) if n > 1 else np.arange(1)
+                        for n in sizes])
+    if not train.counts.all():
+        train = batch.rows([np.arange(n) for n in sizes])
+    cfg = ModelConfig(n_layers=n_layers, hidden_dim=hidden, activation=activation, bias=bias)
+    params = stack([init_params(cfg, f, c, seed=seed % 1000 + k) for k in range(len(sizes))])
+    theta = params.values.tobytes()
+    want_losses, want = gradient(params, batch, train, activation)
+    kept = want.tobytes()
+    held = np.empty_like(want)
+    out = layer_views(held, params.layout)
+    for fill in (np.nan, -0.0, 1e300):
+        held[...] = fill
+        losses, got = gradient(params, batch, train, activation, out=out)
+        assert got is held
+        assert got.tobytes() == kept and losses.tobytes() == want_losses.tobytes()
+        assert want.tobytes() == kept and params.values.tobytes() == theta
+    # a matrix of another shape, one of this shape in another layout (a
+    # local first layer), and layers that are not a matrix's views
+    other = (dataclasses.replace(params.layout[0], group=LOCAL),) + params.layout[1:]
+    for bad in (layer_views(held[0], params.layout), layer_views(held, other),
+                ParameterSet(layers=out.layers)):
+        with pytest.raises(InputError, match="out must be"):
+            gradient(params, batch, train, activation, out=bad)
 
 
 def _fd_gradient(params, adj, features, labels, rows, activation, step=1e-4):

@@ -140,6 +140,19 @@ def test_ab_pairs_refuses_an_unknown_workload_before_any_run(tmp_path):
     assert "wide_ggrs pair" not in proc.stderr
 
 
+def test_ab_pairs_reads_every_repeated_workload_flag(tmp_path):
+    # a repeated --workload adds its names: the unknown one in the first
+    # flag is refused by name, before any run
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(root / "tools" / "ab_pairs.py"),
+                           "--parent", str(tmp_path / "absent"), "--seed", "0",
+                           "--workload", "nope", "--workload", "margin_ggrs"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "unknown workload nope;" in proc.stderr
+    assert "margin_ggrs pair" not in proc.stderr
+
+
 def test_output_digests_of_a_checkout_against_itself_print_nothing(tmp_path):
     # --against prints only the lines that differ and exits 1 on any; a
     # checkout of the smoke config alone keeps the two runs short

@@ -6,7 +6,8 @@ Usage, from a repository root:
         --pairs 10 --seconds 40
 
 For each named workload (default: every workload of this checkout's
-``BENCHMARK.json``; an unknown name is refused before any run), each
+``BENCHMARK.json``; names may follow one ``--workload`` or several,
+and an unknown name is refused before any run), each
 pair runs ``perfbench/run.py --trace 0`` once in the parent checkout
 ``DIR`` and once in the checkout holding this script, the parent first
 in even pairs and second in odd ones, so a shared host's slow drift
@@ -83,7 +84,9 @@ def main() -> int:
     known = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="the parent checkout")
-    ap.add_argument("--workload", nargs="*", default=known,
+    # extend, so a repeated flag adds its names; argparse would extend a
+    # list default in place, hence None
+    ap.add_argument("--workload", nargs="*", action="extend", default=None,
                     help="workloads to run (default: every one in BENCHMARK.json)")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)

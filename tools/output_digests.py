@@ -76,13 +76,15 @@ def main() -> int:
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     ap.add_argument("--against", type=Path, metavar="DIR",
                     help="print only the lines that differ from checkout DIR's")
-    ap.add_argument("--seeds", type=int, nargs="*", default=[0],
+    # extend, so a repeated flag adds its seeds; argparse would extend a
+    # list default in place, hence None
+    ap.add_argument("--seeds", type=int, nargs="*", action="extend", default=None,
                     help="workload seeds to run (default 0)")
     args = ap.parse_args()
     root = args.root.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = _runs(root, args.seeds, work)
+        runs = _runs(root, [0] if args.seeds is None else args.seeds, work)
         try:
             ours = _digests(root, runs, work / "root")
             theirs = None
