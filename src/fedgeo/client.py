@@ -20,9 +20,9 @@ changes. It holds its clients' graphs as one batch, each distinct graph
 and its normalized adjacency once, with their train and test rows, and
 their parameters as one (K, L) matrix, ``held``, row k client k's flat
 vector (``model.FlatVector`` order, local head included), which each
-round replaces with a copy of the trained matrix. A round's broadcast
-is loaded once into a work matrix the federation holds, which the
-evaluation reads and ``local_train`` trains in place, and each step's
+round replaces with a copy of the trained matrix. Each broadcast is
+loaded into a work matrix the federation holds, which the evaluation
+reads and ``local_train`` trains in place, and each step's
 gradient is written into a held gradient matrix. The shared layers
 are adjacent (a model has 1 or 2 layers), so their columns are one
 slice of the matrix. Its clients belong to one or more runs, independent
@@ -34,17 +34,17 @@ call and one array update of the whole matrix per step (the last layer
 built for the train rows only), and hands the server one
 ``RoundUpdates`` of every run: the matrix of the clients' deltas, the
 trained matrix's shared columns minus each client's run's broadcast
-row, with the federation's run bounds. A one-run or
-one-client federation is the R = 1 or K = 1 case of the same code, and
-each client's values are bit for bit those it gets alone.
+row, with the federation's ``server.RunLayout``, the one record of its
+runs, client ids and train counts. A one-run or one-client federation
+is the R = 1 or K = 1 case of the same code, and each client's values
+are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .errors import DivergenceError, InputError, check_integer, check_real
 from .graphs import Graph, NormalizedAdjacency
 from .model import (
     SHARED,
-    LayerSpec,
     ModelConfig,
     ParameterSet,
     check_layer_count,
@@ -133,19 +132,21 @@ class Federation:
     """K clients of R runs trained and evaluated as one batch, under one
     ``model`` and one ``training`` config.
 
-    ``run_sizes`` counts the clients of each run, which come in run
-    order (default: one run of all clients); ``runs`` holds each run's
-    (start, stop) in ``clients``. Every run needs a client, every client
-    a train node, and the clients' parameters must share one shape of 1
-    or 2 layers, at least one of them shared (InputError otherwise);
-    ``layout`` is that shape's FlatVector layout, ``shared_layout`` its
-    shared layers' and ``shared_columns`` the one slice of the layout
-    they cover. ``batch`` holds their graphs as one
-    (``model.GraphBatch``, built once, so a client given a new graph
-    needs a new federation), each distinct graph once: the clients of a
-    graph come one after another and cover its rows in order
-    (InputError otherwise). ``train`` and ``test`` are their train and
-    test rows in it. ``held`` is the (K, L) matrix of the clients'
+    ``run_sizes`` counts the clients of each run in integers (default:
+    one run of all clients); the clients come in run order. Every run
+    needs a client, every client a train node, and the clients'
+    parameters must share one shape of 1 or 2 layers, at least one of
+    them shared (InputError otherwise); ``layout`` is that shape's
+    FlatVector layout, ``shared_layout`` its shared layers' and
+    ``shared_columns`` the one slice of the layout they cover. ``run_layout`` is the run
+    structure of its rounds (``server.RunLayout``: each run's (start,
+    stop) in ``clients``, the client ids and train counts), built once
+    and handed out with every round's ``RoundUpdates``. ``batch`` holds
+    their graphs as one (``model.GraphBatch``, built once, so a client
+    given a new graph needs a new federation), each distinct graph once:
+    the clients of a graph come one after another and cover its rows in
+    order (InputError otherwise). ``train`` and ``test`` are their train
+    and test rows in it. ``held`` is the (K, L) matrix of the clients'
     current parameters, local heads included, in client order: each
     round replaces it with a new read-only matrix and never writes into
     it, so a reference kept from an earlier round keeps that round's
@@ -154,9 +155,7 @@ class Federation:
     parameters and which ``local_train`` trains in place, and a (K, L)
     gradient matrix, which each local step's ``model.gradient`` writes
     (its ``out``); both and their layer and per-graph views are built
-    once per federation. ``run_layout`` is the run structure of its
-    rounds (``server.RunLayout``), built on first read and handed out
-    with every round's ``RoundUpdates``.
+    once per federation.
     """
 
     def __init__(self, clients: list[ClientState], model: ModelConfig, training: TrainingConfig,
@@ -164,6 +163,8 @@ class Federation:
         if not clients:
             raise InputError("a federation needs at least one client")
         run_sizes = (len(clients),) if run_sizes is None else tuple(run_sizes)
+        for size in run_sizes:
+            check_integer("a run size", size)
         if sum(run_sizes) != len(clients) or min(run_sizes) < 1:
             raise InputError(f"run sizes {run_sizes} do not split {len(clients)} clients "
                              "into runs of at least one")
@@ -186,10 +187,6 @@ class Federation:
         self.shared_columns = slice(spans[self.shared_layout[0].index][0],
                                     spans[self.shared_layout[-1].index][1])
         self.clients = tuple(clients)
-        self.client_ids = tuple(c.client_id for c in clients)
-        self.run_sizes = run_sizes
-        stops = np.cumsum(run_sizes).tolist()
-        self.runs = tuple(zip([0] + stops[:-1], stops))
         self.model = model
         self.training = training
         for p, c in zip([None, *clients], [*clients, None]):
@@ -208,55 +205,46 @@ class Federation:
         self.train = self.batch.rows([np.flatnonzero(c.graph.train_mask[slice(*c.nodes)])
                                       for c in clients])
         if not self.train.counts.all():
-            raise InputError(f"client {self.client_ids[int(np.argmin(self.train.counts))]} "
+            raise InputError(f"client {clients[int(np.argmin(self.train.counts))].client_id} "
                              "has no train nodes")
+        stops = np.cumsum(run_sizes).tolist()
+        self.run_layout = RunLayout(tuple(zip([0] + stops[:-1], stops)),
+                                    tuple(c.client_id for c in clients),
+                                    tuple(self.train.counts.tolist()), self.shared_layout)
         self.test = self.batch.rows([np.flatnonzero(c.graph.test_mask[slice(*c.nodes)])
                                      for c in clients])
         self.held = np.stack([flat.values for flat in flats])
         self.held.flags.writeable = False
         self._work = layer_views(np.empty_like(self.held), self.layout)
         self._grads = layer_views(np.empty_like(self.held), self.layout)
-        self._loaded = None  # (held, shared bits) of the broadcast in _work, or None
 
     def broadcast(self, shared: np.ndarray) -> ParameterSet:
-        """The ``layer_views`` of the federation's work matrix holding
-        every client's parameters in client order, given the
+        """The ``layer_views`` of the federation's work matrix, loaded
+        with every client's parameters in client order, given the
         (R, L_shared) matrix of each run's shared parameters (InputError
         naming both shapes otherwise): the held rows, with the
         ``shared_columns`` set to the client's run's row. The matrix and
-        its views are built once per federation and hold until the next
-        ``broadcast`` or ``local_train``. The broadcast is loaded again
-        unless ``held`` is the object it was loaded from and ``shared``
-        has the bits it was loaded with, and after every ``local_train``."""
+        its views are built once per federation, and each call loads
+        them again; they hold until the next ``broadcast`` or
+        ``local_train``."""
         cols = self.shared_columns
-        want = (len(self.runs), cols.stop - cols.start)
+        sizes = self.run_layout.sizes
+        want = (len(sizes), cols.stop - cols.start)
         if shared.shape != want:
             raise InputError(f"shared parameters of shape {shared.shape} do not match the "
                              f"federation's {want}")
-        bits = np.asarray(shared, dtype=np.float64).tobytes()  # -0.0 is not +0.0
-        if self._loaded is None or self._loaded[0] is not self.held or self._loaded[1] != bits:
-            work, held = self._work.values, self.held
-            work[:, :cols.start] = held[:, :cols.start]  # the local head, if any
-            work[:, cols.stop:] = held[:, cols.stop:]
-            work[:, cols] = np.repeat(shared, self.run_sizes, axis=0)
-            self._loaded = (held, bits)
+        work, held = self._work.values, self.held
+        work[:, :cols.start] = held[:, :cols.start]  # the local head, if any
+        work[:, cols.stop:] = held[:, cols.stop:]
+        work[:, cols] = np.repeat(shared, sizes, axis=0)
         return self._work
-
-    def params(self, shared: np.ndarray) -> np.ndarray:
-        """A copy of the work matrix ``broadcast(shared)`` loads."""
-        return self.broadcast(shared).values.copy()
-
-    @cached_property
-    def run_layout(self) -> RunLayout:
-        return RunLayout(self.runs, self.client_ids, tuple(self.train.counts.tolist()),
-                         self.shared_layout)
 
     def first_runs(self, n: int) -> Federation:
         """A federation of runs 0..n-1 alone, under the same configs,
         holding their current rows of ``held``, with a run layout of its
         own."""
-        fed = Federation(list(self.clients[:sum(self.run_sizes[:n])]), self.model,
-                         self.training, self.run_sizes[:n])
+        sizes = self.run_layout.sizes[:n].tolist()
+        fed = Federation(list(self.clients[:sum(sizes)]), self.model, self.training, sizes)
         fed.held = self.held[:len(fed.clients)]
         return fed
 
@@ -264,52 +252,22 @@ class Federation:
 @dataclass(frozen=True)
 class RoundUpdates:
     """Every client's shared-group displacement of one round, as one
-    batch: row k of ``deltas`` (in ``layout``'s canonical order) is
-    client ``client_ids[k]``'s, and ``n_train[k]`` its train-node count.
-    The rows belong to one or more runs, run r's rows ``runs[r]`` =
-    (start, stop) in run order (default: one run of every row). Every
-    run needs a row, ids must be distinct within a run and counts >= 1
-    (InputError otherwise). It is the sequence of its runs:
-    ``updates[r]`` is run r's rows as a one-run RoundUpdates.
-
-    ``run_layout`` is the rows' run structure (``server.RunLayout``),
-    which the server round reads: ``local_train`` passes its
-    federation's, built once, and without one the RoundUpdates builds
-    its own from the tuples. A given one must hold the same runs, ids,
-    counts and layout (InputError otherwise).
+    batch, in the run structure ``run_layout`` (``server.RunLayout``):
+    row k of ``deltas`` (in the layout's canonical order) is client
+    ``run_layout.client_ids[k]``'s, one row per client of every run
+    (InputError otherwise). ``local_train`` passes its federation's
+    layout, built once.
     """
 
-    client_ids: tuple[int, ...]
     deltas: np.ndarray  # (K, L)
-    n_train: tuple[int, ...]
-    layout: tuple[LayerSpec, ...]
-    runs: tuple[tuple[int, int], ...] | None = None
-    run_layout: RunLayout | None = field(default=None, repr=False, compare=False)
+    run_layout: RunLayout
 
     def __post_init__(self):
-        k = len(self.client_ids)
         lay = self.run_layout
-        if lay is None:
-            lay = RunLayout(((0, k),) if self.runs is None else self.runs, self.client_ids,
-                            self.n_train, self.layout)
-            object.__setattr__(self, "run_layout", lay)
-        elif ((lay.client_ids, lay.n_train, lay.layout) != (self.client_ids, self.n_train,
-                                                            self.layout)
-              or self.runs is not None and tuple(map(tuple, self.runs)) != lay.runs):
-            raise InputError("the run layout does not match the round's runs, ids, counts "
-                             "and layout")
-        object.__setattr__(self, "runs", lay.runs)
-        if self.deltas.shape != (k, sum(s.size for s in self.layout)):
+        k = len(lay.client_ids)
+        if self.deltas.shape != (k, sum(s.size for s in lay.layout)):
             raise InputError(f"deltas of shape {self.deltas.shape} do not match {k} clients "
                              "and the layout")
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __getitem__(self, run: int) -> RoundUpdates:
-        a, b = self.runs[run]
-        return RoundUpdates(client_ids=self.client_ids[a:b], deltas=self.deltas[a:b],
-                            n_train=self.n_train[a:b], layout=self.layout)
 
 
 def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> RoundUpdates:
@@ -319,15 +277,15 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     client in federation order, in the federation's runs.
 
     Loads its run's broadcast into every client model (a local head
-    keeps its previous values; a broadcast already loaded is trained as
-    it is), runs E full-batch gradient steps (fedprox: mu-proximal
-    gradient toward the broadcast point), replaces the federation's
-    ``held`` with a copy of the trained matrix, and returns
-    theta_shared_after - theta_shared_broadcast of each client. Each
-    step is one ``gradient`` call into the federation's gradient matrix
-    and one in-place update of its work matrix, the (K, L) parameters of
-    all clients; each client's values are those its own one-client
-    federation gives, bit for bit.
+    keeps its previous values), runs E full-batch gradient steps
+    (fedprox: mu-proximal gradient toward the broadcast point), replaces
+    the federation's ``held`` with a copy of the trained matrix, and
+    returns theta_shared_after - theta_shared_broadcast of each client
+    with the federation's ``run_layout``. Each step is one ``gradient``
+    call into the federation's gradient matrix and one in-place update
+    of its work matrix, the (K, L) parameters of all clients; each
+    client's values are those its own one-client federation gives, bit
+    for bit.
 
     A client whose loss is not finite at some step, or whose delta is
     not finite, has diverged: the DivergenceError names the first such
@@ -335,7 +293,6 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     the ``held`` it had.
     """
     params = fed.broadcast(shared)
-    fed._loaded = None  # training overwrites the broadcast
     work = params.values
     cols = fed.shared_columns
     training = fed.training
@@ -367,13 +324,11 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     with np.errstate(over="ignore", invalid="ignore"):
         deltas = np.subtract(work[:, cols], start, out=start)
         diverged |= ~np.isfinite(np.vecdot(deltas, deltas))
+    lay = fed.run_layout
     if diverged.any():
         k = int(np.argmax(diverged))
-        run = next(r for r, (a, b) in enumerate(fed.runs) if a <= k < b)
-        raise DivergenceError(round_index, fed.client_ids[k], run)
+        raise DivergenceError(round_index, lay.client_ids[k], int(lay.run_of[k]))
 
     fed.held = work.copy()
     fed.held.flags.writeable = False
-    lay = fed.run_layout
-    return RoundUpdates(client_ids=lay.client_ids, deltas=deltas, n_train=lay.n_train,
-                        layout=lay.layout, run_layout=lay)
+    return RoundUpdates(deltas, lay)

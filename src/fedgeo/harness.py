@@ -172,7 +172,7 @@ def _evaluate(fed: Federation, shared: np.ndarray) -> list[float]:
     bounds = fed.test.bounds.tolist()
     return [accuracy(logits[bounds[a]:bounds[b]], fed.test.pick[1][bounds[a]:bounds[b]])
             if bounds[b] > bounds[a] else float("nan")
-            for a, b in fed.runs]
+            for a, b in fed.run_layout.runs]
 
 
 def _round_rows(report: RegulationReport, round_index: int) -> list[str]:

@@ -32,12 +32,11 @@ regulating server refreshes the bases of the runs whose windows hold
 the same number of proxies by one stacked Gram/eigh/QR pass. What a
 round reads that changes only with the federation (the runs' rows, the
 order that sorts each run's rows by client id, the weights, the groups
-of runs of one size) is a ``RunLayout``, built once per federation
-(``client.Federation.run_layout``) and carried by every round's
-``RoundUpdates``; a RoundUpdates built from plain tuples builds its
-own, so every call form gets the same bits. Products
-that mix rows (the sign projection, the Gram matrices) stack the runs
-along a leading axis instead of concatenating them, so each run gets
+of runs of one size) is a ``RunLayout``, the one record of a round's
+runs, built once per federation (``client.Federation.run_layout``) and
+carried by every round's ``RoundUpdates``. Products that mix rows (the
+sign projection, the Gram matrices) stack the runs along a leading
+axis instead of concatenating them, so each run gets
 the bits of its own one-run round. An unprojected row also gets the
 bits a one-client round gives it; a projected one does not, as a
 one-row projection is a matrix-vector product. Given the same inputs
@@ -311,8 +310,8 @@ class RunLayout:
     row's run, the runs grouped by size (``run_stacks``) with each
     group's upper-triangle pair indices, each weighting's weights and
     the layer slices. A ``client.Federation`` builds its layout once and
-    every ``RoundUpdates`` of its rounds carries it; a RoundUpdates built
-    from plain tuples builds its own.
+    every ``RoundUpdates`` of its rounds carries it. A run bound that is
+    not an integer (a bool is not) is an InputError.
     """
 
     runs: tuple[tuple[int, int], ...]
@@ -322,6 +321,8 @@ class RunLayout:
 
     def __post_init__(self):
         k = len(self.client_ids)
+        for bound in (end for run in self.runs for end in run):
+            check_integer("a run bound", bound)
         runs = tuple((int(a), int(b)) for a, b in self.runs)
         object.__setattr__(self, "runs", runs)
         stops = [b for _, b in runs]
@@ -736,8 +737,8 @@ def regulate_and_aggregate(
 
     ``ref`` holds one reference per run; returns the (R, L) matrix of
     the runs' global deltas, the next stack and the report. The run
-    structure, order and weights come from ``updates.run_layout``, built
-    once per federation.
+    structure, order and weights come from ``updates.run_layout``, which
+    a federation builds once and every round of it carries.
     """
     lay = updates.run_layout
     runs = lay.runs

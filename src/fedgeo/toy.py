@@ -26,7 +26,7 @@ from .client import RoundUpdates
 from .graphs import normalized_adjacency, path_graph, complete_graph
 from .metrics import operator_spectrum
 from .model import SHARED, LayerSpec
-from .server import AggregatorConfig, initial_reference, regulate_and_aggregate
+from .server import AggregatorConfig, RunLayout, initial_reference, regulate_and_aggregate
 
 __all__ = ["ToyCheck", "toy_appendix"]
 
@@ -56,8 +56,8 @@ def toy_appendix() -> tuple[str, bool]:
     eig_a1 = operator_spectrum(a1)
     eig_a2 = operator_spectrum(a2)
 
-    updates = RoundUpdates(client_ids=(0, 1), deltas=np.array([[1.0], [-1.0]]), n_train=(1, 1),
-                           layout=(LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),))
+    layout = (LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),)
+    updates = RoundUpdates(np.array([[1.0], [-1.0]]), RunLayout(((0, 2),), (0, 1), (1, 1), layout))
 
     plain_cfg = AggregatorConfig(mode="plain")
     w_plain = float(regulate_and_aggregate(updates, initial_reference(1), plain_cfg)[0][0, 0])

@@ -46,6 +46,7 @@ from fedgeo import (
 from fedgeo.metrics import _jacobi_eigh
 from fedgeo.model import graph_batch, layer_views
 from fedgeo.model import SHARED, LayerSpec, layer_slices
+from fedgeo.server import RunLayout
 
 from conftest import stack
 
@@ -62,12 +63,8 @@ def _gate(name, ok, detail):
 
 def _scalar_updates(ws):
     layout = (LayerSpec(index=0, group=SHARED, w_shape=(1, 1), b_size=0),)
-    return RoundUpdates(
-        client_ids=tuple(range(len(ws))),
-        deltas=np.array(ws)[:, None],
-        n_train=(1,) * len(ws),
-        layout=layout,
-    )
+    return RoundUpdates(np.array(ws)[:, None],
+                        RunLayout(((0, len(ws)),), tuple(range(len(ws))), (1,) * len(ws), layout))
 
 
 def test_1_toy_illustration_reproduces_pinned_values():
@@ -198,7 +195,7 @@ def test_3a_single_client_federation_is_centralized_descent():
     rows = batch.rows([np.flatnonzero(c.graph.train_mask)])
     worst = 0.0
     for t in range(1, 21):
-        u = local_train(fed, shared.values[None], round_index=t)[0]
+        u = local_train(fed, shared.values[None], round_index=t)
         delta, ref, _ = regulate_and_aggregate(u, ref, agg)
         shared = FlatVector(values=shared.values + delta[0], layout=shared.layout)
 
@@ -220,8 +217,7 @@ def test_3b_identical_aligned_updates_reduce_to_plain_mean():
         LayerSpec(index=1, group=SHARED, w_shape=(3, 2), b_size=2),
     )
     vals = rng.normal(size=4 * 3 + 3 + 3 * 2 + 2)
-    ups = RoundUpdates(client_ids=(0, 1, 2), deltas=np.stack([vals] * 3), n_train=(5, 5, 5),
-                       layout=layout)
+    ups = RoundUpdates(np.stack([vals] * 3), RunLayout(((0, 3),), (0, 1, 2), (5, 5, 5), layout))
     agg = AggregatorConfig(mode="ggrs", beta=0.5)
     plain = AggregatorConfig(mode="plain")
 
@@ -252,13 +248,13 @@ def test_3c_regulated_client_updates_never_exceed_raw_norm():
     worst_excess = -np.inf
     fed = Federation(clients, cfg.model, cfg.client)
     for t in range(1, 9):
-        ups = local_train(fed, shared.values[None], round_index=t)[0]
+        ups = local_train(fed, shared.values[None], round_index=t)
         delta, ref, report = regulate_and_aggregate(ups, ref, agg)
-        by_id = dict(zip(ups.client_ids, ups.deltas))
+        by_id = dict(zip(ups.run_layout.client_ids, ups.deltas))
         for creg in report.clients:
             raw = by_id[creg.client_id]
             applied = raw.copy()
-            for (lo, hi), c_l in zip(layer_slices(ups.layout), creg.coefficients):
+            for (lo, hi), c_l in zip(layer_slices(ups.run_layout.layout), creg.coefficients):
                 applied[lo:hi] *= c_l
             excess = float(np.linalg.norm(applied) - np.linalg.norm(raw))
             worst_excess = max(worst_excess, excess)

@@ -54,9 +54,9 @@ def _fixture(seed=0, trainer="fedavg", lr=0.1, epochs=1, mu=0.01, activation="re
 
 def test_zero_lr_gives_zero_delta():
     fed, shared = _fixture(lr=0.0)
-    update = local_train(fed, shared.values[None])[0]
+    update = local_train(fed, shared.values[None])
     assert np.all(update.deltas[0] == 0.0)
-    assert update.n_train[0] == int(fed.clients[0].graph.train_mask.sum())
+    assert update.run_layout.n_train[0] == int(fed.clients[0].graph.train_mask.sum())
 
 
 def test_one_step_quadratic_surrogate_closed_form():
@@ -72,7 +72,7 @@ def test_one_step_quadratic_surrogate_closed_form():
     state = ClientState(client_id=0, graph=g, adj=normalized_adjacency(g), params=params)
     fed = Federation([state], ModelConfig(n_layers=1, activation="identity", bias=False),
                      TrainingConfig(trainer="fedavg", lr=lr, epochs=1))
-    update = local_train(fed, flatten(params, group=SHARED).values[None])[0]
+    update = local_train(fed, flatten(params, group=SHARED).values[None])
     z = x @ w0
     p = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
     expected = -lr * x.T @ (p - np.eye(2)[y])
@@ -99,7 +99,7 @@ def test_fedavg_multi_epoch_matches_manual_descent():
         fed, shared = _fixture(trainer=trainer, epochs=3, lr=0.07, mu=mu,
                                cross_domain=cross_domain)
         state = fed.clients[0]
-        update = local_train(fed, shared.values[None])[0]
+        update = local_train(fed, shared.values[None])
 
         # oracle: run the descent loop by hand through the public gradient,
         # adding fedprox's mu * (theta - theta_0) on the shared layers
@@ -136,8 +136,8 @@ def test_fedprox_large_mu_contracts_delta():
     # fedavg drift ~E times farther
     base, shared = _fixture(trainer="fedavg", lr=1e-6, epochs=1500)
     prox, _ = _fixture(trainer="fedprox", lr=1e-6, epochs=1500, mu=1e6)
-    u_avg = local_train(base, shared.values[None])[0]
-    u_prox = local_train(prox, shared.values[None])[0]
+    u_avg = local_train(base, shared.values[None])
+    u_prox = local_train(prox, shared.values[None])
     n_avg = np.linalg.norm(u_avg.deltas[0])
     n_prox = np.linalg.norm(u_prox.deltas[0])
     assert n_prox < 1e-3 * n_avg
@@ -149,8 +149,8 @@ def test_fedprox_mu_monotonically_shrinks_delta():
                                      epochs=5, lr=0.05)
         fed_large, _ = _fixture(seed=trial, trainer="fedprox", mu=10.0,
                                 epochs=5, lr=0.05)
-        n_small = np.linalg.norm(local_train(fed_small, shared.values[None])[0].deltas[0])
-        n_large = np.linalg.norm(local_train(fed_large, shared.values[None])[0].deltas[0])
+        n_small = np.linalg.norm(local_train(fed_small, shared.values[None]).deltas[0])
+        n_large = np.linalg.norm(local_train(fed_large, shared.values[None]).deltas[0])
         assert n_large <= n_small + 1e-15
 
 
@@ -159,16 +159,16 @@ def test_fedprox_first_step_equals_fedavg():
     # cannot distinguish the trainers
     avg, shared = _fixture(trainer="fedavg", epochs=1, lr=0.05)
     prox, _ = _fixture(trainer="fedprox", epochs=1, lr=0.05, mu=5.0)
-    u_avg = local_train(avg, shared.values[None])[0]
-    u_prox = local_train(prox, shared.values[None])[0]
+    u_avg = local_train(avg, shared.values[None])
+    u_prox = local_train(prox, shared.values[None])
     np.testing.assert_allclose(u_avg.deltas[0], u_prox.deltas[0], atol=1e-12)
 
 
 def test_local_train_deterministic_bitwise():
     f1, shared = _fixture(seed=3, epochs=4)
     f2, _ = _fixture(seed=3, epochs=4)
-    u1 = local_train(f1, shared.values[None])[0]
-    u2 = local_train(f2, shared.values[None])[0]
+    u1 = local_train(f1, shared.values[None])
+    u2 = local_train(f2, shared.values[None])
     np.testing.assert_array_equal(u1.deltas[0], u2.deltas[0])
 
 
@@ -187,7 +187,7 @@ def test_local_head_persists_across_rounds():
     head_r1 = layer_views(fed.held[0], fed.layout).layers[1].weight
     assert np.any(head_r1 != params.layers[1].weight)  # head trains locally
     # round 2: broadcast does not touch the head
-    u2 = local_train(fed, shared.values[None], round_index=2)[0]
+    u2 = local_train(fed, shared.values[None], round_index=2)
     assert u2.deltas[0].size == shared.values.size
     assert np.any(layer_views(fed.held[0], fed.layout).layers[1].weight != head_r1)
 
@@ -275,11 +275,11 @@ def test_replaced_graph_trains_like_a_fresh_state():
     fresh = ClientState(client_id=0, graph=g2, adj=normalized_adjacency(g2),
                         params=state.params)
     u_replaced = local_train(Federation([replaced], fed.model, fed.training),
-                             shared.values[None])[0]
-    u_fresh = local_train(Federation([fresh], fed.model, fed.training), shared.values[None])[0]
+                             shared.values[None])
+    u_fresh = local_train(Federation([fresh], fed.model, fed.training), shared.values[None])
     np.testing.assert_array_equal(u_replaced.deltas[0], u_fresh.deltas[0])
-    assert u_replaced.n_train == u_fresh.n_train
-    assert not np.array_equal(local_train(fed, shared.values[None])[0].deltas[0],
+    assert u_replaced.run_layout.n_train == u_fresh.run_layout.n_train
+    assert not np.array_equal(local_train(fed, shared.values[None]).deltas[0],
                               u_fresh.deltas[0])
 
 
@@ -401,23 +401,26 @@ def test_batch_trains_each_client_as_its_own_federation(run_sizes, n_layers, act
     clients = [_random_client(k - sum(run_sizes[:r]), rng, 2, 3, h)
                for k, (r, h) in enumerate(zip(runs, heads))]
     fed = Federation(clients, model, training, tuple(run_sizes))
-    per_run = [Federation(clients[a:b], model, training) for a, b in fed.runs]
+    bounds = fed.run_layout.runs
+    per_run = [Federation(clients[a:b], model, training) for a, b in bounds]
     singles = [Federation([c], model, training) for c in clients]
     for t in (1, 2):
         together = local_train(fed, broadcasts, round_index=t)
-        assert len(together) == len(run_sizes)
-        for r, ((a, b), u, f) in enumerate(zip(fed.runs, together, per_run)):
-            v = local_train(f, broadcasts[r:r + 1], round_index=t)[0]
-            assert (u.client_ids, u.n_train) == (v.client_ids, v.n_train)
-            np.testing.assert_array_equal(u.deltas, v.deltas)
+        lay = together.run_layout
+        assert len(lay.runs) == len(run_sizes)
+        for r, ((a, b), f) in enumerate(zip(bounds, per_run)):
+            v = local_train(f, broadcasts[r:r + 1], round_index=t)
+            assert (lay.client_ids[a:b], lay.n_train[a:b]) == (v.run_layout.client_ids,
+                                                               v.run_layout.n_train)
+            np.testing.assert_array_equal(together.deltas[a:b], v.deltas)
             for k in range(a, b):
-                w = local_train(singles[k], broadcasts[r:r + 1], round_index=t)[0]
-                assert (u.client_ids[k - a], u.n_train[k - a]) == (w.client_ids[0],
-                                                                   w.n_train[0])
-                np.testing.assert_array_equal(u.deltas[k - a], w.deltas[0])
+                w = local_train(singles[k], broadcasts[r:r + 1], round_index=t)
+                assert (lay.client_ids[k], lay.n_train[k]) == (w.run_layout.client_ids[0],
+                                                               w.run_layout.n_train[0])
+                np.testing.assert_array_equal(together.deltas[k], w.deltas[0])
         for others in (per_run, singles):
             np.testing.assert_array_equal(fed.held, np.concatenate([f.held for f in others]))
-        broadcasts = broadcasts + np.stack([u.deltas[-1] for u in together])
+        broadcasts = broadcasts + together.deltas[[b - 1 for _, b in bounds]]
 
 
 def test_federation_flattens_each_shared_parameter_set_once(monkeypatch):
@@ -454,6 +457,13 @@ def test_federation_validation():
     for sizes in ((), (2,), (0, 1), (1, 1)):
         with pytest.raises(InputError, match="do not split 1 clients"):
             Federation([state], fed.model, fed.training, sizes)
+    # a run size that is not an integer is refused, even where the sizes add up
+    four = [dataclasses.replace(state, client_id=k) for k in range(4)]
+    for sizes in ((1.5, 2.5), (True, 3)):
+        with pytest.raises(InputError, match="a run size must be an integer"):
+            Federation(four, fed.model, fed.training, sizes)
+    runs = Federation(four, fed.model, fed.training, (1, np.int64(3))).run_layout.runs
+    assert runs == ((0, 1), (1, 4))
     _, shared = _fixture()
     n = shared.values.size
     with pytest.raises(InputError, match=fr"shared parameters of shape \(2, {n}\) do not "
@@ -543,8 +553,7 @@ def test_the_one_matrix_step_is_the_per_layer_step(run_sizes, trainer, activatio
         held = np.concatenate([a.reshape(len(rows), -1) for layer in theta.layers
                                for a in (layer.weight, layer.bias) if a is not None], axis=1)
 
-        updates = local_train(fed, broadcasts, round_index=t)
-        deltas = np.concatenate([u.deltas for u in updates])
+        deltas = local_train(fed, broadcasts, round_index=t).deltas
         assert deltas.tobytes() == (held[:, :n_shared] - np.stack(rows)[:, :n_shared]).tobytes()
         assert fed.held.tobytes() == held.tobytes()
 
@@ -564,8 +573,8 @@ def test_divergence_names_the_run_of_the_first_diverged_client():
             with pytest.raises(DivergenceError) as err:
                 local_train(fed, np.stack([b.values for b in broadcasts]), round_index=4)
         assert (err.value.round_index, err.value.client_id, err.value.run) == (4, 0, run)
-    assert [u.client_ids for u in local_train(fed, np.stack([shared.values] * 2))] == [
-        (0, 1), (0, 1)]
+    lay = local_train(fed, np.stack([shared.values] * 2)).run_layout
+    assert (lay.runs, lay.client_ids) == (((0, 2), (2, 4)), (0, 1, 0, 1))
 
 
 def test_building_a_federation_leaves_its_clients_untouched():
@@ -603,14 +612,14 @@ def test_a_diverging_round_changes_no_parameters():
     for f in (fed, twin):
         local_train(f, shared.values[None], round_index=1)
     before, held = fed.held, fed.held.tobytes()
-    evaluated = fed.params(shared.values[None]).tobytes()
+    evaluated = fed.broadcast(shared.values[None]).values.tobytes()
     huge = FlatVector(values=1e300 * np.ones_like(shared.values), layout=shared.layout)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError):
             local_train(fed, huge.values[None], round_index=2)
     assert fed.held is before and fed.held.tobytes() == held
-    assert fed.params(shared.values[None]).tobytes() == evaluated
-    again, untouched = (local_train(f, shared.values[None], round_index=2)[0] for f in (fed, twin))
+    assert fed.broadcast(shared.values[None]).values.tobytes() == evaluated
+    again, untouched = (local_train(f, shared.values[None], round_index=2) for f in (fed, twin))
     assert again.deltas.tobytes() == untouched.deltas.tobytes()
     assert fed.held.tobytes() == twin.held.tobytes()
 
@@ -633,7 +642,7 @@ def test_the_federation_owns_its_clients_parameters():
     # records that start from the round-1 rows train round 2 as fed does
     resumed = Federation([dataclasses.replace(c, params=layer_views(row, fed.layout))
                           for c, row in zip(clients, r1)], model, training)
-    u2, v2 = (local_train(f, shared.values[None], round_index=2)[0] for f in (fed, resumed))
+    u2, v2 = (local_train(f, shared.values[None], round_index=2) for f in (fed, resumed))
     assert fed.held is not r1 and r1.tobytes() == kept
     assert not np.array_equal(fed.held, r1)  # the local heads trained on
     assert u2.deltas.tobytes() == v2.deltas.tobytes()
@@ -662,10 +671,10 @@ def test_a_new_parameter_matrix_trains_as_in_a_fresh_federation():
     for t in range(1, 7):
         if t == 4:
             fed = fed.first_runs(1)
-        shared = rng.normal(size=(len(fed.runs), width))
+        shared = rng.normal(size=(len(fed.run_layout.runs), width))
         start = fed.held.tobytes()
         deltas = local_train(fed, shared, round_index=t).deltas.tobytes()
-        rounds.append((fed.run_sizes, start, shared, deltas, fed.held.tobytes()))
+        rounds.append((fed.run_layout.sizes.tolist(), start, shared, deltas, fed.held.tobytes()))
     for t, (run_sizes, start, shared, deltas, held) in enumerate(rounds, 1):
         fresh = Federation(clients[:sum(run_sizes)], model, training, run_sizes)
         fresh.held = np.frombuffer(start).reshape(fresh.held.shape).copy()
@@ -674,12 +683,11 @@ def test_a_new_parameter_matrix_trains_as_in_a_fresh_federation():
 
 
 def test_each_change_of_a_broadcasts_inputs_loads_it_again():
-    # a federation loads a round's broadcast once, for the evaluation and
-    # the next round, and again whenever its inputs change: a trained
-    # round, a new held matrix, other bits of shared (written in place,
-    # a signed zero among them), a diverged round, first_runs. After each,
-    # the broadcast and the next round give the bytes of a federation
-    # built fresh for the same held matrix and shared parameters
+    # a broadcast's inputs change with a trained round, a new held matrix,
+    # other bits of shared (written in place, a signed zero among them), a
+    # diverged round, first_runs. After each, the broadcast and the next
+    # round give the bytes of a federation built fresh for the same held
+    # matrix and shared parameters
     model = ModelConfig(n_layers=2, hidden_dim=3, activation="relu")
     training = TrainingConfig(trainer="fedprox", lr=0.3, epochs=2, mu=0.5)
     params = init_params(model, 3, 3, seed=7, cross_domain=True)
@@ -692,31 +700,31 @@ def test_each_change_of_a_broadcasts_inputs_loads_it_again():
 
     def as_fresh(f, shared, t):
         # f's broadcast, then its round t, against a fresh federation's
-        twin = Federation(clients[:len(f.clients)], model, training, f.run_sizes)
+        twin = Federation(clients[:len(f.clients)], model, training, f.run_layout.sizes.tolist())
         twin.held = f.held.copy()
-        assert f.params(shared).tobytes() == twin.params(shared).tobytes()
+        assert f.broadcast(shared).values.tobytes() == twin.broadcast(shared).values.tobytes()
         got, want = (local_train(x, shared, round_index=t) for x in (f, twin))
         assert got.deltas.tobytes() == want.deltas.tobytes()
         assert f.held.tobytes() == twin.held.tobytes()
 
     as_fresh(fed, shared, 1)  # a trained round
     as_fresh(fed, shared, 2)  # and its held matrix, trained again
-    fed.params(shared)
+    fed.broadcast(shared)
     fed.held = np.ascontiguousarray(fed.held[::-1])  # a new held matrix
     as_fresh(fed, shared, 3)
     for write in (lambda s: s.__setitem__((0, 0), -0.0), lambda s: s.__imul__(0.5)):
-        fed.params(shared)
+        fed.broadcast(shared)
         write(shared)  # the same array, other bits
         as_fresh(fed, shared, 4)
     huge = np.full_like(shared, 1e300)
-    fed.params(huge)
+    fed.broadcast(huge)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
         local_train(fed, huge, round_index=5)
     twin = Federation(clients, model, training, (3, 3))
     twin.held = fed.held.copy()
-    assert fed.params(huge).tobytes() == twin.params(huge).tobytes()
+    assert fed.broadcast(huge).values.tobytes() == twin.broadcast(huge).values.tobytes()
     as_fresh(fed, shared, 5)
-    fed.params(shared)
+    fed.broadcast(shared)
     as_fresh(fed.first_runs(1), shared[:1], 6)
 
 
@@ -733,12 +741,12 @@ def test_a_federation_builds_its_run_layout_once_and_first_runs_its_own():
     first = local_train(fed, rng.normal(size=(3, width)), round_index=1)
     second = local_train(fed, rng.normal(size=(3, width)), round_index=2)
     assert first.run_layout is second.run_layout is fed.run_layout
-    assert fed.run_layout.runs == fed.runs == ((0, 3), (3, 5), (5, 6))
+    assert fed.run_layout.runs == ((0, 3), (3, 5), (5, 6))
     assert fed.run_layout.n_train == tuple(fed.train.counts.tolist())
     part = fed.first_runs(2)
     lay = part.run_layout
     assert lay is not fed.run_layout
-    assert (lay.runs, lay.client_ids, lay.n_train) == (((0, 3), (3, 5)), part.client_ids,
+    assert (lay.runs, lay.client_ids, lay.n_train) == (((0, 3), (3, 5)), (0, 1, 2, 0, 1),
                                                        fed.run_layout.n_train[:5])
     updates = local_train(part, rng.normal(size=(2, width)), round_index=3)
-    assert updates.run_layout is lay and len(updates) == 2
+    assert updates.run_layout is lay

@@ -52,7 +52,7 @@ from fedgeo.model import (
 )
 
 from conftest import stack
-from fedgeo.server import RegulationReport, _sign_projection
+from fedgeo.server import RegulationReport, RunLayout, _sign_projection
 
 
 SMALL = """
@@ -103,7 +103,7 @@ def test_a_run_builds_only_the_row_operators_its_model_reads(tmp_path, monkeypat
     run(parse_config(SMALL + f"model.layers = {n_layers}\n", path="inline.conf"),
         out=str(tmp_path))
     (fed,) = built  # one federation holds both seeds' clients
-    assert len(fed.runs) == 2
+    assert len(fed.run_layout.runs) == 2
     assert fed.test.index.size  # evaluation ran a forward pass
     for rows in (fed.train, fed.test):
         assert not unread & vars(rows).keys()
@@ -136,7 +136,7 @@ client.lr = 0.1
     agg = AggregatorConfig(mode="plain")
 
     for t in range(1, 21):
-        u = local_train(fed, shared.values[None], round_index=t)[0]
+        u = local_train(fed, shared.values[None], round_index=t)
         delta, ref, _ = regulate_and_aggregate(u, ref, agg)
         shared = FlatVector(values=shared.values + delta[0],
                             layout=shared.layout)
@@ -287,7 +287,7 @@ def _diverge(monkeypatch, at):
 
     def diverging(fed, broadcasts, round_index=0):
         for r, (t, c) in sorted(at.items()):
-            if round_index == t and r < len(fed.runs):
+            if round_index == t and r < len(fed.run_layout.runs):
                 raise DivergenceError(t, c, r)
         return train(fed, broadcasts, round_index=round_index)
 
@@ -357,7 +357,7 @@ def test_one_server_call_per_lockstep_round_keeps_the_first_runs_on_divergence(
 
     def recorded(updates, ref, agg):
         result = regulate(updates, ref, agg)
-        calls.append((updates.runs, ref, result[1]))
+        calls.append((updates.run_layout.runs, ref, result[1]))
         return result
 
     monkeypatch.setattr(harness, "regulate_and_aggregate", recorded)
@@ -499,7 +499,7 @@ client.lr = 0.1
     agg = AggregatorConfig(mode="plain")
     fed = Federation(clients, cfg.model, cfg.client)
     for t in range(1, 4):
-        updates = local_train(fed, shared.values[None], round_index=t)[0]
+        updates = local_train(fed, shared.values[None], round_index=t)
         # only the shared group ever leaves a client
         assert updates.deltas.shape == (len(clients), shared.values.shape[0])
         delta, ref, _ = regulate_and_aggregate(updates, ref, agg)
@@ -825,7 +825,7 @@ def _round_metrics_oracle(updates, report, deltas):
     """The five geometry columns of each run, computed from that run's
     rows alone."""
     out = []
-    for r, (a, b) in enumerate(updates.runs):
+    for r, (a, b) in enumerate(updates.run_layout.runs):
         if b - a >= 2:
             gamma, _ = pairwise_coherence(updates.deltas[a:b])
             gamma_mean = np.mean(gamma[np.triu_indices(b - a, k=1)])
@@ -854,9 +854,9 @@ def test_round_metrics_match_a_per_run_loop():
     for _ in range(6):
         d = rng.normal(size=(bounds[-1], 15))
         d[[1, 3, 5, 8, 9, 13]] = 0.0  # rows of runs 0, 2 and 5, all of runs 1 and 3
-        updates = RoundUpdates(client_ids=tuple(i for n in sizes for i in range(n)), deltas=d,
-                               n_train=tuple(rng.integers(1, 9, size=bounds[-1]).tolist()),
-                               layout=layout, runs=runs)
+        updates = RoundUpdates(d, RunLayout(
+            runs, tuple(i for n in sizes for i in range(n)),
+            tuple(rng.integers(1, 9, size=bounds[-1]).tolist()), layout))
         deltas, ref, report = regulate_and_aggregate(updates, ref, cfg)
         got = harness._round_metrics(updates, report, deltas)
         want = _round_metrics_oracle(updates, report, deltas)
@@ -887,9 +887,8 @@ def test_round_metrics_read_a_shuffled_round_as_the_sorted_one():
         shuffled = np.concatenate([a + rng.permutation(b - a) for a, b in runs])
         got = {}
         for side, rows in (("sorted", np.arange(bounds[-1])), ("shuffled", shuffled)):
-            updates = RoundUpdates(client_ids=tuple(ids[rows].tolist()), deltas=d[rows],
-                                   n_train=tuple(n_train[rows].tolist()), layout=layout,
-                                   runs=runs)
+            updates = RoundUpdates(d[rows], RunLayout(runs, tuple(ids[rows].tolist()),
+                                                      tuple(n_train[rows].tolist()), layout))
             assert (updates.run_layout.order is None) == (side == "sorted")
             deltas, refs[side], report = regulate_and_aggregate(updates, refs[side], cfg)
             got[side] = harness._round_metrics(updates, report, deltas)

@@ -1,6 +1,6 @@
 import ast
 import dataclasses
-import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -172,16 +172,22 @@ def test_output_digests_of_a_checkout_against_itself_print_nothing(tmp_path):
     assert proc.stdout == ""
 
 
-def test_ab_pairs_byte_compiles_both_checkouts(tmp_path):
-    # before the first pair, every module of src/ and perfbench/ of each
-    # checkout gets its bytecode cache, so no measured repetition compiles
-    import importlib.util
-    import shutil
-
+def _ab_pairs():
+    """``tools/ab_pairs.py`` loaded as a module."""
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("ab_pairs", root / "tools" / "ab_pairs.py")
     ab_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab_pairs)
+    return ab_pairs
+
+
+def test_ab_pairs_byte_compiles_both_checkouts(tmp_path):
+    # before the first pair, every module of src/ and perfbench/ of each
+    # checkout gets its bytecode cache, so no measured repetition compiles
+    import shutil
+
+    root = Path(__file__).resolve().parent.parent
+    ab_pairs = _ab_pairs()
     for side in ("parent", "change"):
         for part in ("src", "perfbench"):
             shutil.copytree(root / part, tmp_path / side / part,
@@ -191,3 +197,23 @@ def test_ab_pairs_byte_compiles_both_checkouts(tmp_path):
         assert sources
         for py in sources:
             assert Path(importlib.util.cache_from_source(str(py))).is_file(), py
+
+
+def test_ab_pairs_verdict_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parents_iqr():
+    verdict = _ab_pairs().verdict
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+    lower = [p - 0.5 for p in parent]
+    assert verdict(parent, parent, "lower") == verdict(parent, list(parent), "higher") == "same"
+    assert verdict(parent, lower, "lower") == verdict(lower, parent, "higher") == "better"
+    assert verdict(parent, lower, "higher") == verdict(lower, parent, "lower") == "worse"
+    # 9 of 10 pairs is enough, 8 is not; a tie counts for neither side
+    for changed, want in ((9, "better"), (8, "unresolved")):
+        for other in (1.5, None):  # the rest lost, or tied
+            change = lower[:changed] + [other or p for p in parent[changed:]]
+            assert verdict(parent, change, "lower") == want, (changed, other)
+    # every pair won, but the medians differ by no more than the parent's IQR
+    assert verdict(parent, [p - 0.04 for p in parent], "lower") == "unresolved"
+    assert verdict(parent, [p - 0.05 for p in parent], "lower") == "better"
+    # the medians differ beyond the IQR, but the pairs split
+    split = [p - 1.0 if i % 2 else p + 0.001 for i, p in enumerate(parent)]
+    assert verdict(parent, split, "lower") == "unresolved"

@@ -44,10 +44,10 @@ Update = namedtuple("Update", "client_id delta n_train")
 
 def _round(updates):
     """The RoundUpdates of ``updates``, which share one layout."""
-    return RoundUpdates(client_ids=tuple(int(u.client_id) for u in updates),
-                        deltas=np.stack([u.delta.values for u in updates]),
-                        n_train=tuple(int(u.n_train) for u in updates),
-                        layout=updates[0].delta.layout)
+    return RoundUpdates(np.stack([u.delta.values for u in updates]),
+                        RunLayout(((0, len(updates)),), tuple(int(u.client_id) for u in updates),
+                                  tuple(int(u.n_train) for u in updates),
+                                  updates[0].delta.layout))
 
 
 def _scalar_update(client_id, w, n_train=1):
@@ -673,16 +673,16 @@ def test_layout_mismatch_rejected():
     # five-long rows under a one-entry layout
     with pytest.raises(InputError):
         regulate_and_aggregate(
-            RoundUpdates(client_ids=(0, 1), deltas=np.ones((2, 5)), n_train=(1, 1),
-                         layout=_scalar_update(0, 1.0).delta.layout),
+            RoundUpdates(np.ones((2, 5)), RunLayout(((0, 2),), (0, 1), (1, 1),
+                                                    _scalar_update(0, 1.0).delta.layout)),
             initial_reference(1), AggregatorConfig())
 
 
 def test_empty_round_rejected():
     with pytest.raises(InputError):
         regulate_and_aggregate(
-            RoundUpdates(client_ids=(), deltas=np.zeros((0, 1)), n_train=(),
-                         layout=_scalar_update(0, 1.0).delta.layout),
+            RoundUpdates(np.zeros((0, 1)), RunLayout(((0, 0),), (), (),
+                                                     _scalar_update(0, 1.0).delta.layout)),
             initial_reference(1), AggregatorConfig())
 
 
@@ -936,8 +936,8 @@ def test_round_delta_is_the_sequential_weighted_sum(shapes, k, mode, weights, se
     cfg = AggregatorConfig(mode=mode, weights=weights)
     # a reference with a direction and a basis, so that every gate acts
     ref = _one_run(rng.standard_normal(size), _directions(rng.standard_normal((size, 4)), 2))
-    updates = RoundUpdates(client_ids=tuple(ids.tolist()), deltas=deltas,
-                           n_train=tuple(n_train.tolist()), layout=layout)
+    updates = RoundUpdates(deltas, RunLayout(((0, k),), tuple(ids.tolist()),
+                                             tuple(n_train.tolist()), layout))
     got, _, report = regulate_and_aggregate(updates, ref, cfg)
 
     order = np.argsort(ids)
@@ -990,15 +990,16 @@ def test_a_round_of_runs_gives_each_run_its_one_run_bits(shapes, sizes, rounds, 
         ids = np.concatenate([rng.permutation(20)[:k] for k in sizes])
         scale = rng.choice([0.0, 1e-3, 1.0, 100.0], size=(len(ids), 1))
         scale[np.repeat(rng.random(len(sizes)) < 0.2, sizes)] = 0.0
-        batch = RoundUpdates(client_ids=tuple(ids.tolist()),
-                             deltas=rng.standard_normal((len(ids), size)) * scale,
-                             n_train=tuple(rng.integers(1, 50, size=len(ids)).tolist()),
-                             layout=layout, runs=bounds)
+        n_train = tuple(rng.integers(1, 50, size=len(ids)).tolist())
+        batch = RoundUpdates(rng.standard_normal((len(ids), size)) * scale,
+                             RunLayout(bounds, tuple(ids.tolist()), n_train, layout))
         deltas, stack, report = regulate_and_aggregate(batch, stack, cfg)
         assert deltas.shape == (len(sizes), size) and report.runs == bounds
         _check_state(stack)
         for r, (a, b) in enumerate(bounds):
-            got, alone[r], own = regulate_and_aggregate(batch[r], alone[r], cfg)
+            one = RoundUpdates(batch.deltas[a:b], RunLayout(((0, b - a),), tuple(ids[a:b].tolist()),
+                                                            n_train[a:b], layout))
+            got, alone[r], own = regulate_and_aggregate(one, alone[r], cfg)
             _check_state(alone[r])
             assert deltas[r].tobytes() == got[0].tobytes()
             for mine, theirs in zip(_run(stack, r), _run(alone[r], 0)):
@@ -1043,13 +1044,12 @@ def test_round_updates_runs_tile_the_rows():
     layout = _scalar_update(0, 1.0).delta.layout
 
     def updates(ids, runs):
-        return RoundUpdates(client_ids=ids, deltas=np.ones((len(ids), 1)),
-                            n_train=(1,) * len(ids), layout=layout, runs=runs)
+        return RoundUpdates(np.ones((len(ids), 1)), RunLayout(runs, ids, (1,) * len(ids), layout))
 
-    # ids restart in every run; each run is a one-run RoundUpdates of its rows
-    both = updates((0, 1, 0), ((0, 2), (2, 3)))
-    assert len(both) == 2 and [u.client_ids for u in both] == [(0, 1), (0,)]
-    assert both[1].runs == ((0, 1),)
+    # ids restart in every run
+    lay = updates((0, 1, 0), ((0, 2), (2, 3))).run_layout
+    assert [lay.client_ids[a:b] for a, b in lay.runs] == [(0, 1), (0,)]
+    assert lay.run_of.tolist() == [0, 0, 1]
     for ids, runs in (((0, 0, 1), ((0, 2), (2, 3))), ((0, 1, 2), ((0, 2),)),
                       ((0, 1, 2), ((0, 1), (2, 3))), ((0, 1, 2), ((0, 0), (0, 3)))):
         with pytest.raises(InputError, match="every run"):
@@ -1096,9 +1096,10 @@ def test_a_held_run_layout_gives_the_bits_of_one_built_from_the_tuples(
         shapes, sizes, rounds, mode, window, m, proxy_dim, seed):
     # one RunLayout, held as a Federation holds it and carried by every
     # round under both weightings, gives each round's deltas, stack,
-    # report and CSV geometry bit for bit as a RoundUpdates that builds
-    # its own from the tuples. Runs differ in size and ids come shuffled
-    # within each run, so the layout's order is not the identity
+    # report and CSV geometry bit for bit as a RunLayout built fresh from
+    # the tuples every round: its cached reads give the bits of a fresh
+    # derivation. Runs differ in size and ids come shuffled within each
+    # run, so the layout's order is not the identity
     from fedgeo import harness
 
     rng = np.random.default_rng(seed)
@@ -1117,9 +1118,8 @@ def test_a_held_run_layout_gives_the_bits_of_one_built_from_the_tuples(
                                    subspace_dim=min(m, window), proxy_dim=proxy_dim)
             out = {}
             for lay in ("held", "own"):
-                updates = RoundUpdates(client_ids=ids, deltas=deltas, n_train=n_train,
-                                       layout=layout, runs=bounds,
-                                       run_layout=held if lay == "held" else None)
+                updates = RoundUpdates(deltas, held if lay == "held" else
+                                       RunLayout(bounds, ids, n_train, layout))
                 assert (updates.run_layout is held) == (lay == "held")
                 got, stacks[w, lay], report = regulate_and_aggregate(updates, stacks[w, lay],
                                                                      cfg)
@@ -1138,12 +1138,14 @@ def test_a_run_layout_must_match_its_round():
     assert lay.weights("by_train_count").flat.tolist() == [3 / 5, 2 / 5, 1.0]
     assert lay.weights("uniform") is lay.weights("uniform")  # built once
     assert not lay.weights("uniform").flat.flags.writeable
-    base = dict(client_ids=(1, 0, 0), deltas=np.ones((3, 1)), n_train=(2, 3, 4), layout=layout)
-    assert RoundUpdates(**base, run_layout=lay).runs == lay.runs
-    for key, value in (("client_ids", (1, 0, 2)), ("n_train", (2, 3, 5)),
-                       ("runs", ((0, 1), (1, 3)))):
-        with pytest.raises(InputError, match="run layout does not match"):
-            RoundUpdates(**{**base, key: value}, run_layout=lay)
+    assert RoundUpdates(np.ones((3, 1)), lay).run_layout is lay
+    with pytest.raises(InputError, match="do not match 3 clients"):
+        RoundUpdates(np.ones((2, 1)), lay)
+    # a run bound that is not an integer is refused, not truncated
+    for bounds in (((0, 1.5), (1.5, 3)), ((0, True), (True, 3)), ((0, np.float64(2.0)), (2, 3))):
+        with pytest.raises(InputError, match="a run bound must be an integer"):
+            RunLayout(bounds, (1, 0, 0), (2, 3, 4), layout)
+    assert RunLayout(((0, np.int64(2)), (2, 3)), (1, 0, 0), (2, 3, 4), layout).runs == lay.runs
     with pytest.raises(InputError, match="every run"):
         RunLayout(((0, 2),), (0, 0), (1, 1), layout)
     with pytest.raises(InputError, match="n_train"):

@@ -13,8 +13,9 @@ pair runs ``perfbench/run.py --trace 0`` once in the parent checkout
 in even pairs and second in odd ones, so a shared host's slow drift
 falls on both sides. Then it prints one table per workload: for every
 end-to-end metric of ``BENCHMARK.json``, the median over the pairs on
-each side, the parent's interquartile range, and in how many pairs the
-change was strictly better in the metric's direction. Each pair's
+each side, the parent's interquartile range, in how many pairs the
+change was strictly better in the metric's direction, and a verdict
+(see ``verdict``). Each pair's
 values go to standard error as they arrive. A side whose benchmark
 reports failed repetitions is counted, and the tool exits 1 if there
 were any.
@@ -59,12 +60,32 @@ def _compile(root: Path) -> None:
             raise RuntimeError(f"{root / part}: byte-compiling failed")
 
 
+def verdict(parent: list[float], change: list[float], better: str) -> str:
+    """``same`` when every pair gave identical values; ``better`` or
+    ``worse`` when the change or the parent won at least 9 of every 10
+    pairs in the metric's direction (``better``: "higher" or "lower";
+    a tie counts for neither) and the medians differ that way by more
+    than the parent's interquartile range; ``unresolved`` otherwise."""
+    if all(p == c for p, c in zip(parent, change)):
+        return "same"
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gain = sign * (statistics.median(change) - statistics.median(parent))
+    if 10 * wins >= 9 * len(parent) and gain > q3 - q1:
+        return "better"
+    if 10 * losses >= 9 * len(parent) and -gain > q3 - q1:
+        return "worse"
+    return "unresolved"
+
+
 def _table(workload: str, values: dict, spec: list, args) -> None:
     """The comparison table of one workload's pairs."""
     print(f"{workload} seed {args.seed}, {args.pairs} alternating pairs of "
           f"{args.seconds:g} s runs")
     print(f"{'metric':18s} {'unit':9s} {'parent':>11s} {'change':>11s} "
-          f"{'parent IQR':>23s} {'change better':>14s}")
+          f"{'parent IQR':>23s} {'change better':>14s} {'verdict':>11s}")
     for m in spec:
         name = m["name"]
         parent, change = values["parent"].get(name), values["change"].get(name)
@@ -76,7 +97,7 @@ def _table(workload: str, values: dict, spec: list, args) -> None:
         q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
         print(f"{name:18s} {m['unit']:9s} {statistics.median(parent):11.5g} "
               f"{statistics.median(change):11.5g} {q1:11.5g}-{q3:<11.5g} "
-              f"{wins:>9d}/{len(parent)}")
+              f"{wins:>9d}/{len(parent)} {verdict(parent, change, m['better']):>11s}")
 
 
 def main() -> int:
