@@ -9,10 +9,10 @@ section or numbered ``data1``..``dataN`` sections; the ``model``,
 ``client`` and ``server`` sections build the ``ModelConfig``,
 ``TrainingConfig`` and ``AggregatorConfig`` that ``RunConfig.model``,
 ``RunConfig.client`` and ``RunConfig.server`` hold. Unknown sections
-and keys, duplicates, and values of the wrong type or outside a key's
-options are errors that name the file and line. Ranges are checked
-afterwards by the code that owns each setting, and those errors name
-the file and section. CSV paths are relative to the config file.
+and keys, data keys the source's kind does not read, duplicates, and
+values of the wrong type or outside a key's options are errors naming
+the file and line; range errors, from the code that owns each setting,
+name the file and section. CSV paths are relative to the config file.
 """
 
 from __future__ import annotations
@@ -36,21 +36,25 @@ from .server import (
     check_window,
 )
 
-__all__ = ["DataSource", "RunConfig", "KEYS", "parse_config", "load_config"]
+__all__ = ["DataSource", "RunConfig", "KEYS", "KINDS", "REGIMES", "parse_config", "load_config"]
 
 _LINE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\.([A-Za-z_]+)\s*=\s*(.*)$")
 _NUMBERED = re.compile(r"data[1-9][0-9]*")
 
+REGIMES = ("intra_domain", "cross_domain")
+# each data kind with the keys it reads besides kind and clients; csv needs all of its own
+_KIND_KEYS = {"planted": ("blocks", "block_size", "p_in", "p_out", "classes", "features", "class_sep"),
+              "csv": ("edges", "features", "labels", "splits")}
+KINDS = tuple(_KIND_KEYS)
+
 
 @dataclass(frozen=True)
 class DataSource:
-    """One graph source feeding one or more clients."""
+    """One graph source feeding one or more clients: a planted partition
+    drawn for each run seed, or a graph read from csv files."""
 
     kind: str
     clients: int = 1
-    # path / complete: identity features, every node class 0 and in train,
-    # no test rows; alone they train nothing and add no test rows
-    n: int = 8
     # planted partition
     blocks: int = 4
     block_size: int = 30
@@ -159,10 +163,9 @@ KEYS = {
     ("run", "rounds"): ("rounds", _int),
     ("run", "seeds"): ("seeds", _seeds),
     ("run", "out"): ("out", str),
-    ("run", "regime"): ("regime", _choice("intra_domain", "cross_domain")),
-    ("data", "kind"): ("kind", _choice("path", "complete", "planted", "csv")),
+    ("run", "regime"): ("regime", _choice(*REGIMES)),
+    ("data", "kind"): ("kind", _choice(*KINDS)),
     ("data", "clients"): ("clients", _int),
-    ("data", "n"): ("n", _int),
     ("data", "blocks"): ("blocks", _int),
     ("data", "block_size"): ("block_size", _int),
     ("data", "p_in"): ("p_in", _float),
@@ -195,7 +198,6 @@ KEYS = {
     ("server", "reference"): ("reference", _choice(*REFERENCES)),
 }
 _SECTIONS = {section for section, _ in KEYS}
-_CSV_FILES = ("edges", "features", "labels", "splits")
 
 
 def _fail(path: str, line: int, reason: str):
@@ -259,9 +261,7 @@ def _fields(entries, source_names, path: str, base_dir: Path) -> dict[str, dict]
 
 def _check_source(src: DataSource) -> None:
     """The generator range rules for the keys this source's kind reads."""
-    if src.kind in ("path", "complete"):
-        check_generator(n_nodes=src.n, dense=src.kind == "complete")
-    elif src.kind == "planted":
+    if src.kind == "planted":
         check_generator(n_blocks=src.blocks, block_size=src.block_size, p_in=src.p_in,
                         p_out=src.p_out, n_classes=src.classes, feature_dim=src.feature_dim,
                         dense=True)
@@ -277,7 +277,8 @@ def _in_section(path: str, section: str, check):
 
 def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
     """Run each data source's range rules, and each partition's under
-    every run seed, in the code that owns them."""
+    every run seed, in the code that owns them, and refuse planted
+    sources that disagree on feature width: one encoder reads them all."""
     checks = [
         (name, lambda src=src: _check_source(src))
         for name, src in zip(source_names, cfg.sources)
@@ -287,24 +288,23 @@ def _check_ranges(cfg: RunConfig, source_names: list[str], path: str) -> None:
     ]
     for section, check in checks:
         _in_section(path, section, check)
+    widths = {n: s.feature_dim for n, s in zip(source_names, cfg.sources) if s.kind == "planted"}
+    if len(set(widths.values())) > 1:
+        raise ConfigError(f"{path}: {', '.join(widths)}: sources disagree on feature width: "
+                          f"{sorted(set(widths.values()))}")
 
 
 def _check_proxies(cfg: RunConfig, path: str) -> None:
     """The window limit of the run's proxies (``check_window``: a run's
     window fills by at most its configured clients each round) and their
     sign-matrix limit (``check_projection``), where every source is
-    generated, so the model's layout is known before any graph is built."""
+    planted, so the model's layout is known before any graph is built."""
     _in_section(path, "server", lambda: check_window(cfg.server, cfg.rounds * cfg.n_clients))
     if any(src.kind == "csv" for src in cfg.sources):
         return
-    # path and complete graphs have identity features and one class; a
-    # planted graph labels block b with class b mod classes
-    widths = {src.feature_dim if src.kind == "planted" else src.n for src in cfg.sources}
-    if len(widths) > 1:
-        return  # build_clients refuses sources that disagree on feature width
-    classes = max(min(src.blocks, src.classes) if src.kind == "planted" else 1
-                  for src in cfg.sources)
-    length = shared_length(cfg.model, widths.pop(), classes, cfg.regime == "cross_domain")
+    # one width for all (_check_ranges); a planted graph labels block b with class b mod classes
+    classes = max(min(src.blocks, src.classes) for src in cfg.sources)
+    length = shared_length(cfg.model, cfg.sources[0].feature_dim, classes, cfg.regime == "cross_domain")
     _in_section(path, "server", lambda: check_projection(cfg.server, length))
 
 
@@ -317,8 +317,12 @@ def parse_config(text: str, path: str = "<config>", base_dir: Path | None = None
     for name in source_names:
         if "kind" not in fields[name]:
             _fail(path, 1, f"{name}.kind is required")
-        if fields[name]["kind"] == "csv":
-            for key in _CSV_FILES:
+        kind = fields[name]["kind"]
+        for (section, key), (_, ln) in entries.items():
+            if section == name and key not in ("kind", "clients", *_KIND_KEYS[kind]):
+                _fail(path, ln, f"{name}.{key} is not read by {kind} sources")
+        if kind == "csv":
+            for key in _KIND_KEYS[kind]:
                 if (name, key) not in entries:
                     _fail(path, 1, f"{name}.{key} is required for csv sources")
 

@@ -48,11 +48,9 @@ from .errors import ConfigError, DivergenceError, InputError, check_integer
 from .graph_io import load_graph_csv
 from .graphs import (
     Graph,
-    complete_graph,
     graph_density,
     mean_degree,
     normalized_adjacency,
-    path_graph,
     planted_partition_graph,
 )
 from .metrics import accuracy, pairwise_coherence, sensitivity_norm
@@ -78,10 +76,6 @@ class RunResult:
 
 
 def _source_graph(src: DataSource, seed: int) -> Graph:
-    if src.kind == "path":
-        return path_graph(src.n)
-    if src.kind == "complete":
-        return complete_graph(src.n)
     if src.kind == "planted":
         return planted_partition_graph(
             n_blocks=src.blocks,
@@ -123,9 +117,9 @@ def build_clients(cfg: RunConfig, run_seed: int) -> tuple[list[ClientState], Par
     could neither train nor report a displacement); at least one must
     remain, and the others keep their ids. A source's kept clients share
     one graph, their ``induced_subgraph`` side by side, and its one
-    normalized adjacency, each client holding its rows of them. Feature
-    width and class count must agree across sources because the encoder
-    (and the initial head) are shared.
+    normalized adjacency, each client holding its rows of them. Sources
+    must agree on feature width because the encoder is shared; the
+    initial head covers the largest class count of any source.
     """
     sources = _source_partitions(cfg, run_seed)
     dims = {g.feature_dim for g, _ in sources}

@@ -82,7 +82,7 @@ def test_one_step_quadratic_surrogate_closed_form():
 def test_fedsgd_is_refused_with_the_fedavg_config_that_replaces_it():
     # fedsgd ran fedavg's one step whatever the epochs: a config naming it
     # fails at parse time and says what to write instead
-    text = "data.kind = complete\ndata.n = 4\nclient.trainer = fedsgd\n"
+    text = "data.kind = planted\ndata.block_size = 4\nclient.trainer = fedsgd\n"
     with pytest.raises(ConfigError, match=r"inline.conf:3: trainer fedsgd is fedavg at one "
                                           r"epoch: use client.trainer = fedavg with "
                                           r"client.epochs = 1"):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgeo import AggregatorConfig, ConfigError, ModelConfig, TrainingConfig, load_config
+from fedgeo import (AggregatorConfig, ConfigError, DataSource, ModelConfig, TrainingConfig,
+                    load_config)
 from fedgeo.config import KEYS, parse_config
 
 
@@ -17,7 +18,7 @@ def _load(tmp_path, text, name="run.conf"):
     return load_config(str(p))
 
 
-MINIMAL = "data.kind = complete\ndata.n = 6\n"
+MINIMAL = "data.kind = planted\ndata.block_size = 6\n"
 
 
 def test_defaults(tmp_path):
@@ -42,8 +43,7 @@ def test_defaults(tmp_path):
     assert cfg.server.fallback == "largest"
     assert cfg.server.reference == "raw"
     assert cfg.n_clients == 1
-    assert cfg.sources[0].kind == "complete"
-    assert cfg.sources[0].n == 6
+    assert cfg.sources[0] == DataSource(kind="planted", block_size=6)
 
 
 def test_server_keys_set_every_aggregator_field_once():
@@ -119,35 +119,35 @@ server.reference = regulated
 
 
 def test_comments_and_blank_lines(tmp_path):
-    cfg = _load(tmp_path, "# header\n\ndata.kind = complete  \ndata.n = 4\n# tail\n")
-    assert cfg.sources[0].n == 4
+    cfg = _load(tmp_path, "# header\n\ndata.kind = planted  \ndata.block_size = 4\n# tail\n")
+    assert cfg.sources[0].block_size == 4
 
 
 def test_error_names_file_and_line(tmp_path):
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data.kind = complete\nrun.rounds = soon\n", name="bad.conf")
+        _load(tmp_path, "data.kind = planted\nrun.rounds = soon\n", name="bad.conf")
     assert "bad.conf:2" in str(err.value)
     assert "integer" in str(err.value)
 
 
 def test_malformed_line_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data.kind = complete\nthis is not an assignment\n")
+        _load(tmp_path, "data.kind = planted\nthis is not an assignment\n")
     assert ":2" in str(err.value)
 
 
 def test_duplicate_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data.kind = complete\ndata.kind = planted\n")
+        _load(tmp_path, "data.kind = planted\ndata.kind = planted\n")
     assert "duplicate" in str(err.value)
 
 
 def test_unknown_section_and_key(tmp_path):
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data.kind = complete\noptimizer.lr = 1\n")
+        _load(tmp_path, "data.kind = planted\noptimizer.lr = 1\n")
     assert "unknown section" in str(err.value)
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data.kind = complete\nrun.speed = fast\n")
+        _load(tmp_path, "data.kind = planted\nrun.speed = fast\n")
     assert "unknown key" in str(err.value)
 
 
@@ -159,39 +159,38 @@ def test_data_section_required(tmp_path):
 
 def test_kind_required(tmp_path):
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data.n = 5\n")
+        _load(tmp_path, "data.clients = 5\n")
     assert "kind" in str(err.value)
 
 
 def test_numbered_sources(tmp_path):
     cfg = _load(tmp_path, """
-data1.kind = complete
-data1.n = 5
+data1.kind = planted
+data1.block_size = 5
 data1.clients = 2
 data2.kind = planted
 data2.clients = 3
 """)
     assert len(cfg.sources) == 2
-    assert cfg.sources[0].kind == "complete"
-    assert cfg.sources[1].kind == "planted"
+    assert [(s.kind, s.block_size) for s in cfg.sources] == [("planted", 5), ("planted", 30)]
     assert cfg.n_clients == 5
 
 
 def test_numbered_sources_must_be_consecutive(tmp_path):
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data1.kind = complete\ndata3.kind = complete\n")
+        _load(tmp_path, "data1.kind = planted\ndata3.kind = planted\n")
     assert "consecutive" in str(err.value)
 
 
 def test_plain_and_numbered_sources_conflict(tmp_path):
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data.kind = complete\ndata1.kind = complete\n")
+        _load(tmp_path, "data.kind = planted\ndata1.kind = planted\n")
     assert "single" in str(err.value)
 
 
 def test_cross_domain_needs_two_sources(tmp_path):
     with pytest.raises(ConfigError):
-        _load(tmp_path, "run.regime = cross_domain\ndata.kind = complete\n")
+        _load(tmp_path, "run.regime = cross_domain\ndata.kind = planted\n")
     cfg = _load(tmp_path, """
 run.regime = cross_domain
 data1.kind = planted
@@ -271,8 +270,6 @@ def test_range_validation(tmp_path):
         with pytest.raises(ConfigError):
             _load(tmp_path, MINIMAL + bad + "\n")
     for bad in (  # data-section ranges, checked before any graph is built
-        "kind = path\ndata.n = 0",
-        "kind = complete\ndata.n = -3",
         "kind = planted\ndata.p_in = 2",
         "kind = planted\ndata.p_out = -0.1",
         "kind = planted\ndata.p_in = 0.1\ndata.p_out = 0.2",
@@ -280,7 +277,7 @@ def test_range_validation(tmp_path):
         "kind = planted\ndata.block_size = 0",
         "kind = planted\ndata.classes = 0",
         "kind = planted\ndata.features = 0",
-        "kind = complete\ndata.n = 4097",  # dense generators: at most 4096 nodes
+        "kind = planted\ndata.blocks = 1\ndata.block_size = 4097",  # dense: at most 4096 nodes
         "kind = planted\ndata.blocks = 17\ndata.block_size = 241",
         "kind = planted\ndata.blocks = 1\ndata.block_size = 5000",
     ):
@@ -305,6 +302,44 @@ def test_csv_source_requires_paths(tmp_path):
     with pytest.raises(ConfigError) as err:
         _load(tmp_path, "data.kind = csv\n")
     assert "required" in str(err.value)
+
+
+_CSV = ("data.kind = csv\ndata.edges = e.csv\ndata.features = f.csv\ndata.labels = l.csv\n"
+        "data.splits = s.csv\n")
+
+
+def test_a_data_key_its_kind_does_not_read_is_refused(tmp_path):
+    # path and complete sources, which trained nothing, are gone with
+    # data.n; any other key of a kind that never reads it is refused
+    # rather than ignored
+    for text, reason in (
+        ("data.kind = path\n", "1: expected one of planted, csv, got 'path'"),
+        ("data.kind = complete\n", "1: expected one of planted, csv, got 'complete'"),
+        ("data.kind = planted\ndata.n = 8\n", "2: unknown key data.n"),
+        ("data.kind = planted\ndata.edges = nowhere.csv\n",
+         "2: data.edges is not read by planted sources"),
+        ("data1.kind = planted\ndata1.clients = 2\ndata1.labels = l.csv\n",
+         "3: data1.labels is not read by planted sources"),
+        (_CSV + "data.p_in = 0.5\n", "6: data.p_in is not read by csv sources"),
+        (_CSV + "data.features = 4\n", "6: duplicate key data.features"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            _load(tmp_path, text, name="bad.conf")
+        assert str(err.value).endswith(f"bad.conf:{reason}")
+    assert _load(tmp_path, _CSV + "data.clients = 2\n").sources[0].clients == 2
+
+
+def test_generated_sources_that_disagree_on_feature_width_are_refused(tmp_path):
+    # one encoder reads every source, so this fails before any graph is
+    # drawn; a csv source's width is known only once it is loaded
+    two = "data1.kind = planted\ndata1.features = 8\ndata2.kind = planted\ndata2.features = 5\n"
+    three = two + _CSV.replace("data.", "data3.")
+    for text in (two, three):
+        with pytest.raises(ConfigError) as err:
+            _load(tmp_path, text)
+        assert str(err.value).endswith(
+            "run.conf: data1, data2: sources disagree on feature width: [5, 8]")
+    assert _load(tmp_path, two.replace("= 5", "= 8")).sources[1].feature_dim == 8
 
 
 def test_csv_paths_resolved_relative_to_config(tmp_path):
@@ -340,7 +375,7 @@ def test_partition_spec_seed_mixing(tmp_path):
 
 
 def test_parse_config_keeps_raw_text():
-    text = "data.kind = complete\ndata.n = 4\n"
+    text = "data.kind = planted\ndata.blocks = 2\n"
     cfg = parse_config(text, path="inline.conf")
     assert cfg.raw_text == text
 
@@ -359,15 +394,16 @@ def test_range_error_names_file_and_section(tmp_path):
         _load(tmp_path, "data1.kind = planted\ndata1.p_in = 2\n")
     assert str(err.value).endswith("run.conf: data1: need 0 <= p_out <= p_in <= 1")
     with pytest.raises(ConfigError) as err:
-        _load(tmp_path, "data1.kind = complete\ndata1.n = 4097\n")
+        _load(tmp_path, "data1.kind = planted\ndata1.blocks = 1\ndata1.block_size = 4097\n")
     assert str(err.value).endswith(
         "run.conf: data1: need at most 4096 nodes for a dense graph generator")
 
 
 def test_ten_or_more_numbered_sources_keep_their_order(tmp_path):
-    text = "".join(f"data{i}.kind = complete\ndata{i}.n = {i + 2}\n" for i in range(1, 12))
+    text = "".join(f"data{i}.kind = planted\ndata{i}.block_size = {i + 2}\n"
+                   for i in range(1, 12))
     cfg = _load(tmp_path, text)
-    assert [s.n for s in cfg.sources] == [i + 2 for i in range(1, 12)]
+    assert [s.block_size for s in cfg.sources] == [i + 2 for i in range(1, 12)]
 
 
 def _field(cfg, section, key):
@@ -382,7 +418,7 @@ def test_float_keys_reject_non_finite_values(tmp_path):
         if (section, key) == ("data", "kind"):
             continue
         try:
-            cfg = parse_config(f"data.kind = complete\n{section}.{key} = 0.25\n")
+            cfg = parse_config(f"data.kind = planted\n{section}.{key} = 0.25\n")
         except ConfigError:
             continue
         if isinstance(_field(cfg, section, key), float):
@@ -394,7 +430,7 @@ def test_float_keys_reject_non_finite_values(tmp_path):
     for name in float_keys:
         for bad in ("nan", "inf", "-inf", "NaN", "1e999"):
             with pytest.raises(ConfigError) as err:
-                _load(tmp_path, f"data.kind = complete\n{name} = {bad}\n")
+                _load(tmp_path, f"data.kind = planted\n{name} = {bad}\n")
             assert "run.conf:2: expected a finite number" in str(err.value)
 
 
@@ -411,7 +447,7 @@ _VALUES = st.one_of(
 @given(entry=st.sampled_from(sorted(KEYS)), value=_VALUES)
 def test_any_value_parses_to_finite_config_or_raises_config_error(entry, value):
     section, key = entry
-    base = "" if entry == ("data", "kind") else "data.kind = complete\n"
+    base = "" if entry == ("data", "kind") else "data.kind = planted\n"
     try:
         cfg = parse_config(f"{base}{section}.{key} = {value}\n", path="prop.conf")
     except ConfigError:
@@ -454,10 +490,11 @@ def test_paper_width_proxies_parse_and_a_larger_sign_matrix_is_refused(tmp_path)
 
 
 def test_sign_matrix_limit_at_and_one_entry_over(tmp_path, monkeypatch):
-    # complete graphs of 6 nodes: identity features, one class; the
+    # one planted block of 6 nodes, 6 features and one class; the
     # default 2-layer, 16-hidden model shares 6*16+16 + 16*1+1 values
     import fedgeo.server
-    text = MINIMAL + "server.proxy_dim = 3\n"
+    text = ("data.kind = planted\ndata.blocks = 1\ndata.block_size = 6\ndata.classes = 1\n"
+            "data.features = 6\nserver.proxy_dim = 3\n")
     entries = (6 * 16 + 16 + 16 + 1) * 3
     monkeypatch.setattr(fedgeo.server, "_MAX_SIGN_BYTES", entries * 8)
     _load(tmp_path, text)

@@ -299,6 +299,13 @@ def test_dense_generators_reject_more_than_4096_nodes():
     assert path_graph(5000).n_nodes == 5000  # sparse: not limited
 
 
+def test_generators_reject_fewer_than_one_node():
+    with pytest.raises(InputError, match="need n >= 1"):
+        path_graph(0)
+    with pytest.raises(InputError, match="need n >= 1"):
+        complete_graph(-3)
+
+
 def _planted_one_shot(n_blocks, block_size, p_in, p_out, n_classes, feature_dim,
                       class_sep, seed):
     """The planted graph drawn with one (n, n) coin array: the reference

@@ -20,6 +20,7 @@ from fedgeo import (
     ModelConfig,
     TrainingConfig,
     build_clients,
+    complete_graph,
     dirichlet_label_partition,
     flatten,
     gradient,
@@ -30,19 +31,22 @@ from fedgeo import (
     make_graph,
     normalized_adjacency,
     partition_report,
+    path_graph,
     proxy_map,
     regulate_and_aggregate,
     run,
+    save_graph_csv,
     unflatten,
 )
 import fedgeo.harness as harness
 from fedgeo.cli import main
-from fedgeo.client import RoundUpdates
-from fedgeo.config import parse_config
+from fedgeo.client import TRAINERS, RoundUpdates
+from fedgeo.config import KEYS, KINDS, REGIMES, parse_config
 from fedgeo.harness import CSV_HEADER, _client_graphs
 from fedgeo.graphs import block_diagonal
 from fedgeo.metrics import pairwise_coherence
 from fedgeo.model import (
+    ACTIVATIONS,
     LOCAL,
     SHARED,
     FlatVector,
@@ -52,7 +56,15 @@ from fedgeo.model import (
 )
 
 from conftest import stack
-from fedgeo.server import RegulationReport, RunLayout, _sign_projection
+from fedgeo.server import (
+    FALLBACKS,
+    MODES,
+    REFERENCES,
+    WEIGHTINGS,
+    RegulationReport,
+    RunLayout,
+    _sign_projection,
+)
 
 
 SMALL = """
@@ -716,14 +728,23 @@ data.splits = {d}/splits.csv
         build_clients(cfg, run_seed=1)
 
 
+def _csv_source(tmp_path, section, graph):
+    """Config lines of a csv source ``section`` reading ``graph``, which
+    save_graph_csv writes into ``tmp_path``."""
+    keys = ("edges", "features", "labels", "splits")
+    save_graph_csv(graph, *(tmp_path / f"{section}_{key}.csv" for key in keys))
+    return f"{section}.kind = csv\n" + "".join(f"{section}.{key} = {section}_{key}.csv\n"
+                                               for key in keys)
+
+
 def test_sources_must_agree_on_feature_width(tmp_path):
+    # the parser refuses planted sources that disagree; a csv source's
+    # width is known only once it is loaded, so build_clients refuses it
     cfg = parse_config("""
 data1.kind = planted
 data1.features = 4
-data2.kind = planted
-data2.features = 6
-""", path="inline.conf")
-    with pytest.raises(InputError):
+""" + _csv_source(tmp_path, "data2", path_graph(6)), path="inline.conf", base_dir=tmp_path)
+    with pytest.raises(InputError, match=r"^sources disagree on feature width: \[4, 6\]$"):
         build_clients(cfg, run_seed=1)
 
 
@@ -750,7 +771,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.conf")]) == 1
     assert "error" in capsys.readouterr().err
 
-    bad = _write(tmp_path, "run.rounds = zero\ndata.kind = complete\n", "bad.conf")
+    bad = _write(tmp_path, "run.rounds = zero\ndata.kind = planted\n", "bad.conf")
     assert main(["run", "--config", str(bad)]) == 1
     assert "bad.conf:1" in capsys.readouterr().err
 
@@ -803,15 +824,15 @@ def test_a_run_with_no_test_rows_reads_nan_accuracy(tmp_path):
     # path and complete graphs put every node in the train split, so no
     # client has a test row: each round's accuracy is NaN in both files;
     # with one class the loss is flat, so every delta and proxy is zero
+    sources = (_csv_source(tmp_path, "data1", path_graph(8))
+               + _csv_source(tmp_path, "data2", complete_graph(8)))
     cfg = parse_config("""
 run.rounds = 2
 run.seeds = 1, 2
-data1.kind = path
-data2.kind = complete
 model.hidden = 4
 client.lr = 0.1
 server.regulation = ggrs
-""", path="inline.conf")
+""" + sources, path="inline.conf", base_dir=tmp_path)
     result = run(cfg, out=str(tmp_path / "o"))
     assert result.csv_path.read_text() == "\n".join(
         [CSV_HEADER] + [f"{t},{s},nan,0.0,0.0,0.0,0.0,0.0" for s in (1, 2) for t in (1, 2)]
@@ -819,6 +840,90 @@ server.regulation = ggrs
     text = result.summary_path.read_text()
     assert '"test_acc": {\n      "mean": NaN,\n      "std": NaN\n    }' in text
     assert '"test_acc": [\n      NaN,\n      NaN\n    ]' in text
+
+
+_GUARD = """
+run.rounds = 3
+run.seeds = 1
+data1.kind = planted
+data1.clients = 3
+data1.blocks = 2
+data1.block_size = 8
+data1.classes = 2
+data1.features = 4
+model.hidden = 4
+client.lr = 0.5
+client.epochs = 2
+client.mu = 0.5
+server.subspace_dim = 2
+server.window = 4
+data2.kind = planted
+data2.blocks = 2
+data2.block_size = 8
+data2.classes = 2
+data2.features = 4
+"""
+
+# every key whose value is one of a tuple of options, with the options
+# and what else its runs set so that the choice is read: under plain
+# regulation the regulated proxies are the raw ones
+_CHOICES = {
+    ("run", "regime"): (REGIMES, ""),
+    ("model", "activation"): (ACTIVATIONS, ""),
+    ("client", "trainer"): (TRAINERS, ""),
+    ("server", "regulation"): (MODES, ""),
+    ("server", "weights"): (WEIGHTINGS, ""),
+    ("server", "fallback"): (FALLBACKS, ""),
+    ("server", "reference"): (REFERENCES, "server.regulation = ggrs\n"),
+}
+
+
+def _guard_outputs(tmp_path, text) -> list[bytes]:
+    """metrics.csv and the JSONL of one run of ``text``."""
+    out = tmp_path / str(len(list(tmp_path.iterdir())))
+    result = run(parse_config(text, path="guard.conf", base_dir=tmp_path), out=str(out))
+    return [p.read_bytes() for p in (result.csv_path, *result.jsonl_paths)]
+
+
+def test_every_choice_of_every_key_changes_a_run(tmp_path):
+    # a choice that writes what its key's default writes is surface that
+    # no run can tell apart; data.kind is checked by the next test
+    choice_keys = set()
+    for section, key in KEYS:
+        base = "" if (section, key) == ("data", "kind") else "data.kind = planted\n"
+        try:
+            parse_config(f"{base}{section}.{key} = ?\n")
+        except ConfigError as exc:
+            if "expected one of" in str(exc):
+                choice_keys.add((section, key))
+    assert choice_keys == set(_CHOICES) | {("data", "kind")}
+    cfg = parse_config(_GUARD)
+    owners = {"run": cfg, "model": cfg.model, "client": cfg.client, "server": cfg.server}
+    wants = {extra: _guard_outputs(tmp_path, _GUARD + extra) for _, extra in _CHOICES.values()}
+    for (section, key), (options, extra) in _CHOICES.items():
+        default = getattr(owners[section], KEYS[section, key][0])
+        assert default in options
+        for option in options:
+            if option != default:
+                got = _guard_outputs(tmp_path, _GUARD + extra + f"{section}.{key} = {option}\n")
+                assert got != wants[extra], f"{section}.{key} = {option} changed nothing"
+
+
+def test_every_data_kind_trains(tmp_path):
+    # each kind gives test rows and a loss that moves: every round reads
+    # a finite accuracy and nonzero geometry. The csv source is data2's
+    # planted draw under run seed 1, written out, so it trains to the
+    # same bytes
+    graph = harness._source_graph(parse_config(_GUARD).sources[1], seed=1000 * 1 + 1)
+    csv = _GUARD[:_GUARD.index("data2.")] + _csv_source(tmp_path, "data2", graph)
+    outputs = []
+    for kind, text in zip(KINDS, (_GUARD, csv)):
+        assert f"data2.kind = {kind}" in text
+        outputs.append(_guard_outputs(tmp_path, text))
+        for row in outputs[-1][0].decode().split()[1:]:
+            values = [float(v) for v in row.split(",")]
+            assert 0.0 <= values[2] <= 1.0 and 0.0 not in values[3:6], (kind, row)
+    assert outputs[0] == outputs[1]
 
 
 def _round_metrics_oracle(updates, report, deltas):
