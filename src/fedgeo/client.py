@@ -287,10 +287,10 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     client's values are those its own one-client federation gives, bit
     for bit.
 
-    A client whose loss is not finite at some step, or whose delta is
-    not finite, has diverged: the DivergenceError names the first such
-    client in federation order and its run, and the federation keeps
-    the ``held`` it had.
+    A client that ``gradient`` flags at some step (its logits or its
+    loss not finite), or whose delta is not finite, has diverged: the
+    DivergenceError names the first such client in federation order and
+    its run, and the federation keeps the ``held`` it had.
     """
     params = fed.broadcast(shared)
     work = params.values
@@ -308,9 +308,9 @@ def local_train(fed: Federation, shared: np.ndarray, round_index: int = 0) -> Ro
     for _ in range(training.epochs):
         # a diverged client's values are not finite from here on: no warnings
         with np.errstate(all="ignore") if diverged.any() else nullcontext():
-            losses, grads = gradient(params, fed.batch, fed.train, fed.model.activation,
-                                     out=fed._grads)
-            diverged |= ~np.isfinite(losses)
+            flags, grads = gradient(params, fed.batch, fed.train, fed.model.activation,
+                                    out=fed._grads)
+            diverged |= flags
             if pull is not None:
                 np.subtract(work[:, cols], start, out=pull)
                 pull *= mu

@@ -204,13 +204,13 @@ def _round_metrics(updates: RoundUpdates, report: RegulationReport,
         stack = sorted_deltas[rows]
         if rows.shape[1] >= 2:
             gamma, _ = pairwise_coherence(stack)
-            # one mean per matrix: a mean along an axis sums in another order
-            out[ids, 0] = [np.mean(g[iu]) for g in gamma]
+            # np.mean's bits per matrix: a mean along an axis sums in another order
+            out[ids, 0] = [v.sum() / v.size for v in (g[iu] for g in gamma)]
         else:
             out[ids, 0] = np.any(stack, axis=(1, 2))
     live = report.proxy_norm > 0.0
-    out[:, 1] = [np.mean(report.cos_ref[a:b][live[a:b]]) if live[a:b].any() else 0.0
-                 for a, b in lay.runs]
+    cos = (report.cos_ref[a:b][live[a:b]] for a, b in lay.runs)
+    out[:, 1] = [v.sum() / v.size if v.size else 0.0 for v in cos]
     out[:, 2] = sensitivity_norm(deltas)
     # a mean of 0/1 values is its count over its length, and a count is exact
     flags = np.stack([report.clip_factor < 1.0, report.attenuated], axis=1)

@@ -14,10 +14,10 @@ The last layer is built for those rows only. Their parameters come
 stacked, one slice per graph: ``layer_views`` of a (K, L) matrix whose
 row k is graph k's flat vector. Products with the weights run graph by
 graph (``_products``), everything else over all rows at once. The losses
-and bias gradients of all graphs are one product with a 0/1 matrix
-(``GraphBatch.sums``, ``Rows.sums``) that adds each graph's rows in row
-order from +0.0. So each graph's values are bit for bit those of a
-batch of that graph alone.
+(when a step needs them) and bias gradients of all graphs are one
+product with a 0/1 matrix (``GraphBatch.sums``, ``Rows.sums``) that
+adds each graph's rows in row order from +0.0. So each graph's values
+are bit for bit those of a batch of that graph alone.
 Parameters are grouped into a shared encoder and an optional client-local
 head (the final layer, in cross-domain federations) and travel between
 client and server as flat vectors with a canonical layer-ordered,
@@ -33,10 +33,10 @@ gradient matrices), and a ``GraphBatch`` or ``Rows`` holds the row
 views of its messages and its step buffers (``buffer``) for as long as
 it lives. ``forward`` writes its pre-activations into such buffers, so
 they hold until the next ``forward`` or ``gradient`` on the same batch.
-``gradient``'s losses are new on every call, and so is its matrix
-unless the caller passes the views of one to write into (``out``);
-parameter values are never aliased into another call's (``layer_views``
-alone returns views, of the array it is given).
+``gradient``'s divergence flags are new on every call, and so is its
+matrix unless the caller passes the views of one to write into
+(``out``); parameter values are never aliased into another call's
+(``layer_views`` alone returns views, of the array it is given).
 """
 
 from __future__ import annotations
@@ -495,22 +495,23 @@ def forward(
     return messages, preacts
 
 
-def _cross_entropy(z: np.ndarray, pick: np.ndarray,
-                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy(z: np.ndarray, pick: np.ndarray, out: np.ndarray | None = None,
+                   losses: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Softmax cross-entropy of each logit row of ``z`` with its label
-    (log-sum-exp form), and its gradient in the row's logits: the softmax
-    probabilities less one at the label, written to ``out`` (a new
-    array if None; a C-contiguous array of z's shape otherwise). ``pick``
-    is the flat position ``row * width + label`` of each row's label
-    logit in C order.
+    (log-sum-exp form; None unless ``losses``), and its gradient in the
+    row's logits: the softmax probabilities less one at the label,
+    written to ``out`` (a new array if None; a C-contiguous array of z's
+    shape otherwise). ``pick`` is the flat position ``row * width +
+    label`` of each row's label logit in C order.
 
     The row max is a chain of ``np.maximum`` over the columns, one
     whole-array operation per class rather than NumPy's reduce loop per
     row. It can differ from ``z.max(axis=1)`` only in the sign of a zero
     max, which reaches no output: ``z - zmax`` has the same ``exp``, and
-    the log-sum-exp adds ``log(total) >= +0.0`` to it. The denominator stays
-    ``e.sum(axis=1)``: NumPy adds a short row in an order that depends on
-    its length, which no column chain matches at every width."""
+    the log-sum-exp adds ``log(total) >= +0.0`` to it. The denominator
+    is NumPy's pairwise row sum ``e.sum(axis=1)`` (sequential below 8
+    entries, then 8 running sums in a fixed tree up to 128, then
+    halving); a column chain in that order would give its bits."""
     if pick.size == 0:
         raise InputError("no rows selected")
     zmax = z[:, 0].copy()
@@ -519,7 +520,7 @@ def _cross_entropy(z: np.ndarray, pick: np.ndarray,
     e = np.subtract(z, zmax[:, None], out=out)
     np.exp(e, out=e)
     total = e.sum(axis=1)
-    nll = zmax + np.log(total) - z.ravel()[pick]
+    nll = zmax + np.log(total) - z.ravel()[pick] if losses else None
     e /= total[:, None]
     e.ravel()[pick] -= 1.0  # e is C-contiguous, so ravel is a view
     return nll, e
@@ -539,25 +540,25 @@ def gradient(
     activation: str = "relu",
     out: ParameterSet | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each graph's mean cross-entropy over its ``rows`` (labels from
-    ``batch.labels``), and its analytic gradients as one (K, L) matrix:
-    row k is graph k's gradient in FlatVector order, laid out as
-    ``layer_views`` reads ``params`` (see ``forward``). A graph without
-    rows, or a model of other than 1 or 2 layers, is an InputError. The
-    losses are a new array, and so is the matrix unless ``out`` is
-    given: the ``layer_views`` of a (K, L) matrix in ``params``' layout
-    (InputError otherwise), which the gradient is written into through
-    those views and their held per-graph views, and which is returned.
-    The step's other arrays are buffers that ``batch`` and ``rows`` hold.
-
-    Each graph's loss sums its rows' losses in row order, and each bias
-    gradient its rows' terms (``Rows.sums``, ``GraphBatch.sums``).
+    """Whether each graph's step over its ``rows`` (labels from
+    ``batch.labels``) diverged, and the analytic gradients of each graph's
+    mean cross-entropy as one (K, L) matrix: row k is graph k's gradient
+    in FlatVector order, laid out as ``layer_views`` reads ``params``
+    (see ``forward``). A graph without rows, or a model of other than 1
+    or 2 layers, is an InputError. The flags are a new array, and so is
+    the matrix unless ``out`` is given: the ``layer_views`` of a (K, L)
+    matrix in ``params``' layout (InputError otherwise), which the
+    gradient is written into through those views and their held
+    per-graph views, and which is returned. The step's other arrays are
+    buffers that ``batch`` and ``rows`` hold. Each bias gradient sums its
+    rows' terms in row order (``Rows.sums``, ``GraphBatch.sums``).
 
     The last layer is built for ``rows`` only, so divergence is decided
-    on the logits the loss reads: a graph whose logits are not all
-    finite has diverged, its loss is inf, its gradients are not
-    meaningful, and the caller decides what to do. The other graphs'
-    values are unaffected.
+    on the logits the loss reads: a graph whose logits or mean loss are
+    not finite has diverged, its gradients are not meaningful, and the
+    caller decides what to do; the other graphs' values are unaffected.
+    The losses are computed only when a bound on the logits cannot prove
+    them finite.
     """
     check_layer_count(params.n_layers)
     shape = (batch.nodes.size - 1, sum(s.size for s in params.layout))
@@ -569,15 +570,17 @@ def gradient(
     logits = preacts[-1]
     if not rows.counts.all():
         raise InputError(f"graph {int(np.argmin(rows.counts))}: no rows selected")
-    finite = bool(np.isfinite(logits).all())
+    # |logit| < B = M / (4N), M the float maximum and N >= any graph's row count,
+    # bounds a row's loss zmax + log(total) - z[pick] by 2B + ln C (C classes) and
+    # a graph's sum by M / 2 + N ln C, far below M. NaN and inf fail the comparison.
+    width = logits.shape[1]
+    safe = max(logits.max(), -logits.min()) < np.finfo(np.float64).max / (4 * rows.index.size)
     # a diverged graph's arithmetic is not finite by design: no warnings
-    with nullcontext() if finite else np.errstate(all="ignore"):
-        width = logits.shape[1]
+    with nullcontext() if safe else np.errstate(all="ignore"):
         dp, dps = rows.buffer("loss", width)
-        nll, _ = _cross_entropy(logits, rows.label_positions(width), out=dp)
-        losses = rows.sums @ nll / rows.counts
-        if not finite:
-            losses[~_finite_graphs(logits, rows.bounds)] = np.inf
+        nll, _ = _cross_entropy(logits, rows.label_positions(width), out=dp, losses=not safe)
+        diverged = np.zeros(shape[0], dtype=bool) if safe else ~(
+            _finite_graphs(logits, rows.bounds) & np.isfinite(rows.sums @ nll / rows.counts))
         dp *= rows.share  # d loss / d logits of each graph's rows
         back = [(dp, dps)]  # d loss / d pre-activation of each layer, and its views
         if params.n_layers == 2:
@@ -600,7 +603,7 @@ def gradient(
             if grad.bias is not None:
                 grad.bias[...] = seg.sums @ dp
 
-    return losses, out.values
+    return diverged, out.values
 
 
 def layer_layout(params: ParameterSet, group: str = "all") -> tuple[LayerSpec, ...]:

@@ -225,7 +225,6 @@ class RegulationReport:
     retention: np.ndarray           # (K, proxy blocks)
     clip_factor: np.ndarray         # (K,)
     coefficients: np.ndarray        # (K, layers) align * retention * clip
-    layer_coefficients: np.ndarray  # (R, layers) each run's weighted sum of its rows'
     epsilon: np.ndarray             # (R,) resolved norm cap (0 = inactive)
     fallback_used: np.ndarray       # (R,) bool
 
@@ -276,14 +275,21 @@ def _held(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_sums(flat: np.ndarray, starts: np.ndarray) -> None:
+    """InputError unless each run's weights, ``flat`` from ``starts`` on, sum to 1."""
+    if (np.abs(np.add.reduceat(flat, starts) - 1.0) > 1e-9).any():
+        raise InputError("weights must sum to 1")
+
+
 class _RunWeights(tuple):
     """Each run's weight vector under one weighting, as views of ``flat``
     (every row's weight, in row order), for the runs of ``layout``, with
     each run's heaviest row ``heaviest`` (the first among equals). It is
     the ``weights`` a round hands ``update_reference``, which reads the
-    run structure from it instead of deriving it again."""
+    run structure and checked sums from it instead of deriving them again."""
 
     def __new__(cls, flat: np.ndarray, layout: RunLayout):
+        _check_sums(flat, layout.starts)  # once per weighting of a layout
         self = super().__new__(cls, (flat[a:b] for a, b in layout.runs))
         self.flat, self.layout = _held(flat), layout
         self.heaviest = np.empty(len(layout.runs), dtype=np.intp)
@@ -632,7 +638,7 @@ def update_reference(
     ``ref`` holds R runs, ``proxies`` every run's rows, run after run,
     and ``weights`` one weight vector per run, which must sum to 1; the
     next stack. A round passes the weights its ``RunLayout`` holds, and
-    the run structure is read from that layout; every check still runs.
+    the run structure and checked sums are read from that layout.
     """
     if len(weights) != len(ref.r):
         raise InputError(f"{len(weights)} weight vectors for {len(ref.r)} runs")
@@ -645,8 +651,8 @@ def update_reference(
         flat, sizes, starts = weights.flat, lay.sizes, lay.starts
     if len(proxies) != sizes.sum() or not sizes.all():
         raise InputError("one weight per proxy required")
-    if (np.abs(np.add.reduceat(flat, starts) - 1.0) > 1e-9).any():
-        raise InputError("weights must sum to 1")
+    if lay is None:  # a layout checked its weights when it built them
+        _check_sums(flat, starts)
     if proxies.ndim != 2 or proxies.shape[1] != ref.r.shape[1]:
         raise InputError("proxies must be rows as long as the reference")
     if not np.isfinite(proxies).all():
@@ -790,7 +796,5 @@ def regulate_and_aggregate(
     report = RegulationReport(
         client_ids=lay.ids, runs=runs, proxy_norm=norms,
         cos_ref=cos_ref, align_factor=align, retention=retention, clip_factor=clip,
-        coefficients=coefficients,
-        layer_coefficients=_weighted_sums(weights, coefficients, stacks), epsilon=eps,
-        fallback_used=fallback)
+        coefficients=coefficients, epsilon=eps, fallback_used=fallback)
     return global_deltas, new_ref, report

@@ -48,7 +48,7 @@ from fedgeo.model import graph_batch, layer_views
 from fedgeo.model import SHARED, LayerSpec, layer_slices
 from fedgeo.server import RunLayout
 
-from conftest import stack
+from conftest import mean_losses, stack
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -143,7 +143,7 @@ def test_2_analytic_gradients_match_central_differences():
 
         def loss_at(values):
             p = unflatten(FlatVector(values=values, layout=flat.layout), params)
-            return gradient(stack([p]), batch, rows, activation="relu")[0][0]
+            return mean_losses(stack([p]), batch, rows, activation="relu")[0]
 
         fd = np.zeros_like(flat.values)
         for i in range(flat.values.size):

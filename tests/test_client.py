@@ -347,8 +347,8 @@ def test_divergence_names_the_first_client_whatever_the_step():
                                   params=params))
     fed = Federation(states, cfg, TrainingConfig(lr=1.0, epochs=2))
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, _ = gradient(stack([params, params]), fed.batch, fed.train, "identity")
-        assert np.isfinite(losses[0]) and losses[1] == np.inf
+        flags, _ = gradient(stack([params, params]), fed.batch, fed.train, "identity")
+        assert flags.tolist() == [False, True]
         with pytest.raises(DivergenceError) as err:
             local_train(fed, flatten(params, group=SHARED).values[None], round_index=3)
     assert (err.value.round_index, err.value.client_id) == (3, 0)

@@ -1026,8 +1026,8 @@ def test_round_rows_are_the_json_dumps_text(round_index, blocks, clients):
     report = RegulationReport(
         client_ids=np.array(ids), runs=((0, k),), proxy_norm=np.ones(k), cos_ref=np.array(cos),
         align_factor=np.where(atten, 0.5, 1.0), retention=np.array(ret).reshape(k, blocks),
-        clip_factor=np.array(clip), coefficients=np.ones((k, 1)),
-        layer_coefficients=np.ones((1, 1)), epsilon=np.zeros(1), fallback_used=np.zeros(1, bool))
+        clip_factor=np.array(clip), coefficients=np.ones((k, 1)), epsilon=np.zeros(1),
+        fallback_used=np.zeros(1, bool))
     want = [json.dumps({"round": round_index, "client": i, "cos_ref": c, "atten": a,
                         "retention": r, "clip": cl})
             for i, c, a, r, cl in zip(ids, cos, atten, ret, clip)]

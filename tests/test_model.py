@@ -38,7 +38,7 @@ from fedgeo.model import (
     layer_views,
 )
 
-from conftest import stack
+from conftest import mean_losses, stack
 
 
 def _one_graph(adj, features, labels, rows):
@@ -193,6 +193,9 @@ def test_cross_entropy_and_finiteness_are_the_row_reduce_bits(sizes, width, data
         want = _reduce_cross_entropy(z, labels)
     for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape and _bits(g) == _bits(w)
+    with np.errstate(all="ignore"):
+        none, dz = _cross_entropy(z, np.arange(n) * width + labels, losses=False)
+    assert none is None and _bits(dz) == _bits(want[1])
     finite = np.logical_and.reduceat(np.isfinite(z).all(axis=1), bounds[:-1])
     assert np.array_equal(_finite_graphs(z, bounds), finite)
 
@@ -206,26 +209,29 @@ _ISOLATED_WEIGHTS = [np.array([[0.5, -0.25]]), np.array([[1.0, -np.inf]]),
                      np.array([[-2.0, 3.0]])]
 
 
-def _isolated_step(ks):
-    """``gradient`` of the batch of the isolated graphs ``ks``, every node a row."""
+def _isolated(ks):
+    """The parameters, batch and rows (every node) of the isolated graphs ``ks``."""
     no_edges = np.zeros((0, 2), dtype=int)
     params = stack([ParameterSet(layers=(Layer(weight=_ISOLATED_WEIGHTS[k], bias=None,
                                                 group=SHARED),)) for k in ks])
     batch = graph_batch([normalized_adjacency(make_graph(_ISOLATED_SIZES[k], no_edges))
                          for k in ks], [np.ones((_ISOLATED_SIZES[k], 1)) for k in ks],
                         [_ISOLATED_LABELS[k] for k in ks])
-    return gradient(params, batch, batch.rows([np.arange(_ISOLATED_SIZES[k]) for k in ks]),
-                    "identity")
+    return params, batch, batch.rows([np.arange(_ISOLATED_SIZES[k]) for k in ks])
 
 
 def test_a_minus_inf_logit_marks_only_its_graph_as_diverged():
     # the other two keep the bits they get in batches of their own
-    losses, grads = _isolated_step([0, 1, 2])
-    assert np.isfinite(losses[[0, 2]]).all() and losses[1] == np.inf
+    step = _isolated([0, 1, 2])
+    flags, grads = gradient(*step, "identity")
+    assert flags.tolist() == [False, True, False]
+    with np.errstate(all="ignore"):
+        losses = mean_losses(*step, "identity")
     for k in (0, 2):
-        own_losses, own_grads = _isolated_step([k])
-        assert losses[k].tobytes() == own_losses[0].tobytes()
-        assert grads[k].tobytes() == own_grads[0].tobytes()
+        own = _isolated([k])
+        own_flags, own_grads = gradient(*own, "identity")
+        assert not own_flags[0] and grads[k].tobytes() == own_grads[0].tobytes()
+        assert losses[k].tobytes() == mean_losses(*own, "identity")[0].tobytes()
 
 
 def test_a_diverged_graph_raises_no_warning():
@@ -233,8 +239,56 @@ def test_a_diverged_graph_raises_no_warning():
     # arithmetic, products included, warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        losses, _ = _isolated_step([0, 1, 2])
-    assert losses[1] == np.inf
+        flags, _ = gradient(*_isolated([0, 1, 2]), "identity")
+    assert flags[1]
+
+
+def _logit_rows(draw, width):
+    """One row of ``width`` logits: finite entries at one scale from 1 to
+    1e308, or a row holding inf or NaN."""
+    scale = draw(st.sampled_from([1.0, 1e150, 1e300, 1e306, 1e307, 1e308]))
+    row = [scale * draw(st.floats(-1.0, 1.0)) for _ in range(width)]
+    if draw(st.integers(0, 5)) == 0:
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return row
+
+
+@settings(max_examples=200)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    width=st.integers(2, 4),
+    data=st.data(),
+)
+@example(sizes=[1, 1], width=2, data=None)
+def test_divergence_flags_are_the_logit_and_mean_loss_rule(sizes, width, data):
+    # a graph is flagged exactly when its logits are not all finite or its
+    # mean loss is not, whether or not the step computed its losses, and
+    # the step warns of nothing. Each node is isolated under one
+    # identity-weight layer, so its logits are its features (a non-finite
+    # entry makes its row's others NaN)
+    n = sum(sizes)
+    if data is None:  # finite logits whose loss overflows, next to a graph at scale 1
+        z, labels = np.array([[1e308, -1e308], [0.5, -0.25]]), np.array([1, 0])
+    else:
+        z = np.array([_logit_rows(data.draw, width) for _ in range(n)])
+        labels = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=n,
+                                             max_size=n), label="labels"))
+    bounds = np.cumsum([0] + sizes)
+    graphs = [make_graph(b - a, np.zeros((0, 2), dtype=int), features=z[a:b],
+                         labels=labels[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    batch = graph_batch([normalized_adjacency(g) for g in graphs], [g.features for g in graphs],
+                        [g.labels for g in graphs])
+    rows = batch.rows([np.arange(k) for k in sizes])
+    identity = ParameterSet(layers=(Layer(weight=np.eye(z.shape[1]), bias=None, group=SHARED),))
+    params = stack([identity] * len(sizes))
+    with np.errstate(all="ignore"):
+        logits = forward(params, batch, rows, "identity")[1][-1].copy()
+        want = ~(_finite_graphs(logits, rows.bounds)
+                 & np.isfinite(mean_losses(params, batch, rows, "identity")))
+    flags, _ = gradient(params, batch, rows, "identity")
+    if data is None:
+        assert np.isfinite(logits).all() and want.tolist() == [True, False]
+    assert flags.dtype == bool and flags.tolist() == want.tolist()
 
 
 class _MatmulNumpy:
@@ -302,7 +356,8 @@ def test_per_graph_products_are_the_matmul_bits(sizes, widths, n_layers, bias, s
     def outputs():
         messages, preacts = forward(params, batch, test)
         # copied: gradient may write into the buffers forward returned
-        return [a.copy() for a in messages + preacts] + list(gradient(params, batch, train))
+        return ([a.copy() for a in messages + preacts] + list(gradient(params, batch, train))
+                + [mean_losses(params, batch, train)])
 
     got = outputs()
     with mock.patch.object(model, "np", _MatmulNumpy()):
@@ -312,7 +367,7 @@ def test_per_graph_products_are_the_matmul_bits(sizes, widths, n_layers, bias, s
 
 
 def test_gradient_returns_new_arrays_and_forward_holds_until_the_next_step():
-    # gradient's losses and matrix are new arrays, never written by a
+    # gradient's flags and matrix are new arrays, never written by a
     # later call; forward's outputs are buffers its batch and rows hold,
     # which keep their values until the next forward or gradient on the
     # same batch, whatever runs on another batch in between
@@ -329,8 +384,8 @@ def test_gradient_returns_new_arrays_and_forward_holds_until_the_next_step():
     other, other_train, other_test = batch_and_rows()
     cfg = ModelConfig(n_layers=2, hidden_dim=4)
     p1, p2 = (stack([init_params(cfg, 3, 2, seed=s + k) for k in range(3)]) for s in (0, 10))
-    losses, grads = gradient(p1, batch, train)
-    kept = losses.tobytes(), grads.tobytes()
+    flags, grads = gradient(p1, batch, train)
+    kept = flags.tobytes(), grads.tobytes()
     messages, preacts = forward(p2, batch, test)
     held = [a.tobytes() for a in messages + preacts]
     forward(p1, other, other_test)
@@ -338,8 +393,8 @@ def test_gradient_returns_new_arrays_and_forward_holds_until_the_next_step():
     assert [a.tobytes() for a in messages + preacts] == held
     again, _ = gradient(p2, batch, train)
     forward(p1, batch, test)
-    assert (losses.tobytes(), grads.tobytes()) == kept
-    assert not np.shares_memory(losses, again)
+    assert (flags.tobytes(), grads.tobytes()) == kept
+    assert not np.shares_memory(flags, again)
     assert not any(np.shares_memory(grads, a) for a in preacts)
 
 
@@ -375,15 +430,15 @@ def test_gradient_into_a_held_matrix_is_the_new_matrix_bits(sizes, widths, n_lay
     cfg = ModelConfig(n_layers=n_layers, hidden_dim=hidden, activation=activation, bias=bias)
     params = stack([init_params(cfg, f, c, seed=seed % 1000 + k) for k in range(len(sizes))])
     theta = params.values.tobytes()
-    want_losses, want = gradient(params, batch, train, activation)
+    want_flags, want = gradient(params, batch, train, activation)
     kept = want.tobytes()
     held = np.empty_like(want)
     out = layer_views(held, params.layout)
     for fill in (np.nan, -0.0, 1e300):
         held[...] = fill
-        losses, got = gradient(params, batch, train, activation, out=out)
+        flags, got = gradient(params, batch, train, activation, out=out)
         assert got is held
-        assert got.tobytes() == kept and losses.tobytes() == want_losses.tobytes()
+        assert got.tobytes() == kept and flags.tobytes() == want_flags.tobytes()
         assert want.tobytes() == kept and params.values.tobytes() == theta
     # a matrix of another shape, one of this shape in another layout (a
     # local first layer), and layers that are not a matrix's views
@@ -400,8 +455,8 @@ def _fd_gradient(params, adj, features, labels, rows, activation, step=1e-4):
 
     def loss_at(values):
         p = unflatten(FlatVector(values=values, layout=flat.layout), template)
-        return gradient(stack([p]), *_one_graph(adj, features, labels, rows),
-                        activation=activation)[0][0]
+        return mean_losses(stack([p]), *_one_graph(adj, features, labels, rows),
+                           activation=activation)[0]
 
     fd = np.zeros_like(flat.values)
     for i in range(flat.values.size):
@@ -526,8 +581,9 @@ def test_gradient_on_train_rows_matches_full_row_reference(n, dims, n_layers, ac
     assert logits.shape == want_logits.shape
     assert np.linalg.norm(logits - want_logits) <= 1e-12 * np.linalg.norm(want_logits)
 
-    losses, grads = gradient(stack([params]), batch, rows, activation)
-    loss = losses[0]
+    flags, grads = gradient(stack([params]), batch, rows, activation)
+    assert not flags[0]
+    loss = mean_losses(stack([params]), batch, rows, activation)[0]
     got = grads[0]
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -625,13 +681,13 @@ def test_divergence_is_decided_on_the_train_rows():
     params = ParameterSet(layers=(Layer(weight=np.array([[4.0, -4.0]]), bias=None,
                                         group=SHARED),))
     adj = normalized_adjacency(g)
-    losses, _ = gradient(stack([params]),
-                         *_one_graph(adj, g.features, g.labels, np.array([0, 1])), "identity")
-    assert np.isfinite(losses[0])
+    flags, _ = gradient(stack([params]),
+                        *_one_graph(adj, g.features, g.labels, np.array([0, 1])), "identity")
+    assert not flags[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, _ = gradient(stack([params]),
-                             *_one_graph(adj, g.features, g.labels, np.array([0, 2])), "identity")
-    assert losses[0] == float("inf")
+        flags, _ = gradient(stack([params]),
+                            *_one_graph(adj, g.features, g.labels, np.array([0, 2])), "identity")
+    assert flags[0]
 
 
 @settings(max_examples=60, deadline=None)
